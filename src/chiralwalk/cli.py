@@ -412,6 +412,8 @@ def main(argv: list[str] | None = None) -> int:
         if argv and not argv[0].startswith("-"):
             argv = _inject_config(argv)
         args = ap.parse_args(argv)
+        if not math.isfinite(getattr(args, "t", 0.0)):
+            raise ConfigError(f"t must be finite, got {args.t}")
         return args.func(args)
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -8,20 +8,25 @@ than nu:
 
 The cumulative current is the integral of v over the same sub-level set,
 which telescopes exactly to band energies at the set's endpoints because
-v = w'.  Higher cumulative moments integrate v^k over the set.  This
-sub-level-set formulation needs no per-regime branch bookkeeping and is
-valid on both sides of the Lifshitz transition.
+v = w'.  Higher cumulative moments integrate v^k over the set.
+
+Between consecutive front wave vectors q* the group velocity is monotone,
+because w'' has no root there.  The zone therefore splits into monotone
+branches, and on each branch the sub-level set is one interval ending at
+the branch's single root of v = nu.  Branches whose end velocities both
+lie on one side of nu are empty or whole without any root finding; the
+others are bisected, all branches and all nu at once.  This is valid on
+both sides of the Lifshitz transition and at the critical couplings.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
-from .dispersion import WalkParams, omega, omega_deriv
+from .dispersion import TWO_PI, WalkParams, omega, omega_deriv
 from .evolve import (
     cumulative,
     cumulative_moment,
@@ -31,93 +36,97 @@ from .evolve import (
 )
 from .fronts import FrontDiagram, cone_topology
 
-ROOT_GRID = 8192
-ROOT_MERGE = 1e-8
 DEFAULT_EXCLUSION = 8.0
+_BISECT_STEPS = 54  # brackets a root on a branch of length <= 2pi to < 4e-16
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
 
 
-@lru_cache(maxsize=32)
-def _velocity_table(p: WalkParams, n: int = ROOT_GRID):
-    qs = np.linspace(-math.pi, math.pi, n, endpoint=False)
-    return qs, omega_deriv(qs, 1, p)
+def _branches(p: WalkParams):
+    """Monotone branches [a, b] of v between consecutive fronts, with v(a), v(b).
 
-
-def invert_velocity(p: WalkParams, nu: float, tol: float = 1e-12) -> list[float]:
-    """All solutions q in [-pi, pi) of v(q) = nu, bracketed and bisected.
-
-    Returns the empty list outside [v_lm, v_rm]; near-tangent root pairs are
-    merged when closer than 1e-8.
+    Columns of shape (branches, 1); the last branch wraps across the zone
+    seam, so b may exceed pi.  End velocities are the fronts' own, which
+    makes v_lm and v_rm exact branch extrema.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    qs, vs = _velocity_table(p)
-    f = vs - nu
-    step = qs[1] - qs[0]
-    idx = np.nonzero(f * np.roll(f, -1) < 0.0)[0]
-    lo = qs[idx]
-    hi = lo + step
-    flo = f[idx]
-    for _ in range(64):
+    fronts = sorted(cone_topology(p).fronts, key=lambda fr: fr.q_star)
+    a = np.array([fr.q_star for fr in fronts])
+    va = np.array([fr.velocity for fr in fronts])
+    b = np.append(a[1:], a[0] + TWO_PI)
+    return a[:, None], b[:, None], va[:, None], np.roll(va, -1)[:, None]
+
+
+def _sublevel(p: WalkParams, nu):
+    """Interval [start, end] of {v <= nu} on every branch, shape (branches, len(nu)).
+
+    An empty interval has start == end, a whole branch is exactly [a, b].
+    """
+    a, b, va, vb = _branches(p)
+    nu = np.atleast_1d(np.asarray(nu, dtype=float))
+    rising = vb > va
+    lo, hi = np.broadcast_arrays(a, b, nu)[:2]
+    for _ in range(_BISECT_STEPS):
         mid = 0.5 * (lo + hi)
-        fm = omega_deriv(mid, 1, p) - nu
-        left = flo * fm <= 0.0
-        hi = np.where(left, mid, hi)
-        lo = np.where(left, lo, mid)
-        flo = np.where(left, flo, fm)
-    roots = list(0.5 * (lo + hi))
-    roots += [float(qs[i]) for i in np.nonzero(f == 0.0)[0]]
-    # the last bracket spans the zone seam; fold refined roots back into [-pi, pi)
-    roots = [r - 2.0 * math.pi if r >= math.pi else r for r in roots]
-    roots.sort()
-    merged: list[float] = []
-    for r in roots:
-        if merged and abs(r - merged[-1]) < ROOT_MERGE:
-            continue
-        merged.append(float(r))
-    return merged
+        right = (omega_deriv(mid, 1, p) <= nu) == rising
+        lo = np.where(right, mid, lo)
+        hi = np.where(right, hi, mid)
+    root = 0.5 * (lo + hi)
+    root = np.where(nu <= np.minimum(va, vb), np.where(rising, a, b), root)
+    root = np.where(nu >= np.maximum(va, vb), np.where(rising, b, a), root)
+    return np.where(rising, a, root), np.where(rising, root, b)
 
 
-def _sublevel_arcs(p: WalkParams, nu: float) -> list[tuple[float, float]]:
-    """Arcs of the Brillouin circle where v(q) <= nu (b may exceed pi by wrap)."""
-    roots = invert_velocity(p, nu)
-    if not roots:
-        v0 = omega_deriv(0.0, 1, p)
-        return [(-math.pi, math.pi)] if v0 <= nu else []
-    arcs = []
-    ext = roots + [roots[0] + 2.0 * math.pi]
-    for a, b in zip(ext[:-1], ext[1:]):
-        if omega_deriv(0.5 * (a + b), 1, p) <= nu:
-            arcs.append((a, b))
-    return arcs
+def _bulk(p: WalkParams, nu, ks: tuple = ()) -> dict:
+    """Phi, J and the scaled moments M~_k (k in ks) at every nu.
+
+    Phi is normalised by the summed branch lengths, i.e. the zone as the
+    branches tile it, so it is exactly 0 below the cone and 1 above it.
+    Moments use fixed-order Gauss-Legendre per interval; v^k is a short
+    trigonometric polynomial, so 64 nodes are converged far below 1e-9.
+    """
+    a, b, _, _ = _branches(p)
+    start, end = _sublevel(p, nu)
+    out = {
+        "phi": (end - start).sum(0) / (b - a).sum(0),
+        "j": (omega(end, p) - omega(start, p)).sum(0) / TWO_PI,
+    }
+    if ks:
+        half, centre = 0.5 * (end - start), 0.5 * (end + start)
+        for k in ks:
+            out[f"m{k}"] = np.zeros(half.shape[1])
+        for x, w in zip(_GL_NODES, _GL_WEIGHTS):
+            v = omega_deriv(centre + half * x, 1, p)
+            for k in ks:
+                out[f"m{k}"] += (w / TWO_PI) * (half * v**k).sum(0)
+    return out
+
+
+def invert_velocity(p: WalkParams, nu: float) -> list[float]:
+    """All solutions q in [-pi, pi) of v(q) = nu, sorted.
+
+    One root per monotone branch whose end velocities straddle nu; the
+    empty list outside (v_lm, v_rm).
+    """
+    _, _, va, vb = _branches(p)
+    start, end = _sublevel(p, nu)
+    roots = np.where(vb > va, end, start)[(np.minimum(va, vb) < nu) & (nu < np.maximum(va, vb))]
+    return sorted(float(r - TWO_PI if r >= math.pi else r) for r in roots)
 
 
 def scaled_cpd(p: WalkParams, nu: float) -> float:
     """Phi(nu): measure of the sub-level set {v <= nu}, normalised by 2pi."""
-    return sum(b - a for a, b in _sublevel_arcs(p, nu)) / (2.0 * math.pi)
+    return float(_bulk(p, nu)["phi"][0])
 
 
 def scaled_ccd(p: WalkParams, nu: float) -> float:
     """J(nu) = (1/2pi) integral of v over {v <= nu} = telescoped band energies."""
-    total = 0.0
-    for a, b in _sublevel_arcs(p, nu):
-        total += omega(b, p) - omega(a, p)
-    return total / (2.0 * math.pi)
+    return float(_bulk(p, nu)["j"][0])
 
 
 def scaled_moment(p: WalkParams, nu: float, k: int) -> float:
-    """Scaled cumulative moment: (1/2pi) integral of v^k over {v <= nu}.
-
-    Fixed-order Gauss-Legendre per arc; v^k is a short trigonometric
-    polynomial, so 64 nodes are converged far below 1e-9.
-    """
+    """Scaled cumulative moment: (1/2pi) integral of v^k over {v <= nu}."""
     if k < 1:
         raise ValueError("moment order must be >= 1")
-    total = 0.0
-    for a, b in _sublevel_arcs(p, nu):
-        x = 0.5 * (b - a) * _GL_NODES + 0.5 * (a + b)
-        total += 0.5 * (b - a) * float(np.dot(_GL_WEIGHTS, omega_deriv(x, 1, p) ** k))
-    return total / (2.0 * math.pi)
+    return float(_bulk(p, nu, (k,))[f"m{k}"][0])
 
 
 def nu_half(p: WalkParams, tol: float = 1e-10) -> float:
@@ -148,21 +157,9 @@ def scaling_curve(p: WalkParams, num: int = 4001, margin: float = 0.5) -> Scalin
     """Sample the bulk scaling functions across the causal cone."""
     d = cone_topology(p)
     nu = np.linspace(d.v_lm - margin, d.v_rm + margin, num)
-    phi_s = np.empty(num)
-    j_s = np.empty(num)
-    m_s = [np.empty(num) for _ in range(3)]
-    for i, x in enumerate(nu):
-        arcs = _sublevel_arcs(p, x)
-        phi_s[i] = sum(b - a for a, b in arcs) / (2.0 * math.pi)
-        j_s[i] = sum(omega(b, p) - omega(a, p) for a, b in arcs) / (2.0 * math.pi)
-        for k in range(2, 4):
-            acc = 0.0
-            for a, b in arcs:
-                xx = 0.5 * (b - a) * _GL_NODES + 0.5 * (a + b)
-                acc += 0.5 * (b - a) * float(np.dot(_GL_WEIGHTS, omega_deriv(xx, 1, p) ** k))
-            m_s[k - 1][i] = acc / (2.0 * math.pi)
-    m_s[0] = j_s.copy()  # M~_1 equals J identically
-    return ScalingCurve(p, nu, phi_s, j_s, tuple(m_s))
+    h = _bulk(p, nu, (2, 3))
+    # M~_1 equals J identically
+    return ScalingCurve(p, nu, h["phi"], h["j"], (h["j"].copy(), h["m2"], h["m3"]))
 
 
 def exclusion_windows(
@@ -229,22 +226,7 @@ def compare_bulk(
     inside = np.zeros(nus.shape, dtype=bool)
     for centre, half in wins:
         inside |= np.abs(nus - centre) <= half
-    hydro = {name: np.empty(nus.shape) for name in observables}
-    for i, x in enumerate(nus):
-        arcs = _sublevel_arcs(p, x)
-        if "phi" in hydro:
-            hydro["phi"][i] = sum(b - a for a, b in arcs) / (2.0 * math.pi)
-        if "j" in hydro:
-            hydro["j"][i] = sum(omega(b, p) - omega(a, p) for a, b in arcs) / (2.0 * math.pi)
-        for k in (1, 2, 3):
-            key = f"m{k}"
-            if key not in hydro:
-                continue
-            acc = 0.0
-            for a, b in arcs:
-                xx = 0.5 * (b - a) * _GL_NODES + 0.5 * (a + b)
-                acc += 0.5 * (b - a) * float(np.dot(_GL_WEIGHTS, omega_deriv(xx, 1, p) ** k))
-            hydro[key][i] = acc / (2.0 * math.pi)
+    hydro = _bulk(p, nus, tuple(k for k in (1, 2, 3) if f"m{k}" in observables))
     devs = {}
     dnu = 1.0 / t
     for name in observables:

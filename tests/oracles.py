@@ -3,8 +3,10 @@
 Each oracle takes a different route than the package code it checks:
 the Airy-type profiles come from an exact Maclaurin series evaluated in
 mpmath arbitrary precision (the package integrates a rotated contour in
-float64), and the ring evolution comes from a dense matrix exponential
-(the package uses FFT diagonalization).
+float64), the ring evolution comes from a dense matrix exponential (the
+package uses FFT diagonalization), and the hydrodynamic sub-level measure
+comes from counting a dense uniform q grid (the package bisects monotone
+branches of the group velocity).
 """
 
 import mpmath as mp
@@ -70,3 +72,15 @@ def exact_cut_current(amps, g, phi):
     b_far = np.conj(np.roll(amps, 2)) * amps
     b_straddle = np.conj(np.roll(amps, 1)) * np.roll(amps, -1)
     return -2.0 * np.imag(b_nn) - 2.0 * g * np.imag(np.exp(1j * phi) * (b_far + b_straddle))
+
+
+def brute_force_cpd(g, phi, nus, n):
+    """Fraction of n uniform midpoint wave vectors with v(q) <= nu, per nu.
+
+    The group velocity v = -2 sin q - 4 g sin(2q + phi) is sampled directly
+    and sorted once; the count error is at most one point per boundary of
+    the sub-level set, i.e. a few times 1/n.
+    """
+    q = -np.pi + (np.arange(n) + 0.5) * (2.0 * np.pi / n)
+    v = np.sort(-2.0 * np.sin(q) - 4.0 * g * np.sin(2.0 * q + phi))
+    return np.searchsorted(v, nus, side="right") / n

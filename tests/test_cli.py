@@ -73,6 +73,14 @@ def test_evolve_deterministic(tmp_path):
     assert (a / "summary.json").read_bytes() == (b / "summary.json").read_bytes()
 
 
+@pytest.mark.parametrize("value", ["inf", "nan"])
+@pytest.mark.parametrize("command", ["evolve", "scaling", "edge"])
+def test_nonfinite_time_exits_2(tmp_path, capsys, command, value):
+    rc = main([command, "--g", "0.1", "--t", value, "--out", str(tmp_path)])
+    assert rc == 2
+    assert "finite" in capsys.readouterr().err
+
+
 def test_config_file_with_flag_override(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("g = 0.0625\nphi = 1.5707963267948966\nt = 20\n# comment\n")

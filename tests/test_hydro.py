@@ -15,6 +15,8 @@ from chiralwalk import (
     scaling_curve,
 )
 
+from oracles import brute_force_cpd
+
 PI = math.pi
 
 
@@ -33,11 +35,6 @@ def test_invert_velocity_counts():
     assert max(near) < 0.35
 
 
-def test_invert_velocity_validation():
-    with pytest.raises(ValueError):
-        invert_velocity(WalkParams(0.1, 0.0), 0.0, tol=0.0)
-
-
 def test_scaled_cpd_boundaries_and_symmetry():
     p = WalkParams(1 / 16, PI / 2)
     d = cone_topology(p)
@@ -49,6 +46,24 @@ def test_scaled_cpd_boundaries_and_symmetry():
     assert scaled_cpd(p, 0.0) > 0.5
     assert nu_half(p) < 0.0
     assert nu_half(WalkParams(0.0, PI / 2)) == pytest.approx(0.0, abs=1e-8)
+    # exactly empty and exactly full at the cone edges, also where the edge
+    # front is third order (flat quartic extremum) or the cone is critical
+    for p in (WalkParams(1 / 8, PI / 2), WalkParams(1 / 4, 0.0)):
+        d = cone_topology(p)
+        assert scaled_cpd(p, d.v_lm) == 0.0
+        assert scaled_cpd(p, d.v_rm) == 1.0
+
+
+def test_scaled_cpd_near_fronts_matches_brute_force():
+    # root pairs a hair away from each front lie well inside any fixed
+    # q-grid cell, so a grid scan misses them
+    g, phi = 0.3, 0.8
+    p = WalkParams(g, phi)
+    nus = [fr.velocity + s for fr in cone_topology(p).fronts for s in (-1e-8, 1e-8)]
+    curve = scaling_curve(p, num=401)
+    expected = brute_force_cpd(g, phi, np.concatenate([nus, curve.nu]), 1 << 22)
+    got = [scaled_cpd(p, nu) for nu in nus] + list(curve.phi_scaled)
+    np.testing.assert_allclose(got, expected, rtol=0, atol=1e-6)
 
 
 def test_scaled_ccd_values():
@@ -66,7 +81,7 @@ def test_ccd_telescoping_matches_quadrature():
 
 
 def test_full_zone_moments_match_closed_forms():
-    for g, phi in [(0.0, 0.0), (1 / 16, PI / 2), (0.25, PI / 2), (0.3, 0.0)]:
+    for g, phi in [(0.0, 0.0), (1 / 16, PI / 2), (1 / 8, PI / 2), (0.25, PI / 2), (0.25, 0.0), (0.3, 0.0)]:
         p = WalkParams(g, phi)
         top = cone_topology(p).v_rm + 0.1
         assert scaled_moment(p, top, 2) == pytest.approx(2 * (1 + 4 * g * g), abs=1e-8)
