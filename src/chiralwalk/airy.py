@@ -10,6 +10,14 @@ A_1 is the classical Airy function Ai.  For odd k the profile is real and
 its zeros quantize the cumulative deviation into a staircase whose step
 areas (plateau height times inter-inflection width) are nearly constant.
 
+A_k is evaluated on a fixed contour: the real segment [0, r0(xi)] through
+the stationary points, then the ray at angle -pi/(2(k+2)) from r0, on which
+the integrand decays like exp(-s^(k+2)/(k+2)).  Both pieces use fixed
+Gauss-Legendre nodes, the ray is cut per xi where the integrand is below
+exp(-40), and a table is one array expression over (xi x nodes), taken in
+blocks of xi.  Against an arbitrary-precision series the values agree to
+~3e-14 over the validated range |xi| <= XI_LIMIT = 50.
+
 Orientation convention used throughout this module: the edge coordinate is
 
     xi = sign(kappa_k) * (n - v_e t) / (|kappa_k| t)^(1/(k+2))
@@ -22,19 +30,21 @@ the predicted scaled deviation int_0^xi A_k(-u)^2 du is non-decreasing.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid, quad
-from scipy.signal import find_peaks
 
 from .dispersion import WalkParams
 from .evolve import cumulative, current_density, evolve, probability_density
 from .fronts import TOL_DEGEN, ExtremalFront, cone_topology
 
 XI_LIMIT = 50.0
-QUAD_KW = dict(limit=2000, epsabs=1e-13, epsrel=1e-12)
+SEGMENT_NODES = 200  # converged from 160 at |xi| = 50
+RAY_NODES = 100  # converged from 80 at |xi| = 50
+RAY_DECAY = 40.0  # the ray ends where |integrand| <= exp(-40) ~ 4e-18
+XI_BLOCK = 128  # xi values per array evaluation, bounds the node arrays
 
 
 def _check_order(k: int):
@@ -44,38 +54,67 @@ def _check_order(k: int):
         )
 
 
-def generalized_airy(k: int, xi: float) -> float:
-    """Real value of A_k(xi) for odd k, by contour-rotated quadrature.
+@functools.cache
+def _unit_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n-point Gauss-Legendre nodes and weights on [0, 1]."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    nodes, weights = 0.5 * (x + 1.0), 0.5 * w
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
-    The integration path runs along the real axis through the stationary-
-    phase region and then turns into the sector where the phase decays
-    exponentially, a ray at angle pi/(2(k+2)) below the real axis (plus the
-    mirror ray on the left half, folded in via the reality of A_k).
-    Absolute accuracy is ~1e-12 for |xi| <= 15; |xi| > 50 is rejected as
-    unvalidated.
-    """
-    _check_order(k)
-    xi = float(xi)
-    if abs(xi) > XI_LIMIT:
-        raise ValueError(f"|xi| > {XI_LIMIT} is outside the validated range")
+
+def _contour(k: int, xi: np.ndarray) -> np.ndarray:
+    """A_k at a 1-d array of xi: segment plus rotated ray, fixed nodes."""
     kp2 = k + 2
     delta = math.pi / (2.0 * kp2)
-
-    def f(eta):
-        return np.exp(-1j * (xi * eta + eta**kp2 / kp2))
-
+    rot = complex(math.cos(delta), -math.sin(delta))
+    u, wu = _unit_rule(SEGMENT_NODES)
+    v, wv = _unit_rule(RAY_NODES)
+    x = xi[:, None]
     # beyond the outermost stationary point the phase derivative is positive,
     # so the rotated tail decays immediately
-    r0 = max(2.0, 1.6 * (-xi) ** (1.0 / (k + 1))) if xi < 0 else 1.0
-    seg = quad(lambda r: f(r).real, 0.0, r0, **QUAD_KW)[0]
-    rot = complex(math.cos(delta), -math.sin(delta))
-    tail = quad(lambda s: (rot * f(r0 + s * rot)).real, 0.0, np.inf, **QUAD_KW)[0]
+    r0 = np.where(x < 0.0, np.maximum(2.0, 1.6 * np.abs(x) ** (1.0 / (k + 1))), 1.0)
+    r = r0 * u
+    seg = r0[:, 0] * (np.cos(x * r + r**kp2 / kp2) @ wu)
+    # on z = r0 + s*rot every term of Im(xi z + z^kp2/kp2) is <= 0, so the
+    # integrand is below both exp(-a s) and exp(-s^kp2/kp2)
+    a = (x + r0 ** (k + 1)) * math.sin(delta)
+    s_max = np.minimum(RAY_DECAY / a, (kp2 * RAY_DECAY) ** (1.0 / kp2))
+    z = r0 + (s_max * v) * rot
+    tail = (rot * s_max[:, 0] * (np.exp(-1j * (x * z + z**kp2 / kp2)) @ wv)).real
+    # A_k is real, so the left half-line mirrors the right: 1/pi, not 1/(2 pi)
     return (seg + tail) / math.pi
 
 
-def airy_table(k: int, xi: np.ndarray) -> np.ndarray:
-    """A_k evaluated on a grid (plain loop; each point is an adaptive quadrature)."""
-    return np.array([generalized_airy(k, float(x)) for x in np.asarray(xi, dtype=float)])
+def airy_table(k: int, xi) -> np.ndarray:
+    """A_k for odd k at every xi (any shape), by fixed-node contour quadrature.
+
+    The whole array is validated first: every xi must be finite with
+    |xi| <= XI_LIMIT.
+    """
+    _check_order(k)
+    xi = np.asarray(xi, dtype=float)
+    if not np.all(np.isfinite(xi)):
+        raise ValueError("xi must be finite")
+    if np.any(np.abs(xi) > XI_LIMIT):
+        raise ValueError(f"|xi| > {XI_LIMIT} is outside the validated range")
+    flat = xi.ravel()
+    out = np.empty(flat.shape)
+    for lo in range(0, flat.size, XI_BLOCK):
+        out[lo : lo + XI_BLOCK] = _contour(k, flat[lo : lo + XI_BLOCK])
+    return out.reshape(xi.shape)
+
+
+def generalized_airy(k: int, xi: float) -> float:
+    """Real value of A_k(xi) for odd k: a one-point airy_table.
+
+    The path runs along the real axis through the stationary-phase region to
+    r0(xi) and then along the ray at angle pi/(2(k+2)) below the real axis,
+    where the phase decays; both pieces use fixed Gauss-Legendre nodes.
+    Absolute accuracy is ~3e-14 on the validated range |xi| <= 50; larger
+    or non-finite xi is rejected.
+    """
+    return float(airy_table(k, float(xi)))
 
 
 def airy_ode_residual(k: int, xi: float, h: float = 0.05) -> float:
@@ -149,7 +188,7 @@ def predict_edge(front: ExtremalFront, t: float, xi_grid: np.ndarray) -> EdgePro
     hi = max(float(xi_grid.max()), 0.0)
     fine = np.arange(lo, hi + 0.01, 0.01)
     env2 = airy_table(front.order, -fine) ** 2
-    running = np.concatenate([[0.0], cumulative_trapezoid(env2, fine)])
+    running = np.concatenate([[0.0], np.cumsum(np.diff(fine) * (env2[1:] + env2[:-1]) / 2.0)])
     # shift so the integral is taken from xi = 0
     at_zero = float(np.interp(0.0, fine, running))
     dphi = np.interp(xi_grid, fine, running) - at_zero
@@ -207,6 +246,29 @@ def _savgol5(y: np.ndarray, deriv: int, h: float) -> np.ndarray:
     return np.convolve(y, w[::-1], mode="same")
 
 
+def _find_peaks(y: np.ndarray, distance: int) -> np.ndarray:
+    """Indices of local maxima at least `distance` samples apart.
+
+    Same result as scipy.signal.find_peaks(y, distance=distance): a peak is
+    a run of equal samples higher than the samples on either side (never at
+    an end), reported at the run's middle (left-biased) index; then, from
+    the highest peak down, every kept peak drops the peaks closer than
+    `distance`.
+    """
+    y = np.asarray(y, dtype=float)
+    start = np.flatnonzero(np.concatenate(([True], y[1:] != y[:-1])))
+    end = np.append(start[1:], y.size) - 1
+    top = y[start]
+    inner = (top[1:-1] > top[:-2]) & (top[1:-1] > top[2:])
+    peaks = (start[1:-1][inner] + end[1:-1][inner]) // 2
+    keep = np.ones(peaks.size, dtype=bool)
+    for j in np.argsort(y[peaks])[::-1]:
+        if keep[j]:
+            keep[np.abs(peaks - peaks[j]) < distance] = False
+            keep[j] = True
+    return peaks[keep]
+
+
 def _refine(xs: np.ndarray, ys: np.ndarray, i: int) -> float:
     denom = ys[i - 1] - 2.0 * ys[i] + ys[i + 1]
     off = 0.5 * (ys[i - 1] - ys[i + 1]) / denom if denom != 0.0 else 0.0
@@ -251,8 +313,7 @@ def extract_staircase(
     d = _savgol5(y, 1, h)
     ys = _savgol5(y, 0, h)
     valid = slice(2, len(xi) - 2)
-    peaks, _ = find_peaks(d[valid], distance=max(1, int(round(min_sep / h))))
-    peaks = list(peaks + 2)
+    peaks = list(_find_peaks(d[valid], max(1, int(round(min_sep / h)))) + 2)
     while len(peaks) > 1:
         worst, worst_ratio = None, dip_frac
         for m in range(len(peaks) - 1):

@@ -284,6 +284,10 @@ def cmd_edge(args) -> int:
     p = _params(args)
     if args.t <= 0:
         raise ConfigError("t must be > 0")
+    if not 0.0 < args.xi_max <= airy_mod.XI_LIMIT:
+        raise ConfigError(
+            f"xi-max must be finite with 0 < xi-max <= {airy_mod.XI_LIMIT}, got {args.xi_max}"
+        )
     out = _outdir(args)
     diagram = cone_topology(p)
     front = _select_front(diagram, args.front)

@@ -1,8 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.signal import find_peaks
 
+import chiralwalk
 from chiralwalk import (
     WalkParams,
     airy_ode_residual,
@@ -13,6 +19,7 @@ from chiralwalk import (
     measure_edge,
     predict_edge,
 )
+from chiralwalk.airy import XI_BLOCK, XI_LIMIT, _find_peaks, airy_table
 from oracles import series_airy
 
 PI = math.pi
@@ -64,20 +71,76 @@ def test_forbidden_side_decay():
 
 
 def test_deep_oscillatory_regime():
-    # the contour quadrature stays accurate far beyond the documented
-    # |xi| <= 15 window (the admitted range extends to 50)
+    # the contour quadrature stays accurate deep in the oscillatory region
     for k, dps in ((1, 100), (3, 80)):
         for xi in (-45.0, -20.0):
             ref = series_airy(k, xi, dps=dps, nmax=8000)
             assert generalized_airy(k, xi) == pytest.approx(ref, abs=1e-10)
 
 
+def test_full_validated_range():
+    # node counts checked up to the advertised limit; near |xi| = 50 the
+    # k = 1 series terms reach ~1e102, so its oracle needs 130 digits
+    pts = (-XI_LIMIT, -49.7, -37.3, -25.0, -12.5, 12.5, 25.0, 37.3, XI_LIMIT)
+    for k, dps in ((1, 130), (3, 80)):
+        ref = [series_airy(k, xi, dps=dps, nmax=8000) for xi in pts]
+        np.testing.assert_allclose(airy_table(k, np.array(pts)), ref, rtol=0, atol=1e-11)
+
+
+def test_table_matches_pointwise_values():
+    # more than one block of xi, any input shape
+    xi = np.linspace(-12.0, 6.0, 2 * XI_BLOCK + 7)
+    for k in (1, 3):
+        table = airy_table(k, xi.reshape(-1, 1))
+        assert table.shape == (xi.size, 1)
+        points = [generalized_airy(k, x) for x in xi]
+        np.testing.assert_allclose(table[:, 0], points, rtol=0, atol=1e-14)
+
+
 def test_input_validation():
     for bad in (0, 2, 4, -1):
         with pytest.raises(ValueError):
             generalized_airy(bad, 0.0)
+        with pytest.raises(ValueError):
+            airy_table(bad, [0.0])
     with pytest.raises(ValueError):
         generalized_airy(1, 51.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            generalized_airy(1, bad)
+        with pytest.raises(ValueError, match="finite"):
+            airy_table(3, [0.0, bad, 1.0])
+    with pytest.raises(ValueError, match="validated range"):
+        airy_table(1, [-1.0, -XI_LIMIT - 1e-9])
+
+
+def test_import_loads_no_scipy():
+    code = "import sys, chiralwalk; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    src = str(Path(chiralwalk.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
+def test_find_peaks_matches_scipy():
+    rng = np.random.default_rng(5)
+    cases = [
+        np.array([0.0, 1.0, 1.0, 1.0, 0.0]),  # odd plateau: middle index
+        np.array([0.0, 2.0, 2.0, 0.0, 1.0, 1.0, 1.0, 1.0, 0.0]),  # even plateau: left middle
+        np.array([0.0, 1.0, 1.0, 2.0, 0.0]),  # shoulder is no peak
+        np.array([1.0, 1.0, 0.0, 2.0, 2.0]),  # plateaus at the ends are no peaks
+        np.array([0.0, 3.0, 0.0, 3.0, 0.0, 3.0, 0.0, 3.0, 0.0]),  # equal-height ties
+        np.zeros(6),
+        np.array([1.0]),
+    ]
+    for n in (3, 8, 40, 300):
+        cases.append(rng.normal(size=n))
+        for levels in (2, 3, 6):  # plateaus and ties
+            cases.append(rng.integers(0, levels, n).astype(float))
+    for y in cases:
+        for distance in (1, 2, 3, 5, 17):
+            np.testing.assert_array_equal(_find_peaks(y, distance), find_peaks(y, distance=distance)[0])
 
 
 def test_ode_residual():

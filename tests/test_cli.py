@@ -6,6 +6,7 @@ import jsonschema
 import numpy as np
 import pytest
 
+from chiralwalk import cli
 from chiralwalk.cli import main
 
 SCHEMA_DIR = Path(__file__).parent.parent / "src" / "chiralwalk" / "schemas"
@@ -79,6 +80,16 @@ def test_nonfinite_time_exits_2(tmp_path, capsys, command, value):
     rc = main([command, "--g", "0.1", "--t", value, "--out", str(tmp_path)])
     assert rc == 2
     assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["inf", "nan", "0", "-1", "60"])
+def test_bad_xi_max_exits_2(tmp_path, capsys, monkeypatch, value):
+    # rejected before any evolution or output
+    monkeypatch.setattr(cli.airy_mod, "measure_edge", lambda *a, **kw: pytest.fail("evolved"))
+    rc = main(["edge", "--g", "0.0625", "--t", "100", "--xi-max", value, "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "xi-max" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_config_file_with_flag_override(tmp_path):
