@@ -32,8 +32,6 @@ from .fronts import (
     critical_coupling,
     degeneracy,
     find_extremal_fronts,
-    quartic_crosscheck,
-    quartic_front_report,
 )
 from .hydro import (
     BulkReport,

@@ -45,6 +45,7 @@ SEGMENT_NODES = 200  # converged from 160 at |xi| = 50
 RAY_NODES = 100  # converged from 80 at |xi| = 50
 RAY_DECAY = 40.0  # the ray ends where |integrand| <= exp(-40) ~ 4e-18
 XI_BLOCK = 128  # xi values per array evaluation, bounds the node arrays
+PREDICT_STEP = 0.01  # xi grid of predict_edge's running integral
 
 
 def _check_order(k: int):
@@ -173,6 +174,16 @@ def edge_scale(front: ExtremalFront, t: float) -> float:
     return (abs(front.kappa) * t) ** (1.0 / (front.order + 2))
 
 
+def max_edge_window(front: ExtremalFront, t: float) -> int:
+    """Largest measure_edge window whose predicted profile stays in |xi| <= XI_LIMIT.
+
+    The samples of a window of w sites reach (w + 1/2) / edge_scale from the
+    front (the window is centred on the rounded front position), and
+    predict_edge's grid runs one PREDICT_STEP past the last sample.
+    """
+    return math.floor((XI_LIMIT - PREDICT_STEP) * edge_scale(front, t) - 0.5)
+
+
 def predict_edge(front: ExtremalFront, t: float, xi_grid: np.ndarray) -> EdgeProfile:
     """Predicted scaled deviation: the running integral of A_k(-u)^2.
 
@@ -186,7 +197,7 @@ def predict_edge(front: ExtremalFront, t: float, xi_grid: np.ndarray) -> EdgePro
     xi_grid = np.asarray(xi_grid, dtype=float)
     lo = min(float(xi_grid.min()), 0.0)
     hi = max(float(xi_grid.max()), 0.0)
-    fine = np.arange(lo, hi + 0.01, 0.01)
+    fine = np.arange(lo, hi + PREDICT_STEP, PREDICT_STEP)
     env2 = airy_table(front.order, -fine) ** 2
     running = np.concatenate([[0.0], np.cumsum(np.diff(fine) * (env2[1:] + env2[:-1]) / 2.0)])
     # shift so the integral is taken from xi = 0

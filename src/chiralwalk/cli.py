@@ -16,7 +16,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +33,13 @@ from .evolve import (
     probability_density,
     skewness,
 )
-from .fronts import FrontScanError, cone_topology, critical_coupling, degeneracy
+from .fronts import (
+    build_diagram,
+    cone_topology,
+    critical_coupling,
+    degeneracy,
+    find_extremal_fronts,
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -141,11 +146,8 @@ def cmd_evolve(args) -> int:
 
 # ----------------------------------------------------------------- fronts --
 
-def _sweep_point(task):
-    g, phi, tol_root = task
+def _sweep_point(g: float, phi: float, tol_root: float):
     try:
-        from .fronts import build_diagram, find_extremal_fronts
-
         p = WalkParams(g, phi)
         diagram = build_diagram(p, tuple(find_extremal_fronts(p, tol_root=tol_root)))
         return [
@@ -169,25 +171,14 @@ def cmd_fronts(args) -> int:
         raise ConfigError("tolerances must be positive")
     out = _outdir(args)
     gs = np.linspace(args.g_min, args.g_max, args.g_steps)
-    tasks = [(float(g), float(phi), args.tol_root) for phi in phis for g in gs]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            chunks = list(pool.map(_sweep_point, tasks))
-    else:
-        chunks = [_sweep_point(t) for t in tasks]
-    rows = [row for chunk in chunks for row in chunk]
+    rows = [row for phi in phis for g in gs for row in _sweep_point(float(g), phi, args.tol_root)]
     rows.sort(key=lambda r: (r[0], r[1], r[3] if isinstance(r[3], float) else math.inf))
     _write_csv(
         out / "fronts.csv",
         ["phi", "g", "q_star", "velocity", "order", "kappa", "topology", "status"],
         rows,
     )
-    gc_entries = []
-    for phi in phis:
-        try:
-            gc_entries.append({"phi": phi, "g_c": critical_coupling(phi, tol_g=args.tol_g)})
-        except FrontScanError as exc:
-            gc_entries.append({"phi": phi, "g_c": None, "error": str(exc)})
+    gc_entries = [{"phi": phi, "g_c": critical_coupling(phi, tol_g=args.tol_g)} for phi in phis]
     _write_json(out / "gc.json", {"tol_g": args.tol_g, "critical_couplings": gc_entries})
     return EXIT_OK
 
@@ -288,7 +279,8 @@ def cmd_edge(args) -> int:
         raise ConfigError(
             f"xi-max must be finite with 0 < xi-max <= {airy_mod.XI_LIMIT}, got {args.xi_max}"
         )
-    out = _outdir(args)
+    if args.window is not None and args.window < 1:
+        raise ConfigError(f"window must be >= 1 site, got {args.window}")
     diagram = cone_topology(p)
     front = _select_front(diagram, args.front)
     meta = {
@@ -307,6 +299,7 @@ def cmd_edge(args) -> int:
     if front.order % 2 == 0:
         meta["staircase"] = "none"
         meta["reason"] = "even-order front: amplitude equation has no real staircase"
+        out = _outdir(args)
         _write_json(out / "edge.json", meta)
         _write_csv(out / "edge.csv", ["xi", "dPhi_scaled_num", "dPhi_scaled_pred", "dJ_scaled_num"], [])
         _write_csv(
@@ -316,8 +309,16 @@ def cmd_edge(args) -> int:
         )
         return EXIT_OK
     scale = airy_mod.edge_scale(front, args.t)
-    window = args.window if args.window else int(math.ceil(args.xi_max * scale))
+    window = args.window if args.window is not None else int(math.ceil(args.xi_max * scale))
+    usable = airy_mod.max_edge_window(front, args.t)
+    if window > usable:
+        raise ConfigError(
+            f"a window of {window} sites reaches past |xi| = {airy_mod.XI_LIMIT} on the "
+            f"predicted profile; the usable maximum is {usable} sites "
+            f"(xi-max <= {math.floor(usable / scale * 1e3) / 1e3})"
+        )
     meta["window"] = window
+    out = _outdir(args)
     numeric = airy_mod.measure_edge(p, front, args.t, window, _lattice(args))
     predicted = airy_mod.predict_edge(front, args.t, numeric.xi)
     factor = meta["degeneracy"]
@@ -350,7 +351,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common_tail(s):
         s.add_argument("--out", default=".", help="output directory")
-        s.add_argument("--jobs", type=int, default=1, help="parallel workers for sweeps")
+        s.add_argument("--jobs", type=int, default=1,
+                       help="accepted for compatibility; every command, fronts included, runs in process")
         s.add_argument("--config", default=None, help="flat key=value config file; flags win")
 
     s = sub.add_parser("evolve", help="evolve and dump densities, currents, moments")
@@ -364,8 +366,10 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--g-min", type=float, default=0.01)
     s.add_argument("--g-max", type=float, default=0.5)
     s.add_argument("--g-steps", type=int, default=50)
-    s.add_argument("--tol-g", type=float, default=1e-6, help="bisection tolerance for g_c")
-    s.add_argument("--tol-root", type=float, default=1e-12, help="front root residual bound")
+    s.add_argument("--tol-g", type=float, default=1e-6,
+                   help="tolerance g_c must meet, recorded in gc.json (the closed form meets any)")
+    s.add_argument("--tol-root", type=float, default=1e-12,
+                   help="bound on |w''| at a front, relative to 1 + 8g")
     common_tail(s)
     s.set_defaults(func=cmd_fronts)
 

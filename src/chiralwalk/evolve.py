@@ -20,6 +20,9 @@ from .fronts import cone_topology
 
 TAIL_GUARD = 1e-10
 GUARD_SITES = 10
+# largest ring evolved, 2^25 sites: ~2 GB for the arrays of one evolution
+# (64 B per site), reached near t = 5e6 at g = 0.3
+MAX_LATTICE = 1 << 25
 
 
 class GuardError(RuntimeError):
@@ -82,10 +85,21 @@ def max_front_speed(p: WalkParams) -> float:
     return max(abs(d.v_lm), abs(d.v_rm))
 
 
+def _check_cap(L: int) -> int:
+    if L > MAX_LATTICE:
+        raise GuardError(f"lattice L={L} exceeds the cap of {MAX_LATTICE} sites")
+    return L
+
+
 def auto_lattice_size(p: WalkParams, t: float) -> int:
-    """Ring size: causal cone radius + fixed margin + t^(1/3) Airy-tail margin."""
+    """Ring size: causal cone radius + fixed margin + t^(1/3) Airy-tail margin.
+
+    Raises GuardError above MAX_LATTICE, before the search for an
+    FFT-friendly size (MAX_LATTICE is itself 5-smooth, so that search never
+    passes the cap).
+    """
     radius = max_front_speed(p) * t + 40.0 + 10.0 * t ** (1.0 / 3.0)
-    return next_fast_even(2 * math.ceil(radius))
+    return next_fast_even(_check_cap(2 * math.ceil(radius)))
 
 
 def evolve(
@@ -99,10 +113,12 @@ def evolve(
 
     amps[n] = (1/L) sum_j exp(i q_j n) exp(-i w(q_j) t), q_j = 2 pi j / L,
     which is the exact propagator of the ring Hamiltonian applied to the
-    localized initial state.  With enforce_guard the lattice must be large
-    enough that boundary amplitudes are negligible; pass enforce_guard=False
-    only for deliberate small-ring studies (e.g. cross-checks against dense
-    matrix exponentials, where wraparound is part of the model).
+    localized initial state.  Rings above MAX_LATTICE sites are refused
+    with GuardError before anything is allocated.  With enforce_guard the
+    lattice must be large enough that boundary amplitudes are negligible;
+    pass enforce_guard=False only for deliberate small-ring studies (e.g.
+    cross-checks against dense matrix exponentials, where wraparound is
+    part of the model).
     """
     if t < 0:
         raise ValueError("t must be >= 0")
@@ -112,6 +128,7 @@ def evolve(
         L = int(lattice)
         if L < 4 or L % 2:
             raise ValueError("lattice size must be an even integer >= 4")
+        _check_cap(L)
         if enforce_guard and L / 2 < max_front_speed(p) * t + 12.0:
             raise GuardError(
                 f"lattice L={L} too small for the causal cone at t={t}: "

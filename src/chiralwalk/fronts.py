@@ -1,11 +1,23 @@
 """Extremal fronts, causal-cone topology and the Lifshitz critical coupling.
 
-Extremal fronts are the stationary points of the group velocity, i.e. the
-roots of w''(q) = 0 in the Brillouin zone.  They are located by a dense
-sign-change scan with bisection refinement, which is robust across the
-whole (g, phi) plane and does not depend on any quartic reduction.  A
-front of order k has w'' ... w^(k+1) vanishing at the root with
-w^(k+2) != 0; the edge-scaling coefficient is kappa_k = w^(k+2)/(k+1)!.
+The band w(q) = 2 cos q + 2 g cos(2q + phi) is a degree-2 trigonometric
+polynomial, so both questions reduce to polynomial roots on the unit circle
+z = e^{iq}:
+
+- Extremal fronts are the real roots of w''(q), the stationary points of
+  the group velocity, and z^2 w''(q) = -(4g e^{i phi} z^4 + z^3 + z
+  + 4g e^{-i phi}) is a quartic.
+- The Lifshitz coupling g_c(phi) is the smallest g > 0 at which w'' has a
+  double real root.  w'' = w''' = 0 is linear in g, and eliminating g
+  leaves sin(3q + phi) + 3 sin(q + phi) = 0, a sextic in z.
+
+A companion-matrix root is kept when it lies on the unit circle and the
+trigonometric form vanishes at its angle.  Adjacent kept roots are one
+multiple root only when the form also vanishes at their midpoint, and a
+cluster of m roots is polished by Newton in real q on the form's (m-1)-th
+derivative, where it is a simple root.  A front of order k has
+w'' ... w^(k+1) vanishing at the root with w^(k+2) != 0; the edge-scaling
+coefficient is kappa_k = w^(k+2)/(k+1)!.
 """
 
 from __future__ import annotations
@@ -17,16 +29,21 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dispersion import WalkParams, omega_deriv
+from .dispersion import TWO_PI, WalkParams, omega_deriv
 
-SCAN_GRID = 4096
-SCAN_GRID_CAP = 1 << 20
 TOL_ROOT = 1e-12
 TOL_ORDER = 1e-8
 TOL_DEGEN = 1e-9          # velocity window for degenerate-front labelling
-Q_MERGE = 1e-7            # roots closer than this in q are one root
-TOUCH_ACCEPT = 4e-12      # |w''| bound for accepting a tangential root
 MAX_ORDER = 5
+# |log|z|| bound for a root on the unit circle: the companion eigenvalues of
+# a triple root scatter by ~eps^(1/3) ~ 1e-5, while at phi = pi/2 an
+# off-circle pair sharing the angle of a real root sits at 4 sqrt(1/8 - g)
+TOL_CIRCLE = 1e-4
+# below this g the quartic's roots span 4g .. 1/(4g) and its eigenvalues near
+# the circle lose accuracy like eps/sqrt(g); the fronts are then the two
+# simple roots of w'' within 4g of -pi/2 and pi/2
+G_SEED = 1e-4
+NEWTON_STEPS = 6
 
 
 class ConeTopology(Enum):
@@ -60,88 +77,38 @@ class FrontDiagram:
 
 
 class FrontScanError(RuntimeError):
-    """Raised when the root scan cannot stabilise below the grid cap."""
+    """Raised when a front set cannot be classified."""
 
 
-def _wrap_q(q: float) -> float:
-    q = math.fmod(q + math.pi, 2.0 * math.pi)
-    if q < 0:
-        q += 2.0 * math.pi
-    return q - math.pi
+def _polish(f, x: float, m: int) -> float:
+    """Newton on f^(m-1), where a root of multiplicity m of f is simple."""
+    for _ in range(NEWTON_STEPS):
+        x -= f(x, m - 1) / f(x, m)
+    return (x + math.pi) % TWO_PI - math.pi
 
 
-def _bisect(f, a: float, b: float, iters: int = 90) -> float:
-    fa = f(a)
-    for _ in range(iters):
-        m = 0.5 * (a + b)
-        if m == a or m == b:
-            break
-        fm = f(m)
-        if fa * fm <= 0.0:
-            b = m
-        else:
-            a, fa = m, fm
-    return 0.5 * (a + b)
+def _circle_roots(coeffs, f, tol: float) -> list[float]:
+    """Real roots q in [-pi, pi) of a trigonometric polynomial, once each.
 
-
-def _scan_roots(p: WalkParams, n: int) -> list[float]:
-    """All roots of w'' in [-pi, pi) on an n-point scan, including tangencies."""
-    f = lambda q: omega_deriv(q, 2, p)
-    qs = np.linspace(-math.pi, math.pi, n, endpoint=False)
-    fs = omega_deriv(qs, 2, p)
-    step = 2.0 * math.pi / n
-    roots = []
-    sign_change = (fs * np.roll(fs, -1)) < 0.0
-    for i in np.nonzero(sign_change)[0]:
-        roots.append(_polish_root(p, _bisect(f, qs[i], qs[i] + step)))
-    # exact zeros on the grid (rare, but cheap to honour)
-    for i in np.nonzero(fs == 0.0)[0]:
-        roots.append(float(qs[i]))
-    # tangential roots never change sign; look for near-zero local minima of
-    # |w''| and refine on the sign change of w''' instead
-    absf = np.abs(fs)
-    tau = 200.0 * step * step * (1.0 + 8.0 * p.g)
-    is_min = (absf < np.roll(absf, 1)) & (absf <= np.roll(absf, -1)) & (absf < tau)
-    f3 = lambda q: omega_deriv(q, 3, p)
-    for i in np.nonzero(is_min)[0]:
-        a, b = qs[i] - step, qs[i] + step
-        if any(a - Q_MERGE <= r <= b + Q_MERGE for r in roots):
-            continue
-        if f3(a) * f3(b) > 0.0:
-            continue
-        q0 = _bisect(f3, a, b)
-        if abs(f(q0)) < TOUCH_ACCEPT * (1.0 + 8.0 * p.g):
-            roots.append(q0)
-    roots = sorted(_wrap_q(r) for r in roots)
-    merged: list[float] = []
-    for r in roots:
-        if merged and abs(r - merged[-1]) < Q_MERGE:
-            continue
-        merged.append(r)
-    # the zone seam is periodic: drop a duplicate at +pi-ish of a -pi root
-    if len(merged) > 1 and abs((merged[-1] - merged[0]) - 2.0 * math.pi) < Q_MERGE:
-        merged.pop()
-    return merged
-
-
-def _polish_root(p: WalkParams, q0: float) -> float:
-    """Re-centre a near-triple root of w'' on the simple zero of w''''.
-
-    At a front of order >= 3, w'' behaves like x^3, so its sign change can
-    only be located within the O(eps^(1/3)) cancellation band of the two
-    trigonometric terms, which is wide enough to corrupt the order
-    classification.  w'''' is linear through the same point and pins it to
-    machine precision.
+    coeffs (highest power first) define a polynomial in z = e^{iq} that is
+    a power of z times f(q), and f(q, j) is the j-th derivative of f.
     """
-    if abs(omega_deriv(q0, 3, p)) >= TOL_ORDER:
-        return q0
-    w = 2e-4
-    f4 = lambda q: omega_deriv(q, 4, p)
-    if f4(q0 - w) * f4(q0 + w) < 0.0:
-        q1 = _bisect(f4, q0 - w, q0 + w)
-        if abs(omega_deriv(q1, 2, p)) <= abs(omega_deriv(q0, 2, p)) + 1e-12:
-            return q1
-    return q0
+    z = np.roots(coeffs)
+    q = np.sort(np.angle(z[np.abs(np.log(np.abs(z))) < TOL_CIRCLE]))
+    q = q[np.abs(f(q, 0)) <= tol]
+    n = len(q)
+    # joined[i]: q[i] and its successor on the circle are one multiple root
+    succ = np.append(q[1:], q[:1] + TWO_PI)
+    joined = (np.abs(f(0.5 * (q + succ), 0)) <= tol) & (n > 1)
+    roots = []
+    for s in np.flatnonzero(~np.roll(joined, 1)):
+        m = 1
+        while joined[(s + m - 1) % n]:
+            m += 1
+        idx = s + np.arange(m)
+        centre = float(np.mean(q[idx % n] + TWO_PI * (idx >= n)))
+        roots.append(_polish(f, centre, m))
+    return roots
 
 
 def _classify(p: WalkParams, q_star: float, tol_order: float) -> tuple[int, float]:
@@ -158,34 +125,26 @@ def _classify(p: WalkParams, q_star: float, tol_order: float) -> tuple[int, floa
 def find_extremal_fronts(
     p: WalkParams,
     tol_root: float = TOL_ROOT,
-    min_grid: int = SCAN_GRID,
     tol_order: float = TOL_ORDER,
 ) -> list[ExtremalFront]:
     """Locate and classify every extremal front of the dispersion.
 
-    The scan grid is doubled until the root count agrees between two
-    consecutive resolutions (tangency-split pairs near criticality need
-    fine grids); exceeding the grid cap raises FrontScanError.
+    The fronts are the unit-circle roots of the quartic z^2 w''(q); a root
+    is kept when |w''| <= tol_root (1 + 8g) at its angle, 1 + 8g being the
+    curvature scale of the band.  Each front is classified at its polished
+    wave vector, the centre of its root cluster.
     """
     if tol_root <= 0:
         raise ValueError("tol_root must be positive")
-    n = max(int(min_grid), SCAN_GRID)
-    roots = _scan_roots(p, n)
-    while True:
-        n2 = 2 * n
-        if n2 > SCAN_GRID_CAP:
-            raise FrontScanError(
-                f"front scan did not stabilise below {SCAN_GRID_CAP} grid points"
-            )
-        roots2 = _scan_roots(p, n2)
-        if len(roots2) == len(roots):
-            break
-        n, roots = n2, roots2
+    w2 = lambda q, j: omega_deriv(q, 2 + j, p)
+    if p.g < G_SEED:
+        roots = [_polish(w2, q, 1) for q in (-math.pi / 2, math.pi / 2)]
+    else:
+        c = 4.0 * p.g * complex(math.cos(p.phi), math.sin(p.phi))
+        quartic = [c, 1.0, 0.0, 1.0, c.conjugate()]
+        roots = _circle_roots(quartic, w2, tol_root * (1.0 + 8.0 * p.g))
     fronts = []
-    for q in roots2:
-        resid = omega_deriv(q, 2, p)
-        if abs(resid) > max(tol_root, TOUCH_ACCEPT * (1.0 + 8.0 * p.g)):
-            raise FrontScanError(f"root refinement stalled at q={q}, |w''|={resid}")
+    for q in roots:
         order, kappa = _classify(p, q, tol_order)
         v = omega_deriv(q, 1, p)
         fronts.append(
@@ -229,97 +188,32 @@ def degeneracy(diagram: FrontDiagram, front: ExtremalFront) -> int:
     )
 
 
-def critical_coupling(
-    phi: float,
-    tol_g: float = 1e-6,
-    g_lo: float = 1e-3,
-    g_hi: float = 4.0,
-) -> float:
-    """Lifshitz coupling g_c(phi): bisection on the 2 -> 4 front-count change.
+def critical_coupling(phi: float, tol_g: float = 1e-6) -> float:
+    """Lifshitz coupling g_c(phi): the smallest g > 0 with a double root of w''.
 
-    The resolution of the scan grid is raised as the bracket narrows, since
-    the newborn root pair splits like sqrt(g - g_c).
+    The real roots of sin(3q + phi) + 3 sin(q + phi) are the unit-circle
+    roots of e^{i phi} z^6 + 3 e^{i phi} z^4 - 3 e^{-i phi} z^2 - e^{-i phi}.
+    At each, g is the least-squares solution of w'' = 0 and w''' = 0,
+
+        g = -(4 cos q c + 8 sin q s) / (16 c^2 + 64 s^2),
+        c = cos(2q + phi),  s = sin(2q + phi),
+
+    which stays defined where c or s vanishes (the zone-seam root at
+    phi = 0).  The result is exact to roundoff, so it meets any tol_g > 0.
     """
     if not 0.0 <= phi <= math.pi / 2.0 + 1e-15:
         raise ValueError("phi must lie in the canonical window [0, pi/2]")
     if tol_g <= 0:
         raise ValueError("tol_g must be positive")
+    e = complex(math.cos(phi), math.sin(phi))
+    sextic = [e, 0.0, 3.0 * e, 0.0, -3.0 * e.conjugate(), 0.0, -e.conjugate()]
 
-    def count(g: float, width: float) -> int:
-        grid = int(min(SCAN_GRID_CAP / 2, max(SCAN_GRID, 32.0 / math.sqrt(max(width, 1e-12)))))
-        try:
-            return len(find_extremal_fronts(WalkParams(g, phi), min_grid=grid))
-        except FrontScanError:
-            # the newborn root pair is unresolvable even at the grid cap, so
-            # |g - g_c| is below the attainable resolution; calling it
-            # pre-transition biases the bracket by less than ~1e-11
-            return 2
+    def f(q, j):
+        shift = phi + j * math.pi / 2.0
+        return 3.0**j * np.sin(3.0 * q + shift) + 3.0 * np.sin(q + shift)
 
-    lo, hi = g_lo, g_hi
-    c_lo, c_hi = count(lo, hi - lo), count(hi, hi - lo)
-    if not (c_lo <= 2 < c_hi):
-        raise FrontScanError(
-            f"no 2 -> 4 front-count change in g in ({g_lo}, {g_hi}] at phi={phi}"
-        )
-    while hi - lo > tol_g:
-        mid = 0.5 * (lo + hi)
-        if count(mid, hi - lo) >= 4:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
-
-
-def quartic_crosscheck(p: WalkParams) -> list[float]:
-    """Real roots y = cos q of the quartic form of the extremal condition.
-
-    Squaring the extremal condition to eliminate sin q yields
-    64 g^2 y^4 + 16 g cos(2a) y^3 + (1 + 16 g mu cos(2a) - 64 g^2 sin^2(2a)) y^2
-    + 2 mu y + mu^2 = 0 with a = phi/2 and mu = 8 g sin^2(a) - 4 g.  Every
-    front's cos(q*) is a root, but the squaring step can add spurious roots
-    from the mirrored sin branch, so this is a diagnostic cross-check of the
-    scan, never a primary route.  At phi = 0 the quartic degenerates into a
-    perfect square, so the imaginary-part filter must tolerate the numeric
-    splitting of double roots.  Roots with |y| > 1 are discarded.
-    """
-    if p.g <= 0:
-        raise ValueError("quartic crosscheck requires g > 0")
-    g = p.g
-    alpha = p.phi / 2.0
-    mu = 8.0 * g * math.sin(alpha) ** 2 - 4.0 * g
-    c4 = 64.0 * g * g
-    c3 = 16.0 * g * math.cos(2.0 * alpha)
-    c2 = 1.0 + 16.0 * g * mu * math.cos(2.0 * alpha) - 64.0 * g * g * math.sin(2.0 * alpha) ** 2
-    c1 = 2.0 * mu
-    c0 = mu * mu
-    roots = np.roots([c4, c3, c2, c1, c0])
-    real = sorted(
-        float(r.real) for r in roots if abs(r.imag) < 1e-5 and abs(r.real) <= 1.0 + 1e-12
-    )
-    merged: list[float] = []
-    for r in real:
-        if merged and abs(r - merged[-1]) < 1e-6:
-            continue
-        merged.append(r)
-    return merged
-
-
-def quartic_front_report(p: WalkParams, tol: float = 1e-6) -> dict:
-    """Compare cos(q*) of the scanned fronts against the quartic root set.
-
-    Mismatches are reported, never fatal: the quartic is an independent
-    cross-check with known defects, the scan is the primary route.
-    """
-    fronts = find_extremal_fronts(p)
-    ys = quartic_crosscheck(p)
-    matched, unmatched = [], []
-    for fr in fronts:
-        y = math.cos(fr.q_star)
-        gap = min((abs(y - yy) for yy in ys), default=math.inf)
-        (matched if gap < tol else unmatched).append({"q_star": fr.q_star, "cos_q": y, "gap": gap})
-    return {
-        "quartic_roots": ys,
-        "matched": matched,
-        "unmatched": unmatched,
-        "consistent": not unmatched,
-    }
+    gs = []
+    for q in _circle_roots(sextic, f, TOL_ROOT):
+        c, s = math.cos(2.0 * q + phi), math.sin(2.0 * q + phi)
+        gs.append(-(4.0 * math.cos(q) * c + 8.0 * math.sin(q) * s) / (16.0 * c * c + 64.0 * s * s))
+    return min(g for g in gs if g > 0.0)

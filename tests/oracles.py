@@ -6,8 +6,12 @@ mpmath arbitrary precision (the package integrates a rotated contour in
 float64), the ring evolution comes from a dense matrix exponential (the
 package uses FFT diagonalization), and the hydrodynamic sub-level measure
 comes from counting a dense uniform q grid (the package bisects monotone
-branches of the group velocity).
+branches of the group velocity), and the front wave vectors come from a
+quartic in cos q obtained by squaring away sin q (the package takes the
+unit-circle roots of a quartic in e^{iq}).
 """
+
+import math
 
 import mpmath as mp
 import numpy as np
@@ -84,3 +88,35 @@ def brute_force_cpd(g, phi, nus, n):
     q = -np.pi + (np.arange(n) + 0.5) * (2.0 * np.pi / n)
     v = np.sort(-2.0 * np.sin(q) - 4.0 * g * np.sin(2.0 * q + phi))
     return np.searchsorted(v, nus, side="right") / n
+
+
+def quartic_crosscheck(g, phi):
+    """Real roots y = cos q of the squared form of the extremal condition.
+
+    Squaring w''(q) = 0 to eliminate sin q yields
+    64 g^2 y^4 + 16 g cos(2a) y^3 + (1 + 16 g mu cos(2a) - 64 g^2 sin^2(2a)) y^2
+    + 2 mu y + mu^2 = 0 with a = phi/2 and mu = 8 g sin^2(a) - 4 g.  Every
+    front's cos(q*) is a root, but the squaring can add spurious roots from
+    the mirrored sin branch.  At phi = 0 the quartic degenerates into a
+    perfect square, so the imaginary-part filter must tolerate the numeric
+    splitting of double roots.  Roots with |y| > 1 are discarded.
+    """
+    if g <= 0:
+        raise ValueError("quartic crosscheck requires g > 0")
+    alpha = phi / 2.0
+    mu = 8.0 * g * math.sin(alpha) ** 2 - 4.0 * g
+    c4 = 64.0 * g * g
+    c3 = 16.0 * g * math.cos(2.0 * alpha)
+    c2 = 1.0 + 16.0 * g * mu * math.cos(2.0 * alpha) - 64.0 * g * g * math.sin(2.0 * alpha) ** 2
+    c1 = 2.0 * mu
+    c0 = mu * mu
+    roots = np.roots([c4, c3, c2, c1, c0])
+    real = sorted(
+        float(r.real) for r in roots if abs(r.imag) < 1e-5 and abs(r.real) <= 1.0 + 1e-12
+    )
+    merged = []
+    for r in real:
+        if merged and abs(r - merged[-1]) < 1e-6:
+            continue
+        merged.append(r)
+    return merged

@@ -92,6 +92,28 @@ def test_bad_xi_max_exits_2(tmp_path, capsys, monkeypatch, value):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize(
+    "flags", [["--window", "-5"], ["--window", "0"], ["--window", "2000"], ["--xi-max", "50"]]
+)
+def test_bad_window_exits_2(tmp_path, capsys, monkeypatch, flags):
+    # a window must hold a site, and its profile must fit inside |xi| <= 50
+    # including predict_edge's grid step; both are known before evolving
+    monkeypatch.setattr(cli.airy_mod, "measure_edge", lambda *a, **kw: pytest.fail("evolved"))
+    rc = main(["edge", "--g", "0.0625", "--t", "1e4", *flags, "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "window" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("flags", [["--t", "1e9"], ["--t", "10", "--lattice", str(10**12)]])
+def test_lattice_cap_exits_3(tmp_path, capsys, monkeypatch, flags):
+    # refused before the first lattice array is allocated
+    monkeypatch.setattr(np.fft, "fftfreq", lambda *a, **kw: pytest.fail("allocated"))
+    rc = main(["evolve", "--g", "0.1", "--phi", "1.0", *flags, "--out", str(tmp_path)])
+    assert rc == 3
+    assert "cap" in capsys.readouterr().err
+
+
 def test_config_file_with_flag_override(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("g = 0.0625\nphi = 1.5707963267948966\nt = 20\n# comment\n")

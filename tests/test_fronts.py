@@ -11,9 +11,9 @@ from chiralwalk import (
     degeneracy,
     find_extremal_fronts,
     omega_deriv,
-    quartic_crosscheck,
-    quartic_front_report,
 )
+
+from oracles import quartic_crosscheck
 
 PI = math.pi
 
@@ -117,6 +117,21 @@ def test_critical_coupling_values():
     assert critical_coupling(PI / 4, tol_g=1e-6) == pytest.approx(0.225, abs=1e-3)
 
 
+def test_critical_coupling_exact_at_window_edges():
+    assert critical_coupling(PI / 2) == pytest.approx(0.125, abs=1e-12)
+    assert critical_coupling(0.0) == pytest.approx(0.25, abs=1e-12)
+
+
+@pytest.mark.parametrize("phi", np.linspace(0.0, PI / 2, 7))
+def test_front_count_changes_at_critical_coupling(phi):
+    # the newborn pair splits like sqrt(g - g_c): 4e-4 in q at phi = pi/2
+    # for g - g_c = 1e-8, and off the circle by as much just below g_c
+    gc = critical_coupling(phi)
+    for delta in (1e-4, 1e-6, 1e-8):
+        assert len(find_extremal_fronts(WalkParams(gc - delta, phi))) == 2, delta
+        assert len(find_extremal_fronts(WalkParams(gc + delta, phi))) == 4, delta
+
+
 def test_critical_coupling_validation():
     with pytest.raises(ValueError):
         critical_coupling(-0.1)
@@ -132,30 +147,36 @@ def test_find_fronts_validation():
 def test_quartic_contains_known_roots():
     # at phi = pi/2 the quartic factorizes as y^2 (64 g^2 y^2 + 1 - 64 g^2),
     # giving y = 0 (q = +-pi/2) and y = +-sqrt(3)/2 (q3 = pi/6, q4 = 5 pi/6)
-    ys = quartic_crosscheck(WalkParams(0.25, PI / 2))
+    ys = quartic_crosscheck(0.25, PI / 2)
     assert any(abs(y) < 1e-9 for y in ys)
     assert any(abs(y - math.sqrt(3) / 2) < 1e-9 for y in ys)
     assert all(abs(y) <= 1 + 1e-12 for y in ys)
 
 
 def test_quartic_bounded_at_small_coupling():
-    ys = quartic_crosscheck(WalkParams(1e-3, 0.4))
+    ys = quartic_crosscheck(1e-3, 0.4)
     assert all(abs(y) <= 1 + 1e-12 for y in ys)
     with pytest.raises(ValueError):
-        quartic_crosscheck(WalkParams(0.0, 0.4))
+        quartic_crosscheck(0.0, 0.4)
+
+
+def unmatched_fronts(p, tol=1e-6):
+    """Fronts whose cos(q*) is not a root of the squared-form quartic."""
+    ys = quartic_crosscheck(p.g, p.phi)
+    fronts = find_extremal_fronts(p)
+    gap = lambda f: min((abs(math.cos(f.q_star) - y) for y in ys), default=math.inf)
+    return fronts, [f for f in fronts if gap(f) >= tol]
 
 
 def test_quartic_report_consistency():
-    report = quartic_front_report(WalkParams(0.25, PI / 2))
-    assert report["consistent"]
-    assert len(report["matched"]) == 4
-    assert set(report) == {"quartic_roots", "matched", "unmatched", "consistent"}
-    # the quartic is exactly the squared extremal condition, so every scanned
-    # front maps into its root set across the whole parameter plane (at
-    # phi = 0 it degenerates into a perfect square, the hardest case
-    # numerically); spurious extra roots from the squaring are tolerated
+    fronts, unmatched = unmatched_fronts(WalkParams(0.25, PI / 2))
+    assert len(fronts) == 4 and not unmatched
+    # the quartic is exactly the squared extremal condition, so every front
+    # maps into its root set across the whole parameter plane (at phi = 0 it
+    # degenerates into a perfect square, the hardest case numerically);
+    # spurious extra roots from the squaring are tolerated
     rng = np.random.default_rng(14)
     for _ in range(25):
         p = WalkParams(rng.uniform(0.02, 1.0), rng.uniform(0.0, PI / 2))
-        assert quartic_front_report(p)["consistent"], p
-    assert quartic_front_report(WalkParams(0.3, 0.0))["consistent"]
+        assert not unmatched_fronts(p)[1], p
+    assert not unmatched_fronts(WalkParams(0.3, 0.0))[1]
