@@ -20,9 +20,17 @@ from .fronts import cone_topology
 
 TAIL_GUARD = 1e-10
 GUARD_SITES = 10
+# edge scales between an order-1 front and the ring edge: Ai(12) ~ 1e-13
+TAIL_XI = 12.0
 # largest ring evolved, 2^25 sites: ~2 GB for the arrays of one evolution
 # (64 B per site), reached near t = 5e6 at g = 0.3
 MAX_LATTICE = 1 << 25
+# exact summation: terms per bincount block, and blocks per exact float64
+# accumulation (2^18 terms x 2^8 blocks x 2^27 per term stays below 2^53)
+FSUM_BLOCK = 1 << 18
+FSUM_FLUSH = 1 << 8
+_EXP_MIN = -1073  # np.frexp exponent of the smallest subnormal
+_EXP_BUCKETS = 1024 - _EXP_MIN + 1
 
 
 class GuardError(RuntimeError):
@@ -91,14 +99,34 @@ def _check_cap(L: int) -> int:
     return L
 
 
-def auto_lattice_size(p: WalkParams, t: float) -> int:
-    """Ring size: causal cone radius + fixed margin + t^(1/3) Airy-tail margin.
+def _tail_margin(order: int) -> float:
+    """Edge scales past a front of this order where its Airy tail is negligible.
 
-    Raises GuardError above MAX_LATTICE, before the search for an
-    FFT-friendly size (MAX_LATTICE is itself 5-smooth, so that search never
-    passes the cap).
+    Outside an order-k front the profile A_k decays like
+    exp(-(k+1)/(k+2) sin(pi/(k+1)) xi^((k+2)/(k+1))), xi in units of the
+    front's edge scale (|kappa_k| t)^(1/(k+2)).  The margin is the xi at
+    which that bound equals Ai's exp(-(2/3) TAIL_XI^(3/2)) at TAIL_XI.
     """
-    radius = max_front_speed(p) * t + 40.0 + 10.0 * t ** (1.0 / 3.0)
+    rate = (order + 1) / (order + 2) * math.sin(math.pi / (order + 1))
+    decay = 2.0 / 3.0 * TAIL_XI**1.5
+    return (decay / rate) ** ((order + 1) / (order + 2))
+
+
+def auto_lattice_size(p: WalkParams, t: float) -> int:
+    """Ring size from the outermost front on each side of the causal cone.
+
+    Each of those fronts needs |v| t sites, plus _tail_margin(k) of its own
+    edge scales (|kappa_k| t)^(1/(k+2)) for the Airy tail, plus a fixed 40
+    sites; the ring's half-width is the larger side.  Raises GuardError
+    above MAX_LATTICE, before the search for an FFT-friendly size
+    (MAX_LATTICE is itself 5-smooth, so that search never passes the cap).
+    """
+    d = cone_topology(p)
+    radius = 40.0 + max(
+        abs(fr.velocity) * t + _tail_margin(fr.order) * (abs(fr.kappa) * t) ** (1.0 / (fr.order + 2))
+        for fr in d.fronts
+        if fr.velocity in (d.v_lm, d.v_rm)
+    )
     return next_fast_even(_check_cap(2 * math.ceil(radius)))
 
 
@@ -158,19 +186,20 @@ def current_density(wf: WaveFunction) -> ObservableField:
 
     j(n) = i [psi*(n-1) psi(n) - psi*(n) psi(n-1)]
          + 2 i g [e^{i phi} psi*(n-2) psi(n) - e^{-i phi} psi*(n) psi(n-2)]
+         = -2 Im b1(n) - 4 g Im(e^{i phi} b2(n)),   b_m(n) = psi*(n-m) psi(n),
 
-    evaluated with periodic neighbour indexing.  The expression is real up
-    to roundoff; a residual imaginary part above 1e-8 would mean a bug.
+    evaluated with periodic neighbour indexing.  The real form is computed
+    directly, so the current is real by construction.  A non-finite value
+    (from a non-finite wave function) raises GuardError.
     """
     psi = wf.amps
     g, phi = wf.params.g, wf.params.phi
-    b1 = np.conj(np.roll(psi, 1)) * psi       # psi*(n-1) psi(n)
-    b2 = np.conj(np.roll(psi, 2)) * psi       # psi*(n-2) psi(n)
-    j = 1j * (b1 - np.conj(b1)) + 2j * g * (np.exp(1j * phi) * b2 - np.conj(np.exp(1j * phi) * b2))
-    resid = float(np.max(np.abs(j.imag)))
-    if resid > 1e-8:
-        raise AssertionError(f"current has imaginary residue {resid:.2e} > 1e-8")
-    return ObservableField(FieldKind.CURRENT, j.real.copy(), wf.t, wf.params, wf.L)
+    b1 = np.conj(np.roll(psi, 1)) * psi
+    b2 = np.conj(np.roll(psi, 2)) * psi
+    j = -2.0 * b1.imag - 4.0 * g * (np.exp(1j * phi) * b2).imag
+    if not np.isfinite(j).all():
+        raise GuardError("current density is not finite: the wave function has non-finite amplitudes")
+    return ObservableField(FieldKind.CURRENT, j, wf.t, wf.params, wf.L)
 
 
 def cumulative(field: ObservableField) -> ObservableField:
@@ -184,16 +213,34 @@ def cumulative(field: ObservableField) -> ObservableField:
     return ObservableField(kind, np.cumsum(field.values), field.t, field.params, field.L)
 
 
-def cumulative_moment(field: ObservableField, k: int) -> ObservableField:
-    """Prefix sums of n^k p(n), the k-th cumulative position moment."""
+def _int_power(n: np.ndarray, k: int) -> np.ndarray:
+    """n^k for integer-valued floats n, correctly rounded for k <= 4.
+
+    n^2 is exact for |n| <= 2^26 (|n| <= 2^24 under MAX_LATTICE), so
+    n^3 = n^2 n and n^4 = n^2 n^2 are each one rounded product, hence
+    correctly rounded; np.power is only within an ulp, and slower.
+    """
+    if not 2 <= k <= 4:
+        return n**k
+    n2 = n * n
+    return n2 if k == 2 else n2 * (n if k == 3 else n2)
+
+
+def _moment_terms(field: ObservableField, k: int, name: str) -> np.ndarray:
+    """n^k p(n) on the sites [-L/2, L/2), with the sites built as floats."""
     if field.kind is not FieldKind.PROBABILITY:
-        raise ValueError("cumulative_moment expects a probability field")
+        raise ValueError(f"{name} expects a probability field")
     if k < 0:
         raise ValueError("moment order must be >= 0")
-    n = field.sites.astype(float)
+    n = np.arange(-(field.L // 2), field.L - field.L // 2, dtype=float)
+    return _int_power(n, k) * field.values
+
+
+def cumulative_moment(field: ObservableField, k: int) -> ObservableField:
+    """Prefix sums of n^k p(n), the k-th cumulative position moment."""
     return ObservableField(
         FieldKind.CUMULATIVE_MOMENT,
-        np.cumsum(n**k * field.values),
+        np.cumsum(_moment_terms(field, k, "cumulative_moment")),
         field.t,
         field.params,
         field.L,
@@ -201,18 +248,51 @@ def cumulative_moment(field: ObservableField, k: int) -> ObservableField:
     )
 
 
+def _exact_sum(x: np.ndarray) -> float:
+    """math.fsum(x) of a float64 array, with no Python step per element.
+
+    Every finite term is m 2^(e-53) with an integer mantissa |m| < 2^53
+    (np.frexp), split into a high half below 2^26 and a low half below
+    2^27.  Each half is summed per exponent with np.bincount over blocks
+    of FSUM_BLOCK terms: a bucket gains less than 2^45 per block and stays
+    below 2^53 over FSUM_FLUSH blocks, so every float64 bucket is an exact
+    integer.  The buckets are then combined as one Python int and rounded
+    once by int division, which is correctly rounded (half to even) like
+    fsum; a sum beyond the float range raises OverflowError as fsum does
+    (only a finite sum that fsum rejects for an intermediate overflow is
+    returned here).  Non-finite input is left to math.fsum.
+    """
+    x = np.asarray(x, dtype=float).ravel()
+    if not np.isfinite(x).all():
+        return math.fsum(x)
+    total = 0
+    span = FSUM_BLOCK * FSUM_FLUSH
+    for chunk in range(0, x.size, span):
+        buckets = np.zeros((2, _EXP_BUCKETS))
+        for start in range(chunk, min(chunk + span, x.size), FSUM_BLOCK):
+            m, e = np.frexp(x[start:start + FSUM_BLOCK])
+            m *= 2.0**53
+            hi = np.trunc(m * 2.0**-27)
+            idx = e - _EXP_MIN
+            buckets[0] += np.bincount(idx, hi, _EXP_BUCKETS)
+            buckets[1] += np.bincount(idx, m - hi * 2.0**27, _EXP_BUCKETS)
+        his, los = buckets.tolist()
+        total += sum(((int(h) << 27) + int(lo)) << b for b, (h, lo) in enumerate(zip(his, los)))
+    if total == 0:
+        # fsum's zero keeps the sign of all-(-0.0) input on Python >= 3.12
+        return math.fsum(x[:1]) if x.size and np.signbit(x).all() else 0.0
+    return total / (1 << (53 - _EXP_MIN))
+
+
 def position_moment(field: ObservableField, k: int) -> float:
-    """mu_k = sum_n n^k p(n), accumulated with compensated summation.
+    """mu_k = sum_n n^k p(n), exactly rounded.
 
     n^4 p(n) spans many orders of magnitude at large t, so the terms are
-    reduced with math.fsum rather than a naive running sum.
+    reduced to the exactly rounded sum, equal to math.fsum of the same
+    terms, by a vectorised exponent-bucket reduction (no per-site Python
+    loop).
     """
-    if field.kind is not FieldKind.PROBABILITY:
-        raise ValueError("position_moment expects a probability field")
-    if k < 0:
-        raise ValueError("moment order must be >= 0")
-    n = field.sites.astype(float)
-    return math.fsum(n**k * field.values)
+    return _exact_sum(_moment_terms(field, k, "position_moment"))
 
 
 def skewness(field: ObservableField) -> float:

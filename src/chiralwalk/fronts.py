@@ -156,22 +156,22 @@ def find_extremal_fronts(
 
 def build_diagram(p: WalkParams, fronts: tuple) -> FrontDiagram:
     """Classify the causal-cone topology of an already-scanned front set."""
+    n = len(fronts)
+    if n not in (2, 3, 4):
+        raise FrontScanError(f"unexpected front count {n} at {p}")
     v_lm = min(fr.velocity for fr in fronts)
     v_rm = max(fr.velocity for fr in fronts)
     orders = [fr.order for fr in fronts]
-    n = len(fronts)
     if n == 2:
         topo = ConeTopology.CRITICAL_THIRD_ORDER if 3 in orders else ConeTopology.ONE_CONE
     elif n == 3:
         topo = ConeTopology.CRITICAL_SECOND_ORDER
-    elif n == 4:
+    else:
         vs = sorted(fr.velocity for fr in fronts)
         degen = any(abs(vs[i + 1] - vs[i]) <= TOL_DEGEN for i in range(3))
         topo = (
             ConeTopology.TWO_OVERLAPPING_CONES if degen else ConeTopology.TWO_NESTED_CONES
         )
-    else:
-        raise FrontScanError(f"unexpected front count {n} at {p}")
     return FrontDiagram(p, fronts, v_lm, v_rm, topo)
 
 

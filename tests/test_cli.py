@@ -166,6 +166,18 @@ def test_fronts_empty_range(tmp_path):
     assert main(["fronts", "--tol-root", "-1", "--out", str(tmp_path)]) == 2
 
 
+def test_fronts_lost_roots_reported_per_row(tmp_path):
+    # a loose --tol-root joins every root into one cluster, leaving no front
+    rc = main([
+        "fronts", "--phi", "0.8", "--g-min", "0.3", "--g-max", "0.3", "--g-steps", "1",
+        "--tol-root", "10", "--out", str(tmp_path),
+    ])
+    assert rc == 0
+    lines = (tmp_path / "fronts.csv").read_text().splitlines()
+    assert len(lines) == 2
+    assert ",error: unexpected front count 0 at " in lines[1]
+
+
 def test_fronts_jobs_deterministic(tmp_path):
     outs = []
     for jobs, name in (("1", "j1"), ("2", "j2")):

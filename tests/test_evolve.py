@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from chiralwalk import (
     FieldKind,
     GuardError,
     WalkParams,
+    WaveFunction,
     auto_lattice_size,
     cumulative,
     cumulative_moment,
@@ -17,6 +19,7 @@ from chiralwalk import (
     probability_density,
     skewness,
 )
+from chiralwalk.evolve import FSUM_BLOCK, _exact_sum, _int_power
 from oracles import dense_ring_evolution, exact_cut_current
 
 PI = math.pi
@@ -205,3 +208,81 @@ def test_guards_and_validation():
         cumulative(cumulative(probability_density(evolve(p, 1.0))))
     with pytest.raises(ValueError):
         position_moment(current_density(evolve(p, 1.0)), 2)
+
+
+def _same_float(a, b):
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+def test_exact_sum_matches_fsum(monkeypatch):
+    rng = np.random.default_rng(23)
+    mixed = rng.standard_normal(4000) * 10.0 ** rng.uniform(-300, 300, 4000)
+    pairs = rng.standard_normal(2000) * 10.0 ** rng.uniform(-30, 30, 2000)
+    cancel = np.concatenate([pairs, -pairs])
+    rng.shuffle(cancel)
+    cases = [
+        np.array([]),
+        np.array([3.5]),
+        np.array([-0.0]),
+        np.array([0.0, -0.0]),
+        np.array([-0.0, -0.0]),
+        np.array([5e-324, 5e-324, -2.5e-320, 1e-310]),
+        rng.integers(-(2**40), 2**40, 3000) * 5e-324,
+        np.array([1e300, 1e-300, -1e300, -1e-300, 1e-300]),
+        mixed,
+        cancel,
+        np.concatenate([cancel, [1e-200]]),
+        np.array([1.0, 2.0**-53, 2.0**-106] * 100),  # halfway ties
+        rng.uniform(-1.0, 1.0, 1000) * 2.0 ** rng.integers(-1074, 1000, 1000),
+        # more than one block, and not a multiple of it
+        rng.standard_normal(2 * FSUM_BLOCK + 12345) * 10.0 ** rng.uniform(-8, 8, 2 * FSUM_BLOCK + 12345),
+    ]
+    for x in cases:
+        assert _same_float(_exact_sum(x), math.fsum(x)), x[:4]
+    # one block per exact accumulation: the bucket flush runs three times
+    # (the package exports a function named evolve, so fetch the module)
+    monkeypatch.setattr(importlib.import_module("chiralwalk.evolve"), "FSUM_FLUSH", 1)
+    assert _same_float(_exact_sum(cases[-1]), math.fsum(cases[-1]))
+
+
+def test_position_moment_is_fsum_of_terms():
+    prob = probability_density(evolve(WalkParams(0.3, 0.8), 60.0))
+    for k in range(6):
+        terms = np.array([float(n**k) for n in prob.sites.tolist()]) * prob.values
+        assert _same_float(position_moment(prob, k), math.fsum(terms))
+
+
+def test_int_power_correctly_rounded():
+    rng = np.random.default_rng(8)
+    top = 2**24
+    n = np.concatenate([[0, 1, -1, top, -top, top - 1, 1 - top], rng.integers(-top, top + 1, 5000)])
+    for k in range(5):
+        want = np.array([float(int(v) ** k) for v in n])
+        assert np.array_equal(_int_power(n.astype(float), k), want)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_current_nonfinite_raises_guard():
+    wf = evolve(WalkParams(0.2, 0.4), 10.0)
+    for bad in (np.nan, np.inf):
+        amps = wf.amps.copy()
+        amps[wf.L // 2 + 3] = bad
+        with pytest.raises(GuardError):
+            current_density(WaveFunction(wf.params, wf.t, wf.L, amps))
+
+
+@pytest.mark.parametrize(
+    "g, phi, t",
+    [(0.3, 0.8, 1e3), (0.3, 0.8, 1e4), (0.3019950050955578, 0.816788729639178, 3e5), (0.25, 0.0, 1e4)],
+)
+def test_auto_lattice_clears_tail_guard(g, phi, t):
+    # points where a t^(1/3) Airy margin left under ~9.7 edge scales
+    wf = evolve(WalkParams(g, phi), t)
+    edge = max(np.max(np.abs(wf.amps[:10])), np.max(np.abs(wf.amps[-10:])))
+    assert edge < 1e-12
+
+
+def test_auto_lattice_sizes():
+    p = WalkParams(0.3, 0.8)
+    assert [auto_lattice_size(p, t) for t in (1e5, 3e5, 1e6)] == [622080, 1866240, 6220800]
+    assert auto_lattice_size(WalkParams(0.25, PI / 2), 2000.0) == 12800
