@@ -44,21 +44,43 @@ from .fronts import (
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_GUARD = 3
+MAX_GRID = 1 << 20  # nu points in bulk.csv; hydro holds ~0.45 kB per point, ~0.5 GB here
 
 
 class ConfigError(Exception):
     pass
 
 
-def _fmt(x) -> str:
-    return format(float(x), ".17g")
+def _cell(c) -> str:
+    """One CSV field: strings quoted per RFC 4180 when they hold a separator,
+    a quote or a line break, Python ints as written, numbers as %.17g."""
+    if isinstance(c, str):
+        return '"' + c.replace('"', '""') + '"' if any(ch in c for ch in ',"\r\n') else c
+    return str(c) if isinstance(c, int) else format(float(c), ".17g")
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
+    """Write header and rows, each row through one format per cell-type tuple.
+
+    A row whose text shows a separator, quote or line break beyond its own
+    (a string cell that needs quoting, or a row that does not match the
+    header) is written again cell by cell.
+    """
+    width = len(header)
+    formats = {}
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(str(c) if isinstance(c, (str, int)) else _fmt(c) for c in row) + "\n")
+            row = tuple(row)
+            types = tuple(map(type, row))
+            fmt = formats.get(types)
+            if fmt is None:
+                cells = ("%s" if issubclass(t, (str, int)) else "%.17g" for t in types)
+                fmt = formats[types] = ",".join(cells) + "\n"
+            text = fmt % row
+            if text.count(",") != width - 1 or text.count("\n") != 1 or '"' in text or "\r" in text:
+                text = ",".join(map(_cell, row)) + "\n"
+            fh.write(text)
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -189,6 +211,10 @@ def cmd_scaling(args) -> int:
     p = _params(args)
     if args.t <= 0:
         raise ConfigError("t must be > 0 for scaling comparisons")
+    if not 2 <= args.grid <= MAX_GRID:
+        raise ConfigError(f"grid must lie in [2, {MAX_GRID}], got {args.grid}")
+    if not (math.isfinite(args.exclusion) and args.exclusion >= 0):
+        raise ConfigError(f"exclusion must be finite and >= 0, got {args.exclusion}")
     out = _outdir(args)
     wf = evolve(p, args.t, _lattice(args))
     prob = probability_density(wf)
@@ -196,29 +222,21 @@ def cmd_scaling(args) -> int:
     j_num = cumulative(current_density(wf)).values
     m_num = [cumulative_moment(prob, k).values / args.t**k for k in (1, 2, 3)]
     curve = hydro_mod.scaling_curve(p, num=args.grid)
-
-    def at_nu(values, nu):
-        n = math.floor(nu * args.t)
-        i = min(max(n + wf.L // 2, 0), wf.L - 1)
-        return values[i]
-
-    rows = []
-    for i, nu in enumerate(curve.nu):
-        rows.append(
-            (
-                nu,
-                at_nu(phi_num, nu),
-                curve.phi_scaled[i],
-                at_nu(j_num, nu),
-                curve.j_scaled[i],
-                at_nu(m_num[0], nu),
-                curve.m_scaled[0][i],
-                at_nu(m_num[1], nu),
-                curve.m_scaled[1][i],
-                at_nu(m_num[2], nu),
-                curve.m_scaled[2][i],
-            )
-        )
+    # the site at or left of n = nu t, clamped to the ring
+    at = np.clip(np.floor(curve.nu * args.t).astype(np.int64) + wf.L // 2, 0, wf.L - 1)
+    rows = zip(
+        curve.nu,
+        phi_num[at],
+        curve.phi_scaled,
+        j_num[at],
+        curve.j_scaled,
+        m_num[0][at],
+        curve.m_scaled[0],
+        m_num[1][at],
+        curve.m_scaled[1],
+        m_num[2][at],
+        curve.m_scaled[2],
+    )
     _write_csv(
         out / "bulk.csv",
         [
@@ -375,8 +393,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("scaling", help="bulk scaling comparison, numeric vs hydrodynamic")
     _add_common(s, t_default=2000.0)
-    s.add_argument("--grid", type=int, default=4001, help="nu grid points for bulk.csv")
-    s.add_argument("--exclusion", type=float, default=8.0, help="front window half-width factor")
+    s.add_argument("--grid", type=int, default=4001, help="nu grid points for bulk.csv, 2 to 2^20")
+    s.add_argument("--exclusion", type=float, default=8.0, help="front window half-width factor, >= 0")
     common_tail(s)
     s.set_defaults(func=cmd_scaling)
 

@@ -8,7 +8,10 @@ than nu:
 
 The cumulative current is the integral of v over the same sub-level set,
 which telescopes exactly to band energies at the set's endpoints because
-v = w'.  Higher cumulative moments integrate v^k over the set.
+v = w'.  The higher cumulative moments telescope the same way: v is a
+degree-2 trigonometric polynomial, so v^k is one of degree 2k, and its
+integral over each interval is a difference of one closed-form
+antiderivative.  Phi, J and every moment are thus exact up to the roots.
 
 Between consecutive front wave vectors q* the group velocity is monotone,
 because w'' has no root there.  The zone therefore splits into monotone
@@ -38,7 +41,6 @@ from .fronts import FrontDiagram, cone_topology
 
 DEFAULT_EXCLUSION = 8.0
 _BISECT_STEPS = 54  # brackets a root on a branch of length <= 2pi to < 4e-16
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
 
 
 def _branches(p: WalkParams):
@@ -75,28 +77,57 @@ def _sublevel(p: WalkParams, nu):
     return np.where(rising, a, root), np.where(rising, root, b)
 
 
+def _velocity_powers(p: WalkParams, kmax: int) -> dict:
+    """Fourier coefficients of v^k for k = 2..kmax, index m + 2k for e^{imq}.
+
+    v = w' = sum_{|m|<=2} c_m e^{imq} with c_{+-1} = +-i and
+    c_{+-2} = +-2ig e^{+-i phi}; each further power is one convolution.
+    """
+    rot = complex(math.cos(p.phi), math.sin(p.phi))
+    v = np.array([-2j * p.g * rot.conjugate(), -1j, 0.0, 1j, 2j * p.g * rot])
+    powers, c = {}, v
+    for k in range(2, kmax + 1):
+        c = np.convolve(c, v)
+        powers[k] = c
+    return powers
+
+
 def _bulk(p: WalkParams, nu, ks: tuple = ()) -> dict:
     """Phi, J and the scaled moments M~_k (k in ks) at every nu.
 
-    Phi is normalised by the summed branch lengths, i.e. the zone as the
-    branches tile it, so it is exactly 0 below the cone and 1 above it.
-    Moments use fixed-order Gauss-Legendre per interval; v^k is a short
-    trigonometric polynomial, so 64 nodes are converged far below 1e-9.
+    Each is (1/2pi) times the summed differences F_k(end) - F_k(start) of
+    an antiderivative of v^k over the sub-level intervals: F_0 = q gives
+    Phi, normalised by the summed branch lengths (the zone as the branches
+    tile it, so it is exactly 0 below the cone and 1 above it); F_1 = w
+    gives J, and M~_1 is J itself; for k >= 2, with v^k = sum c_m e^{imq},
+    F_k = c_0 q + sum_{m != 0} c_m e^{imq} / (im), summed one harmonic at
+    a time from powers of e^{iq}.
     """
     a, b, _, _ = _branches(p)
     start, end = _sublevel(p, nu)
+    width = (end - start).sum(0)
     out = {
-        "phi": (end - start).sum(0) / (b - a).sum(0),
+        "phi": width / (b - a).sum(0),
         "j": (omega(end, p) - omega(start, p)).sum(0) / TWO_PI,
     }
-    if ks:
-        half, centre = 0.5 * (end - start), 0.5 * (end + start)
-        for k in ks:
-            out[f"m{k}"] = np.zeros(half.shape[1])
-        for x, w in zip(_GL_NODES, _GL_WEIGHTS):
-            v = omega_deriv(centre + half * x, 1, p)
-            for k in ks:
-                out[f"m{k}"] += (w / TWO_PI) * (half * v**k).sum(0)
+    if 1 in ks:
+        out["m1"] = out["j"].copy()
+    high = sorted(k for k in set(ks) if k >= 2)
+    if high:
+        powers = _velocity_powers(p, high[-1])
+        acc = {k: powers[k][2 * k].real * width for k in high}
+        z_start, z_end = np.exp(1j * start), np.exp(1j * end)
+        e_start, e_end = z_start.copy(), z_end.copy()
+        for m in range(1, 2 * high[-1] + 1):
+            diff = e_end.sum(0) - e_start.sum(0)
+            for k in high:
+                if m <= 2 * k:
+                    # the e^{-imq} term is the complex conjugate (v^k is real)
+                    acc[k] += (2.0 / m) * (powers[k][2 * k + m] * -1j * diff).real
+            e_start *= z_start
+            e_end *= z_end
+        for k in high:
+            out[f"m{k}"] = acc[k] / TWO_PI
     return out
 
 
@@ -157,9 +188,8 @@ def scaling_curve(p: WalkParams, num: int = 4001, margin: float = 0.5) -> Scalin
     """Sample the bulk scaling functions across the causal cone."""
     d = cone_topology(p)
     nu = np.linspace(d.v_lm - margin, d.v_rm + margin, num)
-    h = _bulk(p, nu, (2, 3))
-    # M~_1 equals J identically
-    return ScalingCurve(p, nu, h["phi"], h["j"], (h["j"].copy(), h["m2"], h["m3"]))
+    h = _bulk(p, nu, (1, 2, 3))
+    return ScalingCurve(p, nu, h["phi"], h["j"], (h["m1"], h["m2"], h["m3"]))
 
 
 def exclusion_windows(
@@ -168,8 +198,11 @@ def exclusion_windows(
     """(centre, half-width) in nu of the edge windows around each front.
 
     The edge region of a k-th order front spans ~ (|kappa_k| t)^(1/(k+2))
-    sites, where bulk scaling is violated by construction.
+    sites, where bulk scaling is violated by construction.  c must be
+    finite and >= 0.
     """
+    if not (math.isfinite(c) and c >= 0):
+        raise ValueError(f"exclusion must be finite and >= 0, got {c}")
     wins = []
     for fr in diagram.fronts:
         half = c * (abs(fr.kappa) * t) ** (1.0 / (fr.order + 2)) / t
@@ -209,6 +242,8 @@ def compare_bulk(
     """
     if t <= 0:
         raise ValueError("compare_bulk needs t > 0")
+    d = cone_topology(p)
+    wins = exclusion_windows(d, t, exclusion)
     wf = evolve(p, t, lattice)
     prob = probability_density(wf)
     numeric = {
@@ -217,8 +252,6 @@ def compare_bulk(
     }
     for k in (1, 2, 3):
         numeric[f"m{k}"] = cumulative_moment(prob, k).values / t**k
-    d = cone_topology(p)
-    wins = exclusion_windows(d, t, exclusion)
     sites = wf.sites
     nus = sites / t
     mask = (nus >= d.v_lm - margin) & (nus <= d.v_rm + margin)

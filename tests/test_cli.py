@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 from pathlib import Path
@@ -105,6 +106,21 @@ def test_bad_window_exits_2(tmp_path, capsys, monkeypatch, flags):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [["--grid", "0"], ["--grid", "1"], ["--grid", "-3"], ["--grid", str(cli.MAX_GRID + 1)],
+     ["--exclusion", "-1"], ["--exclusion", "nan"], ["--exclusion", "inf"]],
+)
+def test_bad_scaling_input_exits_2(tmp_path, capsys, monkeypatch, flags):
+    # rejected before any evolution or output
+    for module in (cli, cli.hydro_mod):
+        monkeypatch.setattr(module, "evolve", lambda *a, **kw: pytest.fail("evolved"))
+    rc = main(["scaling", "--g", "0.0625", "--t", "100", *flags, "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert flags[0][2:] in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("flags", [["--t", "1e9"], ["--t", "10", "--lattice", str(10**12)]])
 def test_lattice_cap_exits_3(tmp_path, capsys, monkeypatch, flags):
     # refused before the first lattice array is allocated
@@ -112,6 +128,42 @@ def test_lattice_cap_exits_3(tmp_path, capsys, monkeypatch, flags):
     rc = main(["evolve", "--g", "0.1", "--phi", "1.0", *flags, "--out", str(tmp_path)])
     assert rc == 3
     assert "cap" in capsys.readouterr().err
+
+
+def _per_cell_csv(header, rows):
+    # the writer's per-cell form: str() for str and Python int, else %.17g
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(str(c) if isinstance(c, (str, int)) else format(float(c), ".17g") for c in row))
+    return "\n".join(lines) + "\n"
+
+
+def test_write_csv_matches_per_cell_format(tmp_path):
+    special = [-0.0, math.nan, math.inf, -math.inf, 5e-324, 1e-300, np.int64(-7), np.float32(0.1),
+               np.float64(1 / 3), np.int64(2**62), -1.5e300, 0.0, 7, True, "ok", np.str_("s")]
+    rng = np.random.default_rng(5)
+    rows = [tuple(special[i] for i in rng.choice(len(special), 4)) for _ in range(600)]
+    rows += [[3, 10**20, False, np.float64(2.5)], (1.0, 2.0)]  # a list row, a short row
+    header = ["a", "b", "c", "d"]
+    cli._write_csv(tmp_path / "x.csv", header, rows)
+    assert (tmp_path / "x.csv").read_text() == _per_cell_csv(header, rows)
+    cols = (np.arange(-3, 4), np.linspace(-1, 1, 7), np.full(7, np.nan), np.float32(np.arange(7) / 3))
+    cli._write_csv(tmp_path / "zip.csv", header, zip(*cols))
+    assert (tmp_path / "zip.csv").read_text() == _per_cell_csv(header, zip(*cols))
+    cli._write_csv(tmp_path / "empty.csv", header, [])
+    assert (tmp_path / "empty.csv").read_text() == "a,b,c,d\n"
+
+
+def test_write_csv_quotes_strings(tmp_path):
+    # RFC 4180: a field holding a separator, a quote or a line break is quoted
+    texts = ["plain", "a, b", 'say "hi"', "two\nlines", "cr\r\nlf", ""]
+    cli._write_csv(tmp_path / "q.csv", ["i", "text", "x"], [(i, s, 0.5) for i, s in enumerate(texts)])
+    raw = (tmp_path / "q.csv").read_bytes().decode()
+    assert raw.startswith("i,text,x\n0,plain,0.5\n1,\"a, b\",0.5\n2,\"say \"\"hi\"\"\",0.5\n")
+    with open(tmp_path / "q.csv", newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert header == ["i", "text", "x"]
+    assert rows == [[str(i), s, "0.5"] for i, s in enumerate(texts)]
 
 
 def test_config_file_with_flag_override(tmp_path):
@@ -173,9 +225,11 @@ def test_fronts_lost_roots_reported_per_row(tmp_path):
         "--tol-root", "10", "--out", str(tmp_path),
     ])
     assert rc == 0
-    lines = (tmp_path / "fronts.csv").read_text().splitlines()
-    assert len(lines) == 2
-    assert ",error: unexpected front count 0 at " in lines[1]
+    with open(tmp_path / "fronts.csv", newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert len(header) == 8 and len(rows) == 1
+    assert len(rows[0]) == 8
+    assert rows[0][-1].startswith("error: unexpected front count 0 at")
 
 
 def test_fronts_jobs_deterministic(tmp_path):

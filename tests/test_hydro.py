@@ -5,8 +5,10 @@ import pytest
 
 from chiralwalk import (
     WalkParams,
+    hydro,
     compare_bulk,
     cone_topology,
+    exclusion_windows,
     invert_velocity,
     nu_half,
     scaled_ccd,
@@ -15,7 +17,7 @@ from chiralwalk import (
     scaling_curve,
 )
 
-from oracles import brute_force_cpd
+from oracles import brute_force_cpd, gauss_legendre_moment
 
 PI = math.pi
 
@@ -90,6 +92,26 @@ def test_full_zone_moments_match_closed_forms():
         scaled_moment(WalkParams(0.1, 0.0), 0.0, 0)
 
 
+def test_closed_form_moments_match_gauss_legendre():
+    # the telescoped antiderivative against quadrature on the same
+    # sub-level intervals: critical, free, large-g and generic couplings
+    couplings = [(1 / 16, PI / 2), (1 / 4, PI / 2), (1 / 8, PI / 2), (1 / 4, 0.0),
+                 (0.0, 0.0), (10.0, 1.0), (0.3, 0.8), (0.05, 0.2)]
+    for g, phi in couplings:
+        p = WalkParams(g, phi)
+        d = cone_topology(p)
+        nu = np.linspace(d.v_lm - 0.5, d.v_rm + 0.5, 12001)
+        start, end = hydro._sublevel(p, nu)
+        got = hydro._bulk(p, nu, (1, 2, 3, 4))
+        for k, ref in gauss_legendre_moment(g, phi, start, end, (1, 2, 3, 4)).items():
+            err = np.abs(got[f"m{k}"] - ref) / np.maximum(1.0, np.abs(ref))
+            assert err.max() < 1e-12, (g, phi, k, err.max())
+        for x in nu[::1500]:
+            assert scaled_moment(p, x, 1) == scaled_ccd(p, x)
+        curve = scaling_curve(p, num=401)
+        assert np.array_equal(curve.m_scaled[0], curve.j_scaled)
+
+
 def test_scaling_curve_invariants():
     p = WalkParams(0.25, PI / 2)
     curve = scaling_curve(p, num=801)
@@ -140,3 +162,14 @@ def test_compare_bulk_smoke():
     assert len(report.windows) == 2
     with pytest.raises(ValueError):
         compare_bulk(WalkParams(0.1, 0.0), t=0.0)
+
+
+@pytest.mark.parametrize("exclusion", [-1.0, math.nan, math.inf])
+def test_bad_exclusion_rejected(monkeypatch, exclusion):
+    # rejected before the evolution
+    monkeypatch.setattr(hydro, "evolve", lambda *a, **kw: pytest.fail("evolved"))
+    p = WalkParams(1 / 16, PI / 2)
+    with pytest.raises(ValueError, match="exclusion"):
+        compare_bulk(p, t=500.0, exclusion=exclusion)
+    with pytest.raises(ValueError, match="exclusion"):
+        exclusion_windows(cone_topology(p), 500.0, exclusion)
