@@ -5,10 +5,19 @@ phase factors exp(-i w(q) t) gives the wave function at any time with no
 time-stepping error.  The lattice is a periodic ring sized so that the
 causal cone plus an Airy-tail margin fits with room to spare; a tail guard
 verifies that wraparound contamination stays below 1e-10.
+
+The ring kernels (the phase factors, the current, the cumulative moments
+and the exact position moments) walk the ring in blocks of BLOCK sites, so
+their temporaries stay in cache and only the output is ring-sized.  Each
+block applies the same elementwise operations, in the same order, as the
+whole-ring expression, and the cumulative moments carry each block's last
+prefix sum into the next block's first term, so every output is
+bit-identical to the whole-ring computation for any block size.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -25,10 +34,11 @@ TAIL_XI = 12.0
 # largest ring evolved, 2^25 sites: ~2 GB for the arrays of one evolution
 # (64 B per site), reached near t = 5e6 at g = 0.3
 MAX_LATTICE = 1 << 25
-# exact summation: terms per bincount block, and blocks per exact float64
-# accumulation (2^18 terms x 2^8 blocks x 2^27 per term stays below 2^53)
-FSUM_BLOCK = 1 << 18
-FSUM_FLUSH = 1 << 8
+# sites per block of the ring kernels: 2^14 complex values are 256 KB
+BLOCK = 1 << 14
+# exact summation: blocks per exact float64 accumulation; BLOCK x FSUM_FLUSH
+# must stay <= 2^26 (2^14 terms x 2^12 blocks x 2^27 per term < 2^53)
+FSUM_FLUSH = 1 << 12
 _EXP_MIN = -1073  # np.frexp exponent of the smallest subnormal
 _EXP_BUCKETS = 1024 - _EXP_MIN + 1
 
@@ -73,6 +83,11 @@ class ObservableField:
     @property
     def sites(self) -> np.ndarray:
         return np.arange(self.L) - self.L // 2
+
+
+def _blocks(size: int):
+    """(start, stop) of the consecutive BLOCK-site slices that tile range(size)."""
+    return ((start, min(start + BLOCK, size)) for start in range(0, size, BLOCK))
 
 
 def next_fast_even(n: int) -> int:
@@ -130,6 +145,19 @@ def auto_lattice_size(p: WalkParams, t: float) -> int:
     return next_fast_even(_check_cap(2 * math.ceil(radius)))
 
 
+def _phase_factors(p: WalkParams, t: float, L: int) -> np.ndarray:
+    """exp(-i w(q_j) t) at q = 2 pi fftfreq(L), filled block by block."""
+    phase = np.empty(L, dtype=complex)
+    negative = (L - 1) // 2 + 1  # first index of fftfreq's negative half
+    for start, stop in _blocks(L):
+        # fftfreq's integers times 1/L, exactly as fftfreq builds them
+        k = np.arange(start, stop)
+        k[max(negative - start, 0):] -= L
+        q = 2.0 * np.pi * (k * (1.0 / L))
+        np.exp(-1j * omega(q, p) * t, out=phase[start:stop])
+    return phase
+
+
 def evolve(
     p: WalkParams,
     t: float,
@@ -162,8 +190,7 @@ def evolve(
                 f"lattice L={L} too small for the causal cone at t={t}: "
                 f"need L/2 >= {max_front_speed(p) * t + 12.0:.1f}"
             )
-    q = 2.0 * np.pi * np.fft.fftfreq(L)
-    amps = np.fft.fftshift(np.fft.ifft(np.exp(-1j * omega(q, p) * t)))
+    amps = np.fft.fftshift(np.fft.ifft(_phase_factors(p, t, L)))
     wf = WaveFunction(p, float(t), L, amps)
     if enforce_guard:
         edge = max(np.max(np.abs(amps[:GUARD_SITES])), np.max(np.abs(amps[-GUARD_SITES:])))
@@ -188,17 +215,23 @@ def current_density(wf: WaveFunction) -> ObservableField:
          + 2 i g [e^{i phi} psi*(n-2) psi(n) - e^{-i phi} psi*(n) psi(n-2)]
          = -2 Im b1(n) - 4 g Im(e^{i phi} b2(n)),   b_m(n) = psi*(n-m) psi(n),
 
-    evaluated with periodic neighbour indexing.  The real form is computed
-    directly, so the current is real by construction.  A non-finite value
-    (from a non-finite wave function) raises GuardError.
+    evaluated with periodic neighbour indexing, block by block from slices
+    of psi with a two-site halo.  The real form is computed directly, so
+    the current is real by construction.  A non-finite value (from a
+    non-finite wave function) raises GuardError.
     """
     psi = wf.amps
-    g, phi = wf.params.g, wf.params.phi
-    b1 = np.conj(np.roll(psi, 1)) * psi
-    b2 = np.conj(np.roll(psi, 2)) * psi
-    j = -2.0 * b1.imag - 4.0 * g * (np.exp(1j * phi) * b2).imag
-    if not np.isfinite(j).all():
-        raise GuardError("current density is not finite: the wave function has non-finite amplitudes")
+    g, rot = wf.params.g, np.exp(1j * wf.params.phi)
+    j = np.empty(wf.L)
+    for start, stop in _blocks(wf.L):
+        # psi(n - 2) .. psi(n) for n in [start, stop), wrapping at site 0
+        ext = psi[start - 2:stop] if start >= 2 else np.concatenate((psi[start - 2:], psi[:stop]))
+        b1 = np.conj(ext[1:-1]) * ext[2:]
+        b2 = np.conj(ext[:-2]) * ext[2:]
+        out = j[start:stop]
+        np.subtract(-2.0 * b1.imag, 4.0 * g * (rot * b2).imag, out=out)
+        if not np.isfinite(out).all():
+            raise GuardError("current density is not finite: the wave function has non-finite amplitudes")
     return ObservableField(FieldKind.CURRENT, j, wf.t, wf.params, wf.L)
 
 
@@ -226,62 +259,88 @@ def _int_power(n: np.ndarray, k: int) -> np.ndarray:
     return n2 if k == 2 else n2 * (n if k == 3 else n2)
 
 
-def _moment_terms(field: ObservableField, k: int, name: str) -> np.ndarray:
-    """n^k p(n) on the sites [-L/2, L/2), with the sites built as floats."""
+def _moment_blocks(field: ObservableField, k: int, name: str):
+    """Callable yielding n^k p(n) block by block, with the sites built as floats."""
     if field.kind is not FieldKind.PROBABILITY:
         raise ValueError(f"{name} expects a probability field")
     if k < 0:
         raise ValueError("moment order must be >= 0")
-    n = np.arange(-(field.L // 2), field.L - field.L // 2, dtype=float)
-    return _int_power(n, k) * field.values
+    offset = field.L // 2
+
+    def blocks():
+        for start, stop in _blocks(field.L):
+            n = np.arange(start - offset, stop - offset, dtype=float)
+            yield _int_power(n, k) * field.values[start:stop]
+
+    return blocks
 
 
 def cumulative_moment(field: ObservableField, k: int) -> ObservableField:
-    """Prefix sums of n^k p(n), the k-th cumulative position moment."""
+    """Prefix sums of n^k p(n), the k-th cumulative position moment.
+
+    Each block's first term gets the previous block's last prefix sum before
+    the block's cumsum, which is exactly the sequential sum over the ring.
+    """
+    values = np.empty(field.L)
+    start = 0
+    for terms in _moment_blocks(field, k, "cumulative_moment")():
+        if start:
+            terms[0] += values[start - 1]
+        np.cumsum(terms, out=values[start:start + terms.size])
+        start += terms.size
     return ObservableField(
-        FieldKind.CUMULATIVE_MOMENT,
-        np.cumsum(_moment_terms(field, k, "cumulative_moment")),
-        field.t,
-        field.params,
-        field.L,
-        moment_order=k,
+        FieldKind.CUMULATIVE_MOMENT, values, field.t, field.params, field.L, moment_order=k
     )
 
 
 def _exact_sum(x: np.ndarray) -> float:
-    """math.fsum(x) of a float64 array, with no Python step per element.
+    """math.fsum(x) of a float64 array, with no Python step per element."""
+    x = np.asarray(x, dtype=float).ravel()
+    return _fsum_blocks(lambda: (x[start:stop] for start, stop in _blocks(x.size)))
+
+
+def _fsum_blocks(blocks) -> float:
+    """math.fsum of the float64 terms that blocks() yields, at most BLOCK at a time.
 
     Every finite term is m 2^(e-53) with an integer mantissa |m| < 2^53
     (np.frexp), split into a high half below 2^26 and a low half below
-    2^27.  Each half is summed per exponent with np.bincount over blocks
-    of FSUM_BLOCK terms: a bucket gains less than 2^45 per block and stays
-    below 2^53 over FSUM_FLUSH blocks, so every float64 bucket is an exact
-    integer.  The buckets are then combined as one Python int and rounded
-    once by int division, which is correctly rounded (half to even) like
-    fsum; a sum beyond the float range raises OverflowError as fsum does
-    (only a finite sum that fsum rejects for an intermediate overflow is
-    returned here).  Non-finite input is left to math.fsum.
+    2^27.  Each half is summed per exponent with np.bincount, block by
+    block: a bucket gains less than BLOCK 2^27 per block and stays below
+    2^53 over FSUM_FLUSH blocks, so every float64 bucket is an exact integer.
+    The buckets are then combined as one Python int and rounded once by
+    int division, which is correctly rounded (half to even) like fsum; a
+    sum beyond the float range raises OverflowError as fsum does (only a
+    finite sum that fsum rejects for an intermediate overflow is returned
+    here).  A non-finite term hands every term to math.fsum, and an exact
+    zero takes fsum's sign; both call blocks() again, so no ring-sized
+    array of terms is ever built.
     """
-    x = np.asarray(x, dtype=float).ravel()
-    if not np.isfinite(x).all():
-        return math.fsum(x)
     total = 0
-    span = FSUM_BLOCK * FSUM_FLUSH
-    for chunk in range(0, x.size, span):
-        buckets = np.zeros((2, _EXP_BUCKETS))
-        for start in range(chunk, min(chunk + span, x.size), FSUM_BLOCK):
-            m, e = np.frexp(x[start:start + FSUM_BLOCK])
-            m *= 2.0**53
-            hi = np.trunc(m * 2.0**-27)
-            idx = e - _EXP_MIN
-            buckets[0] += np.bincount(idx, hi, _EXP_BUCKETS)
-            buckets[1] += np.bincount(idx, m - hi * 2.0**27, _EXP_BUCKETS)
-        his, los = buckets.tolist()
-        total += sum(((int(h) << 27) + int(lo)) << b for b, (h, lo) in enumerate(zip(his, los)))
+    buckets = np.zeros((2, _EXP_BUCKETS))
+    for i, x in enumerate(blocks(), 1):
+        if not np.isfinite(x).all():
+            return math.fsum(itertools.chain.from_iterable(b.tolist() for b in blocks()))
+        m, e = np.frexp(x)
+        m *= 2.0**53
+        hi = np.trunc(m * 2.0**-27)
+        idx = e - _EXP_MIN
+        buckets[0] += np.bincount(idx, hi, _EXP_BUCKETS)
+        buckets[1] += np.bincount(idx, m - hi * 2.0**27, _EXP_BUCKETS)
+        if i % FSUM_FLUSH == 0:
+            total += _bucket_total(buckets)
+            buckets[:] = 0.0
+    total += _bucket_total(buckets)
     if total == 0:
         # fsum's zero keeps the sign of all-(-0.0) input on Python >= 3.12
-        return math.fsum(x[:1]) if x.size and np.signbit(x).all() else 0.0
+        signs = [np.signbit(x).all() for x in blocks()]
+        return math.fsum([-0.0]) if signs and all(signs) else 0.0
     return total / (1 << (53 - _EXP_MIN))
+
+
+def _bucket_total(buckets: np.ndarray) -> int:
+    """The exact integer sum of the high and low mantissa buckets, in units of 2^(_EXP_MIN-53)."""
+    his, los = buckets.tolist()
+    return sum(((int(h) << 27) + int(lo)) << b for b, (h, lo) in enumerate(zip(his, los)))
 
 
 def position_moment(field: ObservableField, k: int) -> float:
@@ -289,10 +348,10 @@ def position_moment(field: ObservableField, k: int) -> float:
 
     n^4 p(n) spans many orders of magnitude at large t, so the terms are
     reduced to the exactly rounded sum, equal to math.fsum of the same
-    terms, by a vectorised exponent-bucket reduction (no per-site Python
-    loop).
+    terms, by a vectorised exponent-bucket reduction that takes them block
+    by block (no per-site Python loop, no ring-sized array of terms).
     """
-    return _exact_sum(_moment_terms(field, k, "position_moment"))
+    return _fsum_blocks(_moment_blocks(field, k, "position_moment"))
 
 
 def skewness(field: ObservableField) -> float:

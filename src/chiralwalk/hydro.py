@@ -41,6 +41,7 @@ from .fronts import FrontDiagram, cone_topology
 
 DEFAULT_EXCLUSION = 8.0
 _BISECT_STEPS = 54  # brackets a root on a branch of length <= 2pi to < 4e-16
+_NU_HALF_GRID = 62  # interior nu per nu_half round: the bracket shrinks 63-fold
 
 
 def _branches(p: WalkParams):
@@ -161,15 +162,22 @@ def scaled_moment(p: WalkParams, nu: float, k: int) -> float:
 
 
 def nu_half(p: WalkParams, tol: float = 1e-10) -> float:
-    """Diagnostic: the scaled coordinate where Phi crosses 1/2."""
+    """Diagnostic: the scaled coordinate where Phi crosses 1/2.
+
+    The bracket [v_lm, v_rm] is cut at _NU_HALF_GRID interior points per
+    round, one vectorised _bulk call each, and narrowed to the first grid
+    step where Phi reaches 1/2, until it is at most tol wide; the midpoint
+    is returned.  Phi is monotone, so the count of points below 1/2 is that
+    step's index.
+    """
     d = cone_topology(p)
     lo, hi = d.v_lm, d.v_rm
     while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if scaled_cpd(p, mid) < 0.5:
-            lo = mid
-        else:
-            hi = mid
+        nu = np.linspace(lo, hi, _NU_HALF_GRID + 2)
+        i = int(np.count_nonzero(_bulk(p, nu[1:-1])["phi"] < 0.5))
+        if nu[i + 1] - nu[i] >= hi - lo:
+            break  # the bracket is down to adjacent floats
+        lo, hi = float(nu[i]), float(nu[i + 1])
     return 0.5 * (lo + hi)
 
 

@@ -8,9 +8,11 @@ package uses FFT diagonalization), and the hydrodynamic sub-level measure
 comes from counting a dense uniform q grid (the package bisects monotone
 branches of the group velocity), the front wave vectors come from a
 quartic in cos q obtained by squaring away sin q (the package takes the
-unit-circle roots of a quartic in e^{iq}), and the scaled moments come from
+unit-circle roots of a quartic in e^{iq}), the scaled moments come from
 Gauss-Legendre quadrature of v^k (the package telescopes a closed-form
-antiderivative).
+antiderivative), and the ring kernels come from whole-ring array
+expressions (the package walks the ring in cache-sized blocks and must
+match these bit for bit).
 """
 
 import math
@@ -18,6 +20,9 @@ import math
 import mpmath as mp
 import numpy as np
 from scipy.linalg import expm
+
+from chiralwalk import omega
+from chiralwalk.evolve import _int_power
 
 
 def series_airy(k, xi, dps=60, nmax=4000):
@@ -78,6 +83,26 @@ def exact_cut_current(amps, g, phi):
     b_far = np.conj(np.roll(amps, 2)) * amps
     b_straddle = np.conj(np.roll(amps, 1)) * np.roll(amps, -1)
     return -2.0 * np.imag(b_nn) - 2.0 * g * np.imag(np.exp(1j * phi) * (b_far + b_straddle))
+
+
+def whole_ring_amplitudes(p, t, L):
+    """The ring propagator of the site-0 delta state as one whole-ring FFT expression."""
+    q = 2.0 * np.pi * np.fft.fftfreq(L)
+    return np.fft.fftshift(np.fft.ifft(np.exp(-1j * omega(q, p) * t)))
+
+
+def whole_ring_current(amps, g, phi):
+    """Single-bond NN plus NNN current with np.roll neighbours over the whole ring."""
+    b1 = np.conj(np.roll(amps, 1)) * amps
+    b2 = np.conj(np.roll(amps, 2)) * amps
+    return -2.0 * b1.imag - 4.0 * g * (np.exp(1j * phi) * b2).imag
+
+
+def whole_ring_moment_terms(values, k):
+    """n^k p(n) on the sites [-L/2, L/2), with the sites built as floats."""
+    L = values.size
+    n = np.arange(-(L // 2), L - L // 2, dtype=float)
+    return _int_power(n, k) * values
 
 
 def brute_force_cpd(g, phi, nus, n):

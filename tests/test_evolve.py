@@ -7,6 +7,7 @@ import pytest
 from chiralwalk import (
     FieldKind,
     GuardError,
+    ObservableField,
     WalkParams,
     WaveFunction,
     auto_lattice_size,
@@ -19,8 +20,17 @@ from chiralwalk import (
     probability_density,
     skewness,
 )
-from chiralwalk.evolve import FSUM_BLOCK, _exact_sum, _int_power
-from oracles import dense_ring_evolution, exact_cut_current
+from chiralwalk.evolve import BLOCK, _exact_sum, _int_power
+from oracles import (
+    dense_ring_evolution,
+    exact_cut_current,
+    whole_ring_amplitudes,
+    whole_ring_current,
+    whole_ring_moment_terms,
+)
+
+# the package exports a function named evolve, so fetch the module by name
+EVOLVE_MODULE = importlib.import_module("chiralwalk.evolve")
 
 PI = math.pi
 
@@ -235,14 +245,91 @@ def test_exact_sum_matches_fsum(monkeypatch):
         np.array([1.0, 2.0**-53, 2.0**-106] * 100),  # halfway ties
         rng.uniform(-1.0, 1.0, 1000) * 2.0 ** rng.integers(-1074, 1000, 1000),
         # more than one block, and not a multiple of it
-        rng.standard_normal(2 * FSUM_BLOCK + 12345) * 10.0 ** rng.uniform(-8, 8, 2 * FSUM_BLOCK + 12345),
+        rng.standard_normal(2 * BLOCK + 12345) * 10.0 ** rng.uniform(-8, 8, 2 * BLOCK + 12345),
     ]
     for x in cases:
         assert _same_float(_exact_sum(x), math.fsum(x)), x[:4]
     # one block per exact accumulation: the bucket flush runs three times
-    # (the package exports a function named evolve, so fetch the module)
-    monkeypatch.setattr(importlib.import_module("chiralwalk.evolve"), "FSUM_FLUSH", 1)
+    monkeypatch.setattr(EVOLVE_MODULE, "FSUM_FLUSH", 1)
     assert _same_float(_exact_sum(cases[-1]), math.fsum(cases[-1]))
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("block, sizes", [(7, (4, 14, 30)), (64, (40, 64, 200))])
+def test_blocked_kernels_match_whole_ring(monkeypatch, block, sizes):
+    # rings below one block, of whole blocks, and with a ragged last block;
+    # fftfreq's negative half starts on a block edge at L = 14 and inside a
+    # block at L = 30 and 200
+    monkeypatch.setattr(EVOLVE_MODULE, "BLOCK", block)
+    p, t = WalkParams(0.3, 0.8), 3.0
+    for L in sizes:
+        wf = evolve(p, t, lattice=L, enforce_guard=False)
+        assert _same_bits(wf.amps, whole_ring_amplitudes(p, t, L))
+        assert _same_bits(current_density(wf).values, whole_ring_current(wf.amps, p.g, p.phi))
+        prob = probability_density(wf)
+        for k in range(6):  # k = 5 takes _int_power's n**k path
+            terms = whole_ring_moment_terms(prob.values, k)
+            if 1 <= k <= 3:
+                assert _same_bits(cumulative_moment(prob, k).values, np.cumsum(terms))
+            assert _same_float(position_moment(prob, k), math.fsum(terms))
+
+
+def _fsum_outcome(fn):
+    try:
+        return fn()
+    except (ValueError, OverflowError) as exc:
+        return type(exc)
+
+
+def _same_outcome(a, b):
+    if isinstance(a, type) or isinstance(b, type):
+        return a is b
+    return (math.isnan(a) and math.isnan(b)) or _same_float(a, b)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_position_moment_edge_cases_match_fsum(monkeypatch):
+    # blocks of 3 sites, so a non-finite term can sit blocks after the first
+    monkeypatch.setattr(EVOLVE_MODULE, "BLOCK", 3)
+    L = 12  # sites -6 .. 5
+
+    def field(fill, spikes=()):
+        values = np.full(L, fill)
+        for index, value in spikes:
+            values[index] = value
+        return ObservableField(FieldKind.PROBABILITY, values, 1.0, WalkParams(0.3, 0.8), L)
+
+    nan_last, inf_pair, big, zeros = (
+        field(0.0625, [(11, np.nan)]),
+        field(0.0625, [(0, np.inf), (11, -np.inf)]),
+        field(1e308),  # sums beyond the float range
+        field(0.0),
+    )
+    cases = [
+        nan_last,
+        field(0.0625, [(10, np.inf)]),
+        field(0.0625, [(1, -np.inf)]),
+        inf_pair,
+        field(0.0625, [(2, np.inf), (9, -np.inf), (5, np.nan)]),
+        big,
+        zeros,
+        field(-0.0),
+    ]
+    for f in cases:
+        for k in range(6):
+            want = _fsum_outcome(lambda: math.fsum(whole_ring_moment_terms(f.values, k)))
+            got = _fsum_outcome(lambda: position_moment(f, k))
+            assert _same_outcome(got, want), (f.values, k, got, want)
+    # the outcomes the cases are there for
+    assert _fsum_outcome(lambda: position_moment(inf_pair, 0)) is ValueError
+    assert _fsum_outcome(lambda: position_moment(big, 0)) is OverflowError
+    assert math.isnan(position_moment(nan_last, 2))
+    # odd k: -0.0 terms at n < 0 and +0.0 at n >= 0 sum to +0.0
+    assert _same_float(position_moment(zeros, 3), 0.0)
 
 
 def test_position_moment_is_fsum_of_terms():

@@ -22,6 +22,38 @@ from oracles import brute_force_cpd, gauss_legendre_moment
 PI = math.pi
 
 
+# nu_half(p) at the default tol from the scalar bisection on scaled_cpd that
+# the vectorised grid rounds replaced
+NU_HALF_BISECTED = [
+    ((0.05, 0.2), -0.03973386618748785),
+    ((0.05, 0.8), -0.14347121817845693),
+    ((0.05, 1.4), -0.1970899459834318),
+    ((0.1, 0.2), -0.07946773233378973),
+    ((0.1, 0.8), -0.28694243637267425),
+    ((0.1, 1.4), -0.39417989200839765),
+    ((0.35, 0.2), -0.1419066648664704),
+    ((0.35, 0.8), -0.5123972077502083),
+    ((0.35, 1.4), -0.7038926642886847),
+    ((0.125, PI / 2), -0.5000000000291038),
+    ((0.25, 0.0), -3.7806984784449975e-11),
+]
+
+
+def test_nu_half_matches_bisection():
+    for (g, phi), want in NU_HALF_BISECTED:
+        p = WalkParams(g, phi)
+        got = nu_half(p)
+        assert isinstance(got, float)
+        assert abs(got - want) <= 1e-10
+        # the tol contract: Phi crosses 1/2 within tol / 2 of the answer
+        assert scaled_cpd(p, got - 5e-11) < 0.5 <= scaled_cpd(p, got + 5e-11)
+    p = WalkParams(0.3, 0.8)
+    coarse = nu_half(p, tol=1e-3)
+    assert scaled_cpd(p, coarse - 5e-4) < 0.5 <= scaled_cpd(p, coarse + 5e-4)
+    # a tol below the float spacing stops at adjacent floats instead of looping
+    assert abs(nu_half(p, tol=0.0) - nu_half(p)) <= 5e-11
+
+
 def test_invert_velocity_counts():
     p0 = WalkParams(0.0, PI / 2)
     assert invert_velocity(p0, 3.0) == []
