@@ -215,6 +215,8 @@ def cmd_scaling(args) -> int:
         raise ConfigError(f"grid must lie in [2, {MAX_GRID}], got {args.grid}")
     if not (math.isfinite(args.exclusion) and args.exclusion >= 0):
         raise ConfigError(f"exclusion must be finite and >= 0, got {args.exclusion}")
+    # first, so that windows covering every compared site end the run before any output
+    report = hydro_mod.compare_bulk(p, args.t, exclusion=args.exclusion, lattice=_lattice(args))
     out = _outdir(args)
     wf = evolve(p, args.t, _lattice(args))
     prob = probability_density(wf)
@@ -249,7 +251,6 @@ def cmd_scaling(args) -> int:
         ],
         rows,
     )
-    report = hydro_mod.compare_bulk(p, args.t, exclusion=args.exclusion, lattice=_lattice(args))
     payload = {
         "g": p.g,
         "phi": p.phi,

@@ -1,10 +1,25 @@
 """Exact time evolution of the initially localized walker and its observables.
 
-Evolution is diagonal in momentum space, so a single inverse FFT of the
-phase factors exp(-i w(q) t) gives the wave function at any time with no
-time-stepping error.  The lattice is a periodic ring sized so that the
-causal cone plus an Airy-tail margin fits with room to spare; a tail guard
-verifies that wraparound contamination stays below 1e-10.
+Evolution is diagonal in momentum space, so one inverse discrete Fourier
+transform of the phase factors exp(-i w(q) t) gives the wave function at any
+time with no time-stepping error.  The lattice is a periodic ring sized so
+that the causal cone plus an Airy-tail margin fits with room to spare; a
+tail guard verifies that wraparound contamination stays below 1e-10.
+
+Rings of at least 2 BLOCK sites are transformed in four steps (Bailey's
+FFT in hierarchical memory), because numpy's single transform of a ring far
+larger than cache is limited by memory traffic.  The ring is viewed as R x M
+(L = R M, R even, M >= BLOCK): frequency j = j1 + R j2 sits in row j1,
+column j2, and site index n = n2 + M n1 in row n1, column n2.  The phase
+factors are filled into that layout BLOCK sites of columns at a time (a
+chunk of columns holds consecutive frequencies), each row is transformed
+(length M), the columns are multiplied by the twiddles e^{2 pi i j1 n2/L},
+and each column is transformed (length R) in place, again a chunk of
+columns at a time, so the result is the ring in natural order and the
+amplitudes are a reshape of the one buffer.  fftshift's half-ring rotation
+is the factor (-1)^j = (-1)^{j1} (R even) on the input, an exact sign that
+is folded into the twiddles.  Smaller rings take one fftshift(ifft(...)).
+The amplitudes differ from fftshift(ifft(...)) at roundoff level.
 
 The ring kernels (the phase factors, the current, the cumulative moments
 and the exact position moments) walk the ring in blocks of BLOCK sites, so
@@ -12,11 +27,14 @@ their temporaries stay in cache and only the output is ring-sized.  Each
 block applies the same elementwise operations, in the same order, as the
 whole-ring expression, and the cumulative moments carry each block's last
 prefix sum into the next block's first term, so every output is
-bit-identical to the whole-ring computation for any block size.
+bit-identical to the whole-ring computation, applied to the same amplitudes,
+for any block size.  Observable fields are read-only, and each exact
+position moment is summed once per field and then reused.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 from dataclasses import dataclass
@@ -31,8 +49,8 @@ TAIL_GUARD = 1e-10
 GUARD_SITES = 10
 # edge scales between an order-1 front and the ring edge: Ai(12) ~ 1e-13
 TAIL_XI = 12.0
-# largest ring evolved, 2^25 sites: ~2 GB for the arrays of one evolution
-# (64 B per site), reached near t = 5e6 at g = 0.3
+# largest ring evolved, 2^25 sites: 0.5 GB for the amplitudes (16 B per
+# site) and 0.27 GB per observable field, reached near t = 5e6 at g = 0.3
 MAX_LATTICE = 1 << 25
 # sites per block of the ring kernels: 2^14 complex values are 256 KB
 BLOCK = 1 << 14
@@ -71,7 +89,12 @@ class WaveFunction:
 
 @dataclass(frozen=True, eq=False)
 class ObservableField:
-    """A real per-site field derived from a wave function."""
+    """A real per-site field derived from a wave function.
+
+    values is made read-only at construction (an array that does not own
+    its data is copied first, so no other handle can write it), which keeps
+    the position moments memoised in _moments valid.
+    """
 
     kind: FieldKind
     values: np.ndarray
@@ -79,15 +102,24 @@ class ObservableField:
     params: WalkParams
     L: int
     moment_order: int | None = None
+    _moments: dict = dataclasses.field(default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self):
+        values = np.asarray(self.values)
+        if not values.flags.owndata:
+            values = values.copy()
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
 
     @property
     def sites(self) -> np.ndarray:
         return np.arange(self.L) - self.L // 2
 
 
-def _blocks(size: int):
-    """(start, stop) of the consecutive BLOCK-site slices that tile range(size)."""
-    return ((start, min(start + BLOCK, size)) for start in range(0, size, BLOCK))
+def _blocks(size: int, block: int | None = None):
+    """(start, stop) of the consecutive block-site slices (BLOCK by default) that tile range(size)."""
+    block = BLOCK if block is None else block
+    return ((start, min(start + block, size)) for start in range(0, size, block))
 
 
 def next_fast_even(n: int) -> int:
@@ -145,17 +177,85 @@ def auto_lattice_size(p: WalkParams, t: float) -> int:
     return next_fast_even(_check_cap(2 * math.ceil(radius)))
 
 
-def _phase_factors(p: WalkParams, t: float, L: int) -> np.ndarray:
-    """exp(-i w(q_j) t) at q = 2 pi fftfreq(L), filled block by block."""
-    phase = np.empty(L, dtype=complex)
+def _rows(L: int) -> int:
+    """Rows R of the four-step transform of an L-site ring, 1 for a single transform.
+
+    The largest even divisor of L that leaves rows of at least BLOCK sites,
+    so that every temporary of the transform is about one block; L is even,
+    so rings of 2 BLOCK sites or more always split.
+    """
+    return max((r for r in range(2, L // BLOCK + 1, 2) if L % r == 0), default=1)
+
+
+def _phase_factors(p: WalkParams, t: float, L: int, R: int = 1) -> np.ndarray:
+    """exp(-i w(q_j) t) at q = 2 pi fftfreq(L), as R rows: row j1 holds j = j1 + R j2.
+
+    Columns [c0, c1) hold the consecutive frequencies [c0 R, c1 R), so the
+    factors are computed in frequency order, BLOCK // R columns at a time,
+    and then scattered into the rows: libm's complex exp took ~40% longer
+    on a row's stride-R frequencies.  Every element is the same operations
+    on the same numbers as np.exp(-1j * omega(q, p) * t).
+    """
+    M = L // R
+    phase = np.empty((R, M), dtype=complex)
+    width = max(BLOCK // R, 1)
+    buf = np.empty(width * R, dtype=complex)
     negative = (L - 1) // 2 + 1  # first index of fftfreq's negative half
-    for start, stop in _blocks(L):
+    for start, stop in _blocks(M, width):
         # fftfreq's integers times 1/L, exactly as fftfreq builds them
-        k = np.arange(start, stop)
-        k[max(negative - start, 0):] -= L
+        k = np.arange(start * R, stop * R)
+        k[max(negative - start * R, 0):] -= L
         q = 2.0 * np.pi * (k * (1.0 / L))
-        np.exp(-1j * omega(q, p) * t, out=phase[start:stop])
+        blk = buf[:k.size]
+        blk.real = 0.0
+        np.multiply(omega(q, p), -t, out=blk.imag)
+        np.exp(blk, out=blk)
+        phase[:, start:stop] = blk.reshape(stop - start, R).T
     return phase
+
+
+def _ring_transform(phase: np.ndarray) -> np.ndarray:
+    """fftshift(ifft(x)) of the ring whose R-row layout is phase, overwriting phase.
+
+    With R > 1 each row is transformed in place (length M).  Then the
+    columns, BLOCK // R of them (BLOCK sites) at a time, are multiplied by
+    the twiddles e^{2 pi i j1 n2/L} (-1)^{j1}, transformed along axis 0
+    (length R) and written back.  The twiddles are one exp table for the
+    first chunk, of exact angles (j1 d < L), times one exp per row for each
+    chunk's offset (angle j1 start mod L), so their error does not grow
+    with R.
+    """
+    R, M = phase.shape
+    L = R * M
+    if R == 1:
+        return np.fft.fftshift(np.fft.ifft(phase[0]))
+    for row in phase:
+        row[:] = np.fft.ifft(row)
+    width = max(BLOCK // R, 1)
+    j1 = np.arange(R)[:, None]
+    base = np.exp((2j * np.pi / L) * (j1 * np.arange(width)))  # width <= BLOCK <= M
+    base[1::2] *= -1.0
+    for start, stop in _blocks(M, width):
+        chunk = base[:, :stop - start] * np.exp((2j * np.pi / L) * (j1 * start % L))
+        chunk *= phase[:, start:stop]
+        phase[:, start:stop] = np.fft.ifft(chunk, axis=0)
+    return phase.reshape(L)
+
+
+def _ring_size(p: WalkParams, t: float, lattice: int | None, enforce_guard: bool = True) -> int:
+    """The ring size evolve uses: auto_lattice_size, or lattice once checked."""
+    if lattice is None:
+        return auto_lattice_size(p, t)
+    L = int(lattice)
+    if L < 4 or L % 2:
+        raise ValueError("lattice size must be an even integer >= 4")
+    _check_cap(L)
+    if enforce_guard and L / 2 < max_front_speed(p) * t + 12.0:
+        raise GuardError(
+            f"lattice L={L} too small for the causal cone at t={t}: "
+            f"need L/2 >= {max_front_speed(p) * t + 12.0:.1f}"
+        )
+    return L
 
 
 def evolve(
@@ -169,7 +269,8 @@ def evolve(
 
     amps[n] = (1/L) sum_j exp(i q_j n) exp(-i w(q_j) t), q_j = 2 pi j / L,
     which is the exact propagator of the ring Hamiltonian applied to the
-    localized initial state.  Rings above MAX_LATTICE sites are refused
+    localized initial state, computed by the four-step transform described
+    in the module docstring.  Rings above MAX_LATTICE sites are refused
     with GuardError before anything is allocated.  With enforce_guard the
     lattice must be large enough that boundary amplitudes are negligible;
     pass enforce_guard=False only for deliberate small-ring studies (e.g.
@@ -178,19 +279,8 @@ def evolve(
     """
     if t < 0:
         raise ValueError("t must be >= 0")
-    if lattice is None:
-        L = auto_lattice_size(p, t)
-    else:
-        L = int(lattice)
-        if L < 4 or L % 2:
-            raise ValueError("lattice size must be an even integer >= 4")
-        _check_cap(L)
-        if enforce_guard and L / 2 < max_front_speed(p) * t + 12.0:
-            raise GuardError(
-                f"lattice L={L} too small for the causal cone at t={t}: "
-                f"need L/2 >= {max_front_speed(p) * t + 12.0:.1f}"
-            )
-    amps = np.fft.fftshift(np.fft.ifft(_phase_factors(p, t, L)))
+    L = _ring_size(p, t, lattice, enforce_guard)
+    amps = _ring_transform(_phase_factors(p, t, L, _rows(L)))
     wf = WaveFunction(p, float(t), L, amps)
     if enforce_guard:
         edge = max(np.max(np.abs(amps[:GUARD_SITES])), np.max(np.abs(amps[-GUARD_SITES:])))
@@ -303,11 +393,12 @@ def _fsum_blocks(blocks) -> float:
     """math.fsum of the float64 terms that blocks() yields, at most BLOCK at a time.
 
     Every finite term is m 2^(e-53) with an integer mantissa |m| < 2^53
-    (np.frexp), split into a high half below 2^26 and a low half below
-    2^27.  Each half is summed per exponent with np.bincount, block by
-    block: a bucket gains less than BLOCK 2^27 per block and stays below
-    2^53 over FSUM_FLUSH blocks, so every float64 bucket is an exact integer.
-    The buckets are then combined as one Python int and rounded once by
+    (np.frexp gives m 2^-53 and e), split as m 2^-27 = hi + lo: hi an
+    integer below 2^26 and lo below 1 in steps of 2^-27, both exact.  Each
+    part is summed per exponent with np.bincount, block by block: over
+    FSUM_FLUSH blocks a bucket holds fewer than BLOCK FSUM_FLUSH <= 2^26
+    such parts, so it stays below 2^52 (hi) or 2^26 in steps of 2^-27 (lo),
+    and every float64 bucket sum is exact.  The buckets are then combined as one Python int and rounded once by
     int division, which is correctly rounded (half to even) like fsum; a
     sum beyond the float range raises OverflowError as fsum does (only a
     finite sum that fsum rejects for an intermediate overflow is returned
@@ -321,11 +412,12 @@ def _fsum_blocks(blocks) -> float:
         if not np.isfinite(x).all():
             return math.fsum(itertools.chain.from_iterable(b.tolist() for b in blocks()))
         m, e = np.frexp(x)
-        m *= 2.0**53
-        hi = np.trunc(m * 2.0**-27)
-        idx = e - _EXP_MIN
-        buckets[0] += np.bincount(idx, hi, _EXP_BUCKETS)
-        buckets[1] += np.bincount(idx, m - hi * 2.0**27, _EXP_BUCKETS)
+        m *= 2.0**26
+        hi = np.trunc(m)
+        m -= hi
+        e -= _EXP_MIN
+        buckets[0] += np.bincount(e, hi, _EXP_BUCKETS)
+        buckets[1] += np.bincount(e, m, _EXP_BUCKETS)
         if i % FSUM_FLUSH == 0:
             total += _bucket_total(buckets)
             buckets[:] = 0.0
@@ -340,7 +432,7 @@ def _fsum_blocks(blocks) -> float:
 def _bucket_total(buckets: np.ndarray) -> int:
     """The exact integer sum of the high and low mantissa buckets, in units of 2^(_EXP_MIN-53)."""
     his, los = buckets.tolist()
-    return sum(((int(h) << 27) + int(lo)) << b for b, (h, lo) in enumerate(zip(his, los)))
+    return sum(((int(h) << 27) + int(lo * 2.0**27)) << b for b, (h, lo) in enumerate(zip(his, los)))
 
 
 def position_moment(field: ObservableField, k: int) -> float:
@@ -349,9 +441,12 @@ def position_moment(field: ObservableField, k: int) -> float:
     n^4 p(n) spans many orders of magnitude at large t, so the terms are
     reduced to the exactly rounded sum, equal to math.fsum of the same
     terms, by a vectorised exponent-bucket reduction that takes them block
-    by block (no per-site Python loop, no ring-sized array of terms).
+    by block (no per-site Python loop, no ring-sized array of terms).  The
+    sum is memoised on the field, whose values are read-only.
     """
-    return _fsum_blocks(_moment_blocks(field, k, "position_moment"))
+    if k not in field._moments:
+        field._moments[k] = _fsum_blocks(_moment_blocks(field, k, "position_moment"))
+    return field._moments[k]
 
 
 def skewness(field: ObservableField) -> float:

@@ -31,6 +31,7 @@ import numpy as np
 
 from .dispersion import TWO_PI, WalkParams, omega, omega_deriv
 from .evolve import (
+    _ring_size,
     cumulative,
     cumulative_moment,
     current_density,
@@ -247,11 +248,25 @@ def compare_bulk(
     Sites are mapped to nu = n/t and compared against the sub-level-set
     predictions; sup and L1 deviations are reported separately outside and
     inside the front exclusion windows (half-width exclusion * edge scale).
+    When the windows cover every compared site, nothing would be compared
+    outside them, and ValueError is raised before the evolution.
     """
     if t <= 0:
         raise ValueError("compare_bulk needs t > 0")
     d = cone_topology(p)
     wins = exclusion_windows(d, t, exclusion)
+    L = _ring_size(p, t, lattice)
+    nus = (np.arange(L) - L // 2) / t
+    mask = (nus >= d.v_lm - margin) & (nus <= d.v_rm + margin)
+    nus = nus[mask]
+    inside = np.zeros(nus.shape, dtype=bool)
+    for centre, half in wins:
+        inside |= np.abs(nus - centre) <= half
+    if inside.all():
+        raise ValueError(
+            f"the exclusion windows cover every compared site at t={t} "
+            f"(nu in [{d.v_lm - margin:.6g}, {d.v_rm + margin:.6g}]): nothing lies outside them"
+        )
     wf = evolve(p, t, lattice)
     prob = probability_density(wf)
     numeric = {
@@ -260,21 +275,14 @@ def compare_bulk(
     }
     for k in (1, 2, 3):
         numeric[f"m{k}"] = cumulative_moment(prob, k).values / t**k
-    sites = wf.sites
-    nus = sites / t
-    mask = (nus >= d.v_lm - margin) & (nus <= d.v_rm + margin)
-    nus = nus[mask]
-    inside = np.zeros(nus.shape, dtype=bool)
-    for centre, half in wins:
-        inside |= np.abs(nus - centre) <= half
     hydro = _bulk(p, nus, tuple(k for k in (1, 2, 3) if f"m{k}" in observables))
     devs = {}
     dnu = 1.0 / t
     for name in observables:
         diff = np.abs(numeric[name][mask] - hydro[name])
         devs[name] = Deviation(
-            sup_outside=float(diff[~inside].max()) if (~inside).any() else 0.0,
-            l1_outside=float(diff[~inside].sum() * dnu) if (~inside).any() else 0.0,
+            sup_outside=float(diff[~inside].max()),
+            l1_outside=float(diff[~inside].sum() * dnu),
             sup_inside=float(diff[inside].max()) if inside.any() else 0.0,
         )
     return BulkReport(p, float(t), exclusion, wins, devs)

@@ -10,9 +10,11 @@ branches of the group velocity), the front wave vectors come from a
 quartic in cos q obtained by squaring away sin q (the package takes the
 unit-circle roots of a quartic in e^{iq}), the scaled moments come from
 Gauss-Legendre quadrature of v^k (the package telescopes a closed-form
-antiderivative), and the ring kernels come from whole-ring array
+antiderivative), the ring kernels come from whole-ring array
 expressions (the package walks the ring in cache-sized blocks and must
-match these bit for bit).
+match these bit for bit), and the ring amplitudes come from a direct
+O(L^2) Fourier sum with exactly reduced angles, summed exactly (the package
+runs a four-step FFT).
 """
 
 import math
@@ -85,10 +87,31 @@ def exact_cut_current(amps, g, phi):
     return -2.0 * np.imag(b_nn) - 2.0 * g * np.imag(np.exp(1j * phi) * (b_far + b_straddle))
 
 
+def whole_ring_phase_factors(p, t, L):
+    """exp(-i w(q) t) at q = 2 pi fftfreq(L), as one whole-ring expression."""
+    q = 2.0 * np.pi * np.fft.fftfreq(L)
+    return np.exp(-1j * omega(q, p) * t)
+
+
 def whole_ring_amplitudes(p, t, L):
     """The ring propagator of the site-0 delta state as one whole-ring FFT expression."""
-    q = 2.0 * np.pi * np.fft.fftfreq(L)
-    return np.fft.fftshift(np.fft.ifft(np.exp(-1j * omega(q, p) * t)))
+    return np.fft.fftshift(np.fft.ifft(whole_ring_phase_factors(p, t, L)))
+
+
+def direct_ring_amplitudes(phase):
+    """(1/L) sum_j phase[j] e^{2 pi i j n / L} on the sites n in [-L/2, L/2).
+
+    The angle of each term is reduced as (j n mod L) in integers before the
+    exp, and every site's terms are summed with math.fsum, so the only
+    roundings are one exp and one product per term.
+    """
+    L = phase.size
+    n = np.arange(L) - L // 2
+    r = np.outer(np.arange(L), n) % L
+    terms = phase[:, None] * np.exp((2j * np.pi / L) * r)
+    return np.array(
+        [complex(math.fsum(c.real), math.fsum(c.imag)) for c in terms.T]
+    ) / L
 
 
 def whole_ring_current(amps, g, phi):

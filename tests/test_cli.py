@@ -121,6 +121,17 @@ def test_bad_scaling_input_exits_2(tmp_path, capsys, monkeypatch, flags):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("flags", [["--t", "1e-9"], ["--t", "2000", "--exclusion", "1e6"]])
+def test_vacuous_scaling_exits_2(tmp_path, capsys, monkeypatch, flags):
+    # exclusion windows that cover every compared site leave nothing to compare
+    for module in (cli, cli.hydro_mod):
+        monkeypatch.setattr(module, "evolve", lambda *a, **kw: pytest.fail("evolved"))
+    rc = main(["scaling", "--g", "0.25", "--phi", repr(math.pi / 2), *flags, "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "cover every compared site" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("flags", [["--t", "1e9"], ["--t", "10", "--lattice", str(10**12)]])
 def test_lattice_cap_exits_3(tmp_path, capsys, monkeypatch, flags):
     # refused before the first lattice array is allocated

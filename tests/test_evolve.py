@@ -20,13 +20,15 @@ from chiralwalk import (
     probability_density,
     skewness,
 )
-from chiralwalk.evolve import BLOCK, _exact_sum, _int_power
+from chiralwalk.evolve import BLOCK, MAX_LATTICE, _exact_sum, _int_power
 from oracles import (
     dense_ring_evolution,
+    direct_ring_amplitudes,
     exact_cut_current,
     whole_ring_amplitudes,
     whole_ring_current,
     whole_ring_moment_terms,
+    whole_ring_phase_factors,
 )
 
 # the package exports a function named evolve, so fetch the module by name
@@ -204,6 +206,43 @@ def test_skewness():
         skewness(probability_density(evolve(WalkParams(0.1, 0.0), 0.0)))
 
 
+def test_field_values_read_only():
+    wf = evolve(WalkParams(0.3, 0.8), 40.0)
+    prob = probability_density(wf)
+    for field in (prob, current_density(wf), cumulative(prob), cumulative_moment(prob, 2)):
+        with pytest.raises(ValueError, match="read-only"):
+            field.values[0] = 1.0
+    # a view is copied, so the array it views cannot change the field
+    base = np.array(prob.values)
+    viewed = ObservableField(FieldKind.PROBABILITY, base[:], wf.t, wf.params, wf.L)
+    base[wf.L // 2] = 5.0
+    assert _same_bits(viewed.values, prob.values)
+    assert base.flags.writeable
+
+
+def test_position_moments_summed_once_per_field(monkeypatch):
+    wf = evolve(WalkParams(0.3, 0.8), 40.0)
+    exact = EVOLVE_MODULE._fsum_blocks
+    calls = []
+
+    def counted(blocks):
+        calls.append(blocks)
+        return exact(blocks)
+
+    monkeypatch.setattr(EVOLVE_MODULE, "_fsum_blocks", counted)
+    prob = probability_density(wf)
+    mu = [position_moment(prob, k) for k in range(5)]
+    gamma = skewness(prob)
+    assert len(calls) == 5
+    assert _same_float(gamma, mu[3] / mu[2] ** 1.5)
+    # the memoised values are the fresh sums, bit for bit
+    fresh = probability_density(wf)
+    for k in range(5):
+        assert _same_float(position_moment(prob, k), position_moment(fresh, k))
+        assert _same_float(mu[k], exact(EVOLVE_MODULE._moment_blocks(fresh, k, "position_moment")))
+    assert len(calls) == 10
+
+
 def test_guards_and_validation():
     p = WalkParams(0.25, PI / 2)
     with pytest.raises(GuardError):
@@ -258,16 +297,38 @@ def _same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-@pytest.mark.parametrize("block, sizes", [(7, (4, 14, 30)), (64, (40, 64, 200))])
+# the bound on the four-step amplitudes against the direct sum, in units of
+# max|psi|, fixed before any measurement
+AMPLITUDE_BOUND = 1e-14
+
+
+@pytest.mark.parametrize(
+    "block, sizes",
+    [
+        (7, (4, 14, 30)),
+        (64, (40, 64, 200)),
+        (8, (30, 250, 254, 256, 258, 486)),
+        (20, (250, 478, 482, 486)),
+    ],
+)
 def test_blocked_kernels_match_whole_ring(monkeypatch, block, sizes):
-    # rings below one block, of whole blocks, and with a ragged last block;
-    # fftfreq's negative half starts on a block edge at L = 14 and inside a
-    # block at L = 30 and 200
+    # rings below one block, of whole blocks, and with a ragged last chunk
+    # of columns; R runs from 2 to 54, and L = 256 +- 2 and 480 +- 2 step
+    # past a multiple of 2 R; fftfreq's negative half starts on a block edge
+    # at L = 256 (block 8) and inside a block elsewhere; L = 4 at block 7
+    # and L = 40, 64 at block 64 take the single transform
     monkeypatch.setattr(EVOLVE_MODULE, "BLOCK", block)
     p, t = WalkParams(0.3, 0.8), 3.0
     for L in sizes:
+        R = EVOLVE_MODULE._rows(L)
+        phase = EVOLVE_MODULE._phase_factors(p, t, L, R)
+        whole = whole_ring_phase_factors(p, t, L)
+        assert _same_bits(phase, whole.reshape(L // R, R).T.copy())
         wf = evolve(p, t, lattice=L, enforce_guard=False)
-        assert _same_bits(wf.amps, whole_ring_amplitudes(p, t, L))
+        if R == 1:
+            assert _same_bits(wf.amps, whole_ring_amplitudes(p, t, L))
+        err = np.max(np.abs(wf.amps - direct_ring_amplitudes(whole)))
+        assert err <= AMPLITUDE_BOUND * np.max(np.abs(wf.amps)), (L, R, err)
         assert _same_bits(current_density(wf).values, whole_ring_current(wf.amps, p.g, p.phi))
         prob = probability_density(wf)
         for k in range(6):  # k = 5 takes _int_power's n**k path
@@ -275,6 +336,16 @@ def test_blocked_kernels_match_whole_ring(monkeypatch, block, sizes):
             if 1 <= k <= 3:
                 assert _same_bits(cumulative_moment(prob, k).values, np.cumsum(terms))
             assert _same_float(position_moment(prob, k), math.fsum(terms))
+
+
+def test_ring_rows():
+    # the largest even divisor of L with rows of at least BLOCK sites
+    rows = EVOLVE_MODULE._rows
+    sizes = (4, 2 * BLOCK - 2, 2 * BLOCK, 3 * BLOCK, 622080, 1866240, 6220800, MAX_LATTICE)
+    assert [rows(L) for L in sizes] == [1, 1, 2, 2, 36, 108, 360, 2048]
+    for L in (2 * BLOCK, 622080, 1866240, 6220800, MAX_LATTICE, 2 * 3**12):
+        R = rows(L)
+        assert R % 2 == 0 and L % R == 0 and L // R >= BLOCK
 
 
 def _fsum_outcome(fn):

@@ -205,3 +205,11 @@ def test_bad_exclusion_rejected(monkeypatch, exclusion):
         compare_bulk(p, t=500.0, exclusion=exclusion)
     with pytest.raises(ValueError, match="exclusion"):
         exclusion_windows(cone_topology(p), 500.0, exclusion)
+
+
+@pytest.mark.parametrize("t, exclusion", [(1e-9, 8.0), (2000.0, 1e6)])
+def test_windows_covering_every_site_rejected(monkeypatch, t, exclusion):
+    # nothing would be compared outside the windows: rejected before the evolution
+    monkeypatch.setattr(hydro, "evolve", lambda *a, **kw: pytest.fail("evolved"))
+    with pytest.raises(ValueError, match="cover every compared site"):
+        compare_bulk(WalkParams(0.25, PI / 2), t, exclusion=exclusion)
