@@ -1,5 +1,10 @@
 import importlib
 import math
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -401,6 +406,17 @@ def test_position_moment_edge_cases_match_fsum(monkeypatch):
     assert math.isnan(position_moment(nan_last, 2))
     # odd k: -0.0 terms at n < 0 and +0.0 at n >= 0 sum to +0.0
     assert _same_float(position_moment(zeros, 3), 0.0)
+    # cumulative_moment sums the terms it builds on a fresh field (and
+    # leaves fsum's error to position_moment) and reuses a summed field's
+    # moment; either way its prefix sums are the whole ring's
+    for f in cases:
+        fresh = ObservableField(FieldKind.PROBABILITY, f.values.copy(), f.t, f.params, f.L)
+        for k in (1, 2, 3):
+            terms = whole_ring_moment_terms(f.values, k)
+            for summed in (fresh, f):
+                assert _same_bits(cumulative_moment(summed, k).values, np.cumsum(terms)), (f.values, k)
+            want = _fsum_outcome(lambda: math.fsum(terms))
+            assert _same_outcome(_fsum_outcome(lambda: position_moment(fresh, k)), want), (f.values, k)
 
 
 def test_position_moment_is_fsum_of_terms():
@@ -427,6 +443,95 @@ def test_current_nonfinite_raises_guard():
         amps[wf.L // 2 + 3] = bad
         with pytest.raises(GuardError):
             current_density(WaveFunction(wf.params, wf.t, wf.L, amps))
+
+
+@pytest.mark.parametrize("block, L", [(7, 30), (8, 258), (20, 486), (64, 100)])
+def test_same_bits_for_any_worker_count(monkeypatch, block, L):
+    # ragged last spans in every kernel, more workers than a kernel has
+    # spans (R = 2 at L = 30), batches of ROW_BATCH rows and a ragged one
+    # (R = 18 at L = 486), and the single transform (L = 100, block 64)
+    monkeypatch.setattr(EVOLVE_MODULE, "BLOCK", block)
+    monkeypatch.setattr(EVOLVE_MODULE, "THREAD_SITES", 0)
+    p, t = WalkParams(0.3, 0.8), 3.0
+    R = EVOLVE_MODULE._rows(L)
+
+    def outputs():
+        phase = EVOLVE_MODULE._phase_factors(p, t, L, R)
+        wf = evolve(p, t, lattice=L, enforce_guard=False)
+        prob = probability_density(wf)
+        fields = [phase, wf.amps, prob.values, current_density(wf).values]
+        fields += [cumulative_moment(prob, k).values for k in (1, 2, 3)]
+        return fields, [position_moment(prob, k) for k in range(6)]
+
+    monkeypatch.setattr(EVOLVE_MODULE, "WORKERS", 1)
+    want_fields, want_mu = outputs()
+    for workers in (2, 3):
+        monkeypatch.setattr(EVOLVE_MODULE, "WORKERS", workers)
+        fields, mu = outputs()
+        assert all(_same_bits(a, b) for a, b in zip(fields, want_fields)), workers
+        assert all(_same_float(a, b) for a, b in zip(mu, want_mu)), workers
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_current_guard_from_a_worker_thread(monkeypatch):
+    monkeypatch.setattr(EVOLVE_MODULE, "BLOCK", 16)
+    monkeypatch.setattr(EVOLVE_MODULE, "THREAD_SITES", 0)
+    monkeypatch.setattr(EVOLVE_MODULE, "WORKERS", 3)
+    wf = evolve(WalkParams(0.2, 0.4), 10.0)
+    good = current_density(wf).values
+    spans = list(EVOLVE_MODULE._blocks(wf.L))
+    last = spans[len(spans) * 2 // 3][0]  # first site of the last worker's run
+    assert 0 < last < wf.L - 2
+    threads = threading.active_count()
+    for bad in (np.nan, np.inf):
+        amps = wf.amps.copy()
+        amps[last] = bad
+        with pytest.raises(GuardError):
+            current_density(WaveFunction(wf.params, wf.t, wf.L, amps))
+        assert threading.active_count() == threads
+        assert _same_bits(current_density(wf).values, good)
+
+
+def test_threads_only_on_large_rings(monkeypatch):
+    if hasattr(os, "sched_getaffinity"):
+        assert EVOLVE_MODULE.WORKERS == len(os.sched_getaffinity(0))
+    # two workers whatever the affinity, so only the ring-size gate can
+    # keep a kernel in the caller's thread
+    monkeypatch.setattr(EVOLVE_MODULE, "WORKERS", 2)
+    seen = []
+    spread = EVOLVE_MODULE._map_spans
+
+    def observed(kernel, spans, sites):
+        def run(part):
+            seen.append(threading.active_count())
+            kernel(part)
+
+        spread(run, spans, sites)
+
+    monkeypatch.setattr(EVOLVE_MODULE, "_map_spans", observed)
+    p, before = WalkParams(0.3, 0.8), threading.active_count()
+
+    def kernels(L):
+        seen.clear()
+        wf = evolve(p, 3.0, lattice=L, enforce_guard=False)
+        probability_density(wf)
+        current_density(wf)
+        return set(seen)
+
+    threshold = EVOLVE_MODULE.THREAD_SITES
+    assert kernels(64000) == {before}  # the largest edge ring at t = 1e4
+    assert kernels(threshold - 2 * BLOCK) == {before}
+    assert max(kernels(threshold)) > before
+    assert threading.active_count() == before
+
+
+def test_import_loads_no_concurrent_futures():
+    code = "import sys, chiralwalk; print(sorted(m for m in sys.modules if m.split('.')[0] == 'concurrent'))"
+    src = str(Path(EVOLVE_MODULE.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize(
