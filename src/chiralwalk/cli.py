@@ -34,6 +34,7 @@ from .evolve import (
     skewness,
 )
 from .fronts import (
+    TOL_ROOT_MAX,
     build_diagram,
     cone_topology,
     critical_coupling,
@@ -45,6 +46,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_GUARD = 3
 MAX_GRID = 1 << 20  # nu points in bulk.csv; hydro holds ~0.45 kB per point, ~0.5 GB here
+MAX_SWEEP = 1 << 16  # (phi, g) points of a fronts sweep, each scanned in Python
 
 
 class ConfigError(Exception):
@@ -181,6 +183,8 @@ def _sweep_point(g: float, phi: float, tol_root: float):
 
 
 def cmd_fronts(args) -> int:
+    if not (math.isfinite(args.g_min) and math.isfinite(args.g_max)):
+        raise ConfigError(f"g-min and g-max must be finite, got {args.g_min} and {args.g_max}")
     if args.g_steps < 1 or args.g_max < args.g_min:
         raise ConfigError("empty g range: need g-steps >= 1 and g-max >= g-min")
     if args.g_min < 0:
@@ -189,8 +193,14 @@ def cmd_fronts(args) -> int:
     for phi in phis:
         if not 0.0 <= phi <= math.pi / 2 + 1e-15:
             raise ConfigError(f"phi {phi} outside the canonical window [0, pi/2]")
-    if args.tol_root <= 0 or args.tol_g <= 0:
-        raise ConfigError("tolerances must be positive")
+    if len(phis) * args.g_steps > MAX_SWEEP:
+        raise ConfigError(
+            f"a sweep of {len(phis)} phi x {args.g_steps} g-steps exceeds {MAX_SWEEP} points"
+        )
+    if not 0.0 < args.tol_g < math.inf:
+        raise ConfigError(f"tol-g must be finite and positive, got {args.tol_g}")
+    if not 0.0 < args.tol_root <= TOL_ROOT_MAX:
+        raise ConfigError(f"tol-root must lie in (0, {TOL_ROOT_MAX}], got {args.tol_root}")
     out = _outdir(args)
     gs = np.linspace(args.g_min, args.g_max, args.g_steps)
     rows = [row for phi in phis for g in gs for row in _sweep_point(float(g), phi, args.tol_root)]
@@ -218,25 +228,22 @@ def cmd_scaling(args) -> int:
     # first, so that windows covering every compared site end the run before any output
     report = hydro_mod.compare_bulk(p, args.t, exclusion=args.exclusion, lattice=_lattice(args))
     out = _outdir(args)
-    wf = evolve(p, args.t, _lattice(args))
-    prob = probability_density(wf)
-    phi_num = cumulative(prob).values
-    j_num = cumulative(current_density(wf)).values
-    m_num = [cumulative_moment(prob, k).values / args.t**k for k in (1, 2, 3)]
+    num = report.numeric
+    L = num["phi"].size
     curve = hydro_mod.scaling_curve(p, num=args.grid)
     # the site at or left of n = nu t, clamped to the ring
-    at = np.clip(np.floor(curve.nu * args.t).astype(np.int64) + wf.L // 2, 0, wf.L - 1)
+    at = np.clip(np.floor(curve.nu * args.t).astype(np.int64) + L // 2, 0, L - 1)
     rows = zip(
         curve.nu,
-        phi_num[at],
+        num["phi"][at],
         curve.phi_scaled,
-        j_num[at],
+        num["j"][at],
         curve.j_scaled,
-        m_num[0][at],
+        num["m1"][at],
         curve.m_scaled[0],
-        m_num[1][at],
+        num["m2"][at],
         curve.m_scaled[1],
-        m_num[2][at],
+        num["m3"][at],
         curve.m_scaled[2],
     )
     _write_csv(
@@ -384,11 +391,12 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--phi-list", default=None, help="comma-separated phi values for g_c")
     s.add_argument("--g-min", type=float, default=0.01)
     s.add_argument("--g-max", type=float, default=0.5)
-    s.add_argument("--g-steps", type=int, default=50)
+    s.add_argument("--g-steps", type=int, default=50,
+                   help="g values per phi; at most 2^16 (phi, g) points in all")
     s.add_argument("--tol-g", type=float, default=1e-6,
                    help="tolerance g_c must meet, recorded in gc.json (the closed form meets any)")
     s.add_argument("--tol-root", type=float, default=1e-12,
-                   help="bound on |w''| at a front, relative to 1 + 8g")
+                   help=f"bound on |w''| at a front, relative to 1 + 8g; at most {TOL_ROOT_MAX:g}")
     common_tail(s)
     s.set_defaults(func=cmd_fronts)
 

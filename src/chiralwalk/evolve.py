@@ -31,8 +31,7 @@ whole-ring expression, and the cumulative moments carry each block's last
 prefix sum into the next block's first term, so every output is
 bit-identical to the whole-ring computation, applied to the same amplitudes,
 for any block size.  Observable fields are read-only, and each exact
-position moment is summed once per field, from the terms of the cumulative
-moment when that is built first, and then reused.
+position moment is summed once per field and then reused.
 
 On rings of at least THREAD_SITES sites the kernels that numpy runs with
 the GIL released (the phase fill, the row and column passes of the
@@ -457,33 +456,14 @@ def cumulative_moment(field: ObservableField, k: int) -> ObservableField:
 
     Each block's first term gets the previous block's last prefix sum before
     the block's cumsum, which is exactly the sequential sum over the ring.
-    The exact sum mu_k reads the same blocks of terms, each before its carry
-    is added, and is memoised on field, so position_moment(field, k) need
-    not build them again.
     """
     values = np.empty(field.L)
-    terms_of = _moment_blocks(field, k, "cumulative_moment")
-
-    def prefix_sums():
-        start = 0
-        for terms in terms_of():
-            yield terms
-            if start:
-                terms[0] += values[start - 1]
-            np.cumsum(terms, out=values[start:start + terms.size])
-            start += terms.size
-
-    filled = prefix_sums()
-    if k not in field._moments:
-        # the sum's first pass is filled; a second pass (after a non-finite
-        # term, or for the sign of a zero sum) reads fresh terms
-        passes = [filled]
-        try:
-            field._moments[k] = _fsum_blocks(lambda: passes.pop() if passes else terms_of())
-        except (ValueError, OverflowError):
-            pass  # fsum's error is raised by position_moment when it is asked for
-    for _ in filled:  # the prefix sums the sum did not reach
-        pass
+    start = 0
+    for terms in _moment_blocks(field, k, "cumulative_moment")():
+        if start:
+            terms[0] += values[start - 1]
+        np.cumsum(terms, out=values[start:start + terms.size])
+        start += terms.size
     return ObservableField(
         FieldKind.CUMULATIVE_MOMENT, values, field.t, field.params, field.L, moment_order=k
     )

@@ -32,6 +32,10 @@ import numpy as np
 from .dispersion import TWO_PI, WalkParams, omega_deriv
 
 TOL_ROOT = 1e-12
+# loosest tol_root accepted: from 1e-10 to 1e-3 the front orders equal the
+# default's at 6 phi in [0, pi/2] x 241 g in [0, 0.6]; 1e-2 merges distinct
+# fronts at 11 of those points, and from 1 on roots are lost
+TOL_ROOT_MAX = 1e-6
 TOL_ORDER = 1e-8
 TOL_DEGEN = 1e-9          # velocity window for degenerate-front labelling
 MAX_ORDER = 5
@@ -132,10 +136,11 @@ def find_extremal_fronts(
     The fronts are the unit-circle roots of the quartic z^2 w''(q); a root
     is kept when |w''| <= tol_root (1 + 8g) at its angle, 1 + 8g being the
     curvature scale of the band.  Each front is classified at its polished
-    wave vector, the centre of its root cluster.
+    wave vector, the centre of its root cluster.  tol_root must lie in
+    (0, TOL_ROOT_MAX].
     """
-    if tol_root <= 0:
-        raise ValueError("tol_root must be positive")
+    if not 0.0 < tol_root <= TOL_ROOT_MAX:
+        raise ValueError(f"tol_root must lie in (0, {TOL_ROOT_MAX}], got {tol_root}")
     w2 = lambda q, j: omega_deriv(q, 2 + j, p)
     if p.g < G_SEED:
         roots = [_polish(w2, q, 1) for q in (-math.pi / 2, math.pi / 2)]
@@ -199,12 +204,13 @@ def critical_coupling(phi: float, tol_g: float = 1e-6) -> float:
         c = cos(2q + phi),  s = sin(2q + phi),
 
     which stays defined where c or s vanishes (the zone-seam root at
-    phi = 0).  The result is exact to roundoff, so it meets any tol_g > 0.
+    phi = 0).  The result is exact to roundoff, so it meets any finite
+    tol_g > 0.
     """
     if not 0.0 <= phi <= math.pi / 2.0 + 1e-15:
         raise ValueError("phi must lie in the canonical window [0, pi/2]")
-    if tol_g <= 0:
-        raise ValueError("tol_g must be positive")
+    if not 0.0 < tol_g < math.inf:
+        raise ValueError(f"tol_g must be finite and positive, got {tol_g}")
     e = complex(math.cos(phi), math.sin(phi))
     sextic = [e, 0.0, 3.0 * e, 0.0, -3.0 * e.conjugate(), 0.0, -e.conjugate()]
 

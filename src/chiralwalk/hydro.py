@@ -233,6 +233,7 @@ class BulkReport:
     exclusion: float
     windows: list = field(default_factory=list)
     deviations: dict = field(default_factory=dict)
+    numeric: dict = field(default_factory=dict)  # compared fields over the whole ring
 
 
 def compare_bulk(
@@ -248,6 +249,8 @@ def compare_bulk(
     Sites are mapped to nu = n/t and compared against the sub-level-set
     predictions; sup and L1 deviations are reported separately outside and
     inside the front exclusion windows (half-width exclusion * edge scale).
+    The compared numeric fields, on every site of the ring (the moments
+    scaled by t^k), are returned in the report's numeric dict.
     When the windows cover every compared site, nothing would be compared
     outside them, and ValueError is raised before the evolution.
     """
@@ -269,12 +272,12 @@ def compare_bulk(
         )
     wf = evolve(p, t, lattice)
     prob = probability_density(wf)
-    numeric = {
-        "phi": cumulative(prob).values,
-        "j": cumulative(current_density(wf)).values,
+    fields = {
+        "phi": lambda: cumulative(prob).values,
+        "j": lambda: cumulative(current_density(wf)).values,
+        **{f"m{k}": lambda k=k: cumulative_moment(prob, k).values / t**k for k in (1, 2, 3)},
     }
-    for k in (1, 2, 3):
-        numeric[f"m{k}"] = cumulative_moment(prob, k).values / t**k
+    numeric = {name: fields[name]() for name in observables}
     hydro = _bulk(p, nus, tuple(k for k in (1, 2, 3) if f"m{k}" in observables))
     devs = {}
     dnu = 1.0 / t
@@ -285,4 +288,4 @@ def compare_bulk(
             l1_outside=float(diff[~inside].sum() * dnu),
             sup_inside=float(diff[inside].max()) if inside.any() else 0.0,
         )
-    return BulkReport(p, float(t), exclusion, wins, devs)
+    return BulkReport(p, float(t), exclusion, wins, devs, numeric)

@@ -9,6 +9,7 @@ import pytest
 
 from chiralwalk import cli
 from chiralwalk.cli import main
+from chiralwalk.evolve import evolve
 
 SCHEMA_DIR = Path(__file__).parent.parent / "src" / "chiralwalk" / "schemas"
 
@@ -229,18 +230,32 @@ def test_fronts_empty_range(tmp_path):
     assert main(["fronts", "--tol-root", "-1", "--out", str(tmp_path)]) == 2
 
 
-def test_fronts_lost_roots_reported_per_row(tmp_path):
-    # a loose --tol-root joins every root into one cluster, leaving no front
+def test_fronts_lost_roots_reported_per_row(tmp_path, capsys):
+    # a --tol-root loose enough to join every root into one cluster (10 loses
+    # every front at (0.3, 0.8)) is refused before any output
     rc = main([
         "fronts", "--phi", "0.8", "--g-min", "0.3", "--g-max", "0.3", "--g-steps", "1",
-        "--tol-root", "10", "--out", str(tmp_path),
+        "--tol-root", "10", "--out", str(tmp_path / "o"),
     ])
-    assert rc == 0
-    with open(tmp_path / "fronts.csv", newline="") as fh:
-        header, *rows = list(csv.reader(fh))
-    assert len(header) == 8 and len(rows) == 1
-    assert len(rows[0]) == 8
-    assert rows[0][-1].startswith("error: unexpected front count 0 at")
+    assert rc == 2
+    assert "tol-root" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "fronts.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--tol-g", "nan"], ["--tol-g", "inf"], ["--tol-root", "nan"], ["--tol-root", "inf"],
+     ["--tol-root", "1e-5"], ["--g-min", "nan"], ["--g-min", "inf", "--g-max", "inf"],
+     ["--g-max", "nan"], ["--g-max", "inf"], ["--g-steps", str(2**40)],
+     ["--g-steps", str(cli.MAX_SWEEP // 2 + 1), "--phi-list", "0,0.5"]],
+)
+def test_bad_fronts_input_exits_2(tmp_path, capsys, monkeypatch, flags):
+    # rejected before the g grid is allocated or any output is written
+    monkeypatch.setattr(np, "linspace", lambda *a, **kw: pytest.fail("allocated"))
+    rc = main(["fronts", *flags, "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert flags[0][2:] in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_fronts_jobs_deterministic(tmp_path):
@@ -270,6 +285,20 @@ def test_scaling_outputs(tmp_path):
     assert phi_num[i0] == pytest.approx(0.5, abs=0.01)
     report = validate(tmp_path / "bulk_report.json", "bulk_report")
     assert report["deviations"]["phi"]["sup_outside"] < 0.02
+
+
+def test_scaling_evolves_once(tmp_path, monkeypatch):
+    # bulk.csv reads the fields compare_bulk evolved for bulk_report.json
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return evolve(*args, **kwargs)
+
+    for module in (cli, cli.hydro_mod):
+        monkeypatch.setattr(module, "evolve", counted)
+    assert main(["scaling", "--g", "0.0625", "--t", "200", "--grid", "101", "--out", str(tmp_path)]) == 0
+    assert len(calls) == 1
 
 
 def test_scaling_kink_window_present(tmp_path):

@@ -236,6 +236,10 @@ def test_position_moments_summed_once_per_field(monkeypatch):
 
     monkeypatch.setattr(EVOLVE_MODULE, "_fsum_blocks", counted)
     prob = probability_density(wf)
+    # the prefix sums leave every exact sum to position_moment
+    for k in (1, 2, 3):
+        cumulative_moment(prob, k)
+    assert calls == []
     mu = [position_moment(prob, k) for k in range(5)]
     gamma = skewness(prob)
     assert len(calls) == 5
@@ -406,9 +410,9 @@ def test_position_moment_edge_cases_match_fsum(monkeypatch):
     assert math.isnan(position_moment(nan_last, 2))
     # odd k: -0.0 terms at n < 0 and +0.0 at n >= 0 sum to +0.0
     assert _same_float(position_moment(zeros, 3), 0.0)
-    # cumulative_moment sums the terms it builds on a fresh field (and
-    # leaves fsum's error to position_moment) and reuses a summed field's
-    # moment; either way its prefix sums are the whole ring's
+    # cumulative_moment's prefix sums are the whole ring's on a fresh field
+    # and on one whose moments are summed, and position_moment then sums the
+    # fresh field's terms as fsum does
     for f in cases:
         fresh = ObservableField(FieldKind.PROBABILITY, f.values.copy(), f.t, f.params, f.L)
         for k in (1, 2, 3):

@@ -12,6 +12,7 @@ from chiralwalk import (
     find_extremal_fronts,
     omega_deriv,
 )
+from chiralwalk.fronts import TOL_ROOT_MAX
 
 from oracles import quartic_crosscheck
 
@@ -135,13 +136,19 @@ def test_front_count_changes_at_critical_coupling(phi):
 def test_critical_coupling_validation():
     with pytest.raises(ValueError):
         critical_coupling(-0.1)
-    with pytest.raises(ValueError):
-        critical_coupling(0.3, tol_g=0.0)
+    for tol_g in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            critical_coupling(0.3, tol_g=tol_g)
 
 
 def test_find_fronts_validation():
-    with pytest.raises(ValueError):
-        find_extremal_fronts(WalkParams(0.1, 0.2), tol_root=-1.0)
+    # past TOL_ROOT_MAX a loose tolerance merges fronts, loses them (10 gives
+    # [] at (0.3, 0.8)) or divides by zero in _polish (1)
+    for tol_root in (-1.0, 0.0, math.nan, 1e-2, 1.0, 10.0, math.inf):
+        with pytest.raises(ValueError, match="tol_root"):
+            find_extremal_fronts(WalkParams(0.3, 0.8), tol_root=tol_root)
+    default = find_extremal_fronts(WalkParams(0.3, 0.8))
+    assert find_extremal_fronts(WalkParams(0.3, 0.8), tol_root=TOL_ROOT_MAX) == default
 
 
 def test_quartic_contains_known_roots():

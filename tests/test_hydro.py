@@ -8,9 +8,14 @@ from chiralwalk import (
     hydro,
     compare_bulk,
     cone_topology,
+    cumulative,
+    cumulative_moment,
+    current_density,
+    evolve,
     exclusion_windows,
     invert_velocity,
     nu_half,
+    probability_density,
     scaled_ccd,
     scaled_cpd,
     scaled_moment,
@@ -194,6 +199,21 @@ def test_compare_bulk_smoke():
     assert len(report.windows) == 2
     with pytest.raises(ValueError):
         compare_bulk(WalkParams(0.1, 0.0), t=0.0)
+
+
+def test_compare_bulk_numeric_fields():
+    # the report holds the compared fields over the whole ring, as computed afresh
+    p, t = WalkParams(1 / 16, PI / 2), 300.0
+    report = compare_bulk(p, t)
+    wf = evolve(p, t)
+    prob = probability_density(wf)
+    fresh = {"phi": cumulative(prob).values, "j": cumulative(current_density(wf)).values}
+    fresh.update({f"m{k}": cumulative_moment(prob, k).values / t**k for k in (1, 2, 3)})
+    assert set(report.numeric) == set(report.deviations) == set(fresh)
+    for name, values in fresh.items():
+        assert report.numeric[name].tobytes() == values.tobytes(), name
+    partial = compare_bulk(p, t, observables=("j",))
+    assert set(partial.numeric) == {"j"}
 
 
 @pytest.mark.parametrize("exclusion", [-1.0, math.nan, math.inf])
