@@ -31,6 +31,7 @@ from .fronts import (
     cone_topology,
     critical_coupling,
     degeneracy,
+    edge_scale,
     find_extremal_fronts,
 )
 from .hydro import (
@@ -49,7 +50,6 @@ from .airy import (
     EdgeProfile,
     StaircaseStep,
     airy_ode_residual,
-    edge_scale,
     extract_staircase,
     generalized_airy,
     measure_edge,

@@ -38,7 +38,7 @@ import numpy as np
 
 from .dispersion import WalkParams
 from .evolve import cumulative, current_density, evolve, probability_density
-from .fronts import TOL_DEGEN, ExtremalFront, cone_topology
+from .fronts import TOL_DEGEN, ExtremalFront, cone_topology, edge_scale
 
 XI_LIMIT = 50.0
 SEGMENT_NODES = 200  # converged from 160 at |xi| = 50
@@ -169,11 +169,6 @@ class StaircaseStep:
     area: float
 
 
-def edge_scale(front: ExtremalFront, t: float) -> float:
-    """(|kappa_k| t)^(1/(k+2)), the site width of the edge window."""
-    return (abs(front.kappa) * t) ** (1.0 / (front.order + 2))
-
-
 def max_edge_window(front: ExtremalFront, t: float) -> int:
     """Largest measure_edge window whose predicted profile stays in |xi| <= XI_LIMIT.
 
@@ -221,6 +216,9 @@ def measure_edge(
     """
     if t <= 0:
         raise ValueError("measure_edge needs t > 0")
+    # first: evolve refuses a ring above MAX_LATTICE, and so every |v t| that
+    # is rounded below is finite
+    wf = evolve(p, t, lattice)
     n_e = round(front.velocity * t)
     diagram = cone_topology(p)
     for other in diagram.fronts:
@@ -231,7 +229,6 @@ def measure_edge(
                 f"window of {window} sites around n={n_e} overlaps the front at "
                 f"v={other.velocity:.4f}; shrink the window or increase t"
             )
-    wf = evolve(p, t, lattice)
     phi_num = cumulative(probability_density(wf)).values
     j_num = cumulative(current_density(wf)).values
     scale = edge_scale(front, t)

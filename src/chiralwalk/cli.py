@@ -34,11 +34,13 @@ from .evolve import (
     skewness,
 )
 from .fronts import (
+    TOL_DEGEN,
     TOL_ROOT_MAX,
     build_diagram,
     cone_topology,
     critical_coupling,
     degeneracy,
+    edge_scale,
     find_extremal_fronts,
 )
 
@@ -122,8 +124,8 @@ def cmd_evolve(args) -> int:
     p = _params(args)
     if args.t < 0:
         raise ConfigError("t must be >= 0")
-    out = _outdir(args)
     wf = evolve(p, args.t, _lattice(args))
+    out = _outdir(args)
     prob = probability_density(wf)
     cur = current_density(wf)
     cpd = cumulative(prob)
@@ -142,13 +144,17 @@ def cmd_evolve(args) -> int:
     _write_csv(out / "density.csv", ["n", "p", "j", "Phi", "J", "M1", "M2", "M3"], rows)
     diagram = cone_topology(p)
     mu = {f"mu{k}": position_moment(prob, k) for k in range(5)}
+    try:
+        gamma = skewness(prob)
+    except ValueError:  # t = 0, or a t so small that mu_2^(3/2) underflows
+        gamma = None
     summary = {
         "g": p.g,
         "phi": p.phi,
         "t": wf.t,
         "lattice": wf.L,
         "moments": mu,
-        "gamma": skewness(prob) if wf.t > 0 else None,
+        "gamma": gamma,
         "v_lm": diagram.v_lm,
         "v_rm": diagram.v_rm,
         "topology": diagram.topology.value,
@@ -287,13 +293,12 @@ def _select_front(diagram, which: str):
     inner = [
         fr
         for fr in diagram.fronts
-        if abs(fr.velocity - diagram.v_lm) > 1e-9 and abs(fr.velocity - diagram.v_rm) > 1e-9
+        if abs(fr.velocity - diagram.v_lm) > TOL_DEGEN and abs(fr.velocity - diagram.v_rm) > TOL_DEGEN
     ]
     if not inner:
         raise ConfigError("no internal front at these couplings")
-    vels = sorted({round(fr.velocity, 9) for fr in inner})
-    if len(vels) > 1:
-        raise ConfigError(f"ambiguous internal front, velocities {vels}")
+    if any(abs(fr.velocity - inner[0].velocity) > TOL_DEGEN for fr in inner):
+        raise ConfigError(f"ambiguous internal front, velocities {[fr.velocity for fr in inner]}")
     return inner[0]
 
 
@@ -334,7 +339,9 @@ def cmd_edge(args) -> int:
             [(args.front, "", "", "", "", "", "even-order front: no real staircase")],
         )
         return EXIT_OK
-    scale = airy_mod.edge_scale(front, args.t)
+    scale = edge_scale(front, args.t)
+    if not 0.0 < scale < math.inf:  # |kappa| t underflows or overflows
+        raise ConfigError(f"the edge scale at t={args.t} is {scale} sites, not a positive float")
     window = args.window if args.window is not None else int(math.ceil(args.xi_max * scale))
     usable = airy_mod.max_edge_window(front, args.t)
     if window > usable:
@@ -344,8 +351,9 @@ def cmd_edge(args) -> int:
             f"(xi-max <= {math.floor(usable / scale * 1e3) / 1e3})"
         )
     meta["window"] = window
-    out = _outdir(args)
+    # first, so that a window the ring or another front rules out ends the run before any output
     numeric = airy_mod.measure_edge(p, front, args.t, window, _lattice(args))
+    out = _outdir(args)
     predicted = airy_mod.predict_edge(front, args.t, numeric.xi)
     factor = meta["degeneracy"]
     rows = zip(numeric.xi, numeric.dphi_scaled, factor * predicted.dphi_scaled, numeric.djs_scaled)

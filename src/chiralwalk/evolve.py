@@ -49,6 +49,7 @@ import dataclasses
 import itertools
 import math
 import os
+import sys
 import threading
 from dataclasses import dataclass
 from enum import Enum
@@ -56,7 +57,7 @@ from enum import Enum
 import numpy as np
 
 from .dispersion import WalkParams, omega
-from .fronts import cone_topology
+from .fronts import cone_topology, edge_scale
 
 TAIL_GUARD = 1e-10
 GUARD_SITES = 10
@@ -202,10 +203,11 @@ def max_front_speed(p: WalkParams) -> float:
     return max(abs(d.v_lm), abs(d.v_rm))
 
 
-def _check_cap(L: int) -> int:
+def _check_cap(L: float) -> None:
     if L > MAX_LATTICE:
-        raise GuardError(f"lattice L={L} exceeds the cap of {MAX_LATTICE} sites")
-    return L
+        # a given lattice int may exceed every float, and is printed whole
+        size = f"{L:.3g}" if L <= sys.float_info.max else str(L)
+        raise GuardError(f"lattice L={size} exceeds the cap of {MAX_LATTICE} sites")
 
 
 def _tail_margin(order: int) -> float:
@@ -227,16 +229,18 @@ def auto_lattice_size(p: WalkParams, t: float) -> int:
     Each of those fronts needs |v| t sites, plus _tail_margin(k) of its own
     edge scales (|kappa_k| t)^(1/(k+2)) for the Airy tail, plus a fixed 40
     sites; the ring's half-width is the larger side.  Raises GuardError
-    above MAX_LATTICE, before the search for an FFT-friendly size
-    (MAX_LATTICE is itself 5-smooth, so that search never passes the cap).
+    above MAX_LATTICE, before the radius is rounded (it may be infinite)
+    and before the search for an FFT-friendly size (MAX_LATTICE is itself
+    5-smooth, so that search never passes the cap).
     """
     d = cone_topology(p)
     radius = 40.0 + max(
-        abs(fr.velocity) * t + _tail_margin(fr.order) * (abs(fr.kappa) * t) ** (1.0 / (fr.order + 2))
+        abs(fr.velocity) * t + _tail_margin(fr.order) * edge_scale(fr, t)
         for fr in d.fronts
         if fr.velocity in (d.v_lm, d.v_rm)
     )
-    return next_fast_even(_check_cap(2 * math.ceil(radius)))
+    _check_cap(2.0 * radius)
+    return next_fast_even(2 * math.ceil(radius))
 
 
 def _rows(L: int) -> int:
@@ -541,8 +545,12 @@ def position_moment(field: ObservableField, k: int) -> float:
 
 
 def skewness(field: ObservableField) -> float:
-    """gamma = mu_3 / mu_2^(3/2); rejects the degenerate t=0 distribution."""
-    mu2 = position_moment(field, 2)
-    if mu2 <= 0:
-        raise ValueError("skewness undefined: second moment is not positive")
-    return position_moment(field, 3) / mu2**1.5
+    """gamma = mu_3 / mu_2^(3/2); rejects the degenerate t=0 distribution.
+
+    Raises ValueError whenever mu_2^(3/2) is not a positive float, which
+    also covers a t so small that the power underflows to zero.
+    """
+    scale = max(position_moment(field, 2), 0.0) ** 1.5
+    if not scale > 0:
+        raise ValueError("skewness undefined: mu_2^(3/2) is not a positive float")
+    return position_moment(field, 3) / scale

@@ -15,9 +15,9 @@ A companion-matrix root is kept when it lies on the unit circle and the
 trigonometric form vanishes at its angle.  Adjacent kept roots are one
 multiple root only when the form also vanishes at their midpoint, and a
 cluster of m roots is polished by Newton in real q on the form's (m-1)-th
-derivative, where it is a simple root.  A front of order k has
-w'' ... w^(k+1) vanishing at the root with w^(k+2) != 0; the edge-scaling
-coefficient is kappa_k = w^(k+2)/(k+1)!.
+derivative, where it is a simple root.  A front's order k is the
+multiplicity m of its cluster, and its edge-scaling coefficient is
+kappa_k = w^(k+2)(q*)/(k+1)! at the polished root q*.
 """
 
 from __future__ import annotations
@@ -36,9 +36,7 @@ TOL_ROOT = 1e-12
 # default's at 6 phi in [0, pi/2] x 241 g in [0, 0.6]; 1e-2 merges distinct
 # fronts at 11 of those points, and from 1 on roots are lost
 TOL_ROOT_MAX = 1e-6
-TOL_ORDER = 1e-8
 TOL_DEGEN = 1e-9          # velocity window for degenerate-front labelling
-MAX_ORDER = 5
 # |log|z|| bound for a root on the unit circle: the companion eigenvalues of
 # a triple root scatter by ~eps^(1/3) ~ 1e-5, while at phi = pi/2 an
 # off-circle pair sharing the angle of a real root sits at 4 sqrt(1/8 - g)
@@ -91,11 +89,12 @@ def _polish(f, x: float, m: int) -> float:
     return (x + math.pi) % TWO_PI - math.pi
 
 
-def _circle_roots(coeffs, f, tol: float) -> list[float]:
+def _circle_roots(coeffs, f, tol: float) -> list[tuple[float, int]]:
     """Real roots q in [-pi, pi) of a trigonometric polynomial, once each.
 
     coeffs (highest power first) define a polynomial in z = e^{iq} that is
     a power of z times f(q), and f(q, j) is the j-th derivative of f.
+    Returns (polished root, multiplicity) pairs.
     """
     z = np.roots(coeffs)
     q = np.sort(np.angle(z[np.abs(np.log(np.abs(z))) < TOL_CIRCLE]))
@@ -111,46 +110,31 @@ def _circle_roots(coeffs, f, tol: float) -> list[float]:
             m += 1
         idx = s + np.arange(m)
         centre = float(np.mean(q[idx % n] + TWO_PI * (idx >= n)))
-        roots.append(_polish(f, centre, m))
+        roots.append((_polish(f, centre, m), m))
     return roots
 
 
-def _classify(p: WalkParams, q_star: float, tol_order: float) -> tuple[int, float]:
-    for j in range(3, MAX_ORDER + 3):
-        d = omega_deriv(q_star, j, p)
-        if abs(d) >= tol_order:
-            k = j - 2
-            return k, d / math.factorial(k + 1)
-    raise FrontScanError(
-        f"no non-vanishing derivative up to order {MAX_ORDER + 2} at q={q_star}"
-    )
-
-
-def find_extremal_fronts(
-    p: WalkParams,
-    tol_root: float = TOL_ROOT,
-    tol_order: float = TOL_ORDER,
-) -> list[ExtremalFront]:
+def find_extremal_fronts(p: WalkParams, tol_root: float = TOL_ROOT) -> list[ExtremalFront]:
     """Locate and classify every extremal front of the dispersion.
 
     The fronts are the unit-circle roots of the quartic z^2 w''(q); a root
     is kept when |w''| <= tol_root (1 + 8g) at its angle, 1 + 8g being the
-    curvature scale of the band.  Each front is classified at its polished
-    wave vector, the centre of its root cluster.  tol_root must lie in
-    (0, TOL_ROOT_MAX].
+    curvature scale of the band.  A front's order is the multiplicity of
+    its root cluster, and kappa is taken at the polished wave vector, the
+    centre of that cluster.  tol_root must lie in (0, TOL_ROOT_MAX].
     """
     if not 0.0 < tol_root <= TOL_ROOT_MAX:
         raise ValueError(f"tol_root must lie in (0, {TOL_ROOT_MAX}], got {tol_root}")
     w2 = lambda q, j: omega_deriv(q, 2 + j, p)
     if p.g < G_SEED:
-        roots = [_polish(w2, q, 1) for q in (-math.pi / 2, math.pi / 2)]
+        roots = [(_polish(w2, q, 1), 1) for q in (-math.pi / 2, math.pi / 2)]
     else:
         c = 4.0 * p.g * complex(math.cos(p.phi), math.sin(p.phi))
         quartic = [c, 1.0, 0.0, 1.0, c.conjugate()]
         roots = _circle_roots(quartic, w2, tol_root * (1.0 + 8.0 * p.g))
     fronts = []
-    for q in roots:
-        order, kappa = _classify(p, q, tol_order)
+    for q, order in roots:
+        kappa = omega_deriv(q, order + 2, p) / math.factorial(order + 1)
         v = omega_deriv(q, 1, p)
         fronts.append(
             ExtremalFront(q, v, order, kappa, "left" if v < 0 else "right")
@@ -193,6 +177,11 @@ def degeneracy(diagram: FrontDiagram, front: ExtremalFront) -> int:
     )
 
 
+def edge_scale(front: ExtremalFront, t: float) -> float:
+    """(|kappa_k| t)^(1/(k+2)), the site width of the front's edge window at time t."""
+    return (abs(front.kappa) * t) ** (1.0 / (front.order + 2))
+
+
 def critical_coupling(phi: float, tol_g: float = 1e-6) -> float:
     """Lifshitz coupling g_c(phi): the smallest g > 0 with a double root of w''.
 
@@ -219,7 +208,7 @@ def critical_coupling(phi: float, tol_g: float = 1e-6) -> float:
         return 3.0**j * np.sin(3.0 * q + shift) + 3.0 * np.sin(q + shift)
 
     gs = []
-    for q in _circle_roots(sextic, f, TOL_ROOT):
+    for q, _ in _circle_roots(sextic, f, TOL_ROOT):
         c, s = math.cos(2.0 * q + phi), math.sin(2.0 * q + phi)
         gs.append(-(4.0 * math.cos(q) * c + 8.0 * math.sin(q) * s) / (16.0 * c * c + 64.0 * s * s))
     return min(g for g in gs if g > 0.0)

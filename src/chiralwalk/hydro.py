@@ -38,7 +38,7 @@ from .evolve import (
     evolve,
     probability_density,
 )
-from .fronts import FrontDiagram, cone_topology
+from .fronts import FrontDiagram, cone_topology, edge_scale
 
 DEFAULT_EXCLUSION = 8.0
 _BISECT_STEPS = 54  # brackets a root on a branch of length <= 2pi to < 4e-16
@@ -212,11 +212,7 @@ def exclusion_windows(
     """
     if not (math.isfinite(c) and c >= 0):
         raise ValueError(f"exclusion must be finite and >= 0, got {c}")
-    wins = []
-    for fr in diagram.fronts:
-        half = c * (abs(fr.kappa) * t) ** (1.0 / (fr.order + 2)) / t
-        wins.append((fr.velocity, half))
-    return wins
+    return [(fr.velocity, c * edge_scale(fr, t) / t) for fr in diagram.fronts]
 
 
 @dataclass(frozen=True)

@@ -133,6 +133,24 @@ def test_front_count_changes_at_critical_coupling(phi):
         assert len(find_extremal_fronts(WalkParams(gc + delta, phi))) == 4, delta
 
 
+def test_orders_sum_to_four_above_critical_coupling():
+    # a front's order is the multiplicity of its root cluster, so the four
+    # roots of w'' above g_c are counted once however they are joined; just
+    # above 1/8 at phi = pi/2 the triple at pi/2, pi/2 +- 4 sqrt(g - 1/8)
+    # joins while its velocities still agree to 64 (g - 1/8)^2
+    deltas = {phi: 10.0 ** np.arange(-12, -5) for phi in np.linspace(0.0, PI / 2, 13)}
+    deltas[PI / 2] = np.concatenate([deltas[PI / 2], 1e-10 * np.arange(1, 301)])
+    for phi, ds in deltas.items():
+        gc = critical_coupling(phi)
+        for g in gc + ds:
+            assert g > gc
+            assert sum(f.order for f in find_extremal_fronts(WalkParams(g, phi))) == 4, (g, phi)
+    d = cone_topology(WalkParams(0.125 + 1e-9, PI / 2))
+    assert [f.order for f in d.fronts] == [3, 1]
+    assert d.fronts[0].kappa == pytest.approx(0.25, abs=1e-8)
+    assert d.topology is ConeTopology.CRITICAL_THIRD_ORDER
+
+
 def test_critical_coupling_validation():
     with pytest.raises(ValueError):
         critical_coupling(-0.1)
