@@ -14,13 +14,13 @@ from .evolve import (
     GuardError,
     ObservableField,
     WaveFunction,
-    auto_lattice_size,
     cumulative,
     cumulative_moment,
     current_density,
     evolve,
     position_moment,
     probability_density,
+    ring_layout,
     skewness,
 )
 from .fronts import (

@@ -217,8 +217,8 @@ def measure_edge(
     if t <= 0:
         raise ValueError("measure_edge needs t > 0")
     # first: evolve refuses a ring above MAX_LATTICE, and so every |v t| that
-    # is rounded below is finite
-    wf = evolve(p, t, lattice)
+    # is rounded below is finite; an automatic ring holds the window
+    wf = evolve(p, t, lattice, reach=window)
     n_e = round(front.velocity * t)
     diagram = cone_topology(p)
     for other in diagram.fronts:
@@ -234,10 +234,10 @@ def measure_edge(
     scale = edge_scale(front, t)
     s = 1 if front.kappa > 0 else -1
     ns = n_e + np.arange(-window, window + 1)
-    idx = ns + wf.L // 2
+    idx = ns + wf.origin
     if idx.min() < 0 or idx.max() >= wf.L:
         raise ValueError("window extends past the lattice; enlarge the lattice")
-    ref = n_e + wf.L // 2
+    ref = n_e + wf.origin
     xi = s * (ns - front.velocity * t) / scale
     dphi = s * (phi_num[idx] - phi_num[ref]) * scale
     djs = s * (j_num[idx] - j_num[ref]) * scale

@@ -153,6 +153,7 @@ def cmd_evolve(args) -> int:
         "phi": p.phi,
         "t": wf.t,
         "lattice": wf.L,
+        "n_min": -wf.origin,
         "moments": mu,
         "gamma": gamma,
         "v_lm": diagram.v_lm,
@@ -238,7 +239,7 @@ def cmd_scaling(args) -> int:
     L = num["phi"].size
     curve = hydro_mod.scaling_curve(p, num=args.grid)
     # the site at or left of n = nu t, clamped to the ring
-    at = np.clip(np.floor(curve.nu * args.t).astype(np.int64) + L // 2, 0, L - 1)
+    at = np.clip(np.floor(curve.nu * args.t).astype(np.int64) + report.origin, 0, L - 1)
     rows = zip(
         curve.nu,
         num["phi"][at],

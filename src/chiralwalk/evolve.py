@@ -2,9 +2,12 @@
 
 Evolution is diagonal in momentum space, so one inverse discrete Fourier
 transform of the phase factors exp(-i w(q) t) gives the wave function at any
-time with no time-stepping error.  The lattice is a periodic ring sized so
-that the causal cone plus an Airy-tail margin fits with room to spare; a
-tail guard verifies that wraparound contamination stays below 1e-10.
+time with no time-stepping error.  The lattice is a periodic ring that
+holds the causal cone plus an Airy-tail margin; a tail guard verifies that
+wraparound contamination stays below 1e-10.  The automatic ring is chiral:
+each side is sized for its own outermost front, so a cone asymmetric about
+the origin gets an asymmetric ring, with site 0 at index origin.  An
+explicit lattice is centred (origin L/2).
 
 Rings of at least 2 BLOCK sites are transformed in four steps (Bailey's
 FFT in hierarchical memory), because numpy's single transform of a ring far
@@ -15,13 +18,15 @@ factors are filled into that layout BLOCK sites of columns at a time (a
 chunk of columns holds consecutive frequencies), the rows are transformed
 (length M), ROW_BATCH rows per ifft call when there are that many (numpy
 vectorises a batch across rows, with the bits of one row at a time), the
-columns are multiplied by the twiddles e^{2 pi i j1 n2/L}, and each column
-is transformed (length R) in place, again a chunk of columns at a time,
-so the result is the ring in natural order and the
-amplitudes are a reshape of the one buffer.  fftshift's half-ring rotation
-is the factor (-1)^j = (-1)^{j1} (R even) on the input, an exact sign that
-is folded into the twiddles.  Smaller rings take one fftshift(ifft(...)).
-The amplitudes differ from fftshift(ifft(...)) at roundoff level.
+columns are multiplied by the twiddles e^{2 pi i j1 (n2 - origin)/L}, and
+each column is transformed (length R) in place, again a chunk of columns at
+a time, so the result is the ring in natural order and the amplitudes are a
+reshape of the one buffer.  Rotating site 0 to index origin is the factor
+e^{-2 pi i j origin/L} on the input; origin is a multiple of M, so that
+factor depends on j1 alone and is folded into the twiddles as the exact
+integer angle j1 (n2 - origin) mod L.  Smaller rings take one
+np.roll(ifft(...), origin), which is fftshift(ifft(...)) at origin = L/2.
+The amplitudes differ from that single transform at roundoff level.
 
 The ring kernels (the phase factors, the probability, the current, the
 cumulative moments and the exact position moments) walk the ring in blocks of BLOCK sites, so
@@ -100,16 +105,23 @@ class FieldKind(Enum):
 
 @dataclass(frozen=True, eq=False)
 class WaveFunction:
-    """Complex amplitudes on sites n in [-L/2, L/2) at time t."""
+    """Complex amplitudes on sites n in [-origin, L - origin) at time t.
+
+    origin is the index of site 0, L // 2 (a centred ring) by default.
+    """
 
     params: WalkParams
     t: float
     L: int
     amps: np.ndarray
+    origin: int | None = None
+
+    def __post_init__(self):
+        _default_origin(self)
 
     @property
     def sites(self) -> np.ndarray:
-        return np.arange(self.L) - self.L // 2
+        return np.arange(self.L) - self.origin
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,9 +139,11 @@ class ObservableField:
     params: WalkParams
     L: int
     moment_order: int | None = None
+    origin: int | None = None  # index of site 0, L // 2 by default
     _moments: dict = dataclasses.field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
+        _default_origin(self)
         values = np.asarray(self.values)
         if not values.flags.owndata:
             values = values.copy()
@@ -138,7 +152,13 @@ class ObservableField:
 
     @property
     def sites(self) -> np.ndarray:
-        return np.arange(self.L) - self.L // 2
+        return np.arange(self.L) - self.origin
+
+
+def _default_origin(obj) -> None:
+    """Set a frozen ring object's origin to the centre, L // 2, when none was given."""
+    if obj.origin is None:
+        object.__setattr__(obj, "origin", obj.L // 2)
 
 
 def _blocks(size: int, block: int | None = None):
@@ -186,16 +206,22 @@ def _map_spans(kernel, spans, sites: int) -> None:
 
 
 def next_fast_even(n: int) -> int:
-    """Smallest even 5-smooth integer >= n (friendly FFT lengths)."""
+    """Smallest even 5-smooth integer >= n (friendly FFT lengths).
+
+    For each 3^b 5^c below the best length so far, the smallest power of two
+    (at least 2) that lifts it to n; O(log^2 n) candidates, no search over
+    the integers.
+    """
     n = max(2, int(n))
-    while True:
-        m = n
-        for prime in (2, 3, 5):
-            while m % prime == 0:
-                m //= prime
-        if m == 1 and n % 2 == 0:
-            return n
-        n += 1
+    best = 1 << (n - 1).bit_length()
+    odd5 = 1
+    while odd5 < best:
+        odd = odd5
+        while odd < best:
+            best = min(best, odd << max(1, (-(-n // odd) - 1).bit_length()))
+            odd *= 3
+        odd5 *= 5
+    return best
 
 
 def max_front_speed(p: WalkParams) -> float:
@@ -223,24 +249,42 @@ def _tail_margin(order: int) -> float:
     return (decay / rate) ** ((order + 1) / (order + 2))
 
 
-def auto_lattice_size(p: WalkParams, t: float) -> int:
-    """Ring size from the outermost front on each side of the causal cone.
+def ring_layout(p: WalkParams, t: float, reach: int = 0) -> tuple[int, int]:
+    """(L, origin) of the automatic ring: its size, and the index of site 0.
 
-    Each of those fronts needs |v| t sites, plus _tail_margin(k) of its own
-    edge scales (|kappa_k| t)^(1/(k+2)) for the Airy tail, plus a fixed 40
-    sites; the ring's half-width is the larger side.  Raises GuardError
-    above MAX_LATTICE, before the radius is rounded (it may be infinite)
-    and before the search for an FFT-friendly size (MAX_LATTICE is itself
-    5-smooth, so that search never passes the cap).
+    Each side of the causal cone is sized for its outermost front: |v| t
+    sites, plus _tail_margin(k) of its edge scales (|kappa_k| t)^(1/(k+2))
+    for the Airy tail, plus a fixed 40 sites, and at least reach +
+    GUARD_SITES sites past the front (room for measure_edge's window).  L is
+    the smallest even 5-smooth length that holds both sides with site 0 at
+    an index the transform can rotate to: a multiple of the row length
+    M = L/R, or any index when R = 1.  origin is that index nearest the
+    middle of the spare sites.  Raises GuardError above MAX_LATTICE, before
+    the sides are rounded (they may be infinite); MAX_LATTICE is itself
+    5-smooth, so the size search stops there.
     """
     d = cone_topology(p)
-    radius = 40.0 + max(
-        abs(fr.velocity) * t + _tail_margin(fr.order) * edge_scale(fr, t)
-        for fr in d.fronts
-        if fr.velocity in (d.v_lm, d.v_rm)
-    )
-    _check_cap(2.0 * radius)
-    return next_fast_even(2 * math.ceil(radius))
+
+    def side(v: float) -> float:
+        return max(
+            abs(v) * t + max(_tail_margin(fr.order) * edge_scale(fr, t) + 40.0, reach + GUARD_SITES)
+            for fr in d.fronts
+            if fr.velocity == v
+        )
+
+    left, right = side(d.v_lm), side(d.v_rm)
+    _check_cap(left + right)
+    left, right = math.ceil(left), math.ceil(right)
+    L = next_fast_even(left + right)
+    while True:
+        _check_cap(L)
+        R = _rows(L)
+        step = L // R if R > 1 else 1
+        if (L - right) // step * step >= left:
+            # the multiple of step nearest the middle of [left, L - right],
+            # which lies inside that interval as some multiple does
+            return L, (left + L - right + step) // (2 * step) * step
+        L = next_fast_even(L + 1)
 
 
 def _rows(L: int) -> int:
@@ -284,21 +328,23 @@ def _phase_factors(p: WalkParams, t: float, L: int, R: int = 1) -> np.ndarray:
     return phase
 
 
-def _ring_transform(phase: np.ndarray) -> np.ndarray:
-    """fftshift(ifft(x)) of the ring whose R-row layout is phase, overwriting phase.
+def _ring_transform(phase: np.ndarray, origin: int) -> np.ndarray:
+    """np.roll(ifft(x), origin) of the ring whose R-row layout is phase, overwriting phase.
 
-    With R > 1 each row is transformed in place (length M).  Then the
-    columns, BLOCK // R of them (BLOCK sites) at a time, are multiplied by
-    the twiddles e^{2 pi i j1 n2/L} (-1)^{j1}, transformed along axis 0
-    (length R) and written back.  The twiddles are one exp table for the
-    first chunk, of exact angles (j1 d < L), times one exp per row for each
-    chunk's offset (angle j1 start mod L), so their error does not grow
-    with R.
+    With R > 1 origin must be a multiple of M.  Each row is transformed in
+    place (length M).  Then the columns, BLOCK // R of them (BLOCK sites) at
+    a time, are multiplied by the twiddles e^{2 pi i j1 (n2 - origin)/L},
+    transformed along axis 0 (length R) and written back.  The twiddles are
+    one exp table for the first chunk, of exact angles (j1 d < L), times one
+    exp per row for each chunk's offset (angle j1 (start - origin) mod L),
+    so their error does not grow with R.
     """
     R, M = phase.shape
     L = R * M
     if R == 1:
-        return np.fft.fftshift(np.fft.ifft(phase[0]))
+        return np.roll(np.fft.ifft(phase[0]), origin)
+    if origin % M:
+        raise ValueError(f"origin {origin} is not a multiple of the row length {M}")
 
     def rows(spans):
         for start, stop in spans:
@@ -308,11 +354,10 @@ def _ring_transform(phase: np.ndarray) -> np.ndarray:
     width = max(BLOCK // R, 1)
     j1 = np.arange(R)[:, None]
     base = np.exp((2j * np.pi / L) * (j1 * np.arange(width)))  # width <= BLOCK <= M
-    base[1::2] *= -1.0
 
     def columns(spans):
         for start, stop in spans:
-            chunk = base[:, :stop - start] * np.exp((2j * np.pi / L) * (j1 * start % L))
+            chunk = base[:, :stop - start] * np.exp((2j * np.pi / L) * (j1 * (start - origin) % L))
             chunk *= phase[:, start:stop]
             phase[:, start:stop] = np.fft.ifft(chunk, axis=0)
 
@@ -320,10 +365,12 @@ def _ring_transform(phase: np.ndarray) -> np.ndarray:
     return phase.reshape(L)
 
 
-def _ring_size(p: WalkParams, t: float, lattice: int | None, enforce_guard: bool = True) -> int:
-    """The ring size evolve uses: auto_lattice_size, or lattice once checked."""
+def _ring_layout(
+    p: WalkParams, t: float, lattice: int | None, enforce_guard: bool = True, reach: int = 0
+) -> tuple[int, int]:
+    """The (L, origin) evolve uses: ring_layout, or the centred lattice once checked."""
     if lattice is None:
-        return auto_lattice_size(p, t)
+        return ring_layout(p, t, reach)
     L = int(lattice)
     if L < 4 or L % 2:
         raise ValueError("lattice size must be an even integer >= 4")
@@ -333,7 +380,7 @@ def _ring_size(p: WalkParams, t: float, lattice: int | None, enforce_guard: bool
             f"lattice L={L} too small for the causal cone at t={t}: "
             f"need L/2 >= {max_front_speed(p) * t + 12.0:.1f}"
         )
-    return L
+    return L, L // 2
 
 
 def evolve(
@@ -342,24 +389,26 @@ def evolve(
     lattice: int | None = None,
     *,
     enforce_guard: bool = True,
+    reach: int = 0,
 ) -> WaveFunction:
     """Evolve the site-0 delta state to time t on a periodic ring.
 
-    amps[n] = (1/L) sum_j exp(i q_j n) exp(-i w(q_j) t), q_j = 2 pi j / L,
-    which is the exact propagator of the ring Hamiltonian applied to the
-    localized initial state, computed by the four-step transform described
-    in the module docstring.  Rings above MAX_LATTICE sites are refused
-    with GuardError before anything is allocated.  With enforce_guard the
-    lattice must be large enough that boundary amplitudes are negligible;
-    pass enforce_guard=False only for deliberate small-ring studies (e.g.
-    cross-checks against dense matrix exponentials, where wraparound is
-    part of the model).
+    amps[origin + n] = (1/L) sum_j exp(i q_j n) exp(-i w(q_j) t),
+    q_j = 2 pi j / L, which is the exact propagator of the ring Hamiltonian
+    applied to the localized initial state, computed by the four-step
+    transform described in the module docstring.  Without a lattice the
+    ring is ring_layout(p, t, reach); a given lattice is centred.  Rings
+    above MAX_LATTICE sites are refused with GuardError before anything is
+    allocated.  With enforce_guard the lattice must be large enough that
+    boundary amplitudes are negligible; pass enforce_guard=False only for
+    deliberate small-ring studies (e.g. cross-checks against dense matrix
+    exponentials, where wraparound is part of the model).
     """
     if t < 0:
         raise ValueError("t must be >= 0")
-    L = _ring_size(p, t, lattice, enforce_guard)
-    amps = _ring_transform(_phase_factors(p, t, L, _rows(L)))
-    wf = WaveFunction(p, float(t), L, amps)
+    L, origin = _ring_layout(p, t, lattice, enforce_guard, reach)
+    amps = _ring_transform(_phase_factors(p, t, L, _rows(L)), origin)
+    wf = WaveFunction(p, float(t), L, amps, origin)
     if enforce_guard:
         edge = max(np.max(np.abs(amps[:GUARD_SITES])), np.max(np.abs(amps[-GUARD_SITES:])))
         if edge >= TAIL_GUARD:
@@ -381,7 +430,7 @@ def probability_density(wf: WaveFunction) -> ObservableField:
             np.square(out, out=out)
 
     _map_spans(square, _blocks(wf.L), wf.L)
-    return ObservableField(FieldKind.PROBABILITY, prob, wf.t, wf.params, wf.L)
+    return ObservableField(FieldKind.PROBABILITY, prob, wf.t, wf.params, wf.L, origin=wf.origin)
 
 
 def current_density(wf: WaveFunction) -> ObservableField:
@@ -412,7 +461,7 @@ def current_density(wf: WaveFunction) -> ObservableField:
                 raise GuardError("current density is not finite: the wave function has non-finite amplitudes")
 
     _map_spans(bonds, _blocks(wf.L), wf.L)
-    return ObservableField(FieldKind.CURRENT, j, wf.t, wf.params, wf.L)
+    return ObservableField(FieldKind.CURRENT, j, wf.t, wf.params, wf.L, origin=wf.origin)
 
 
 def cumulative(field: ObservableField) -> ObservableField:
@@ -423,34 +472,44 @@ def cumulative(field: ObservableField) -> ObservableField:
         kind = FieldKind.CUMULATIVE_CURRENT
     else:
         raise ValueError(f"cumulative not defined for {field.kind}")
-    return ObservableField(kind, np.cumsum(field.values), field.t, field.params, field.L)
+    return ObservableField(
+        kind, np.cumsum(field.values), field.t, field.params, field.L, origin=field.origin
+    )
 
 
-def _int_power(n: np.ndarray, k: int) -> np.ndarray:
+def _int_power(n: np.ndarray, k: int, out: np.ndarray | None = None) -> np.ndarray:
     """n^k for integer-valued floats n, correctly rounded for k <= 4.
 
     n^2 is exact for |n| <= 2^26 (|n| <= 2^24 under MAX_LATTICE), so
     n^3 = n^2 n and n^4 = n^2 n^2 are each one rounded product, hence
-    correctly rounded; np.power is only within an ulp, and slower.
+    correctly rounded; np.power is only within an ulp, and slower.  For
+    2 <= k <= 4 the result is written to out when one is given.
     """
     if not 2 <= k <= 4:
         return n**k
-    n2 = n * n
-    return n2 if k == 2 else n2 * (n if k == 3 else n2)
+    n2 = np.multiply(n, n, out=out)
+    return n2 if k == 2 else np.multiply(n2, n if k == 3 else n2, out=n2)
 
 
 def _moment_blocks(field: ObservableField, k: int, name: str):
-    """Callable yielding n^k p(n) block by block, with the sites built as floats."""
+    """Callable yielding n^k p(n) block by block, with the sites built as floats.
+
+    Each block's sites are one arange(BLOCK) plus the block's first site,
+    exact in float64.  A call's blocks share one scratch buffer, so each
+    block must be used before the next one is drawn.
+    """
     if field.kind is not FieldKind.PROBABILITY:
         raise ValueError(f"{name} expects a probability field")
     if k < 0:
         raise ValueError("moment order must be >= 0")
-    offset = field.L // 2
+    steps = np.arange(BLOCK, dtype=float)
 
     def blocks():
+        n, terms = np.empty(BLOCK), np.empty(BLOCK)
         for start, stop in _blocks(field.L):
-            n = np.arange(start - offset, stop - offset, dtype=float)
-            yield _int_power(n, k) * field.values[start:stop]
+            w = stop - start
+            np.add(steps[:w], start - field.origin, out=n[:w])
+            yield np.multiply(_int_power(n[:w], k, terms[:w]), field.values[start:stop], out=terms[:w])
 
     return blocks
 
@@ -469,7 +528,8 @@ def cumulative_moment(field: ObservableField, k: int) -> ObservableField:
         np.cumsum(terms, out=values[start:start + terms.size])
         start += terms.size
     return ObservableField(
-        FieldKind.CUMULATIVE_MOMENT, values, field.t, field.params, field.L, moment_order=k
+        FieldKind.CUMULATIVE_MOMENT, values, field.t, field.params, field.L,
+        moment_order=k, origin=field.origin,
     )
 
 
@@ -492,25 +552,36 @@ def _fsum_blocks(blocks) -> float:
     int division, which is correctly rounded (half to even) like fsum; a
     sum beyond the float range raises OverflowError as fsum does (only a
     finite sum that fsum rejects for an intermediate overflow is returned
-    here).  A non-finite term hands every term to math.fsum, and an exact
-    zero takes fsum's sign; both call blocks() again, so no ring-sized
-    array of terms is ever built.
+    here).  A non-finite term makes its buckets non-finite, and non-finite
+    buckets hand every term to math.fsum; an exact zero takes fsum's sign;
+    both call blocks() again, so no ring-sized array of terms is ever built.
+    The scratch arrays are allocated once per call, so concurrent calls
+    share nothing.
     """
     total = 0
     buckets = np.zeros((2, _EXP_BUCKETS))
-    for i, x in enumerate(blocks(), 1):
-        if not np.isfinite(x).all():
-            return math.fsum(itertools.chain.from_iterable(b.tolist() for b in blocks()))
-        m, e = np.frexp(x)
-        m *= 2.0**26
-        hi = np.trunc(m)
-        m -= hi
-        e -= _EXP_MIN
-        buckets[0] += np.bincount(e, hi, _EXP_BUCKETS)
-        buckets[1] += np.bincount(e, m, _EXP_BUCKETS)
-        if i % FSUM_FLUSH == 0:
-            total += _bucket_total(buckets)
-            buckets[:] = 0.0
+    m, hi = np.empty(BLOCK), np.empty(BLOCK)
+    e, bucket = np.empty(BLOCK, dtype=np.intc), np.empty(BLOCK, dtype=np.intp)
+    # a non-finite term leaves NaN or inf in its buckets, which are checked
+    # before every flush; inf - inf on the way is expected
+    with np.errstate(invalid="ignore"):
+        for i, x in enumerate(blocks(), 1):
+            w = x.size
+            mw, hw, ew, bw = m[:w], hi[:w], e[:w], bucket[:w]
+            np.frexp(x, out=(mw, ew))
+            mw *= 2.0**26
+            np.trunc(mw, out=hw)
+            mw -= hw
+            np.subtract(ew, _EXP_MIN, out=bw)  # widened once for both bincounts
+            buckets[0] += np.bincount(bw, hw, _EXP_BUCKETS)
+            buckets[1] += np.bincount(bw, mw, _EXP_BUCKETS)
+            if i % FSUM_FLUSH == 0:
+                if not np.isfinite(buckets).all():
+                    break
+                total += _bucket_total(buckets)
+                buckets[:] = 0.0
+    if not np.isfinite(buckets).all():
+        return math.fsum(itertools.chain.from_iterable(b.tolist() for b in blocks()))
     total += _bucket_total(buckets)
     if total == 0:
         # fsum's zero keeps the sign of all-(-0.0) input on Python >= 3.12

@@ -25,13 +25,14 @@ both sides of the Lifshitz transition and at the critical couplings.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .dispersion import TWO_PI, WalkParams, omega, omega_deriv
 from .evolve import (
-    _ring_size,
+    _ring_layout,
     cumulative,
     cumulative_moment,
     current_density,
@@ -230,6 +231,7 @@ class BulkReport:
     windows: list = field(default_factory=list)
     deviations: dict = field(default_factory=dict)
     numeric: dict = field(default_factory=dict)  # compared fields over the whole ring
+    origin: int = field(kw_only=True)  # index of site 0 in the numeric fields
 
 
 def compare_bulk(
@@ -246,16 +248,23 @@ def compare_bulk(
     predictions; sup and L1 deviations are reported separately outside and
     inside the front exclusion windows (half-width exclusion * edge scale).
     The compared numeric fields, on every site of the ring (the moments
-    scaled by t^k), are returned in the report's numeric dict.
-    When the windows cover every compared site, nothing would be compared
-    outside them, and ValueError is raised before the evolution.
+    scaled by t^k), are returned in the report's numeric dict, with site 0
+    at index origin.  When the windows cover every compared site, nothing
+    would be compared outside them, and ValueError is raised before the
+    evolution, as it is for a t so small that t^3 is not a normal float
+    (the scaled moments would divide by zero or lose their precision).
     """
     if t <= 0:
         raise ValueError("compare_bulk needs t > 0")
     d = cone_topology(p)
     wins = exclusion_windows(d, t, exclusion)
-    L = _ring_size(p, t, lattice)
-    nus = (np.arange(L) - L // 2) / t
+    L, origin = _ring_layout(p, t, lattice)
+    # after the ring's cap check, so that t^3 cannot overflow
+    if t**3 < sys.float_info.min:
+        raise ValueError(
+            f"t={t} is too small to scale the moments: t^3 is below the smallest normal float"
+        )
+    nus = (np.arange(L) - origin) / t
     mask = (nus >= d.v_lm - margin) & (nus <= d.v_rm + margin)
     nus = nus[mask]
     inside = np.zeros(nus.shape, dtype=bool)
@@ -284,4 +293,4 @@ def compare_bulk(
             l1_outside=float(diff[~inside].sum() * dnu),
             sup_inside=float(diff[inside].max()) if inside.any() else 0.0,
         )
-    return BulkReport(p, float(t), exclusion, wins, devs, numeric)
+    return BulkReport(p, float(t), exclusion, wins, devs, numeric, origin=wf.origin)

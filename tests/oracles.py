@@ -98,15 +98,16 @@ def whole_ring_amplitudes(p, t, L):
     return np.fft.fftshift(np.fft.ifft(whole_ring_phase_factors(p, t, L)))
 
 
-def direct_ring_amplitudes(phase):
-    """(1/L) sum_j phase[j] e^{2 pi i j n / L} on the sites n in [-L/2, L/2).
+def direct_ring_amplitudes(phase, origin=None):
+    """(1/L) sum_j phase[j] e^{2 pi i j n / L} on the sites n in [-origin, L - origin).
 
-    The angle of each term is reduced as (j n mod L) in integers before the
-    exp, and every site's terms are summed with math.fsum, so the only
-    roundings are one exp and one product per term.
+    origin is L // 2 by default.  The angle of each term is reduced as
+    (j n mod L) in integers before the exp, and every site's terms are
+    summed with math.fsum, so the only roundings are one exp and one
+    product per term.
     """
     L = phase.size
-    n = np.arange(L) - L // 2
+    n = np.arange(L) - (L // 2 if origin is None else origin)
     r = np.outer(np.arange(L), n) % L
     terms = phase[:, None] * np.exp((2j * np.pi / L) * r)
     return np.array(
@@ -121,10 +122,14 @@ def whole_ring_current(amps, g, phi):
     return -2.0 * b1.imag - 4.0 * g * (np.exp(1j * phi) * b2).imag
 
 
-def whole_ring_moment_terms(values, k):
-    """n^k p(n) on the sites [-L/2, L/2), with the sites built as floats."""
+def whole_ring_moment_terms(values, k, origin=None):
+    """n^k p(n) on the sites [-origin, L - origin), with the sites built as floats.
+
+    origin is L // 2 by default.
+    """
     L = values.size
-    n = np.arange(-(L // 2), L - L // 2, dtype=float)
+    origin = L // 2 if origin is None else origin
+    n = np.arange(-origin, L - origin, dtype=float)
     return _int_power(n, k) * values
 
 

@@ -57,6 +57,20 @@ def test_evolve_t0_single_row(tmp_path):
     assert summary["gamma"] is None
 
 
+def test_evolve_summary_site_range(tmp_path):
+    # the chiral ring is asymmetric about site 0, so the lattice size alone
+    # does not give the site range: n_min is the site at index 0
+    assert main(["evolve", "--g", "0.3", "--phi", "0.8", "--t", "50", "--out", str(tmp_path)]) == 0
+    summary = validate(tmp_path / "summary.json", "summary")
+    _, rows = read_csv(tmp_path / "density.csv")
+    n = [int(r[0]) for r in rows]
+    assert n == list(range(summary["n_min"], summary["n_min"] + summary["lattice"]))
+    assert -summary["n_min"] != summary["lattice"] // 2
+    del summary["n_min"]
+    with pytest.raises(jsonschema.ValidationError, match="n_min"):
+        jsonschema.validate(summary, load_schema("summary"))
+
+
 def test_evolve_rejects_bad_coupling(tmp_path, capsys):
     rc = main(["evolve", "--g", "-1", "--t", "5", "--out", str(tmp_path)])
     assert rc == 2
@@ -287,6 +301,17 @@ def test_scaling_outputs(tmp_path):
     assert report["deviations"]["phi"]["sup_outside"] < 0.02
 
 
+@pytest.mark.parametrize("t", ["1e-110", "2e-103"])
+def test_scaling_tiny_time_exits_2(tmp_path, capsys, t):
+    # t^3 below the smallest normal float would turn the scaled moments
+    # into inf or lose their digits; refused before any output
+    rc = main(["scaling", "--g", "0.3", "--phi", "0.8", "--t", t, "--exclusion", "0", "--grid", "8",
+               "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "t^3" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_scaling_evolves_once(tmp_path, monkeypatch):
     # bulk.csv reads the fields compare_bulk evolved for bulk_report.json
     calls = []
@@ -394,6 +419,21 @@ def test_edge_internal_ambiguity(tmp_path, capsys):
     ])
     assert rc == 2
     assert "ambiguous" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("front", ["left", "right"])
+def test_edge_widest_window_fits_the_ring(tmp_path, front):
+    # the ring holds any window up to max_edge_window on its front's side;
+    # the right front is the faster one, which a ring sized for the tail
+    # alone leaves no room past
+    rc = main([
+        "edge", "--g", "0.0625", "--phi", str(math.pi / 2), "--t", "1e4",
+        "--front", front, "--xi-max", "49.9", "--out", str(tmp_path),
+    ])
+    assert rc == 0
+    meta = validate(tmp_path / "edge.json", "edge")
+    xi = np.array([float(r[0]) for r in read_csv(tmp_path / "edge.csv")[1]])
+    assert len(xi) == 2 * meta["window"] + 1 and np.max(np.abs(xi)) <= 49.99
 
 
 def test_edge_window_overlap_exits_2(tmp_path, capsys):

@@ -2,10 +2,12 @@
 
 Every numeric flag of every subcommand is driven with finite, non-finite,
 huge, tiny, zero and negative values.  No exception may escape main, the
-exit code must be 0, 2 or 3, and a run that exits 2 must not have created
-its output directory.  The ring, grid and sweep caps are lowered so that no
-generated example can start large work; MAX_LATTICE stays 5-smooth, so the
-FFT-size search still stops at the cap.
+exit code must be 0, 2 or 3, a run that exits 2 must not have created its
+output directory, and every JSON file a run that exits 0 writes must be
+strict JSON (no NaN or Infinity) that its schema accepts.  The ring, grid
+and sweep caps are lowered so that no generated example can start large
+work; MAX_LATTICE stays 5-smooth, so the FFT-size search still stops at
+the cap.
 """
 
 import importlib
@@ -14,6 +16,7 @@ import math
 import tempfile
 from pathlib import Path
 
+import jsonschema
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,6 +24,9 @@ from hypothesis import strategies as st
 from chiralwalk import cli
 
 EVOLVE_MODULE = importlib.import_module("chiralwalk.evolve")
+SCHEMA_DIR = Path(__file__).parent.parent / "src" / "chiralwalk" / "schemas"
+# the JSON file each subcommand writes, named after its schema
+JSON_OUTPUT = {"evolve": "summary", "scaling": "bulk_report", "edge": "edge", "fronts": "gc"}
 
 # each list mixes values that pass validation with zero, negative, tiny,
 # huge and non-finite ones
@@ -97,6 +103,10 @@ def small_caps():
         yield
 
 
+def _not_json(constant):
+    raise ValueError(f"{constant} is not JSON")
+
+
 def _check(argv):
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "o"
@@ -104,6 +114,10 @@ def _check(argv):
         assert rc in (0, 2, 3), argv
         if rc == 2:
             assert not out.exists(), argv
+        if rc == 0:
+            name = JSON_OUTPUT[argv[0]]
+            payload = json.loads((out / f"{name}.json").read_text(), parse_constant=_not_json)
+            jsonschema.validate(payload, json.loads((SCHEMA_DIR / f"{name}.schema.json").read_text()))
 
 
 @pytest.mark.parametrize("command", sorted(COMMANDS))
@@ -145,15 +159,16 @@ def test_tiny_time_writes_null_gamma(tmp_path, t):
         ["evolve", "--g=0.3", "--lattice=x"],
         ["evolve", "--g=0.3", "--lattice=5"],
         ["edge", "--g=0.0625", "--t=100", "--lattice=x"],
-        ["edge", "--g=0.0625", "--t=100", "--front=right", "--window=200"],
+        ["edge", "--g=0.0625", "--t=100", "--front=right", "--window=200", "--lattice=640"],
         ["edge", "--g=0.0625", "--t=10", "--window=30"],
         ["edge", "--g=0.0625", "--t=5e-324"],
         ["edge", "--g=1e300", "--t=1e10"],
     ],
 )
 def test_config_error_leaves_no_output(argv, tmp_path, capsys):
-    # a bad lattice, a window past the ring or onto another front, and an
-    # edge scale that under- or overflows are all refused before any output
+    # a bad lattice, a window past a given ring (an automatic ring holds
+    # it) or onto another front, and an edge scale that under- or
+    # overflows are all refused before any output
     assert cli.main([*argv, f"--out={tmp_path / 'o'}"]) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not (tmp_path / "o").exists()

@@ -15,7 +15,7 @@ from chiralwalk import (
     ObservableField,
     WalkParams,
     WaveFunction,
-    auto_lattice_size,
+    cone_topology,
     cumulative,
     cumulative_moment,
     current_density,
@@ -23,9 +23,10 @@ from chiralwalk import (
     omega,
     position_moment,
     probability_density,
+    ring_layout,
     skewness,
 )
-from chiralwalk.evolve import BLOCK, MAX_LATTICE, _exact_sum, _int_power
+from chiralwalk.evolve import BLOCK, GUARD_SITES, MAX_LATTICE, _exact_sum, _int_power, next_fast_even
 from oracles import (
     dense_ring_evolution,
     direct_ring_amplitudes,
@@ -45,7 +46,7 @@ PI = math.pi
 def test_initial_state_is_delta():
     wf = evolve(WalkParams(0.25, PI / 2), 0.0)
     p = probability_density(wf).values
-    origin = wf.L // 2
+    origin = wf.origin
     assert p[origin] == pytest.approx(1.0, abs=1e-15)
     assert np.sum(p) == pytest.approx(1.0, abs=1e-15)
     assert np.max(np.delete(p, origin)) < 1e-28
@@ -65,7 +66,7 @@ def test_unitary_roundtrip():
     t = 37.0
     wf = evolve(p, t)
     q = 2 * np.pi * np.fft.fftfreq(wf.L)
-    undone = np.fft.ifft(np.fft.fft(np.fft.ifftshift(wf.amps)) * np.exp(1j * omega(q, p) * t))
+    undone = np.fft.ifft(np.fft.fft(np.roll(wf.amps, -wf.origin)) * np.exp(1j * omega(q, p) * t))
     delta = np.zeros(wf.L, dtype=complex)
     delta[0] = 1.0
     assert np.max(np.abs(undone - delta)) < 1e-10
@@ -104,12 +105,12 @@ def test_moment_closed_forms_random_parameters():
 def test_reflection_symmetry_and_chirality():
     wf = evolve(WalkParams(0.0, PI / 2), 50.0)
     p = probability_density(wf).values
-    n0 = wf.L // 2
+    n0 = wf.origin
     for n in (1, 5, 20, 60, 99):
         assert p[n0 + n] == pytest.approx(p[n0 - n], abs=1e-10)
     chiral = evolve(WalkParams(1 / 16, PI / 2), 50.0)
     pc = probability_density(chiral).values
-    n0 = chiral.L // 2
+    n0 = chiral.origin
     asym = max(abs(pc[n0 + n] - pc[n0 - n]) for n in range(1, 100))
     assert asym > 1e-3
 
@@ -139,7 +140,7 @@ def test_discrete_continuity():
     # p matches j(n) - j(n+1) to O(dt^2)
     dt = 1e-4
     p0 = WalkParams(0.0, PI / 2)
-    L = auto_lattice_size(p0, 50.0 + 1)
+    L, _ = ring_layout(p0, 50.0 + 1)
     plus = probability_density(evolve(p0, 50.0 + dt, L)).values
     minus = probability_density(evolve(p0, 50.0 - dt, L)).values
     j = current_density(evolve(p0, 50.0, L)).values
@@ -149,7 +150,7 @@ def test_discrete_continuity():
     # current (the published single-bond form only matches it to O(g) on
     # lattice-scale oscillations)
     p1 = WalkParams(0.25, PI / 2)
-    L = auto_lattice_size(p1, 51.0)
+    L, _ = ring_layout(p1, 51.0)
     plus = probability_density(evolve(p1, 50.0 + dt, L)).values
     minus = probability_density(evolve(p1, 50.0 - dt, L)).values
     wf = evolve(p1, 50.0, L)
@@ -161,13 +162,13 @@ def test_discrete_continuity():
 def test_cumulative_distributions():
     wf0 = evolve(WalkParams(0.1, 0.2), 0.0)
     cpd = cumulative(probability_density(wf0)).values
-    n0 = wf0.L // 2
+    n0 = wf0.origin
     assert cpd[n0 - 1] == pytest.approx(0.0, abs=1e-14)
     assert cpd[n0] == pytest.approx(1.0, abs=1e-14)
 
     wf = evolve(WalkParams(0.0, PI / 2), 40.0)
     cpd = cumulative(probability_density(wf)).values
-    n0 = wf.L // 2
+    n0 = wf.origin
     assert cpd[n0 - 1] + cpd[n0] == pytest.approx(1.0, abs=1e-8)
     assert np.all(np.diff(cpd) > -1e-14)
     assert cpd[-1] == pytest.approx(1.0, abs=1e-10)
@@ -220,7 +221,7 @@ def test_field_values_read_only():
     # a view is copied, so the array it views cannot change the field
     base = np.array(prob.values)
     viewed = ObservableField(FieldKind.PROBABILITY, base[:], wf.t, wf.params, wf.L)
-    base[wf.L // 2] = 5.0
+    base[wf.origin] = 5.0
     assert _same_bits(viewed.values, prob.values)
     assert base.flags.writeable
 
@@ -334,17 +335,26 @@ def test_blocked_kernels_match_whole_ring(monkeypatch, block, sizes):
         whole = whole_ring_phase_factors(p, t, L)
         assert _same_bits(phase, whole.reshape(L // R, R).T.copy())
         wf = evolve(p, t, lattice=L, enforce_guard=False)
+        assert wf.origin == L // 2
         if R == 1:
             assert _same_bits(wf.amps, whole_ring_amplitudes(p, t, L))
-        err = np.max(np.abs(wf.amps - direct_ring_amplitudes(whole)))
-        assert err <= AMPLITUDE_BOUND * np.max(np.abs(wf.amps)), (L, R, err)
-        assert _same_bits(current_density(wf).values, whole_ring_current(wf.amps, p.g, p.phi))
-        prob = probability_density(wf)
-        for k in range(6):  # k = 5 takes _int_power's n**k path
-            terms = whole_ring_moment_terms(prob.values, k)
-            if 1 <= k <= 3:
-                assert _same_bits(cumulative_moment(prob, k).values, np.cumsum(terms))
-            assert _same_float(position_moment(prob, k), math.fsum(terms))
+        # the centred ring, and site 0 at the first index and at row R // 3
+        # (R > 1) or a third of the ring
+        for origin in dict.fromkeys([L // 2, 0, R // 3 * (L // R) if R > 1 else L // 3]):
+            if origin != L // 2:
+                amps = EVOLVE_MODULE._ring_transform(phase.copy(), origin)
+                wf = WaveFunction(p, t, L, amps, origin)
+                if R == 1:
+                    assert _same_bits(amps, np.roll(np.fft.ifft(whole), origin))
+            err = np.max(np.abs(wf.amps - direct_ring_amplitudes(whole, origin)))
+            assert err <= AMPLITUDE_BOUND * np.max(np.abs(wf.amps)), (L, R, origin, err)
+            assert _same_bits(current_density(wf).values, whole_ring_current(wf.amps, p.g, p.phi))
+            prob = probability_density(wf)
+            for k in range(6):  # k = 5 takes _int_power's n**k path
+                terms = whole_ring_moment_terms(prob.values, k, origin)
+                if 1 <= k <= 3:
+                    assert _same_bits(cumulative_moment(prob, k).values, np.cumsum(terms))
+                assert _same_float(position_moment(prob, k), math.fsum(terms))
 
 
 def test_ring_rows():
@@ -423,6 +433,67 @@ def test_position_moment_edge_cases_match_fsum(monkeypatch):
             assert _same_outcome(_fsum_outcome(lambda: position_moment(fresh, k)), want), (f.values, k)
 
 
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.parametrize("flush", [1, 2])
+def test_position_moment_nonfinite_cases_at_every_flush(monkeypatch, flush):
+    # the non-finite buckets are caught at a flush after one or two blocks
+    # of 3 sites, or after the last flush (block 5 of 5 with flush 2)
+    monkeypatch.setattr(EVOLVE_MODULE, "BLOCK", 3)
+    monkeypatch.setattr(EVOLVE_MODULE, "FSUM_FLUSH", flush)
+    L = 15  # sites -7 .. 7
+
+    def field(spikes):
+        values = np.full(L, 0.0625)
+        for index, value in spikes:
+            values[index] = value
+        return ObservableField(FieldKind.PROBABILITY, values, 1.0, WalkParams(0.3, 0.8), L)
+
+    spikes = [
+        [(14, np.nan)],
+        [(13, np.inf)],
+        [(10, np.inf)],
+        [(1, -np.inf)],
+        [(0, np.inf), (14, -np.inf)],
+        [(2, np.inf), (9, -np.inf), (5, np.nan)],
+        [(4, np.nan), (7, np.inf)],
+    ]
+    for spike in spikes:
+        f = field(spike)
+        for k in range(6):
+            want = _fsum_outcome(lambda: math.fsum(whole_ring_moment_terms(f.values, k)))
+            got = _fsum_outcome(lambda: position_moment(f, k))
+            assert _same_outcome(got, want), (spike, k, got, want)
+
+
+def test_position_moments_from_two_threads_match_serial(monkeypatch):
+    # two fields summed at once, one per thread, give the serial bits: the
+    # exact sums' scratch arrays belong to one call
+    monkeypatch.setattr(EVOLVE_MODULE, "BLOCK", 64)
+    fields = [probability_density(evolve(WalkParams(0.3, 0.8), t)) for t in (300.0, 500.0)]
+
+    def fresh(f):
+        return ObservableField(FieldKind.PROBABILITY, f.values.copy(), f.t, f.params, f.L, origin=f.origin)
+
+    want = [[position_moment(fresh(f), k) for k in range(6)] for f in fields]
+    for _ in range(5):
+        copies = [fresh(f) for f in fields]
+        got = [None, None]
+        start = threading.Barrier(2)
+
+        def run(i):
+            start.wait()
+            got[i] = [position_moment(copies[i], k) for k in range(6)]
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        for mu, ref in zip(got, want):
+            assert all(_same_float(a, b) for a, b in zip(mu, ref))
+
+
 def test_position_moment_is_fsum_of_terms():
     prob = probability_density(evolve(WalkParams(0.3, 0.8), 60.0))
     for k in range(6):
@@ -444,7 +515,7 @@ def test_current_nonfinite_raises_guard():
     wf = evolve(WalkParams(0.2, 0.4), 10.0)
     for bad in (np.nan, np.inf):
         amps = wf.amps.copy()
-        amps[wf.L // 2 + 3] = bad
+        amps[wf.origin + 3] = bad
         with pytest.raises(GuardError):
             current_density(WaveFunction(wf.params, wf.t, wf.L, amps))
 
@@ -453,17 +524,22 @@ def test_current_nonfinite_raises_guard():
 def test_same_bits_for_any_worker_count(monkeypatch, block, L):
     # ragged last spans in every kernel, more workers than a kernel has
     # spans (R = 2 at L = 30), batches of ROW_BATCH rows and a ragged one
-    # (R = 18 at L = 486), and the single transform (L = 100, block 64)
+    # (R = 18 at L = 486), and the single transform (L = 100, block 64),
+    # on a centred ring and with site 0 off the centre
     monkeypatch.setattr(EVOLVE_MODULE, "BLOCK", block)
     monkeypatch.setattr(EVOLVE_MODULE, "THREAD_SITES", 0)
     p, t = WalkParams(0.3, 0.8), 3.0
     R = EVOLVE_MODULE._rows(L)
+    # site 0 off the centre: row R // 3 (R > 1), or a third of the ring
+    origin = R // 3 * (L // R) if R > 1 else L // 3
+    assert origin != L // 2
 
     def outputs():
         phase = EVOLVE_MODULE._phase_factors(p, t, L, R)
-        wf = evolve(p, t, lattice=L, enforce_guard=False)
+        centred = evolve(p, t, lattice=L, enforce_guard=False)
+        wf = WaveFunction(p, t, L, EVOLVE_MODULE._ring_transform(phase.copy(), origin), origin)
         prob = probability_density(wf)
-        fields = [phase, wf.amps, prob.values, current_density(wf).values]
+        fields = [phase, centred.amps, wf.amps, prob.values, current_density(wf).values]
         fields += [cumulative_moment(prob, k).values for k in (1, 2, 3)]
         return fields, [position_moment(prob, k) for k in range(6)]
 
@@ -550,6 +626,67 @@ def test_auto_lattice_clears_tail_guard(g, phi, t):
 
 
 def test_auto_lattice_sizes():
+    # (L, origin): each side sized for its own outermost front, v_lm = -2.26
+    # and v_rm = 3.10 at (0.3, 0.8); origin a multiple of the row length
     p = WalkParams(0.3, 0.8)
-    assert [auto_lattice_size(p, t) for t in (1e5, 3e5, 1e6)] == [622080, 1866240, 6220800]
-    assert auto_lattice_size(WalkParams(0.25, PI / 2), 2000.0) == 12800
+    assert [ring_layout(p, t) for t in (1e5, 3e5, 1e6)] == [
+        (552960, 241920), (1638400, 688128), (5400000, 2278125)
+    ]
+    assert ring_layout(WalkParams(0.25, PI / 2), 2000.0) == (9600, 3278)
+    # a ring of two rows can only be centred; so is a given lattice
+    assert ring_layout(p, 1e4) == (64000, 32000)
+    assert evolve(p, 10.0, lattice=400).origin == 200
+
+
+def test_next_fast_even_is_the_smallest_even_5_smooth():
+    def smooth(n):
+        for prime in (2, 3, 5):
+            while n % prime == 0:
+                n //= prime
+        return n == 1
+
+    def search(n):
+        n = max(2, n)
+        while n % 2 or not smooth(n):
+            n += 1
+        return n
+
+    for n in [*range(-3, 3000), 536000, 5359216, MAX_LATTICE - 5, MAX_LATTICE]:
+        assert next_fast_even(n) == search(n), n
+
+
+def test_chiral_ring_holds_the_cone():
+    # random couplings, phases and times up to 3e4: the ring ends are clear
+    # of the Airy tails and the whole cone [v_lm t, v_rm t] is on the ring
+    rng = np.random.default_rng(12)
+    for _ in range(200):
+        p = WalkParams(rng.uniform(0.0, 1.0), rng.uniform(0.0, PI / 2))
+        t = 10.0 ** rng.uniform(0.0, math.log10(3e4))
+        wf = evolve(p, t)
+        d = cone_topology(p)
+        edge = max(np.max(np.abs(wf.amps[:GUARD_SITES])), np.max(np.abs(wf.amps[-GUARD_SITES:])))
+        assert edge < 1e-12, (p, t, edge)
+        assert -wf.origin <= d.v_lm * t and d.v_rm * t <= wf.L - 1 - wf.origin, (p, t)
+        R = EVOLVE_MODULE._rows(wf.L)
+        assert R == 1 or wf.origin % (wf.L // R) == 0
+
+
+# bound on |mu_k(chiral ring) - mu_k(centred ring)| in units of
+# sum_n |n|^k p(n), fixed before any measurement
+RING_MOMENT_BOUND = 1e-12
+
+
+@pytest.mark.parametrize(
+    "g, phi, t", [(0.3, 0.8, 3e4), (0.2, 1.2, 2e4), (1 / 16, PI / 2, 2000.0), (0.25, 0.3, 5e3)]
+)
+def test_moments_on_chiral_ring_match_centred_ring(g, phi, t):
+    # four-step rings (R = 10 and 6) and single transforms (R = 1)
+    p = WalkParams(g, phi)
+    chiral = probability_density(evolve(p, t))
+    assert chiral.origin != chiral.L // 2
+    half = max(chiral.origin, chiral.L - chiral.origin)
+    centred = probability_density(evolve(p, t, lattice=next_fast_even(2 * half)))
+    for k in range(5):
+        scale = math.fsum(np.abs(whole_ring_moment_terms(chiral.values, k, chiral.origin)))
+        diff = abs(position_moment(chiral, k) - position_moment(centred, k))
+        assert diff <= RING_MOMENT_BOUND * scale, (k, diff / scale)
