@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dispersion import WalkParams
-from .evolve import cumulative, current_density, evolve, probability_density
+from .evolve import _ring_layout, cumulative, current_density, evolve, probability_density
 from .fronts import TOL_DEGEN, ExtremalFront, cone_topology, edge_scale
 
 XI_LIMIT = 50.0
@@ -212,13 +212,14 @@ def measure_edge(
 
     The window must not reach any other front travelling at a different
     velocity (co-moving degenerate partners are fine and simply double the
-    profile).
+    profile), and must lie on a given lattice; both, and the ring's size
+    cap, are checked before anything is evolved.
     """
     if t <= 0:
         raise ValueError("measure_edge needs t > 0")
-    # first: evolve refuses a ring above MAX_LATTICE, and so every |v t| that
-    # is rounded below is finite; an automatic ring holds the window
-    wf = evolve(p, t, lattice, reach=window)
+    # first: the ring's layout refuses a ring above MAX_LATTICE, so every
+    # |v t| rounded below is finite
+    L, origin = _ring_layout(p, t, lattice, reach=window)
     n_e = round(front.velocity * t)
     diagram = cone_topology(p)
     for other in diagram.fronts:
@@ -229,15 +230,16 @@ def measure_edge(
                 f"window of {window} sites around n={n_e} overlaps the front at "
                 f"v={other.velocity:.4f}; shrink the window or increase t"
             )
+    ns = n_e + np.arange(-window, window + 1)
+    idx = ns + origin
+    if idx.min() < 0 or idx.max() >= L:  # a given lattice may not hold the window
+        raise ValueError("window extends past the lattice; enlarge the lattice")
+    wf = evolve(p, t, lattice, reach=window)
     phi_num = cumulative(probability_density(wf)).values
     j_num = cumulative(current_density(wf)).values
     scale = edge_scale(front, t)
     s = 1 if front.kappa > 0 else -1
-    ns = n_e + np.arange(-window, window + 1)
-    idx = ns + wf.origin
-    if idx.min() < 0 or idx.max() >= wf.L:
-        raise ValueError("window extends past the lattice; enlarge the lattice")
-    ref = n_e + wf.origin
+    ref = n_e + origin
     xi = s * (ns - front.velocity * t) / scale
     dphi = s * (phi_num[idx] - phi_num[ref]) * scale
     djs = s * (j_num[idx] - j_num[ref]) * scale

@@ -84,11 +84,6 @@ WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 
 # ring with fewer rows transforms them one at a time, as a smaller batch ran
 # slower than single rows and holds every row's output at once
 ROW_BATCH = 8
-# exact summation: blocks per exact float64 accumulation; BLOCK x FSUM_FLUSH
-# must stay <= 2^26 (2^14 terms x 2^12 blocks x 2^27 per term < 2^53)
-FSUM_FLUSH = 1 << 12
-_EXP_MIN = -1073  # np.frexp exponent of the smallest subnormal
-_EXP_BUCKETS = 1024 - _EXP_MIN + 1
 
 
 class GuardError(RuntimeError):
@@ -480,11 +475,14 @@ def cumulative(field: ObservableField) -> ObservableField:
 def _int_power(n: np.ndarray, k: int, out: np.ndarray | None = None) -> np.ndarray:
     """n^k for integer-valued floats n, correctly rounded for k <= 4.
 
-    n^2 is exact for |n| <= 2^26 (|n| <= 2^24 under MAX_LATTICE), so
-    n^3 = n^2 n and n^4 = n^2 n^2 are each one rounded product, hence
-    correctly rounded; np.power is only within an ulp, and slower.  For
-    2 <= k <= 4 the result is written to out when one is given.
+    n^1 is n itself, not a copy.  n^2 is exact for |n| <= 2^26 (|n| <= 2^24
+    under MAX_LATTICE), so n^3 = n^2 n and n^4 = n^2 n^2 are each one
+    rounded product, hence correctly rounded; np.power is only within an
+    ulp, and slower.  For 2 <= k <= 4 the result is written to out when one
+    is given.
     """
+    if k == 1:
+        return n
     if not 2 <= k <= 4:
         return n**k
     n2 = np.multiply(n, n, out=out)
@@ -495,8 +493,10 @@ def _moment_blocks(field: ObservableField, k: int, name: str):
     """Callable yielding n^k p(n) block by block, with the sites built as floats.
 
     Each block's sites are one arange(BLOCK) plus the block's first site,
-    exact in float64.  A call's blocks share one scratch buffer, so each
-    block must be used before the next one is drawn.
+    exact in float64; k = 1 multiplies p by the sites themselves.  A call's
+    blocks share one scratch buffer, so each block must be used before the
+    next one is drawn.  For k = 0 the blocks are the field's own read-only
+    values (1.0 p is p bit for bit), so no block may be written.
     """
     if field.kind is not FieldKind.PROBABILITY:
         raise ValueError(f"{name} expects a probability field")
@@ -505,6 +505,9 @@ def _moment_blocks(field: ObservableField, k: int, name: str):
     steps = np.arange(BLOCK, dtype=float)
 
     def blocks():
+        if k == 0:
+            yield from (field.values[start:stop] for start, stop in _blocks(field.L))
+            return
         n, terms = np.empty(BLOCK), np.empty(BLOCK)
         for start, stop in _blocks(field.L):
             w = stop - start
@@ -524,6 +527,8 @@ def cumulative_moment(field: ObservableField, k: int) -> ObservableField:
     start = 0
     for terms in _moment_blocks(field, k, "cumulative_moment")():
         if start:
+            if k == 0:  # the field's own read-only values
+                terms = terms.copy()
             terms[0] += values[start - 1]
         np.cumsum(terms, out=values[start:start + terms.size])
         start += terms.size
@@ -542,63 +547,59 @@ def _exact_sum(x: np.ndarray) -> float:
 def _fsum_blocks(blocks) -> float:
     """math.fsum of the float64 terms that blocks() yields, at most BLOCK at a time.
 
-    Every finite term is m 2^(e-53) with an integer mantissa |m| < 2^53
-    (np.frexp gives m 2^-53 and e), split as m 2^-27 = hi + lo: hi an
-    integer below 2^26 and lo below 1 in steps of 2^-27, both exact.  Each
-    part is summed per exponent with np.bincount, block by block: over
-    FSUM_FLUSH blocks a bucket holds fewer than BLOCK FSUM_FLUSH <= 2^26
-    such parts, so it stays below 2^52 (hi) or 2^26 in steps of 2^-27 (lo),
-    and every float64 bucket sum is exact.  The buckets are then combined as one Python int and rounded once by
-    int division, which is correctly rounded (half to even) like fsum; a
-    sum beyond the float range raises OverflowError as fsum does (only a
-    finite sum that fsum rejects for an intermediate overflow is returned
-    here).  A non-finite term makes its buckets non-finite, and non-finite
-    buckets hand every term to math.fsum; an exact zero takes fsum's sign;
-    both call blocks() again, so no ring-sized array of terms is ever built.
-    The scratch arrays are allocated once per call, so concurrent calls
-    share nothing.
+    Each block of w terms is split without error (Rump, Ogita and Oishi,
+    "Accurate floating-point summation part I", SIAM J. Sci. Comput. 31,
+    2008: ExtractVector).  With 2^M >= w + 2, every |x| < 2^e and
+    sigma = 2^(e+M), the parts q = (sigma + x) - sigma and the residuals
+    r = x - q are exact, q is a multiple of 2^(e+M-53), so sum(q) is exact in
+    any order, and |r| <= 2^(e+M-53).  Every term, and so every residual, is
+    a multiple of 2^(f-53), f the frexp exponent of the smallest nonzero |x|
+    (at least -1021, the subnormals' step).  The split is repeated on the
+    residuals with e <- e+M-53 while e+M > f; after that the residuals are
+    below 2^(53-M) such steps each, and one plain sum of them is exact.
+    math.fsum of these few exact parts is the correctly rounded total,
+    which is fsum's result on the terms bit for bit.
+
+    A non-finite term, or terms whose magnitudes could add up to 2^1022
+    (the bound sums w 2^e over the blocks, so neither the parts nor any of
+    fsum's partial sums can overflow below it), hands every term to
+    math.fsum, which raises ValueError or OverflowError where it does; an
+    exact zero takes fsum's sign.  Both call blocks() again, so no
+    ring-sized array of terms is ever built.  The scratch arrays are
+    allocated once per call, so concurrent calls share nothing.
     """
-    total = 0
-    buckets = np.zeros((2, _EXP_BUCKETS))
-    m, hi = np.empty(BLOCK), np.empty(BLOCK)
-    e, bucket = np.empty(BLOCK, dtype=np.intc), np.empty(BLOCK, dtype=np.intp)
-    # a non-finite term leaves NaN or inf in its buckets, which are checked
-    # before every flush; inf - inf on the way is expected
-    with np.errstate(invalid="ignore"):
-        for i, x in enumerate(blocks(), 1):
-            w = x.size
-            mw, hw, ew, bw = m[:w], hi[:w], e[:w], bucket[:w]
-            np.frexp(x, out=(mw, ew))
-            mw *= 2.0**26
-            np.trunc(mw, out=hw)
-            mw -= hw
-            np.subtract(ew, _EXP_MIN, out=bw)  # widened once for both bincounts
-            buckets[0] += np.bincount(bw, hw, _EXP_BUCKETS)
-            buckets[1] += np.bincount(bw, mw, _EXP_BUCKETS)
-            if i % FSUM_FLUSH == 0:
-                if not np.isfinite(buckets).all():
-                    break
-                total += _bucket_total(buckets)
-                buckets[:] = 0.0
-    if not np.isfinite(buckets).all():
-        return math.fsum(itertools.chain.from_iterable(b.tolist() for b in blocks()))
-    total += _bucket_total(buckets)
+    parts, bound = [], 0.0
+    q_buf, r_buf = np.empty(BLOCK), np.empty(BLOCK)
+    for x in blocks():
+        w = x.size
+        hi, lo = float(x.max()), float(x.min())
+        top = max(hi, -lo)  # NaN when any term is NaN
+        if top == 0.0:
+            continue
+        e, M = math.frexp(top)[1], (w + 1).bit_length()
+        bound += math.ldexp(w, e - 1022)  # in units of 2^1022
+        if not (math.isfinite(top) and bound < 1.0):
+            return math.fsum(itertools.chain.from_iterable(b.tolist() for b in blocks()))
+        if lo > 0.0 or hi < 0.0:  # one sign and no zero: the smallest |x| is an end
+            low = lo if lo > 0.0 else -hi
+        else:
+            r = np.abs(x, out=r_buf[:w])
+            low = r.min(where=r > 0.0, initial=math.inf)
+        f = max(math.frexp(low)[1], -1021)
+        r, q = x, q_buf[:w]
+        while e + M > f:
+            sigma = math.ldexp(1.0, e + M)
+            np.subtract(np.add(r, sigma, out=q), sigma, out=q)
+            parts.append(float(q.sum()))
+            r = np.subtract(r, q, out=r_buf[:w])
+            e += M - 53
+        parts.append(float(r.sum()))
+    total = math.fsum(parts)
     if total == 0:
         # fsum's zero keeps the sign of all-(-0.0) input on Python >= 3.12
         signs = [np.signbit(x).all() for x in blocks()]
         return math.fsum([-0.0]) if signs and all(signs) else 0.0
-    return total / (1 << (53 - _EXP_MIN))
-
-
-def _bucket_total(buckets: np.ndarray) -> int:
-    """The exact integer sum of the high and low mantissa buckets, in units of 2^(_EXP_MIN-53).
-
-    Only the exponents in use are combined: a moment's terms fill ~100 of
-    the 2098 buckets, and the big-integer shifts of empty ones cost ~1 ms.
-    """
-    used = np.flatnonzero(buckets.any(axis=0))
-    his, los = buckets[:, used].tolist()
-    return sum(((int(h) << 27) + int(lo * 2.0**27)) << b for b, h, lo in zip(used.tolist(), his, los))
+    return total
 
 
 def position_moment(field: ObservableField, k: int) -> float:
@@ -606,9 +607,9 @@ def position_moment(field: ObservableField, k: int) -> float:
 
     n^4 p(n) spans many orders of magnitude at large t, so the terms are
     reduced to the exactly rounded sum, equal to math.fsum of the same
-    terms, by a vectorised exponent-bucket reduction that takes them block
-    by block (no per-site Python loop, no ring-sized array of terms).  The
-    sum is memoised on the field, whose values are read-only.
+    terms, by _fsum_blocks: an error-free split of each block into a few
+    exact parts (no per-site Python loop, no ring-sized array of terms).
+    The sum is memoised on the field, whose values are read-only.
     """
     if k not in field._moments:
         field._moments[k] = _fsum_blocks(_moment_blocks(field, k, "position_moment"))

@@ -9,6 +9,7 @@ import pytest
 from scipy.signal import find_peaks
 
 import chiralwalk
+from chiralwalk import cli
 from chiralwalk import (
     WalkParams,
     airy_ode_residual,
@@ -245,6 +246,29 @@ def test_measure_edge_window_overlap_rejected():
     internal = next(fr for fr in d.fronts if abs(fr.velocity + 1.0) < 1e-9)
     with pytest.raises(ValueError, match="overlaps"):
         measure_edge(p, internal, 100.0, window=90)
+
+
+def test_measure_edge_checks_the_window_before_evolving(monkeypatch, tmp_path):
+    # an overlapping window, or a ring above the cap, ends measure_edge and
+    # the edge command before anything is evolved
+    def refuse(*args, **kwargs):
+        raise AssertionError("evolved")
+
+    monkeypatch.setattr(chiralwalk.airy, "evolve", refuse)
+    p = WalkParams(0.25, PI / 2)
+    internal = next(fr for fr in cone_topology(p).fronts if abs(fr.velocity + 1.0) < 1e-9)
+    with pytest.raises(ValueError, match="overlaps"):
+        measure_edge(p, internal, 100.0, window=90)
+    with pytest.raises(ValueError, match="lattice"):
+        measure_edge(WalkParams(1 / 16, PI / 2), _left_front(1 / 16), 100.0, window=300, lattice=640)
+    base = ["edge", "--g", "0.25", "--phi", repr(PI / 2), "--front", "internal"]
+    out = tmp_path / "o"
+    assert cli.main([*base, "--t", "100", "--window", "90", "--out", str(out)]) == 2
+    assert not out.exists()
+    # a huge t is a guard violation (exit 3), found before evolving too
+    for t in ("1e12", "1e300"):
+        assert cli.main([*base, "--t", t, "--out", str(out)]) == 3
+        assert not out.exists()
 
 
 def test_measure_edge_window_past_lattice_rejected():

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chiralwalk import (
     FieldKind,
@@ -298,9 +300,108 @@ def test_exact_sum_matches_fsum(monkeypatch):
     ]
     for x in cases:
         assert _same_float(_exact_sum(x), math.fsum(x)), x[:4]
-    # one block per exact accumulation: the bucket flush runs three times
-    monkeypatch.setattr(EVOLVE_MODULE, "FSUM_FLUSH", 1)
+    # blocks of 64 terms: the last case is split into the exact parts of 705
+    # blocks, which fsum adds
+    monkeypatch.setattr(EVOLVE_MODULE, "BLOCK", 64)
     assert _same_float(_exact_sum(cases[-1]), math.fsum(cases[-1]))
+
+
+def _signed(rng, size):
+    return rng.choice([-1.0, 1.0], size)
+
+
+@pytest.mark.parametrize("block", [3, 64, BLOCK])
+def test_exact_sum_extraction_cases(monkeypatch, block):
+    # inputs that steer each block through every branch of the extraction
+    monkeypatch.setattr(EVOLVE_MODULE, "BLOCK", block)
+    rng = np.random.default_rng(29)
+    size = 3 * block + 2
+    odd = 2 * rng.integers(1, 2**40, size) + 1  # odd mantissas: every bit counts
+    # magnitudes from 2^-140 up to 1 in each block, and a window takes at
+    # most 53 - M bits: most blocks need three windows or more before the
+    # residuals' plain sum is exact
+    wide = _signed(rng, size) * odd * 2.0 ** rng.integers(-140, -40, size)
+    wide[::block] = 1.0
+    with_zeros = _signed(rng, size) * odd * 2.0 ** rng.integers(-60, 0, size)
+    with_zeros[::2] = 0.0
+    with_zeros[1::4] = -0.0
+    zero_block = np.concatenate([np.zeros(block), -np.zeros(block), with_zeros[:block]])
+    # 100 positive odd multiples of 2^-1074 in [2^-1028, 2^-1027): their sum
+    # passes 2^-1021, where the float step doubles, so one split is needed
+    # (a floor of -1020 on f skips it)
+    steps = 2 * rng.integers(2**45, 2**46 - 1, 100) + 1
+    subnormal = steps * 5e-324
+    cases = [
+        wide,
+        -np.abs(wide),
+        with_zeros,
+        zero_block,
+        np.zeros(size),
+        -np.zeros(size),
+        subnormal,
+        -subnormal,
+        _signed(rng, size) * odd * 5e-324,  # every block all-subnormal
+        np.concatenate([subnormal, [2.0**-1022, -(2.0**-1022)]]),
+    ]
+    for x in cases:
+        assert _same_float(_exact_sum(x), math.fsum(x)), (block, x[:4])
+
+
+@pytest.mark.parametrize("block", [3, 64, BLOCK])
+def test_exact_sum_huge_terms_go_to_fsum(monkeypatch, block):
+    monkeypatch.setattr(EVOLVE_MODULE, "BLOCK", block)
+    M = (block + 1).bit_length()  # 2^M >= w + 2 for a full block of w terms
+    huge = 2.0 ** (1022 - M)
+    finite = [huge, -huge, 1.0, 2.0**1000, -(2.0**1000), 3.0]
+    assert _same_float(_exact_sum(np.array(finite)), math.fsum(finite))
+    assert _fsum_outcome(lambda: _exact_sum(np.array([1e308, 1e308]))) is OverflowError
+    assert _fsum_outcome(lambda: _exact_sum(np.array([2.0**1023, 2.0**1023, -(2.0**1023)]))) is OverflowError
+    # in blocks of three every term is below 2^(1022-M), yet fsum's partial
+    # sums overflow inside blocks whose own sums are zero, while the sums of
+    # the blocks before them stay below 2^1024
+    big, half = 1.9 * 2.0**1018, 0.99 * 2.0**1018
+    x = np.array([big] * 33 + [half, half, -2.0 * half] * 10 + [-big] * 33)
+    assert _fsum_outcome(lambda: math.fsum(x)) is OverflowError
+    assert _fsum_outcome(lambda: _exact_sum(x)) is OverflowError
+    # a finite sum near the top of the range is still fsum's
+    top = np.array([2.0**1020] * 3 + [-(2.0**1020)] * 2 + [2.0**-1074])
+    assert _same_float(_exact_sum(top), math.fsum(top))
+
+
+def _term_array(terms_and_shape):
+    terms, shape = terms_and_shape
+    x = np.array(terms, dtype=float)
+    if shape == "positive":
+        return np.abs(x)
+    if shape == "negative":
+        return -np.abs(x)
+    if shape == "cancelling":
+        return np.concatenate([x, -x[::-1]])
+    return x
+
+
+TERMS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.builds(math.ldexp, st.floats(-1.0, 1.0), st.integers(-1074, 1023)),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.0, 2.0**-53, 2.0**-106, 2.0**1018, -(2.0**1018)]),
+)
+TERM_ARRAYS = st.tuples(
+    st.lists(TERMS, max_size=200), st.sampled_from(["mixed", "positive", "negative", "cancelling"])
+).map(_term_array)
+
+
+@pytest.mark.parametrize("block", [3, 64, BLOCK])
+def test_exact_sum_is_fsum_property(monkeypatch, block):
+    # _exact_sum returns fsum's float, or raises fsum's exception
+    monkeypatch.setattr(EVOLVE_MODULE, "BLOCK", block)
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(TERM_ARRAYS)
+    def check(x):
+        want = _fsum_outcome(lambda: math.fsum(x))
+        assert _same_outcome(_fsum_outcome(lambda: _exact_sum(x)), want), x
+
+    check()
 
 
 def _same_bits(a, b):
@@ -435,18 +536,20 @@ def test_position_moment_edge_cases_match_fsum(monkeypatch):
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-@pytest.mark.parametrize("flush", [1, 2])
-def test_position_moment_nonfinite_cases_at_every_flush(monkeypatch, flush):
-    # the non-finite buckets are caught at a flush after one or two blocks
-    # of 3 sites, or after the last flush (block 5 of 5 with flush 2)
+@pytest.mark.parametrize("block", ["first", "middle", "last"])
+def test_position_moment_nonfinite_cases_in_every_block(monkeypatch, block):
+    # the extraction hands every term to fsum at the first block that holds
+    # a non-finite term; each case is rotated by whole blocks of 3 sites so
+    # that its first spike sits in the first, the middle or the last block
     monkeypatch.setattr(EVOLVE_MODULE, "BLOCK", 3)
-    monkeypatch.setattr(EVOLVE_MODULE, "FSUM_FLUSH", flush)
-    L = 15  # sites -7 .. 7
+    L = 15  # sites -7 .. 7, five blocks
+    target = {"first": 0, "middle": 2, "last": 4}[block]
 
     def field(spikes):
+        shift = 3 * (target - spikes[0][0] // 3)
         values = np.full(L, 0.0625)
         for index, value in spikes:
-            values[index] = value
+            values[(index + shift) % L] = value
         return ObservableField(FieldKind.PROBABILITY, values, 1.0, WalkParams(0.3, 0.8), L)
 
     spikes = [
