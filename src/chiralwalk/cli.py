@@ -37,6 +37,7 @@ from .fronts import (
     TOL_DEGEN,
     TOL_ROOT_MAX,
     build_diagram,
+    check_coupling,
     cone_topology,
     critical_coupling,
     degeneracy,
@@ -47,7 +48,7 @@ from .fronts import (
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_GUARD = 3
-MAX_GRID = 1 << 20  # nu points in bulk.csv; hydro holds ~0.45 kB per point, ~0.5 GB here
+MAX_GRID = 1 << 20  # nu points in bulk.csv; hydro peaks at ~0.42 kB per point, ~0.45 GB here
 MAX_SWEEP = 1 << 16  # (phi, g) points of a fronts sweep, each scanned in Python
 
 
@@ -196,6 +197,7 @@ def cmd_fronts(args) -> int:
         raise ConfigError("empty g range: need g-steps >= 1 and g-max >= g-min")
     if args.g_min < 0:
         raise ConfigError(f"g must be >= 0, got g-min={args.g_min}")
+    check_coupling(args.g_max)
     phis = [args.phi] if not args.phi_list else [float(s) for s in args.phi_list.split(",")]
     for phi in phis:
         if not 0.0 <= phi <= math.pi / 2 + 1e-15:

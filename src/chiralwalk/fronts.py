@@ -114,6 +114,17 @@ def _circle_roots(coeffs, f, tol: float) -> list[tuple[float, int]]:
     return roots
 
 
+def check_coupling(g: float) -> None:
+    """Refuse a g too large for the front scan, with ValueError.
+
+    The scan forms 4g (the quartic), 1 + 8g (the scale of the root
+    tolerance) and 2^(k+3) g, the NNN coefficient of w^(k+2), for the kappa
+    of a front of order k <= 3; all of them are finite when 64 g is.
+    """
+    if not math.isfinite(64.0 * g):
+        raise ValueError(f"g={g!r} is too large for the front scan: 64 g overflows")
+
+
 def find_extremal_fronts(p: WalkParams, tol_root: float = TOL_ROOT) -> list[ExtremalFront]:
     """Locate and classify every extremal front of the dispersion.
 
@@ -121,10 +132,12 @@ def find_extremal_fronts(p: WalkParams, tol_root: float = TOL_ROOT) -> list[Extr
     is kept when |w''| <= tol_root (1 + 8g) at its angle, 1 + 8g being the
     curvature scale of the band.  A front's order is the multiplicity of
     its root cluster, and kappa is taken at the polished wave vector, the
-    centre of that cluster.  tol_root must lie in (0, TOL_ROOT_MAX].
+    centre of that cluster.  tol_root must lie in (0, TOL_ROOT_MAX], and g
+    must pass check_coupling.
     """
     if not 0.0 < tol_root <= TOL_ROOT_MAX:
         raise ValueError(f"tol_root must lie in (0, {TOL_ROOT_MAX}], got {tol_root}")
+    check_coupling(p.g)
     w2 = lambda q, j: omega_deriv(q, 2 + j, p)
     if p.g < G_SEED:
         roots = [(_polish(w2, q, 1), 1) for q in (-math.pi / 2, math.pi / 2)]

@@ -17,9 +17,10 @@ Between consecutive front wave vectors q* the group velocity is monotone,
 because w'' has no root there.  The zone therefore splits into monotone
 branches, and on each branch the sub-level set is one interval ending at
 the branch's single root of v = nu.  Branches whose end velocities both
-lie on one side of nu are empty or whole without any root finding; the
-others are bisected, all branches and all nu at once.  This is valid on
-both sides of the Lifshitz transition and at the critical couplings.
+lie on one side of nu are empty or whole without any root finding; on
+the others a safeguarded Newton iteration finds the root, all branches and
+all nu at once.  This is valid on both sides of the Lifshitz transition
+and at the critical couplings.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ from .evolve import (
 from .fronts import FrontDiagram, cone_topology, edge_scale
 
 DEFAULT_EXCLUSION = 8.0
-_BISECT_STEPS = 54  # brackets a root on a branch of length <= 2pi to < 4e-16
 _NU_HALF_GRID = 62  # interior nu per nu_half round: the bracket shrinks 63-fold
 
 
@@ -60,23 +60,69 @@ def _branches(p: WalkParams):
     return a[:, None], b[:, None], va[:, None], np.roll(va, -1)[:, None]
 
 
+def _branch_roots(p: WalkParams, a, b, va, vb, nu):
+    """The root of v(q) = nu on each branch [a, b], with nu strictly between va and vb.
+
+    All arguments are 1-D arrays, one entry per (branch, nu) pair.  Newton
+    on v - nu with v' = w'', started at the secant point of the branch and
+    kept inside a bracket that every tested point narrows; a step that
+    would leave the bracket is replaced by its midpoint.  Only the pairs
+    still open are iterated.  A pair stops when |v - nu| reaches the float
+    noise of v, 4 ulps of 2 + 4g + |nu|, or when the step or the bracket is
+    down to adjacent floats, and its root is the point whose residual was
+    tested.
+    """
+    rising = vb > va
+    x = a + (nu - va) / (vb - va) * (b - a)
+    lo, hi = a, b
+    noise = 4.0 * np.spacing(2.0 + 4.0 * p.g + np.abs(nu))
+    root = np.empty_like(x)
+    open_ = np.arange(x.size)
+    while open_.size:
+        f = omega_deriv(x, 1, p) - nu
+        slope = omega_deriv(x, 2, p)
+        right = (f <= 0.0) == rising
+        lo = np.where(right, x, lo)
+        hi = np.where(right, hi, x)
+        mid = 0.5 * (lo + hi)
+        # w'' vanishes at the branch ends: divide only where the Newton step
+        # is shorter than the bracket, so the quotient neither overflows nor
+        # divides by zero
+        short = np.abs(f) < np.abs(slope) * (hi - lo)
+        guess = x - np.divide(f, slope, out=np.zeros_like(f), where=short)
+        nxt = np.where(short & (lo < guess) & (guess < hi), guess, mid)
+        done = (
+            (np.abs(f) <= noise)
+            | (np.abs(nxt - x) <= np.spacing(np.abs(x)))
+            | (mid == lo)
+            | (mid == hi)
+        )
+        root[open_[done]] = x[done]
+        keep = ~done
+        open_ = open_[keep]
+        x, lo, hi, nu, rising, noise = (
+            arr[keep] for arr in (nxt, lo, hi, nu, rising, noise)
+        )
+    return root
+
+
 def _sublevel(p: WalkParams, nu):
     """Interval [start, end] of {v <= nu} on every branch, shape (branches, len(nu)).
 
-    An empty interval has start == end, a whole branch is exactly [a, b].
+    An empty interval has start == end, a whole branch is exactly [a, b];
+    a NaN nu gives NaN ends on every branch.
     """
     a, b, va, vb = _branches(p)
     nu = np.atleast_1d(np.asarray(nu, dtype=float))
     rising = vb > va
-    lo, hi = np.broadcast_arrays(a, b, nu)[:2]
-    for _ in range(_BISECT_STEPS):
-        mid = 0.5 * (lo + hi)
-        right = (omega_deriv(mid, 1, p) <= nu) == rising
-        lo = np.where(right, mid, lo)
-        hi = np.where(right, hi, mid)
-    root = 0.5 * (lo + hi)
-    root = np.where(nu <= np.minimum(va, vb), np.where(rising, a, b), root)
-    root = np.where(nu >= np.maximum(va, vb), np.where(rising, b, a), root)
+    v_min, v_max = np.minimum(va, vb), np.maximum(va, vb)
+    root = np.full(np.broadcast_shapes(a.shape, nu.shape), np.nan)
+    branch, col = np.nonzero((v_min < nu) & (nu < v_max))
+    root[branch, col] = _branch_roots(
+        p, a[branch, 0], b[branch, 0], va[branch, 0], vb[branch, 0], nu[col]
+    )
+    root = np.where(nu <= v_min, np.where(rising, a, b), root)
+    root = np.where(nu >= v_max, np.where(rising, b, a), root)
     return np.where(rising, a, root), np.where(rising, root, b)
 
 

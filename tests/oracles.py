@@ -5,10 +5,13 @@ the Airy-type profiles come from an exact Maclaurin series evaluated in
 mpmath arbitrary precision (the package integrates a rotated contour in
 float64), the ring evolution comes from a dense matrix exponential (the
 package uses FFT diagonalization), and the hydrodynamic sub-level measure
-comes from counting a dense uniform q grid (the package bisects monotone
-branches of the group velocity), the front wave vectors come from a
-quartic in cos q obtained by squaring away sin q (the package takes the
-unit-circle roots of a quartic in e^{iq}), the scaled moments come from
+comes from counting a dense uniform q grid (the package finds one root per
+monotone branch of the group velocity), the sub-level roots come from a
+fixed 54-step bisection of each branch (the package runs a safeguarded
+Newton iteration and stops at the float noise of v), the front wave
+vectors come from a quartic in cos q obtained by squaring away sin q (the
+package takes the unit-circle roots of a quartic in e^{iq}), the scaled
+moments come from
 Gauss-Legendre quadrature of v^k (the package telescopes a closed-form
 antiderivative), the ring kernels come from whole-ring array
 expressions (the package walks the ring in cache-sized blocks and must
@@ -24,7 +27,11 @@ import numpy as np
 from scipy.linalg import expm
 
 from chiralwalk import omega
+from chiralwalk.dispersion import omega_deriv
 from chiralwalk.evolve import _int_power
+from chiralwalk.hydro import _branches
+
+_BISECT_STEPS = 54  # brackets a root on a branch of length <= 2pi to < 4e-16
 
 
 def series_airy(k, xi, dps=60, nmax=4000):
@@ -143,6 +150,28 @@ def brute_force_cpd(g, phi, nus, n):
     q = -np.pi + (np.arange(n) + 0.5) * (2.0 * np.pi / n)
     v = np.sort(-2.0 * np.sin(q) - 4.0 * g * np.sin(2.0 * q + phi))
     return np.searchsorted(v, nus, side="right") / n
+
+
+def bisected_sublevel(p, nu):
+    """Interval [start, end] of {v <= nu} on every branch, shape (branches, len(nu)).
+
+    Each branch's root is bisected a fixed _BISECT_STEPS times, all
+    branches and all nu at once; an empty interval has start == end, a
+    whole branch is exactly [a, b].
+    """
+    a, b, va, vb = _branches(p)
+    nu = np.atleast_1d(np.asarray(nu, dtype=float))
+    rising = vb > va
+    lo, hi = np.broadcast_arrays(a, b, nu)[:2]
+    for _ in range(_BISECT_STEPS):
+        mid = 0.5 * (lo + hi)
+        right = (omega_deriv(mid, 1, p) <= nu) == rising
+        lo = np.where(right, mid, lo)
+        hi = np.where(right, hi, mid)
+    root = 0.5 * (lo + hi)
+    root = np.where(nu <= np.minimum(va, vb), np.where(rising, a, b), root)
+    root = np.where(nu >= np.maximum(va, vb), np.where(rising, b, a), root)
+    return np.where(rising, a, root), np.where(rising, root, b)
 
 
 def gauss_legendre_moment(g, phi, start, end, ks):

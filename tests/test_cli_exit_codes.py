@@ -4,7 +4,8 @@ Every numeric flag of every subcommand is driven with finite, non-finite,
 huge, tiny, zero and negative values.  No exception may escape main, the
 exit code must be 0, 2 or 3, a run that exits 2 must not have created its
 output directory, and every JSON file a run that exits 0 writes must be
-strict JSON (no NaN or Infinity) that its schema accepts.  The ring, grid
+strict JSON (no NaN or Infinity) that its schema accepts, and a
+RuntimeWarning fails the test.  The ring, grid
 and sweep caps are lowered so that no generated example can start large
 work; MAX_LATTICE stays 5-smooth, so the FFT-size search still stops at
 the cap.
@@ -22,6 +23,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chiralwalk import cli
+
+# an overflow or invalid value on the way to an exit code is a defect
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 EVOLVE_MODULE = importlib.import_module("chiralwalk.evolve")
 SCHEMA_DIR = Path(__file__).parent.parent / "src" / "chiralwalk" / "schemas"
@@ -171,4 +175,23 @@ def test_config_error_leaves_no_output(argv, tmp_path, capsys):
     # overflows are all refused before any output
     assert cli.main([*argv, f"--out={tmp_path / 'o'}"]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("g", [2.3e307, 5e307, 1.7e308])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["evolve", "--phi=0.8", "--t=50"],
+        ["scaling", "--phi=0.8", "--t=50"],
+        ["edge", "--phi=0.8", "--t=50"],
+        ["fronts", "--g-min=0", "--g-steps=3"],
+    ],
+    ids=["evolve", "scaling", "edge", "fronts"],
+)
+def test_coupling_too_large_for_the_front_scan_exits_2(argv, g, tmp_path, capsys):
+    # 8 g (and from ~4.4e307 on, 4 g) overflowed inside the front scan
+    flag = "--g-max" if argv[0] == "fronts" else "--g"
+    assert cli.main([*argv, f"{flag}={g!r}", f"--out={tmp_path / 'o'}"]) == 2
+    assert capsys.readouterr().err.startswith(f"error: g={g!r} is too large")
     assert not (tmp_path / "o").exists()

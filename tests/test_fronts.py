@@ -1,4 +1,6 @@
 import math
+import re
+import sys
 
 import numpy as np
 import pytest
@@ -167,6 +169,16 @@ def test_find_fronts_validation():
             find_extremal_fronts(WalkParams(0.3, 0.8), tol_root=tol_root)
     default = find_extremal_fronts(WalkParams(0.3, 0.8))
     assert find_extremal_fronts(WalkParams(0.3, 0.8), tol_root=TOL_ROOT_MAX) == default
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_find_fronts_refuses_a_coupling_that_overflows():
+    # the largest g whose 64 g is finite still scans cleanly, the next float up is refused
+    g = sys.float_info.max / 64.0
+    assert len(find_extremal_fronts(WalkParams(g, 0.8))) == 4
+    for bad in (math.nextafter(g, math.inf), 2.3e307, sys.float_info.max):
+        with pytest.raises(ValueError, match=re.escape(f"g={bad!r} ")):
+            find_extremal_fronts(WalkParams(bad, 0.8))
 
 
 def test_quartic_contains_known_roots():

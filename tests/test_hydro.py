@@ -15,6 +15,7 @@ from chiralwalk import (
     exclusion_windows,
     invert_velocity,
     nu_half,
+    omega_deriv,
     probability_density,
     scaled_ccd,
     scaled_cpd,
@@ -22,9 +23,11 @@ from chiralwalk import (
     scaling_curve,
 )
 
-from oracles import brute_force_cpd, gauss_legendre_moment
+from oracles import bisected_sublevel, brute_force_cpd, gauss_legendre_moment
 
 PI = math.pi
+SUBLEVEL_COUPLINGS = [(1 / 16, PI / 2), (1 / 4, PI / 2), (1 / 8, PI / 2), (1 / 4, 0.0),
+                      (0.0, 0.0), (10.0, 1.0), (0.3, 0.8), (0.05, 0.2)]
 
 
 # nu_half(p) at the default tol from the scalar bisection on scaled_cpd that
@@ -132,9 +135,7 @@ def test_full_zone_moments_match_closed_forms():
 def test_closed_form_moments_match_gauss_legendre():
     # the telescoped antiderivative against quadrature on the same
     # sub-level intervals: critical, free, large-g and generic couplings
-    couplings = [(1 / 16, PI / 2), (1 / 4, PI / 2), (1 / 8, PI / 2), (1 / 4, 0.0),
-                 (0.0, 0.0), (10.0, 1.0), (0.3, 0.8), (0.05, 0.2)]
-    for g, phi in couplings:
+    for g, phi in SUBLEVEL_COUPLINGS:
         p = WalkParams(g, phi)
         d = cone_topology(p)
         nu = np.linspace(d.v_lm - 0.5, d.v_rm + 0.5, 12001)
@@ -147,6 +148,54 @@ def test_closed_form_moments_match_gauss_legendre():
             assert scaled_moment(p, x, 1) == scaled_ccd(p, x)
         curve = scaling_curve(p, num=401)
         assert np.array_equal(curve.m_scaled[0], curve.j_scaled)
+
+
+ROOT_BOUND = 1e-13
+NOISE_ULPS = 16  # the residual bound, in ulps of 2 + 4g + |nu|
+
+
+@pytest.mark.parametrize("g, phi", SUBLEVEL_COUPLINGS)
+def test_sublevel_matches_bisection(g, phi):
+    # Newton against the fixed 54-step bisection, on a grid across the cone
+    # and a hair away from every front.  Both roots lie where the computed
+    # v - nu is within its float noise N; where that band, 2N / |v'|, is
+    # wider than half the root bound (next to a front of order >= 2, or at
+    # nu within ~1e-8 of any front), the root is ill-conditioned and only
+    # its residual is bounded.
+    p = WalkParams(g, phi)
+    d = cone_topology(p)
+    hair = [fr.velocity + s for fr in d.fronts for s in (-1e-6, 1e-6, -1e-8, 1e-8, -1e-12, 1e-12)]
+    nu = np.sort(np.concatenate([np.linspace(d.v_lm - 0.5, d.v_rm + 0.5, 12001), hair]))
+    start, end = hydro._sublevel(p, nu)
+    ref_start, ref_end = bisected_sublevel(p, nu)
+    a, b, va, vb = hydro._branches(p)
+    straddle = (np.minimum(va, vb) < nu) & (nu < np.maximum(va, vb))
+    # empty and whole branches take the same ends
+    assert np.array_equal(start[~straddle], ref_start[~straddle])
+    assert np.array_equal(end[~straddle], ref_end[~straddle])
+    rising = np.broadcast_to(vb > va, start.shape)
+    root = np.where(rising, end, start)
+    dq = np.abs(root - np.where(rising, ref_end, ref_start))
+    noise = np.broadcast_to(NOISE_ULPS * np.spacing(2.0 + 4.0 * g + np.abs(nu)), root.shape)
+    ill = straddle & (2.0 * noise > 0.5 * ROOT_BOUND * np.abs(omega_deriv(root, 2, p)))
+    well = straddle & ~ill
+    assert dq[well].max() <= ROOT_BOUND, (g, phi, dq[well].max())
+    residual = np.abs(omega_deriv(root, 1, p) - nu)
+    assert np.all(residual[ill] <= noise[ill]), (g, phi, (residual / noise)[ill].max())
+    # Phi, J and M~_1..3 against the bisected intervals, integrated by
+    # Gauss-Legendre: the closed forms' 1e-12, plus the integral of
+    # |v|^k <= (|nu| + 1e-9)^k over the slivers between the two roots
+    got = hydro._bulk(p, nu, (1, 2, 3))
+    sliver = dq.sum(0) / (2.0 * PI)
+    ref_phi = (ref_end - ref_start).sum(0) / (b - a).sum(0)
+    assert np.all(np.abs(got["phi"] - ref_phi) <= 1e-15 + sliver), (g, phi)
+    ref = gauss_legendre_moment(g, phi, ref_start, ref_end, (1, 2, 3))
+    for name, k in (("j", 1), ("m1", 1), ("m2", 2), ("m3", 3)):
+        err = np.abs(got[name] - ref[k])
+        bound = 1e-12 * np.maximum(1.0, np.abs(ref[k])) + sliver * (np.abs(nu) + 1e-9) ** k
+        assert np.all(err <= bound), (g, phi, name, (err / bound).max())
+    # Phi is a measure of nested sets
+    assert np.all(np.diff(got["phi"]) >= 0.0), (g, phi)
 
 
 def test_scaling_curve_invariants():
