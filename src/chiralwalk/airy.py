@@ -46,6 +46,11 @@ RAY_NODES = 100  # converged from 80 at |xi| = 50
 RAY_DECAY = 40.0  # the ray ends where |integrand| <= exp(-40) ~ 4e-18
 XI_BLOCK = 128  # xi values per array evaluation, bounds the node arrays
 PREDICT_STEP = 0.01  # xi grid of predict_edge's running integral
+ODE_STEP = 0.05  # xi step of airy_ode_residual's finite-difference stencils
+# extract_staircase keeps riser peaks at least STEP_MIN_SEP apart in xi, and
+# separated by a derivative dip below STEP_DIP_FRAC of the smaller peak
+STEP_MIN_SEP = 0.8
+STEP_DIP_FRAC = 0.5
 
 
 def _check_order(k: int):
@@ -118,15 +123,17 @@ def generalized_airy(k: int, xi: float) -> float:
     return float(airy_table(k, float(xi)))
 
 
-def airy_ode_residual(k: int, xi: float, h: float = 0.05) -> float:
+def airy_ode_residual(k: int, xi: float) -> float:
     """Residual of the defining ODE probed by finite differences.
 
     A_k satisfies A_k^(k+1)(xi) = (-1)^k i^(k+1) xi A_k(xi); for odd k the
     right-hand side is real: +xi A_1 for k=1 and -xi A_3 for k=3.  The
     (k+1)-th derivative is estimated from central stencils of the quadrature
-    values, so the residual is expected below ~1e-5, not machine precision.
+    values at spacing ODE_STEP, so the residual is expected below ~1e-5, not
+    machine precision.
     """
     _check_order(k)
+    h = ODE_STEP
     if k == 1:
         w = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / (12.0 * h * h)
         offs = np.arange(-2, 3)
@@ -215,8 +222,8 @@ def measure_edge(
     profile), and must lie on a given lattice; both, and the ring's size
     cap, are checked before anything is evolved.
     """
-    if t <= 0:
-        raise ValueError("measure_edge needs t > 0")
+    if not t > 0:
+        raise ValueError(f"measure_edge needs t > 0, got t={t}")
     # first: the ring's layout refuses a ring above MAX_LATTICE, so every
     # |v t| rounded below is finite
     L, origin = _ring_layout(p, t, lattice, reach=window)
@@ -285,12 +292,7 @@ def _refine(xs: np.ndarray, ys: np.ndarray, i: int) -> float:
     return float(xs[i] + np.clip(off, -1.0, 1.0) * (xs[1] - xs[0]))
 
 
-def extract_staircase(
-    profile: EdgeProfile,
-    observable: str = "cpd",
-    min_sep: float = 0.8,
-    dip_frac: float = 0.5,
-) -> list[StaircaseStep]:
+def extract_staircase(profile: EdgeProfile, observable: str = "cpd") -> list[StaircaseStep]:
     """Locate staircase steps in a monotone edge profile.
 
     Plateau positions are the zeros of the profile's first derivative and
@@ -298,9 +300,10 @@ def extract_staircase(
     inflection points (the steepest points of the bounding risers); both are
     estimated from 5-point quadratic least-squares (Savitzky-Golay)
     derivatives.  Riser peaks are required to be separated by at least
-    min_sep in xi and by a derivative dip below dip_frac of the smaller
-    peak, which rejects the short-wavelength interference ripple that rides
-    on the risers near degenerate or internal fronts.  area = height*width.
+    STEP_MIN_SEP in xi and by a derivative dip below STEP_DIP_FRAC of the
+    smaller peak, which rejects the short-wavelength interference ripple
+    that rides on the risers near degenerate or internal fronts.
+    area = height*width.
 
     Returns an empty list (diagnostic, not an error) when fewer than two
     steps are detectable.  For "ccd" the current profile divided by the
@@ -323,9 +326,9 @@ def extract_staircase(
     d = _savgol5(y, 1, h)
     ys = _savgol5(y, 0, h)
     valid = slice(2, len(xi) - 2)
-    peaks = list(_find_peaks(d[valid], max(1, int(round(min_sep / h)))) + 2)
+    peaks = list(_find_peaks(d[valid], max(1, int(round(STEP_MIN_SEP / h)))) + 2)
     while len(peaks) > 1:
-        worst, worst_ratio = None, dip_frac
+        worst, worst_ratio = None, STEP_DIP_FRAC
         for m in range(len(peaks) - 1):
             ref = min(d[peaks[m]], d[peaks[m + 1]])
             if ref <= 0.0:

@@ -35,14 +35,11 @@ from .evolve import (
 )
 from .fronts import (
     TOL_DEGEN,
-    TOL_ROOT_MAX,
-    build_diagram,
     check_coupling,
     cone_topology,
     critical_coupling,
     degeneracy,
     edge_scale,
-    find_extremal_fronts,
 )
 
 EXIT_OK = 0
@@ -178,10 +175,9 @@ def cmd_evolve(args) -> int:
 
 # ----------------------------------------------------------------- fronts --
 
-def _sweep_point(g: float, phi: float, tol_root: float):
+def _sweep_point(g: float, phi: float):
     try:
-        p = WalkParams(g, phi)
-        diagram = build_diagram(p, tuple(find_extremal_fronts(p, tol_root=tol_root)))
+        diagram = cone_topology(WalkParams(g, phi))
         return [
             (phi, g, fr.q_star, fr.velocity, fr.order, fr.kappa, diagram.topology.value, "ok")
             for fr in diagram.fronts
@@ -206,21 +202,17 @@ def cmd_fronts(args) -> int:
         raise ConfigError(
             f"a sweep of {len(phis)} phi x {args.g_steps} g-steps exceeds {MAX_SWEEP} points"
         )
-    if not 0.0 < args.tol_g < math.inf:
-        raise ConfigError(f"tol-g must be finite and positive, got {args.tol_g}")
-    if not 0.0 < args.tol_root <= TOL_ROOT_MAX:
-        raise ConfigError(f"tol-root must lie in (0, {TOL_ROOT_MAX}], got {args.tol_root}")
     out = _outdir(args)
     gs = np.linspace(args.g_min, args.g_max, args.g_steps)
-    rows = [row for phi in phis for g in gs for row in _sweep_point(float(g), phi, args.tol_root)]
+    rows = [row for phi in phis for g in gs for row in _sweep_point(float(g), phi)]
     rows.sort(key=lambda r: (r[0], r[1], r[3] if isinstance(r[3], float) else math.inf))
     _write_csv(
         out / "fronts.csv",
         ["phi", "g", "q_star", "velocity", "order", "kappa", "topology", "status"],
         rows,
     )
-    gc_entries = [{"phi": phi, "g_c": critical_coupling(phi, tol_g=args.tol_g)} for phi in phis]
-    _write_json(out / "gc.json", {"tol_g": args.tol_g, "critical_couplings": gc_entries})
+    gc_entries = [{"phi": phi, "g_c": critical_coupling(phi)} for phi in phis]
+    _write_json(out / "gc.json", {"critical_couplings": gc_entries})
     return EXIT_OK
 
 
@@ -397,17 +389,14 @@ def build_parser() -> argparse.ArgumentParser:
     common_tail(s)
     s.set_defaults(func=cmd_evolve)
 
-    s = sub.add_parser("fronts", help="sweep the front diagram in g, find g_c")
+    s = sub.add_parser("fronts",
+                       help="sweep the front diagram in g, find g_c (closed forms, no tolerances)")
     s.add_argument("--phi", type=float, default=math.pi / 2)
-    s.add_argument("--phi-list", default=None, help="comma-separated phi values for g_c")
+    s.add_argument("--phi-list", default=None, help="comma-separated phi values, sweep and g_c at each")
     s.add_argument("--g-min", type=float, default=0.01)
     s.add_argument("--g-max", type=float, default=0.5)
     s.add_argument("--g-steps", type=int, default=50,
                    help="g values per phi; at most 2^16 (phi, g) points in all")
-    s.add_argument("--tol-g", type=float, default=1e-6,
-                   help="tolerance g_c must meet, recorded in gc.json (the closed form meets any)")
-    s.add_argument("--tol-root", type=float, default=1e-12,
-                   help=f"bound on |w''| at a front, relative to 1 + 8g; at most {TOL_ROOT_MAX:g}")
     common_tail(s)
     s.set_defaults(func=cmd_fronts)
 

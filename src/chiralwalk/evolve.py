@@ -256,8 +256,11 @@ def ring_layout(p: WalkParams, t: float, reach: int = 0) -> tuple[int, int]:
     M = L/R, or any index when R = 1.  origin is that index nearest the
     middle of the spare sites.  Raises GuardError above MAX_LATTICE, before
     the sides are rounded (they may be infinite); MAX_LATTICE is itself
-    5-smooth, so the size search stops there.
+    5-smooth, so the size search stops there.  A t that is not >= 0 (NaN
+    included) raises ValueError.
     """
+    if not t >= 0:
+        raise ValueError(f"t must be >= 0, got t={t}")
     d = cone_topology(p)
 
     def side(v: float) -> float:
@@ -394,19 +397,21 @@ def evolve(
     transform described in the module docstring.  Without a lattice the
     ring is ring_layout(p, t, reach); a given lattice is centred.  Rings
     above MAX_LATTICE sites are refused with GuardError before anything is
-    allocated.  With enforce_guard the lattice must be large enough that
-    boundary amplitudes are negligible; pass enforce_guard=False only for
-    deliberate small-ring studies (e.g. cross-checks against dense matrix
-    exponentials, where wraparound is part of the model).
+    allocated, and a t that is not >= 0 (NaN included) with ValueError.
+    With enforce_guard the lattice must be large enough that boundary
+    amplitudes are negligible (a NaN amplitude fails the guard too); pass
+    enforce_guard=False only for deliberate small-ring studies (e.g.
+    cross-checks against dense matrix exponentials, where wraparound is part
+    of the model).
     """
-    if t < 0:
-        raise ValueError("t must be >= 0")
+    if not t >= 0:
+        raise ValueError(f"t must be >= 0, got t={t}")
     L, origin = _ring_layout(p, t, lattice, enforce_guard, reach)
     amps = _ring_transform(_phase_factors(p, t, L, _rows(L)), origin)
     wf = WaveFunction(p, float(t), L, amps, origin)
     if enforce_guard:
         edge = max(np.max(np.abs(amps[:GUARD_SITES])), np.max(np.abs(amps[-GUARD_SITES:])))
-        if edge >= TAIL_GUARD:
+        if not edge < TAIL_GUARD:
             raise GuardError(
                 f"wraparound guard violated: boundary amplitude {edge:.2e} >= {TAIL_GUARD}"
             )

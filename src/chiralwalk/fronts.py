@@ -31,11 +31,7 @@ import numpy as np
 
 from .dispersion import TWO_PI, WalkParams, omega_deriv
 
-TOL_ROOT = 1e-12
-# loosest tol_root accepted: from 1e-10 to 1e-3 the front orders equal the
-# default's at 6 phi in [0, pi/2] x 241 g in [0, 0.6]; 1e-2 merges distinct
-# fronts at 11 of those points, and from 1 on roots are lost
-TOL_ROOT_MAX = 1e-6
+TOL_ROOT = 1e-12          # |form| at a kept root; for w'' times its scale 1 + 8g
 TOL_DEGEN = 1e-9          # velocity window for degenerate-front labelling
 # |log|z|| bound for a root on the unit circle: the companion eigenvalues of
 # a triple root scatter by ~eps^(1/3) ~ 1e-5, while at phi = pi/2 an
@@ -125,18 +121,15 @@ def check_coupling(g: float) -> None:
         raise ValueError(f"g={g!r} is too large for the front scan: 64 g overflows")
 
 
-def find_extremal_fronts(p: WalkParams, tol_root: float = TOL_ROOT) -> list[ExtremalFront]:
+def find_extremal_fronts(p: WalkParams) -> list[ExtremalFront]:
     """Locate and classify every extremal front of the dispersion.
 
     The fronts are the unit-circle roots of the quartic z^2 w''(q); a root
-    is kept when |w''| <= tol_root (1 + 8g) at its angle, 1 + 8g being the
+    is kept when |w''| <= TOL_ROOT (1 + 8g) at its angle, 1 + 8g being the
     curvature scale of the band.  A front's order is the multiplicity of
     its root cluster, and kappa is taken at the polished wave vector, the
-    centre of that cluster.  tol_root must lie in (0, TOL_ROOT_MAX], and g
-    must pass check_coupling.
+    centre of that cluster.  g must pass check_coupling.
     """
-    if not 0.0 < tol_root <= TOL_ROOT_MAX:
-        raise ValueError(f"tol_root must lie in (0, {TOL_ROOT_MAX}], got {tol_root}")
     check_coupling(p.g)
     w2 = lambda q, j: omega_deriv(q, 2 + j, p)
     if p.g < G_SEED:
@@ -144,7 +137,7 @@ def find_extremal_fronts(p: WalkParams, tol_root: float = TOL_ROOT) -> list[Extr
     else:
         c = 4.0 * p.g * complex(math.cos(p.phi), math.sin(p.phi))
         quartic = [c, 1.0, 0.0, 1.0, c.conjugate()]
-        roots = _circle_roots(quartic, w2, tol_root * (1.0 + 8.0 * p.g))
+        roots = _circle_roots(quartic, w2, TOL_ROOT * (1.0 + 8.0 * p.g))
     fronts = []
     for q, order in roots:
         kappa = omega_deriv(q, order + 2, p) / math.factorial(order + 1)
@@ -156,8 +149,10 @@ def find_extremal_fronts(p: WalkParams, tol_root: float = TOL_ROOT) -> list[Extr
     return fronts
 
 
-def build_diagram(p: WalkParams, fronts: tuple) -> FrontDiagram:
-    """Classify the causal-cone topology of an already-scanned front set."""
+@lru_cache(maxsize=64)
+def cone_topology(p: WalkParams) -> FrontDiagram:
+    """Assemble the front diagram and classify the causal-cone topology."""
+    fronts = tuple(find_extremal_fronts(p))
     n = len(fronts)
     if n not in (2, 3, 4):
         raise FrontScanError(f"unexpected front count {n} at {p}")
@@ -177,12 +172,6 @@ def build_diagram(p: WalkParams, fronts: tuple) -> FrontDiagram:
     return FrontDiagram(p, fronts, v_lm, v_rm, topo)
 
 
-@lru_cache(maxsize=64)
-def cone_topology(p: WalkParams) -> FrontDiagram:
-    """Assemble the front diagram and classify the causal-cone topology."""
-    return build_diagram(p, tuple(find_extremal_fronts(p)))
-
-
 def degeneracy(diagram: FrontDiagram, front: ExtremalFront) -> int:
     """Number of fronts sharing this front's velocity (2 for overlapping cones)."""
     return sum(
@@ -195,7 +184,7 @@ def edge_scale(front: ExtremalFront, t: float) -> float:
     return (abs(front.kappa) * t) ** (1.0 / (front.order + 2))
 
 
-def critical_coupling(phi: float, tol_g: float = 1e-6) -> float:
+def critical_coupling(phi: float) -> float:
     """Lifshitz coupling g_c(phi): the smallest g > 0 with a double root of w''.
 
     The real roots of sin(3q + phi) + 3 sin(q + phi) are the unit-circle
@@ -206,13 +195,11 @@ def critical_coupling(phi: float, tol_g: float = 1e-6) -> float:
         c = cos(2q + phi),  s = sin(2q + phi),
 
     which stays defined where c or s vanishes (the zone-seam root at
-    phi = 0).  The result is exact to roundoff, so it meets any finite
-    tol_g > 0.
+    phi = 0).  The result is exact to roundoff, so there is no tolerance
+    to set.
     """
     if not 0.0 <= phi <= math.pi / 2.0 + 1e-15:
         raise ValueError("phi must lie in the canonical window [0, pi/2]")
-    if not 0.0 < tol_g < math.inf:
-        raise ValueError(f"tol_g must be finite and positive, got {tol_g}")
     e = complex(math.cos(phi), math.sin(phi))
     sextic = [e, 0.0, 3.0 * e, 0.0, -3.0 * e.conjugate(), 0.0, -e.conjugate()]
 

@@ -240,10 +240,10 @@ class ScalingCurve:
     m_scaled: tuple  # arrays for k = 1, 2, 3
 
 
-def scaling_curve(p: WalkParams, num: int = 4001, margin: float = 0.5) -> ScalingCurve:
-    """Sample the bulk scaling functions across the causal cone."""
+def scaling_curve(p: WalkParams, num: int = 4001) -> ScalingCurve:
+    """Sample the bulk scaling functions across the causal cone, 0.5 past each side."""
     d = cone_topology(p)
-    nu = np.linspace(d.v_lm - margin, d.v_rm + margin, num)
+    nu = np.linspace(d.v_lm - 0.5, d.v_rm + 0.5, num)
     h = _bulk(p, nu, (1, 2, 3))
     return ScalingCurve(p, nu, h["phi"], h["j"], (h["m1"], h["m2"], h["m3"]))
 
@@ -285,23 +285,24 @@ def compare_bulk(
     t: float,
     exclusion: float = DEFAULT_EXCLUSION,
     lattice: int | None = None,
-    observables: tuple = ("phi", "j", "m1", "m2", "m3"),
     margin: float = 0.25,
 ) -> BulkReport:
     """Evolve numerically and measure deviations from the hydro predictions.
 
-    Sites are mapped to nu = n/t and compared against the sub-level-set
-    predictions; sup and L1 deviations are reported separately outside and
-    inside the front exclusion windows (half-width exclusion * edge scale).
-    The compared numeric fields, on every site of the ring (the moments
-    scaled by t^k), are returned in the report's numeric dict, with site 0
-    at index origin.  When the windows cover every compared site, nothing
-    would be compared outside them, and ValueError is raised before the
-    evolution, as it is for a t so small that t^3 is not a normal float
-    (the scaled moments would divide by zero or lose their precision).
+    Sites with nu = n/t within margin of the cone are compared against the
+    sub-level-set predictions of Phi, J and M~_1..3 (the numeric moments
+    scaled by t^k); sup and L1 deviations are reported separately outside
+    and inside the front exclusion windows (half-width exclusion * edge
+    scale).  The five numeric fields, on every site of the ring, are
+    returned in the report's numeric dict, with site 0 at index origin.
+    ValueError is raised before the evolution for a t that is not positive
+    (NaN included), for a t so small that t^3 is not a normal float (the
+    scaled moments would divide by zero or lose their precision), and when
+    the windows cover every compared site, so that nothing would be
+    compared outside them.
     """
-    if t <= 0:
-        raise ValueError("compare_bulk needs t > 0")
+    if not t > 0:
+        raise ValueError(f"compare_bulk needs t > 0, got t={t}")
     d = cone_topology(p)
     wins = exclusion_windows(d, t, exclusion)
     L, origin = _ring_layout(p, t, lattice)
@@ -323,17 +324,16 @@ def compare_bulk(
         )
     wf = evolve(p, t, lattice)
     prob = probability_density(wf)
-    fields = {
-        "phi": lambda: cumulative(prob).values,
-        "j": lambda: cumulative(current_density(wf)).values,
-        **{f"m{k}": lambda k=k: cumulative_moment(prob, k).values / t**k for k in (1, 2, 3)},
+    numeric = {
+        "phi": cumulative(prob).values,
+        "j": cumulative(current_density(wf)).values,
+        **{f"m{k}": cumulative_moment(prob, k).values / t**k for k in (1, 2, 3)},
     }
-    numeric = {name: fields[name]() for name in observables}
-    hydro = _bulk(p, nus, tuple(k for k in (1, 2, 3) if f"m{k}" in observables))
+    hydro = _bulk(p, nus, (1, 2, 3))
     devs = {}
     dnu = 1.0 / t
-    for name in observables:
-        diff = np.abs(numeric[name][mask] - hydro[name])
+    for name, values in numeric.items():
+        diff = np.abs(values[mask] - hydro[name])
         devs[name] = Deviation(
             sup_outside=float(diff[~inside].max()),
             l1_outside=float(diff[~inside].sum() * dnu),

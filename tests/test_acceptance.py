@@ -94,11 +94,11 @@ def test_criterion_3_critical_couplings():
     }
     values = []
     for phi, ref in published.items():
-        gc = critical_coupling(phi, tol_g=1e-6)
+        gc = critical_coupling(phi)
         assert gc == pytest.approx(ref, abs=1e-3)
         values.append(gc)
     assert all(a > b for a, b in zip(values, values[1:]))  # monotone decreasing
-    gc_half_pi = critical_coupling(PI / 2, tol_g=1e-10)
+    gc_half_pi = critical_coupling(PI / 2)
     assert gc_half_pi == pytest.approx(0.125, abs=1e-9)
     _passed(3, "critical couplings across the phase window")
 
@@ -134,7 +134,7 @@ def test_criterion_4_front_closed_forms():
 def test_criterion_5_bulk_hydrodynamic_collapse():
     t = 2000.0
     for g in (0.0, 1 / 16, 1 / 8, 1 / 4):
-        report = compare_bulk(WalkParams(g, PI / 2), t, observables=("phi", "j"))
+        report = compare_bulk(WalkParams(g, PI / 2), t)
         for name in ("phi", "j"):
             dev = report.deviations[name]
             assert dev.sup_outside < 0.01, (g, name, dev)
@@ -363,7 +363,7 @@ def test_criterion_9_property_suite(tmp_path):
         out = tmp_path / name
         rc = cli_main([
             "fronts", "--phi", str(PI / 2), "--g-min", "0.05", "--g-max", "0.45",
-            "--g-steps", "9", "--jobs", jobs, "--tol-g", "1e-4", "--out", str(out),
+            "--g-steps", "9", "--jobs", jobs, "--out", str(out),
         ])
         assert rc == 0
         outs.append((out / "fronts.csv").read_bytes())

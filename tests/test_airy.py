@@ -271,6 +271,14 @@ def test_measure_edge_checks_the_window_before_evolving(monkeypatch, tmp_path):
         assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("lattice", [None, 640])
+def test_measure_edge_refuses_nan_time(monkeypatch, lattice):
+    monkeypatch.setattr(chiralwalk.airy, "evolve", lambda *a, **kw: pytest.fail("evolved"))
+    with pytest.raises(ValueError, match="needs t > 0, got t=nan"):
+        measure_edge(WalkParams(1 / 16, PI / 2), _left_front(1 / 16), math.nan, 20, lattice)
+
+
 def test_measure_edge_window_past_lattice_rejected():
     # ring holds the causal cone but not the requested window
     p = WalkParams(1 / 16, PI / 2)

@@ -10,6 +10,7 @@ import pytest
 from chiralwalk import cli
 from chiralwalk.cli import main
 from chiralwalk.evolve import evolve
+from chiralwalk.fronts import FrontScanError
 
 SCHEMA_DIR = Path(__file__).parent.parent / "src" / "chiralwalk" / "schemas"
 
@@ -220,7 +221,7 @@ def test_config_file_errors(tmp_path, capsys):
 def test_fronts_sweep_and_gc(tmp_path):
     rc = main([
         "fronts", "--phi", str(math.pi / 2), "--g-min", "0.05", "--g-max", "0.2",
-        "--g-steps", "7", "--tol-g", "1e-6", "--out", str(tmp_path),
+        "--g-steps", "7", "--out", str(tmp_path),
     ])
     assert rc == 0
     header, rows = read_csv(tmp_path / "fronts.csv")
@@ -241,25 +242,51 @@ def test_fronts_sweep_and_gc(tmp_path):
 def test_fronts_empty_range(tmp_path):
     assert main(["fronts", "--g-min", "0.2", "--g-max", "0.1", "--out", str(tmp_path)]) == 2
     assert main(["fronts", "--g-steps", "0", "--out", str(tmp_path)]) == 2
-    assert main(["fronts", "--tol-root", "-1", "--out", str(tmp_path)]) == 2
 
 
-def test_fronts_lost_roots_reported_per_row(tmp_path, capsys):
-    # a --tol-root loose enough to join every root into one cluster (10 loses
-    # every front at (0.3, 0.8)) is refused before any output
+def test_fronts_lost_roots_reported_per_row(tmp_path, monkeypatch):
+    # a scan that fails at one g, as one that lost its roots would, is
+    # written as one error row, quoted per RFC 4180, and the sweep goes on
+    scan = cli.cone_topology
+
+    def lose_roots_at_middle_g(p):
+        if p.g == 0.1:
+            raise FrontScanError(f"unexpected front count 0 at {p}")
+        return scan(p)
+
+    monkeypatch.setattr(cli, "cone_topology", lose_roots_at_middle_g)
     rc = main([
-        "fronts", "--phi", "0.8", "--g-min", "0.3", "--g-max", "0.3", "--g-steps", "1",
-        "--tol-root", "10", "--out", str(tmp_path / "o"),
+        "fronts", "--phi", "0.8", "--g-min", "0", "--g-max", "0.2", "--g-steps", "3",
+        "--out", str(tmp_path),
     ])
-    assert rc == 2
-    assert "tol-root" in capsys.readouterr().err
-    assert not (tmp_path / "o" / "fronts.csv").exists()
+    assert rc == 0
+    text = (tmp_path / "fronts.csv").read_text()
+    message = "error: unexpected front count 0 at WalkParams(g=0.1, phi=0.8)"
+    assert f'0.80000000000000004,0.10000000000000001,,,,,,"{message}"\n' in text
+    header, *rows = csv.reader(text.splitlines())
+    assert header[-1] == "status"
+    assert [r[-1] for r in rows if r[1] == "0.10000000000000001"] == [message]
+    ok = [r for r in rows if r[1] != "0.10000000000000001"]
+    assert {r[1] for r in ok} == {"0", "0.20000000000000001"}
+    assert all(r[-1] == "ok" for r in ok)
+    validate(tmp_path / "gc.json", "gc")
+
+
+@pytest.mark.parametrize("flag, value", [("--tol-g", "1e-6"), ("--tol-root", "1e-12")])
+def test_removed_tolerance_flags_exit_2(tmp_path, capsys, flag, value):
+    # the front scan and g_c are closed forms with fixed tolerances, so
+    # argparse refuses the old tolerance flags before any output
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        main(["fronts", flag, value, "--out", str(out)])
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
     "flags",
-    [["--tol-g", "nan"], ["--tol-g", "inf"], ["--tol-root", "nan"], ["--tol-root", "inf"],
-     ["--tol-root", "1e-5"], ["--g-min", "nan"], ["--g-min", "inf", "--g-max", "inf"],
+    [["--g-min", "nan"], ["--g-min", "inf", "--g-max", "inf"],
      ["--g-max", "nan"], ["--g-max", "inf"], ["--g-steps", str(2**40)],
      ["--g-steps", str(cli.MAX_SWEEP // 2 + 1), "--phi-list", "0,0.5"]],
 )
@@ -278,7 +305,7 @@ def test_fronts_jobs_deterministic(tmp_path):
         out = tmp_path / name
         rc = main([
             "fronts", "--phi", "0.5", "--g-min", "0.05", "--g-max", "0.45",
-            "--g-steps", "9", "--jobs", jobs, "--tol-g", "1e-4", "--out", str(out),
+            "--g-steps", "9", "--jobs", jobs, "--out", str(out),
         ])
         assert rc == 0
         outs.append((out / "fronts.csv").read_bytes())

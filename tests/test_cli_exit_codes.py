@@ -78,8 +78,6 @@ COMMANDS = {
             "--g-min": st.one_of(COUPLINGS, FLOATS),
             "--g-max": st.one_of(COUPLINGS, FLOATS),
             "--g-steps": INTS,
-            "--tol-g": FLOATS,
-            "--tol-root": FLOATS,
             "--jobs": INTS,
         },
     ),

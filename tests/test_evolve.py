@@ -271,6 +271,19 @@ def test_guards_and_validation():
         position_moment(current_density(evolve(p, 1.0)), 2)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("lattice", [None, 64])
+def test_nan_time_refused_before_the_phase_fill(monkeypatch, lattice):
+    # every comparison with NaN is False, so a NaN t would pass a guard
+    # written as "refuse when L/2 < v t" and fill the ring with NaN
+    monkeypatch.setattr(EVOLVE_MODULE, "_phase_factors", lambda *a, **kw: pytest.fail("filled"))
+    p = WalkParams(0.3, 0.8)
+    with pytest.raises(ValueError, match="t must be >= 0, got t=nan"):
+        evolve(p, math.nan, lattice)
+    with pytest.raises(ValueError, match="t must be >= 0, got t=nan"):
+        ring_layout(p, math.nan)
+
+
 def _same_float(a, b):
     return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
 

@@ -14,7 +14,6 @@ from chiralwalk import (
     find_extremal_fronts,
     omega_deriv,
 )
-from chiralwalk.fronts import TOL_ROOT_MAX
 
 from oracles import quartic_crosscheck
 
@@ -115,9 +114,9 @@ def test_degeneracy_count():
 
 
 def test_critical_coupling_values():
-    assert critical_coupling(PI / 2, tol_g=1e-8) == pytest.approx(0.125, abs=1e-8)
-    assert critical_coupling(0.0, tol_g=1e-6) == pytest.approx(0.25, abs=1e-6)
-    assert critical_coupling(PI / 4, tol_g=1e-6) == pytest.approx(0.225, abs=1e-3)
+    assert critical_coupling(PI / 2) == pytest.approx(0.125, abs=1e-8)
+    assert critical_coupling(0.0) == pytest.approx(0.25, abs=1e-6)
+    assert critical_coupling(PI / 4) == pytest.approx(0.225, abs=1e-3)
 
 
 def test_critical_coupling_exact_at_window_edges():
@@ -154,21 +153,9 @@ def test_orders_sum_to_four_above_critical_coupling():
 
 
 def test_critical_coupling_validation():
-    with pytest.raises(ValueError):
-        critical_coupling(-0.1)
-    for tol_g in (0.0, math.inf, math.nan):
-        with pytest.raises(ValueError):
-            critical_coupling(0.3, tol_g=tol_g)
-
-
-def test_find_fronts_validation():
-    # past TOL_ROOT_MAX a loose tolerance merges fronts, loses them (10 gives
-    # [] at (0.3, 0.8)) or divides by zero in _polish (1)
-    for tol_root in (-1.0, 0.0, math.nan, 1e-2, 1.0, 10.0, math.inf):
-        with pytest.raises(ValueError, match="tol_root"):
-            find_extremal_fronts(WalkParams(0.3, 0.8), tol_root=tol_root)
-    default = find_extremal_fronts(WalkParams(0.3, 0.8))
-    assert find_extremal_fronts(WalkParams(0.3, 0.8), tol_root=TOL_ROOT_MAX) == default
+    for phi in (-0.1, 1.6, math.nan):
+        with pytest.raises(ValueError, match="canonical window"):
+            critical_coupling(phi)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -240,9 +240,10 @@ def test_kink_at_internal_front():
 
 
 def test_compare_bulk_smoke():
-    report = compare_bulk(WalkParams(1 / 16, PI / 2), t=500.0, observables=("phi", "j"))
-    assert set(report.deviations) == {"phi", "j"}
-    for dev in report.deviations.values():
+    report = compare_bulk(WalkParams(1 / 16, PI / 2), t=500.0)
+    assert set(report.deviations) == {"phi", "j", "m1", "m2", "m3"}
+    for name in ("phi", "j"):
+        dev = report.deviations[name]
         assert dev.sup_inside > dev.sup_outside
         assert dev.sup_outside < 0.02
     assert len(report.windows) == 2
@@ -261,8 +262,15 @@ def test_compare_bulk_numeric_fields():
     assert set(report.numeric) == set(report.deviations) == set(fresh)
     for name, values in fresh.items():
         assert report.numeric[name].tobytes() == values.tobytes(), name
-    partial = compare_bulk(p, t, observables=("j",))
-    assert set(partial.numeric) == {"j"}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("lattice", [None, 64])
+def test_compare_bulk_refuses_nan_time(monkeypatch, lattice):
+    # refused by name, not as windows that "cover every compared site"
+    monkeypatch.setattr(hydro, "evolve", lambda *a, **kw: pytest.fail("evolved"))
+    with pytest.raises(ValueError, match="needs t > 0, got t=nan"):
+        compare_bulk(WalkParams(0.3, 0.8), math.nan, lattice=lattice)
 
 
 @pytest.mark.parametrize("exclusion", [-1.0, math.nan, math.inf])
