@@ -33,6 +33,7 @@ from .fronts import (
     degeneracy,
     edge_scale,
     find_extremal_fronts,
+    scan_diagrams,
 )
 from .hydro import (
     BulkReport,

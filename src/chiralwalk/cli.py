@@ -40,13 +40,17 @@ from .fronts import (
     critical_coupling,
     degeneracy,
     edge_scale,
+    scan_diagrams,
 )
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_GUARD = 3
 MAX_GRID = 1 << 20  # nu points in bulk.csv; hydro peaks at ~0.42 kB per point, ~0.45 GB here
-MAX_SWEEP = 1 << 16  # (phi, g) points of a fronts sweep, each scanned in Python
+# (phi, g) points of a fronts sweep, all scanned in one batch: 2^16 of them
+# (16 phi x 4096 g) took 4.5 s at a 184 MB peak on a 2-core AVX-512 VM, where
+# scanning point by point took 35 s at 93 MB; the batch holds every diagram
+MAX_SWEEP = 1 << 16
 
 
 class ConfigError(Exception):
@@ -175,17 +179,6 @@ def cmd_evolve(args) -> int:
 
 # ----------------------------------------------------------------- fronts --
 
-def _sweep_point(g: float, phi: float):
-    try:
-        diagram = cone_topology(WalkParams(g, phi))
-        return [
-            (phi, g, fr.q_star, fr.velocity, fr.order, fr.kappa, diagram.topology.value, "ok")
-            for fr in diagram.fronts
-        ]
-    except Exception as exc:  # recorded per row, sweep continues
-        return [(phi, g, "", "", "", "", "", f"error: {exc}")]
-
-
 def cmd_fronts(args) -> int:
     if not (math.isfinite(args.g_min) and math.isfinite(args.g_max)):
         raise ConfigError(f"g-min and g-max must be finite, got {args.g_min} and {args.g_max}")
@@ -203,8 +196,21 @@ def cmd_fronts(args) -> int:
             f"a sweep of {len(phis)} phi x {args.g_steps} g-steps exceeds {MAX_SWEEP} points"
         )
     out = _outdir(args)
-    gs = np.linspace(args.g_min, args.g_max, args.g_steps)
-    rows = [row for phi in phis for g in gs for row in _sweep_point(float(g), phi)]
+    gs = np.linspace(args.g_min, args.g_max, args.g_steps).tolist()
+    rows, points = [], []
+    for phi in phis:
+        try:
+            points += [WalkParams(g, phi) for g in gs]
+        except ValueError as exc:  # a phi up to 1e-15 past pi/2, which WalkParams refuses
+            rows += [(phi, g, "", "", "", "", "", f"error: {exc}") for g in gs]
+    for p, diagram in zip(points, scan_diagrams(points)):
+        if isinstance(diagram, Exception):  # recorded per row, sweep continues
+            rows.append((p.phi, p.g, "", "", "", "", "", f"error: {diagram}"))
+        else:
+            rows += [
+                (p.phi, p.g, fr.q_star, fr.velocity, fr.order, fr.kappa, diagram.topology.value, "ok")
+                for fr in diagram.fronts
+            ]
     rows.sort(key=lambda r: (r[0], r[1], r[3] if isinstance(r[3], float) else math.inf))
     _write_csv(
         out / "fronts.csv",

@@ -114,6 +114,9 @@ def omega_deriv(q, m: int, p: WalkParams):
     factor 2^m per derivative, giving
 
         w^(m)(q) = 2 cos(q + m pi/2) + 2^(m+1) g cos(2q + phi + m pi/2)
+
+    p.g and p.phi may also be arrays that broadcast against q, one coupling
+    per wave vector, as in the front scan of a whole sweep.
     """
     if not isinstance(m, (int, np.integer)) or m < 1:
         raise ValueError(f"derivative order must be an integer >= 1, got {m}")

@@ -18,6 +18,12 @@ cluster of m roots is polished by Newton in real q on the form's (m-1)-th
 derivative, where it is a simple root.  A front's order k is the
 multiplicity m of its cluster, and its edge-scaling coefficient is
 kappa_k = w^(k+2)(q*)/(k+1)! at the polished root q*.
+
+A scan runs over a whole batch of points at once: one stacked eigenvalue
+call on their companion matrices, then each filter, Newton step and
+derivative as one array operation over every root of the batch.  Every
+operation is elementwise or per matrix, so a point's fronts are the same
+bits alone, in a sweep, or in any order of the points.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -78,36 +85,104 @@ class FrontScanError(RuntimeError):
     """Raised when a front set cannot be classified."""
 
 
-def _polish(f, x: float, m: int) -> float:
+class _Couplings(NamedTuple):
+    """g and phi as arrays, one per point or per root, for omega_deriv over a stack."""
+
+    g: np.ndarray
+    phi: np.ndarray
+
+    def at(self, rows) -> _Couplings:
+        return _Couplings(self.g[rows], self.phi[rows])
+
+
+def _polish(f, x, m: int, c: _Couplings):
     """Newton on f^(m-1), where a root of multiplicity m of f is simple."""
     for _ in range(NEWTON_STEPS):
-        x -= f(x, m - 1) / f(x, m)
+        x -= f(x, m - 1, c) / f(x, m, c)
     return (x + math.pi) % TWO_PI - math.pi
 
 
-def _circle_roots(coeffs, f, tol: float) -> list[tuple[float, int]]:
-    """Real roots q in [-pi, pi) of a trigonometric polynomial, once each.
+def _eigvals(a):
+    """Eigenvalues of a stack of matrices, and {index: LinAlgError} of those that fail.
 
-    coeffs (highest power first) define a polynomial in z = e^{iq} that is
-    a power of z times f(q), and f(q, j) is the j-th derivative of f.
-    Returns (polished root, multiplicity) pairs.
+    A failing stack is halved until each failure is a matrix of its own,
+    whose eigenvalues are then NaN.
     """
-    z = np.roots(coeffs)
-    q = np.sort(np.angle(z[np.abs(np.log(np.abs(z))) < TOL_CIRCLE]))
-    q = q[np.abs(f(q, 0)) <= tol]
-    n = len(q)
-    # joined[i]: q[i] and its successor on the circle are one multiple root
-    succ = np.append(q[1:], q[:1] + TWO_PI)
-    joined = (np.abs(f(0.5 * (q + succ), 0)) <= tol) & (n > 1)
-    roots = []
-    for s in np.flatnonzero(~np.roll(joined, 1)):
-        m = 1
-        while joined[(s + m - 1) % n]:
-            m += 1
-        idx = s + np.arange(m)
-        centre = float(np.mean(q[idx % n] + TWO_PI * (idx >= n)))
-        roots.append((_polish(f, centre, m), m))
-    return roots
+    try:
+        return np.linalg.eigvals(a), {}
+    except np.linalg.LinAlgError as exc:
+        if len(a) == 1:
+            return np.full(a.shape[:2], np.nan, complex), {0: exc}
+        h = len(a) // 2
+        (za, ea), (zb, eb) = _eigvals(a[:h]), _eigvals(a[h:])
+        return np.concatenate([za, zb]), {**ea, **{h + i: e for i, e in eb.items()}}
+
+
+def _circle_roots(coeffs, couplings, f, tol, seeded):
+    """Real roots q in [-pi, pi) of a stack of trigonometric polynomials, once each.
+
+    Row i of coeffs (highest power first) defines a polynomial in z = e^{iq}
+    that is a power of z times f(q) at the couplings of row i.  f(q, j, c)
+    is the j-th derivative of f at q for couplings c, one per q, and tol[i]
+    bounds |f| at a kept root of row i.  A seeded row skips its companion
+    matrix: its roots are the simple ones polished from -pi/2 and pi/2.
+    Returns the flat arrays (rows, polished roots, multiplicities), grouped
+    by row and each row's roots in circle order, and {row: LinAlgError} for
+    the rows whose eigenvalues failed.
+    """
+    # a seeded row never reaches the division by its leading coefficient,
+    # which vanishes for the quartic at g = 0
+    live = np.flatnonzero(~seeded)
+    p = coeffs[live]
+    d = p.shape[1] - 1
+    companion = np.zeros((live.size, d, d), complex)
+    companion[:, np.arange(1, d), np.arange(d - 1)] = 1.0
+    companion[:, 0, :] = -p[:, 1:] / p[:, :1]
+    z, failed = _eigvals(companion)
+    circle = np.abs(np.log(np.abs(z))) < TOL_CIRCLE
+    q = np.full(z.shape, np.inf)
+    q[circle] = np.angle(z[circle])
+    q.sort(axis=1)  # each row's circle angles first, in order, then inf
+    count = np.count_nonzero(circle, axis=1)
+    q, rows = q[np.arange(d) < count[:, None]], np.repeat(live, count)
+    on = np.abs(f(q, 0, couplings.at(rows))) <= tol[rows]
+    seeds = np.flatnonzero(seeded)
+    q = np.concatenate([q[on], np.tile([-math.pi / 2, math.pi / 2], seeds.size)])
+    rows = np.concatenate([rows[on], np.repeat(seeds, 2)])
+    by_row = np.argsort(rows, kind="stable")
+    q, rows = q[by_row], rows[by_row]
+    # joined[i]: q[i] and its successor on its row's circle are one multiple root
+    head = np.searchsorted(rows, rows)
+    tail = rows != np.append(rows[1:], -1)
+    succ = np.empty_like(q)
+    succ[:-1] = q[1:]
+    succ[tail] = q[head[tail]] + TWO_PI
+    joined = (np.abs(f(0.5 * (q + succ), 0, couplings.at(rows))) <= tol[rows]) & ~seeded[rows]
+    joined &= np.bincount(rows, minlength=len(coeffs))[rows] > 1
+    # per multiplicity: the clusters' output slots, indices into q and
+    # whether each index wrapped past its row's end
+    groups, out_rows, order = {}, [], []
+    jv, rv, ends = joined.tolist(), rows.tolist(), (np.flatnonzero(tail) + 1).tolist()
+    for a, b in zip([0] + ends[:-1], ends):
+        n = b - a
+        for s in range(n):
+            if jv[a + (s - 1) % n]:
+                continue
+            m = 1
+            while jv[a + (s + m - 1) % n]:
+                m += 1
+            slots, idx, wrap = groups.setdefault(m, ([], [], []))
+            slots.append(len(order))
+            idx.append([a + (s + i) % n for i in range(m)])
+            wrap.append([s + i >= n for i in range(m)])
+            out_rows.append(rv[a])
+            order.append(m)
+    out_rows, order = np.array(out_rows, dtype=np.intp), np.array(order, dtype=np.intp)
+    roots = np.empty(len(order))
+    for m, (slots, idx, wrap) in groups.items():
+        centre = (q[np.array(idx)] + TWO_PI * np.array(wrap)).mean(axis=1)
+        roots[slots] = _polish(f, centre, m, couplings.at(out_rows[slots]))
+    return out_rows, roots, order, {int(live[i]): exc for i, exc in failed.items()}
 
 
 def check_coupling(g: float) -> None:
@@ -121,6 +196,39 @@ def check_coupling(g: float) -> None:
         raise ValueError(f"g={g!r} is too large for the front scan: 64 g overflows")
 
 
+def _front_sets(points) -> list:
+    """Per point, its fronts sorted by velocity, or the LinAlgError of its quartic.
+
+    All points are scanned in one pass: one stack of companion matrices, and
+    each Newton step and derivative taken once per multiplicity over every
+    root of the stack.  Every g must pass check_coupling.
+    """
+    for p in points:
+        check_coupling(p.g)
+    g = np.array([p.g for p in points], dtype=float)
+    couplings = _Couplings(g, np.array([p.phi for p in points], dtype=float))
+    seeded = g < G_SEED
+    quartic = np.zeros((len(points), 5), complex)
+    quartic[:, 0] = [4.0 * p.g * complex(math.cos(p.phi), math.sin(p.phi)) for p in points]
+    quartic[:, 1] = quartic[:, 3] = 1.0
+    quartic[:, 4] = quartic[:, 0].conj()
+    w2 = lambda q, j, c: omega_deriv(q, 2 + j, c)
+    rows, q, order, failed = _circle_roots(quartic, couplings, w2, TOL_ROOT * (1.0 + 8.0 * g), seeded)
+    velocity = omega_deriv(q, 1, couplings.at(rows))
+    kappa = np.empty_like(q)
+    for m in set(order.tolist()):
+        sel = order == m
+        kappa[sel] = omega_deriv(q[sel], m + 2, couplings.at(rows[sel])) / math.factorial(m + 1)
+    fronts = [[] for _ in points]
+    for r, *front in zip(rows.tolist(), q.tolist(), velocity.tolist(), order.tolist(), kappa.tolist()):
+        fronts[r].append(ExtremalFront(*front, "left" if front[1] < 0 else "right"))
+    for found in fronts:
+        found.sort(key=lambda fr: fr.velocity)
+    for r, exc in failed.items():
+        fronts[r] = exc
+    return fronts
+
+
 def find_extremal_fronts(p: WalkParams) -> list[ExtremalFront]:
     """Locate and classify every extremal front of the dispersion.
 
@@ -130,29 +238,15 @@ def find_extremal_fronts(p: WalkParams) -> list[ExtremalFront]:
     its root cluster, and kappa is taken at the polished wave vector, the
     centre of that cluster.  g must pass check_coupling.
     """
-    check_coupling(p.g)
-    w2 = lambda q, j: omega_deriv(q, 2 + j, p)
-    if p.g < G_SEED:
-        roots = [(_polish(w2, q, 1), 1) for q in (-math.pi / 2, math.pi / 2)]
-    else:
-        c = 4.0 * p.g * complex(math.cos(p.phi), math.sin(p.phi))
-        quartic = [c, 1.0, 0.0, 1.0, c.conjugate()]
-        roots = _circle_roots(quartic, w2, TOL_ROOT * (1.0 + 8.0 * p.g))
-    fronts = []
-    for q, order in roots:
-        kappa = omega_deriv(q, order + 2, p) / math.factorial(order + 1)
-        v = omega_deriv(q, 1, p)
-        fronts.append(
-            ExtremalFront(q, v, order, kappa, "left" if v < 0 else "right")
-        )
-    fronts.sort(key=lambda fr: fr.velocity)
+    (fronts,) = _front_sets([p])
+    if isinstance(fronts, Exception):
+        raise fronts
     return fronts
 
 
-@lru_cache(maxsize=64)
-def cone_topology(p: WalkParams) -> FrontDiagram:
-    """Assemble the front diagram and classify the causal-cone topology."""
-    fronts = tuple(find_extremal_fronts(p))
+def _diagram(p: WalkParams, fronts) -> FrontDiagram:
+    """Assemble the front diagram of p and classify its causal-cone topology."""
+    fronts = tuple(fronts)
     n = len(fronts)
     if n not in (2, 3, 4):
         raise FrontScanError(f"unexpected front count {n} at {p}")
@@ -170,6 +264,30 @@ def cone_topology(p: WalkParams) -> FrontDiagram:
             ConeTopology.TWO_OVERLAPPING_CONES if degen else ConeTopology.TWO_NESTED_CONES
         )
     return FrontDiagram(p, fronts, v_lm, v_rm, topo)
+
+
+@lru_cache(maxsize=64)
+def cone_topology(p: WalkParams) -> FrontDiagram:
+    """Assemble the front diagram and classify the causal-cone topology."""
+    return _diagram(p, find_extremal_fronts(p))
+
+
+def scan_diagrams(points) -> list:
+    """cone_topology of many points in one batched scan, without its cache.
+
+    Returns, per point, its FrontDiagram or the FrontScanError or
+    LinAlgError that its scan raised, so that one failing point does not
+    fail the others; every g must pass check_coupling.
+    """
+    out = []
+    for p, fronts in zip(points, _front_sets(points)):
+        if not isinstance(fronts, Exception):
+            try:
+                fronts = _diagram(p, fronts)
+            except FrontScanError as exc:
+                fronts = exc
+        out.append(fronts)
+    return out
 
 
 def degeneracy(diagram: FrontDiagram, front: ExtremalFront) -> int:
@@ -203,12 +321,19 @@ def critical_coupling(phi: float) -> float:
     e = complex(math.cos(phi), math.sin(phi))
     sextic = [e, 0.0, 3.0 * e, 0.0, -3.0 * e.conjugate(), 0.0, -e.conjugate()]
 
-    def f(q, j):
-        shift = phi + j * math.pi / 2.0
+    def f(q, j, c):
+        shift = c.phi + j * math.pi / 2.0
         return 3.0**j * np.sin(3.0 * q + shift) + 3.0 * np.sin(q + shift)
 
+    # the sextic does not depend on g
+    couplings = _Couplings(np.zeros(1), np.array([phi]))
+    _, roots, _, failed = _circle_roots(
+        np.array([sextic]), couplings, f, np.array([TOL_ROOT]), np.array([False])
+    )
+    if failed:
+        raise failed[0]
     gs = []
-    for q, _ in _circle_roots(sextic, f, TOL_ROOT):
+    for q in roots.tolist():
         c, s = math.cos(2.0 * q + phi), math.sin(2.0 * q + phi)
         gs.append(-(4.0 * math.cos(q) * c + 8.0 * math.sin(q) * s) / (16.0 * c * c + 64.0 * s * s))
     return min(g for g in gs if g > 0.0)

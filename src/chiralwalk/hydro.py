@@ -216,8 +216,11 @@ def nu_half(p: WalkParams, tol: float = 1e-10) -> float:
     round, one vectorised _bulk call each, and narrowed to the first grid
     step where Phi reaches 1/2, until it is at most tol wide; the midpoint
     is returned.  Phi is monotone, so the count of points below 1/2 is that
-    step's index.
+    step's index.  A tol that is not >= 0 (NaN or negative) is refused with
+    ValueError.
     """
+    if not tol >= 0.0:
+        raise ValueError(f"nu_half needs tol >= 0, got tol={tol!r}")
     d = cone_topology(p)
     lo, hi = d.v_lm, d.v_rm
     while hi - lo > tol:

@@ -10,7 +10,10 @@ monotone branch of the group velocity), the sub-level roots come from a
 fixed 54-step bisection of each branch (the package runs a safeguarded
 Newton iteration and stops at the float noise of v), the front wave
 vectors come from a quartic in cos q obtained by squaring away sin q (the
-package takes the unit-circle roots of a quartic in e^{iq}), the scaled
+package takes the unit-circle roots of a quartic in e^{iq}), each point's
+fronts come from its own np.roots call and a scalar Newton polish of each
+root (the package scans a whole stack of points at once and must match
+this bit for bit), the scaled
 moments come from
 Gauss-Legendre quadrature of v^k (the package telescopes a closed-form
 antiderivative), the ring kernels come from whole-ring array
@@ -26,8 +29,9 @@ import mpmath as mp
 import numpy as np
 from scipy.linalg import expm
 
-from chiralwalk import omega
-from chiralwalk.dispersion import omega_deriv
+from chiralwalk import ExtremalFront, omega
+from chiralwalk.dispersion import TWO_PI, omega_deriv
+from chiralwalk.fronts import G_SEED, NEWTON_STEPS, TOL_CIRCLE, TOL_ROOT
 from chiralwalk.evolve import _int_power
 from chiralwalk.hydro import _branches
 
@@ -227,3 +231,66 @@ def quartic_crosscheck(g, phi):
             continue
         merged.append(r)
     return merged
+
+
+def _polish(f, x, m):
+    """Newton on f^(m-1), one scalar at a time."""
+    for _ in range(NEWTON_STEPS):
+        x -= f(x, m - 1) / f(x, m)
+    return (x + math.pi) % TWO_PI - math.pi
+
+
+def _circle_roots(coeffs, f, tol):
+    """(polished root, multiplicity) of one trigonometric polynomial's real roots."""
+    z = np.roots(coeffs)
+    q = np.sort(np.angle(z[np.abs(np.log(np.abs(z))) < TOL_CIRCLE]))
+    q = q[np.abs(f(q, 0)) <= tol]
+    n = len(q)
+    succ = np.append(q[1:], q[:1] + TWO_PI)
+    joined = (np.abs(f(0.5 * (q + succ), 0)) <= tol) & (n > 1)
+    roots = []
+    for s in np.flatnonzero(~np.roll(joined, 1)):
+        m = 1
+        while joined[(s + m - 1) % n]:
+            m += 1
+        idx = s + np.arange(m)
+        centre = float(np.mean(q[idx % n] + TWO_PI * (idx >= n)))
+        roots.append((_polish(f, centre, m), m))
+    return roots
+
+
+def per_point_fronts(p):
+    """The extremal fronts of one point, sorted by velocity, scanned on their own.
+
+    The companion eigenvalues come from np.roots on this point's quartic
+    alone, and each root cluster is polished by Newton in Python floats.
+    """
+    w2 = lambda q, j: omega_deriv(q, 2 + j, p)
+    if p.g < G_SEED:
+        roots = [(_polish(w2, q, 1), 1) for q in (-math.pi / 2, math.pi / 2)]
+    else:
+        c = 4.0 * p.g * complex(math.cos(p.phi), math.sin(p.phi))
+        roots = _circle_roots([c, 1.0, 0.0, 1.0, c.conjugate()], w2, TOL_ROOT * (1.0 + 8.0 * p.g))
+    fronts = []
+    for q, order in roots:
+        kappa = omega_deriv(q, order + 2, p) / math.factorial(order + 1)
+        v = omega_deriv(q, 1, p)
+        fronts.append(ExtremalFront(q, v, order, kappa, "left" if v < 0 else "right"))
+    fronts.sort(key=lambda fr: fr.velocity)
+    return fronts
+
+
+def per_point_critical_coupling(phi):
+    """g_c(phi) from np.roots on this phi's sextic alone, polished in Python floats."""
+    e = complex(math.cos(phi), math.sin(phi))
+    sextic = [e, 0.0, 3.0 * e, 0.0, -3.0 * e.conjugate(), 0.0, -e.conjugate()]
+
+    def f(q, j):
+        shift = phi + j * math.pi / 2.0
+        return 3.0**j * np.sin(3.0 * q + shift) + 3.0 * np.sin(q + shift)
+
+    gs = []
+    for q, _ in _circle_roots(sextic, f, TOL_ROOT):
+        c, s = math.cos(2.0 * q + phi), math.sin(2.0 * q + phi)
+        gs.append(-(4.0 * math.cos(q) * c + 8.0 * math.sin(q) * s) / (16.0 * c * c + 64.0 * s * s))
+    return min(g for g in gs if g > 0.0)

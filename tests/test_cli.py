@@ -7,7 +7,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from chiralwalk import cli
+from chiralwalk import WalkParams, cli, fronts
 from chiralwalk.cli import main
 from chiralwalk.evolve import evolve
 from chiralwalk.fronts import FrontScanError
@@ -245,16 +245,16 @@ def test_fronts_empty_range(tmp_path):
 
 
 def test_fronts_lost_roots_reported_per_row(tmp_path, monkeypatch):
-    # a scan that fails at one g, as one that lost its roots would, is
-    # written as one error row, quoted per RFC 4180, and the sweep goes on
-    scan = cli.cone_topology
+    # a batched scan that loses every root of one point fails that point's
+    # classification alone: it is written as one error row, quoted per RFC
+    # 4180, and the sweep goes on
+    scan = fronts._front_sets
 
-    def lose_roots_at_middle_g(p):
-        if p.g == 0.1:
-            raise FrontScanError(f"unexpected front count 0 at {p}")
-        return scan(p)
+    def lose_roots_at_middle_g(points):
+        return [[] if p.g == 0.1 else found for p, found in zip(points, scan(points))]
 
-    monkeypatch.setattr(cli, "cone_topology", lose_roots_at_middle_g)
+    monkeypatch.setattr(fronts, "_front_sets", lose_roots_at_middle_g)
+    assert isinstance(fronts.scan_diagrams([WalkParams(0.1, 0.8)])[0], FrontScanError)
     rc = main([
         "fronts", "--phi", "0.8", "--g-min", "0", "--g-max", "0.2", "--g-steps", "3",
         "--out", str(tmp_path),
@@ -270,6 +270,72 @@ def test_fronts_lost_roots_reported_per_row(tmp_path, monkeypatch):
     assert {r[1] for r in ok} == {"0", "0.20000000000000001"}
     assert all(r[-1] == "ok" for r in ok)
     validate(tmp_path / "gc.json", "gc")
+
+
+def test_fronts_phi_just_past_the_window_reported_per_row(tmp_path):
+    # the window check lets phi pass up to 1e-15 beyond pi/2, which
+    # WalkParams refuses: each of its points is an error row, the other phi
+    # is scanned, and g_c is still written for both
+    phi = math.nextafter(math.pi / 2, 2.0)
+    rc = main([
+        "fronts", "--phi-list", f"{phi!r},0.5", "--g-min", "0", "--g-max", "0.3", "--g-steps", "4",
+        "--out", str(tmp_path),
+    ])
+    assert rc == 0
+    header, *rows = csv.reader((tmp_path / "fronts.csv").read_text().splitlines())
+    edge = [r for r in rows if r[0] == repr(phi)]
+    assert [r[-1] for r in edge] == [f"error: phi must lie in [0, pi/2], got {phi!r}"] * 4
+    assert all(r[-1] == "ok" for r in rows if r[0] == "0.5")
+    assert len(validate(tmp_path / "gc.json", "gc")["critical_couplings"]) == 2
+
+
+def record_eigvals(monkeypatch, failing_g=None):
+    """Record the stack size of each np.linalg.eigvals call, failing on failing_g.
+
+    A call fails when its stack holds the quartic of coupling failing_g, the
+    companion matrix of z^2 w'' with -1/(4 g e^{i phi}) as its (0, 0) entry.
+    """
+    eigvals, sizes = np.linalg.eigvals, []
+
+    def eigvals_failing_at_g(a):
+        sizes.append(len(a))
+        if failing_g is not None and np.any(np.abs(np.abs(a[:, 0, 0]) - 0.25 / failing_g) < 1e-12):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", eigvals_failing_at_g)
+    return sizes
+
+
+def test_fronts_failed_eigenvalues_reported_per_row(tmp_path, monkeypatch):
+    # LAPACK failing on one companion matrix of the stacked scan fails that
+    # point alone; the g = 0 point is seeded and never reaches the stack
+    sizes = record_eigvals(monkeypatch, failing_g=0.1)
+    rc = main([
+        "fronts", "--phi", "0.8", "--g-min", "0", "--g-max", "0.4", "--g-steps", "5",
+        "--out", str(tmp_path),
+    ])
+    assert rc == 0
+    header, *rows = csv.reader((tmp_path / "fronts.csv").read_text().splitlines())
+    failed = [r for r in rows if r[-1] != "ok"]
+    assert failed == [["0.80000000000000004", "0.10000000000000001", "", "", "", "", "",
+                       "error: Eigenvalues did not converge"]]
+    assert {r[1] for r in rows if r[-1] == "ok"} == {
+        "0", "0.20000000000000001", "0.30000000000000004", "0.40000000000000002"}
+    # the sweep's stack of four, its halves down to the failing matrix, then g_c's sextic
+    assert sizes == [4, 2, 1, 1, 2, 1]
+    validate(tmp_path / "gc.json", "gc")
+
+
+def test_fronts_sweep_takes_one_eigvals_call(tmp_path, monkeypatch):
+    # one stacked eigenvalue call for the whole sweep, and one per phi for g_c
+    sizes = record_eigvals(monkeypatch)
+    rc = main([
+        "fronts", "--phi-list", "0,0.8,1.5707963267948966", "--g-min", "0", "--g-max", "0.6",
+        "--g-steps", "61", "--out", str(tmp_path),
+    ])
+    assert rc == 0
+    assert sizes == [3 * 60, 1, 1, 1]
 
 
 @pytest.mark.parametrize(

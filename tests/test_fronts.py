@@ -4,6 +4,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chiralwalk import (
     ConeTopology,
@@ -13,9 +15,11 @@ from chiralwalk import (
     degeneracy,
     find_extremal_fronts,
     omega_deriv,
+    scan_diagrams,
 )
+from chiralwalk.fronts import G_SEED
 
-from oracles import quartic_crosscheck
+from oracles import per_point_critical_coupling, per_point_fronts, quartic_crosscheck
 
 PI = math.pi
 
@@ -204,3 +208,85 @@ def test_quartic_report_consistency():
         p = WalkParams(rng.uniform(0.02, 1.0), rng.uniform(0.0, PI / 2))
         assert not unmatched_fronts(p)[1], p
     assert not unmatched_fronts(WalkParams(0.3, 0.0))[1]
+
+
+def five_phase_sweep_points():
+    """The published five-phase sweep, g in [0, 0.6] on 241 steps, plus the hard points.
+
+    Those are g = 0 and g just under G_SEED (seeded, never on the companion
+    stack), the third-order front at g = 1/8 and phi = pi/2, the zone-seam
+    root at g = 1/4 and phi = 0, and points on and near the Lifshitz line,
+    where root clusters join.
+    """
+    gs = np.linspace(0.0, 0.6, 241).tolist()
+    points = [WalkParams(g, phi) for phi in (0.0, 0.3, 0.8, 1.2, PI / 2) for g in gs]
+    hard = [(0.0, 0.8), (0.5 * G_SEED, 0.8), (math.nextafter(G_SEED, 0.0), PI / 2),
+            (G_SEED, 0.0), (0.125, PI / 2), (0.25, 0.0), (critical_coupling(0.8), 0.8)]
+    deltas = [0.0, *(s * 10.0**-k for k in range(3, 13) for s in (-1, 1))]
+    hard += [(critical_coupling(phi) + d, phi) for phi in np.linspace(0.0, PI / 2, 13).tolist()
+             for d in deltas]
+    return points + [WalkParams(g, phi) for g, phi in hard]
+
+
+def test_batched_scan_equals_per_point_oracle():
+    points = five_phase_sweep_points()
+    for p, diagram in zip(points, scan_diagrams(points), strict=True):
+        assert diagram.fronts == tuple(per_point_fronts(p)), p
+        assert diagram == cone_topology(p), p
+
+
+def test_critical_coupling_equals_per_point_oracle():
+    for phi in [*np.linspace(0.0, PI / 2, 13).tolist(), 0.8, 1.2]:
+        assert critical_coupling(phi) == per_point_critical_coupling(phi), phi
+
+
+def same_scan(a, b):
+    if isinstance(a, Exception) or isinstance(b, Exception):
+        return type(a) is type(b) and str(a) == str(b)
+    return a == b
+
+
+PHIS = st.floats(0.0, PI / 2)
+POINTS = st.one_of(
+    st.tuples(st.floats(0.0, 1.0), PHIS),
+    st.tuples(st.sampled_from([0.0, 0.5 * G_SEED, G_SEED, 0.125, 0.25]), PHIS),
+    PHIS.map(lambda phi: (critical_coupling(phi), phi)),  # on the Lifshitz line
+)
+
+
+def test_scan_is_batch_independent():
+    # a point's fronts are bit-identical alone, in a sweep, and in any order
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(st.lists(POINTS, min_size=1, max_size=8), st.randoms(use_true_random=False))
+    def check(pairs, rnd):
+        points = [WalkParams(g, phi) for g, phi in pairs]
+        together = scan_diagrams(points)
+        order = list(range(len(points)))
+        rnd.shuffle(order)
+        shuffled = dict(zip(order, scan_diagrams([points[i] for i in order])))
+        for i, p in enumerate(points):
+            (alone,) = scan_diagrams([p])
+            assert same_scan(together[i], alone), p
+            assert same_scan(shuffled[i], alone), p
+
+    check()
+
+
+def test_failed_eigenvalues_fail_their_point_alone(monkeypatch):
+    # the stack is halved until the failing companion matrix stands alone
+    bad = WalkParams(0.3, 0.8)
+    eigvals = np.linalg.eigvals
+
+    def eigvals_failing_at_bad(a):
+        if np.any(np.abs(np.abs(a[:, 0, 0]) - 0.25 / bad.g) < 1e-12):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eigvals(a)
+
+    points = [WalkParams(g, 0.8) for g in (0.0, 0.1, 0.2, 0.3, 0.4, 0.5)]
+    want = scan_diagrams(points)
+    monkeypatch.setattr(np.linalg, "eigvals", eigvals_failing_at_bad)
+    got = scan_diagrams(points)
+    assert isinstance(got[3], np.linalg.LinAlgError)
+    assert got[:3] + got[4:] == want[:3] + want[4:]
+    with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+        find_extremal_fronts(bad)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -60,6 +61,13 @@ def test_nu_half_matches_bisection():
     assert scaled_cpd(p, coarse - 5e-4) < 0.5 <= scaled_cpd(p, coarse + 5e-4)
     # a tol below the float spacing stops at adjacent floats instead of looping
     assert abs(nu_half(p, tol=0.0) - nu_half(p)) <= 5e-11
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1e-10, -math.inf])
+def test_nu_half_refuses_a_tol_below_zero(tol):
+    # a NaN tol ended the bracketing at once and returned the cone's midpoint
+    with pytest.raises(ValueError, match=re.escape(f"tol={tol!r}")):
+        nu_half(WalkParams(0.3, 0.8), tol=tol)
 
 
 def test_invert_velocity_counts():
