@@ -22,7 +22,7 @@ import numpy as np
 
 from . import airy as airy_mod
 from . import hydro as hydro_mod
-from .dispersion import WalkParams
+from .dispersion import PHI_MAX, WalkParams
 from .evolve import (
     GuardError,
     cumulative,
@@ -189,20 +189,16 @@ def cmd_fronts(args) -> int:
     check_coupling(args.g_max)
     phis = [args.phi] if not args.phi_list else [float(s) for s in args.phi_list.split(",")]
     for phi in phis:
-        if not 0.0 <= phi <= math.pi / 2 + 1e-15:
-            raise ConfigError(f"phi {phi} outside the canonical window [0, pi/2]")
+        if not 0.0 <= phi <= PHI_MAX:
+            raise ConfigError(f"phi {phi!r} outside the canonical window [0, pi/2]")
     if len(phis) * args.g_steps > MAX_SWEEP:
         raise ConfigError(
             f"a sweep of {len(phis)} phi x {args.g_steps} g-steps exceeds {MAX_SWEEP} points"
         )
     out = _outdir(args)
     gs = np.linspace(args.g_min, args.g_max, args.g_steps).tolist()
-    rows, points = [], []
-    for phi in phis:
-        try:
-            points += [WalkParams(g, phi) for g in gs]
-        except ValueError as exc:  # a phi up to 1e-15 past pi/2, which WalkParams refuses
-            rows += [(phi, g, "", "", "", "", "", f"error: {exc}") for g in gs]
+    rows = []
+    points = [WalkParams(g, phi) for phi in phis for g in gs]
     for p, diagram in zip(points, scan_diagrams(points)):
         if isinstance(diagram, Exception):  # recorded per row, sweep continues
             rows.append((p.phi, p.g, "", "", "", "", "", f"error: {diagram}"))

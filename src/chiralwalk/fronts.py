@@ -59,7 +59,7 @@ class ConeTopology(Enum):
     CRITICAL_THIRD_ORDER = "critical_third_order"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExtremalFront:
     """One stationary point of the group velocity."""
 
@@ -70,7 +70,7 @@ class ExtremalFront:
     chirality: str  # "left" or "right"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FrontDiagram:
     """All extremal fronts of a parameter point, sorted by velocity."""
 

@@ -38,33 +38,49 @@ from chiralwalk.hydro import _branches
 _BISECT_STEPS = 54  # brackets a root on a branch of length <= 2pi to < 4e-16
 
 
+_SERIES = {}  # (k, dps) -> the Maclaurin coefficients of 2 pi A_k computed so far
+
+
+def _series_coefficient(k, dps, m):
+    """Coefficient of xi^m in the Maclaurin series of 2 pi A_k, at dps digits."""
+    coef = _SERIES.setdefault((k, dps), [])
+    while len(coef) <= m:
+        j, kp2 = len(coef), k + 2
+        delta = mp.pi / (2 * kp2)
+        gam = mp.power(kp2, mp.mpf(j + 1) / kp2 - 1) * mp.gamma(mp.mpf(j + 1) / kp2)
+        if j % 2 == 0:
+            c = ((-1) ** (j // 2)) * 2 * gam * mp.cos((j + 1) * delta)
+        else:
+            c = ((-1) ** ((j + 1) // 2)) * 2 * gam * mp.sin((j + 1) * delta)
+        coef.append(c / mp.factorial(j))
+    return coef[m]
+
+
 def series_airy(k, xi, dps=60, nmax=4000):
     """Maclaurin series of the order-k edge profile function.
 
     Expanding exp(-i xi eta) under the integral gives moments of
     exp(-i eta^(k+2)/(k+2)) along the decay rays, which reduce to Gamma
     functions; the series is entire and is summed in mpmath arithmetic so
-    the large-|xi| cancellation costs no precision.
+    the large-|xi| cancellation costs no precision.  The coefficients do not
+    depend on xi and are kept between calls.
     """
     with mp.workdps(dps):
-        kp2 = k + 2
-        delta = mp.pi / (2 * kp2)
         total = mp.mpf(0)
         x = mp.mpf(xi)
+        power = mp.mpf(1)
+        tiny = mp.mpf(10) ** (-dps + 4)
         small = 0
         for m in range(nmax):
-            gam = mp.power(kp2, mp.mpf(m + 1) / kp2 - 1) * mp.gamma(mp.mpf(m + 1) / kp2)
-            if m % 2 == 0:
-                term = ((-1) ** (m // 2)) * x**m / mp.factorial(m) * 2 * gam * mp.cos((m + 1) * delta)
-            else:
-                term = ((-1) ** ((m + 1) // 2)) * x**m / mp.factorial(m) * 2 * gam * mp.sin((m + 1) * delta)
+            term = _series_coefficient(k, dps, m) * power
             total += term
-            if abs(term) < mp.mpf(10) ** (-dps + 4):
+            if abs(term) < tiny:
                 small += 1
-                if small >= kp2 + 1:
+                if small >= k + 3:
                     break
             else:
                 small = 0
+            power *= x
         return float(total / (2 * mp.pi))
 
 

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.signal import find_peaks
@@ -98,6 +99,19 @@ def test_table_matches_pointwise_values():
         np.testing.assert_allclose(table[:, 0], points, rtol=0, atol=1e-14)
 
 
+def test_table_derivative_rows():
+    # row j holds A_k^(j): against mpmath's Ai' for k = 1, and through the
+    # defining ODE A^(k+1) = c xi A (c = 1 for k = 1, -1 for k = 3)
+    xi = np.linspace(-20.0, 8.0, 29).reshape(-1, 1)
+    for k, c in ((1, 1.0), (3, -1.0)):
+        rows = airy_table(k, xi, derivs=k + 1)
+        assert rows.shape == (k + 2, *xi.shape)
+        np.testing.assert_allclose(rows[0], airy_table(k, xi), rtol=0, atol=1e-15)
+        np.testing.assert_allclose(rows[k + 1], c * xi * rows[0], rtol=0, atol=1e-12)
+    ai_prime = [float(mp.airyai(x, derivative=1)) for x in xi.ravel()]
+    np.testing.assert_allclose(airy_table(1, xi, derivs=1)[1, :, 0], ai_prime, rtol=0, atol=1e-13)
+
+
 def test_input_validation():
     for bad in (0, 2, 4, -1):
         with pytest.raises(ValueError):
@@ -175,6 +189,35 @@ def test_predict_edge_structure():
     # plateau heights at the zeros of Ai, in the xi-into-allowed convention
     for z, h_ref in zip(AI_ZEROS, H1_REF):
         assert np.interp(z, xi, prof.dphi_scaled) == pytest.approx(h_ref, abs=5e-4)
+
+
+def _running_integral(f, xs):
+    """int_0^x f(u) du at each x by mp.quad, accumulated outward from 0 in pieces of <= 5."""
+    out = {0.0: 0.0}
+    with mp.workdps(20):
+        for side in (1.0, -1.0):
+            ends = sorted(abs(x) for x in xs if side * x > 0)
+            cuts = sorted({*np.arange(0.0, ends[-1], 5.0).tolist(), *ends})
+            total = mp.mpf(0)
+            for a, b in zip(cuts, cuts[1:]):
+                total += mp.quad(f, [side * a, side * b], method="gauss-legendre")
+                out[side * b] = float(total)
+    return np.array([out[x] for x in xs])
+
+
+@pytest.mark.parametrize("g, k", [(1 / 16, 1), (1 / 8, 3)])
+def test_predict_edge_matches_mpmath_integral(g, k):
+    # the closed-form antiderivative against an independent running integral
+    # of A_k(-u)^2 over the whole validated range: mpmath's Ai for k = 1, the
+    # Maclaurin series oracle for k = 3
+    front = _left_front(g)
+    assert front.order == k
+    xi = np.array([-50.0, -23.7, -6.1, -1.3, 0.0, 0.4, 2.9, 11.2, 27.5, 41.8, 50.0])
+    if k == 1:
+        ref = _running_integral(lambda u: mp.airyai(-u) ** 2, xi)
+    else:
+        ref = _running_integral(lambda u: series_airy(3, -u, dps=80, nmax=8000) ** 2, xi)
+    np.testing.assert_allclose(predict_edge(front, 1e4, xi).dphi_scaled, ref, rtol=0, atol=1e-12)
 
 
 def test_predict_edge_rejects_even_order():

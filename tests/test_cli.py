@@ -113,8 +113,8 @@ def test_bad_xi_max_exits_2(tmp_path, capsys, monkeypatch, value):
     "flags", [["--window", "-5"], ["--window", "0"], ["--window", "2000"], ["--xi-max", "50"]]
 )
 def test_bad_window_exits_2(tmp_path, capsys, monkeypatch, flags):
-    # a window must hold a site, and its profile must fit inside |xi| <= 50
-    # including predict_edge's grid step; both are known before evolving
+    # a window must hold a site, and its samples must fit inside |xi| <= 50;
+    # both are known before evolving
     monkeypatch.setattr(cli.airy_mod, "measure_edge", lambda *a, **kw: pytest.fail("evolved"))
     rc = main(["edge", "--g", "0.0625", "--t", "1e4", *flags, "--out", str(tmp_path / "o")])
     assert rc == 2
@@ -272,21 +272,17 @@ def test_fronts_lost_roots_reported_per_row(tmp_path, monkeypatch):
     validate(tmp_path / "gc.json", "gc")
 
 
-def test_fronts_phi_just_past_the_window_reported_per_row(tmp_path):
-    # the window check lets phi pass up to 1e-15 beyond pi/2, which
-    # WalkParams refuses: each of its points is an error row, the other phi
-    # is scanned, and g_c is still written for both
+def test_fronts_phi_just_past_the_window_exits_2(tmp_path, capsys):
+    # a phi one float above pi/2 is refused before any output, beside a phi
+    # inside the window, as WalkParams would refuse each of its points
     phi = math.nextafter(math.pi / 2, 2.0)
     rc = main([
         "fronts", "--phi-list", f"{phi!r},0.5", "--g-min", "0", "--g-max", "0.3", "--g-steps", "4",
-        "--out", str(tmp_path),
+        "--out", str(tmp_path / "o"),
     ])
-    assert rc == 0
-    header, *rows = csv.reader((tmp_path / "fronts.csv").read_text().splitlines())
-    edge = [r for r in rows if r[0] == repr(phi)]
-    assert [r[-1] for r in edge] == [f"error: phi must lie in [0, pi/2], got {phi!r}"] * 4
-    assert all(r[-1] == "ok" for r in rows if r[0] == "0.5")
-    assert len(validate(tmp_path / "gc.json", "gc")["critical_couplings"]) == 2
+    assert rc == 2
+    assert f"phi {phi!r} outside the canonical window" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def record_eigvals(monkeypatch, failing_g=None):
