@@ -13,12 +13,17 @@ areas (plateau height times inter-inflection width) are nearly constant.
 A_k is evaluated on a fixed contour: the real segment [0, r0(xi)] through
 the stationary points, then the ray at angle -pi/(2(k+2)) from r0, on which
 the integrand decays like exp(-s^(k+2)/(k+2)).  Both pieces use fixed
-Gauss-Legendre nodes, the ray is cut per xi where the integrand is below
-exp(-40), and a table is one array expression over (xi x nodes), taken in
-blocks of xi.  Against an arbitrary-precision series the values agree to
-~3e-14 over the validated range |xi| <= XI_LIMIT = 50.  The j-th derivative
-multiplies the integrand by (-i z)^j, so the same nodes and exponentials
-give A_k', A_k'', ... as further rows of a table.
+Gauss-Legendre nodes, and the ray is cut per xi where the integrand is below
+exp(-40).  The segment's nodes and phase are real, so it is built in float64
+and only its exp(-i theta) is complex; the ray is complex throughout.  A
+table is one array expression per piece over (xi x nodes), taken in blocks
+of XI_BLOCK values of xi, small enough that a block's node arrays stay in a
+core's L2 cache.  Against an arbitrary-precision series the values agree to
+~3e-14 over the validated range |xi| <= XI_LIMIT = 50 for k = 1 and 3, the
+orders the fronts have (for k = 5 the same geometry holds ~1e-13 only down
+to xi ~ -38).  The j-th derivative multiplies the integrand by (-i z)^j, so
+the same nodes and exponentials give A_k', A_k'', ... as further rows of a
+table.
 
 The running integral of A_k^2 has a closed form: A_k solves
 A^(k+1) = c xi A with c = +-1, so
@@ -55,8 +60,10 @@ XI_LIMIT = 50.0
 SEGMENT_NODES = 200  # converged from 160 at |xi| = 50
 RAY_NODES = 100  # converged from 80 at |xi| = 50
 RAY_DECAY = 40.0  # the ray ends where |integrand| <= exp(-40) ~ 4e-18
-XI_BLOCK = 128  # xi values per array evaluation, bounds the node arrays
-ODE_STEP = 0.05  # xi step of airy_ode_residual's finite-difference stencils
+# xi values per array evaluation: a block's complex node arrays (64 x 200
+# segment, 64 x 100 ray, 16 bytes each) and their temporaries stay in a 2 MB
+# L2; a sweep of 32, 64 and 128 on the published edge rows picked 64
+XI_BLOCK = 64
 # extract_staircase keeps riser peaks at least STEP_MIN_SEP apart in xi, and
 # separated by a derivative dip below STEP_DIP_FRAC of the smaller peak
 STEP_MIN_SEP = 0.8
@@ -82,9 +89,11 @@ def _unit_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
 def _contour(k: int, xi: np.ndarray, rows: int) -> np.ndarray:
     """A_k and its first rows - 1 derivatives at a 1-d array of xi.
 
-    Segment plus rotated ray, fixed nodes; returns shape (rows, xi.size).
-    The j-th derivative multiplies the integrand by (-i z)^j, so one exp per
-    node serves every row.
+    Real segment plus rotated ray, fixed nodes; returns shape (rows, xi.size).
+    On the segment the nodes and the phase are real, so the only complex
+    step there is exp(-i theta) times the real weights.  The j-th derivative
+    multiplies the integrand by (-i z)^j, so one exp per node serves every
+    row.
     """
     kp2 = k + 2
     delta = math.pi / (2.0 * kp2)
@@ -99,16 +108,18 @@ def _contour(k: int, xi: np.ndarray, rows: int) -> np.ndarray:
     # integrand is below both exp(-a s) and exp(-s^kp2/kp2)
     a = (x + r0 ** (k + 1)) * math.sin(delta)
     s_max = np.minimum(RAY_DECAY / a, (kp2 * RAY_DECAY) ** (1.0 / kp2))
-    # the nodes z and weights dz of the real segment [0, r0], then of the ray
-    z = np.concatenate([r0 * u, r0 + (s_max * v) * rot], axis=1)
-    dz = np.concatenate([r0 * wu, (s_max * wv) * rot], axis=1)
-    f = np.exp(-1j * (x * z + z**kp2 / kp2)) * dz
+    # the real segment [0, r0], then the ray, each with its nodes and weights
+    y = r0 * u
+    seg = np.exp(-1j * (y * (x + y ** (k + 1) / kp2))) * (r0 * wu)
+    z = r0 + (s_max * v) * rot
+    ray = np.exp(-1j * (x * z + z * z ** (k + 1) / kp2)) * ((s_max * wv) * rot)
     out = np.empty((rows, xi.size))
     for j in range(rows):
         if j:
-            f *= -1j * z
+            seg *= -1j * y
+            ray *= -1j * z
         # A_k is real, so the left half-line mirrors the right: 1/pi, not 1/(2 pi)
-        out[j] = f.sum(axis=1).real / math.pi
+        out[j] = (seg.sum(axis=1).real + ray.sum(axis=1).real) / math.pi
     return out
 
 
@@ -139,37 +150,29 @@ def generalized_airy(k: int, xi: float) -> float:
     The path runs along the real axis through the stationary-phase region to
     r0(xi) and then along the ray at angle pi/(2(k+2)) below the real axis,
     where the phase decays; both pieces use fixed Gauss-Legendre nodes.
-    Absolute accuracy is ~3e-14 on the validated range |xi| <= 50; larger
-    or non-finite xi is rejected.
+    Absolute accuracy is ~3e-14 on the validated range |xi| <= 50 for
+    k = 1 and 3; larger or non-finite xi is rejected.
     """
     return float(airy_table(k, float(xi)))
 
 
-def airy_ode_residual(k: int, xi: float) -> float:
-    """Residual of the defining ODE probed by finite differences.
+def _ode_sign(k: int) -> int:
+    """c = (-1)^k i^(k+1) of the defining ODE A_k^(k+1) = c xi A_k, for odd k."""
+    return (-1) ** ((k - 1) // 2)
 
-    A_k satisfies A_k^(k+1)(xi) = (-1)^k i^(k+1) xi A_k(xi); for odd k the
-    right-hand side is real: +xi A_1 for k=1 and -xi A_3 for k=3.  The
-    (k+1)-th derivative is estimated from central stencils of the quadrature
-    values at spacing ODE_STEP, so the residual is expected below ~1e-5, not
-    machine precision.
+
+def airy_ode_residual(k: int, xi: float) -> float:
+    """Residual A_k^(k+1)(xi) - c xi A_k(xi) of the defining ODE, for odd k.
+
+    c = (-1)^k i^(k+1) is real for odd k: +xi A_1 for k=1, -xi A_3 for k=3,
+    +xi A_5 for k=5.  Both terms are rows of one airy_table with
+    derivs = k + 1, so the residual measures the quadrature alone (~1e-12
+    over the validated range for k = 1 and 3), with no finite-difference
+    step.
     """
     _check_order(k)
-    h = ODE_STEP
-    if k == 1:
-        w = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / (12.0 * h * h)
-        offs = np.arange(-2, 3)
-        rhs_sign = 1.0
-    elif k == 3:
-        w = np.array([-1.0, 12.0, -39.0, 56.0, -39.0, 12.0, -1.0]) / (6.0 * h**4)
-        offs = np.arange(-3, 4)
-        rhs_sign = -1.0
-    else:
-        raise ValueError("ODE residual probe implemented for k in {1, 3}")
-    vals = airy_table(k, xi + offs * h)
-    deriv = float(np.dot(w, vals))
-    centre = vals[len(vals) // 2]
-    return deriv - rhs_sign * xi * centre
+    a = airy_table(k, xi, derivs=k + 1)
+    return float(a[k + 1] - _ode_sign(k) * xi * a[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -220,9 +223,10 @@ def predict_edge(front: ExtremalFront, t: float, xi_grid: np.ndarray) -> EdgePro
     integral is F(0) - F(-xi) in closed form.  A_k and its first k
     derivatives come from one airy_table call at the requested xi and 0, so
     the cost grows with the number of samples, 2 window + 1, not with the xi
-    range.  On a 2-core AVX-512 VM that is 2-8 ms for the published windows
-    at t = 1e4, and up to ~36 ms for the 2 647 samples of a window at
-    t = 1e6, where the evolution the profile is compared with takes ~0.7 s.
+    range.  On a 2-core AVX-512 VM with 2 MB of L2 per core that is 3-10 ms
+    for the published windows at t = 1e4, and ~46 ms for the 2 647 samples
+    of the g = 1/8 right-front window at t = 1e6, whose evolution takes
+    ~0.3 s there.
 
     Rejects even-order fronts, whose amplitude equation has an imaginary
     dispersion term and therefore no real staircase.
@@ -233,7 +237,7 @@ def predict_edge(front: ExtremalFront, t: float, xi_grid: np.ndarray) -> EdgePro
     xi_grid = np.asarray(xi_grid, dtype=float)
     x = np.append(-xi_grid, 0.0)
     a = airy_table(k, x, derivs=k)
-    c = (-1) ** ((k - 1) // 2)  # (-1)^k i^(k+1) for odd k
+    c = _ode_sign(k)
     pairs = sum((-1) ** (j + 1) * a[j] * a[k + 1 - j] for j in range(1, k + 1))
     f = x * a[0] ** 2 - pairs / c
     dphi = (f[-1] - f[:-1]).reshape(xi_grid.shape)

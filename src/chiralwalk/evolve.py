@@ -200,23 +200,33 @@ def _map_spans(kernel, spans, sites: int) -> None:
             raise exc
 
 
+def _fast_even_lengths(lo: int, hi: int) -> list[int]:
+    """The even 5-smooth integers in [lo, hi), ascending.
+
+    For each 3^b 5^c below hi, the powers of two (at least 2) that put it in
+    the interval; O(log^2 hi) candidates, no search over the integers.
+    """
+    out = []
+    odd5 = 1
+    while odd5 < hi:
+        odd = odd5
+        while odd < hi:
+            length = odd << max(1, (-(-lo // odd) - 1).bit_length())
+            while length < hi:
+                out.append(length)
+                length <<= 1
+            odd *= 3
+        odd5 *= 5
+    return sorted(out)
+
+
 def next_fast_even(n: int) -> int:
     """Smallest even 5-smooth integer >= n (friendly FFT lengths).
 
-    For each 3^b 5^c below the best length so far, the smallest power of two
-    (at least 2) that lifts it to n; O(log^2 n) candidates, no search over
-    the integers.
+    The power of two in [n, 2n) is one, so the search stops at 2n.
     """
     n = max(2, int(n))
-    best = 1 << (n - 1).bit_length()
-    odd5 = 1
-    while odd5 < best:
-        odd = odd5
-        while odd < best:
-            best = min(best, odd << max(1, (-(-n // odd) - 1).bit_length()))
-            odd *= 3
-        odd5 *= 5
-    return best
+    return _fast_even_lengths(n, 2 * n)[0]
 
 
 def max_front_speed(p: WalkParams) -> float:
@@ -273,8 +283,11 @@ def ring_layout(p: WalkParams, t: float, reach: int = 0) -> tuple[int, int]:
     left, right = side(d.v_lm), side(d.v_rm)
     _check_cap(left + right)
     left, right = math.ceil(left), math.ceil(right)
-    L = next_fast_even(left + right)
-    while True:
+    n = left + right
+    # a ring of L >= 2n sites has L - n >= L/2 >= step spare sites, so it
+    # holds a multiple of step between the sides: the power of two in
+    # [2n, 4n) ends the search if no shorter length does
+    for L in _fast_even_lengths(n, 4 * n):
         _check_cap(L)
         R = _rows(L)
         step = L // R if R > 1 else 1
@@ -282,7 +295,6 @@ def ring_layout(p: WalkParams, t: float, reach: int = 0) -> tuple[int, int]:
             # the multiple of step nearest the middle of [left, L - right],
             # which lies inside that interval as some multiple does
             return L, (left + L - right + step) // (2 * step) * step
-        L = next_fast_even(L + 1)
 
 
 def _rows(L: int) -> int:

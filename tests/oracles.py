@@ -18,9 +18,13 @@ moments come from
 Gauss-Legendre quadrature of v^k (the package telescopes a closed-form
 antiderivative), the ring kernels come from whole-ring array
 expressions (the package walks the ring in cache-sized blocks and must
-match these bit for bit), and the ring amplitudes come from a direct
+match these bit for bit), the ring amplitudes come from a direct
 O(L^2) Fourier sum with exactly reduced angles, summed exactly (the package
-runs a four-step FFT).
+runs a four-step FFT), the Airy contour comes from the segment and ray
+concatenated into one complex node array (the package keeps the segment
+real and sums the pieces apart), and the ring layout comes from one
+next-larger 5-smooth search per tried length (the package enumerates the
+candidate lengths once).
 """
 
 import math
@@ -29,10 +33,11 @@ import mpmath as mp
 import numpy as np
 from scipy.linalg import expm
 
-from chiralwalk import ExtremalFront, omega
+from chiralwalk import ExtremalFront, cone_topology, edge_scale, omega
+from chiralwalk.airy import RAY_DECAY, RAY_NODES, SEGMENT_NODES, _unit_rule
 from chiralwalk.dispersion import TWO_PI, omega_deriv
 from chiralwalk.fronts import G_SEED, NEWTON_STEPS, TOL_CIRCLE, TOL_ROOT
-from chiralwalk.evolve import _int_power
+from chiralwalk.evolve import GUARD_SITES, _check_cap, _int_power, _rows, _tail_margin
 from chiralwalk.hydro import _branches
 
 _BISECT_STEPS = 54  # brackets a root on a branch of length <= 2pi to < 4e-16
@@ -82,6 +87,78 @@ def series_airy(k, xi, dps=60, nmax=4000):
                 small = 0
             power *= x
         return float(total / (2 * mp.pi))
+
+
+def concatenated_contour(k, xi, rows):
+    """A_k and its first rows - 1 derivatives on the package's contour, shape (rows, xi.size).
+
+    The same nodes, weights and geometry as airy._contour, but the real
+    segment [0, r0] and the ray are concatenated into one complex node
+    array, so the phase, z^(k+2) and every row product run in complex
+    arithmetic over all the nodes.
+    """
+    kp2 = k + 2
+    delta = math.pi / (2.0 * kp2)
+    rot = complex(math.cos(delta), -math.sin(delta))
+    u, wu = _unit_rule(SEGMENT_NODES)
+    v, wv = _unit_rule(RAY_NODES)
+    x = np.asarray(xi, dtype=float)[:, None]
+    r0 = np.where(x < 0.0, np.maximum(2.0, 1.6 * np.abs(x) ** (1.0 / (k + 1))), 1.0)
+    a = (x + r0 ** (k + 1)) * math.sin(delta)
+    s_max = np.minimum(RAY_DECAY / a, (kp2 * RAY_DECAY) ** (1.0 / kp2))
+    z = np.concatenate([r0 * u, r0 + (s_max * v) * rot], axis=1)
+    dz = np.concatenate([r0 * wu, (s_max * wv) * rot], axis=1)
+    f = np.exp(-1j * (x * z + z**kp2 / kp2)) * dz
+    out = np.empty((rows, x.shape[0]))
+    for j in range(rows):
+        if j:
+            f *= -1j * z
+        out[j] = f.sum(axis=1).real / math.pi
+    return out
+
+
+def _pruned_next_fast_even(n):
+    """Smallest even 5-smooth integer >= n, pruning by the best length so far."""
+    n = max(2, int(n))
+    best = 1 << (n - 1).bit_length()
+    odd5 = 1
+    while odd5 < best:
+        odd = odd5
+        while odd < best:
+            best = min(best, odd << max(1, (-(-n // odd) - 1).bit_length()))
+            odd *= 3
+        odd5 *= 5
+    return best
+
+
+def stepped_ring_layout(p, t, reach=0):
+    """(L, origin) of the automatic ring, trying one next-larger length at a time.
+
+    The sides are sized as in evolve.ring_layout; each rejected length L
+    starts a fresh search for the smallest even 5-smooth integer >= L + 1.
+    """
+    if not t >= 0:
+        raise ValueError(f"t must be >= 0, got t={t}")
+    d = cone_topology(p)
+
+    def side(v):
+        return max(
+            abs(v) * t + max(_tail_margin(fr.order) * edge_scale(fr, t) + 40.0, reach + GUARD_SITES)
+            for fr in d.fronts
+            if fr.velocity == v
+        )
+
+    left, right = side(d.v_lm), side(d.v_rm)
+    _check_cap(left + right)
+    left, right = math.ceil(left), math.ceil(right)
+    L = _pruned_next_fast_even(left + right)
+    while True:
+        _check_cap(L)
+        R = _rows(L)
+        step = L // R if R > 1 else 1
+        if (L - right) // step * step >= left:
+            return L, (left + L - right + step) // (2 * step) * step
+        L = _pruned_next_fast_even(L + 1)
 
 
 def ring_hamiltonian(L, g, phi):

@@ -21,8 +21,9 @@ from chiralwalk import (
     measure_edge,
     predict_edge,
 )
+from chiralwalk import airy as airy_module
 from chiralwalk.airy import XI_BLOCK, XI_LIMIT, _find_peaks, airy_table
-from oracles import series_airy
+from oracles import concatenated_contour, series_airy
 
 PI = math.pi
 
@@ -110,6 +111,29 @@ def test_table_derivative_rows():
         np.testing.assert_allclose(rows[k + 1], c * xi * rows[0], rtol=0, atol=1e-12)
     ai_prime = [float(mp.airyai(x, derivative=1)) for x in xi.ravel()]
     np.testing.assert_allclose(airy_table(1, xi, derivs=1)[1, :, 0], ai_prime, rtol=0, atol=1e-13)
+
+
+def test_table_matches_concatenated_contour():
+    # the real segment and the complex ray summed apart give the values of
+    # one complex node array over both, row by row, on the whole range
+    xi = np.linspace(-XI_LIMIT, XI_LIMIT, 2001)
+    for k in (1, 3, 5):
+        err = np.max(np.abs(airy_table(k, xi, derivs=k + 1) - concatenated_contour(k, xi, k + 2)), axis=1)
+        assert err[0] <= 3e-14, (k, err)
+        assert np.all(err[1 : k + 1] <= 1e-12), (k, err)
+        assert err[k + 1] <= 5e-12, (k, err)
+
+
+@pytest.mark.parametrize("block", [1, 7, XI_BLOCK])
+def test_table_does_not_depend_on_the_block(monkeypatch, block):
+    # every xi's row sums see the same nodes in the same order whatever
+    # block it lands in, so the bits match the default blocking
+    xi = np.random.default_rng(18).uniform(-XI_LIMIT, XI_LIMIT, 1000)
+    xi[:4] = (-XI_LIMIT, 0.0, XI_LIMIT, -0.0)
+    want = {k: airy_table(k, xi, derivs=k) for k in (1, 3, 5)}
+    monkeypatch.setattr(airy_module, "XI_BLOCK", block)
+    for k, table in want.items():
+        assert np.array_equal(airy_table(k, xi, derivs=k), table), k
 
 
 def test_input_validation():
@@ -338,9 +362,17 @@ def test_extract_staircase_requires_uniform_grid():
         extract_staircase(prof)
 
 
-def test_ode_residual_unsupported_order():
-    with pytest.raises(ValueError):
-        airy_ode_residual(5, 0.0)
+def test_ode_residual_takes_every_odd_order():
+    # the residual comes from the derivative rows, so any odd order works:
+    # A_5^(6) = xi A_5, whose sign the residual at +-1 fixes, as A_5(+-1)
+    # is O(0.1) there; even orders have no real profile
+    for xi in (-1.0, 0.0, 1.0):
+        assert abs(airy_ode_residual(5, xi)) < 1e-8
+    for xi in (-1.0, 1.0):
+        assert abs(generalized_airy(5, xi)) > 0.05
+    for k in (2, 4, 6):
+        with pytest.raises(ValueError):
+            airy_ode_residual(k, 0.0)
 
 
 def test_edge_scale():

@@ -33,6 +33,7 @@ from oracles import (
     dense_ring_evolution,
     direct_ring_amplitudes,
     exact_cut_current,
+    stepped_ring_layout,
     whole_ring_amplitudes,
     whole_ring_current,
     whole_ring_moment_terms,
@@ -769,6 +770,28 @@ def test_next_fast_even_is_the_smallest_even_5_smooth():
 
     for n in [*range(-3, 3000), 536000, 5359216, MAX_LATTICE - 5, MAX_LATTICE]:
         assert next_fast_even(n) == search(n), n
+
+
+def _layout_outcome(layout, *args):
+    try:
+        return layout(*args)
+    except (GuardError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(
+    st.one_of(st.floats(0.0, 2.0), st.sampled_from([0.0, 1 / 16, 1 / 8, 1 / 4])),
+    st.one_of(st.floats(0.0, PI / 2), st.sampled_from([0.0, PI / 2])),
+    st.one_of(st.floats(0.0, 1e7), st.sampled_from([0.0, 1e4, 1e6, 3e6, 1e300])),
+    st.integers(0, 200_000),
+)
+def test_ring_layout_matches_stepped_search(g, phi, t, reach):
+    # every input, the cap's GuardError included, gives the outcome of the
+    # search that looks up one next-larger length per rejected length
+    p = WalkParams(g, phi)
+    got = _layout_outcome(ring_layout, p, t, reach)
+    assert got == _layout_outcome(stepped_ring_layout, p, t, reach), (g, phi, t, reach)
 
 
 def test_chiral_ring_holds_the_cone():
