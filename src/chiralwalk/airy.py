@@ -9,6 +9,9 @@ universal profile built from the oscillatory integral
 A_1 is the classical Airy function Ai.  For odd k the profile is real and
 its zeros quantize the cumulative deviation into a staircase whose step
 areas (plateau height times inter-inflection width) are nearly constant.
+A front's order is the multiplicity of a root cluster of the quartic
+z^2 w'', at most 4, so k = 1 and 3 are the only odd orders, and the only
+ones this module accepts.
 
 A_k is evaluated on a fixed contour: the real segment [0, r0(xi)] through
 the stationary points, then the ray at angle -pi/(2(k+2)) from r0, on which
@@ -19,11 +22,9 @@ and only its exp(-i theta) is complex; the ray is complex throughout.  A
 table is one array expression per piece over (xi x nodes), taken in blocks
 of XI_BLOCK values of xi, small enough that a block's node arrays stay in a
 core's L2 cache.  Against an arbitrary-precision series the values agree to
-~3e-14 over the validated range |xi| <= XI_LIMIT = 50 for k = 1 and 3, the
-orders the fronts have (for k = 5 the same geometry holds ~1e-13 only down
-to xi ~ -38).  The j-th derivative multiplies the integrand by (-i z)^j, so
-the same nodes and exponentials give A_k', A_k'', ... as further rows of a
-table.
+~3e-14 over the validated range |xi| <= XI_LIMIT = 50 for k = 1 and 3.
+The j-th derivative multiplies the integrand by (-i z)^j, so the same nodes
+and exponentials give A_k', A_k'', ... as further rows of a table.
 
 The running integral of A_k^2 has a closed form: A_k solves
 A^(k+1) = c xi A with c = +-1, so
@@ -71,10 +72,8 @@ STEP_DIP_FRAC = 0.5
 
 
 def _check_order(k: int):
-    if not isinstance(k, (int, np.integer)) or k < 1 or k % 2 == 0:
-        raise ValueError(
-            f"only odd front orders give real edge profiles with a staircase; got k={k}"
-        )
+    if not isinstance(k, (int, np.integer)) or k not in (1, 3):
+        raise ValueError(f"edge profiles are validated for front orders 1 and 3 only; got k={k}")
 
 
 @functools.cache
@@ -124,7 +123,7 @@ def _contour(k: int, xi: np.ndarray, rows: int) -> np.ndarray:
 
 
 def airy_table(k: int, xi, derivs: int = 0) -> np.ndarray:
-    """A_k for odd k at every xi (any shape), by fixed-node contour quadrature.
+    """A_k for k = 1 or 3 at every xi (any shape), by fixed-node contour quadrature.
 
     With derivs = m > 0 the result gains a leading axis of m + 1 rows, row j
     holding the j-th derivative A_k^(j) from the same quadrature nodes.  The
@@ -145,13 +144,13 @@ def airy_table(k: int, xi, derivs: int = 0) -> np.ndarray:
 
 
 def generalized_airy(k: int, xi: float) -> float:
-    """Real value of A_k(xi) for odd k: a one-point airy_table.
+    """Real value of A_k(xi) for k = 1 or 3: a one-point airy_table.
 
     The path runs along the real axis through the stationary-phase region to
     r0(xi) and then along the ray at angle pi/(2(k+2)) below the real axis,
     where the phase decays; both pieces use fixed Gauss-Legendre nodes.
-    Absolute accuracy is ~3e-14 on the validated range |xi| <= 50 for
-    k = 1 and 3; larger or non-finite xi is rejected.
+    Absolute accuracy is ~3e-14 on the validated range |xi| <= 50; any
+    other order, and a larger or non-finite xi, is rejected.
     """
     return float(airy_table(k, float(xi)))
 
@@ -162,13 +161,12 @@ def _ode_sign(k: int) -> int:
 
 
 def airy_ode_residual(k: int, xi: float) -> float:
-    """Residual A_k^(k+1)(xi) - c xi A_k(xi) of the defining ODE, for odd k.
+    """Residual A_k^(k+1)(xi) - c xi A_k(xi) of the defining ODE, for k = 1 or 3.
 
-    c = (-1)^k i^(k+1) is real for odd k: +xi A_1 for k=1, -xi A_3 for k=3,
-    +xi A_5 for k=5.  Both terms are rows of one airy_table with
-    derivs = k + 1, so the residual measures the quadrature alone (~1e-12
-    over the validated range for k = 1 and 3), with no finite-difference
-    step.
+    c = (-1)^k i^(k+1) is real for odd k: +xi A_1 for k=1, -xi A_3 for k=3.
+    Both terms are rows of one airy_table with derivs = k + 1, so the
+    residual measures the quadrature alone (~1e-12 over the validated
+    range), with no finite-difference step.
     """
     _check_order(k)
     a = airy_table(k, xi, derivs=k + 1)

@@ -48,8 +48,8 @@ EXIT_CONFIG = 2
 EXIT_GUARD = 3
 MAX_GRID = 1 << 20  # nu points in bulk.csv; hydro peaks at ~0.42 kB per point, ~0.45 GB here
 # (phi, g) points of a fronts sweep, all scanned in one batch: 2^16 of them
-# (16 phi x 4096 g) took 4.5 s at a 184 MB peak on a 2-core AVX-512 VM, where
-# scanning point by point took 35 s at 93 MB; the batch holds every diagram
+# (16 phi x 4096 g) took 4.3 s at a 125 MB ru_maxrss on a 2-core AVX-512 VM,
+# where scanning point by point took 35 s at 93 MB; the batch holds every diagram
 MAX_SWEEP = 1 << 16
 
 

@@ -21,9 +21,12 @@ kappa_k = w^(k+2)(q*)/(k+1)! at the polished root q*.
 
 A scan runs over a whole batch of points at once: one stacked eigenvalue
 call on their companion matrices, then each filter, Newton step and
-derivative as one array operation over every root of the batch.  Every
-operation is elementwise or per matrix, so a point's fronts are the same
-bits alone, in a sweep, or in any order of the points.
+derivative as one array operation over every root of the batch.  The roots
+sit in a padded (points x degree) array, each point's kept angles sorted to
+the front of its row, so a root's circular neighbours and its cluster are
+found by indexing within its row.  Every operation is elementwise, per
+matrix or per row, so a point's fronts are the same bits alone, in a
+sweep, or in any order of the points.
 """
 
 from __future__ import annotations
@@ -86,7 +89,7 @@ class FrontScanError(RuntimeError):
 
 
 class _Couplings(NamedTuple):
-    """g and phi as arrays, one per point or per root, for omega_deriv over a stack."""
+    """g and phi as arrays for omega_deriv over a stack: per root, or as (points, 1) columns."""
 
     g: np.ndarray
     phi: np.ndarray
@@ -123,12 +126,15 @@ def _circle_roots(coeffs, couplings, f, tol, seeded):
 
     Row i of coeffs (highest power first) defines a polynomial in z = e^{iq}
     that is a power of z times f(q) at the couplings of row i.  f(q, j, c)
-    is the j-th derivative of f at q for couplings c, one per q, and tol[i]
-    bounds |f| at a kept root of row i.  A seeded row skips its companion
-    matrix: its roots are the simple ones polished from -pi/2 and pi/2.
-    Returns the flat arrays (rows, polished roots, multiplicities), grouped
-    by row and each row's roots in circle order, and {row: LinAlgError} for
-    the rows whose eigenvalues failed.
+    is the j-th derivative of f at q for couplings c that broadcast against
+    q, and tol[i] bounds |f| at a kept root of row i.  A seeded row skips its
+    companion matrix: its roots are the simple ones polished from -pi/2 and
+    pi/2.  The layout is padded, a row per polynomial and a slot per degree:
+    a row's kept angles are sorted to its front and its other slots hold 0.
+    Returns (roots, order) in that layout, a cluster of m roots polished at
+    the slot of its first root with order m there and 0 at the slots that
+    start no cluster, and {row: LinAlgError} for the rows whose eigenvalues
+    failed.
     """
     # a seeded row never reaches the division by its leading coefficient,
     # which vanishes for the quartic at g = 0
@@ -139,50 +145,37 @@ def _circle_roots(coeffs, couplings, f, tol, seeded):
     companion[:, np.arange(1, d), np.arange(d - 1)] = 1.0
     companion[:, 0, :] = -p[:, 1:] / p[:, :1]
     z, failed = _eigvals(companion)
-    circle = np.abs(np.log(np.abs(z))) < TOL_CIRCLE
-    q = np.full(z.shape, np.inf)
-    q[circle] = np.angle(z[circle])
-    q.sort(axis=1)  # each row's circle angles first, in order, then inf
-    count = np.count_nonzero(circle, axis=1)
-    q, rows = q[np.arange(d) < count[:, None]], np.repeat(live, count)
-    on = np.abs(f(q, 0, couplings.at(rows))) <= tol[rows]
-    seeds = np.flatnonzero(seeded)
-    q = np.concatenate([q[on], np.tile([-math.pi / 2, math.pi / 2], seeds.size)])
-    rows = np.concatenate([rows[on], np.repeat(seeds, 2)])
-    by_row = np.argsort(rows, kind="stable")
-    q, rows = q[by_row], rows[by_row]
-    # joined[i]: q[i] and its successor on its row's circle are one multiple root
-    head = np.searchsorted(rows, rows)
-    tail = rows != np.append(rows[1:], -1)
-    succ = np.empty_like(q)
-    succ[:-1] = q[1:]
-    succ[tail] = q[head[tail]] + TWO_PI
-    joined = (np.abs(f(0.5 * (q + succ), 0, couplings.at(rows))) <= tol[rows]) & ~seeded[rows]
-    joined &= np.bincount(rows, minlength=len(coeffs))[rows] > 1
-    # per multiplicity: the clusters' output slots, indices into q and
-    # whether each index wrapped past its row's end
-    groups, out_rows, order = {}, [], []
-    jv, rv, ends = joined.tolist(), rows.tolist(), (np.flatnonzero(tail) + 1).tolist()
-    for a, b in zip([0] + ends[:-1], ends):
-        n = b - a
-        for s in range(n):
-            if jv[a + (s - 1) % n]:
-                continue
-            m = 1
-            while jv[a + (s + m - 1) % n]:
-                m += 1
-            slots, idx, wrap = groups.setdefault(m, ([], [], []))
-            slots.append(len(order))
-            idx.append([a + (s + i) % n for i in range(m)])
-            wrap.append([s + i >= n for i in range(m)])
-            out_rows.append(rv[a])
-            order.append(m)
-    out_rows, order = np.array(out_rows, dtype=np.intp), np.array(order, dtype=np.intp)
-    roots = np.empty(len(order))
-    for m, (slots, idx, wrap) in groups.items():
-        centre = (q[np.array(idx)] + TWO_PI * np.array(wrap)).mean(axis=1)
-        roots[slots] = _polish(f, centre, m, couplings.at(out_rows[slots]))
-    return out_rows, roots, order, {int(live[i]): exc for i, exc in failed.items()}
+    column, tol = _Couplings(couplings.g[:, None], couplings.phi[:, None]), tol[:, None]
+    q = np.zeros((len(coeffs), d))
+    kept = np.zeros(q.shape, bool)
+    kept[live] = np.abs(np.log(np.abs(z))) < TOL_CIRCLE
+    q[kept] = np.angle(z[kept[live]])
+    kept &= np.abs(f(q, 0, column)) <= tol
+    q[seeded, :2], kept[seeded, :2] = (-math.pi / 2, math.pi / 2), True
+    q = np.sort(np.where(kept, q, np.inf), axis=1)
+    count = np.count_nonzero(kept, axis=1)[:, None]
+    row, slot, n = np.arange(len(q))[:, None], np.arange(d), np.maximum(count, 1)
+    real = slot < count
+    q[~real] = 0.0
+    # joined[i, s]: slot s and its successor on row i's circle are one multiple root
+    succ = q[row, (slot + 1) % n]
+    succ = np.where(slot + 1 < count, succ, succ + TWO_PI)
+    joined = real & (count > 1) & ~seeded[:, None]
+    joined &= np.abs(f(0.5 * (q + succ), 0, column)) <= tol
+    # a cluster starts at a kept root not joined to its predecessor, and
+    # each joined link that follows adds one to its multiplicity
+    link = real & ~joined[row, (slot - 1) % n]
+    order = link.astype(np.intp)
+    for i in range(d - 1):
+        link &= joined[row, (slot + i) % n]
+        order += link
+    roots = np.zeros(q.shape)
+    for m in set(order[order > 0].tolist()):
+        r, s = np.nonzero(order == m)
+        idx, c = s[:, None] + np.arange(m), count[r]
+        centre = (q[r[:, None], idx % c] + TWO_PI * (idx >= c)).mean(axis=1)
+        roots[r, s] = _polish(f, centre, m, couplings.at(r))
+    return roots, order, {int(live[i]): exc for i, exc in failed.items()}
 
 
 def check_coupling(g: float) -> None:
@@ -201,7 +194,9 @@ def _front_sets(points) -> list:
 
     All points are scanned in one pass: one stack of companion matrices, and
     each Newton step and derivative taken once per multiplicity over every
-    root of the stack.  Every g must pass check_coupling.
+    root of the stack.  The cluster starts of the padded (points x degree)
+    layout of _circle_roots, read in row order, give each point's fronts.
+    Every g must pass check_coupling.
     """
     for p in points:
         check_coupling(p.g)
@@ -213,7 +208,9 @@ def _front_sets(points) -> list:
     quartic[:, 1] = quartic[:, 3] = 1.0
     quartic[:, 4] = quartic[:, 0].conj()
     w2 = lambda q, j, c: omega_deriv(q, 2 + j, c)
-    rows, q, order, failed = _circle_roots(quartic, couplings, w2, TOL_ROOT * (1.0 + 8.0 * g), seeded)
+    roots, order, failed = _circle_roots(quartic, couplings, w2, TOL_ROOT * (1.0 + 8.0 * g), seeded)
+    start = order > 0
+    rows, q, order = np.nonzero(start)[0], roots[start], order[start]
     velocity = omega_deriv(q, 1, couplings.at(rows))
     kappa = np.empty_like(q)
     for m in set(order.tolist()):
@@ -327,13 +324,13 @@ def critical_coupling(phi: float) -> float:
 
     # the sextic does not depend on g
     couplings = _Couplings(np.zeros(1), np.array([phi]))
-    _, roots, _, failed = _circle_roots(
+    roots, order, failed = _circle_roots(
         np.array([sextic]), couplings, f, np.array([TOL_ROOT]), np.array([False])
     )
     if failed:
         raise failed[0]
     gs = []
-    for q in roots.tolist():
+    for q in roots[order > 0].tolist():
         c, s = math.cos(2.0 * q + phi), math.sin(2.0 * q + phi)
         gs.append(-(4.0 * math.cos(q) * c + 8.0 * math.sin(q) * s) / (16.0 * c * c + 64.0 * s * s))
     return min(g for g in gs if g > 0.0)
