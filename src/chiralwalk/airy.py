@@ -71,11 +71,6 @@ STEP_MIN_SEP = 0.8
 STEP_DIP_FRAC = 0.5
 
 
-def _check_order(k: int):
-    if not isinstance(k, (int, np.integer)) or k not in (1, 3):
-        raise ValueError(f"edge profiles are validated for front orders 1 and 3 only; got k={k}")
-
-
 @functools.cache
 def _unit_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     """n-point Gauss-Legendre nodes and weights on [0, 1]."""
@@ -130,7 +125,8 @@ def airy_table(k: int, xi, derivs: int = 0) -> np.ndarray:
     whole array is validated first: every xi must be finite with
     |xi| <= XI_LIMIT.
     """
-    _check_order(k)
+    if not isinstance(k, (int, np.integer)) or k not in (1, 3):
+        raise ValueError(f"edge profiles are validated for front orders 1 and 3 only; got k={k}")
     xi = np.asarray(xi, dtype=float)
     if not np.all(np.isfinite(xi)):
         raise ValueError("xi must be finite")
@@ -168,7 +164,6 @@ def airy_ode_residual(k: int, xi: float) -> float:
     residual measures the quadrature alone (~1e-12 over the validated
     range), with no finite-difference step.
     """
-    _check_order(k)
     a = airy_table(k, xi, derivs=k + 1)
     return float(a[k + 1] - _ode_sign(k) * xi * a[0])
 

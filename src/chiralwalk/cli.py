@@ -13,6 +13,7 @@ endings, canonical row ordering, independent of --jobs.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -95,13 +96,6 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
-def _params(args) -> WalkParams:
-    try:
-        return WalkParams(args.g, args.phi)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
 def _lattice(args):
     if args.lattice in (None, "auto"):
         return None
@@ -123,9 +117,7 @@ def _outdir(args) -> Path:
 # ----------------------------------------------------------------- evolve --
 
 def cmd_evolve(args) -> int:
-    p = _params(args)
-    if args.t < 0:
-        raise ConfigError("t must be >= 0")
+    p = WalkParams(args.g, args.phi)
     wf = evolve(p, args.t, _lattice(args))
     out = _outdir(args)
     prob = probability_density(wf)
@@ -161,17 +153,7 @@ def cmd_evolve(args) -> int:
         "v_lm": diagram.v_lm,
         "v_rm": diagram.v_rm,
         "topology": diagram.topology.value,
-        "fronts": [
-            {
-                "q_star": fr.q_star,
-                "velocity": fr.velocity,
-                "order": fr.order,
-                "kappa": fr.kappa,
-                "chirality": fr.chirality,
-                "position": fr.velocity * wf.t,
-            }
-            for fr in diagram.fronts
-        ],
+        "fronts": [{**dataclasses.asdict(fr), "position": fr.velocity * wf.t} for fr in diagram.fronts],
     }
     _write_json(out / "summary.json", summary)
     return EXIT_OK
@@ -221,13 +203,9 @@ def cmd_fronts(args) -> int:
 # ---------------------------------------------------------------- scaling --
 
 def cmd_scaling(args) -> int:
-    p = _params(args)
-    if args.t <= 0:
-        raise ConfigError("t must be > 0 for scaling comparisons")
+    p = WalkParams(args.g, args.phi)
     if not 2 <= args.grid <= MAX_GRID:
         raise ConfigError(f"grid must lie in [2, {MAX_GRID}], got {args.grid}")
-    if not (math.isfinite(args.exclusion) and args.exclusion >= 0):
-        raise ConfigError(f"exclusion must be finite and >= 0, got {args.exclusion}")
     # first, so that windows covering every compared site end the run before any output
     report = hydro_mod.compare_bulk(p, args.t, exclusion=args.exclusion, lattice=_lattice(args))
     out = _outdir(args)
@@ -300,7 +278,7 @@ def _select_front(diagram, which: str):
 
 
 def cmd_edge(args) -> int:
-    p = _params(args)
+    p = WalkParams(args.g, args.phi)
     if args.t <= 0:
         raise ConfigError("t must be > 0")
     if not 0.0 < args.xi_max <= airy_mod.XI_LIMIT:
@@ -323,45 +301,42 @@ def cmd_edge(args) -> int:
         "scaling_exponent": 1.0 / (front.order + 2),
         "degeneracy": degeneracy(diagram, front),
     }
-    stair_header = ["front", "observable", "step_index", "height", "width", "area", "note"]
     if front.order % 2 == 0:
         meta["staircase"] = "none"
         meta["reason"] = "even-order front: amplitude equation has no real staircase"
-        out = _outdir(args)
-        _write_json(out / "edge.json", meta)
-        _write_csv(out / "edge.csv", ["xi", "dPhi_scaled_num", "dPhi_scaled_pred", "dJ_scaled_num"], [])
-        _write_csv(
-            out / "staircase.csv",
-            stair_header,
-            [(args.front, "", "", "", "", "", "even-order front: no real staircase")],
-        )
-        return EXIT_OK
-    scale = edge_scale(front, args.t)
-    if not 0.0 < scale < math.inf:  # |kappa| t underflows or overflows
-        raise ConfigError(f"the edge scale at t={args.t} is {scale} sites, not a positive float")
-    window = args.window if args.window is not None else int(math.ceil(args.xi_max * scale))
-    usable = airy_mod.max_edge_window(front, args.t)
-    if window > usable:
-        raise ConfigError(
-            f"a window of {window} sites reaches past |xi| = {airy_mod.XI_LIMIT} on the "
-            f"predicted profile; the usable maximum is {usable} sites "
-            f"(xi-max <= {math.floor(usable / scale * 1e3) / 1e3})"
-        )
-    meta["window"] = window
-    # first, so that a window the ring or another front rules out ends the run before any output
-    numeric = airy_mod.measure_edge(p, front, args.t, window, _lattice(args))
+        rows, stair_rows = [], [(args.front, "", "", "", "", "", "even-order front: no real staircase")]
+    else:
+        scale = edge_scale(front, args.t)
+        if not 0.0 < scale < math.inf:  # |kappa| t underflows or overflows
+            raise ConfigError(f"the edge scale at t={args.t} is {scale} sites, not a positive float")
+        window = args.window if args.window is not None else int(math.ceil(args.xi_max * scale))
+        usable = airy_mod.max_edge_window(front, args.t)
+        if window > usable:
+            raise ConfigError(
+                f"a window of {window} sites reaches past |xi| = {airy_mod.XI_LIMIT} on the "
+                f"predicted profile; the usable maximum is {usable} sites "
+                f"(xi-max <= {math.floor(usable / scale * 1e3) / 1e3})"
+            )
+        meta["window"] = window
+        # before any output, so that a window the ring or another front rules out ends the run
+        numeric = airy_mod.measure_edge(p, front, args.t, window, _lattice(args))
+        predicted = airy_mod.predict_edge(front, args.t, numeric.xi)
+        factor = meta["degeneracy"]
+        rows = zip(numeric.xi, numeric.dphi_scaled, factor * predicted.dphi_scaled, numeric.djs_scaled)
+        stair_rows = [
+            (args.front, obs, step.index, step.height, step.width, step.area, "")
+            for obs in ("cpd", "ccd")
+            for step in airy_mod.extract_staircase(numeric, observable=obs)
+        ]
+        if not stair_rows:
+            stair_rows.append((args.front, "", "", "", "", "", "fewer than two detectable steps"))
     out = _outdir(args)
-    predicted = airy_mod.predict_edge(front, args.t, numeric.xi)
-    factor = meta["degeneracy"]
-    rows = zip(numeric.xi, numeric.dphi_scaled, factor * predicted.dphi_scaled, numeric.djs_scaled)
     _write_csv(out / "edge.csv", ["xi", "dPhi_scaled_num", "dPhi_scaled_pred", "dJ_scaled_num"], rows)
-    stair_rows = []
-    for obs in ("cpd", "ccd"):
-        for step in airy_mod.extract_staircase(numeric, observable=obs):
-            stair_rows.append((args.front, obs, step.index, step.height, step.width, step.area, ""))
-    if not stair_rows:
-        stair_rows.append((args.front, "", "", "", "", "", "fewer than two detectable steps"))
-    _write_csv(out / "staircase.csv", stair_header, stair_rows)
+    _write_csv(
+        out / "staircase.csv",
+        ["front", "observable", "step_index", "height", "width", "area", "note"],
+        stair_rows,
+    )
     _write_json(out / "edge.json", meta)
     return EXIT_OK
 

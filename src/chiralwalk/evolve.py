@@ -100,19 +100,13 @@ class FieldKind(Enum):
 
 @dataclass(frozen=True, eq=False)
 class WaveFunction:
-    """Complex amplitudes on sites n in [-origin, L - origin) at time t.
-
-    origin is the index of site 0, L // 2 (a centred ring) by default.
-    """
+    """Complex amplitudes on sites n in [-origin, L - origin) at time t; origin indexes site 0."""
 
     params: WalkParams
     t: float
     L: int
     amps: np.ndarray
-    origin: int | None = None
-
-    def __post_init__(self):
-        _default_origin(self)
+    origin: int
 
     @property
     def sites(self) -> np.ndarray:
@@ -134,11 +128,10 @@ class ObservableField:
     params: WalkParams
     L: int
     moment_order: int | None = None
-    origin: int | None = None  # index of site 0, L // 2 by default
+    origin: int = dataclasses.field(kw_only=True)  # index of site 0
     _moments: dict = dataclasses.field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        _default_origin(self)
         values = np.asarray(self.values)
         if not values.flags.owndata:
             values = values.copy()
@@ -148,12 +141,6 @@ class ObservableField:
     @property
     def sites(self) -> np.ndarray:
         return np.arange(self.L) - self.origin
-
-
-def _default_origin(obj) -> None:
-    """Set a frozen ring object's origin to the centre, L // 2, when none was given."""
-    if obj.origin is None:
-        object.__setattr__(obj, "origin", obj.L // 2)
 
 
 def _blocks(size: int, block: int | None = None):
@@ -218,20 +205,6 @@ def _fast_even_lengths(lo: int, hi: int) -> list[int]:
             odd *= 3
         odd5 *= 5
     return sorted(out)
-
-
-def next_fast_even(n: int) -> int:
-    """Smallest even 5-smooth integer >= n (friendly FFT lengths).
-
-    The power of two in [n, 2n) is one, so the search stops at 2n.
-    """
-    n = max(2, int(n))
-    return _fast_even_lengths(n, 2 * n)[0]
-
-
-def max_front_speed(p: WalkParams) -> float:
-    d = cone_topology(p)
-    return max(abs(d.v_lm), abs(d.v_rm))
 
 
 def _check_cap(L: float) -> None:
@@ -385,11 +358,11 @@ def _ring_layout(
     if L < 4 or L % 2:
         raise ValueError("lattice size must be an even integer >= 4")
     _check_cap(L)
-    if enforce_guard and L / 2 < max_front_speed(p) * t + 12.0:
-        raise GuardError(
-            f"lattice L={L} too small for the causal cone at t={t}: "
-            f"need L/2 >= {max_front_speed(p) * t + 12.0:.1f}"
-        )
+    if enforce_guard:
+        d = cone_topology(p)
+        need = max(abs(d.v_lm), abs(d.v_rm)) * t + 12.0
+        if L / 2 < need:
+            raise GuardError(f"lattice L={L} too small for the causal cone at t={t}: need L/2 >= {need:.1f}")
     return L, L // 2
 
 

@@ -39,7 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dispersion import TWO_PI, WalkParams, omega_deriv
+from .dispersion import PHI_MAX, TWO_PI, WalkParams, omega_deriv
 
 TOL_ROOT = 1e-12          # |form| at a kept root; for w'' times its scale 1 + 8g
 TOL_DEGEN = 1e-9          # velocity window for degenerate-front labelling
@@ -242,21 +242,23 @@ def find_extremal_fronts(p: WalkParams) -> list[ExtremalFront]:
 
 
 def _diagram(p: WalkParams, fronts) -> FrontDiagram:
-    """Assemble the front diagram of p and classify its causal-cone topology."""
+    """Assemble the front diagram of p and classify its causal-cone topology.
+
+    fronts must be sorted by velocity, as _front_sets returns them: v_lm and
+    v_rm are its ends, and two cones overlap when neighbours share a velocity.
+    """
     fronts = tuple(fronts)
     n = len(fronts)
     if n not in (2, 3, 4):
         raise FrontScanError(f"unexpected front count {n} at {p}")
-    v_lm = min(fr.velocity for fr in fronts)
-    v_rm = max(fr.velocity for fr in fronts)
+    v_lm, v_rm = fronts[0].velocity, fronts[-1].velocity
     orders = [fr.order for fr in fronts]
     if n == 2:
         topo = ConeTopology.CRITICAL_THIRD_ORDER if 3 in orders else ConeTopology.ONE_CONE
     elif n == 3:
         topo = ConeTopology.CRITICAL_SECOND_ORDER
     else:
-        vs = sorted(fr.velocity for fr in fronts)
-        degen = any(abs(vs[i + 1] - vs[i]) <= TOL_DEGEN for i in range(3))
+        degen = any(abs(b.velocity - a.velocity) <= TOL_DEGEN for a, b in zip(fronts, fronts[1:]))
         topo = (
             ConeTopology.TWO_OVERLAPPING_CONES if degen else ConeTopology.TWO_NESTED_CONES
         )
@@ -313,7 +315,7 @@ def critical_coupling(phi: float) -> float:
     phi = 0).  The result is exact to roundoff, so there is no tolerance
     to set.
     """
-    if not 0.0 <= phi <= math.pi / 2.0 + 1e-15:
+    if not 0.0 <= phi <= PHI_MAX:
         raise ValueError("phi must lie in the canonical window [0, pi/2]")
     e = complex(math.cos(phi), math.sin(phi))
     sextic = [e, 0.0, 3.0 * e, 0.0, -3.0 * e.conjugate(), 0.0, -e.conjugate()]

@@ -212,6 +212,10 @@ def test_config_file_errors(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("just some words\n")
     assert main(["evolve", "--g", "0.1", "--config", str(bad), "--out", str(tmp_path)]) == 2
+    # --config as the last argument names no file
+    assert main(["evolve", "--g", "0.1", "--out", str(tmp_path / "none"), "--config"]) == 2
+    assert "--config requires a file path" in capsys.readouterr().err
+    assert not (tmp_path / "none").exists()
     unknown = tmp_path / "unknown.cfg"
     unknown.write_text("frobnicate = 3\n")
     with pytest.raises(SystemExit):

@@ -28,7 +28,7 @@ from chiralwalk import (
     ring_layout,
     skewness,
 )
-from chiralwalk.evolve import BLOCK, GUARD_SITES, MAX_LATTICE, _exact_sum, _int_power, next_fast_even
+from chiralwalk.evolve import BLOCK, GUARD_SITES, MAX_LATTICE, _exact_sum, _fast_even_lengths, _int_power
 from oracles import (
     dense_ring_evolution,
     direct_ring_amplitudes,
@@ -191,6 +191,24 @@ def test_cumulative_moments():
     assert m3.values[-1] == pytest.approx(position_moment(prob, 3), rel=1e-10)
 
 
+@pytest.mark.parametrize("t, lattice", [(2e4, None), (2000.0, 21870)])
+def test_zeroth_cumulative_moment_past_the_first_block(t, lattice):
+    # rings of 8 and 2 blocks: each block after the first starts from a
+    # copy of the field's read-only values, so the field itself is untouched
+    prob = probability_density(evolve(WalkParams(0.3, 0.8), t, lattice))
+    assert prob.L > BLOCK
+    before = prob.values.copy()
+    assert _same_bits(cumulative_moment(prob, 0).values, cumulative(prob).values)
+    assert _same_bits(prob.values, before) and not prob.values.flags.writeable
+
+
+def test_negative_moment_order_rejected():
+    prob = probability_density(evolve(WalkParams(0.3, 0.8), 10.0))
+    for moment in (cumulative_moment, position_moment):
+        with pytest.raises(ValueError, match="moment order must be >= 0"):
+            moment(prob, -1)
+
+
 def test_first_cumulative_moment_tracks_current():
     p = WalkParams(1 / 16, PI / 2)
     t = 5000.0
@@ -223,7 +241,7 @@ def test_field_values_read_only():
             field.values[0] = 1.0
     # a view is copied, so the array it views cannot change the field
     base = np.array(prob.values)
-    viewed = ObservableField(FieldKind.PROBABILITY, base[:], wf.t, wf.params, wf.L)
+    viewed = ObservableField(FieldKind.PROBABILITY, base[:], wf.t, wf.params, wf.L, origin=wf.origin)
     base[wf.origin] = 5.0
     assert _same_bits(viewed.values, prob.values)
     assert base.flags.writeable
@@ -506,7 +524,7 @@ def test_position_moment_edge_cases_match_fsum(monkeypatch):
         values = np.full(L, fill)
         for index, value in spikes:
             values[index] = value
-        return ObservableField(FieldKind.PROBABILITY, values, 1.0, WalkParams(0.3, 0.8), L)
+        return ObservableField(FieldKind.PROBABILITY, values, 1.0, WalkParams(0.3, 0.8), L, origin=L // 2)
 
     nan_last, inf_pair, big, zeros = (
         field(0.0625, [(11, np.nan)]),
@@ -539,7 +557,7 @@ def test_position_moment_edge_cases_match_fsum(monkeypatch):
     # and on one whose moments are summed, and position_moment then sums the
     # fresh field's terms as fsum does
     for f in cases:
-        fresh = ObservableField(FieldKind.PROBABILITY, f.values.copy(), f.t, f.params, f.L)
+        fresh = ObservableField(FieldKind.PROBABILITY, f.values.copy(), f.t, f.params, f.L, origin=f.origin)
         for k in (1, 2, 3):
             terms = whole_ring_moment_terms(f.values, k)
             for summed in (fresh, f):
@@ -564,7 +582,7 @@ def test_position_moment_nonfinite_cases_in_every_block(monkeypatch, block):
         values = np.full(L, 0.0625)
         for index, value in spikes:
             values[(index + shift) % L] = value
-        return ObservableField(FieldKind.PROBABILITY, values, 1.0, WalkParams(0.3, 0.8), L)
+        return ObservableField(FieldKind.PROBABILITY, values, 1.0, WalkParams(0.3, 0.8), L, origin=L // 2)
 
     spikes = [
         [(14, np.nan)],
@@ -634,7 +652,7 @@ def test_current_nonfinite_raises_guard():
         amps = wf.amps.copy()
         amps[wf.origin + 3] = bad
         with pytest.raises(GuardError):
-            current_density(WaveFunction(wf.params, wf.t, wf.L, amps))
+            current_density(WaveFunction(wf.params, wf.t, wf.L, amps, wf.origin))
 
 
 @pytest.mark.parametrize("block, L", [(7, 30), (8, 258), (20, 486), (64, 100)])
@@ -684,7 +702,7 @@ def test_current_guard_from_a_worker_thread(monkeypatch):
         amps = wf.amps.copy()
         amps[last] = bad
         with pytest.raises(GuardError):
-            current_density(WaveFunction(wf.params, wf.t, wf.L, amps))
+            current_density(WaveFunction(wf.params, wf.t, wf.L, amps, wf.origin))
         assert threading.active_count() == threads
         assert _same_bits(current_density(wf).values, good)
 
@@ -768,8 +786,9 @@ def test_next_fast_even_is_the_smallest_even_5_smooth():
             n += 1
         return n
 
+    # the power of two in [n, 2n) is one, so the lengths up to 2n hold the answer
     for n in [*range(-3, 3000), 536000, 5359216, MAX_LATTICE - 5, MAX_LATTICE]:
-        assert next_fast_even(n) == search(n), n
+        assert _fast_even_lengths(max(2, n), 2 * max(2, n))[0] == search(n), n
 
 
 def _layout_outcome(layout, *args):
@@ -824,7 +843,7 @@ def test_moments_on_chiral_ring_match_centred_ring(g, phi, t):
     chiral = probability_density(evolve(p, t))
     assert chiral.origin != chiral.L // 2
     half = max(chiral.origin, chiral.L - chiral.origin)
-    centred = probability_density(evolve(p, t, lattice=next_fast_even(2 * half)))
+    centred = probability_density(evolve(p, t, lattice=_fast_even_lengths(2 * half, 4 * half)[0]))
     for k in range(5):
         scale = math.fsum(np.abs(whole_ring_moment_terms(chiral.values, k, chiral.origin)))
         diff = abs(position_moment(chiral, k) - position_moment(centred, k))

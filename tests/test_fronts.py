@@ -158,9 +158,20 @@ def test_orders_sum_to_four_above_critical_coupling():
 
 
 def test_critical_coupling_validation():
-    for phi in (-0.1, 1.6, math.nan):
+    # the window is WalkParams': the float just past pi/2 is refused, pi/2 is not
+    for phi in (-0.1, 1.6, math.nan, math.nextafter(PI / 2, 2.0)):
         with pytest.raises(ValueError, match="canonical window"):
             critical_coupling(phi)
+    assert critical_coupling(PI / 2) == pytest.approx(0.125, abs=1e-12)
+
+
+def test_critical_coupling_reraises_a_failed_eigensolve(monkeypatch):
+    def failing(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvals", failing)
+    with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+        critical_coupling(0.8)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

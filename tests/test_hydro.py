@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 from chiralwalk import (
+    ConeTopology,
     WalkParams,
     hydro,
     compare_bulk,
     cone_topology,
+    critical_coupling,
     cumulative,
     cumulative_moment,
     current_density,
@@ -61,6 +63,18 @@ def test_nu_half_matches_bisection():
     assert scaled_cpd(p, coarse - 5e-4) < 0.5 <= scaled_cpd(p, coarse + 5e-4)
     # a tol below the float spacing stops at adjacent floats instead of looping
     assert abs(nu_half(p, tol=0.0) - nu_half(p)) <= 5e-11
+
+
+def test_nu_half_is_the_exact_one_cone_median():
+    # v(q + pi) - v(q) = 4 sin q, so in the one-cone phase the level set of
+    # nu = v(0) = -4 g sin(phi) is exactly {0, pi}: Phi(-4 g sin(phi)) = 1/2
+    for phi in np.linspace(0.0, PI / 2, 13).tolist():
+        for g in np.linspace(0.0, 0.999 * critical_coupling(phi), 9).tolist():
+            p = WalkParams(g, phi)
+            assert cone_topology(p).topology is ConeTopology.ONE_CONE, (g, phi)
+            median = -4.0 * g * math.sin(phi)
+            assert abs(nu_half(p) - median) <= 1e-10, (g, phi)
+            assert abs(scaled_cpd(p, median) - 0.5) <= 1e-15, (g, phi)
 
 
 @pytest.mark.parametrize("tol", [math.nan, -1e-10, -math.inf])
