@@ -127,6 +127,8 @@ def airy_table(k: int, xi, derivs: int = 0) -> np.ndarray:
     """
     if not isinstance(k, (int, np.integer)) or k not in (1, 3):
         raise ValueError(f"edge profiles are validated for front orders 1 and 3 only; got k={k}")
+    if not isinstance(derivs, (int, np.integer)) or derivs < 0:
+        raise ValueError(f"derivs must be an integer >= 0, got derivs={derivs}")
     xi = np.asarray(xi, dtype=float)
     if not np.all(np.isfinite(xi)):
         raise ValueError("xi must be finite")

@@ -380,9 +380,9 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("scaling", help="bulk scaling comparison, numeric vs hydrodynamic")
     _add_common(s, t_default=2000.0)
     s.add_argument("--grid", type=int, default=4001, help="nu grid points for bulk.csv, 2 to 2^20")
-    s.add_argument("--exclusion", type=float, default=8.0, help="front window half-width factor, >= 0")
+    s.add_argument("--exclusion", type=float, help="front window half-width factor, >= 0")
     common_tail(s)
-    s.set_defaults(func=cmd_scaling)
+    s.set_defaults(func=cmd_scaling, exclusion=hydro_mod.DEFAULT_EXCLUSION)
 
     s = sub.add_parser("edge", help="edge profile and staircase at one front")
     _add_common(s, t_default=10000.0)

@@ -9,15 +9,15 @@ each side is sized for its own outermost front, so a cone asymmetric about
 the origin gets an asymmetric ring, with site 0 at index origin.  An
 explicit lattice is centred (origin L/2).
 
-Rings of at least 2 BLOCK sites are transformed in four steps (Bailey's
-FFT in hierarchical memory), because numpy's single transform of a ring far
-larger than cache is limited by memory traffic.  The ring is viewed as R x M
-(L = R M, R even, M >= BLOCK): frequency j = j1 + R j2 sits in row j1,
-column j2, and site index n = n2 + M n1 in row n1, column n2.  The phase
-factors are filled into that layout BLOCK sites of columns at a time (a
-chunk of columns holds consecutive frequencies), the rows are transformed
-(length M), ROW_BATCH rows per ifft call when there are that many (numpy
-vectorises a batch across rows, with the bits of one row at a time), the
+Rings of ROW_BATCH or more rows of at least BLOCK sites are transformed in
+four steps (Bailey's FFT in hierarchical memory), because numpy's single
+transform of a ring far larger than cache is limited by memory traffic.
+The ring is viewed as R x M (L = R M, R even, R >= ROW_BATCH, M >= BLOCK):
+frequency j = j1 + R j2 sits in row j1, column j2, and index n = n2 + M n1
+in row n1, column n2.  The phase factors are filled into that layout BLOCK
+sites of columns at a time (a chunk of columns holds consecutive
+frequencies), the rows are transformed (length M), ROW_BATCH rows per ifft
+call (numpy vectorises a batch across rows, with one row's bits), the
 columns are multiplied by the twiddles e^{2 pi i j1 (n2 - origin)/L}, and
 each column is transformed (length R) in place, again a chunk of columns at
 a time, so the result is the ring in natural order and the amplitudes are a
@@ -79,10 +79,8 @@ BLOCK = 1 << 14
 THREAD_SITES = 1 << 20
 # threads for the ring kernels: the CPUs this process may run on
 WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-# rows per ifft call in the row pass of the four-step transform: numpy's FFT
-# transforms a batch of rows a SIMD vector at a time, with the same bits; a
-# ring with fewer rows transforms them one at a time, as a smaller batch ran
-# slower than single rows and holds every row's output at once
+# rows per ifft call in the four-step's row pass, and its fewest rows: one
+# ifft of a ring with fewer rows of BLOCK sites measured as fast or faster
 ROW_BATCH = 8
 
 
@@ -273,11 +271,11 @@ def ring_layout(p: WalkParams, t: float, reach: int = 0) -> tuple[int, int]:
 def _rows(L: int) -> int:
     """Rows R of the four-step transform of an L-site ring, 1 for a single transform.
 
-    The largest even divisor of L that leaves rows of at least BLOCK sites,
-    so that every temporary of the transform is about one block; L is even,
-    so rings of 2 BLOCK sites or more always split.
+    The largest even divisor R >= ROW_BATCH of L that leaves rows of at
+    least BLOCK sites, so that every temporary of the transform is about one
+    block and the row pass is whole batches; 1 when there is none.
     """
-    return max((r for r in range(2, L // BLOCK + 1, 2) if L % r == 0), default=1)
+    return max((r for r in range(ROW_BATCH, L // BLOCK + 1, 2) if L % r == 0), default=1)
 
 
 def _phase_factors(p: WalkParams, t: float, L: int, R: int = 1) -> np.ndarray:
@@ -333,7 +331,7 @@ def _ring_transform(phase: np.ndarray, origin: int) -> np.ndarray:
         for start, stop in spans:
             phase[start:stop] = np.fft.ifft(phase[start:stop], axis=1)
 
-    _map_spans(rows, _blocks(R, ROW_BATCH if R >= ROW_BATCH else 1), L)
+    _map_spans(rows, _blocks(R, ROW_BATCH), L)
     width = max(BLOCK // R, 1)
     j1 = np.arange(R)[:, None]
     base = np.exp((2j * np.pi / L) * (j1 * np.arange(width)))  # width <= BLOCK <= M
@@ -378,8 +376,8 @@ def evolve(
 
     amps[origin + n] = (1/L) sum_j exp(i q_j n) exp(-i w(q_j) t),
     q_j = 2 pi j / L, which is the exact propagator of the ring Hamiltonian
-    applied to the localized initial state, computed by the four-step
-    transform described in the module docstring.  Without a lattice the
+    applied to the localized initial state, computed by the transform
+    described in the module docstring.  Without a lattice the
     ring is ring_layout(p, t, reach); a given lattice is centred.  Rings
     above MAX_LATTICE sites are refused with GuardError before anything is
     allocated, and a t that is not >= 0 (NaN included) with ValueError.
@@ -490,8 +488,8 @@ def _moment_blocks(field: ObservableField, k: int, name: str):
     """
     if field.kind is not FieldKind.PROBABILITY:
         raise ValueError(f"{name} expects a probability field")
-    if k < 0:
-        raise ValueError("moment order must be >= 0")
+    if not isinstance(k, (int, np.integer)) or k < 0:
+        raise ValueError(f"moment order must be >= 0 and an integer, got k={k}")
     steps = np.arange(BLOCK, dtype=float)
 
     def blocks():

@@ -204,8 +204,8 @@ def scaled_ccd(p: WalkParams, nu: float) -> float:
 
 def scaled_moment(p: WalkParams, nu: float, k: int) -> float:
     """Scaled cumulative moment: (1/2pi) integral of v^k over {v <= nu}."""
-    if k < 1:
-        raise ValueError("moment order must be >= 1")
+    if not isinstance(k, (int, np.integer)) or k < 1:
+        raise ValueError(f"moment order must be >= 1 and an integer, got k={k}")
     return float(_bulk(p, nu, (k,))[f"m{k}"][0])
 
 

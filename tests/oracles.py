@@ -131,14 +131,13 @@ def _pruned_next_fast_even(n):
     return best
 
 
-def stepped_ring_layout(p, t, reach=0):
-    """(L, origin) of the automatic ring, trying one next-larger length at a time.
+def ring_sides(p, t, reach=0):
+    """(left, right): the sites the automatic ring needs on each side of site 0, as floats.
 
-    The sides are sized as in evolve.ring_layout; each rejected length L
-    starts a fresh search for the smallest even 5-smooth integer >= L + 1.
+    Each side holds its outermost front's |v| t, its Airy tail and 40 sites,
+    and at least reach + GUARD_SITES sites past the front, as in
+    evolve.ring_layout.
     """
-    if not t >= 0:
-        raise ValueError(f"t must be >= 0, got t={t}")
     d = cone_topology(p)
 
     def side(v):
@@ -148,7 +147,18 @@ def stepped_ring_layout(p, t, reach=0):
             if fr.velocity == v
         )
 
-    left, right = side(d.v_lm), side(d.v_rm)
+    return side(d.v_lm), side(d.v_rm)
+
+
+def stepped_ring_layout(p, t, reach=0):
+    """(L, origin) of the automatic ring, trying one next-larger length at a time.
+
+    The sides are ring_sides; each rejected length L starts a fresh search
+    for the smallest even 5-smooth integer >= L + 1.
+    """
+    if not t >= 0:
+        raise ValueError(f"t must be >= 0, got t={t}")
+    left, right = ring_sides(p, t, reach)
     _check_cap(left + right)
     left, right = math.ceil(left), math.ceil(right)
     L = _pruned_next_fast_even(left + right)

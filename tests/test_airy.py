@@ -158,6 +158,16 @@ def test_input_validation():
         airy_table(1, [-1.0, -XI_LIMIT - 1e-9])
 
 
+def test_derivs_must_be_a_nonnegative_integer():
+    xi = np.array([-2.0, 0.0, 1.5])
+    for bad in (-1, -2, 1.5):
+        with pytest.raises(ValueError, match="derivs must be an integer >= 0"):
+            airy_table(1, xi, derivs=bad)
+    # derivs = 0, as a plain or a numpy integer, is the profile itself
+    assert np.array_equal(airy_table(1, xi, derivs=np.int64(0)), airy_table(1, xi))
+    assert airy_table(3, xi, derivs=0).shape == xi.shape
+
+
 def test_import_loads_no_scipy():
     code = "import sys, chiralwalk; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     src = str(Path(chiralwalk.__file__).resolve().parents[1])

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from chiralwalk import (
@@ -21,6 +21,7 @@ from chiralwalk import (
     cumulative,
     cumulative_moment,
     current_density,
+    edge_scale,
     evolve,
     omega,
     position_moment,
@@ -28,11 +29,16 @@ from chiralwalk import (
     ring_layout,
     skewness,
 )
-from chiralwalk.evolve import BLOCK, GUARD_SITES, MAX_LATTICE, _exact_sum, _fast_even_lengths, _int_power
+from chiralwalk.cli import _select_front
+from chiralwalk.evolve import (
+    BLOCK, GUARD_SITES, MAX_LATTICE, ROW_BATCH, _exact_sum, _fast_even_lengths, _int_power
+)
+from chiralwalk.hydro import scaled_moment
 from oracles import (
     dense_ring_evolution,
     direct_ring_amplitudes,
     exact_cut_current,
+    ring_sides,
     stepped_ring_layout,
     whole_ring_amplitudes,
     whole_ring_current,
@@ -207,6 +213,20 @@ def test_negative_moment_order_rejected():
     for moment in (cumulative_moment, position_moment):
         with pytest.raises(ValueError, match="moment order must be >= 0"):
             moment(prob, -1)
+
+
+def test_non_integer_moment_order_rejected():
+    # 1.5 is no moment order, and an integral float is refused as well
+    p = WalkParams(0.3, 0.8)
+    prob = probability_density(evolve(p, 10.0))
+    for k in (1.5, 2.0):
+        for moment in (cumulative_moment, position_moment):
+            with pytest.raises(ValueError, match="moment order must be >= 0"):
+                moment(prob, k)
+        with pytest.raises(ValueError, match="moment order must be >= 1"):
+            scaled_moment(p, 0.5, k)
+    assert prob._moments == {}  # nothing memoised for a refused order
+    assert position_moment(prob, np.int64(2)) == position_moment(prob, 2)
 
 
 def test_first_cumulative_moment_tracks_current():
@@ -448,18 +468,22 @@ AMPLITUDE_BOUND = 1e-14
 @pytest.mark.parametrize(
     "block, sizes",
     [
-        (7, (4, 14, 30)),
-        (64, (40, 64, 200)),
-        (8, (30, 250, 254, 256, 258, 486)),
-        (20, (250, 478, 482, 486)),
+        (7, (4, 30, 56, 70)),
+        (64, (40, 64, 200, 512, 528)),
+        (8, (250, 256, 486)),
+        (20, (168, 250, 486)),
     ],
 )
 def test_blocked_kernels_match_whole_ring(monkeypatch, block, sizes):
-    # rings below one block, of whole blocks, and with a ragged last chunk
-    # of columns; R runs from 2 to 54, and L = 256 +- 2 and 480 +- 2 step
-    # past a multiple of 2 R; fftfreq's negative half starts on a block edge
-    # at L = 256 (block 8) and inside a block elsewhere; L = 4 at block 7
-    # and L = 40, 64 at block 64 take the single transform
+    # rings of whole blocks and with a ragged last block; four-step rings
+    # from R = ROW_BATCH (L = 56 at block 7, 512 and 528 at block 64, 168 at
+    # block 20) to R = 54 (L = 486 at block 8), with a ragged last row batch
+    # at R = 10, 18 and 54; columns in whole chunks, and a ragged last chunk
+    # of columns at L = 528 (block 64) and L = 168, 250 (block 20);
+    # fftfreq's negative half starts on a chunk edge at L = 256 (block 8)
+    # and 512 (block 64) and inside a chunk elsewhere; L = 4 below one
+    # block, and L = 30 (block 7), 40, 64 and 200 (block 64), take the
+    # single transform
     monkeypatch.setattr(EVOLVE_MODULE, "BLOCK", block)
     p, t = WalkParams(0.3, 0.8), 3.0
     for L in sizes:
@@ -491,13 +515,15 @@ def test_blocked_kernels_match_whole_ring(monkeypatch, block, sizes):
 
 
 def test_ring_rows():
-    # the largest even divisor of L with rows of at least BLOCK sites
+    # the largest even divisor R >= ROW_BATCH of L with rows of at least
+    # BLOCK sites, else 1: a single transform
     rows = EVOLVE_MODULE._rows
     sizes = (4, 2 * BLOCK - 2, 2 * BLOCK, 3 * BLOCK, 622080, 1866240, 6220800, MAX_LATTICE)
-    assert [rows(L) for L in sizes] == [1, 1, 2, 2, 36, 108, 360, 2048]
-    for L in (2 * BLOCK, 622080, 1866240, 6220800, MAX_LATTICE, 2 * 3**12):
+    assert [rows(L) for L in sizes] == [1, 1, 1, 1, 36, 108, 360, 2048]
+    assert rows(ROW_BATCH * BLOCK) == ROW_BATCH and rows(ROW_BATCH * BLOCK - 2) == 1
+    for L in (2 * BLOCK, ROW_BATCH * BLOCK, 622080, 1866240, 6220800, MAX_LATTICE, 2 * 3**12):
         R = rows(L)
-        assert R % 2 == 0 and L % R == 0 and L // R >= BLOCK
+        assert R == 1 or (R % 2 == 0 and R >= ROW_BATCH and L % R == 0 and L // R >= BLOCK), (L, R)
 
 
 def _fsum_outcome(fn):
@@ -655,12 +681,15 @@ def test_current_nonfinite_raises_guard():
             current_density(WaveFunction(wf.params, wf.t, wf.L, amps, wf.origin))
 
 
-@pytest.mark.parametrize("block, L", [(7, 30), (8, 258), (20, 486), (64, 100)])
+@pytest.mark.parametrize("block, L", [(7, 72), (8, 256), (20, 168), (20, 486), (64, 100)])
 def test_same_bits_for_any_worker_count(monkeypatch, block, L):
-    # ragged last spans in every kernel, more workers than a kernel has
-    # spans (R = 2 at L = 30), batches of ROW_BATCH rows and a ragged one
-    # (R = 18 at L = 486), and the single transform (L = 100, block 64),
-    # on a centred ring and with site 0 off the centre
+    # ragged last spans in the site kernels (all but L = 256), R = ROW_BATCH
+    # in one row span, so more workers than spans (L = 72 and 168), whole
+    # row batches (R = 32 at L = 256) and a ragged one (R = 18 at L = 486),
+    # a ragged last chunk of columns (L = 168), fftfreq's negative half on
+    # a chunk edge (L = 256) and inside one (elsewhere), and the single
+    # transform (L = 100, block 64), on a centred ring and with site 0 off
+    # the centre
     monkeypatch.setattr(EVOLVE_MODULE, "BLOCK", block)
     monkeypatch.setattr(EVOLVE_MODULE, "THREAD_SITES", 0)
     p, t = WalkParams(0.3, 0.8), 3.0
@@ -734,7 +763,7 @@ def test_threads_only_on_large_rings(monkeypatch):
         return set(seen)
 
     threshold = EVOLVE_MODULE.THREAD_SITES
-    assert kernels(64000) == {before}  # the largest edge ring at t = 1e4
+    assert kernels(64000) == {before}  # above the largest edge ring at t = 1e4, 46 080 sites
     assert kernels(threshold - 2 * BLOCK) == {before}
     assert max(kernels(threshold)) > before
     assert threading.active_count() == before
@@ -768,8 +797,9 @@ def test_auto_lattice_sizes():
         (552960, 241920), (1638400, 688128), (5400000, 2278125)
     ]
     assert ring_layout(WalkParams(0.25, PI / 2), 2000.0) == (9600, 3278)
-    # a ring of two rows can only be centred; so is a given lattice
-    assert ring_layout(p, 1e4) == (64000, 32000)
+    # a ring of fewer than ROW_BATCH rows is one transform, so site 0 may
+    # sit at any index; a given lattice is centred
+    assert ring_layout(p, 1e4) == (55296, 23453)
     assert evolve(p, 10.0, lattice=400).origin == 200
 
 
@@ -829,6 +859,48 @@ def test_chiral_ring_holds_the_cone():
         assert R == 1 or wf.origin % (wf.L // R) == 0
 
 
+def _check_single_transform_ring(p, t, reach):
+    """A ring under ROW_BATCH BLOCK sites: the first length that holds both sides, site 0 between them."""
+    L, origin = ring_layout(p, t, reach)
+    left, right = (math.ceil(side) for side in ring_sides(p, t, reach))
+    assert L < ROW_BATCH * BLOCK and EVOLVE_MODULE._rows(L) == 1
+    assert L == _fast_even_lengths(left + right, 2 * (left + right))[0], (p, t, reach, L)
+    assert left <= origin <= L - right, (p, t, reach, L, origin)
+    return L
+
+
+# the published staircase rows at t = 1e4: (g, front, xi_max), phi = pi/2
+EDGE_ROWS = [(1 / 16, "left", 10.5), (1 / 8, "left", 13.5), (1 / 8, "right", 10.5),
+             (1 / 4, "left", 10.5), (1 / 4, "internal", 10.5)]
+
+
+def test_edge_rings_are_the_shortest_lengths():
+    # below ROW_BATCH BLOCK sites every candidate length is a single
+    # transform, so site 0 may sit anywhere and the first length fits
+    sizes = []
+    for g, which, xi_max in EDGE_ROWS:
+        p = WalkParams(g, PI / 2)
+        window = int(math.ceil(xi_max * edge_scale(_select_front(cone_topology(p), which), 1e4)))
+        sizes.append(_check_single_transform_ring(p, 1e4, window))
+    assert sizes == [40960, 40960, 40960, 46080, 46080]
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    st.floats(0.0, 1.0),
+    st.floats(0.0, PI / 2),
+    st.integers(2 * BLOCK, ROW_BATCH * BLOCK - 1),
+    st.integers(0, 2000),
+)
+def test_rings_below_a_row_batch_are_the_shortest_lengths(g, phi, sites, reach):
+    # times that put the cone's width at 2 to ROW_BATCH blocks of sites
+    p = WalkParams(g, phi)
+    d = cone_topology(p)
+    t = sites / (d.v_rm - d.v_lm)
+    assume(ring_layout(p, t, reach)[0] < ROW_BATCH * BLOCK)
+    assert _check_single_transform_ring(p, t, reach) >= 2 * BLOCK
+
+
 # bound on |mu_k(chiral ring) - mu_k(centred ring)| in units of
 # sum_n |n|^k p(n), fixed before any measurement
 RING_MOMENT_BOUND = 1e-12
@@ -838,7 +910,7 @@ RING_MOMENT_BOUND = 1e-12
     "g, phi, t", [(0.3, 0.8, 3e4), (0.2, 1.2, 2e4), (1 / 16, PI / 2, 2000.0), (0.25, 0.3, 5e3)]
 )
 def test_moments_on_chiral_ring_match_centred_ring(g, phi, t):
-    # four-step rings (R = 10 and 6) and single transforms (R = 1)
+    # a four-step ring (R = 10 at t = 3e4) and single transforms (R = 1)
     p = WalkParams(g, phi)
     chiral = probability_density(evolve(p, t))
     assert chiral.origin != chiral.L // 2
