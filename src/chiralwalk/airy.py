@@ -250,11 +250,13 @@ def measure_edge(
 
     The window must not reach any other front travelling at a different
     velocity (co-moving degenerate partners are fine and simply double the
-    profile), and must lie on a given lattice; both, and the ring's size
-    cap, are checked before anything is evolved.
+    profile), and must lie on a given lattice; both, the window's type and
+    the ring's size cap are checked before anything is evolved.
     """
     if not t > 0:
         raise ValueError(f"measure_edge needs t > 0, got t={t}")
+    if not isinstance(window, (int, np.integer)) or window < 1:
+        raise ValueError(f"measure_edge needs an integer window >= 1, got window={window!r}")
     # first: the ring's layout refuses a ring above MAX_LATTICE, so every
     # |v t| rounded below is finite
     L, origin = _ring_layout(p, t, lattice, reach=window)

@@ -1,23 +1,21 @@
 """Extremal fronts, causal-cone topology and the Lifshitz critical coupling.
 
 The band w(q) = 2 cos q + 2 g cos(2q + phi) is a degree-2 trigonometric
-polynomial, so both questions reduce to polynomial roots on the unit circle
-z = e^{iq}:
+polynomial, so both questions have algebraic answers:
 
 - Extremal fronts are the real roots of w''(q), the stationary points of
   the group velocity, and z^2 w''(q) = -(4g e^{i phi} z^4 + z^3 + z
-  + 4g e^{-i phi}) is a quartic.
-- The Lifshitz coupling g_c(phi) is the smallest g > 0 at which w'' has a
-  double real root.  w'' = w''' = 0 is linear in g, and eliminating g
-  leaves sin(3q + phi) + 3 sin(q + phi) = 0, a sextic in z.
+  + 4g e^{-i phi}) is a quartic in z = e^{iq}.
+- The Lifshitz coupling g_c(phi), the smallest g > 0 at which w'' has a
+  double real root, is a cube root in closed form (critical_coupling).
 
-A companion-matrix root is kept when it lies on the unit circle and the
-trigonometric form vanishes at its angle.  Adjacent kept roots are one
-multiple root only when the form also vanishes at their midpoint, and a
-cluster of m roots is polished by Newton in real q on the form's (m-1)-th
-derivative, where it is a simple root.  A front's order k is the
-multiplicity m of its cluster, and its edge-scaling coefficient is
-kappa_k = w^(k+2)(q*)/(k+1)! at the polished root q*.
+A companion-matrix root of the quartic is kept when it lies on the unit
+circle and w'' vanishes at its angle.  Adjacent kept roots are one
+multiple root only when w'' also vanishes at their midpoint, and a cluster
+of m roots is polished by Newton in real q on w^(m+1), where it is a
+simple root.  A front's order k is the multiplicity m of its cluster, and
+its edge-scaling coefficient is kappa_k = w^(k+2)(q*)/(k+1)! at the
+polished root q*.
 
 A scan runs over a whole batch of points at once: one stacked eigenvalue
 call on their companion matrices, then each filter, Newton step and
@@ -41,7 +39,7 @@ import numpy as np
 
 from .dispersion import PHI_MAX, TWO_PI, WalkParams, omega_deriv
 
-TOL_ROOT = 1e-12          # |form| at a kept root; for w'' times its scale 1 + 8g
+TOL_ROOT = 1e-12          # |w''| at a kept root, times its scale 1 + 8g
 TOL_DEGEN = 1e-9          # velocity window for degenerate-front labelling
 # |log|z|| bound for a root on the unit circle: the companion eigenvalues of
 # a triple root scatter by ~eps^(1/3) ~ 1e-5, while at phi = pi/2 an
@@ -98,10 +96,10 @@ class _Couplings(NamedTuple):
         return _Couplings(self.g[rows], self.phi[rows])
 
 
-def _polish(f, x, m: int, c: _Couplings):
-    """Newton on f^(m-1), where a root of multiplicity m of f is simple."""
+def _polish(x, m: int, c: _Couplings):
+    """Newton on w^(m+1), where a root of multiplicity m of w'' is simple."""
     for _ in range(NEWTON_STEPS):
-        x -= f(x, m - 1, c) / f(x, m, c)
+        x -= omega_deriv(x, m + 1, c) / omega_deriv(x, m + 2, c)
     return (x + math.pi) % TWO_PI - math.pi
 
 
@@ -121,13 +119,12 @@ def _eigvals(a):
         return np.concatenate([za, zb]), {**ea, **{h + i: e for i, e in eb.items()}}
 
 
-def _circle_roots(coeffs, couplings, f, tol, seeded):
-    """Real roots q in [-pi, pi) of a stack of trigonometric polynomials, once each.
+def _circle_roots(coeffs, couplings, tol, seeded):
+    """Real roots q in [-pi, pi) of w'' at a stack of couplings, once each.
 
     Row i of coeffs (highest power first) defines a polynomial in z = e^{iq}
-    that is a power of z times f(q) at the couplings of row i.  f(q, j, c)
-    is the j-th derivative of f at q for couplings c that broadcast against
-    q, and tol[i] bounds |f| at a kept root of row i.  A seeded row skips its
+    that is a power of z times w''(q) at the couplings of row i, and tol[i]
+    bounds |w''| at a kept root of row i.  A seeded row skips its
     companion matrix: its roots are the simple ones polished from -pi/2 and
     pi/2.  The layout is padded, a row per polynomial and a slot per degree:
     a row's kept angles are sorted to its front and its other slots hold 0.
@@ -150,7 +147,7 @@ def _circle_roots(coeffs, couplings, f, tol, seeded):
     kept = np.zeros(q.shape, bool)
     kept[live] = np.abs(np.log(np.abs(z))) < TOL_CIRCLE
     q[kept] = np.angle(z[kept[live]])
-    kept &= np.abs(f(q, 0, column)) <= tol
+    kept &= np.abs(omega_deriv(q, 2, column)) <= tol
     q[seeded, :2], kept[seeded, :2] = (-math.pi / 2, math.pi / 2), True
     q = np.sort(np.where(kept, q, np.inf), axis=1)
     count = np.count_nonzero(kept, axis=1)[:, None]
@@ -161,7 +158,7 @@ def _circle_roots(coeffs, couplings, f, tol, seeded):
     succ = q[row, (slot + 1) % n]
     succ = np.where(slot + 1 < count, succ, succ + TWO_PI)
     joined = real & (count > 1) & ~seeded[:, None]
-    joined &= np.abs(f(0.5 * (q + succ), 0, column)) <= tol
+    joined &= np.abs(omega_deriv(0.5 * (q + succ), 2, column)) <= tol
     # a cluster starts at a kept root not joined to its predecessor, and
     # each joined link that follows adds one to its multiplicity
     link = real & ~joined[row, (slot - 1) % n]
@@ -174,7 +171,7 @@ def _circle_roots(coeffs, couplings, f, tol, seeded):
         r, s = np.nonzero(order == m)
         idx, c = s[:, None] + np.arange(m), count[r]
         centre = (q[r[:, None], idx % c] + TWO_PI * (idx >= c)).mean(axis=1)
-        roots[r, s] = _polish(f, centre, m, couplings.at(r))
+        roots[r, s] = _polish(centre, m, couplings.at(r))
     return roots, order, {int(live[i]): exc for i, exc in failed.items()}
 
 
@@ -207,8 +204,7 @@ def _front_sets(points) -> list:
     quartic[:, 0] = [4.0 * p.g * complex(math.cos(p.phi), math.sin(p.phi)) for p in points]
     quartic[:, 1] = quartic[:, 3] = 1.0
     quartic[:, 4] = quartic[:, 0].conj()
-    w2 = lambda q, j, c: omega_deriv(q, 2 + j, c)
-    roots, order, failed = _circle_roots(quartic, couplings, w2, TOL_ROOT * (1.0 + 8.0 * g), seeded)
+    roots, order, failed = _circle_roots(quartic, couplings, TOL_ROOT * (1.0 + 8.0 * g), seeded)
     start = order > 0
     rows, q, order = np.nonzero(start)[0], roots[start], order[start]
     velocity = omega_deriv(q, 1, couplings.at(rows))
@@ -304,35 +300,21 @@ def edge_scale(front: ExtremalFront, t: float) -> float:
 def critical_coupling(phi: float) -> float:
     """Lifshitz coupling g_c(phi): the smallest g > 0 with a double root of w''.
 
-    The real roots of sin(3q + phi) + 3 sin(q + phi) are the unit-circle
-    roots of e^{i phi} z^6 + 3 e^{i phi} z^4 - 3 e^{-i phi} z^2 - e^{-i phi}.
-    At each, g is the least-squares solution of w'' = 0 and w''' = 0,
+    w'' = w''' = 0 is linear in g; eliminating g leaves sin(3q + phi)
+    + 3 sin(q + phi) = 0, which with tau = tan(q + phi/2) reads
+    ((1 + tau) / (1 - tau))^3 = tan(pi/4 - phi/2).  Its one real root is
+    tan(q + phi/2 + pi/4) = tan(pi/4 - phi/2)^(1/3), up to q -> q + pi.
+    At q, g solves w'' = 0 and w''' = 0 in the least-squares sense,
 
         g = -(4 cos q c + 8 sin q s) / (16 c^2 + 64 s^2),
         c = cos(2q + phi),  s = sin(2q + phi),
 
-    which stays defined where c or s vanishes (the zone-seam root at
-    phi = 0).  The result is exact to roundoff, so there is no tolerance
-    to set.
+    defined also where c or s vanishes (the zone-seam root at phi = 0).
+    q and q + pi give -g and g, so |g| is g_c, exact to roundoff.
     """
     if not 0.0 <= phi <= PHI_MAX:
         raise ValueError("phi must lie in the canonical window [0, pi/2]")
-    e = complex(math.cos(phi), math.sin(phi))
-    sextic = [e, 0.0, 3.0 * e, 0.0, -3.0 * e.conjugate(), 0.0, -e.conjugate()]
-
-    def f(q, j, c):
-        shift = c.phi + j * math.pi / 2.0
-        return 3.0**j * np.sin(3.0 * q + shift) + 3.0 * np.sin(q + shift)
-
-    # the sextic does not depend on g
-    couplings = _Couplings(np.zeros(1), np.array([phi]))
-    roots, order, failed = _circle_roots(
-        np.array([sextic]), couplings, f, np.array([TOL_ROOT]), np.array([False])
-    )
-    if failed:
-        raise failed[0]
-    gs = []
-    for q in roots[order > 0].tolist():
-        c, s = math.cos(2.0 * q + phi), math.sin(2.0 * q + phi)
-        gs.append(-(4.0 * math.cos(q) * c + 8.0 * math.sin(q) * s) / (16.0 * c * c + 64.0 * s * s))
-    return min(g for g in gs if g > 0.0)
+    # the base lies in [0, 1] on the window; math.cbrt needs Python 3.11
+    q = math.atan(math.tan(math.pi / 4 - phi / 2) ** (1.0 / 3.0)) - math.pi / 4 - phi / 2
+    c, s = math.cos(2.0 * q + phi), math.sin(2.0 * q + phi)
+    return abs(4.0 * math.cos(q) * c + 8.0 * math.sin(q) * s) / (16.0 * c * c + 64.0 * s * s)

@@ -361,6 +361,20 @@ def test_measure_edge_refuses_nan_time(monkeypatch, lattice):
         measure_edge(WalkParams(1 / 16, PI / 2), _left_front(1 / 16), math.nan, 20, lattice)
 
 
+@pytest.mark.parametrize("window", [-3, 0, 2.5, 40.0, "40", None])
+def test_measure_edge_refuses_a_window_that_is_not_a_positive_integer(monkeypatch, window):
+    monkeypatch.setattr(chiralwalk.airy, "evolve", lambda *a, **kw: pytest.fail("evolved"))
+    with pytest.raises(ValueError, match="integer window >= 1"):
+        measure_edge(WalkParams(1 / 16, PI / 2), _left_front(1 / 16), 100.0, window)
+
+
+def test_measure_edge_takes_a_numpy_integer_window():
+    p, front = WalkParams(1 / 16, PI / 2), _left_front(1 / 16)
+    want = measure_edge(p, front, 100.0, 40)
+    got = measure_edge(p, front, 100.0, np.int64(40))
+    assert np.array_equal(got.xi, want.xi) and np.array_equal(got.dphi_scaled, want.dphi_scaled)
+
+
 def test_measure_edge_window_past_lattice_rejected():
     # ring holds the causal cone but not the requested window
     p = WalkParams(1 / 16, PI / 2)

@@ -322,20 +322,21 @@ def test_fronts_failed_eigenvalues_reported_per_row(tmp_path, monkeypatch):
                        "error: Eigenvalues did not converge"]]
     assert {r[1] for r in rows if r[-1] == "ok"} == {
         "0", "0.20000000000000001", "0.30000000000000004", "0.40000000000000002"}
-    # the sweep's stack of four, its halves down to the failing matrix, then g_c's sextic
-    assert sizes == [4, 2, 1, 1, 2, 1]
+    # the sweep's stack of four, then its halves: [0.1, 0.2] split down to the
+    # failing matrix, and [0.3, 0.4] whole
+    assert sizes == [4, 2, 1, 1, 2]
     validate(tmp_path / "gc.json", "gc")
 
 
 def test_fronts_sweep_takes_one_eigvals_call(tmp_path, monkeypatch):
-    # one stacked eigenvalue call for the whole sweep, and one per phi for g_c
+    # one stacked eigenvalue call for the whole sweep; g_c is in closed form
     sizes = record_eigvals(monkeypatch)
     rc = main([
         "fronts", "--phi-list", "0,0.8,1.5707963267948966", "--g-min", "0", "--g-max", "0.6",
         "--g-steps", "61", "--out", str(tmp_path),
     ])
     assert rc == 0
-    assert sizes == [3 * 60, 1, 1, 1]
+    assert sizes == [3 * 60]
 
 
 @pytest.mark.parametrize(
