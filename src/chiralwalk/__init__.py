@@ -44,6 +44,7 @@ from .hydro import (
     nu_half,
     scaled_ccd,
     scaled_cpd,
+    scaled_density,
     scaled_moment,
     scaling_curve,
 )

@@ -12,6 +12,8 @@ v = w'.  The higher cumulative moments telescope the same way: v is a
 degree-2 trigonometric polynomial, so v^k is one of degree 2k, and its
 integral over each interval is a difference of one closed-form
 antiderivative.  Phi, J and every moment are thus exact up to the roots.
+So is the density rho = dPhi/dnu = (1/2pi) sum_r 1/|w''(q_r)|: each root
+q_r of v = nu moves with nu at the rate 1/|v'(q_r)|.
 
 Between consecutive front wave vectors q* the group velocity is monotone,
 because w'' has no root there.  The zone therefore splits into monotone
@@ -21,6 +23,11 @@ lie on one side of nu are empty or whole without any root finding; on
 the others a safeguarded Newton iteration finds the root, all branches and
 all nu at once.  This is valid on both sides of the Lifshitz transition
 and at the critical couplings.
+
+The median nu_half, where Phi crosses 1/2, is exactly v(0) = -4g sin(phi)
+in the one-cone phase; otherwise Newton on Phi - 1/2 with the closed-form
+rho as its slope finds it, each step one two-point sub-level call that
+also certifies the answer.
 """
 
 from __future__ import annotations
@@ -40,10 +47,9 @@ from .evolve import (
     evolve,
     probability_density,
 )
-from .fronts import FrontDiagram, cone_topology, edge_scale
+from .fronts import ConeTopology, FrontDiagram, cone_topology, edge_scale
 
 DEFAULT_EXCLUSION = 8.0
-_NU_HALF_GRID = 62  # interior nu per nu_half round: the bracket shrinks 63-fold
 
 
 def _branches(p: WalkParams):
@@ -106,13 +112,14 @@ def _branch_roots(p: WalkParams, a, b, va, vb, nu):
     return root
 
 
-def _sublevel(p: WalkParams, nu):
+def _sublevel(p: WalkParams, nu, branches=None):
     """Interval [start, end] of {v <= nu} on every branch, shape (branches, len(nu)).
 
     An empty interval has start == end, a whole branch is exactly [a, b];
-    a NaN nu gives NaN ends on every branch.
+    a NaN nu gives NaN ends on every branch.  branches, if given, is
+    _branches(p), for a caller that makes many calls.
     """
-    a, b, va, vb = _branches(p)
+    a, b, va, vb = _branches(p) if branches is None else branches
     nu = np.atleast_1d(np.asarray(nu, dtype=float))
     rising = vb > va
     v_min, v_max = np.minimum(va, vb), np.maximum(va, vb)
@@ -124,6 +131,28 @@ def _sublevel(p: WalkParams, nu):
     root = np.where(nu <= v_min, np.where(rising, a, b), root)
     root = np.where(nu >= v_max, np.where(rising, b, a), root)
     return np.where(rising, a, root), np.where(rising, root, b)
+
+
+def _phi_density(p: WalkParams, nu, branches):
+    """Phi and rho = dPhi/dnu at every nu, from one _sublevel call.
+
+    Phi is _bulk's, bit for bit.  rho sums 1/|w''| over the roots strictly
+    inside their branches, the roots invert_velocity returns: a branch
+    ending at nu is empty or whole and adds nothing, and a root where w''
+    is 0 (nu within float noise of a front) adds inf.  rho is 0
+    outside the cone and NaN at a NaN nu.
+    """
+    a, b, va, vb = branches
+    nu = np.atleast_1d(np.asarray(nu, dtype=float))
+    start, end = _sublevel(p, nu, branches)
+    straddle = (np.minimum(va, vb) < nu) & (nu < np.maximum(va, vb))
+    curvature = np.abs(omega_deriv(np.where(vb > va, end, start), 2, p))
+    weight = np.divide(
+        1.0, curvature, out=np.full(curvature.shape, np.inf), where=straddle & (curvature > 0.0)
+    )
+    rho = np.where(straddle, weight, 0.0).sum(0) / TWO_PI
+    rho[np.isnan(nu)] = np.nan
+    return (end - start).sum(0) / (b - a).sum(0), rho
 
 
 def _velocity_powers(p: WalkParams, kmax: int) -> dict:
@@ -192,44 +221,86 @@ def invert_velocity(p: WalkParams, nu: float) -> list[float]:
     return sorted(float(r - TWO_PI if r >= math.pi else r) for r in roots)
 
 
+def _check_scalar(nu) -> None:
+    if np.ndim(nu) != 0:
+        raise ValueError(f"nu must be a scalar, got an array of shape {np.shape(nu)}")
+
+
 def scaled_cpd(p: WalkParams, nu: float) -> float:
     """Phi(nu): measure of the sub-level set {v <= nu}, normalised by 2pi."""
+    _check_scalar(nu)
     return float(_bulk(p, nu)["phi"][0])
 
 
 def scaled_ccd(p: WalkParams, nu: float) -> float:
     """J(nu) = (1/2pi) integral of v over {v <= nu} = telescoped band energies."""
+    _check_scalar(nu)
     return float(_bulk(p, nu)["j"][0])
 
 
 def scaled_moment(p: WalkParams, nu: float, k: int) -> float:
     """Scaled cumulative moment: (1/2pi) integral of v^k over {v <= nu}."""
-    if not isinstance(k, (int, np.integer)) or k < 1:
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
         raise ValueError(f"moment order must be >= 1 and an integer, got k={k}")
+    _check_scalar(nu)
     return float(_bulk(p, nu, (k,))[f"m{k}"][0])
 
 
-def nu_half(p: WalkParams, tol: float = 1e-10) -> float:
-    """Diagnostic: the scaled coordinate where Phi crosses 1/2.
+def scaled_density(p: WalkParams, nu: float) -> float:
+    """rho(nu) = dPhi/dnu = (1/2pi) sum_r 1/|w''(q_r)| over the roots of v(q) = nu.
 
-    The bracket [v_lm, v_rm] is cut at _NU_HALF_GRID interior points per
-    round, one vectorised _bulk call each, and narrowed to the first grid
-    step where Phi reaches 1/2, until it is at most tol wide; the midpoint
-    is returned.  Phi is monotone, so the count of points below 1/2 is that
-    step's index.  A tol that is not >= 0 (NaN or negative) is refused with
-    ValueError.
+    0 outside the causal cone; at a front velocity the branch that ends
+    there adds nothing, although rho diverges as nu approaches it.
+    """
+    _check_scalar(nu)
+    return float(_phi_density(p, nu, _branches(p))[1][0])
+
+
+def nu_half(p: WalkParams, tol: float = 1e-10) -> float:
+    """Diagnostic: the scaled coordinate x where Phi crosses 1/2.
+
+    In the one-cone phase the level set of v(0) = v(pi) = -4g sin(phi) is
+    exactly {0, pi}, so that value is returned.  Otherwise the answer is
+    certified: Phi(x - tol/2) < 1/2 <= Phi(x + tol/2).  Newton on
+    Phi - 1/2, with rho as its slope, starts at -4g sin(phi) and stays
+    inside a bracket with Phi(lo) < 1/2 <= Phi(hi).  Each step evaluates
+    Phi and rho at the candidate's two certifying points, clipped to the
+    bracket, in one _sublevel call: the candidate is returned if they
+    straddle 1/2, and otherwise the nearer one becomes an end of the
+    bracket and Newton steps from it.  A step that would leave the bracket,
+    or meets an infinite rho (w'' = 0 at a root, at the critical
+    couplings), is a bisection instead.  The bracket shrinks at every step;
+    once it is down to adjacent floats (a tol below the float spacing),
+    its upper end, the float where Phi reaches 1/2, is returned.  A tol
+    that is not >= 0 (NaN or negative) is refused with ValueError.
     """
     if not tol >= 0.0:
         raise ValueError(f"nu_half needs tol >= 0, got tol={tol!r}")
     d = cone_topology(p)
+    x = -4.0 * p.g * math.sin(p.phi)
+    if d.topology is ConeTopology.ONE_CONE:
+        return x
+    branches = _branches(p)
     lo, hi = d.v_lm, d.v_rm
-    while hi - lo > tol:
-        nu = np.linspace(lo, hi, _NU_HALF_GRID + 2)
-        i = int(np.count_nonzero(_bulk(p, nu[1:-1])["phi"] < 0.5))
-        if nu[i + 1] - nu[i] >= hi - lo:
-            break  # the bracket is down to adjacent floats
-        lo, hi = float(nu[i]), float(nu[i + 1])
-    return 0.5 * (lo + hi)
+    while True:
+        below = max(lo, x - 0.5 * tol)
+        above = min(hi, x + 0.5 * tol)
+        phi, rho = _phi_density(p, [below, above], branches)
+        if phi[0] < 0.5 <= phi[1]:
+            return x
+        # both points lie on one side of the crossing; a point at lo or hi
+        # repeats its Phi bit for bit, so the new end lies strictly inside
+        i = 0 if phi[0] >= 0.5 else 1
+        base = (below, above)[i]
+        lo, hi = (lo, base) if i == 0 else (base, hi)
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return hi  # the bracket is down to adjacent floats
+        x = mid
+        if 0.0 < rho[i] < math.inf:
+            newton = base + (0.5 - float(phi[i])) / float(rho[i])
+            if lo < newton < hi:
+                x = newton
 
 
 @dataclass(frozen=True, eq=False)
@@ -257,9 +328,11 @@ def exclusion_windows(
     """(centre, half-width) in nu of the edge windows around each front.
 
     The edge region of a k-th order front spans ~ (|kappa_k| t)^(1/(k+2))
-    sites, where bulk scaling is violated by construction.  c must be
-    finite and >= 0.
+    sites, where bulk scaling is violated by construction.  t must be
+    finite and > 0, and c finite and >= 0.
     """
+    if not (math.isfinite(t) and t > 0):
+        raise ValueError(f"exclusion windows need a finite t > 0, got t={t}")
     if not (math.isfinite(c) and c >= 0):
         raise ValueError(f"exclusion must be finite and >= 0, got {c}")
     return [(fr.velocity, c * edge_scale(fr, t) / t) for fr in diagram.fronts]
@@ -299,13 +372,15 @@ def compare_bulk(
     scale).  The five numeric fields, on every site of the ring, are
     returned in the report's numeric dict, with site 0 at index origin.
     ValueError is raised before the evolution for a t that is not positive
-    (NaN included), for a t so small that t^3 is not a normal float (the
-    scaled moments would divide by zero or lose their precision), and when
-    the windows cover every compared site, so that nothing would be
-    compared outside them.
+    (NaN included), for a margin that is not finite and >= 0, for a t so
+    small that t^3 is not a normal float (the scaled moments would divide
+    by zero or lose their precision), and when the windows cover every
+    compared site, so that nothing would be compared outside them.
     """
     if not t > 0:
         raise ValueError(f"compare_bulk needs t > 0, got t={t}")
+    if not (math.isfinite(margin) and margin >= 0):
+        raise ValueError(f"compare_bulk needs a finite margin >= 0, got margin={margin}")
     d = cone_topology(p)
     wins = exclusion_windows(d, t, exclusion)
     L, origin = _ring_layout(p, t, lattice)

@@ -3,6 +3,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from chiralwalk import (
     ConeTopology,
@@ -22,6 +24,7 @@ from chiralwalk import (
     probability_density,
     scaled_ccd,
     scaled_cpd,
+    scaled_density,
     scaled_moment,
     scaling_curve,
 )
@@ -82,6 +85,94 @@ def test_nu_half_refuses_a_tol_below_zero(tol):
     # a NaN tol ended the bracketing at once and returned the cone's midpoint
     with pytest.raises(ValueError, match=re.escape(f"tol={tol!r}")):
         nu_half(WalkParams(0.3, 0.8), tol=tol)
+
+
+NU_HALF_TOLS = [0.0, 1e-12, 1e-10, 1e-3, math.inf]
+TWO_CONES = (ConeTopology.TWO_NESTED_CONES, ConeTopology.TWO_OVERLAPPING_CONES)
+
+
+def assert_nu_half_certified(p, x, tol):
+    # Phi crosses 1/2 within tol / 2 of x; below the float spacing, x is
+    # the float where Phi reaches 1/2 and its predecessor lies below
+    d = cone_topology(p)
+    assert d.v_lm <= x <= d.v_rm, (p, tol, x)
+    below = min(x - 0.5 * tol, math.nextafter(x, -math.inf))
+    assert scaled_cpd(p, below) < 0.5 <= scaled_cpd(p, x + 0.5 * tol), (p, tol, x)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    st.floats(0.0, PI / 2),
+    st.floats(1e-3, 20.0),
+    st.sampled_from(NU_HALF_TOLS),
+)
+def test_nu_half_is_certified_in_the_two_cone_phase(phi, above_gc, tol):
+    p = WalkParams(critical_coupling(phi) * (1.0 + above_gc), phi)
+    assume(cone_topology(p).topology in TWO_CONES)
+    assert_nu_half_certified(p, nu_half(p, tol=tol), tol)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("phi", [0.0, 0.3, 0.8, PI / 2])
+def test_nu_half_at_the_critical_coupling(phi):
+    # w'' has a double or triple root at a front: rho diverges at its velocity
+    p = WalkParams(critical_coupling(phi), phi)
+    for tol in NU_HALF_TOLS:
+        assert_nu_half_certified(p, nu_half(p, tol=tol), tol)
+
+
+def density_points(p):
+    """nu across the cone, each at least 2% of the cone's width from every front."""
+    d = cone_topology(p)
+    nu = np.linspace(d.v_lm, d.v_rm, 41)[1:-1]
+    gap = 0.02 * (d.v_rm - d.v_lm)
+    return [x for x in nu.tolist() if min(abs(x - fr.velocity) for fr in d.fronts) > gap]
+
+
+@pytest.mark.parametrize("g, phi", SUBLEVEL_COUPLINGS)
+def test_scaled_density_is_the_slope_of_phi(g, phi):
+    # a centred difference of Phi: truncation O(h^2 rho'') and the roots'
+    # float noise over 2h, both far below the bound away from the fronts
+    p = WalkParams(g, phi)
+    h = 1e-5
+    points = density_points(p)
+    assert len(points) >= 20
+    for nu in points:
+        rho = scaled_density(p, nu)
+        slope = (scaled_cpd(p, nu + h) - scaled_cpd(p, nu - h)) / (2.0 * h)
+        assert abs(slope - rho) <= 1e-6 * rho + 1e-9, (g, phi, nu, slope, rho)
+        # the same roots, summed in another order
+        roots = invert_velocity(p, nu)
+        by_root = sum(1.0 / abs(omega_deriv(q, 2, p)) for q in roots) / (2.0 * PI)
+        assert abs(by_root - rho) <= 1e-12 * rho, (g, phi, nu)
+
+
+def test_scaled_density_outside_the_cone_and_at_nan():
+    p = WalkParams(0.3, 0.8)
+    d = cone_topology(p)
+    assert scaled_density(p, d.v_lm - 0.1) == 0.0
+    assert scaled_density(p, d.v_rm + 0.1) == 0.0
+    assert math.isnan(scaled_density(p, math.nan))
+    # the free walk's roots of v = 0, q = 0 and pi, both have |w''| = 2
+    assert scaled_density(WalkParams(0.0, 0.0), 0.0) == pytest.approx(1.0 / (2.0 * PI), abs=1e-15)
+
+
+@pytest.mark.parametrize(
+    "query", [scaled_cpd, scaled_ccd, scaled_density, lambda p, nu: scaled_moment(p, nu, 2)]
+)
+@pytest.mark.parametrize("nu", [np.array([0.1, 0.2]), np.array([0.1]), [0.1, 0.2]])
+def test_scalar_queries_refuse_an_array_nu(query, nu):
+    # an array nu returned its first entry's value
+    with pytest.raises(ValueError, match="nu must be a scalar"):
+        query(WalkParams(0.3, 0.8), nu)
+    assert query(WalkParams(0.3, 0.8), np.float64(0.1)) == query(WalkParams(0.3, 0.8), 0.1)
+
+
+def test_scaled_moment_refuses_a_bool_order():
+    # bool passes the int check and ended in a KeyError for "mTrue"
+    for k in (True, False):
+        with pytest.raises(ValueError, match="moment order"):
+            scaled_moment(WalkParams(0.3, 0.8), 0.1, k)
 
 
 def test_invert_velocity_counts():
@@ -304,6 +395,23 @@ def test_bad_exclusion_rejected(monkeypatch, exclusion):
         compare_bulk(p, t=500.0, exclusion=exclusion)
     with pytest.raises(ValueError, match="exclusion"):
         exclusion_windows(cone_topology(p), 500.0, exclusion)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("t", [0.0, -500.0, math.nan, math.inf, -math.inf])
+def test_exclusion_windows_refuse_a_bad_time(t):
+    # t = 0 divided by zero, t < 0 gave complex half-widths, NaN gave NaN
+    with pytest.raises(ValueError, match="finite t > 0"):
+        exclusion_windows(cone_topology(WalkParams(0.3, 0.8)), t)
+
+
+@pytest.mark.parametrize("margin", [math.nan, -0.25, math.inf])
+def test_compare_bulk_refuses_a_bad_margin(monkeypatch, margin):
+    # refused by name before the evolution, not as windows that "cover every
+    # compared site" of an empty or NaN nu range
+    monkeypatch.setattr(hydro, "evolve", lambda *a, **kw: pytest.fail("evolved"))
+    with pytest.raises(ValueError, match=re.escape(f"margin >= 0, got margin={margin}")):
+        compare_bulk(WalkParams(0.3, 0.8), 500.0, margin=margin)
 
 
 @pytest.mark.parametrize("t, exclusion", [(1e-9, 8.0), (2000.0, 1e6)])
