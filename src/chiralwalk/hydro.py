@@ -215,6 +215,7 @@ def invert_velocity(p: WalkParams, nu: float) -> list[float]:
     One root per monotone branch whose end velocities straddle nu; the
     empty list outside (v_lm, v_rm).
     """
+    _check_scalar(nu)
     _, _, va, vb = _branches(p)
     start, end = _sublevel(p, nu)
     roots = np.where(vb > va, end, start)[(np.minimum(va, vb) < nu) & (nu < np.maximum(va, vb))]

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import jsonschema
@@ -191,6 +192,72 @@ def test_write_csv_quotes_strings(tmp_path):
         header, *rows = list(csv.reader(fh))
     assert header == ["i", "text", "x"]
     assert rows == [[str(i), s, "0.5"] for i, s in enumerate(texts)]
+
+
+def _write_columns_checked(path, header, columns, write=cli._write_columns):
+    # `write` is bound to the real writer before any test replaces cli._write_columns
+    write(path, header, columns)
+    assert Path(path).read_text() == _per_cell_csv(header, zip(*columns))
+
+
+def test_write_columns_matches_per_cell_format(tmp_path):
+    special = np.array([-0.0, math.nan, math.inf, -math.inf, 5e-324, 1.5e300, -1.5e300, 1 / 3, 0.0, 1e-300])
+    rng = np.random.default_rng(7)
+    block = cli.CSV_BLOCK
+    for size in (0, 1, 2, block - 1, block, block + 1, 2 * block - 1, 2 * block, 2 * block + 1):
+        columns = (
+            np.arange(size, dtype=np.int64) - size // 2,  # a site column
+            special[rng.integers(0, special.size, size)],
+            rng.standard_normal(size).astype(np.float32),
+            rng.standard_normal(size) * 10.0 ** rng.integers(-300, 300, size),
+        )
+        _write_columns_checked(tmp_path / "x.csv", ["n", "s", "f32", "x"], columns)
+    cli._write_columns(tmp_path / "e.csv", ["a", "b"], [()] * 2)
+    assert (tmp_path / "e.csv").read_text() == "a,b\n"
+
+
+@pytest.mark.parametrize("columns", [[np.zeros(3)], [np.zeros(3), np.zeros(2)], [np.zeros(1), np.zeros(3)]])
+def test_write_columns_refuses_a_ragged_table(tmp_path, columns):
+    with pytest.raises(ValueError, match="do not fill"):
+        cli._write_columns(tmp_path / "x.csv", ["a", "b"], columns)
+
+
+@pytest.mark.parametrize("argv", [
+    ["evolve", "--g", "0.3", "--phi", "0.8", "--t", "0"],
+    ["evolve", "--g", "0.3", "--phi", "0.8", "--t", "50"],
+    ["scaling", "--g", "0.0625", "--phi", str(math.pi / 2), "--t", "2000"],
+    ["scaling", "--g", "0.25", "--phi", str(math.pi / 2), "--t", "2000"],
+    ["edge", "--g", "0.0625", "--phi", str(math.pi / 2), "--t", "2000", "--xi-max", "9.0"],
+    ["edge", "--g", "0.25", "--phi", "0", "--t", "500", "--front", "internal"],  # even order: no rows
+])
+def test_cli_numeric_tables_match_per_cell_format(tmp_path, monkeypatch, argv):
+    # each numeric dataset holds the bytes of the rows zip(*columns), one cell at a time
+    written = []
+
+    def checked(path, header, columns):
+        written.append(Path(path).name)
+        _write_columns_checked(path, header, columns)
+
+    monkeypatch.setattr(cli, "_write_columns", checked)
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    assert written == [{"evolve": "density.csv", "scaling": "bulk.csv", "edge": "edge.csv"}[argv[0]]]
+
+
+def test_write_columns_memory_is_one_block(tmp_path):
+    # a 2^18-row x 8-column table holds 16 MB of float64; the writer's traced
+    # peak stays under 2 MB, so a copy of the whole table would fail
+    size = 1 << 18
+    columns = [np.arange(size, dtype=np.float64) * (k + 1) for k in range(8)]
+    header = [f"c{k}" for k in range(8)]
+    tracemalloc.start()
+    try:
+        cli._write_columns(tmp_path / "m.csv", header, columns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20, peak
+    with open(tmp_path / "m.csv") as fh:
+        assert sum(1 for _ in fh) == size + 1
 
 
 def test_config_file_with_flag_override(tmp_path):

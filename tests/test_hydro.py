@@ -158,11 +158,13 @@ def test_scaled_density_outside_the_cone_and_at_nan():
 
 
 @pytest.mark.parametrize(
-    "query", [scaled_cpd, scaled_ccd, scaled_density, lambda p, nu: scaled_moment(p, nu, 2)]
+    "query",
+    [scaled_cpd, scaled_ccd, scaled_density, lambda p, nu: scaled_moment(p, nu, 2), invert_velocity],
 )
 @pytest.mark.parametrize("nu", [np.array([0.1, 0.2]), np.array([0.1]), [0.1, 0.2]])
 def test_scalar_queries_refuse_an_array_nu(query, nu):
-    # an array nu returned its first entry's value
+    # an array nu returned its first entry's value; invert_velocity returned
+    # the roots of every entry merged into one list
     with pytest.raises(ValueError, match="nu must be a scalar"):
         query(WalkParams(0.3, 0.8), nu)
     assert query(WalkParams(0.3, 0.8), np.float64(0.1)) == query(WalkParams(0.3, 0.8), 0.1)
