@@ -255,7 +255,7 @@ def measure_edge(
     """
     if not t > 0:
         raise ValueError(f"measure_edge needs t > 0, got t={t}")
-    if not isinstance(window, (int, np.integer)) or window < 1:
+    if isinstance(window, bool) or not isinstance(window, (int, np.integer)) or window < 1:
         raise ValueError(f"measure_edge needs an integer window >= 1, got window={window!r}")
     # first: the ring's layout refuses a ring above MAX_LATTICE, so every
     # |v t| rounded below is finite

@@ -23,6 +23,7 @@ import numpy as np
 
 from . import airy as airy_mod
 from . import hydro as hydro_mod
+from ._g17 import rows_text
 from .dispersion import PHI_MAX, WalkParams
 from .evolve import (
     GuardError,
@@ -52,9 +53,10 @@ MAX_GRID = 1 << 20  # nu points in bulk.csv; hydro peaks at ~0.42 kB per point, 
 # (16 phi x 4096 g) took 4.3 s at a 125 MB ru_maxrss on a 2-core AVX-512 VM,
 # where scanning point by point took 35 s at 93 MB; the batch holds every diagram
 MAX_SWEEP = 1 << 16
-# rows per write of a numeric table (_write_columns): its float64 buffer, list
-# of floats and text peak at ~0.4 MB traced for 11 columns; 128 to 4096 rows
-# wrote bulk.csv and density.csv equally fast on a 2-core VM
+# rows per write of a numeric table (_write_columns): its float64 buffer and
+# the text templates of _g17.rows_text peak at ~0.9 MB traced for 11 columns
+# (~0.6 MB for 8, and twice that at 1024 rows); 256 to 4096 rows wrote
+# bulk.csv within ~20% of each other on a 2-core VM, 128 rows 30% slower
 CSV_BLOCK = 512
 
 
@@ -99,22 +101,22 @@ def _write_columns(path: Path, header: list[str], columns) -> None:
 
     The same bytes as _write_csv on the numpy rows zip(*columns): each cell is
     %.17g of its float64 value.  CSV_BLOCK rows at a time are copied into one
-    float64 buffer and written by one % over a repeated row format; %.17g never
-    emits a separator, a quote or a line break, so no cell needs quoting.
+    float64 buffer, spelled in numpy by _g17.rows_text and written by one
+    write; %.17g never emits a separator, a quote or a line break, so no cell
+    needs quoting.
     """
     size = len(columns[0])
     if len(columns) != len(header) or any(len(c) != size for c in columns):
         raise ValueError(f"{len(columns)} columns of lengths {[len(c) for c in columns]} "
                          f"do not fill a table of {len(header)} columns")
-    row = ",".join(["%.17g"] * len(header)) + "\n"
     block = np.empty((min(size, CSV_BLOCK), len(header)))
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
         for start in range(0, size, CSV_BLOCK):
             rows = min(size - start, CSV_BLOCK)
             for k, c in enumerate(columns):
                 block[:rows, k] = c[start:start + rows]
-            fh.write(row * rows % tuple(block[:rows].ravel().tolist()))
+            fh.write(rows_text(block[:rows]))
 
 
 def _write_json(path: Path, payload: dict) -> None:

@@ -488,7 +488,7 @@ def _moment_blocks(field: ObservableField, k: int, name: str):
     """
     if field.kind is not FieldKind.PROBABILITY:
         raise ValueError(f"{name} expects a probability field")
-    if not isinstance(k, (int, np.integer)) or k < 0:
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 0:
         raise ValueError(f"moment order must be >= 0 and an integer, got k={k}")
     steps = np.arange(BLOCK, dtype=float)
 

@@ -293,7 +293,9 @@ def degeneracy(diagram: FrontDiagram, front: ExtremalFront) -> int:
 
 
 def edge_scale(front: ExtremalFront, t: float) -> float:
-    """(|kappa_k| t)^(1/(k+2)), the site width of the front's edge window at time t."""
+    """(|kappa_k| t)^(1/(k+2)), the site width of the front's edge window at time t >= 0."""
+    if not t >= 0:  # a negative t has a complex root, and NaN has no window
+        raise ValueError(f"the edge scale needs t >= 0, got t={t}")
     return (abs(front.kappa) * t) ** (1.0 / (front.order + 2))
 
 

@@ -361,7 +361,7 @@ def test_measure_edge_refuses_nan_time(monkeypatch, lattice):
         measure_edge(WalkParams(1 / 16, PI / 2), _left_front(1 / 16), math.nan, 20, lattice)
 
 
-@pytest.mark.parametrize("window", [-3, 0, 2.5, 40.0, "40", None])
+@pytest.mark.parametrize("window", [-3, 0, 2.5, 40.0, "40", None, True])
 def test_measure_edge_refuses_a_window_that_is_not_a_positive_integer(monkeypatch, window):
     monkeypatch.setattr(chiralwalk.airy, "evolve", lambda *a, **kw: pytest.fail("evolved"))
     with pytest.raises(ValueError, match="integer window >= 1"):
@@ -407,3 +407,11 @@ def test_ode_residual_takes_every_odd_order():
 def test_edge_scale():
     front = _left_front(1 / 16)
     assert edge_scale(front, 1e4) == pytest.approx((0.5 * 1e4) ** (1 / 3), rel=1e-12)
+    assert edge_scale(front, 0.0) == 0.0  # evolve's ring layout asks at t = 0
+
+
+@pytest.mark.parametrize("t", [-1.0, -1e-300, -math.inf, math.nan])
+def test_edge_scale_refuses_a_time_that_is_not_nonnegative(t):
+    # a negative t gave a complex scale, (0.68+1.18j) at t = -1, and NaN gave NaN
+    with pytest.raises(ValueError, match="t >= 0"):
+        edge_scale(_left_front(1 / 16), t)

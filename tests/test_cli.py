@@ -1,14 +1,19 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from chiralwalk import WalkParams, cli, fronts
+from chiralwalk import WalkParams, _g17, cli, fronts
 from chiralwalk.cli import main
 from chiralwalk.evolve import evolve
 from chiralwalk.fronts import FrontScanError
@@ -98,6 +103,15 @@ def test_nonfinite_time_exits_2(tmp_path, capsys, command, value):
     rc = main([command, "--g", "0.1", "--t", value, "--out", str(tmp_path)])
     assert rc == 2
     assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("front", ["left", "internal"])
+@pytest.mark.parametrize("t", ["-1", "0"])
+def test_edge_nonpositive_time_exits_2(tmp_path, capsys, front, t):
+    # the internal front at (1/4, 0) has even order and never asks for an edge scale
+    rc = main(["edge", "--g", "0.25", "--phi", "0", "--t", t, "--front", front, "--out", str(tmp_path)])
+    assert rc == 2
+    assert "t must be > 0" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("value", ["inf", "nan", "0", "-1", "60"])
@@ -258,6 +272,68 @@ def test_write_columns_memory_is_one_block(tmp_path):
     assert peak < 2 << 20, peak
     with open(tmp_path / "m.csv") as fh:
         assert sum(1 for _ in fh) == size + 1
+
+
+def _assert_rows_text(block):
+    # the block's text is the per-cell form's, header aside
+    header = ["x"] * block.shape[1]
+    got = _g17.rows_text(block).decode()
+    if ",".join(header) + "\n" + got != _per_cell_csv(header, block.tolist()):
+        cells = got.replace("\n", ",").split(",")[:-1]
+        bad = [(v, c) for v, c in zip(block.ravel().tolist(), cells) if c != "%.17g" % v]
+        pytest.fail(f"{len(bad)} cells differ from %.17g, e.g. (value, text) {bad[:3]}; {len(cells)} cells")
+
+
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64), st.integers(1, 5))
+def test_rows_text_matches_percent_on_raw_bit_patterns(words, width):
+    # every float64 bit pattern: subnormals, NaN payloads, +-inf and +-0 included
+    cells = np.array(words, dtype=np.uint64).view(np.float64)
+    width = min(width, cells.size)
+    _assert_rows_text(cells[: cells.size // width * width].reshape(-1, width))
+
+
+def _decimal_ties():
+    # x = (2D + 1) / (2 * 10^k) with 10^16 <= D < 10^17 is an exact tie between two
+    # 17-digit decimals; x is a double when 5^k divides 2D + 1 and the rest fits 53 bits
+    rng = np.random.default_rng(26)
+    ties = []
+    for k in range(2, 25):
+        for odd in rng.integers(2 * 10**16 // 5**k, 2 * 10**17 // 5**k, 40).tolist():
+            num = (odd | 1) * 5**k
+            x = num / (2 * 10**k)
+            a, b = x.as_integer_ratio()
+            if 2 * 10**16 < num < 2 * 10**17 and a * 2 * 10**k == num * b:
+                ties.append(x)
+    return ties
+
+
+def test_rows_text_matches_percent_on_edge_cases():
+    ties = _decimal_ties()
+    assert len(ties) > 500
+    # 10^j and its neighbours: the fixed/scientific switch at exponents -5/-4 and
+    # 16/17, and the carry to D = 10^17 of 1e-14, 1e-70 and 1e-305, which lie just
+    # below their power of ten
+    powers = [float(f"1e{j}") for j in range(-323, 309)]
+    powers += [math.nextafter(p, d) for p in powers for d in (0.0, math.inf)]
+    nans = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000123, 0xFFF0000000000001],
+                    dtype=np.uint64).view(np.float64)
+    special = [0.0, 5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308, 1.7976931348623157e308,
+               math.inf, 1.0, 2.0**53 + 2, 0.1, 1 / 3]
+    cells = [*ties, *powers, *special]
+    cells = np.array([*cells, *(-c for c in cells), *nans])
+    for width in (1, 3, 8):
+        _assert_rows_text(cells[: cells.size // width * width].reshape(-1, width))
+
+
+def test_import_loads_no_fractions_or_decimal():
+    # the powers of ten are built from ints on first use, so importing costs nothing
+    code = ("import sys, numpy as np, chiralwalk, chiralwalk.cli as cli;"
+            "cli.rows_text(np.array([[1e-300, 2.5, 1e300]]));"
+            "print(sorted(m for m in ('fractions', 'decimal') if m in sys.modules))")
+    src = str(Path(__file__).parent.parent / "src")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"
 
 
 def test_config_file_with_flag_override(tmp_path):

@@ -229,6 +229,16 @@ def test_non_integer_moment_order_rejected():
     assert position_moment(prob, np.int64(2)) == position_moment(prob, 2)
 
 
+def test_bool_moment_order_rejected():
+    # bool passes the int check: True read as k = 1 gave mu_1 and the k = 1 prefix sums
+    prob = probability_density(evolve(WalkParams(0.3, 0.8), 50.0))
+    for k in (True, False):
+        for moment in (cumulative_moment, position_moment):
+            with pytest.raises(ValueError, match="moment order must be >= 0"):
+                moment(prob, k)
+    assert prob._moments == {}
+
+
 def test_first_cumulative_moment_tracks_current():
     p = WalkParams(1 / 16, PI / 2)
     t = 5000.0
