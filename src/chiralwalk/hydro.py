@@ -19,15 +19,23 @@ Between consecutive front wave vectors q* the group velocity is monotone,
 because w'' has no root there.  The zone therefore splits into monotone
 branches, and on each branch the sub-level set is one interval ending at
 the branch's single root of v = nu.  Branches whose end velocities both
-lie on one side of nu are empty or whole without any root finding; on
-the others a safeguarded Newton iteration finds the root, all branches and
-all nu at once.  This is valid on both sides of the Lifshitz transition
-and at the critical couplings.
+lie on one side of nu are empty or whole without any root finding.  For
+the others, v is tabulated once per branch set at Chebyshev-spaced nodes
+of every branch; one searchsorted over the merged table puts each
+(branch, nu) pair in the cell whose end velocities bracket nu, and a
+safeguarded Newton iteration started at the cell's secant point finds the
+root in about three evaluations, all branches and all nu at once.  An
+evaluation takes one sin and one cos, and v and w'' follow from them by
+double-angle products.  The roots' own sin and cos then give e^{iq} and w
+for the closed forms, and their w'' gives rho, so that no transcendental
+function is evaluated on the whole (branches, nu) array.  This is valid on
+both sides of the Lifshitz transition and at the critical couplings.  The
+nu are taken NU_BLOCK at a time, so memory does not grow with the grid.
 
 The median nu_half, where Phi crosses 1/2, is exactly v(0) = -4g sin(phi)
 in the one-cone phase; otherwise Newton on Phi - 1/2 with the closed-form
-rho as its slope finds it, each step one two-point sub-level call that
-also certifies the answer.
+rho as its slope finds it, inside a bracket, each step one two-point
+sub-level call that also certifies the answer.
 """
 
 from __future__ import annotations
@@ -38,7 +46,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dispersion import TWO_PI, WalkParams, omega, omega_deriv
+from .dispersion import TWO_PI, WalkParams
 from .evolve import (
     _ring_layout,
     cumulative,
@@ -50,43 +58,124 @@ from .evolve import (
 from .fronts import ConeTopology, FrontDiagram, cone_topology, edge_scale
 
 DEFAULT_EXCLUSION = 8.0
+# nodes per branch of the velocity table in which every root starts
+_NODES = 128
+# nu per block of _bulk: its (branches, nu) arrays then hold a few MB at any
+# t (7 MB traced for two blocks), and blocks of 2^12 to 2^18 nu took 1.2 to
+# 1.6 s over compare_bulk's 1.2 million nu at t = 3e5, this one the fastest
+NU_BLOCK = 1 << 14
 
 
-def _branches(p: WalkParams):
+def _evaluate(p: WalkParams, q):
+    """sin q, cos q, v(q) and w''(q), from one sin/cos pair.
+
+    With s = sin q, c = cos q, sin 2q = 2sc and cos 2q = (c - s)(c + s),
+    v = -s (2 + 8g cos(phi) c) - 4g sin(phi) cos 2q and
+    w'' = c (16g sin(phi) s - 2) - 8g cos(phi) cos 2q.
+    """
+    s, c = np.sin(q), np.cos(q)
+    gc, gs = p.g * math.cos(p.phi), p.g * math.sin(p.phi)
+    c2 = (c - s) * (c + s)
+    v = -s * (2.0 + 8.0 * gc * c) - 4.0 * gs * c2
+    return s, c, v, c * (16.0 * gs * s - 2.0) - 8.0 * gc * c2
+
+
+def _energy(p: WalkParams, s, c):
+    """w(q) = c (2 - 4g sin(phi) s) + 2g cos(phi) cos 2q from s = sin q and c = cos q."""
+    gc, gs = p.g * math.cos(p.phi), p.g * math.sin(p.phi)
+    return c * (2.0 - 4.0 * gs * s) + 2.0 * gc * (c - s) * (c + s)
+
+
+class _Branches(tuple):
+    """The columns (a, b, va, vb) of the monotone branches, and their velocity table.
+
+    Each branch's v is tabulated at _NODES Chebyshev-spaced wave vectors
+    q[j, 0] = a < ... < q[j, -1] = b, with the fronts' own velocities at
+    the ends.  Where roundoff reorders velocities closer than the float
+    noise of v, the table is clipped to the end velocities and held
+    monotone in the branch's direction.  merged holds every tabulated
+    velocity, sorted, and count[j, r] says how many of the first r belong
+    to branch j, so that one searchsorted over merged counts the
+    velocities <= nu on every branch.  sin, cos and w at each branch's
+    ends a and b are kept for the interval ends, one sin and cos per front.
+    """
+
+    def __new__(cls, p: WalkParams, a, b, va, vb):
+        self = super().__new__(cls, (a, b, va, vb))
+        self.rising = vb > va
+        self.q = a + (0.5 - 0.5 * np.cos(np.linspace(0.0, math.pi, _NODES))) * (b - a)
+        self.q[:, 0], self.q[:, -1] = a[:, 0], b[:, 0]
+        v = _evaluate(p, self.q)[2]
+        v[:, 0], v[:, -1] = va[:, 0], vb[:, 0]
+        sign = np.where(self.rising, 1.0, -1.0)
+        self.v = sign * np.maximum.accumulate(np.clip(sign * v, sign * va, sign * vb), axis=1)
+        order = np.argsort(self.v, axis=None, kind="stable")
+        self.merged = self.v.ravel()[order]
+        self.count = np.zeros((a.shape[0], order.size + 1), dtype=np.intp)
+        np.cumsum(order // _NODES == np.arange(a.shape[0])[:, None], axis=1, out=self.count[:, 1:])
+        self.sin_a, self.cos_a = np.sin(a), np.cos(a)
+        self.w_a = _energy(p, self.sin_a, self.cos_a)
+        # b is the next branch's a, or the first a plus 2pi
+        self.sin_b, self.cos_b, self.w_b = (
+            np.roll(x, -1, axis=0) for x in (self.sin_a, self.cos_a, self.w_a)
+        )
+        return self
+
+
+def _branches(p: WalkParams) -> _Branches:
     """Monotone branches [a, b] of v between consecutive fronts, with v(a), v(b).
 
-    Columns of shape (branches, 1); the last branch wraps across the zone
-    seam, so b may exceed pi.  End velocities are the fronts' own, which
-    makes v_lm and v_rm exact branch extrema.
+    Columns of shape (branches, 1), unpacked as a, b, va, vb; the last
+    branch wraps across the zone seam, so b may exceed pi.  End velocities
+    are the fronts' own, which makes v_lm and v_rm exact branch extrema.
+    The result also carries the branches' velocity table.
     """
     fronts = sorted(cone_topology(p).fronts, key=lambda fr: fr.q_star)
     a = np.array([fr.q_star for fr in fronts])
     va = np.array([fr.velocity for fr in fronts])
     b = np.append(a[1:], a[0] + TWO_PI)
-    return a[:, None], b[:, None], va[:, None], np.roll(va, -1)[:, None]
+    return _Branches(p, a[:, None], b[:, None], va[:, None], np.roll(va, -1)[:, None])
 
 
-def _branch_roots(p: WalkParams, a, b, va, vb, nu):
-    """The root of v(q) = nu on each branch [a, b], with nu strictly between va and vb.
+def _cells(branches: _Branches, nu):
+    """The (branch, nu) pairs whose branch straddles nu, and the table cell of each.
 
-    All arguments are 1-D arrays, one entry per (branch, nu) pair.  Newton
-    on v - nu with v' = w'', started at the secant point of the branch and
-    kept inside a bracket that every tested point narrows; a step that
-    would leave the bracket is replaced by its midpoint.  Only the pairs
-    still open are iterated.  A pair stops when |v - nu| reaches the float
-    noise of v, 4 ulps of 2 + 4g + |nu|, or when the step or the bracket is
-    down to adjacent floats, and its root is the point whose residual was
-    tested.
+    Returns the pairs' branch and nu indices, and each cell's index k in the
+    flattened table: its ends q[k] < q[k + 1] have the tabulated velocities
+    v[k] and v[k + 1], and nu lies in [v[k], v[k + 1]) on a rising branch
+    and in [v[k + 1], v[k]) on a falling one.
     """
+    _, _, va, vb = branches
+    branch, col = np.nonzero((np.minimum(va, vb) < nu) & (nu < np.maximum(va, vb)))
+    below = branches.count[branch, np.searchsorted(branches.merged, nu, side="right")[col]]
+    k = branch * _NODES + np.where(branches.rising[branch, 0], below - 1, _NODES - 1 - below)
+    return branch, col, k
+
+
+def _branch_roots(p: WalkParams, branches: _Branches, k, nu):
+    """The root of v(q) = nu in each cell k of _cells, with sin, cos and w'' there.
+
+    k and nu are 1-D arrays, one entry per (branch, nu) pair.  Newton on
+    v - nu with v' = w'', started at the secant point of the cell and kept
+    inside a bracket that every tested point narrows; a step that would
+    leave the bracket is replaced by its midpoint.  Only the pairs still
+    open are iterated.  A pair stops when |v - nu| reaches the float noise
+    of v, 4 ulps of 2 + 4g + |nu|, or when the step or the bracket is down
+    to adjacent floats, and its root is the point whose residual was
+    tested.  Returns the rows root, sin, cos and w'' of one (4, pairs) array.
+    """
+    nodes, speeds = branches.q.ravel(), branches.v.ravel()
+    lo, hi, va, vb = nodes[k], nodes[k + 1], speeds[k], speeds[k + 1]
     rising = vb > va
-    x = a + (nu - va) / (vb - va) * (b - a)
-    lo, hi = a, b
+    x = lo + (nu - va) / (vb - va) * (hi - lo)
+    del va, vb  # freed before the first iteration, over every pair, sets the peak memory
     noise = 4.0 * np.spacing(2.0 + 4.0 * p.g + np.abs(nu))
-    root = np.empty_like(x)
+    out = np.empty((4, x.size))
     open_ = np.arange(x.size)
     while open_.size:
-        f = omega_deriv(x, 1, p) - nu
-        slope = omega_deriv(x, 2, p)
+        s, c, v, slope = _evaluate(p, x)
+        f = v - nu
+        size = np.abs(f)
         right = (f <= 0.0) == rising
         lo = np.where(right, x, lo)
         hi = np.where(right, hi, x)
@@ -94,47 +183,108 @@ def _branch_roots(p: WalkParams, a, b, va, vb, nu):
         # w'' vanishes at the branch ends: divide only where the Newton step
         # is shorter than the bracket, so the quotient neither overflows nor
         # divides by zero
-        short = np.abs(f) < np.abs(slope) * (hi - lo)
+        short = size < np.abs(slope) * (hi - lo)
         guess = x - np.divide(f, slope, out=np.zeros_like(f), where=short)
         nxt = np.where(short & (lo < guess) & (guess < hi), guess, mid)
         done = (
-            (np.abs(f) <= noise)
+            (size <= noise)
             | (np.abs(nxt - x) <= np.spacing(np.abs(x)))
             | (mid == lo)
             | (mid == hi)
         )
-        root[open_[done]] = x[done]
+        for row, arr in zip(out, (x, s, c, slope)):
+            row[open_[done]] = arr[done]
         keep = ~done
         open_ = open_[keep]
         x, lo, hi, nu, rising, noise = (
             arr[keep] for arr in (nxt, lo, hi, nu, rising, noise)
         )
-    return root
+    return out
+
+
+def _ends(p: WalkParams, nu, branches: _Branches):
+    """The end of {v <= nu} that moves with nu on every branch, with its sin and cos.
+
+    Arrays of shape (branches, len(nu)): the interval is [a, end] on a
+    rising branch and [end, b] on a falling one, so an empty branch ends
+    where it starts and a whole one at its far end; a NaN nu gives NaN.
+    Only the roots take a sin and a cos; a branch end takes its front's.
+    Also returns the straddling pairs' branch and nu indices, and w'' at
+    their roots.
+    """
+    branch, col, k = _cells(branches, nu)
+    root, s, c, curvature = _branch_roots(p, branches, k, nu[col])
+    a, b, va, vb = branches
+    at_b = (nu >= np.maximum(va, vb)) == branches.rising
+    end = np.where(at_b, b, a)
+    sin = np.where(at_b, branches.sin_b, branches.sin_a)
+    cos = np.where(at_b, branches.cos_b, branches.cos_a)
+    for x in (end, sin, cos):
+        x[:, np.isnan(nu)] = np.nan
+    end[branch, col], sin[branch, col], cos[branch, col] = root, s, c
+    return end, sin, cos, (branch, col, curvature)
 
 
 def _sublevel(p: WalkParams, nu, branches=None):
     """Interval [start, end] of {v <= nu} on every branch, shape (branches, len(nu)).
 
     An empty interval has start == end, a whole branch is exactly [a, b];
-    a NaN nu gives NaN ends on every branch.  branches, if given, is
-    _branches(p), for a caller that makes many calls.
+    a NaN nu gives a NaN root end.  branches, if given, is _branches(p),
+    for a caller that makes many calls.
     """
-    a, b, va, vb = _branches(p) if branches is None else branches
-    nu = np.atleast_1d(np.asarray(nu, dtype=float))
-    rising = vb > va
-    v_min, v_max = np.minimum(va, vb), np.maximum(va, vb)
-    root = np.full(np.broadcast_shapes(a.shape, nu.shape), np.nan)
-    branch, col = np.nonzero((v_min < nu) & (nu < v_max))
-    root[branch, col] = _branch_roots(
-        p, a[branch, 0], b[branch, 0], va[branch, 0], vb[branch, 0], nu[col]
-    )
-    root = np.where(nu <= v_min, np.where(rising, a, b), root)
-    root = np.where(nu >= v_max, np.where(rising, b, a), root)
-    return np.where(rising, a, root), np.where(rising, root, b)
+    branches = _branches(p) if branches is None else branches
+    a, b, _, _ = branches
+    end = _ends(p, np.atleast_1d(np.asarray(nu, dtype=float)), branches)[0]
+    return np.where(branches.rising, a, end), np.where(branches.rising, end, b)
+
+
+def _branch_sum(x):
+    """x summed over its first axis, one branch after another.
+
+    Each column gets the same bits whatever the number of columns: numpy's
+    sum may pair the terms of a short contiguous axis, as in a (branches, 1)
+    block.
+    """
+    total = x[0].copy()
+    for row in x[1:]:
+        total += row
+    return total
+
+
+def _signed(branches: _Branches, at_end, fixed):
+    """The sum over the branches of F(end) - F(start), one value per nu.
+
+    at_end is F at each branch's moving end, shape (branches, len(nu)), and
+    fixed is F at its other end, a column: a rising branch's start a and a
+    falling branch's end b.  An empty branch adds exactly 0.
+    """
+    diff = at_end - fixed
+    return _branch_sum(np.where(branches.rising, diff, -diff))
+
+
+def _fixed(branches: _Branches, at_a, at_b):
+    """A column of values at each branch's fixed end: a if it rises, b if it falls."""
+    return np.where(branches.rising, at_a, at_b)
+
+
+def _width(branches: _Branches, end):
+    """The summed widths of the sub-level intervals, one value per nu."""
+    a, b, _, _ = branches
+    return _signed(branches, end, _fixed(branches, a, b))
+
+
+def _phi(branches: _Branches, end):
+    """Phi: the summed interval widths over the summed branch lengths.
+
+    This is exactly 0 below the cone and 1 above it, since the branches
+    tile the zone.
+    """
+    a, b, _, _ = branches
+    return _width(branches, end) / _branch_sum(b - a)
 
 
 def _phi_density(p: WalkParams, nu, branches):
-    """Phi and rho = dPhi/dnu at every nu, from one _sublevel call.
+    """Phi and rho = dPhi/dnu at every nu, from one _ends call.
 
     Phi is _bulk's, bit for bit.  rho sums 1/|w''| over the roots strictly
     inside their branches, the roots invert_velocity returns: a branch
@@ -142,17 +292,16 @@ def _phi_density(p: WalkParams, nu, branches):
     is 0 (nu within float noise of a front) adds inf.  rho is 0
     outside the cone and NaN at a NaN nu.
     """
-    a, b, va, vb = branches
     nu = np.atleast_1d(np.asarray(nu, dtype=float))
-    start, end = _sublevel(p, nu, branches)
-    straddle = (np.minimum(va, vb) < nu) & (nu < np.maximum(va, vb))
-    curvature = np.abs(omega_deriv(np.where(vb > va, end, start), 2, p))
-    weight = np.divide(
-        1.0, curvature, out=np.full(curvature.shape, np.inf), where=straddle & (curvature > 0.0)
+    end, _, _, (branch, col, curvature) = _ends(p, nu, branches)
+    curvature = np.abs(curvature)
+    weight = np.zeros(end.shape)
+    weight[branch, col] = np.divide(
+        1.0, curvature, out=np.full(curvature.shape, np.inf), where=curvature > 0.0
     )
-    rho = np.where(straddle, weight, 0.0).sum(0) / TWO_PI
+    rho = _branch_sum(weight) / TWO_PI
     rho[np.isnan(nu)] = np.nan
-    return (end - start).sum(0) / (b - a).sum(0), rho
+    return _phi(branches, end), rho
 
 
 def _velocity_powers(p: WalkParams, kmax: int) -> dict:
@@ -179,31 +328,51 @@ def _bulk(p: WalkParams, nu, ks: tuple = ()) -> dict:
     tile it, so it is exactly 0 below the cone and 1 above it); F_1 = w
     gives J, and M~_1 is J itself; for k >= 2, with v^k = sum c_m e^{imq},
     F_k = c_0 q + sum_{m != 0} c_m e^{imq} / (im), summed one harmonic at
-    a time from powers of e^{iq}.
+    a time from powers of e^{iq} = cos q + i sin q.  The nu are taken
+    NU_BLOCK at a time; each nu's values do not depend on the others.
     """
-    a, b, _, _ = _branches(p)
-    start, end = _sublevel(p, nu)
-    width = (end - start).sum(0)
-    out = {
-        "phi": width / (b - a).sum(0),
-        "j": (omega(end, p) - omega(start, p)).sum(0) / TWO_PI,
-    }
-    if 1 in ks:
-        out["m1"] = out["j"].copy()
+    branches = _branches(p)
+    nu = np.atleast_1d(np.asarray(nu, dtype=float))
     high = sorted(k for k in set(ks) if k >= 2)
+    powers = _velocity_powers(p, high[-1]) if high else {}
+    names = ["phi", "j"] + (["m1"] if 1 in ks else []) + [f"m{k}" for k in high]
+    out = {name: np.empty(nu.shape) for name in names}
+    for lo in range(0, nu.size, NU_BLOCK):
+        block = slice(lo, lo + NU_BLOCK)
+        for name, values in _bulk_block(p, nu[block], high, powers, branches).items():
+            out[name][block] = values
+    if 1 in ks:
+        out["m1"][:] = out["j"]
+    return out
+
+
+def _bulk_block(p: WalkParams, nu, high: list, powers: dict, branches: _Branches) -> dict:
+    """_bulk's Phi, J and M~_k (k in high, all >= 2) on one block of nu."""
+    end, sin, cos, _ = _ends(p, nu, branches)
+    out = {
+        "phi": _phi(branches, end),
+        "j": _signed(branches, _energy(p, sin, cos), _fixed(branches, branches.w_a, branches.w_b)) / TWO_PI,
+    }
     if high:
-        powers = _velocity_powers(p, high[-1])
+        width = _width(branches, end)
         acc = {k: powers[k][2 * k].real * width for k in high}
-        z_start, z_end = np.exp(1j * start), np.exp(1j * end)
-        e_start, e_end = z_start.copy(), z_end.copy()
+        z = np.empty(end.shape, dtype=complex)
+        z.real, z.imag = cos, sin
+        z_fixed = _fixed(
+            branches, branches.cos_a + 1j * branches.sin_a, branches.cos_b + 1j * branches.sin_b
+        )
+        # e and e_fixed are +-z^m, signed as in _signed, so that each
+        # harmonic is one subtraction and one sum
+        sign = np.where(branches.rising, 1.0, -1.0)
+        e, e_fixed = sign * z, sign * z_fixed
         for m in range(1, 2 * high[-1] + 1):
-            diff = e_end.sum(0) - e_start.sum(0)
+            diff = _branch_sum(e - e_fixed)
             for k in high:
                 if m <= 2 * k:
                     # the e^{-imq} term is the complex conjugate (v^k is real)
                     acc[k] += (2.0 / m) * (powers[k][2 * k + m] * -1j * diff).real
-            e_start *= z_start
-            e_end *= z_end
+            e *= z
+            e_fixed *= z_fixed
         for k in high:
             out[f"m{k}"] = acc[k] / TWO_PI
     return out
@@ -216,10 +385,8 @@ def invert_velocity(p: WalkParams, nu: float) -> list[float]:
     empty list outside (v_lm, v_rm).
     """
     _check_scalar(nu)
-    _, _, va, vb = _branches(p)
-    start, end = _sublevel(p, nu)
-    roots = np.where(vb > va, end, start)[(np.minimum(va, vb) < nu) & (nu < np.maximum(va, vb))]
-    return sorted(float(r - TWO_PI if r >= math.pi else r) for r in roots)
+    end, _, _, (branch, col, _) = _ends(p, np.atleast_1d(np.asarray(nu, dtype=float)), _branches(p))
+    return sorted(float(r - TWO_PI if r >= math.pi else r) for r in end[branch, col])
 
 
 def _check_scalar(nu) -> None:
@@ -266,11 +433,14 @@ def nu_half(p: WalkParams, tol: float = 1e-10) -> float:
     Phi - 1/2, with rho as its slope, starts at -4g sin(phi) and stays
     inside a bracket with Phi(lo) < 1/2 <= Phi(hi).  Each step evaluates
     Phi and rho at the candidate's two certifying points, clipped to the
-    bracket, in one _sublevel call: the candidate is returned if they
+    bracket, in one _phi_density call: the candidate is returned if they
     straddle 1/2, and otherwise the nearer one becomes an end of the
     bracket and Newton steps from it.  A step that would leave the bracket,
     or meets an infinite rho (w'' = 0 at a root, at the critical
-    couplings), is a bisection instead.  The bracket shrinks at every step;
+    couplings), or is not under half the step before last, is a bisection
+    instead.  The last rule stops Newton from creeping where nu is within
+    the float noise of a flat front: Phi is noise there, and the roots'
+    rho finite but meaningless.  The bracket shrinks at every step;
     once it is down to adjacent floats (a tol below the float spacing),
     its upper end, the float where Phi reaches 1/2, is returned.  A tol
     that is not >= 0 (NaN or negative) is refused with ValueError.
@@ -283,6 +453,7 @@ def nu_half(p: WalkParams, tol: float = 1e-10) -> float:
         return x
     branches = _branches(p)
     lo, hi = d.v_lm, d.v_rm
+    step = before = hi - lo
     while True:
         below = max(lo, x - 0.5 * tol)
         above = min(hi, x + 0.5 * tol)
@@ -300,8 +471,9 @@ def nu_half(p: WalkParams, tol: float = 1e-10) -> float:
         x = mid
         if 0.0 < rho[i] < math.inf:
             newton = base + (0.5 - float(phi[i])) / float(rho[i])
-            if lo < newton < hi:
+            if lo < newton < hi and abs(newton - base) < 0.5 * before:
                 x = newton
+        before, step = step, abs(x - base)
 
 
 @dataclass(frozen=True, eq=False)

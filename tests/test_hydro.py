@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from chiralwalk import (
     nu_half,
     omega_deriv,
     probability_density,
+    ring_layout,
     scaled_ccd,
     scaled_cpd,
     scaled_density,
@@ -269,21 +271,17 @@ ROOT_BOUND = 1e-13
 NOISE_ULPS = 16  # the residual bound, in ulps of 2 + 4g + |nu|
 
 
-@pytest.mark.parametrize("g, phi", SUBLEVEL_COUPLINGS)
-def test_sublevel_matches_bisection(g, phi):
-    # Newton against the fixed 54-step bisection, on a grid across the cone
-    # and a hair away from every front.  Both roots lie where the computed
-    # v - nu is within its float noise N; where that band, 2N / |v'|, is
-    # wider than half the root bound (next to a front of order >= 2, or at
-    # nu within ~1e-8 of any front), the root is ill-conditioned and only
-    # its residual is bounded.
-    p = WalkParams(g, phi)
-    d = cone_topology(p)
-    hair = [fr.velocity + s for fr in d.fronts for s in (-1e-6, 1e-6, -1e-8, 1e-8, -1e-12, 1e-12)]
-    nu = np.sort(np.concatenate([np.linspace(d.v_lm - 0.5, d.v_rm + 0.5, 12001), hair]))
-    start, end = hydro._sublevel(p, nu)
+def assert_roots_match_bisection(p, nu, start, end):
+    """_sublevel's intervals against the fixed 54-step bisection; returns the
+    bisected intervals and the distance between the two roots.
+
+    Both roots lie where the computed v - nu is within its float noise N;
+    where that band, 2N / |v'|, is wider than half the root bound (next to
+    a front of order >= 2, or at nu within ~1e-8 of any front), the root is
+    ill-conditioned and only its residual is bounded.
+    """
     ref_start, ref_end = bisected_sublevel(p, nu)
-    a, b, va, vb = hydro._branches(p)
+    _, _, va, vb = hydro._branches(p)
     straddle = (np.minimum(va, vb) < nu) & (nu < np.maximum(va, vb))
     # empty and whole branches take the same ends
     assert np.array_equal(start[~straddle], ref_start[~straddle])
@@ -291,12 +289,26 @@ def test_sublevel_matches_bisection(g, phi):
     rising = np.broadcast_to(vb > va, start.shape)
     root = np.where(rising, end, start)
     dq = np.abs(root - np.where(rising, ref_end, ref_start))
-    noise = np.broadcast_to(NOISE_ULPS * np.spacing(2.0 + 4.0 * g + np.abs(nu)), root.shape)
+    noise = np.broadcast_to(NOISE_ULPS * np.spacing(2.0 + 4.0 * p.g + np.abs(nu)), root.shape)
     ill = straddle & (2.0 * noise > 0.5 * ROOT_BOUND * np.abs(omega_deriv(root, 2, p)))
     well = straddle & ~ill
-    assert dq[well].max() <= ROOT_BOUND, (g, phi, dq[well].max())
+    assert np.all(dq[well] <= ROOT_BOUND), (p, dq[well].max())
     residual = np.abs(omega_deriv(root, 1, p) - nu)
-    assert np.all(residual[ill] <= noise[ill]), (g, phi, (residual / noise)[ill].max())
+    assert np.all(residual[ill] <= noise[ill]), (p, (residual / noise)[ill].max())
+    return ref_start, ref_end, dq
+
+
+@pytest.mark.parametrize("g, phi", SUBLEVEL_COUPLINGS)
+def test_sublevel_matches_bisection(g, phi):
+    # Newton against the fixed 54-step bisection, on a grid across the cone
+    # and a hair away from every front
+    p = WalkParams(g, phi)
+    d = cone_topology(p)
+    hair = [fr.velocity + s for fr in d.fronts for s in (-1e-6, 1e-6, -1e-8, 1e-8, -1e-12, 1e-12)]
+    nu = np.sort(np.concatenate([np.linspace(d.v_lm - 0.5, d.v_rm + 0.5, 12001), hair]))
+    start, end = hydro._sublevel(p, nu)
+    ref_start, ref_end, dq = assert_roots_match_bisection(p, nu, start, end)
+    a, b, _, _ = hydro._branches(p)
     # Phi, J and M~_1..3 against the bisected intervals, integrated by
     # Gauss-Legendre: the closed forms' 1e-12, plus the integral of
     # |v|^k <= (|nu| + 1e-9)^k over the slivers between the two roots
@@ -311,6 +323,119 @@ def test_sublevel_matches_bisection(g, phi):
         assert np.all(err <= bound), (g, phi, name, (err / bound).max())
     # Phi is a measure of nested sets
     assert np.all(np.diff(got["phi"]) >= 0.0), (g, phi)
+
+
+def cone_couplings():
+    """Any g in [0, 2] and phi; a hair from the critical coupling; the degenerate (1/8, pi/2)."""
+    phis = st.floats(0.0, PI / 2)
+    return st.one_of(
+        st.tuples(st.floats(0.0, 2.0), phis),
+        st.tuples(phis, st.one_of(st.just(0.0), st.floats(-1e-2, 1e-2))).map(
+            lambda ps: (critical_coupling(ps[0]) * (1.0 + ps[1]), ps[0])
+        ),
+        st.just((1 / 8, PI / 2)),
+    )
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(cone_couplings())
+def test_roots_start_in_a_bracketing_cell(couplings):
+    # every straddling (branch, nu) pair starts in a cell of the velocity
+    # table whose end velocities bracket nu, and ends inside it, with the
+    # root contract of test_sublevel_matches_bisection; nu a hair from
+    # every front, where the cells are shortest and v is flattest
+    p = WalkParams(*couplings)
+    d = cone_topology(p)
+    hair = [fr.velocity + s for fr in d.fronts for s in (-1e-6, 1e-6, -1e-12, 1e-12)]
+    nu = np.sort(np.concatenate([np.linspace(d.v_lm, d.v_rm, 65), hair]))
+    branches = hydro._branches(p)
+    branch, col, k = hydro._cells(branches, nu)
+    q, v = branches.q.ravel(), branches.v.ravel()
+    a, b, va, vb = q[k], q[k + 1], v[k], v[k + 1]
+    _, _, v_a, v_b = branches
+    straddle = (np.minimum(v_a, v_b) < nu) & (nu < np.maximum(v_a, v_b))
+    assert branch.size == np.count_nonzero(straddle)
+    x = nu[col]
+    assert np.all(np.where(vb > va, (va <= x) & (x < vb), (vb <= x) & (x < va))), p
+    assert np.all(a < b), p
+    start, end = hydro._sublevel(p, nu, branches)
+    root = np.where(branches.rising, end, start)[branch, col]
+    assert np.all((a <= root) & (root <= b)), p
+    assert_roots_match_bisection(p, nu, start, end)
+
+
+@pytest.mark.parametrize("g", [1 / 16, 1 / 4])
+def test_root_evaluations_on_the_bulk_grids(monkeypatch, g):
+    # the grids of the `scaling` command at t = 2000: compare_bulk's sites
+    # within its margin of the cone, and scaling_curve's 4001 points.  Each
+    # pair takes ~3 evaluations of v and w'' from its cell's secant point.
+    p, t = WalkParams(g, PI / 2), 2000.0
+    d = cone_topology(p)
+    L, origin = ring_layout(p, t)
+    sites = (np.arange(L) - origin) / t
+    grids = [sites[(sites >= d.v_lm - 0.25) & (sites <= d.v_rm + 0.25)],
+             np.linspace(d.v_lm - 0.5, d.v_rm + 0.5, 4001)]
+    branches = hydro._branches(p)
+    sizes = []
+    evaluate = hydro._evaluate
+
+    def counted(p, q):
+        sizes.append(np.size(q))
+        return evaluate(p, q)
+
+    monkeypatch.setattr(hydro, "_evaluate", counted)
+    for nu in grids:
+        sizes.clear()
+        hydro._sublevel(p, nu, branches)
+        pairs = hydro._cells(branches, nu)[0].size
+        assert sum(sizes) / pairs <= 3.5, (g, sum(sizes) / pairs)
+        assert len(sizes) <= 8, (g, sizes)
+
+
+@pytest.mark.parametrize("block", [1, 7, 1000])
+def test_bulk_does_not_depend_on_the_block(monkeypatch, block):
+    # each nu's column is computed alone, so the bits match the default blocking
+    p = WalkParams(0.3, 0.8)
+    d = cone_topology(p)
+    nu = np.linspace(d.v_lm - 0.5, d.v_rm + 0.5, 2001)
+    nu[:3] = (math.nan, d.v_lm, d.v_rm)
+    want = hydro._bulk(p, nu, (1, 2, 3))
+    monkeypatch.setattr(hydro, "NU_BLOCK", block)
+    got = hydro._bulk(p, nu, (1, 2, 3))
+    assert list(got) == list(want)
+    for name, values in want.items():
+        assert np.array_equal(got[name], values, equal_nan=True), name
+
+
+def test_bulk_memory_is_one_block(monkeypatch):
+    # 2^16 nu in blocks of 2^12 on four branches: the five results hold
+    # 2.6 MB, one block's (branches, nu) arrays ~0.1-0.3 MB each, while the
+    # whole grid's would take ~2-4 MB each and ~30 MB together
+    monkeypatch.setattr(hydro, "NU_BLOCK", 1 << 12)
+    p = WalkParams(0.3, 0.8)
+    d = cone_topology(p)
+    nu = np.linspace(d.v_lm - 0.5, d.v_rm + 0.5, 1 << 16)
+    hydro._bulk(p, nu[:8], (1, 2, 3))  # the cone and the branches' table, once
+    tracemalloc.start()
+    try:
+        hydro._bulk(p, nu, (1, 2, 3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 << 20, peak
+
+
+def test_phi_density_shares_bulk_phi():
+    # nu_half certifies with _phi_density's Phi, the curves report _bulk's
+    for g, phi in SUBLEVEL_COUPLINGS:
+        p = WalkParams(g, phi)
+        d = cone_topology(p)
+        nu = np.linspace(d.v_lm - 0.5, d.v_rm + 0.5, 2001)
+        nu[0] = math.nan
+        got = hydro._phi_density(p, nu, hydro._branches(p))[0]
+        bulk = hydro._bulk(p, nu, (1,))
+        assert np.array_equal(got, bulk["phi"], equal_nan=True), (g, phi)
+        assert np.array_equal(bulk["m1"], bulk["j"], equal_nan=True), (g, phi)
 
 
 def test_scaling_curve_invariants():
