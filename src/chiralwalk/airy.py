@@ -55,7 +55,7 @@ import numpy as np
 
 from .dispersion import WalkParams
 from .evolve import _ring_layout, cumulative, current_density, evolve, probability_density
-from .fronts import TOL_DEGEN, ExtremalFront, cone_topology, edge_scale
+from .fronts import ExtremalFront, cone_topology, edge_scale, same_velocity
 
 XI_LIMIT = 50.0
 SEGMENT_NODES = 200  # converged from 160 at |xi| = 50
@@ -263,7 +263,7 @@ def measure_edge(
     n_e = round(front.velocity * t)
     diagram = cone_topology(p)
     for other in diagram.fronts:
-        if abs(other.velocity - front.velocity) <= TOL_DEGEN:
+        if same_velocity(other.velocity, front.velocity):
             continue
         if abs(round(other.velocity * t) - n_e) <= window + 10:
             raise ValueError(

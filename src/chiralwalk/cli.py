@@ -36,12 +36,12 @@ from .evolve import (
     skewness,
 )
 from .fronts import (
-    TOL_DEGEN,
     check_coupling,
     cone_topology,
     critical_coupling,
     degeneracy,
     edge_scale,
+    same_velocity,
     scan_diagrams,
 )
 
@@ -288,11 +288,11 @@ def _select_front(diagram, which: str):
     inner = [
         fr
         for fr in diagram.fronts
-        if abs(fr.velocity - diagram.v_lm) > TOL_DEGEN and abs(fr.velocity - diagram.v_rm) > TOL_DEGEN
+        if not (same_velocity(fr.velocity, diagram.v_lm) or same_velocity(fr.velocity, diagram.v_rm))
     ]
     if not inner:
         raise ConfigError("no internal front at these couplings")
-    if any(abs(fr.velocity - inner[0].velocity) > TOL_DEGEN for fr in inner):
+    if not all(same_velocity(fr.velocity, inner[0].velocity) for fr in inner):
         raise ConfigError(f"ambiguous internal front, velocities {[fr.velocity for fr in inner]}")
     return inner[0]
 

@@ -9,22 +9,23 @@ polynomial, so both questions have algebraic answers:
 - The Lifshitz coupling g_c(phi), the smallest g > 0 at which w'' has a
   double real root, is a cube root in closed form (critical_coupling).
 
-A companion-matrix root of the quartic is kept when it lies on the unit
-circle and w'' vanishes at its angle.  Adjacent kept roots are one
-multiple root only when w'' also vanishes at their midpoint, and a cluster
-of m roots is polished by Newton in real q on w^(m+1), where it is a
-simple root.  A front's order k is the multiplicity m of its cluster, and
-its edge-scaling coefficient is kappa_k = w^(k+2)(q*)/(k+1)! at the
-polished root q*.
+So the phase diagram is known in closed form, and the scan reads each
+point's front count and orders off it rather than off its roots: w'' has a
+multiple root only on the Lifshitz line, a double root at q_c + pi, and a
+triple one only at (g, phi) = (1/8, pi/2).  Off them there are 2 + 2 [g >
+g_c] simple fronts, the companion eigenvalues of the quartic nearest the
+unit circle.  A point is critical of order k when the fronts that would
+split off the multiple root agree in velocity to float64 roundoff (the
+bands BAND_2 and BAND_3): its order-k front sits at the closed-form root,
+and its 4 - k simple fronts are the eigenvalues farthest in angle from it.
+Each simple root is polished by Newton in real q on w''.  A front's edge
+coefficient is kappa_k = w^(k+2)(q*)/(k+1)! at its root q*.
 
 A scan runs over a whole batch of points at once: one stacked eigenvalue
-call on their companion matrices, then each filter, Newton step and
-derivative as one array operation over every root of the batch.  The roots
-sit in a padded (points x degree) array, each point's kept angles sorted to
-the front of its row, so a root's circular neighbours and its cluster are
-found by indexing within its row.  Every operation is elementwise, per
-matrix or per row, so a point's fronts are the same bits alone, in a
-sweep, or in any order of the points.
+call on their companion matrices, then each selection, Newton step and
+derivative as one array operation over every root of the batch.  Every
+operation is elementwise, per matrix or per row, so a point's fronts are
+the same bits alone, in a sweep, or in any order of the points.
 """
 
 from __future__ import annotations
@@ -39,12 +40,18 @@ import numpy as np
 
 from .dispersion import PHI_MAX, TWO_PI, WalkParams, omega_deriv
 
-TOL_ROOT = 1e-12          # |w''| at a kept root, times its scale 1 + 8g
-TOL_DEGEN = 1e-9          # velocity window for degenerate-front labelling
-# |log|z|| bound for a root on the unit circle: the companion eigenvalues of
-# a triple root scatter by ~eps^(1/3) ~ 1e-5, while at phi = pi/2 an
-# off-circle pair sharing the angle of a real root sits at 4 sqrt(1/8 - g)
-TOL_CIRCLE = 1e-4
+TOL_DEGEN = 1e-9          # velocity window of co-moving fronts, see same_velocity
+# the order-2 band |g/g_c - 1| <= BAND_2: a pair of fronts splits off the
+# double root like sqrt(eps) in q and like eps^(3/2) in velocity, below
+# float64 roundoff for eps <= 1e-11
+BAND_2 = 1e-11
+# the order-3 band |g - 1/8| <= BAND_3_G, pi/2 - phi <= BAND_3_PHI: with
+# gamma = g - 1/8, eta = pi/2 - phi and u = q - pi/2, w'' ~ eta - 16 gamma u
+# + u^3, whose roots split in velocity like u^4: by 64 gamma^2 <= 1e-16 at
+# eta = 0, and by 6.75 (eta/2)^(4/3) <= 3e-16 on the Lifshitz line, which
+# leaves the band through its phi edge at gamma = 1.2e-9
+BAND_3_G = 1.25e-9
+BAND_3_PHI = 1e-12
 # below this g the quartic's roots span 4g .. 1/(4g) and its eigenvalues near
 # the circle lose accuracy like eps/sqrt(g); the fronts are then the two
 # simple roots of w'' within 4g of -pi/2 and pi/2
@@ -87,7 +94,7 @@ class FrontScanError(RuntimeError):
 
 
 class _Couplings(NamedTuple):
-    """g and phi as arrays for omega_deriv over a stack: per root, or as (points, 1) columns."""
+    """g and phi as arrays for omega_deriv over a stack, one coupling per root."""
 
     g: np.ndarray
     phi: np.ndarray
@@ -96,10 +103,10 @@ class _Couplings(NamedTuple):
         return _Couplings(self.g[rows], self.phi[rows])
 
 
-def _polish(x, m: int, c: _Couplings):
-    """Newton on w^(m+1), where a root of multiplicity m of w'' is simple."""
+def _polish(x, c: _Couplings):
+    """Newton on w'', at simple roots."""
     for _ in range(NEWTON_STEPS):
-        x -= omega_deriv(x, m + 1, c) / omega_deriv(x, m + 2, c)
+        x -= omega_deriv(x, 2, c) / omega_deriv(x, 3, c)
     return (x + math.pi) % TWO_PI - math.pi
 
 
@@ -119,68 +126,12 @@ def _eigvals(a):
         return np.concatenate([za, zb]), {**ea, **{h + i: e for i, e in eb.items()}}
 
 
-def _circle_roots(coeffs, couplings, tol, seeded):
-    """Real roots q in [-pi, pi) of w'' at a stack of couplings, once each.
-
-    Row i of coeffs (highest power first) defines a polynomial in z = e^{iq}
-    that is a power of z times w''(q) at the couplings of row i, and tol[i]
-    bounds |w''| at a kept root of row i.  A seeded row skips its
-    companion matrix: its roots are the simple ones polished from -pi/2 and
-    pi/2.  The layout is padded, a row per polynomial and a slot per degree:
-    a row's kept angles are sorted to its front and its other slots hold 0.
-    Returns (roots, order) in that layout, a cluster of m roots polished at
-    the slot of its first root with order m there and 0 at the slots that
-    start no cluster, and {row: LinAlgError} for the rows whose eigenvalues
-    failed.
-    """
-    # a seeded row never reaches the division by its leading coefficient,
-    # which vanishes for the quartic at g = 0
-    live = np.flatnonzero(~seeded)
-    p = coeffs[live]
-    d = p.shape[1] - 1
-    companion = np.zeros((live.size, d, d), complex)
-    companion[:, np.arange(1, d), np.arange(d - 1)] = 1.0
-    companion[:, 0, :] = -p[:, 1:] / p[:, :1]
-    z, failed = _eigvals(companion)
-    column, tol = _Couplings(couplings.g[:, None], couplings.phi[:, None]), tol[:, None]
-    q = np.zeros((len(coeffs), d))
-    kept = np.zeros(q.shape, bool)
-    kept[live] = np.abs(np.log(np.abs(z))) < TOL_CIRCLE
-    q[kept] = np.angle(z[kept[live]])
-    kept &= np.abs(omega_deriv(q, 2, column)) <= tol
-    q[seeded, :2], kept[seeded, :2] = (-math.pi / 2, math.pi / 2), True
-    q = np.sort(np.where(kept, q, np.inf), axis=1)
-    count = np.count_nonzero(kept, axis=1)[:, None]
-    row, slot, n = np.arange(len(q))[:, None], np.arange(d), np.maximum(count, 1)
-    real = slot < count
-    q[~real] = 0.0
-    # joined[i, s]: slot s and its successor on row i's circle are one multiple root
-    succ = q[row, (slot + 1) % n]
-    succ = np.where(slot + 1 < count, succ, succ + TWO_PI)
-    joined = real & (count > 1) & ~seeded[:, None]
-    joined &= np.abs(omega_deriv(0.5 * (q + succ), 2, column)) <= tol
-    # a cluster starts at a kept root not joined to its predecessor, and
-    # each joined link that follows adds one to its multiplicity
-    link = real & ~joined[row, (slot - 1) % n]
-    order = link.astype(np.intp)
-    for i in range(d - 1):
-        link &= joined[row, (slot + i) % n]
-        order += link
-    roots = np.zeros(q.shape)
-    for m in set(order[order > 0].tolist()):
-        r, s = np.nonzero(order == m)
-        idx, c = s[:, None] + np.arange(m), count[r]
-        centre = (q[r[:, None], idx % c] + TWO_PI * (idx >= c)).mean(axis=1)
-        roots[r, s] = _polish(centre, m, couplings.at(r))
-    return roots, order, {int(live[i]): exc for i, exc in failed.items()}
-
-
 def check_coupling(g: float) -> None:
     """Refuse a g too large for the front scan, with ValueError.
 
-    The scan forms 4g (the quartic), 1 + 8g (the scale of the root
-    tolerance) and 2^(k+3) g, the NNN coefficient of w^(k+2), for the kappa
-    of a front of order k <= 3; all of them are finite when 64 g is.
+    The scan forms 4g (the quartic), g/g_c <= 8g (the order-2 band) and
+    2^(k+3) g, the NNN coefficient of w^(k+2), for the kappa of a front of
+    order k <= 3; all of them are finite when 64 g is.
     """
     if not math.isfinite(64.0 * g):
         raise ValueError(f"g={g!r} is too large for the front scan: 64 g overflows")
@@ -189,24 +140,57 @@ def check_coupling(g: float) -> None:
 def _front_sets(points) -> list:
     """Per point, its fronts sorted by velocity, or the LinAlgError of its quartic.
 
-    All points are scanned in one pass: one stack of companion matrices, and
-    each Newton step and derivative taken once per multiplicity over every
-    root of the stack.  The cluster starts of the padded (points x degree)
-    layout of _circle_roots, read in row order, give each point's fronts.
-    Every g must pass check_coupling.
+    All points are scanned in one pass: one stack of companion matrices, a
+    padded (points x degree) layout of their eigenvalues from which each
+    row's simple roots are picked, and each Newton step and derivative
+    taken once over every root of the stack.  Fronts of equal velocity are
+    sorted by q*.  Every g must pass check_coupling.
     """
     for p in points:
         check_coupling(p.g)
     g = np.array([p.g for p in points], dtype=float)
-    couplings = _Couplings(g, np.array([p.phi for p in points], dtype=float))
-    seeded = g < G_SEED
-    quartic = np.zeros((len(points), 5), complex)
-    quartic[:, 0] = [4.0 * p.g * complex(math.cos(p.phi), math.sin(p.phi)) for p in points]
+    phi = np.array([p.phi for p in points], dtype=float)
+    couplings = _Couplings(g, phi)
+    closed = {f: _critical_root(f) for f in set(phi.tolist())}
+    q_c, g_c = np.array([closed[f] for f in phi.tolist()]).reshape(-1, 2).T
+    # the order of each point's multiple root, 0 off the bands
+    order = np.where(np.abs(g / g_c - 1.0) <= BAND_2, 2, 0)
+    order[(np.abs(g - 0.125) <= BAND_3_G) & (PHI_MAX - phi <= BAND_3_PHI)] = 3
+    simple = np.where(order > 0, 4 - order, 2 + 2 * (g > g_c))
+    # a seeded row never reaches the division by its leading coefficient,
+    # which vanishes for the quartic at g = 0
+    live = np.flatnonzero(g >= G_SEED)
+    quartic = np.zeros((live.size, 5), complex)
+    quartic[:, 0] = [
+        4.0 * gi * complex(math.cos(f), math.sin(f)) for gi, f in zip(g[live].tolist(), phi[live].tolist())
+    ]
     quartic[:, 1] = quartic[:, 3] = 1.0
     quartic[:, 4] = quartic[:, 0].conj()
-    roots, order, failed = _circle_roots(quartic, couplings, TOL_ROOT * (1.0 + 8.0 * g), seeded)
-    start = order > 0
-    rows, q, order = np.nonzero(start)[0], roots[start], order[start]
+    companion = np.zeros((live.size, 4, 4), complex)
+    companion[:, np.arange(1, 4), np.arange(3)] = 1.0
+    companion[:, 0, :] = -quartic[:, 1:] / quartic[:, :1]
+    z, failed = _eigvals(companion)
+    del quartic, companion
+    failed = {int(live[i]): exc for i, exc in failed.items()}
+    simple[list(failed)] = 0
+    # each row's simple roots are the first of its slots by score: for a band
+    # row the eigenvalues farthest in angle from its multiple root, for any
+    # other row those nearest the unit circle, and for a seeded row its seeds
+    angle, score = np.zeros((2, len(points), 4))
+    angle[g < G_SEED, :2] = -math.pi / 2, math.pi / 2
+    angle[live] = np.angle(z)
+    score[live] = np.abs(np.log(np.abs(z)))
+    del z
+    band = order > 0
+    score[band] = -np.abs((angle[band] - q_c[band, None] + math.pi) % TWO_PI - math.pi)
+    rank = np.argsort(score, axis=1, kind="stable")
+    picked = np.arange(4) < simple[:, None]
+    rows = np.nonzero(picked)[0]
+    q = _polish(np.take_along_axis(angle, rank, axis=1)[picked], couplings.at(rows))
+    multiple = np.flatnonzero(band)
+    rows = np.concatenate([rows, multiple])
+    q = np.concatenate([q, q_c[multiple]])
+    order = np.concatenate([np.ones(q.size - multiple.size, np.intp), order[multiple]])
     velocity = omega_deriv(q, 1, couplings.at(rows))
     kappa = np.empty_like(q)
     for m in set(order.tolist()):
@@ -216,7 +200,7 @@ def _front_sets(points) -> list:
     for r, *front in zip(rows.tolist(), q.tolist(), velocity.tolist(), order.tolist(), kappa.tolist()):
         fronts[r].append(ExtremalFront(*front, "left" if front[1] < 0 else "right"))
     for found in fronts:
-        found.sort(key=lambda fr: fr.velocity)
+        found.sort(key=lambda fr: (fr.velocity, fr.q_star))
     for r, exc in failed.items():
         fronts[r] = exc
     return fronts
@@ -225,11 +209,11 @@ def _front_sets(points) -> list:
 def find_extremal_fronts(p: WalkParams) -> list[ExtremalFront]:
     """Locate and classify every extremal front of the dispersion.
 
-    The fronts are the unit-circle roots of the quartic z^2 w''(q); a root
-    is kept when |w''| <= TOL_ROOT (1 + 8g) at its angle, 1 + 8g being the
-    curvature scale of the band.  A front's order is the multiplicity of
-    its root cluster, and kappa is taken at the polished wave vector, the
-    centre of that cluster.  g must pass check_coupling.
+    The fronts are the real roots of w'', read off the closed-form phase
+    diagram: an order-k front at the multiple root q_c + pi of a point in
+    the order-k band, and simple fronts at the polished unit-circle roots
+    of the quartic z^2 w''(q).  kappa is taken at each front's root.  g must
+    pass check_coupling.
     """
     (fronts,) = _front_sets([p])
     if isinstance(fronts, Exception):
@@ -254,7 +238,7 @@ def _diagram(p: WalkParams, fronts) -> FrontDiagram:
     elif n == 3:
         topo = ConeTopology.CRITICAL_SECOND_ORDER
     else:
-        degen = any(abs(b.velocity - a.velocity) <= TOL_DEGEN for a, b in zip(fronts, fronts[1:]))
+        degen = any(same_velocity(a.velocity, b.velocity) for a, b in zip(fronts, fronts[1:]))
         topo = (
             ConeTopology.TWO_OVERLAPPING_CONES if degen else ConeTopology.TWO_NESTED_CONES
         )
@@ -285,11 +269,14 @@ def scan_diagrams(points) -> list:
     return out
 
 
+def same_velocity(v_a: float, v_b: float) -> bool:
+    """True when two front velocities agree within TOL_DEGEN: the fronts co-move."""
+    return abs(v_a - v_b) <= TOL_DEGEN
+
+
 def degeneracy(diagram: FrontDiagram, front: ExtremalFront) -> int:
     """Number of fronts sharing this front's velocity (2 for overlapping cones)."""
-    return sum(
-        1 for fr in diagram.fronts if abs(fr.velocity - front.velocity) <= TOL_DEGEN
-    )
+    return sum(1 for fr in diagram.fronts if same_velocity(fr.velocity, front.velocity))
 
 
 def edge_scale(front: ExtremalFront, t: float) -> float:
@@ -299,8 +286,8 @@ def edge_scale(front: ExtremalFront, t: float) -> float:
     return (abs(front.kappa) * t) ** (1.0 / (front.order + 2))
 
 
-def critical_coupling(phi: float) -> float:
-    """Lifshitz coupling g_c(phi): the smallest g > 0 with a double root of w''.
+def _critical_root(phi: float) -> tuple:
+    """(q, g_c(phi)): the double root q in [-pi, pi) of w'' at the Lifshitz coupling.
 
     w'' = w''' = 0 is linear in g; eliminating g leaves sin(3q + phi)
     + 3 sin(q + phi) = 0, which with tau = tan(q + phi/2) reads
@@ -312,11 +299,21 @@ def critical_coupling(phi: float) -> float:
         c = cos(2q + phi),  s = sin(2q + phi),
 
     defined also where c or s vanishes (the zone-seam root at phi = 0).
-    q and q + pi give -g and g, so |g| is g_c, exact to roundoff.
+    q and q + pi give -g and g, so |g| is g_c, exact to roundoff, and the
+    double root is whichever of the two has g > 0.
     """
-    if not 0.0 <= phi <= PHI_MAX:
-        raise ValueError("phi must lie in the canonical window [0, pi/2]")
     # the base lies in [0, 1] on the window; math.cbrt needs Python 3.11
     q = math.atan(math.tan(math.pi / 4 - phi / 2) ** (1.0 / 3.0)) - math.pi / 4 - phi / 2
     c, s = math.cos(2.0 * q + phi), math.sin(2.0 * q + phi)
-    return abs(4.0 * math.cos(q) * c + 8.0 * math.sin(q) * s) / (16.0 * c * c + 64.0 * s * s)
+    g = -(4.0 * math.cos(q) * c + 8.0 * math.sin(q) * s) / (16.0 * c * c + 64.0 * s * s)
+    return ((q if g > 0 else q + math.pi) + math.pi) % TWO_PI - math.pi, abs(g)
+
+
+def critical_coupling(phi: float) -> float:
+    """Lifshitz coupling g_c(phi): the smallest g > 0 with a double root of w''.
+
+    A cube root in closed form, see _critical_root.
+    """
+    if not 0.0 <= phi <= PHI_MAX:
+        raise ValueError("phi must lie in the canonical window [0, pi/2]")
+    return _critical_root(phi)[1]

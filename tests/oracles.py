@@ -13,7 +13,8 @@ vectors come from a quartic in cos q obtained by squaring away sin q (the
 package takes the unit-circle roots of a quartic in e^{iq}), each point's
 fronts come from its own np.roots call and a scalar Newton polish of each
 root (the package scans a whole stack of points at once and must match
-this bit for bit), the scaled
+this bit for bit; both read the point's front count and orders off the
+same closed-form phase diagram), the scaled
 moments come from
 Gauss-Legendre quadrature of v^k (the package telescopes a closed-form
 antiderivative), the ring kernels come from whole-ring array
@@ -35,12 +36,16 @@ from scipy.linalg import expm
 
 from chiralwalk import ExtremalFront, cone_topology, edge_scale, omega
 from chiralwalk.airy import RAY_DECAY, RAY_NODES, SEGMENT_NODES, _unit_rule
-from chiralwalk.dispersion import TWO_PI, omega_deriv
-from chiralwalk.fronts import G_SEED, NEWTON_STEPS, TOL_CIRCLE, TOL_ROOT
+from chiralwalk.dispersion import PHI_MAX, TWO_PI, omega_deriv
+from chiralwalk.fronts import BAND_2, BAND_3_G, BAND_3_PHI, G_SEED, NEWTON_STEPS, _critical_root
 from chiralwalk.evolve import GUARD_SITES, _check_cap, _int_power, _rows, _tail_margin
 from chiralwalk.hydro import _branches
 
 _BISECT_STEPS = 54  # brackets a root on a branch of length <= 2pi to < 4e-16
+# the sextic scan of per_point_critical_coupling keeps a root on the unit
+# circle within _TOL_CIRCLE in |log|z||, where |f| <= _TOL_ROOT at its angle
+_TOL_CIRCLE = 1e-4
+_TOL_ROOT = 1e-12
 
 
 _SERIES = {}  # (k, dps) -> the Maclaurin coefficients of 2 pi A_k computed so far
@@ -344,9 +349,13 @@ def _polish(f, x, m):
 
 
 def _circle_roots(coeffs, f, tol):
-    """(polished root, multiplicity) of one trigonometric polynomial's real roots."""
+    """(polished root, multiplicity) of one trigonometric polynomial's real roots.
+
+    Adjacent unit-circle roots are one multiple root when f also vanishes
+    at their midpoint; a cluster of m roots is polished on f^(m-1).
+    """
     z = np.roots(coeffs)
-    q = np.sort(np.angle(z[np.abs(np.log(np.abs(z))) < TOL_CIRCLE]))
+    q = np.sort(np.angle(z[np.abs(np.log(np.abs(z))) < _TOL_CIRCLE]))
     q = q[np.abs(f(q, 0)) <= tol]
     n = len(q)
     succ = np.append(q[1:], q[:1] + TWO_PI)
@@ -365,21 +374,36 @@ def _circle_roots(coeffs, f, tol):
 def per_point_fronts(p):
     """The extremal fronts of one point, sorted by velocity, scanned on their own.
 
-    The companion eigenvalues come from np.roots on this point's quartic
-    alone, and each root cluster is polished by Newton in Python floats.
+    The band rule of the package decides the order k of the point's multiple
+    root, placed at the closed-form q_c + pi; the simple roots are the 4 - k
+    roots of np.roots on this point's quartic alone farthest in angle from
+    it, or off the bands the 2 + 2 [g > g_c] nearest the unit circle, each
+    polished by Newton in Python floats.
     """
     w2 = lambda q, j: omega_deriv(q, 2 + j, p)
+    q_c, g_c = _critical_root(p.phi)
+    if abs(p.g - 0.125) <= BAND_3_G and PHI_MAX - p.phi <= BAND_3_PHI:
+        k = 3
+    else:
+        k = 2 if abs(p.g / g_c - 1.0) <= BAND_2 else 0
     if p.g < G_SEED:
-        roots = [(_polish(w2, q, 1), 1) for q in (-math.pi / 2, math.pi / 2)]
+        seeds = [-math.pi / 2, math.pi / 2]
     else:
         c = 4.0 * p.g * complex(math.cos(p.phi), math.sin(p.phi))
-        roots = _circle_roots([c, 1.0, 0.0, 1.0, c.conjugate()], w2, TOL_ROOT * (1.0 + 8.0 * p.g))
+        z = np.roots([c, 1.0, 0.0, 1.0, c.conjugate()])
+        if k:
+            far = np.abs((np.angle(z) - q_c + math.pi) % TWO_PI - math.pi)
+            z = z[np.argsort(-far, kind="stable")[: 4 - k]]
+        else:
+            z = z[np.argsort(np.abs(np.log(np.abs(z))), kind="stable")[: 4 if p.g > g_c else 2]]
+        seeds = np.angle(z).tolist()
+    roots = [(_polish(w2, q, 1), 1) for q in seeds] + ([(q_c, k)] if k else [])
     fronts = []
     for q, order in roots:
         kappa = omega_deriv(q, order + 2, p) / math.factorial(order + 1)
         v = omega_deriv(q, 1, p)
         fronts.append(ExtremalFront(q, v, order, kappa, "left" if v < 0 else "right"))
-    fronts.sort(key=lambda fr: fr.velocity)
+    fronts.sort(key=lambda fr: (fr.velocity, fr.q_star))
     return fronts
 
 
@@ -393,7 +417,7 @@ def per_point_critical_coupling(phi):
         return 3.0**j * np.sin(3.0 * q + shift) + 3.0 * np.sin(q + shift)
 
     gs = []
-    for q, _ in _circle_roots(sextic, f, TOL_ROOT):
+    for q, _ in _circle_roots(sextic, f, _TOL_ROOT):
         c, s = math.cos(2.0 * q + phi), math.sin(2.0 * q + phi)
         gs.append(-(4.0 * math.cos(q) * c + 8.0 * math.sin(q) * s) / (16.0 * c * c + 64.0 * s * s))
     return min(g for g in gs if g > 0.0)

@@ -20,7 +20,7 @@ from chiralwalk import (
     scan_diagrams,
 )
 from chiralwalk.dispersion import PHI_MAX
-from chiralwalk.fronts import G_SEED
+from chiralwalk.fronts import BAND_2, BAND_3_G, BAND_3_PHI, G_SEED
 
 from oracles import per_point_critical_coupling, per_point_fronts, quartic_crosscheck
 
@@ -142,10 +142,10 @@ def test_front_count_changes_at_critical_coupling(phi):
 
 
 def test_orders_sum_to_four_above_critical_coupling():
-    # a front's order is the multiplicity of its root cluster, so the four
-    # roots of w'' above g_c are counted once however they are joined; just
-    # above 1/8 at phi = pi/2 the triple at pi/2, pi/2 +- 4 sqrt(g - 1/8)
-    # joins while its velocities still agree to 64 (g - 1/8)^2
+    # the four roots of w'' above g_c are counted once in every band: as
+    # [1, 2, 1] in the order-2 band, as [3, 1] in the order-3 band, where the
+    # triple at pi/2, pi/2 +- 4 sqrt(g - 1/8) still agrees in velocity to
+    # 64 (g - 1/8)^2, and as four simple fronts off the bands
     deltas = {phi: 10.0 ** np.arange(-12, -5) for phi in np.linspace(0.0, PI / 2, 13)}
     deltas[PI / 2] = np.concatenate([deltas[PI / 2], 1e-10 * np.arange(1, 301)])
     for phi, ds in deltas.items():
@@ -157,6 +157,65 @@ def test_orders_sum_to_four_above_critical_coupling():
     assert [f.order for f in d.fronts] == [3, 1]
     assert d.fronts[0].kappa == pytest.approx(0.25, abs=1e-8)
     assert d.topology is ConeTopology.CRITICAL_THIRD_ORDER
+
+
+def phase_diagram_count(p, fronts):
+    """p's fronts are 2 + 2 [g > g_c] simple roots of w'', each at its own q*."""
+    distinct = len({fr.q_star for fr in fronts}) == len(fronts)
+    return distinct and [fr.order for fr in fronts] == [1] * (4 if p.g > critical_coupling(p.phi) else 2)
+
+
+def test_front_count_off_the_bands_is_the_phase_diagram():
+    # uniform points, and points near the Lifshitz line but outside the
+    # order-2 band, every one at least 1e-6 off phi = pi/2
+    rng = np.random.default_rng(28)
+    phi = rng.uniform(0.0, PI / 2 - 1e-6, 4000)
+    eps = rng.choice([-1.0, 1.0], 2000) * 10.0 ** rng.uniform(np.log10(1.5 * BAND_2), -2.0, 2000)
+    g = np.concatenate([rng.uniform(0.0, 0.6, 2000), [critical_coupling(f) for f in phi[2000:]] * (1 + eps)])
+    points = [WalkParams(gi, fi) for gi, fi in zip(g.tolist(), phi.tolist())]
+    for p, d in zip(points, scan_diagrams(points)):
+        assert phase_diagram_count(p, d.fronts), p
+
+
+def test_multiple_front_sits_at_the_closed_form_root():
+    # q* = q_c + pi with q_c = atan(tan(pi/4 - phi/2)^(1/3)) - pi/4 - phi/2,
+    # the double root of w'' at g_c: -pi at phi = 0 and pi/2 at phi = pi/2
+    for phi in np.linspace(0.0, PI / 2, 13).tolist():
+        q_c = math.atan(math.tan(PI / 4 - phi / 2) ** (1.0 / 3.0)) - PI / 4 - phi / 2
+        want = (q_c + PI + PI) % (2 * PI) - PI
+        gc = critical_coupling(phi)
+        for g in (gc, gc * (1 - 0.5 * BAND_2), gc * (1 + 0.5 * BAND_2)):
+            (front,) = [fr for fr in find_extremal_fronts(WalkParams(g, phi)) if fr.order > 1]
+            assert front.order == (3 if phi == PI / 2 else 2)
+            assert front.q_star == want, (g, phi)
+        p = WalkParams(gc, phi)
+        assert abs(omega_deriv(want, 2, p)) < 1e-14 and abs(omega_deriv(want, 3, p)) < 1e-14
+    assert find_extremal_fronts(WalkParams(0.25, 0.0))[1].q_star == -PI
+    assert find_extremal_fronts(WalkParams(0.125, PI / 2))[0].q_star == PI / 2
+
+
+def test_order_three_band_is_two_dimensional():
+    # at the float below pi/2 the cusp of the Lifshitz line keeps the three
+    # roots of w'' near pi/2, real or complex, within ~1e-5 of it: one
+    # triple front in velocity, as at pi/2 itself
+    below = math.nextafter(PI / 2, 0.0)
+    for g in (0.125, 0.125 - 0.5 * BAND_3_G, 0.125 + 0.5 * BAND_3_G, critical_coupling(below)):
+        d = cone_topology(WalkParams(g, below))
+        assert [fr.order for fr in d.fronts] == [3, 1], g
+        assert d.fronts[0].kappa == pytest.approx(0.25, abs=1e-8)
+        assert d.topology is ConeTopology.CRITICAL_THIRD_ORDER
+
+
+def test_points_just_outside_each_band_read_two_or_four_fronts():
+    points = []
+    for phi in [*np.linspace(0.0, 1.5, 7).tolist(), PI / 2 - 1e-6, PI / 2 - 2 * BAND_3_PHI]:
+        gc = critical_coupling(phi)
+        points += [WalkParams(gc * (1 + s * 2 * BAND_2), phi) for s in (-1, 1)]
+    for phi in (PI / 2, math.nextafter(PI / 2, 0.0), PI / 2 - 0.5 * BAND_3_PHI, PI / 2 - 2 * BAND_3_PHI):
+        points += [WalkParams(0.125 + s * 2 * BAND_3_G, phi) for s in (-1, 1)]
+    points.append(WalkParams(0.125, PI / 2 - 2 * BAND_3_PHI))
+    for p, d in zip(points, scan_diagrams(points)):
+        assert phase_diagram_count(p, d.fronts), p
 
 
 def test_critical_coupling_validation():
@@ -221,7 +280,7 @@ def five_phase_sweep_points():
     Those are g = 0 and g just under G_SEED (seeded, never on the companion
     stack), the third-order front at g = 1/8 and phi = pi/2, the zone-seam
     root at g = 1/4 and phi = 0, and points on and near the Lifshitz line,
-    where root clusters join.
+    inside and outside the critical bands.
     """
     gs = np.linspace(0.0, 0.6, 241).tolist()
     points = [WalkParams(g, phi) for phi in (0.0, 0.3, 0.8, 1.2, PI / 2) for g in gs]
@@ -304,7 +363,7 @@ def test_scan_is_batch_independent():
 
 def test_sweep_scan_peak_memory_per_point():
     # the traced peak of a sweep's scan, its transient arrays and the
-    # diagrams it returns together, stays under 1 500 B per point (~1 100 B
+    # diagrams it returns together, stays under 1 500 B per point (~1 060 B
     # measured on numpy 2.4)
     gs = np.linspace(0.0, 0.6, 1024).tolist()
     points = [WalkParams(g, phi) for phi in np.linspace(0.0, PI / 2, 4).tolist() for g in gs]
