@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -371,7 +372,9 @@ def _add_common(sub, t_default=None):
     sub.add_argument("--lattice", default=None, help="ring size (even int) or 'auto'")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parsing leaves it unchanged."""
     ap = argparse.ArgumentParser(prog="chiralwalk", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 

@@ -526,12 +526,6 @@ def cumulative_moment(field: ObservableField, k: int) -> ObservableField:
     )
 
 
-def _exact_sum(x: np.ndarray) -> float:
-    """math.fsum(x) of a float64 array, with no Python step per element."""
-    x = np.asarray(x, dtype=float).ravel()
-    return _fsum_blocks(lambda: (x[start:stop] for start, stop in _blocks(x.size)))
-
-
 def _fsum_blocks(blocks) -> float:
     """math.fsum of the float64 terms that blocks() yields, at most BLOCK at a time.
 

@@ -225,7 +225,11 @@ def _diagram(p: WalkParams, fronts) -> FrontDiagram:
     """Assemble the front diagram of p and classify its causal-cone topology.
 
     fronts must be sorted by velocity, as _front_sets returns them: v_lm and
-    v_rm are its ends, and two cones overlap when neighbours share a velocity.
+    v_rm are its ends, and two cones overlap when the two slowest fronts
+    share a velocity.  In the canonical window only the mirror pair of
+    phi = pi/2, where v(pi - q) = v(q), co-moves, and it is the slowest
+    pair; the internal pair born at g_c agrees in velocity to roundoff just
+    above it, and its cones are nested.
     """
     fronts = tuple(fronts)
     n = len(fronts)
@@ -238,9 +242,10 @@ def _diagram(p: WalkParams, fronts) -> FrontDiagram:
     elif n == 3:
         topo = ConeTopology.CRITICAL_SECOND_ORDER
     else:
-        degen = any(same_velocity(a.velocity, b.velocity) for a, b in zip(fronts, fronts[1:]))
         topo = (
-            ConeTopology.TWO_OVERLAPPING_CONES if degen else ConeTopology.TWO_NESTED_CONES
+            ConeTopology.TWO_OVERLAPPING_CONES
+            if same_velocity(fronts[0].velocity, fronts[1].velocity)
+            else ConeTopology.TWO_NESTED_CONES
         )
     return FrontDiagram(p, fronts, v_lm, v_rm, topo)
 

@@ -13,7 +13,9 @@ degree-2 trigonometric polynomial, so v^k is one of degree 2k, and its
 integral over each interval is a difference of one closed-form
 antiderivative.  Phi, J and every moment are thus exact up to the roots.
 So is the density rho = dPhi/dnu = (1/2pi) sum_r 1/|w''(q_r)|: each root
-q_r of v = nu moves with nu at the rate 1/|v'(q_r)|.
+q_r of v = nu moves with nu at the rate 1/|v'(q_r)|.  One solve for the
+roots gives all of them: _bulk is the only code that turns the roots into
+Phi, J, M~_k and rho.
 
 Between consecutive front wave vectors q* the group velocity is monotone,
 because w'' has no root there.  The zone therefore splits into monotone
@@ -35,7 +37,7 @@ nu are taken NU_BLOCK at a time, so memory does not grow with the grid.
 The median nu_half, where Phi crosses 1/2, is exactly v(0) = -4g sin(phi)
 in the one-cone phase; otherwise Newton on Phi - 1/2 with the closed-form
 rho as its slope finds it, inside a bracket, each step one two-point
-sub-level call that also certifies the answer.
+_bulk call that also certifies the answer.
 """
 
 from __future__ import annotations
@@ -86,22 +88,23 @@ def _energy(p: WalkParams, s, c):
     return c * (2.0 - 4.0 * gs * s) + 2.0 * gc * (c - s) * (c + s)
 
 
-class _Branches(tuple):
-    """The columns (a, b, va, vb) of the monotone branches, and their velocity table.
+class _Branches:
+    """The monotone branches [a, b] of v, with v(a) = va, v(b) = vb, and their velocity table.
 
-    Each branch's v is tabulated at _NODES Chebyshev-spaced wave vectors
-    q[j, 0] = a < ... < q[j, -1] = b, with the fronts' own velocities at
-    the ends.  Where roundoff reorders velocities closer than the float
-    noise of v, the table is clipped to the end velocities and held
-    monotone in the branch's direction.  merged holds every tabulated
+    a, b, va and vb are columns of shape (branches, 1).  Each branch's v is
+    tabulated at _NODES Chebyshev-spaced wave vectors q[j, 0] = a < ... <
+    q[j, -1] = b, with the fronts' own velocities at the ends.  Where
+    roundoff reorders velocities closer than the float noise of v, the
+    table is clipped to the end velocities and held monotone in the
+    branch's direction.  merged holds every tabulated
     velocity, sorted, and count[j, r] says how many of the first r belong
     to branch j, so that one searchsorted over merged counts the
     velocities <= nu on every branch.  sin, cos and w at each branch's
     ends a and b are kept for the interval ends, one sin and cos per front.
     """
 
-    def __new__(cls, p: WalkParams, a, b, va, vb):
-        self = super().__new__(cls, (a, b, va, vb))
+    def __init__(self, p: WalkParams, a, b, va, vb):
+        self.a, self.b, self.va, self.vb = a, b, va, vb
         self.rising = vb > va
         self.q = a + (0.5 - 0.5 * np.cos(np.linspace(0.0, math.pi, _NODES))) * (b - a)
         self.q[:, 0], self.q[:, -1] = a[:, 0], b[:, 0]
@@ -119,16 +122,14 @@ class _Branches(tuple):
         self.sin_b, self.cos_b, self.w_b = (
             np.roll(x, -1, axis=0) for x in (self.sin_a, self.cos_a, self.w_a)
         )
-        return self
 
 
 def _branches(p: WalkParams) -> _Branches:
     """Monotone branches [a, b] of v between consecutive fronts, with v(a), v(b).
 
-    Columns of shape (branches, 1), unpacked as a, b, va, vb; the last
-    branch wraps across the zone seam, so b may exceed pi.  End velocities
-    are the fronts' own, which makes v_lm and v_rm exact branch extrema.
-    The result also carries the branches' velocity table.
+    The last branch wraps across the zone seam, so b may exceed pi.  End
+    velocities are the fronts' own, which makes v_lm and v_rm exact branch
+    extrema.  The result also carries the branches' velocity table.
     """
     fronts = sorted(cone_topology(p).fronts, key=lambda fr: fr.q_star)
     a = np.array([fr.q_star for fr in fronts])
@@ -145,7 +146,7 @@ def _cells(branches: _Branches, nu):
     v[k] and v[k + 1], and nu lies in [v[k], v[k + 1]) on a rising branch
     and in [v[k + 1], v[k]) on a falling one.
     """
-    _, _, va, vb = branches
+    va, vb = branches.va, branches.vb
     branch, col = np.nonzero((np.minimum(va, vb) < nu) & (nu < np.maximum(va, vb)))
     below = branches.count[branch, np.searchsorted(branches.merged, nu, side="right")[col]]
     k = branch * _NODES + np.where(branches.rising[branch, 0], below - 1, _NODES - 1 - below)
@@ -214,28 +215,14 @@ def _ends(p: WalkParams, nu, branches: _Branches):
     """
     branch, col, k = _cells(branches, nu)
     root, s, c, curvature = _branch_roots(p, branches, k, nu[col])
-    a, b, va, vb = branches
-    at_b = (nu >= np.maximum(va, vb)) == branches.rising
-    end = np.where(at_b, b, a)
+    at_b = (nu >= np.maximum(branches.va, branches.vb)) == branches.rising
+    end = np.where(at_b, branches.b, branches.a)
     sin = np.where(at_b, branches.sin_b, branches.sin_a)
     cos = np.where(at_b, branches.cos_b, branches.cos_a)
     for x in (end, sin, cos):
         x[:, np.isnan(nu)] = np.nan
     end[branch, col], sin[branch, col], cos[branch, col] = root, s, c
     return end, sin, cos, (branch, col, curvature)
-
-
-def _sublevel(p: WalkParams, nu, branches=None):
-    """Interval [start, end] of {v <= nu} on every branch, shape (branches, len(nu)).
-
-    An empty interval has start == end, a whole branch is exactly [a, b];
-    a NaN nu gives a NaN root end.  branches, if given, is _branches(p),
-    for a caller that makes many calls.
-    """
-    branches = _branches(p) if branches is None else branches
-    a, b, _, _ = branches
-    end = _ends(p, np.atleast_1d(np.asarray(nu, dtype=float)), branches)[0]
-    return np.where(branches.rising, a, end), np.where(branches.rising, end, b)
 
 
 def _branch_sum(x):
@@ -267,43 +254,6 @@ def _fixed(branches: _Branches, at_a, at_b):
     return np.where(branches.rising, at_a, at_b)
 
 
-def _width(branches: _Branches, end):
-    """The summed widths of the sub-level intervals, one value per nu."""
-    a, b, _, _ = branches
-    return _signed(branches, end, _fixed(branches, a, b))
-
-
-def _phi(branches: _Branches, end):
-    """Phi: the summed interval widths over the summed branch lengths.
-
-    This is exactly 0 below the cone and 1 above it, since the branches
-    tile the zone.
-    """
-    a, b, _, _ = branches
-    return _width(branches, end) / _branch_sum(b - a)
-
-
-def _phi_density(p: WalkParams, nu, branches):
-    """Phi and rho = dPhi/dnu at every nu, from one _ends call.
-
-    Phi is _bulk's, bit for bit.  rho sums 1/|w''| over the roots strictly
-    inside their branches, the roots invert_velocity returns: a branch
-    ending at nu is empty or whole and adds nothing, and a root where w''
-    is 0 (nu within float noise of a front) adds inf.  rho is 0
-    outside the cone and NaN at a NaN nu.
-    """
-    nu = np.atleast_1d(np.asarray(nu, dtype=float))
-    end, _, _, (branch, col, curvature) = _ends(p, nu, branches)
-    curvature = np.abs(curvature)
-    weight = np.zeros(end.shape)
-    weight[branch, col] = np.divide(
-        1.0, curvature, out=np.full(curvature.shape, np.inf), where=curvature > 0.0
-    )
-    rho = _branch_sum(weight) / TWO_PI
-    rho[np.isnan(nu)] = np.nan
-    return _phi(branches, end), rho
-
-
 def _velocity_powers(p: WalkParams, kmax: int) -> dict:
     """Fourier coefficients of v^k for k = 2..kmax, index m + 2k for e^{imq}.
 
@@ -319,23 +269,29 @@ def _velocity_powers(p: WalkParams, kmax: int) -> dict:
     return powers
 
 
-def _bulk(p: WalkParams, nu, ks: tuple = ()) -> dict:
-    """Phi, J and the scaled moments M~_k (k in ks) at every nu.
+def _bulk(p: WalkParams, nu, ks: tuple = (), branches: _Branches | None = None) -> dict:
+    """Phi, J, rho and the scaled moments M~_k (k in ks) at every nu.
 
-    Each is (1/2pi) times the summed differences F_k(end) - F_k(start) of
-    an antiderivative of v^k over the sub-level intervals: F_0 = q gives
-    Phi, normalised by the summed branch lengths (the zone as the branches
-    tile it, so it is exactly 0 below the cone and 1 above it); F_1 = w
-    gives J, and M~_1 is J itself; for k >= 2, with v^k = sum c_m e^{imq},
-    F_k = c_0 q + sum_{m != 0} c_m e^{imq} / (im), summed one harmonic at
-    a time from powers of e^{iq} = cos q + i sin q.  The nu are taken
-    NU_BLOCK at a time; each nu's values do not depend on the others.
+    Each of Phi, J and M~_k is (1/2pi) times the summed differences
+    F_k(end) - F_k(start) of an antiderivative of v^k over the sub-level
+    intervals: F_0 = q gives Phi, normalised by the summed branch lengths
+    (the zone as the branches tile it, so it is exactly 0 below the cone
+    and 1 above it); F_1 = w gives J, and M~_1 is J itself; for k >= 2,
+    with v^k = sum c_m e^{imq}, F_k = c_0 q + sum_{m != 0} c_m e^{imq} / (im),
+    summed one harmonic at a time from powers of e^{iq} = cos q + i sin q.
+    rho = dPhi/dnu sums 1/|w''| over the same roots, those strictly inside
+    their branches, which invert_velocity returns: a branch ending at nu is
+    empty or whole and adds nothing, and a root where w'' is 0 (nu within
+    float noise of a front) adds inf.  rho is 0 outside the cone and NaN at
+    a NaN nu.  branches, if given, is _branches(p), for a caller that makes
+    many calls.  The nu are taken NU_BLOCK at a time; each nu's values do
+    not depend on the others.
     """
-    branches = _branches(p)
+    branches = _branches(p) if branches is None else branches
     nu = np.atleast_1d(np.asarray(nu, dtype=float))
     high = sorted(k for k in set(ks) if k >= 2)
     powers = _velocity_powers(p, high[-1]) if high else {}
-    names = ["phi", "j"] + (["m1"] if 1 in ks else []) + [f"m{k}" for k in high]
+    names = ["phi", "j", "rho"] + (["m1"] if 1 in ks else []) + [f"m{k}" for k in high]
     out = {name: np.empty(nu.shape) for name in names}
     for lo in range(0, nu.size, NU_BLOCK):
         block = slice(lo, lo + NU_BLOCK)
@@ -347,14 +303,21 @@ def _bulk(p: WalkParams, nu, ks: tuple = ()) -> dict:
 
 
 def _bulk_block(p: WalkParams, nu, high: list, powers: dict, branches: _Branches) -> dict:
-    """_bulk's Phi, J and M~_k (k in high, all >= 2) on one block of nu."""
-    end, sin, cos, _ = _ends(p, nu, branches)
+    """_bulk's Phi, J, rho and M~_k (k in high, all >= 2) on one block of nu."""
+    end, sin, cos, (_, col, curvature) = _ends(p, nu, branches)
+    width = _signed(branches, end, _fixed(branches, branches.a, branches.b))
+    curvature = np.abs(curvature)
+    # np.nonzero lists the pairs branch by branch, so bincount adds each nu's
+    # roots in _branch_sum's order
+    weight = np.divide(1.0, curvature, out=np.full(curvature.shape, np.inf), where=curvature > 0.0)
+    rho = np.bincount(col, weight, minlength=nu.size) / TWO_PI
+    rho[np.isnan(nu)] = np.nan
     out = {
-        "phi": _phi(branches, end),
+        "phi": width / _branch_sum(branches.b - branches.a),
         "j": _signed(branches, _energy(p, sin, cos), _fixed(branches, branches.w_a, branches.w_b)) / TWO_PI,
+        "rho": rho,
     }
     if high:
-        width = _width(branches, end)
         acc = {k: powers[k][2 * k].real * width for k in high}
         z = np.empty(end.shape, dtype=complex)
         z.real, z.imag = cos, sin
@@ -421,7 +384,7 @@ def scaled_density(p: WalkParams, nu: float) -> float:
     there adds nothing, although rho diverges as nu approaches it.
     """
     _check_scalar(nu)
-    return float(_phi_density(p, nu, _branches(p))[1][0])
+    return float(_bulk(p, nu)["rho"][0])
 
 
 def nu_half(p: WalkParams, tol: float = 1e-10) -> float:
@@ -433,7 +396,7 @@ def nu_half(p: WalkParams, tol: float = 1e-10) -> float:
     Phi - 1/2, with rho as its slope, starts at -4g sin(phi) and stays
     inside a bracket with Phi(lo) < 1/2 <= Phi(hi).  Each step evaluates
     Phi and rho at the candidate's two certifying points, clipped to the
-    bracket, in one _phi_density call: the candidate is returned if they
+    bracket, in one _bulk call: the candidate is returned if they
     straddle 1/2, and otherwise the nearer one becomes an end of the
     bracket and Newton steps from it.  A step that would leave the bracket,
     or meets an infinite rho (w'' = 0 at a root, at the critical
@@ -457,7 +420,8 @@ def nu_half(p: WalkParams, tol: float = 1e-10) -> float:
     while True:
         below = max(lo, x - 0.5 * tol)
         above = min(hi, x + 0.5 * tol)
-        phi, rho = _phi_density(p, [below, above], branches)
+        h = _bulk(p, [below, above], branches=branches)
+        phi, rho = h["phi"], h["rho"]
         if phi[0] < 0.5 <= phi[1]:
             return x
         # both points lie on one side of the crossing; a point at lo or hi

@@ -39,7 +39,7 @@ from chiralwalk.airy import RAY_DECAY, RAY_NODES, SEGMENT_NODES, _unit_rule
 from chiralwalk.dispersion import PHI_MAX, TWO_PI, omega_deriv
 from chiralwalk.fronts import BAND_2, BAND_3_G, BAND_3_PHI, G_SEED, NEWTON_STEPS, _critical_root
 from chiralwalk.evolve import GUARD_SITES, _check_cap, _int_power, _rows, _tail_margin
-from chiralwalk.hydro import _branches
+from chiralwalk.hydro import _branches, _ends
 
 _BISECT_STEPS = 54  # brackets a root on a branch of length <= 2pi to < 4e-16
 # the sextic scan of per_point_critical_coupling keeps a root on the unit
@@ -264,6 +264,18 @@ def brute_force_cpd(g, phi, nus, n):
     return np.searchsorted(v, nus, side="right") / n
 
 
+def sublevel_intervals(p, nu, branches=None):
+    """The package's interval [start, end] of {v <= nu} on every branch, shape (branches, len(nu)).
+
+    Built from hydro._ends, the roots that _bulk integrates over: an empty
+    interval has start == end, a whole branch is exactly [a, b], and a NaN
+    nu gives a NaN root end.  branches, if given, is _branches(p).
+    """
+    branches = _branches(p) if branches is None else branches
+    end = _ends(p, np.atleast_1d(np.asarray(nu, dtype=float)), branches)[0]
+    return np.where(branches.rising, branches.a, end), np.where(branches.rising, end, branches.b)
+
+
 def bisected_sublevel(p, nu):
     """Interval [start, end] of {v <= nu} on every branch, shape (branches, len(nu)).
 
@@ -271,7 +283,8 @@ def bisected_sublevel(p, nu):
     branches and all nu at once; an empty interval has start == end, a
     whole branch is exactly [a, b].
     """
-    a, b, va, vb = _branches(p)
+    branches = _branches(p)
+    a, b, va, vb = branches.a, branches.b, branches.va, branches.vb
     nu = np.atleast_1d(np.asarray(nu, dtype=float))
     rising = vb > va
     lo, hi = np.broadcast_arrays(a, b, nu)[:2]

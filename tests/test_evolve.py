@@ -31,7 +31,7 @@ from chiralwalk import (
 )
 from chiralwalk.cli import _select_front
 from chiralwalk.evolve import (
-    BLOCK, GUARD_SITES, MAX_LATTICE, ROW_BATCH, _exact_sum, _fast_even_lengths, _int_power
+    BLOCK, GUARD_SITES, MAX_LATTICE, ROW_BATCH, _fast_even_lengths, _int_power
 )
 from chiralwalk.hydro import scaled_moment
 from oracles import (
@@ -335,6 +335,13 @@ def test_nan_time_refused_before_the_phase_fill(monkeypatch, lattice):
 
 def _same_float(a, b):
     return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+def _exact_sum(x):
+    """evolve._fsum_blocks over a float64 array, taken BLOCK terms at a time."""
+    x = np.asarray(x, dtype=float).ravel()
+    blocks = EVOLVE_MODULE._blocks
+    return EVOLVE_MODULE._fsum_blocks(lambda: (x[start:stop] for start, stop in blocks(x.size)))
 
 
 def test_exact_sum_matches_fsum(monkeypatch):

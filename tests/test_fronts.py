@@ -20,7 +20,7 @@ from chiralwalk import (
     scan_diagrams,
 )
 from chiralwalk.dispersion import PHI_MAX
-from chiralwalk.fronts import BAND_2, BAND_3_G, BAND_3_PHI, G_SEED
+from chiralwalk.fronts import BAND_2, BAND_3_G, BAND_3_PHI, G_SEED, same_velocity
 
 from oracles import per_point_critical_coupling, per_point_fronts, quartic_crosscheck
 
@@ -98,6 +98,24 @@ def test_topology_classification():
     assert d.v_rm == pytest.approx(3.0, abs=1e-12)
     assert cone_topology(WalkParams(0.35, PI / 4)).topology is ConeTopology.TWO_NESTED_CONES
     assert cone_topology(WalkParams(0.125, PI / 2)).topology is ConeTopology.CRITICAL_THIRD_ORDER
+
+
+@pytest.mark.parametrize("phi", [0.0, 0.8, 1.5, PI / 2 - 1e-3])
+@pytest.mark.parametrize("eps", [1e-10, 1e-9, 1e-8, 1e-7])
+def test_pair_born_at_critical_coupling_nests_the_cones(phi, eps):
+    # just above g_c the internal pair agrees in velocity to 4e-16 .. 7e-11,
+    # within TOL_DEGEN, but it is not the slowest pair: the cones are nested
+    d = cone_topology(WalkParams(critical_coupling(phi) * (1.0 + eps), phi))
+    assert d.topology is ConeTopology.TWO_NESTED_CONES, (phi, eps)
+
+
+@pytest.mark.parametrize("g, phi", [(0.13, PI / 2), (1 / 4, PI / 2), (1 / 2, PI / 2), (1 / 4, PI / 2 - 1e-10)])
+def test_slowest_pair_co_moving_overlaps_the_cones(g, phi):
+    # the mirror pair of phi = pi/2 is the slowest; 1e-10 off pi/2 its two
+    # velocities are still 1.7e-10 apart, within TOL_DEGEN
+    d = cone_topology(WalkParams(g, phi))
+    assert d.topology is ConeTopology.TWO_OVERLAPPING_CONES, (g, phi)
+    assert same_velocity(d.fronts[0].velocity, d.fronts[1].velocity)
 
 
 def test_critical_second_order_at_exact_real_coupling():

@@ -31,7 +31,7 @@ from chiralwalk import (
     scaling_curve,
 )
 
-from oracles import bisected_sublevel, brute_force_cpd, gauss_legendre_moment
+from oracles import bisected_sublevel, brute_force_cpd, gauss_legendre_moment, sublevel_intervals
 
 PI = math.pi
 SUBLEVEL_COUPLINGS = [(1 / 16, PI / 2), (1 / 4, PI / 2), (1 / 8, PI / 2), (1 / 4, 0.0),
@@ -256,7 +256,7 @@ def test_closed_form_moments_match_gauss_legendre():
         p = WalkParams(g, phi)
         d = cone_topology(p)
         nu = np.linspace(d.v_lm - 0.5, d.v_rm + 0.5, 12001)
-        start, end = hydro._sublevel(p, nu)
+        start, end = sublevel_intervals(p, nu)
         got = hydro._bulk(p, nu, (1, 2, 3, 4))
         for k, ref in gauss_legendre_moment(g, phi, start, end, (1, 2, 3, 4)).items():
             err = np.abs(got[f"m{k}"] - ref) / np.maximum(1.0, np.abs(ref))
@@ -272,7 +272,7 @@ NOISE_ULPS = 16  # the residual bound, in ulps of 2 + 4g + |nu|
 
 
 def assert_roots_match_bisection(p, nu, start, end):
-    """_sublevel's intervals against the fixed 54-step bisection; returns the
+    """The package's sub-level intervals against the fixed 54-step bisection; returns the
     bisected intervals and the distance between the two roots.
 
     Both roots lie where the computed v - nu is within its float noise N;
@@ -281,7 +281,8 @@ def assert_roots_match_bisection(p, nu, start, end):
     ill-conditioned and only its residual is bounded.
     """
     ref_start, ref_end = bisected_sublevel(p, nu)
-    _, _, va, vb = hydro._branches(p)
+    branches = hydro._branches(p)
+    va, vb = branches.va, branches.vb
     straddle = (np.minimum(va, vb) < nu) & (nu < np.maximum(va, vb))
     # empty and whole branches take the same ends
     assert np.array_equal(start[~straddle], ref_start[~straddle])
@@ -306,9 +307,10 @@ def test_sublevel_matches_bisection(g, phi):
     d = cone_topology(p)
     hair = [fr.velocity + s for fr in d.fronts for s in (-1e-6, 1e-6, -1e-8, 1e-8, -1e-12, 1e-12)]
     nu = np.sort(np.concatenate([np.linspace(d.v_lm - 0.5, d.v_rm + 0.5, 12001), hair]))
-    start, end = hydro._sublevel(p, nu)
+    start, end = sublevel_intervals(p, nu)
     ref_start, ref_end, dq = assert_roots_match_bisection(p, nu, start, end)
-    a, b, _, _ = hydro._branches(p)
+    branches = hydro._branches(p)
+    a, b = branches.a, branches.b
     # Phi, J and M~_1..3 against the bisected intervals, integrated by
     # Gauss-Legendre: the closed forms' 1e-12, plus the integral of
     # |v|^k <= (|nu| + 1e-9)^k over the slivers between the two roots
@@ -352,13 +354,13 @@ def test_roots_start_in_a_bracketing_cell(couplings):
     branch, col, k = hydro._cells(branches, nu)
     q, v = branches.q.ravel(), branches.v.ravel()
     a, b, va, vb = q[k], q[k + 1], v[k], v[k + 1]
-    _, _, v_a, v_b = branches
+    v_a, v_b = branches.va, branches.vb
     straddle = (np.minimum(v_a, v_b) < nu) & (nu < np.maximum(v_a, v_b))
     assert branch.size == np.count_nonzero(straddle)
     x = nu[col]
     assert np.all(np.where(vb > va, (va <= x) & (x < vb), (vb <= x) & (x < va))), p
     assert np.all(a < b), p
-    start, end = hydro._sublevel(p, nu, branches)
+    start, end = sublevel_intervals(p, nu, branches)
     root = np.where(branches.rising, end, start)[branch, col]
     assert np.all((a <= root) & (root <= b)), p
     assert_roots_match_bisection(p, nu, start, end)
@@ -386,7 +388,7 @@ def test_root_evaluations_on_the_bulk_grids(monkeypatch, g):
     monkeypatch.setattr(hydro, "_evaluate", counted)
     for nu in grids:
         sizes.clear()
-        hydro._sublevel(p, nu, branches)
+        sublevel_intervals(p, nu, branches)
         pairs = hydro._cells(branches, nu)[0].size
         assert sum(sizes) / pairs <= 3.5, (g, sum(sizes) / pairs)
         assert len(sizes) <= 8, (g, sizes)
@@ -408,8 +410,8 @@ def test_bulk_does_not_depend_on_the_block(monkeypatch, block):
 
 
 def test_bulk_memory_is_one_block(monkeypatch):
-    # 2^16 nu in blocks of 2^12 on four branches: the five results hold
-    # 2.6 MB, one block's (branches, nu) arrays ~0.1-0.3 MB each, while the
+    # 2^16 nu in blocks of 2^12 on four branches: the six results hold
+    # 3.1 MB, one block's (branches, nu) arrays ~0.1-0.3 MB each, while the
     # whole grid's would take ~2-4 MB each and ~30 MB together
     monkeypatch.setattr(hydro, "NU_BLOCK", 1 << 12)
     p = WalkParams(0.3, 0.8)
@@ -425,17 +427,24 @@ def test_bulk_memory_is_one_block(monkeypatch):
     assert peak < 12 << 20, peak
 
 
-def test_phi_density_shares_bulk_phi():
-    # nu_half certifies with _phi_density's Phi, the curves report _bulk's
-    for g, phi in SUBLEVEL_COUPLINGS:
-        p = WalkParams(g, phi)
-        d = cone_topology(p)
-        nu = np.linspace(d.v_lm - 0.5, d.v_rm + 0.5, 2001)
-        nu[0] = math.nan
-        got = hydro._phi_density(p, nu, hydro._branches(p))[0]
-        bulk = hydro._bulk(p, nu, (1,))
-        assert np.array_equal(got, bulk["phi"], equal_nan=True), (g, phi)
-        assert np.array_equal(bulk["m1"], bulk["j"], equal_nan=True), (g, phi)
+@pytest.mark.parametrize("g, phi", [(0.3, 0.8), (0.35, 1.4), (1 / 2, PI / 2)])
+def test_nu_half_builds_the_branch_table_once(monkeypatch, g, phi):
+    # each Newton step is one _bulk call on the table that nu_half built,
+    # not a new 128-node table per step
+    p = WalkParams(g, phi)
+    calls = {"_branches": 0, "_bulk": 0}
+    for name in calls:
+        original = getattr(hydro, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(hydro, name, counted)
+    x = nu_half(p)
+    assert calls["_branches"] == 1, calls
+    assert calls["_bulk"] >= 2, calls
+    assert_nu_half_certified(p, x, 1e-10)
 
 
 def test_scaling_curve_invariants():
