@@ -265,7 +265,7 @@ def brute_force_cpd(g, phi, nus, n):
 
 
 def sublevel_intervals(p, nu, branches=None):
-    """The package's interval [start, end] of {v <= nu} on every branch, shape (branches, len(nu)).
+    """The package's intervals [start, end] of {v <= nu}, shape (branches, len(nu)).
 
     Built from hydro._ends, the roots that _bulk integrates over: an empty
     interval has start == end, a whole branch is exactly [a, b], and a NaN

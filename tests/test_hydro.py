@@ -272,8 +272,8 @@ NOISE_ULPS = 16  # the residual bound, in ulps of 2 + 4g + |nu|
 
 
 def assert_roots_match_bisection(p, nu, start, end):
-    """The package's sub-level intervals against the fixed 54-step bisection; returns the
-    bisected intervals and the distance between the two roots.
+    """The package's sub-level intervals against the fixed 54-step bisection;
+    returns the bisected intervals and the distance between the two roots.
 
     Both roots lie where the computed v - nu is within its float noise N;
     where that band, 2N / |v'|, is wider than half the root bound (next to
