@@ -27,7 +27,6 @@ from .fronts import (
     ConeTopology,
     ExtremalFront,
     FrontDiagram,
-    FrontScanError,
     cone_topology,
     critical_coupling,
     degeneracy,

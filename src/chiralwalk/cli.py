@@ -61,10 +61,6 @@ MAX_SWEEP = 1 << 16
 CSV_BLOCK = 512
 
 
-class ConfigError(Exception):
-    pass
-
-
 def _cell(c) -> str:
     """One CSV field: strings quoted per RFC 4180 when they hold a separator,
     a quote or a line break, Python ints as written, numbers as %.17g."""
@@ -132,7 +128,7 @@ def _lattice(args):
     try:
         return int(args.lattice)
     except ValueError as exc:
-        raise ConfigError(f"--lattice must be an integer or 'auto', got {args.lattice!r}") from exc
+        raise ValueError(f"--lattice must be an integer or 'auto', got {args.lattice!r}") from exc
 
 
 def _outdir(args) -> Path:
@@ -140,7 +136,7 @@ def _outdir(args) -> Path:
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
+        raise ValueError(f"cannot create output directory {out}: {exc}") from exc
     return out
 
 
@@ -184,18 +180,18 @@ def cmd_evolve(args) -> int:
 
 def cmd_fronts(args) -> int:
     if not (math.isfinite(args.g_min) and math.isfinite(args.g_max)):
-        raise ConfigError(f"g-min and g-max must be finite, got {args.g_min} and {args.g_max}")
+        raise ValueError(f"g-min and g-max must be finite, got {args.g_min} and {args.g_max}")
     if args.g_steps < 1 or args.g_max < args.g_min:
-        raise ConfigError("empty g range: need g-steps >= 1 and g-max >= g-min")
+        raise ValueError("empty g range: need g-steps >= 1 and g-max >= g-min")
     if args.g_min < 0:
-        raise ConfigError(f"g must be >= 0, got g-min={args.g_min}")
+        raise ValueError(f"g must be >= 0, got g-min={args.g_min}")
     check_coupling(args.g_max)
     phis = [args.phi] if not args.phi_list else [float(s) for s in args.phi_list.split(",")]
     for phi in phis:
         if not 0.0 <= phi <= PHI_MAX:
-            raise ConfigError(f"phi {phi!r} outside the canonical window [0, pi/2]")
+            raise ValueError(f"phi {phi!r} outside the canonical window [0, pi/2]")
     if len(phis) * args.g_steps > MAX_SWEEP:
-        raise ConfigError(
+        raise ValueError(
             f"a sweep of {len(phis)} phi x {args.g_steps} g-steps exceeds {MAX_SWEEP} points"
         )
     out = _outdir(args)
@@ -226,7 +222,7 @@ def cmd_fronts(args) -> int:
 def cmd_scaling(args) -> int:
     p = WalkParams(args.g, args.phi)
     if not 2 <= args.grid <= MAX_GRID:
-        raise ConfigError(f"grid must lie in [2, {MAX_GRID}], got {args.grid}")
+        raise ValueError(f"grid must lie in [2, {MAX_GRID}], got {args.grid}")
     # first, so that windows covering every compared site end the run before any output
     report = hydro_mod.compare_bulk(p, args.t, exclusion=args.exclusion, lattice=_lattice(args))
     out = _outdir(args)
@@ -292,22 +288,22 @@ def _select_front(diagram, which: str):
         if not (same_velocity(fr.velocity, diagram.v_lm) or same_velocity(fr.velocity, diagram.v_rm))
     ]
     if not inner:
-        raise ConfigError("no internal front at these couplings")
+        raise ValueError("no internal front at these couplings")
     if not all(same_velocity(fr.velocity, inner[0].velocity) for fr in inner):
-        raise ConfigError(f"ambiguous internal front, velocities {[fr.velocity for fr in inner]}")
+        raise ValueError(f"ambiguous internal front, velocities {[fr.velocity for fr in inner]}")
     return inner[0]
 
 
 def cmd_edge(args) -> int:
     p = WalkParams(args.g, args.phi)
     if args.t <= 0:
-        raise ConfigError("t must be > 0")
+        raise ValueError("t must be > 0")
     if not 0.0 < args.xi_max <= airy_mod.XI_LIMIT:
-        raise ConfigError(
+        raise ValueError(
             f"xi-max must be finite with 0 < xi-max <= {airy_mod.XI_LIMIT}, got {args.xi_max}"
         )
     if args.window is not None and args.window < 1:
-        raise ConfigError(f"window must be >= 1 site, got {args.window}")
+        raise ValueError(f"window must be >= 1 site, got {args.window}")
     diagram = cone_topology(p)
     front = _select_front(diagram, args.front)
     meta = {
@@ -329,11 +325,11 @@ def cmd_edge(args) -> int:
     else:
         scale = edge_scale(front, args.t)
         if not 0.0 < scale < math.inf:  # |kappa| t underflows or overflows
-            raise ConfigError(f"the edge scale at t={args.t} is {scale} sites, not a positive float")
+            raise ValueError(f"the edge scale at t={args.t} is {scale} sites, not a positive float")
         window = args.window if args.window is not None else int(math.ceil(args.xi_max * scale))
         usable = airy_mod.max_edge_window(front, args.t)
         if window > usable:
-            raise ConfigError(
+            raise ValueError(
                 f"a window of {window} sites reaches past |xi| = {airy_mod.XI_LIMIT} on the "
                 f"predicted profile; the usable maximum is {usable} sites "
                 f"(xi-max <= {math.floor(usable / scale * 1e3) / 1e3})"
@@ -419,22 +415,32 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _inject_config(argv: list[str]) -> list[str]:
-    """Insert key=value pairs from --config FILE before the explicit flags."""
-    if "--config" not in argv:
+    """Insert key=value pairs from the --config FILE before the explicit flags.
+
+    The file is the one the subcommand's parser binds to --config: the last
+    of the tokens --c ... --config, which argparse takes as abbreviations,
+    each followed by the path or joined to it by '='.
+    """
+    path = None
+    for i, token in enumerate(argv[1:], 1):
+        flag, joined, value = token.partition("=")
+        if len(flag) > 2 and "--config".startswith(flag):
+            if not joined:
+                if i + 1 >= len(argv):
+                    raise ValueError("--config requires a file path")
+                value = argv[i + 1]
+            path = Path(value)
+    if path is None:
         return argv
-    i = argv.index("--config")
-    if i + 1 >= len(argv):
-        raise ConfigError("--config requires a file path")
-    path = Path(argv[i + 1])
     if not path.is_file():
-        raise ConfigError(f"config file not found: {path}")
+        raise ValueError(f"config file not found: {path}")
     extra: list[str] = []
     for lineno, line in enumerate(path.read_text().splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+            raise ValueError(f"{path}:{lineno}: expected 'key = value'")
         key, value = (s.strip() for s in line.split("=", 1))
         extra.extend([f"--{key.replace('_', '-')}", value])
     return argv[:1] + extra + argv[1:]
@@ -448,9 +454,9 @@ def main(argv: list[str] | None = None) -> int:
             argv = _inject_config(argv)
         args = ap.parse_args(argv)
         if not math.isfinite(getattr(args, "t", 0.0)):
-            raise ConfigError(f"t must be finite, got {args.t}")
+            raise ValueError(f"t must be finite, got {args.t}")
         return args.func(args)
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except GuardError as exc:

@@ -352,9 +352,9 @@ def _ring_layout(
     """The (L, origin) evolve uses: ring_layout, or the centred lattice once checked."""
     if lattice is None:
         return ring_layout(p, t, reach)
+    if isinstance(lattice, bool) or not isinstance(lattice, (int, np.integer)) or lattice < 4 or lattice % 2:
+        raise ValueError(f"lattice size must be an even integer >= 4, got lattice={lattice!r}")
     L = int(lattice)
-    if L < 4 or L % 2:
-        raise ValueError("lattice size must be an even integer >= 4")
     _check_cap(L)
     if enforce_guard:
         d = cone_topology(p)

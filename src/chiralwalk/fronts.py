@@ -10,22 +10,25 @@ polynomial, so both questions have algebraic answers:
   double real root, is a cube root in closed form (critical_coupling).
 
 So the phase diagram is known in closed form, and the scan reads each
-point's front count and orders off it rather than off its roots: w'' has a
-multiple root only on the Lifshitz line, a double root at q_c + pi, and a
-triple one only at (g, phi) = (1/8, pi/2).  Off them there are 2 + 2 [g >
-g_c] simple fronts, the companion eigenvalues of the quartic nearest the
-unit circle.  A point is critical of order k when the fronts that would
-split off the multiple root agree in velocity to float64 roundoff (the
-bands BAND_2 and BAND_3): its order-k front sits at the closed-form root,
-and its 4 - k simple fronts are the eigenvalues farthest in angle from it.
-Each simple root is polished by Newton in real q on w''.  A front's edge
-coefficient is kappa_k = w^(k+2)(q*)/(k+1)! at its root q*.
+point's front count, orders and cone topology off it rather than off its
+roots: w'' has a multiple root only on the Lifshitz line, a double root at
+q_c + pi, and a triple one only at (g, phi) = (1/8, pi/2).  Off them there
+are 2 + 2 [g > g_c] simple fronts, the companion eigenvalues of the
+quartic nearest the unit circle.  A point is critical of order k when the
+fronts that would split off the multiple root agree in velocity to float64
+roundoff (the bands BAND_2 and BAND_3): its order-k front sits at the
+closed-form root, and its 4 - k simple fronts are the eigenvalues farthest
+in angle from it.  Each simple root is polished by Newton in real q on
+w''.  A front's edge coefficient is kappa_k = w^(k+2)(q*)/(k+1)! at its
+root q*.
 
-A scan runs over a whole batch of points at once: one stacked eigenvalue
-call on their companion matrices, then each selection, Newton step and
-derivative as one array operation over every root of the batch.  Every
-operation is elementwise, per matrix or per row, so a point's fronts are
-the same bits alone, in a sweep, or in any order of the points.
+A scan (scan_diagrams) runs over a whole batch of points at once and
+returns each point's classified diagram: one stacked eigenvalue call on
+their companion matrices, then each selection, Newton step and derivative
+as one array operation over every root of the batch.  Every operation is
+elementwise, per matrix or per row, so a point's diagram is the same bits
+alone, in a sweep, or in any order of the points; cone_topology and
+find_extremal_fronts read a one-point scan.
 """
 
 from __future__ import annotations
@@ -89,10 +92,6 @@ class FrontDiagram:
     topology: ConeTopology
 
 
-class FrontScanError(RuntimeError):
-    """Raised when a front set cannot be classified."""
-
-
 class _Couplings(NamedTuple):
     """g and phi as arrays for omega_deriv over a stack, one coupling per root."""
 
@@ -137,14 +136,16 @@ def check_coupling(g: float) -> None:
         raise ValueError(f"g={g!r} is too large for the front scan: 64 g overflows")
 
 
-def _front_sets(points) -> list:
-    """Per point, its fronts sorted by velocity, or the LinAlgError of its quartic.
+def scan_diagrams(points) -> list:
+    """The FrontDiagram of each point, or the LinAlgError of its quartic, uncached.
 
-    All points are scanned in one pass: one stack of companion matrices, a
-    padded (points x degree) layout of their eigenvalues from which each
-    row's simple roots are picked, and each Newton step and derivative
-    taken once over every root of the stack.  Fronts of equal velocity are
-    sorted by q*.  Every g must pass check_coupling.
+    One failing point does not fail the others.  Fronts are sorted by
+    velocity, then by q*.  The topology is the point's phase: critical of
+    order k in the order-k band, one cone for g <= g_c, else two cones,
+    overlapping when the two slowest fronts co-move.  Only the mirror pair
+    of phi = pi/2, where v(pi - q) = v(q), does; the internal pair born at
+    g_c agrees in velocity to roundoff just above it, and its cones are
+    nested.  Every g must pass check_coupling.
     """
     for p in points:
         check_coupling(p.g)
@@ -154,9 +155,10 @@ def _front_sets(points) -> list:
     closed = {f: _critical_root(f) for f in set(phi.tolist())}
     q_c, g_c = np.array([closed[f] for f in phi.tolist()]).reshape(-1, 2).T
     # the order of each point's multiple root, 0 off the bands
-    order = np.where(np.abs(g / g_c - 1.0) <= BAND_2, 2, 0)
-    order[(np.abs(g - 0.125) <= BAND_3_G) & (PHI_MAX - phi <= BAND_3_PHI)] = 3
-    simple = np.where(order > 0, 4 - order, 2 + 2 * (g > g_c))
+    phase = np.where(np.abs(g / g_c - 1.0) <= BAND_2, 2, 0)
+    phase[(np.abs(g - 0.125) <= BAND_3_G) & (PHI_MAX - phi <= BAND_3_PHI)] = 3
+    two_cones = g > g_c
+    simple = np.where(phase > 0, 4 - phase, 2 + 2 * two_cones)
     # a seeded row never reaches the division by its leading coefficient,
     # which vanishes for the quartic at g = 0
     live = np.flatnonzero(g >= G_SEED)
@@ -181,7 +183,7 @@ def _front_sets(points) -> list:
     angle[live] = np.angle(z)
     score[live] = np.abs(np.log(np.abs(z)))
     del z
-    band = order > 0
+    band = phase > 0
     score[band] = -np.abs((angle[band] - q_c[band, None] + math.pi) % TWO_PI - math.pi)
     rank = np.argsort(score, axis=1, kind="stable")
     picked = np.arange(4) < simple[:, None]
@@ -190,7 +192,7 @@ def _front_sets(points) -> list:
     multiple = np.flatnonzero(band)
     rows = np.concatenate([rows, multiple])
     q = np.concatenate([q, q_c[multiple]])
-    order = np.concatenate([np.ones(q.size - multiple.size, np.intp), order[multiple]])
+    order = np.concatenate([np.ones(q.size - multiple.size, np.intp), phase[multiple]])
     velocity = omega_deriv(q, 1, couplings.at(rows))
     kappa = np.empty_like(q)
     for m in set(order.tolist()):
@@ -199,15 +201,34 @@ def _front_sets(points) -> list:
     fronts = [[] for _ in points]
     for r, *front in zip(rows.tolist(), q.tolist(), velocity.tolist(), order.tolist(), kappa.tolist()):
         fronts[r].append(ExtremalFront(*front, "left" if front[1] < 0 else "right"))
-    for found in fronts:
+    out = []
+    for r, (p, found, k, two) in enumerate(zip(points, fronts, phase.tolist(), two_cones.tolist())):
+        if r in failed:
+            out.append(failed[r])
+            continue
         found.sort(key=lambda fr: (fr.velocity, fr.q_star))
-    for r, exc in failed.items():
-        fronts[r] = exc
-    return fronts
+        if k:
+            topology = ConeTopology.CRITICAL_THIRD_ORDER if k == 3 else ConeTopology.CRITICAL_SECOND_ORDER
+        elif not two:
+            topology = ConeTopology.ONE_CONE
+        elif same_velocity(found[0].velocity, found[1].velocity):
+            topology = ConeTopology.TWO_OVERLAPPING_CONES
+        else:
+            topology = ConeTopology.TWO_NESTED_CONES
+        out.append(FrontDiagram(p, tuple(found), found[0].velocity, found[-1].velocity, topology))
+    return out
+
+
+def _scan(p: WalkParams) -> FrontDiagram:
+    """The front diagram of p from a one-point scan; raises its LinAlgError."""
+    (diagram,) = scan_diagrams([p])
+    if isinstance(diagram, Exception):
+        raise diagram
+    return diagram
 
 
 def find_extremal_fronts(p: WalkParams) -> list[ExtremalFront]:
-    """Locate and classify every extremal front of the dispersion.
+    """Locate and classify every extremal front of the dispersion, sorted by velocity.
 
     The fronts are the real roots of w'', read off the closed-form phase
     diagram: an order-k front at the multiple root q_c + pi of a point in
@@ -215,63 +236,13 @@ def find_extremal_fronts(p: WalkParams) -> list[ExtremalFront]:
     of the quartic z^2 w''(q).  kappa is taken at each front's root.  g must
     pass check_coupling.
     """
-    (fronts,) = _front_sets([p])
-    if isinstance(fronts, Exception):
-        raise fronts
-    return fronts
-
-
-def _diagram(p: WalkParams, fronts) -> FrontDiagram:
-    """Assemble the front diagram of p and classify its causal-cone topology.
-
-    fronts must be sorted by velocity, as _front_sets returns them: v_lm and
-    v_rm are its ends, and two cones overlap when the two slowest fronts
-    share a velocity.  In the canonical window only the mirror pair of
-    phi = pi/2, where v(pi - q) = v(q), co-moves, and it is the slowest
-    pair; the internal pair born at g_c agrees in velocity to roundoff just
-    above it, and its cones are nested.
-    """
-    fronts = tuple(fronts)
-    n = len(fronts)
-    if n not in (2, 3, 4):
-        raise FrontScanError(f"unexpected front count {n} at {p}")
-    v_lm, v_rm = fronts[0].velocity, fronts[-1].velocity
-    orders = [fr.order for fr in fronts]
-    if n == 2:
-        topo = ConeTopology.CRITICAL_THIRD_ORDER if 3 in orders else ConeTopology.ONE_CONE
-    elif n == 3:
-        topo = ConeTopology.CRITICAL_SECOND_ORDER
-    else:
-        topo = (
-            ConeTopology.TWO_OVERLAPPING_CONES
-            if same_velocity(fronts[0].velocity, fronts[1].velocity)
-            else ConeTopology.TWO_NESTED_CONES
-        )
-    return FrontDiagram(p, fronts, v_lm, v_rm, topo)
+    return list(_scan(p).fronts)
 
 
 @lru_cache(maxsize=64)
 def cone_topology(p: WalkParams) -> FrontDiagram:
-    """Assemble the front diagram and classify the causal-cone topology."""
-    return _diagram(p, find_extremal_fronts(p))
-
-
-def scan_diagrams(points) -> list:
-    """cone_topology of many points in one batched scan, without its cache.
-
-    Returns, per point, its FrontDiagram or the FrontScanError or
-    LinAlgError that its scan raised, so that one failing point does not
-    fail the others; every g must pass check_coupling.
-    """
-    out = []
-    for p, fronts in zip(points, _front_sets(points)):
-        if not isinstance(fronts, Exception):
-            try:
-                fronts = _diagram(p, fronts)
-            except FrontScanError as exc:
-                fronts = exc
-        out.append(fronts)
-    return out
+    """The front diagram of p and its causal-cone topology, see scan_diagrams."""
+    return _scan(p)
 
 
 def same_velocity(v_a: float, v_b: float) -> bool:

@@ -14,9 +14,9 @@ package takes the unit-circle roots of a quartic in e^{iq}), each point's
 fronts come from its own np.roots call and a scalar Newton polish of each
 root (the package scans a whole stack of points at once and must match
 this bit for bit; both read the point's front count and orders off the
-same closed-form phase diagram), the scaled
-moments come from
-Gauss-Legendre quadrature of v^k (the package telescopes a closed-form
+same closed-form phase diagram), the cone topology comes from counting a
+point's fronts (the package reads it off the point's phase), the scaled
+moments come from Gauss-Legendre quadrature of v^k (the package telescopes a closed-form
 antiderivative), the ring kernels come from whole-ring array
 expressions (the package walks the ring in cache-sized blocks and must
 match these bit for bit), the ring amplitudes come from a direct
@@ -34,10 +34,12 @@ import mpmath as mp
 import numpy as np
 from scipy.linalg import expm
 
-from chiralwalk import ExtremalFront, cone_topology, edge_scale, omega
+from chiralwalk import ConeTopology, ExtremalFront, cone_topology, edge_scale, omega
 from chiralwalk.airy import RAY_DECAY, RAY_NODES, SEGMENT_NODES, _unit_rule
 from chiralwalk.dispersion import PHI_MAX, TWO_PI, omega_deriv
-from chiralwalk.fronts import BAND_2, BAND_3_G, BAND_3_PHI, G_SEED, NEWTON_STEPS, _critical_root
+from chiralwalk.fronts import (
+    BAND_2, BAND_3_G, BAND_3_PHI, G_SEED, NEWTON_STEPS, _critical_root, same_velocity
+)
 from chiralwalk.evolve import GUARD_SITES, _check_cap, _int_power, _rows, _tail_margin
 from chiralwalk.hydro import _branches, _ends
 
@@ -418,6 +420,26 @@ def per_point_fronts(p):
         fronts.append(ExtremalFront(q, v, order, kappa, "left" if v < 0 else "right"))
     fronts.sort(key=lambda fr: (fr.velocity, fr.q_star))
     return fronts
+
+
+def count_topology(fronts):
+    """(topology, v_lm, v_rm) of a point's velocity-sorted fronts, by counting them.
+
+    Two fronts are one cone, or the third-order critical point when one of
+    them has order 3; three are the second-order critical point; four are
+    two cones, overlapping when the two slowest fronts co-move.
+    """
+    n, orders = len(fronts), [fr.order for fr in fronts]
+    assert n in (2, 3, 4), f"unexpected front count {n}"
+    if n == 2:
+        topology = ConeTopology.CRITICAL_THIRD_ORDER if 3 in orders else ConeTopology.ONE_CONE
+    elif n == 3:
+        topology = ConeTopology.CRITICAL_SECOND_ORDER
+    elif same_velocity(fronts[0].velocity, fronts[1].velocity):
+        topology = ConeTopology.TWO_OVERLAPPING_CONES
+    else:
+        topology = ConeTopology.TWO_NESTED_CONES
+    return topology, fronts[0].velocity, fronts[-1].velocity
 
 
 def per_point_critical_coupling(phi):

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from chiralwalk import WalkParams, _g17, cli, fronts
 from chiralwalk.cli import main
 from chiralwalk.evolve import evolve
-from chiralwalk.fronts import FrontScanError
 
 SCHEMA_DIR = Path(__file__).parent.parent / "src" / "chiralwalk" / "schemas"
 
@@ -365,6 +364,33 @@ def test_config_file_errors(tmp_path, capsys):
         main(["evolve", "--g", "0.1", "--config", str(unknown), "--out", str(tmp_path)])
 
 
+@pytest.mark.parametrize("spelling", [["--config", "{}"], ["--config={}"], ["--conf", "{}"], ["--conf={}"]])
+def test_config_file_read_under_every_spelling(tmp_path, spelling):
+    # every spelling that argparse binds to --config reads the file
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("g = 0.3\nphi = 0.8\nt = 7\n")
+    flags = [s.format(cfg) for s in spelling]
+    assert main(["evolve", "--g", "0.3", *flags, "--out", str(tmp_path / "o")]) == 0
+    summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+    assert (summary["t"], summary["phi"]) == (7.0, 0.8)
+    missing = [s.format(tmp_path / "nope.txt") for s in spelling]
+    assert main(["evolve", "--g", "0.3", *missing, "--out", str(tmp_path / "none")]) == 2
+    assert not (tmp_path / "none").exists()
+
+
+@pytest.mark.parametrize("command", ["evolve", "fronts", "scaling", "edge"])
+def test_config_read_under_every_abbreviation(command, tmp_path):
+    # argparse binds --c ... --config, spaced or joined by '=', to --config
+    # in every subcommand, and each of them reads the file
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("jobs = 2\n")
+    required = [] if command == "fronts" else ["--g", "0.1"]
+    for n in range(3, len("--config") + 1):
+        for flag in (["--config"[:n], str(cfg)], [f"{'--config'[:n]}={cfg}"]):
+            args = cli.build_parser().parse_args(cli._inject_config([command, *required, *flag]))
+            assert (args.config, args.jobs) == (str(cfg), 2), flag
+
+
 def test_fronts_sweep_and_gc(tmp_path):
     rc = main([
         "fronts", "--phi", str(math.pi / 2), "--g-min", "0.05", "--g-max", "0.2",
@@ -392,27 +418,20 @@ def test_fronts_empty_range(tmp_path):
 
 
 def test_fronts_lost_roots_reported_per_row(tmp_path, monkeypatch):
-    # a batched scan that loses every root of one point fails that point's
-    # classification alone: it is written as one error row, quoted per RFC
-    # 4180, and the sweep goes on
-    scan = fronts._front_sets
-
-    def lose_roots_at_middle_g(points):
-        return [[] if p.g == 0.1 else found for p, found in zip(points, scan(points))]
-
-    monkeypatch.setattr(fronts, "_front_sets", lose_roots_at_middle_g)
-    assert isinstance(fronts.scan_diagrams([WalkParams(0.1, 0.8)])[0], FrontScanError)
+    # a point whose eigensolve fails is written as one error row, its
+    # message quoted per RFC 4180, and the sweep goes on
+    message = 'LAPACK "geev" failed, info=3'
+    record_eigvals(monkeypatch, failing_g=0.1, message=message)
     rc = main([
         "fronts", "--phi", "0.8", "--g-min", "0", "--g-max", "0.2", "--g-steps", "3",
         "--out", str(tmp_path),
     ])
     assert rc == 0
     text = (tmp_path / "fronts.csv").read_text()
-    message = "error: unexpected front count 0 at WalkParams(g=0.1, phi=0.8)"
-    assert f'0.80000000000000004,0.10000000000000001,,,,,,"{message}"\n' in text
+    assert '0.80000000000000004,0.10000000000000001,,,,,,"error: LAPACK ""geev"" failed, info=3"\n' in text
     header, *rows = csv.reader(text.splitlines())
     assert header[-1] == "status"
-    assert [r[-1] for r in rows if r[1] == "0.10000000000000001"] == [message]
+    assert [r[-1] for r in rows if r[1] == "0.10000000000000001"] == [f"error: {message}"]
     ok = [r for r in rows if r[1] != "0.10000000000000001"]
     assert {r[1] for r in ok} == {"0", "0.20000000000000001"}
     assert all(r[-1] == "ok" for r in ok)
@@ -432,18 +451,19 @@ def test_fronts_phi_just_past_the_window_exits_2(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
-def record_eigvals(monkeypatch, failing_g=None):
+def record_eigvals(monkeypatch, failing_g=None, message="Eigenvalues did not converge"):
     """Record the stack size of each np.linalg.eigvals call, failing on failing_g.
 
-    A call fails when its stack holds the quartic of coupling failing_g, the
-    companion matrix of z^2 w'' with -1/(4 g e^{i phi}) as its (0, 0) entry.
+    A call fails, with a LinAlgError of the given message, when its stack
+    holds the quartic of coupling failing_g, the companion matrix of z^2 w''
+    with -1/(4 g e^{i phi}) as its (0, 0) entry.
     """
     eigvals, sizes = np.linalg.eigvals, []
 
     def eigvals_failing_at_g(a):
         sizes.append(len(a))
         if failing_g is not None and np.any(np.abs(np.abs(a[:, 0, 0]) - 0.25 / failing_g) < 1e-12):
-            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            raise np.linalg.LinAlgError(message)
         return eigvals(a)
 
     monkeypatch.setattr(np.linalg, "eigvals", eigvals_failing_at_g)

@@ -17,12 +17,14 @@ from chiralwalk import (
     ObservableField,
     WalkParams,
     WaveFunction,
+    compare_bulk,
     cone_topology,
     cumulative,
     cumulative_moment,
     current_density,
     edge_scale,
     evolve,
+    measure_edge,
     omega,
     position_moment,
     probability_density,
@@ -314,10 +316,26 @@ def test_guards_and_validation():
         evolve(p, -1.0)
     with pytest.raises(ValueError):
         evolve(p, 10.0, lattice=63)
+    assert evolve(p, 5.0, lattice=np.int64(128)).L == 128
     with pytest.raises(ValueError):
         cumulative(cumulative(probability_density(evolve(p, 1.0))))
     with pytest.raises(ValueError):
         position_moment(current_density(evolve(p, 1.0)), 2)
+
+
+@pytest.mark.parametrize("lattice", [128.9, 128.0, np.float64(128.0), "128", True],
+                         ids=["float", "whole-float", "numpy-float", "str", "bool"])
+def test_lattice_must_be_an_integer(lattice):
+    # a non-integer lattice is refused, not truncated; compare_bulk and
+    # measure_edge lay out their rings through the same check
+    p = WalkParams(0.3, 0.8)
+    with pytest.raises(ValueError, match="lattice size must be an even integer"):
+        evolve(p, 5.0, lattice=lattice)
+    with pytest.raises(ValueError, match="lattice size must be an even integer"):
+        compare_bulk(p, 5.0, lattice=lattice)
+    front = cone_topology(p).fronts[0]
+    with pytest.raises(ValueError, match="lattice size must be an even integer"):
+        measure_edge(p, front, 5.0, 4, lattice)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -22,7 +22,7 @@ from chiralwalk import (
 from chiralwalk.dispersion import PHI_MAX
 from chiralwalk.fronts import BAND_2, BAND_3_G, BAND_3_PHI, G_SEED, same_velocity
 
-from oracles import per_point_critical_coupling, per_point_fronts, quartic_crosscheck
+from oracles import count_topology, per_point_critical_coupling, per_point_fronts, quartic_crosscheck
 
 PI = math.pi
 
@@ -315,6 +315,32 @@ def test_batched_scan_equals_per_point_oracle():
     for p, diagram in zip(points, scan_diagrams(points), strict=True):
         assert diagram.fronts == tuple(per_point_fronts(p)), p
         assert diagram == cone_topology(p), p
+
+
+def test_topology_equals_the_front_count_oracle():
+    # the phase the scan reads off the closed form classifies each point as
+    # counting its fronts does, batched and alone: 20 000 random points,
+    # 3 000 of them at small g, the two critical bands and their edges at
+    # ten phi, and the seeded points
+    rng = np.random.default_rng(30)
+    g = np.concatenate([rng.uniform(0.0, 1.0, 17000), 10.0 ** rng.uniform(-7.0, -3.0, 3000)])
+    phi = rng.uniform(0.0, PI / 2, g.size)
+    points = [WalkParams(gi, fi) for gi, fi in zip(g.tolist(), phi.tolist())]
+    for f in [*np.linspace(0.0, PI / 2, 10).tolist(), math.nextafter(PI / 2, 0.0), PI / 2 - 2 * BAND_3_PHI]:
+        gc = critical_coupling(f)
+        eps = [0.0, *(s * m * BAND_2 for m in (0.5, 1.0, 2.0) for s in (-1, 1)),
+               *(s * 10.0**-k for k in range(5, 15) for s in (-1, 1))]
+        points += [WalkParams(gc * (1 + e), f) for e in eps]
+        points += [WalkParams(0.125 + s * m * BAND_3_G, f) for m in (0.0, 0.5, 1.0, 2.0) for s in (-1, 1)]
+    points += [WalkParams(gi, fi) for gi in (0.0, 0.5 * G_SEED, math.nextafter(G_SEED, 0.0))
+               for fi in (0.0, 0.8, PI / 2)]
+    seen = set()
+    for p, d in zip(points, scan_diagrams(points), strict=True):
+        want = count_topology(d.fronts)
+        assert (d.topology, d.v_lm, d.v_rm) == want, p
+        assert cone_topology(p) == d, p
+        seen.add(d.topology)
+    assert seen == set(ConeTopology)
 
 
 def test_critical_coupling_equals_per_point_oracle():
