@@ -32,8 +32,12 @@ A^(k+1) = c xi A with c = +-1, so
     F(xi) = xi A^2 - (1/c) sum_{j=1..k} (-1)^(j+1) A^(j) A^(k+1-j)
 
 has F' = A^2 (for k = 1 the classical xi Ai^2 - Ai'^2).  The predicted
-edge profile F(0) - F(-xi) is evaluated at its samples alone, from one table
-of k + 1 rows; no grid in xi is integrated numerically.
+edge profile F(0) - F(-xi) is evaluated at its samples alone from k + 1
+rows; no grid in xi is integrated numerically.  The rows are entire, so
+samples that outnumber ~1.25 X^((k+2)/(k+1)) + 40 Chebyshev points of
+their range |xi| <= X take the rows tabulated at those points alone,
+interpolated: the quadrature count follows the xi range, not the number
+of samples.
 
 Orientation convention used throughout this module: the edge coordinate is
 
@@ -63,7 +67,8 @@ RAY_NODES = 100  # converged from 80 at |xi| = 50
 RAY_DECAY = 40.0  # the ray ends where |integrand| <= exp(-40) ~ 4e-18
 # xi values per array evaluation: a block's complex node arrays (64 x 200
 # segment, 64 x 100 ray, 16 bytes each) and their temporaries stay in a 2 MB
-# L2; a sweep of 32, 64 and 128 on the published edge rows picked 64
+# L2; a sweep of 32, 64 and 128 on the published edge rows picked 64.  The
+# edge interpolant takes its samples in blocks of the same size
 XI_BLOCK = 64
 # extract_staircase keeps riser peaks at least STEP_MIN_SEP apart in xi, and
 # separated by a derivative dip below STEP_DIP_FRAC of the smaller peak
@@ -125,9 +130,9 @@ def airy_table(k: int, xi, derivs: int = 0) -> np.ndarray:
     whole array is validated first: every xi must be finite with
     |xi| <= XI_LIMIT.
     """
-    if not isinstance(k, (int, np.integer)) or k not in (1, 3):
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k not in (1, 3):
         raise ValueError(f"edge profiles are validated for front orders 1 and 3 only; got k={k}")
-    if not isinstance(derivs, (int, np.integer)) or derivs < 0:
+    if isinstance(derivs, bool) or not isinstance(derivs, (int, np.integer)) or derivs < 0:
         raise ValueError(f"derivs must be an integer >= 0, got derivs={derivs}")
     xi = np.asarray(xi, dtype=float)
     if not np.all(np.isfinite(xi)):
@@ -206,6 +211,46 @@ def max_edge_window(front: ExtremalFront, t: float) -> int:
     return math.floor(XI_LIMIT * edge_scale(front, t) - 0.5)
 
 
+def _edge_rows(k: int, x: np.ndarray) -> np.ndarray:
+    """airy_table(k, x, derivs=k) at a 1-d x, interpolated when x outnumbers its Chebyshev points.
+
+    The rows are entire in x, so a polynomial through n + 1 Chebyshev points
+    of the second kind on [min x, max x] converges to them once n passes the
+    number of oscillations that the points see: through x = X cos(theta) the
+    phase of A_k(x) at x < 0, whose wavenumber is |x|^(1/(k+1)), moves at most
+    0.62 X^(3/2) (k = 1) or 0.73 X^(5/4) (k = 3) per radian of theta, with
+    X = max |x|.  The smallest n at which predict_edge on [-X, X] stays within
+    1e-12 of the direct table was 0.74 X^(3/2) + 40 and 0.93 X^(5/4) + 30 for
+    X up to 50; n = 1.25 X^((k+2)/(k+1)) + 40 keeps a factor >= 1.35 above it.
+    The rows are evaluated there by airy_table and carried to x by the
+    barycentric formula (weights +-1, halved at the ends; Berrut and
+    Trefethen, SIAM Rev. 46, 2004) in blocks of XI_BLOCK samples.  Fewer
+    samples than points, and an x that airy_table refuses, go to the direct
+    table.
+    """
+    span = float(np.max(np.abs(x)))
+    n = math.ceil(1.25 * span ** ((k + 2) / (k + 1)) + 40) if span <= XI_LIMIT else x.size
+    if x.size <= n + 1:
+        return airy_table(k, x, derivs=k)
+    lo, hi = float(x.min()), float(x.max())
+    nodes = 0.5 * (hi + lo) + 0.5 * (hi - lo) * np.cos(np.arange(n + 1) * (math.pi / n))
+    nodes[[0, -1]] = hi, lo
+    rows = airy_table(k, nodes, derivs=k)
+    w = np.ones(n + 1)
+    w[1::2] = -1.0
+    w[[0, -1]] *= 0.5
+    out = np.empty((k + 1, x.size))
+    for b in range(0, x.size, XI_BLOCK):
+        d = x[b : b + XI_BLOCK, None] - nodes
+        hit = d == 0.0  # a sample on a node takes the node's rows
+        d[hit] = 1.0
+        c = w / d
+        out[:, b : b + XI_BLOCK] = (rows @ c.T) / c.sum(axis=1)
+        i, j = np.nonzero(hit)
+        out[:, b + i] = rows[:, j]
+    return out
+
+
 def predict_edge(front: ExtremalFront, t: float, xi_grid: np.ndarray) -> EdgeProfile:
     """Predicted scaled deviation: the running integral of A_k(-u)^2.
 
@@ -216,12 +261,14 @@ def predict_edge(front: ExtremalFront, t: float, xi_grid: np.ndarray) -> EdgePro
 
     has F' = A^2 (for k = 1 the classical xi Ai^2 - Ai'^2), and the running
     integral is F(0) - F(-xi) in closed form.  A_k and its first k
-    derivatives come from one airy_table call at the requested xi and 0, so
-    the cost grows with the number of samples, 2 window + 1, not with the xi
-    range.  On a 2-core AVX-512 VM with 2 MB of L2 per core that is 3-10 ms
-    for the published windows at t = 1e4, and ~46 ms for the 2 647 samples
-    of the g = 1/8 right-front window at t = 1e6, whose evolution takes
-    ~0.3 s there.
+    derivatives at the requested xi and 0 come from _edge_rows: one
+    airy_table call at the samples themselves when they are few, otherwise
+    at n + 1 Chebyshev points of their range (n = 83 for k = 1 at
+    |xi| <= 10.5, 73 for k = 3 at 13.6, 482 and 207 at 50), interpolated to
+    the samples within ~1e-14 of the direct table.  On a 2-core AVX-512 VM
+    with 2 MB of L2 per core that is ~6 ms for the five published windows
+    at t = 1e4 (21 ms with a table at every sample), and ~2.2 ms for the
+    2 647 samples of the g = 1/8 right-front window at t = 1e6 (29 ms).
 
     Rejects even-order fronts, whose amplitude equation has an imaginary
     dispersion term and therefore no real staircase.
@@ -231,7 +278,7 @@ def predict_edge(front: ExtremalFront, t: float, xi_grid: np.ndarray) -> EdgePro
         raise ValueError(f"front of even order {k} has no real staircase profile")
     xi_grid = np.asarray(xi_grid, dtype=float)
     x = np.append(-xi_grid, 0.0)
-    a = airy_table(k, x, derivs=k)
+    a = _edge_rows(k, x)
     c = _ode_sign(k)
     pairs = sum((-1) ** (j + 1) * a[j] * a[k + 1 - j] for j in range(1, k + 1))
     f = x * a[0] ** 2 - pairs / c
@@ -354,7 +401,7 @@ def extract_staircase(profile: EdgeProfile, observable: str = "cpd") -> list[Sta
     if len(xi) < 7:
         return []
     h = float(xi[1] - xi[0])
-    if not np.allclose(np.diff(xi), h, rtol=1e-6, atol=1e-12):
+    if not (h > 0.0 and np.allclose(np.diff(xi), h, rtol=1e-6, atol=1e-12)):
         raise ValueError("extract_staircase expects uniformly sampled xi")
     d = _savgol5(y, 1, h)
     ys = _savgol5(y, 0, h)

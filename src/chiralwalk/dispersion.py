@@ -118,7 +118,7 @@ def omega_deriv(q, m: int, p: WalkParams):
     p.g and p.phi may also be arrays that broadcast against q, one coupling
     per wave vector, as in the front scan of a whole sweep.
     """
-    if not isinstance(m, (int, np.integer)) or m < 1:
+    if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 1:
         raise ValueError(f"derivative order must be an integer >= 1, got {m}")
     q = np.asarray(q, dtype=float)
     shift = m * (math.pi / 2.0)

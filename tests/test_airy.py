@@ -168,6 +168,17 @@ def test_derivs_must_be_a_nonnegative_integer():
     assert airy_table(3, xi, derivs=0).shape == xi.shape
 
 
+def test_orders_must_not_be_bools():
+    # True ran as k = 1, and derivs=True as derivs = 1
+    for k in (True, np.True_):
+        for call in (airy_table, generalized_airy, airy_ode_residual):
+            with pytest.raises(ValueError, match="orders 1 and 3 only"):
+                call(k, 0.0)
+    for derivs in (True, False, np.True_):
+        with pytest.raises(ValueError, match="derivs must be an integer >= 0"):
+            airy_table(1, [0.0, 1.0], derivs=derivs)
+
+
 def test_import_loads_no_scipy():
     code = "import sys, chiralwalk; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     src = str(Path(chiralwalk.__file__).resolve().parents[1])
@@ -257,6 +268,86 @@ def test_predict_edge_matches_mpmath_integral(g, k):
     else:
         ref = _running_integral(lambda u: series_airy(3, -u, dps=80, nmax=8000) ** 2, xi)
     np.testing.assert_allclose(predict_edge(front, 1e4, xi).dphi_scaled, ref, rtol=0, atol=1e-12)
+
+
+def _direct_rows(k, x):
+    return airy_table(k, x, derivs=k)
+
+
+def _published_grid(g, xi_max):
+    """The xi samples of a CLI edge run at the left front, laid out as by measure_edge, unevolved."""
+    front, t = _left_front(g), 1e4
+    scale = edge_scale(front, t)
+    window = math.ceil(xi_max * scale)
+    s = 1 if front.kappa > 0 else -1
+    ns = round(front.velocity * t) + np.arange(-window, window + 1)
+    return front, np.sort(s * (ns - front.velocity * t) / scale)
+
+
+@pytest.fixture
+def table_sizes(monkeypatch):
+    """Sizes of the xi arrays handed to airy_table, one per call."""
+    sizes = []
+
+    def spy(k, xi, derivs=0):
+        sizes.append(np.size(xi))
+        return airy_table(k, xi, derivs)
+
+    monkeypatch.setattr(airy_module, "airy_table", spy)
+    return sizes
+
+
+def test_interpolated_profile_matches_the_direct_table(monkeypatch):
+    # random windows [lo, hi] of the validated range, unsorted samples; the
+    # bound is the mpmath test's, fixed before the interpolant was measured
+    rng = np.random.default_rng(2004)
+    windows = []
+    for g in (1 / 16, 1 / 8):  # fronts of order 1 and 3
+        windows.append((_left_front(g), np.linspace(-XI_LIMIT, XI_LIMIT, 5000)))
+        for _ in range(12):
+            lo, hi = np.sort(rng.uniform(-XI_LIMIT, XI_LIMIT, 2))
+            windows.append((_left_front(g), rng.uniform(lo, hi, rng.integers(100, 5001))))
+    got = [predict_edge(front, 1e4, xi).dphi_scaled for front, xi in windows]
+    monkeypatch.setattr(airy_module, "_edge_rows", _direct_rows)
+    for (front, xi), dphi in zip(windows, got):
+        want = predict_edge(front, 1e4, xi).dphi_scaled
+        msg = f"k={front.order}, {xi.size} samples"
+        np.testing.assert_allclose(dphi, want, rtol=0, atol=1e-12, err_msg=msg)
+
+
+@pytest.mark.parametrize(
+    "g, xi_max, order, points",
+    [
+        # n = ceil(1.25 X^((k+2)/(k+1)) + 40) Chebyshev intervals for |xi| <= X
+        (1 / 16, 10.5, 1, 84),  # 362 points with a table at every sample
+        (1 / 8, 13.5, 3, 74),  # 132
+    ],
+)
+def test_published_window_tabulates_the_chebyshev_points_alone(table_sizes, g, xi_max, order, points):
+    front, xi = _published_grid(g, xi_max)
+    assert front.order == order and xi.size + 1 > points
+    predict_edge(front, 1e4, xi)
+    assert table_sizes == [points]
+
+
+def test_few_samples_take_the_direct_table(table_sizes, monkeypatch):
+    # fewer samples than Chebyshev points: one table at the samples and 0
+    front = _left_front(1 / 16)
+    xi = np.array([-50.0, -23.7, -6.1, -1.3, 0.0, 0.4, 2.9, 11.2, 27.5, 41.8, 50.0])
+    got = predict_edge(front, 1e4, xi).dphi_scaled
+    assert table_sizes == [xi.size + 1]
+    monkeypatch.setattr(airy_module, "_edge_rows", _direct_rows)
+    assert np.array_equal(got, predict_edge(front, 1e4, xi).dphi_scaled)
+
+
+def test_predict_edge_refuses_xi_outside_the_validated_range():
+    # the interpolated path refuses what the direct table refuses
+    front = _left_front(1 / 16)
+    for bad, match in ((math.nan, "finite"), (math.inf, "finite"), (XI_LIMIT + 1e-9, "validated range")):
+        xi = np.linspace(-10.0, 10.0, 2000)
+        xi[700] = bad
+        with pytest.raises(ValueError, match=match):
+            predict_edge(front, 1e4, xi)
 
 
 def test_predict_edge_rejects_even_order():
@@ -388,6 +479,19 @@ def test_extract_staircase_requires_uniform_grid():
     xi = np.concatenate([np.linspace(0, 3, 60), np.linspace(3.2, 9, 40)])
     prof = predict_edge(front, 1e4, xi)
     with pytest.raises(ValueError, match="uniform"):
+        extract_staircase(prof)
+
+
+@pytest.mark.parametrize(
+    "xi",
+    [np.linspace(10.0, 0.0, 500), np.full(500, 1.0)],
+    ids=["descending", "zero-spacing"],
+)
+def test_extract_staircase_refuses_a_grid_that_does_not_ascend(xi):
+    # a descending grid gave negative widths and one height for every step,
+    # and a zero spacing a ZeroDivisionError
+    prof = predict_edge(_left_front(1 / 16), 1e4, xi)
+    with pytest.raises(ValueError, match="expects uniformly sampled xi"):
         extract_staircase(prof)
 
 

@@ -73,6 +73,15 @@ def test_derivative_order_validation():
         omega_deriv(0.0, -2, p)
 
 
+@pytest.mark.parametrize("m", [True, False, 1.0, "1"])
+def test_derivative_order_must_be_an_integer(m):
+    # True ran as m = 1: the velocity passed for an order
+    p = WalkParams(0.1, 0.0)
+    with pytest.raises(ValueError, match="derivative order must be an integer >= 1"):
+        omega_deriv(0.3, m, p)
+    assert omega_deriv(0.3, np.int64(1), p) == group_velocity(0.3, p)
+
+
 def test_walkparams_validation():
     with pytest.raises(ValueError):
         WalkParams(-0.1, 0.0)
