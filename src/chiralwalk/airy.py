@@ -58,7 +58,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dispersion import WalkParams
-from .evolve import _ring_layout, cumulative, current_density, evolve, probability_density
+from .evolve import cumulative, current_density, evolve, probability_density, ring_layout
 from .fronts import ExtremalFront, cone_topology, edge_scale, same_velocity
 
 XI_LIMIT = 50.0
@@ -286,19 +286,14 @@ def predict_edge(front: ExtremalFront, t: float, xi_grid: np.ndarray) -> EdgePro
     return EdgeProfile(front, float(t), xi_grid, dphi, front.velocity * dphi, "predicted")
 
 
-def measure_edge(
-    p: WalkParams,
-    front: ExtremalFront,
-    t: float,
-    window: int,
-    lattice: int | None = None,
-) -> EdgeProfile:
+def measure_edge(p: WalkParams, front: ExtremalFront, t: float, window: int) -> EdgeProfile:
     """Numeric edge profile from the evolved state, +-window sites around n_e.
 
+    The ring is ring_layout(p, t, reach=window), which holds the window.
     The window must not reach any other front travelling at a different
     velocity (co-moving degenerate partners are fine and simply double the
-    profile), and must lie on a given lattice; both, the window's type and
-    the ring's size cap are checked before anything is evolved.
+    profile); that, the window's type and the ring's size cap are checked
+    before anything is evolved.
     """
     if not t > 0:
         raise ValueError(f"measure_edge needs t > 0, got t={t}")
@@ -306,7 +301,7 @@ def measure_edge(
         raise ValueError(f"measure_edge needs an integer window >= 1, got window={window!r}")
     # first: the ring's layout refuses a ring above MAX_LATTICE, so every
     # |v t| rounded below is finite
-    L, origin = _ring_layout(p, t, lattice, reach=window)
+    origin = ring_layout(p, t, reach=window)[1]
     n_e = round(front.velocity * t)
     diagram = cone_topology(p)
     for other in diagram.fronts:
@@ -319,9 +314,7 @@ def measure_edge(
             )
     ns = n_e + np.arange(-window, window + 1)
     idx = ns + origin
-    if idx.min() < 0 or idx.max() >= L:  # a given lattice may not hold the window
-        raise ValueError("window extends past the lattice; enlarge the lattice")
-    wf = evolve(p, t, lattice, reach=window)
+    wf = evolve(p, t, reach=window)
     phi_num = cumulative(probability_density(wf)).values
     j_num = cumulative(current_density(wf)).values
     scale = edge_scale(front, t)

@@ -122,15 +122,6 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
-def _lattice(args):
-    if args.lattice in (None, "auto"):
-        return None
-    try:
-        return int(args.lattice)
-    except ValueError as exc:
-        raise ValueError(f"--lattice must be an integer or 'auto', got {args.lattice!r}") from exc
-
-
 def _outdir(args) -> Path:
     out = Path(args.out)
     try:
@@ -144,7 +135,7 @@ def _outdir(args) -> Path:
 
 def cmd_evolve(args) -> int:
     p = WalkParams(args.g, args.phi)
-    wf = evolve(p, args.t, _lattice(args))
+    wf = evolve(p, args.t)
     out = _outdir(args)
     prob = probability_density(wf)
     cur = current_density(wf)
@@ -186,7 +177,10 @@ def cmd_fronts(args) -> int:
     if args.g_min < 0:
         raise ValueError(f"g must be >= 0, got g-min={args.g_min}")
     check_coupling(args.g_max)
-    phis = [args.phi] if not args.phi_list else [float(s) for s in args.phi_list.split(",")]
+    try:
+        phis = [args.phi] if args.phi_list is None else [float(s) for s in args.phi_list.split(",")]
+    except ValueError:
+        raise ValueError(f"--phi-list must be comma-separated numbers, got {args.phi_list!r}") from None
     for phi in phis:
         if not 0.0 <= phi <= PHI_MAX:
             raise ValueError(f"phi {phi!r} outside the canonical window [0, pi/2]")
@@ -224,7 +218,7 @@ def cmd_scaling(args) -> int:
     if not 2 <= args.grid <= MAX_GRID:
         raise ValueError(f"grid must lie in [2, {MAX_GRID}], got {args.grid}")
     # first, so that windows covering every compared site end the run before any output
-    report = hydro_mod.compare_bulk(p, args.t, exclusion=args.exclusion, lattice=_lattice(args))
+    report = hydro_mod.compare_bulk(p, args.t, exclusion=args.exclusion)
     out = _outdir(args)
     num = report.numeric
     L = num["phi"].size
@@ -328,6 +322,11 @@ def cmd_edge(args) -> int:
             raise ValueError(f"the edge scale at t={args.t} is {scale} sites, not a positive float")
         window = args.window if args.window is not None else int(math.ceil(args.xi_max * scale))
         usable = airy_mod.max_edge_window(front, args.t)
+        if usable < 1:
+            raise ValueError(
+                f"the edge scale at t={args.t} is {scale:.3g} sites, too small for any "
+                f"whole-site window within |xi| <= {airy_mod.XI_LIMIT}"
+            )
         if window > usable:
             raise ValueError(
                 f"a window of {window} sites reaches past |xi| = {airy_mod.XI_LIMIT} on the "
@@ -335,8 +334,8 @@ def cmd_edge(args) -> int:
                 f"(xi-max <= {math.floor(usable / scale * 1e3) / 1e3})"
             )
         meta["window"] = window
-        # before any output, so that a window the ring or another front rules out ends the run
-        numeric = airy_mod.measure_edge(p, front, args.t, window, _lattice(args))
+        # before any output, so that a window onto another front or a ring above the cap ends the run
+        numeric = airy_mod.measure_edge(p, front, args.t, window)
         predicted = airy_mod.predict_edge(front, args.t, numeric.xi)
         factor = meta["degeneracy"]
         columns = (numeric.xi, numeric.dphi_scaled, factor * predicted.dphi_scaled, numeric.djs_scaled)
@@ -360,12 +359,10 @@ def cmd_edge(args) -> int:
 
 # ------------------------------------------------------------------ parser --
 
-def _add_common(sub, t_default=None):
+def _add_common(sub, t_default: float):
     sub.add_argument("--g", type=float, required=True, help="NNN/NN coupling ratio, >= 0")
     sub.add_argument("--phi", type=float, default=math.pi / 2, help="NNN phase in [0, pi/2] (radians)")
-    if t_default is not None:
-        sub.add_argument("--t", type=float, default=t_default, help="evolution time")
-    sub.add_argument("--lattice", default=None, help="ring size (even int) or 'auto'")
+    sub.add_argument("--t", type=float, default=t_default, help="evolution time")
 
 
 @functools.cache
@@ -381,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
         s.add_argument("--config", default=None, help="flat key=value config file; flags win")
 
     s = sub.add_parser("evolve", help="evolve and dump densities, currents, moments")
-    _add_common(s, t_default=50.0)
+    _add_common(s, 50.0)
     common_tail(s)
     s.set_defaults(func=cmd_evolve)
 
@@ -397,14 +394,14 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=cmd_fronts)
 
     s = sub.add_parser("scaling", help="bulk scaling comparison, numeric vs hydrodynamic")
-    _add_common(s, t_default=2000.0)
+    _add_common(s, 2000.0)
     s.add_argument("--grid", type=int, default=4001, help="nu grid points for bulk.csv, 2 to 2^20")
     s.add_argument("--exclusion", type=float, help="front window half-width factor, >= 0")
     common_tail(s)
     s.set_defaults(func=cmd_scaling, exclusion=hydro_mod.DEFAULT_EXCLUSION)
 
     s = sub.add_parser("edge", help="edge profile and staircase at one front")
-    _add_common(s, t_default=10000.0)
+    _add_common(s, 10000.0)
     s.add_argument("--front", choices=("left", "right", "internal"), default="left")
     s.add_argument("--window", type=int, default=None, help="sites around the front (default from --xi-max)")
     s.add_argument("--xi-max", type=float, default=13.5,

@@ -2,12 +2,12 @@
 
 Evolution is diagonal in momentum space, so one inverse discrete Fourier
 transform of the phase factors exp(-i w(q) t) gives the wave function at any
-time with no time-stepping error.  The lattice is a periodic ring that
-holds the causal cone plus an Airy-tail margin; a tail guard verifies that
-wraparound contamination stays below 1e-10.  The automatic ring is chiral:
-each side is sized for its own outermost front, so a cone asymmetric about
-the origin gets an asymmetric ring, with site 0 at index origin.  An
-explicit lattice is centred (origin L/2).
+time with no time-stepping error.  The ring is periodic and holds the
+causal cone plus an Airy-tail margin; a tail guard verifies that wraparound
+contamination stays below 1e-10.  It is chiral: each side is sized for its
+own outermost front, so a cone asymmetric about the origin gets an
+asymmetric ring, with site 0 at index origin.  A given lattice is a
+centred (origin L/2), unguarded ring study.
 
 Rings of ROW_BATCH or more rows of at least BLOCK sites are transformed in
 four steps (Bailey's FFT in hierarchical memory), because numpy's single
@@ -85,7 +85,7 @@ ROW_BATCH = 8
 
 
 class GuardError(RuntimeError):
-    """Lattice too small for the causal cone, or wraparound detected."""
+    """Ring above MAX_LATTICE sites, or wraparound detected."""
 
 
 class FieldKind(Enum):
@@ -346,59 +346,39 @@ def _ring_transform(phase: np.ndarray, origin: int) -> np.ndarray:
     return phase.reshape(L)
 
 
-def _ring_layout(
-    p: WalkParams, t: float, lattice: int | None, enforce_guard: bool = True, reach: int = 0
-) -> tuple[int, int]:
-    """The (L, origin) evolve uses: ring_layout, or the centred lattice once checked."""
-    if lattice is None:
-        return ring_layout(p, t, reach)
-    if isinstance(lattice, bool) or not isinstance(lattice, (int, np.integer)) or lattice < 4 or lattice % 2:
-        raise ValueError(f"lattice size must be an even integer >= 4, got lattice={lattice!r}")
-    L = int(lattice)
-    _check_cap(L)
-    if enforce_guard:
-        d = cone_topology(p)
-        need = max(abs(d.v_lm), abs(d.v_rm)) * t + 12.0
-        if L / 2 < need:
-            raise GuardError(f"lattice L={L} too small for the causal cone at t={t}: need L/2 >= {need:.1f}")
-    return L, L // 2
-
-
-def evolve(
-    p: WalkParams,
-    t: float,
-    lattice: int | None = None,
-    *,
-    enforce_guard: bool = True,
-    reach: int = 0,
-) -> WaveFunction:
+def evolve(p: WalkParams, t: float, lattice: int | None = None, *, reach: int = 0) -> WaveFunction:
     """Evolve the site-0 delta state to time t on a periodic ring.
 
     amps[origin + n] = (1/L) sum_j exp(i q_j n) exp(-i w(q_j) t),
     q_j = 2 pi j / L, which is the exact propagator of the ring Hamiltonian
     applied to the localized initial state, computed by the transform
-    described in the module docstring.  Without a lattice the
-    ring is ring_layout(p, t, reach); a given lattice is centred.  Rings
-    above MAX_LATTICE sites are refused with GuardError before anything is
-    allocated, and a t that is not >= 0 (NaN included) with ValueError.
-    With enforce_guard the lattice must be large enough that boundary
-    amplitudes are negligible (a NaN amplitude fails the guard too); pass
-    enforce_guard=False only for deliberate small-ring studies (e.g.
-    cross-checks against dense matrix exponentials, where wraparound is part
-    of the model).
+    described in the module docstring.  Without a lattice the ring is
+    ring_layout(p, t, reach), and its boundary amplitudes must stay below
+    TAIL_GUARD (a NaN amplitude fails too) or GuardError is raised.  A given
+    lattice, an even integer >= 4, is a centred ring study with no guard:
+    wraparound is part of that model, as in cross-checks against dense
+    matrix exponentials.  Rings above MAX_LATTICE sites are refused with
+    GuardError before anything is allocated, and a t that is not >= 0 (NaN
+    included) with ValueError.
     """
     if not t >= 0:
         raise ValueError(f"t must be >= 0, got t={t}")
-    L, origin = _ring_layout(p, t, lattice, enforce_guard, reach)
+    if lattice is None:
+        L, origin = ring_layout(p, t, reach)
+    else:
+        if isinstance(lattice, bool) or not isinstance(lattice, (int, np.integer)) or lattice < 4 or lattice % 2:
+            raise ValueError(f"lattice size must be an even integer >= 4, got lattice={lattice!r}")
+        L = int(lattice)
+        _check_cap(L)
+        origin = L // 2
     amps = _ring_transform(_phase_factors(p, t, L, _rows(L)), origin)
-    wf = WaveFunction(p, float(t), L, amps, origin)
-    if enforce_guard:
+    if lattice is None:
         edge = max(np.max(np.abs(amps[:GUARD_SITES])), np.max(np.abs(amps[-GUARD_SITES:])))
         if not edge < TAIL_GUARD:
             raise GuardError(
                 f"wraparound guard violated: boundary amplitude {edge:.2e} >= {TAIL_GUARD}"
             )
-    return wf
+    return WaveFunction(p, float(t), L, amps, origin)
 
 
 def probability_density(wf: WaveFunction) -> ObservableField:

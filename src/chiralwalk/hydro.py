@@ -50,12 +50,12 @@ import numpy as np
 
 from .dispersion import TWO_PI, WalkParams
 from .evolve import (
-    _ring_layout,
     cumulative,
     cumulative_moment,
     current_density,
     evolve,
     probability_density,
+    ring_layout,
 )
 from .fronts import ConeTopology, FrontDiagram, cone_topology, edge_scale
 
@@ -497,10 +497,9 @@ def compare_bulk(
     p: WalkParams,
     t: float,
     exclusion: float = DEFAULT_EXCLUSION,
-    lattice: int | None = None,
     margin: float = 0.25,
 ) -> BulkReport:
-    """Evolve numerically and measure deviations from the hydro predictions.
+    """Evolve numerically on ring_layout(p, t) and measure deviations from hydro.
 
     Sites with nu = n/t within margin of the cone are compared against the
     sub-level-set predictions of Phi, J and M~_1..3 (the numeric moments
@@ -520,7 +519,7 @@ def compare_bulk(
         raise ValueError(f"compare_bulk needs a finite margin >= 0, got margin={margin}")
     d = cone_topology(p)
     wins = exclusion_windows(d, t, exclusion)
-    L, origin = _ring_layout(p, t, lattice)
+    L, origin = ring_layout(p, t)
     # after the ring's cap check, so that t^3 cannot overflow
     if t**3 < sys.float_info.min:
         raise ValueError(
@@ -537,7 +536,7 @@ def compare_bulk(
             f"the exclusion windows cover every compared site at t={t} "
             f"(nu in [{d.v_lm - margin:.6g}, {d.v_rm + margin:.6g}]): nothing lies outside them"
         )
-    wf = evolve(p, t, lattice)
+    wf = evolve(p, t)
     prob = probability_density(wf)
     numeric = {
         "phi": cumulative(prob).values,

@@ -328,7 +328,7 @@ def test_criterion_8_dense_exponential_oracle():
         g = rng.uniform(0.0, 0.4)
         phi = rng.uniform(0.0, PI / 2)
         t = rng.uniform(0.5, 5.0)
-        wf = evolve(WalkParams(g, phi), t, lattice=64, enforce_guard=False)
+        wf = evolve(WalkParams(g, phi), t, lattice=64)
         ref = dense_ring_evolution(64, g, phi, t)
         assert np.max(np.abs(wf.amps - ref)) < 1e-8
     _passed(8, "FFT evolution equals dense matrix exponential")

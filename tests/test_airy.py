@@ -7,6 +7,8 @@ from pathlib import Path
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.signal import find_peaks
 
 import chiralwalk
@@ -20,9 +22,11 @@ from chiralwalk import (
     generalized_airy,
     measure_edge,
     predict_edge,
+    ring_layout,
 )
 from chiralwalk import airy as airy_module
-from chiralwalk.airy import XI_BLOCK, XI_LIMIT, _find_peaks, airy_table
+from chiralwalk.airy import XI_BLOCK, XI_LIMIT, _find_peaks, airy_table, max_edge_window
+from chiralwalk.fronts import same_velocity
 from oracles import concatenated_contour, series_airy
 
 PI = math.pi
@@ -432,8 +436,6 @@ def test_measure_edge_checks_the_window_before_evolving(monkeypatch, tmp_path):
     internal = next(fr for fr in cone_topology(p).fronts if abs(fr.velocity + 1.0) < 1e-9)
     with pytest.raises(ValueError, match="overlaps"):
         measure_edge(p, internal, 100.0, window=90)
-    with pytest.raises(ValueError, match="lattice"):
-        measure_edge(WalkParams(1 / 16, PI / 2), _left_front(1 / 16), 100.0, window=300, lattice=640)
     base = ["edge", "--g", "0.25", "--phi", repr(PI / 2), "--front", "internal"]
     out = tmp_path / "o"
     assert cli.main([*base, "--t", "100", "--window", "90", "--out", str(out)]) == 2
@@ -445,11 +447,10 @@ def test_measure_edge_checks_the_window_before_evolving(monkeypatch, tmp_path):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("lattice", [None, 640])
-def test_measure_edge_refuses_nan_time(monkeypatch, lattice):
+def test_measure_edge_refuses_nan_time(monkeypatch):
     monkeypatch.setattr(chiralwalk.airy, "evolve", lambda *a, **kw: pytest.fail("evolved"))
     with pytest.raises(ValueError, match="needs t > 0, got t=nan"):
-        measure_edge(WalkParams(1 / 16, PI / 2), _left_front(1 / 16), math.nan, 20, lattice)
+        measure_edge(WalkParams(1 / 16, PI / 2), _left_front(1 / 16), math.nan, 20)
 
 
 @pytest.mark.parametrize("window", [-3, 0, 2.5, 40.0, "40", None, True])
@@ -466,12 +467,35 @@ def test_measure_edge_takes_a_numpy_integer_window():
     assert np.array_equal(got.xi, want.xi) and np.array_equal(got.dphi_scaled, want.dphi_scaled)
 
 
-def test_measure_edge_window_past_lattice_rejected():
-    # ring holds the causal cone but not the requested window
-    p = WalkParams(1 / 16, PI / 2)
-    front = _left_front(1 / 16)
-    with pytest.raises(ValueError, match="lattice"):
-        measure_edge(p, front, 100.0, window=300, lattice=640)
+# every odd-order front, outer and internal: one cone, the critical order-3
+# left front, overlapping cones, and nested cones with two internal fronts
+ODD_FRONTS = [
+    (p, fr)
+    for p in (WalkParams(1 / 16, PI / 2), WalkParams(1 / 8, PI / 2), WalkParams(1 / 4, PI / 2),
+              WalkParams(0.3, 0.8), WalkParams(0.2, 1.2))
+    for fr in cone_topology(p).fronts
+    if fr.order % 2
+]
+
+
+@settings(derandomize=True, max_examples=2000, deadline=None)
+@given(st.sampled_from(ODD_FRONTS), st.floats(10.0, 1e6), st.floats(0.0, 1.0))
+def test_ring_holds_every_edge_window(point, t, share):
+    # measure_edge indexes its window on ring_layout(p, t, reach=window)
+    # with no check of its own: every window up to max_edge_window that
+    # clears the other fronts lies on the ring
+    p, front = point
+    n_e = round(front.velocity * t)
+    clear = min(
+        (abs(round(other.velocity * t) - n_e) - 11 for other in cone_topology(p).fronts
+         if not same_velocity(other.velocity, front.velocity)),
+        default=math.inf,
+    )
+    largest = min(max_edge_window(front, t), clear)
+    assume(largest >= 1)
+    window = 1 + math.floor(share * (largest - 1))
+    L, origin = ring_layout(p, t, reach=window)
+    assert 0 <= n_e - window + origin and n_e + window + origin < L, (p, front, t, window)
 
 
 def test_extract_staircase_requires_uniform_grid():

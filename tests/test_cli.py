@@ -1,4 +1,5 @@
 import csv
+import importlib
 import json
 import math
 import os
@@ -17,6 +18,8 @@ from chiralwalk import WalkParams, _g17, cli, fronts
 from chiralwalk.cli import main
 from chiralwalk.evolve import evolve
 
+# the package exports a function named evolve, so fetch the module by name
+EVOLVE_MODULE = importlib.import_module("chiralwalk.evolve")
 SCHEMA_DIR = Path(__file__).parent.parent / "src" / "chiralwalk" / "schemas"
 
 
@@ -83,9 +86,14 @@ def test_evolve_rejects_bad_coupling(tmp_path, capsys):
     assert "g" in capsys.readouterr().err
 
 
-def test_evolve_guard_exit_code(tmp_path):
-    rc = main(["evolve", "--g", "0.25", "--t", "100", "--lattice", "128", "--out", str(tmp_path)])
+def test_evolve_guard_exit_code(tmp_path, capsys, monkeypatch):
+    # the automatic ring holds the cone, so a ring too small for it has to
+    # be forced; the amplitude guard then ends the run before any output
+    monkeypatch.setattr(EVOLVE_MODULE, "ring_layout", lambda p, t, reach=0: (128, 64))
+    rc = main(["evolve", "--g", "0.25", "--t", "100", "--out", str(tmp_path / "o")])
     assert rc == 3
+    assert "wraparound guard violated" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_evolve_deterministic(tmp_path):
@@ -162,13 +170,15 @@ def test_vacuous_scaling_exits_2(tmp_path, capsys, monkeypatch, flags):
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("flags", [["--t", "1e9"], ["--t", "10", "--lattice", str(10**12)]])
+@pytest.mark.parametrize("flags", [["evolve", "--t", "1e9"], ["scaling", "--t", "1e9"]])
 def test_lattice_cap_exits_3(tmp_path, capsys, monkeypatch, flags):
-    # refused before the first lattice array is allocated
-    monkeypatch.setattr(np.fft, "fftfreq", lambda *a, **kw: pytest.fail("allocated"))
-    rc = main(["evolve", "--g", "0.1", "--phi", "1.0", *flags, "--out", str(tmp_path)])
+    # a ring above the cap is refused before its phase factors are filled,
+    # and before any output
+    monkeypatch.setattr(EVOLVE_MODULE, "_phase_factors", lambda *a, **kw: pytest.fail("filled"))
+    rc = main([flags[0], "--g", "0.1", "--phi", "1.0", *flags[1:], "--out", str(tmp_path / "o")])
     assert rc == 3
     assert "cap" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def _per_cell_csv(header, rows):
@@ -438,6 +448,15 @@ def test_fronts_lost_roots_reported_per_row(tmp_path, monkeypatch):
     validate(tmp_path / "gc.json", "gc")
 
 
+@pytest.mark.parametrize("phi_list", ["", "0,,1", "x", "0.5,"])
+def test_fronts_unparsable_phi_list_exits_2(tmp_path, capsys, phi_list):
+    # an empty list is refused, not swept at the --phi default
+    rc = main(["fronts", "--phi-list", phi_list, "--g-steps", "4", "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: --phi-list must be comma-separated numbers, got {phi_list!r}\n"
+    assert not (tmp_path / "o").exists()
+
+
 def test_fronts_phi_just_past_the_window_exits_2(tmp_path, capsys):
     # a phi one float above pi/2 is refused before any output, beside a phi
     # inside the window, as WalkParams would refuse each of its points
@@ -685,6 +704,17 @@ def test_edge_widest_window_fits_the_ring(tmp_path, front):
     meta = validate(tmp_path / "edge.json", "edge")
     xi = np.array([float(r[0]) for r in read_csv(tmp_path / "edge.csv")[1]])
     assert len(xi) == 2 * meta["window"] + 1 and np.max(np.abs(xi)) <= 49.99
+
+
+def test_edge_scale_too_small_for_a_window_exits_2(tmp_path, capsys):
+    # at t = 1e-300 the edge scale is ~1e-100 sites: no whole-site window
+    # lies within |xi| <= XI_LIMIT, whatever --xi-max or --window asks
+    for flags in ([], ["--window", "1"]):
+        rc = main(["edge", "--g", "0.0625", "--t", "1e-300", *flags, "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "too small for any whole-site window" in err and "xi-max" not in err
+        assert not (tmp_path / "o").exists()
 
 
 def test_edge_window_overlap_exits_2(tmp_path, capsys):

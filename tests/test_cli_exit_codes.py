@@ -49,9 +49,7 @@ INTS = st.one_of(
     st.sampled_from([-1, 0, 1, 2, 3, 4, 7, 64, 2**16, 2**40, 10**400]),
     st.integers(-10, 5000),
 )
-LATTICE = st.one_of(st.just("auto"), st.just("x"), INTS.map(str))
-
-COMMON = {"--g": COUPLINGS, "--phi": PHASES, "--t": TIMES, "--lattice": LATTICE, "--jobs": INTS}
+COMMON = {"--g": COUPLINGS, "--phi": PHASES, "--t": TIMES, "--jobs": INTS}
 # (valid base arguments, numeric flags and their values) per subcommand; the
 # bases run in milliseconds, and edge's left front at (1/16, pi/2), t = 50,
 # is clear of the right front
@@ -158,21 +156,32 @@ def test_tiny_time_writes_null_gamma(tmp_path, t):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["evolve", "--g=0.3", "--lattice=x"],
-        ["evolve", "--g=0.3", "--lattice=5"],
-        ["edge", "--g=0.0625", "--t=100", "--lattice=x"],
-        ["edge", "--g=0.0625", "--t=100", "--front=right", "--window=200", "--lattice=640"],
+        ["evolve", "--g=0.3", "--t=-1"],
+        ["evolve", "--g=0.3", "--phi=2"],
+        ["edge", "--g=0.0625", "--t=100", "--front=internal"],
+        ["edge", "--g=0.0625", "--t=1e-300"],
         ["edge", "--g=0.0625", "--t=10", "--window=30"],
         ["edge", "--g=0.0625", "--t=5e-324"],
         ["edge", "--g=1e300", "--t=1e10"],
     ],
 )
 def test_config_error_leaves_no_output(argv, tmp_path, capsys):
-    # a bad lattice, a window past a given ring (an automatic ring holds
-    # it) or onto another front, and an edge scale that under- or
-    # overflows are all refused before any output
+    # a negative t, a phi outside the canonical window, a missing internal
+    # front, a window onto another front, and an edge scale too small for a
+    # whole-site window or that under- or overflows are all refused before
+    # any output
     assert cli.main([*argv, f"--out={tmp_path / 'o'}"]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["evolve", "scaling", "edge"])
+def test_lattice_flag_is_unknown(command, tmp_path, capsys):
+    # the ring is always the automatic, guarded one
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--g=0.3", "--lattice=128", f"--out={tmp_path / 'o'}"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --lattice=128" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 

@@ -17,14 +17,12 @@ from chiralwalk import (
     ObservableField,
     WalkParams,
     WaveFunction,
-    compare_bulk,
     cone_topology,
     cumulative,
     cumulative_moment,
     current_density,
     edge_scale,
     evolve,
-    measure_edge,
     omega,
     position_moment,
     probability_density,
@@ -85,7 +83,7 @@ def test_unitary_roundtrip():
 
 def test_matches_dense_matrix_exponential():
     p = WalkParams(0.18, 0.7)
-    wf = evolve(p, 4.0, lattice=64, enforce_guard=False)
+    wf = evolve(p, 4.0, lattice=64)
     ref = dense_ring_evolution(64, p.g, p.phi, 4.0)
     assert np.max(np.abs(wf.amps - ref)) < 1e-12
 
@@ -308,9 +306,7 @@ def test_position_moments_summed_once_per_field(monkeypatch):
 
 def test_guards_and_validation():
     p = WalkParams(0.25, PI / 2)
-    with pytest.raises(GuardError):
-        evolve(p, 100.0, lattice=128)
-    wf = evolve(p, 100.0, lattice=128, enforce_guard=False)  # wraps, but allowed
+    wf = evolve(p, 100.0, lattice=128)  # a given lattice wraps, unguarded
     assert wf.L == 128
     with pytest.raises(ValueError):
         evolve(p, -1.0)
@@ -326,16 +322,27 @@ def test_guards_and_validation():
 @pytest.mark.parametrize("lattice", [128.9, 128.0, np.float64(128.0), "128", True],
                          ids=["float", "whole-float", "numpy-float", "str", "bool"])
 def test_lattice_must_be_an_integer(lattice):
-    # a non-integer lattice is refused, not truncated; compare_bulk and
-    # measure_edge lay out their rings through the same check
-    p = WalkParams(0.3, 0.8)
+    # a non-integer lattice is refused, not truncated
     with pytest.raises(ValueError, match="lattice size must be an even integer"):
-        evolve(p, 5.0, lattice=lattice)
-    with pytest.raises(ValueError, match="lattice size must be an even integer"):
-        compare_bulk(p, 5.0, lattice=lattice)
-    front = cone_topology(p).fronts[0]
-    with pytest.raises(ValueError, match="lattice size must be an even integer"):
-        measure_edge(p, front, 5.0, 4, lattice)
+        evolve(WalkParams(0.3, 0.8), 5.0, lattice=lattice)
+
+
+@pytest.mark.parametrize("lattice", [10**12, 10**400], ids=["1e12", "1e400"])
+def test_lattice_above_the_cap_refused_before_the_phase_fill(monkeypatch, lattice):
+    # a lattice int beyond every float is printed whole, not as inf
+    monkeypatch.setattr(EVOLVE_MODULE, "_phase_factors", lambda *a, **kw: pytest.fail("filled"))
+    size = "1e+12" if lattice == 10**12 else str(lattice)
+    with pytest.raises(GuardError) as exc:
+        evolve(WalkParams(0.1, 1.0), 10.0, lattice=lattice)
+    assert f"lattice L={size} exceeds the cap" in str(exc.value)
+
+
+def test_amplitude_guard_refuses_a_ring_too_small(monkeypatch):
+    # the automatic ring always holds the cone; one too small for it is
+    # caught by the boundary amplitudes
+    monkeypatch.setattr(EVOLVE_MODULE, "ring_layout", lambda p, t, reach=0: (128, 64))
+    with pytest.raises(GuardError, match="wraparound guard violated"):
+        evolve(WalkParams(0.25, PI / 2), 100.0)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -526,7 +533,7 @@ def test_blocked_kernels_match_whole_ring(monkeypatch, block, sizes):
         phase = EVOLVE_MODULE._phase_factors(p, t, L, R)
         whole = whole_ring_phase_factors(p, t, L)
         assert _same_bits(phase, whole.reshape(L // R, R).T.copy())
-        wf = evolve(p, t, lattice=L, enforce_guard=False)
+        wf = evolve(p, t, lattice=L)
         assert wf.origin == L // 2
         if R == 1:
             assert _same_bits(wf.amps, whole_ring_amplitudes(p, t, L))
@@ -735,7 +742,7 @@ def test_same_bits_for_any_worker_count(monkeypatch, block, L):
 
     def outputs():
         phase = EVOLVE_MODULE._phase_factors(p, t, L, R)
-        centred = evolve(p, t, lattice=L, enforce_guard=False)
+        centred = evolve(p, t, lattice=L)
         wf = WaveFunction(p, t, L, EVOLVE_MODULE._ring_transform(phase.copy(), origin), origin)
         prob = probability_density(wf)
         fields = [phase, centred.amps, wf.amps, prob.values, current_density(wf).values]
@@ -792,7 +799,7 @@ def test_threads_only_on_large_rings(monkeypatch):
 
     def kernels(L):
         seen.clear()
-        wf = evolve(p, 3.0, lattice=L, enforce_guard=False)
+        wf = evolve(p, 3.0, lattice=L)
         probability_density(wf)
         current_density(wf)
         return set(seen)

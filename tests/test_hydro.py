@@ -514,12 +514,11 @@ def test_compare_bulk_numeric_fields():
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("lattice", [None, 64])
-def test_compare_bulk_refuses_nan_time(monkeypatch, lattice):
+def test_compare_bulk_refuses_nan_time(monkeypatch):
     # refused by name, not as windows that "cover every compared site"
     monkeypatch.setattr(hydro, "evolve", lambda *a, **kw: pytest.fail("evolved"))
     with pytest.raises(ValueError, match="needs t > 0, got t=nan"):
-        compare_bulk(WalkParams(0.3, 0.8), math.nan, lattice=lattice)
+        compare_bulk(WalkParams(0.3, 0.8), math.nan)
 
 
 @pytest.mark.parametrize("exclusion", [-1.0, math.nan, math.inf])
