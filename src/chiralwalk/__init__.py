@@ -8,7 +8,7 @@ hydrodynamic bulk scaling on nu = n/t, and generalized-Airy edge scaling
 with staircase extraction.
 """
 
-from .dispersion import PhaseReduction, WalkParams, canonicalize, group_velocity, omega, omega_deriv
+from .dispersion import WalkParams, omega, omega_deriv
 from .evolve import (
     FieldKind,
     GuardError,
@@ -31,7 +31,6 @@ from .fronts import (
     critical_coupling,
     degeneracy,
     edge_scale,
-    find_extremal_fronts,
     scan_diagrams,
 )
 from .hydro import (
@@ -51,8 +50,8 @@ from .airy import (
     EdgeProfile,
     StaircaseStep,
     airy_ode_residual,
+    airy_table,
     extract_staircase,
-    generalized_airy,
     measure_edge,
     predict_edge,
 )

@@ -146,18 +146,6 @@ def airy_table(k: int, xi, derivs: int = 0) -> np.ndarray:
     return out.reshape((derivs + 1, *xi.shape) if derivs else xi.shape)
 
 
-def generalized_airy(k: int, xi: float) -> float:
-    """Real value of A_k(xi) for k = 1 or 3: a one-point airy_table.
-
-    The path runs along the real axis through the stationary-phase region to
-    r0(xi) and then along the ray at angle pi/(2(k+2)) below the real axis,
-    where the phase decays; both pieces use fixed Gauss-Legendre nodes.
-    Absolute accuracy is ~3e-14 on the validated range |xi| <= 50; any
-    other order, and a larger or non-finite xi, is rejected.
-    """
-    return float(airy_table(k, float(xi)))
-
-
 def _ode_sign(k: int) -> int:
     """c = (-1)^k i^(k+1) of the defining ODE A_k^(k+1) = c xi A_k, for odd k."""
     return (-1) ** ((k - 1) // 2)
@@ -225,14 +213,14 @@ def _edge_rows(k: int, x: np.ndarray) -> np.ndarray:
     The rows are evaluated there by airy_table and carried to x by the
     barycentric formula (weights +-1, halved at the ends; Berrut and
     Trefethen, SIAM Rev. 46, 2004) in blocks of XI_BLOCK samples.  Fewer
-    samples than points, and an x that airy_table refuses, go to the direct
-    table.
+    samples than points, samples of one value (whose points would coincide)
+    and an x that airy_table refuses go to the direct table.
     """
     span = float(np.max(np.abs(x)))
     n = math.ceil(1.25 * span ** ((k + 2) / (k + 1)) + 40) if span <= XI_LIMIT else x.size
-    if x.size <= n + 1:
-        return airy_table(k, x, derivs=k)
     lo, hi = float(x.min()), float(x.max())
+    if x.size <= n + 1 or lo == hi:
+        return airy_table(k, x, derivs=k)
     nodes = 0.5 * (hi + lo) + 0.5 * (hi - lo) * np.cos(np.arange(n + 1) * (math.pi / n))
     nodes[[0, -1]] = hi, lo
     rows = airy_table(k, nodes, derivs=k)

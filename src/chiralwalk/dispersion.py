@@ -26,8 +26,16 @@ PHI_MAX = math.pi / 2.0
 class WalkParams:
     """Canonical couplings: g >= 0 and phi restricted to [0, pi/2].
 
-    Arbitrary real phases are reduced into this window by `canonicalize`;
-    constructing WalkParams directly with out-of-range values is an error.
+    The window holds every band of the model.  A negative g is the same
+    band as -g at phi + pi; phi -> 2pi - phi mirrors the band in q; and
+    phi -> pi - phi mirrors it about q = pi/2 and flips its sign:
+
+        w(q; g, phi)       = w(q; -g, phi + pi)
+        w(q; g, 2pi - phi) = w(-q; g, phi)
+        w(q; g, pi - phi)  = -w(pi - q; g, phi)
+
+    The package takes couplings in the window only: constructing
+    WalkParams with out-of-range values is an error.
     """
 
     g: float
@@ -40,64 +48,6 @@ class WalkParams:
             raise ValueError(f"g must be >= 0, got {self.g}")
         if not 0.0 <= self.phi <= PHI_MAX:
             raise ValueError(f"phi must lie in [0, pi/2], got {self.phi}")
-
-
-@dataclass(frozen=True)
-class PhaseReduction:
-    """Canonical parameters plus the map back to the raw model.
-
-    The raw band is recovered as
-
-        w_raw(q) = omega_sign * w(q_sign * q + q_shift; params)
-
-    so every observable of the raw model follows from the canonical one by
-    the recorded wave-vector transformation and overall energy sign.
-    """
-
-    params: WalkParams
-    q_sign: int
-    q_shift: float
-    omega_sign: int
-
-    def map_q(self, q):
-        """Wave vector in the canonical model probed by raw wave vector q."""
-        return self.q_sign * q + self.q_shift
-
-
-def canonicalize(g: float, phi_raw: float) -> PhaseReduction:
-    """Reduce an arbitrary (g, phi) pair to the canonical window.
-
-    Uses the exact band identities
-        w(q; g, phi)        = w(q; -g, phi + pi)
-        w(q; g, 2pi - phi)  = w(-q; g, phi)
-        w(q; g, pi - phi)   = -w(pi - q; g, phi)
-    applied in sequence, and records their composition.
-    """
-    if not (math.isfinite(g) and math.isfinite(phi_raw)):
-        raise ValueError("canonicalize requires finite g and phi")
-    q_sign, q_shift, omega_sign = 1, 0.0, 1
-
-    def compose(s_m: int, h_m: float, e_m: int):
-        nonlocal q_sign, q_shift, omega_sign
-        q_sign *= s_m
-        q_shift = s_m * q_shift + h_m
-        omega_sign *= e_m
-
-    if g < 0:
-        g = -g
-        phi_raw = phi_raw + math.pi
-    phi = math.fmod(phi_raw, TWO_PI)
-    if phi < 0:
-        phi += TWO_PI
-    if phi > math.pi:
-        phi = TWO_PI - phi
-        compose(-1, 0.0, 1)
-    if phi > PHI_MAX:
-        phi = math.pi - phi
-        compose(-1, math.pi, -1)
-    # guard against roundoff leaking just past the window edge
-    phi = min(max(phi, 0.0), PHI_MAX)
-    return PhaseReduction(WalkParams(g, phi), q_sign, q_shift % TWO_PI, omega_sign)
 
 
 def omega(q, p: WalkParams):
@@ -124,8 +74,3 @@ def omega_deriv(q, m: int, p: WalkParams):
     shift = m * (math.pi / 2.0)
     out = 2.0 * np.cos(q + shift) + (2.0 ** (m + 1)) * p.g * np.cos(2.0 * q + p.phi + shift)
     return out if out.ndim else float(out)
-
-
-def group_velocity(q, p: WalkParams):
-    """v(q) = w'(q), the ballistic front velocity of wave vector q."""
-    return omega_deriv(q, 1, p)

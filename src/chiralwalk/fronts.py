@@ -27,8 +27,9 @@ returns each point's classified diagram: one stacked eigenvalue call on
 their companion matrices, then each selection, Newton step and derivative
 as one array operation over every root of the batch.  Every operation is
 elementwise, per matrix or per row, so a point's diagram is the same bits
-alone, in a sweep, or in any order of the points; cone_topology and
-find_extremal_fronts read a one-point scan.
+alone, in a sweep, or in any order of the points; cone_topology reads a
+one-point scan and caches it.  Points lie in WalkParams' window
+0 <= phi <= pi/2, into which its band identities carry any g e^{i phi}.
 """
 
 from __future__ import annotations
@@ -219,30 +220,16 @@ def scan_diagrams(points) -> list:
     return out
 
 
-def _scan(p: WalkParams) -> FrontDiagram:
-    """The front diagram of p from a one-point scan; raises its LinAlgError."""
+@lru_cache(maxsize=64)
+def cone_topology(p: WalkParams) -> FrontDiagram:
+    """The front diagram of p from a one-point scan, see scan_diagrams.
+
+    Cached per p.  Raises the scan's LinAlgError; g must pass check_coupling.
+    """
     (diagram,) = scan_diagrams([p])
     if isinstance(diagram, Exception):
         raise diagram
     return diagram
-
-
-def find_extremal_fronts(p: WalkParams) -> list[ExtremalFront]:
-    """Locate and classify every extremal front of the dispersion, sorted by velocity.
-
-    The fronts are the real roots of w'', read off the closed-form phase
-    diagram: an order-k front at the multiple root q_c + pi of a point in
-    the order-k band, and simple fronts at the polished unit-circle roots
-    of the quartic z^2 w''(q).  kappa is taken at each front's root.  g must
-    pass check_coupling.
-    """
-    return list(_scan(p).fronts)
-
-
-@lru_cache(maxsize=64)
-def cone_topology(p: WalkParams) -> FrontDiagram:
-    """The front diagram of p and its causal-cone topology, see scan_diagrams."""
-    return _scan(p)
 
 
 def same_velocity(v_a: float, v_b: float) -> bool:

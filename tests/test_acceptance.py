@@ -15,6 +15,7 @@ from scipy.optimize import minimize_scalar
 
 from chiralwalk import (
     WalkParams,
+    airy_table,
     compare_bulk,
     cone_topology,
     critical_coupling,
@@ -23,7 +24,6 @@ from chiralwalk import (
     current_density,
     evolve,
     extract_staircase,
-    generalized_airy,
     airy_ode_residual,
     measure_edge,
     position_moment,
@@ -106,10 +106,8 @@ def test_criterion_3_critical_couplings():
 # ------------------------------------------------------------ criterion 4 --
 
 def test_criterion_4_front_closed_forms():
-    from chiralwalk import find_extremal_fronts
-
     for g in (1 / 16, 1 / 8, 1 / 4, 1 / 2):
-        fronts = find_extremal_fronts(WalkParams(g, PI / 2))
+        fronts = cone_topology(WalkParams(g, PI / 2)).fronts
         at_plus = next(f for f in fronts if abs(f.q_star - PI / 2) < 1e-6)
         at_minus = next(f for f in fronts if abs(f.q_star + PI / 2) < 1e-6)
         assert abs(at_plus.velocity - (-2 + 4 * g)) < 1e-12
@@ -349,7 +347,7 @@ def test_criterion_9_property_suite(tmp_path):
     # the order-1 profile is the classical Airy function
     rng = np.random.default_rng(5)
     pts = np.concatenate([rng.uniform(-10.0, 5.0, 96), [-10.0, -5.0, 0.0, 5.0]])
-    worst = max(abs(generalized_airy(1, float(x)) - series_airy(1, float(x))) for x in pts)
+    worst = max(abs(float(airy_table(1, float(x))) - series_airy(1, float(x))) for x in pts)
     assert worst < 1e-9
 
     # defining ODE residual

@@ -16,16 +16,16 @@ from chiralwalk import cli
 from chiralwalk import (
     WalkParams,
     airy_ode_residual,
+    airy_table,
     cone_topology,
     edge_scale,
     extract_staircase,
-    generalized_airy,
     measure_edge,
     predict_edge,
     ring_layout,
 )
 from chiralwalk import airy as airy_module
-from chiralwalk.airy import XI_BLOCK, XI_LIMIT, _find_peaks, airy_table, max_edge_window
+from chiralwalk.airy import XI_BLOCK, XI_LIMIT, _find_peaks, max_edge_window
 from chiralwalk.fronts import same_velocity
 from oracles import concatenated_contour, series_airy
 
@@ -50,31 +50,31 @@ H1_REF = [0.4247091341, 0.5780003883, 0.6815905226, 0.7626615814, 0.8304574626]
 
 
 def test_classical_airy_value_at_zero():
-    assert generalized_airy(1, 0.0) == pytest.approx(3.0 ** (-2 / 3) / math.gamma(2 / 3), abs=1e-12)
+    assert float(airy_table(1, 0.0)) == pytest.approx(3.0 ** (-2 / 3) / math.gamma(2 / 3), abs=1e-12)
 
 
 def test_matches_series_oracle_k1():
     rng = np.random.default_rng(2)
     pts = np.concatenate([rng.uniform(-10, 5, 12), [-10.0, -2.338107410459767, 0.0, 5.0]])
     for x in pts:
-        assert generalized_airy(1, float(x)) == pytest.approx(series_airy(1, float(x)), abs=1e-11)
+        assert float(airy_table(1, float(x))) == pytest.approx(series_airy(1, float(x)), abs=1e-11)
 
 
 def test_matches_series_oracle_k3():
     for x, ref in A3_REF.items():
-        assert generalized_airy(3, x) == pytest.approx(ref, abs=1e-11)
+        assert float(airy_table(3, x)) == pytest.approx(ref, abs=1e-11)
     # closed form at the origin
     closed = 5.0 ** (-4 / 5) * math.gamma(1 / 5) * math.cos(PI / 10) / PI
-    assert generalized_airy(3, 0.0) == pytest.approx(closed, abs=1e-13)
+    assert float(airy_table(3, 0.0)) == pytest.approx(closed, abs=1e-13)
 
 
 def test_forbidden_side_decay():
     # the profiles decay super-exponentially for positive argument and
     # oscillate with slow algebraic decay for negative argument
-    assert abs(generalized_airy(3, 8.0)) < 1e-3
-    assert abs(generalized_airy(3, -8.0)) > 0.1
-    assert abs(generalized_airy(1, 8.0)) < 1e-6
-    assert abs(generalized_airy(1, -8.0)) > 0.04
+    assert abs(float(airy_table(3, 8.0))) < 1e-3
+    assert abs(float(airy_table(3, -8.0))) > 0.1
+    assert abs(float(airy_table(1, 8.0))) < 1e-6
+    assert abs(float(airy_table(1, -8.0))) > 0.04
 
 
 def test_deep_oscillatory_regime():
@@ -82,7 +82,7 @@ def test_deep_oscillatory_regime():
     for k, dps in ((1, 100), (3, 80)):
         for xi in (-45.0, -20.0):
             ref = series_airy(k, xi, dps=dps, nmax=8000)
-            assert generalized_airy(k, xi) == pytest.approx(ref, abs=1e-10)
+            assert float(airy_table(k, xi)) == pytest.approx(ref, abs=1e-10)
 
 
 def test_full_validated_range():
@@ -100,7 +100,7 @@ def test_table_matches_pointwise_values():
     for k in (1, 3):
         table = airy_table(k, xi.reshape(-1, 1))
         assert table.shape == (xi.size, 1)
-        points = [generalized_airy(k, x) for x in xi]
+        points = [float(airy_table(k, x)) for x in xi]
         np.testing.assert_allclose(table[:, 0], points, rtol=0, atol=1e-14)
 
 
@@ -148,14 +148,14 @@ def test_table_does_not_depend_on_the_block(monkeypatch, block):
 def test_input_validation():
     for bad in (0, 2, 4, -1):
         with pytest.raises(ValueError):
-            generalized_airy(bad, 0.0)
+            airy_table(bad, 0.0)
         with pytest.raises(ValueError):
             airy_table(bad, [0.0])
     with pytest.raises(ValueError):
-        generalized_airy(1, 51.0)
+        airy_table(1, 51.0)
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="finite"):
-            generalized_airy(1, bad)
+            airy_table(1, bad)
         with pytest.raises(ValueError, match="finite"):
             airy_table(3, [0.0, bad, 1.0])
     with pytest.raises(ValueError, match="validated range"):
@@ -175,7 +175,7 @@ def test_derivs_must_be_a_nonnegative_integer():
 def test_orders_must_not_be_bools():
     # True ran as k = 1, and derivs=True as derivs = 1
     for k in (True, np.True_):
-        for call in (airy_table, generalized_airy, airy_ode_residual):
+        for call in (airy_table, airy_ode_residual):
             with pytest.raises(ValueError, match="orders 1 and 3 only"):
                 call(k, 0.0)
     for derivs in (True, False, np.True_):
@@ -190,6 +190,24 @@ def test_import_loads_no_scipy():
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def test_public_surface():
+    # every name that chiralwalk exports, with the modules airy, dispersion,
+    # fronts and hydro (evolve is the function); a removal or an addition
+    # must change this list
+    assert sorted(chiralwalk.__all__) == [
+        "BulkReport", "ConeTopology", "EdgeProfile", "ExtremalFront", "FieldKind",
+        "FrontDiagram", "GuardError", "ObservableField", "ScalingCurve",
+        "StaircaseStep", "WalkParams", "WaveFunction", "airy", "airy_ode_residual",
+        "airy_table", "compare_bulk", "cone_topology", "critical_coupling",
+        "cumulative", "cumulative_moment", "current_density", "degeneracy",
+        "dispersion", "edge_scale", "evolve", "exclusion_windows", "extract_staircase",
+        "fronts", "hydro", "invert_velocity", "measure_edge", "nu_half", "omega",
+        "omega_deriv", "position_moment", "predict_edge", "probability_density",
+        "ring_layout", "scaled_ccd", "scaled_cpd", "scaled_density", "scaled_moment",
+        "scaling_curve", "scan_diagrams", "skewness",
+    ]
 
 
 def test_find_peaks_matches_scipy():
@@ -222,7 +240,7 @@ def test_ode_residual():
     # the right-hand side, since A_3(+-1) is O(0.1) there
     for xi in (-1.0, 1.0):
         assert abs(airy_ode_residual(3, xi)) < 1e-5
-        assert abs(generalized_airy(3, xi)) > 0.05
+        assert abs(float(airy_table(3, xi))) > 0.05
     with pytest.raises(ValueError):
         airy_ode_residual(2, 0.0)
 
@@ -342,6 +360,16 @@ def test_few_samples_take_the_direct_table(table_sizes, monkeypatch):
     assert table_sizes == [xi.size + 1]
     monkeypatch.setattr(airy_module, "_edge_rows", _direct_rows)
     assert np.array_equal(got, predict_edge(front, 1e4, xi).dphi_scaled)
+
+
+def test_samples_of_one_value_take_the_direct_table(table_sizes):
+    # 100 samples at 0 and the 0 of F(0) outnumber the 41 Chebyshev points of
+    # a range of zero width, whose nodes would coincide and whose barycentric
+    # weights sum to 0
+    front = _left_front(1 / 16)
+    got = predict_edge(front, 1e4, np.zeros(100)).dphi_scaled
+    assert table_sizes == [101]
+    assert np.array_equal(got, np.zeros(100))
 
 
 def test_predict_edge_refuses_xi_outside_the_validated_range():
@@ -529,7 +557,7 @@ def test_ode_residual_takes_every_odd_order():
             with pytest.raises(ValueError, match="orders 1 and 3 only"):
                 airy_ode_residual(k, xi)
             with pytest.raises(ValueError, match="orders 1 and 3 only"):
-                generalized_airy(k, xi)
+                airy_table(k, xi)
 
 
 def test_edge_scale():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from chiralwalk import WalkParams, canonicalize, group_velocity, omega, omega_deriv
+from chiralwalk import WalkParams, omega, omega_deriv
 
 
 def raw_band(q, g, phi):
@@ -60,11 +60,6 @@ def test_derivatives_against_finite_differences():
         assert lower.shape == q.shape
 
 
-def test_group_velocity_alias():
-    p = WalkParams(0.2, 0.4)
-    assert group_velocity(0.5, p) == omega_deriv(0.5, 1, p)
-
-
 def test_derivative_order_validation():
     p = WalkParams(0.1, 0.0)
     with pytest.raises(ValueError):
@@ -79,7 +74,7 @@ def test_derivative_order_must_be_an_integer(m):
     p = WalkParams(0.1, 0.0)
     with pytest.raises(ValueError, match="derivative order must be an integer >= 1"):
         omega_deriv(0.3, m, p)
-    assert omega_deriv(0.3, np.int64(1), p) == group_velocity(0.3, p)
+    assert omega_deriv(0.3, np.int64(1), p) == omega_deriv(0.3, 1, p)
 
 
 def test_walkparams_validation():
@@ -93,54 +88,13 @@ def test_walkparams_validation():
         WalkParams(math.nan, 0.0)
 
 
-def test_canonicalize_identity_cases():
-    r = canonicalize(0.25, 0.0)
-    assert r.params == WalkParams(0.25, 0.0)
-    assert (r.q_sign, r.q_shift, r.omega_sign) == (1, 0.0, 1)
-    r = canonicalize(0.1, 2 * math.pi)
-    assert r.params.phi == pytest.approx(0.0, abs=1e-15)
-    assert (r.q_sign, r.omega_sign) == (1, 1)
-
-
-def test_canonicalize_pi_phase():
-    r = canonicalize(0.25, math.pi)
-    assert r.params == WalkParams(0.25, 0.0)
-
-
-@pytest.mark.parametrize("g,phi_raw", [
-    (0.25, math.pi),
-    (0.3, 2.5),
-    (0.3, 4.0),
-    (0.15, 5.9),
-    (-0.2, 0.7),
-    (0.4, -1.3),
-])
-def test_canonicalize_recovers_raw_band(g, phi_raw):
-    r = canonicalize(g, phi_raw)
-    assert 0.0 <= r.params.phi <= math.pi / 2
-    assert r.params.g >= 0
-    rng = np.random.default_rng(7)
-    q = rng.uniform(-math.pi, math.pi, 64)
-    raw = raw_band(q, g, phi_raw)
-    via = r.omega_sign * omega(r.map_q(q), r.params)
-    np.testing.assert_allclose(via, raw, atol=1e-13)
-
-
-def test_canonicalize_full_phase_circle():
-    # the reduction identity holds through every branch of the fold,
-    # including the boundary phases pi/2, pi, 3pi/2 and whole turns
-    rng = np.random.default_rng(3)
-    q = rng.uniform(-math.pi, math.pi, 32)
-    for phi_raw in np.linspace(-2 * math.pi, 4 * math.pi, 97):
-        r = canonicalize(0.3, float(phi_raw))
-        raw = raw_band(q, 0.3, phi_raw)
-        np.testing.assert_allclose(
-            r.omega_sign * omega(r.map_q(q), r.params), raw, atol=1e-12
-        )
-
-
-def test_canonicalize_rejects_nonfinite():
-    with pytest.raises(ValueError):
-        canonicalize(math.inf, 0.0)
-    with pytest.raises(ValueError):
-        canonicalize(0.1, math.nan)
+def test_band_identities_carry_any_phase_into_the_window():
+    # the three identities of WalkParams' docstring, from the band at a
+    # coupling outside the window to omega inside it
+    q = np.random.default_rng(7).uniform(-math.pi, math.pi, 64)
+    for g in (0.1, 0.3):
+        for phi in (0.0, 0.4, math.pi / 2):
+            p = WalkParams(g, phi)
+            np.testing.assert_allclose(raw_band(q, -g, phi + math.pi), omega(q, p), atol=1e-14)
+            np.testing.assert_allclose(raw_band(q, g, 2 * math.pi - phi), omega(-q, p), atol=1e-14)
+            np.testing.assert_allclose(raw_band(q, g, math.pi - phi), -omega(math.pi - q, p), atol=1e-14)

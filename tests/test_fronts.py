@@ -15,7 +15,6 @@ from chiralwalk import (
     cone_topology,
     critical_coupling,
     degeneracy,
-    find_extremal_fronts,
     omega_deriv,
     scan_diagrams,
 )
@@ -28,7 +27,7 @@ PI = math.pi
 
 
 def test_two_fronts_below_critical():
-    fronts = find_extremal_fronts(WalkParams(1 / 16, PI / 2))
+    fronts = cone_topology(WalkParams(1 / 16, PI / 2)).fronts
     assert len(fronts) == 2
     left, right = fronts  # sorted by velocity
     assert left.q_star == pytest.approx(PI / 2, abs=1e-12)
@@ -41,7 +40,7 @@ def test_two_fronts_below_critical():
 
 def test_four_fronts_above_critical():
     g = 0.25
-    fronts = find_extremal_fronts(WalkParams(g, PI / 2))
+    fronts = cone_topology(WalkParams(g, PI / 2)).fronts
     assert len(fronts) == 4
     degen = [f for f in fronts if abs(f.velocity + 1.5) < 1e-10]
     assert len(degen) == 2
@@ -53,7 +52,7 @@ def test_four_fronts_above_critical():
 
 
 def test_third_order_front_at_critical():
-    fronts = find_extremal_fronts(WalkParams(0.125, PI / 2))
+    fronts = cone_topology(WalkParams(0.125, PI / 2)).fronts
     assert [f.order for f in fronts] == [3, 1]
     third = fronts[0]
     assert third.q_star == pytest.approx(PI / 2, abs=1e-9)
@@ -64,14 +63,14 @@ def test_third_order_front_at_critical():
 
 def test_pm_half_pi_always_extremal_at_pure_imaginary_phase():
     for g in (0.01, 0.05, 0.1, 0.2, 0.4, 0.7, 1.0):
-        fronts = find_extremal_fronts(WalkParams(g, PI / 2))
+        fronts = cone_topology(WalkParams(g, PI / 2)).fronts
         qs = np.array([f.q_star for f in fronts])
         assert np.min(np.abs(qs - PI / 2)) < 1e-9
         assert np.min(np.abs(qs + PI / 2)) < 1e-9
 
 
 def test_front_set_reflection_symmetric_at_real_coupling():
-    fronts = find_extremal_fronts(WalkParams(0.4, 0.0))
+    fronts = cone_topology(WalkParams(0.4, 0.0)).fronts
     vels = sorted(f.velocity for f in fronts)
     np.testing.assert_allclose(vels, [-v for v in reversed(vels)], atol=1e-10)
     qs = sorted(f.q_star for f in fronts)
@@ -81,7 +80,7 @@ def test_front_set_reflection_symmetric_at_real_coupling():
 
 def test_order_invariant_against_derivatives():
     for g, phi in [(0.05, 0.3), (0.3, PI / 2), (0.125, PI / 2), (0.25, 0.0)]:
-        for f in find_extremal_fronts(WalkParams(g, phi)):
+        for f in cone_topology(WalkParams(g, phi)).fronts:
             p = WalkParams(g, phi)
             assert abs(omega_deriv(f.q_star, 2, p)) < 1e-9
             for j in range(3, f.order + 2):
@@ -155,8 +154,8 @@ def test_front_count_changes_at_critical_coupling(phi):
     # for g - g_c = 1e-8, and off the circle by as much just below g_c
     gc = critical_coupling(phi)
     for delta in (1e-4, 1e-6, 1e-8):
-        assert len(find_extremal_fronts(WalkParams(gc - delta, phi))) == 2, delta
-        assert len(find_extremal_fronts(WalkParams(gc + delta, phi))) == 4, delta
+        assert len(cone_topology(WalkParams(gc - delta, phi)).fronts) == 2, delta
+        assert len(cone_topology(WalkParams(gc + delta, phi)).fronts) == 4, delta
 
 
 def test_orders_sum_to_four_above_critical_coupling():
@@ -170,7 +169,7 @@ def test_orders_sum_to_four_above_critical_coupling():
         gc = critical_coupling(phi)
         for g in gc + ds:
             assert g > gc
-            assert sum(f.order for f in find_extremal_fronts(WalkParams(g, phi))) == 4, (g, phi)
+            assert sum(f.order for f in cone_topology(WalkParams(g, phi)).fronts) == 4, (g, phi)
     d = cone_topology(WalkParams(0.125 + 1e-9, PI / 2))
     assert [f.order for f in d.fronts] == [3, 1]
     assert d.fronts[0].kappa == pytest.approx(0.25, abs=1e-8)
@@ -203,13 +202,13 @@ def test_multiple_front_sits_at_the_closed_form_root():
         want = (q_c + PI + PI) % (2 * PI) - PI
         gc = critical_coupling(phi)
         for g in (gc, gc * (1 - 0.5 * BAND_2), gc * (1 + 0.5 * BAND_2)):
-            (front,) = [fr for fr in find_extremal_fronts(WalkParams(g, phi)) if fr.order > 1]
+            (front,) = [fr for fr in cone_topology(WalkParams(g, phi)).fronts if fr.order > 1]
             assert front.order == (3 if phi == PI / 2 else 2)
             assert front.q_star == want, (g, phi)
         p = WalkParams(gc, phi)
         assert abs(omega_deriv(want, 2, p)) < 1e-14 and abs(omega_deriv(want, 3, p)) < 1e-14
-    assert find_extremal_fronts(WalkParams(0.25, 0.0))[1].q_star == -PI
-    assert find_extremal_fronts(WalkParams(0.125, PI / 2))[0].q_star == PI / 2
+    assert cone_topology(WalkParams(0.25, 0.0)).fronts[1].q_star == -PI
+    assert cone_topology(WalkParams(0.125, PI / 2)).fronts[0].q_star == PI / 2
 
 
 def test_order_three_band_is_two_dimensional():
@@ -248,10 +247,10 @@ def test_critical_coupling_validation():
 def test_find_fronts_refuses_a_coupling_that_overflows():
     # the largest g whose 64 g is finite still scans cleanly, the next float up is refused
     g = sys.float_info.max / 64.0
-    assert len(find_extremal_fronts(WalkParams(g, 0.8))) == 4
+    assert len(cone_topology(WalkParams(g, 0.8)).fronts) == 4
     for bad in (math.nextafter(g, math.inf), 2.3e307, sys.float_info.max):
         with pytest.raises(ValueError, match=re.escape(f"g={bad!r} ")):
-            find_extremal_fronts(WalkParams(bad, 0.8))
+            cone_topology(WalkParams(bad, 0.8))
 
 
 def test_quartic_contains_known_roots():
@@ -273,7 +272,7 @@ def test_quartic_bounded_at_small_coupling():
 def unmatched_fronts(p, tol=1e-6):
     """Fronts whose cos(q*) is not a root of the squared-form quartic."""
     ys = quartic_crosscheck(p.g, p.phi)
-    fronts = find_extremal_fronts(p)
+    fronts = cone_topology(p).fronts
     gap = lambda f: min((abs(math.cos(f.q_star) - y) for y in ys), default=math.inf)
     return fronts, [f for f in fronts if gap(f) >= tol]
 
@@ -438,5 +437,6 @@ def test_failed_eigenvalues_fail_their_point_alone(monkeypatch):
     got = scan_diagrams(points)
     assert isinstance(got[3], np.linalg.LinAlgError)
     assert got[:3] + got[4:] == want[:3] + want[4:]
+    cone_topology.cache_clear()
     with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
-        find_extremal_fronts(bad)
+        cone_topology(bad)
