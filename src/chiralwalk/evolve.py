@@ -28,24 +28,28 @@ integer angle j1 (n2 - origin) mod L.  Smaller rings take one
 np.roll(ifft(...), origin), which is fftshift(ifft(...)) at origin = L/2.
 The amplitudes differ from that single transform at roundoff level.
 
-The ring kernels (the phase factors, the probability, the current, the
-cumulative moments and the exact position moments) walk the ring in blocks of BLOCK sites, so
-their temporaries stay in cache and only the output is ring-sized.  Each
-block applies the same elementwise operations, in the same order, as the
-whole-ring expression, and the cumulative moments carry each block's last
-prefix sum into the next block's first term, so every output is
-bit-identical to the whole-ring computation, applied to the same amplitudes,
-for any block size.  Observable fields are read-only, and each exact
-position moment is summed once per field and then reused.
+The ring kernels (the phase factors, the probability and the current) walk
+the ring in blocks of BLOCK sites, so their temporaries stay in cache and
+only the output is ring-sized; the exact position moments and the terms of
+the cumulative moments take blocks of SUM_BLOCK sites.  Each block applies
+the same elementwise operations, in the same order, as the whole-ring
+expression, and the cumulative moments are one in-place prefix sum over
+the ring of their terms, so every output is bit-identical to the
+whole-ring computation, applied to the same amplitudes, for any block
+size.  Observable fields are read-only, and each exact position moment is
+summed once per field and then reused.
 
-On rings of at least THREAD_SITES sites the kernels that numpy runs with
-the GIL released (the phase fill, the row and column passes of the
-transform, the probability and the current) are split across WORKERS
-threads, one per CPU in the process's affinity mask.  Each thread takes a
-contiguous run of the same block spans and writes only their slices, so
-every output is bit-identical for any worker count.  Smaller rings, and a
-process confined to one CPU, run every kernel in the caller's thread.  The
-exact sums and the prefix sums always run in the caller's thread.
+On rings of at least THREAD_SITES sites the kernels are split across
+WORKERS threads, one per CPU in the process's affinity mask: the phase
+fill, the row and column passes of the transform, the probability, the
+current, the terms of the cumulative moments and the exact sums.  Each
+thread takes a contiguous run of the same block spans and writes only
+their slices, or, for an exact sum, returns its own list of exact parts,
+which the caller joins in span order; so every output is bit-identical for
+any worker count.  Smaller rings, and a process confined to one CPU, run
+every kernel in the caller's thread.  The prefix sums of the cumulative
+moments and the fallbacks of the exact sums always run in the caller's
+thread.
 """
 
 from __future__ import annotations
@@ -73,10 +77,20 @@ TAIL_XI = 12.0
 MAX_LATTICE = 1 << 25
 # sites per block of the ring kernels: 2^14 complex values are 256 KB
 BLOCK = 1 << 14
-# rings of at least this many sites run their kernels on WORKERS threads:
-# two threads measured no faster below ~1e6 sites (11% slower at 64 000),
-# and 30-40% faster from 1 244 160 sites on
-THREAD_SITES = 1 << 20
+# sites per block of the exact sums and of the cumulative moments' terms.
+# mu0..mu4 at t = 1e6 (5 400 000 sites) on one and on two workers: 2^14-site
+# blocks 65 and 93 ms (two threads queue on the GIL between numpy calls),
+# 2^15 63-66 and 50-51 ms, 2^16 78-82 and 46-50 ms (one thread's scratch
+# outgrows its 2 MB L2)
+SUM_BLOCK = 1 << 15
+# rings of at least this many sites run their kernels on WORKERS threads.
+# Two workers against one, medians of 21 alternating runs on a 2-core Xeon:
+#   sites     fill  transform  probability+current  exact sums  cumulative moments
+#   552 960   -46%     -35%           -21%              -5%            +4%
+#   262 144   -42%     -27%            -8%              -3%           +11%
+#   163 840   -43%      -6%            -8%             +12%           +24%
+#    46 080    -8%     +10%           +52%             +49%           +51%
+THREAD_SITES = 1 << 18
 # threads for the ring kernels: the CPUs this process may run on
 WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 # rows per ifft call in the four-step's row pass, and its fewest rows: one
@@ -147,28 +161,28 @@ def _blocks(size: int, block: int | None = None):
     return ((start, min(start + block, size)) for start in range(0, size, block))
 
 
-def _map_spans(kernel, spans, sites: int) -> None:
-    """kernel(run) over contiguous runs of spans, one run per worker thread.
+def _map_spans(kernel, spans, sites: int) -> list:
+    """[kernel(run) for each run], over contiguous runs of spans, one run per worker thread.
 
     A ring of fewer than THREAD_SITES sites, or a single worker, calls
-    kernel(spans) in the caller's thread.  Otherwise the spans are cut into
-    min(WORKERS, len(spans)) contiguous runs: the caller takes the first
-    run and one new thread each of the others.  kernel must write only the
-    slices its spans name, so the output does not depend on the split.  An
-    exception from any run is raised in the caller once every thread has
-    finished, the earliest run's first.
+    kernel(spans) in the caller's thread, as the one run.  Otherwise the
+    spans are cut into min(WORKERS, len(spans)) contiguous runs: the caller
+    takes the first run and one new thread each of the others.  kernel must
+    write only the slices its spans name, so the output does not depend on
+    the split; its return values come back in run order.  An exception from
+    any run is raised in the caller once every thread has finished, the
+    earliest run's first.
     """
     spans = list(spans)
     workers = min(WORKERS, len(spans)) if sites >= THREAD_SITES else 1
     if workers <= 1:
-        kernel(spans)
-        return
+        return [kernel(spans)]
     runs = [spans[len(spans) * i // workers:len(spans) * (i + 1) // workers] for i in range(workers)]
-    errors = [None] * workers
+    results, errors = [None] * workers, [None] * workers
 
     def work(i):
         try:
-            kernel(runs[i])
+            results[i] = kernel(runs[i])
         except Exception as exc:  # raised in the caller below
             errors[i] = exc
 
@@ -176,13 +190,14 @@ def _map_spans(kernel, spans, sites: int) -> None:
     for thread in threads:
         thread.start()
     try:
-        kernel(runs[0])
+        results[0] = kernel(runs[0])
     finally:
         for thread in threads:
             thread.join()
     for exc in errors:
         if exc is not None:
             raise exc
+    return results
 
 
 def _fast_even_lengths(lo: int, hi: int) -> list[int]:
@@ -458,29 +473,33 @@ def _int_power(n: np.ndarray, k: int, out: np.ndarray | None = None) -> np.ndarr
 
 
 def _moment_blocks(field: ObservableField, k: int, name: str):
-    """Callable yielding n^k p(n) block by block, with the sites built as floats.
+    """Callable blocks(spans, out=None) yielding n^k p(n) on each span's sites.
 
-    Each block's sites are one arange(BLOCK) plus the block's first site,
-    exact in float64; k = 1 multiplies p by the sites themselves.  A call's
-    blocks share one scratch buffer, so each block must be used before the
-    next one is drawn.  For k = 0 the blocks are the field's own read-only
-    values (1.0 p is p bit for bit), so no block may be written.
+    Each span's sites are one arange plus the span's first site, exact in
+    float64; k = 1 multiplies p by the sites themselves.  A block is written
+    into out[start:stop] when a ring-sized out is given, else into one
+    scratch buffer per call, so each block must be used before the next one
+    is drawn, and concurrent calls share nothing.  For k = 0 the blocks are
+    the field's own read-only values (1.0 p is p bit for bit), so no block
+    may be written, and out is left alone.
     """
     if field.kind is not FieldKind.PROBABILITY:
         raise ValueError(f"{name} expects a probability field")
     if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 0:
         raise ValueError(f"moment order must be >= 0 and an integer, got k={k}")
-    steps = np.arange(BLOCK, dtype=float)
 
-    def blocks():
+    def blocks(spans, out=None):
         if k == 0:
-            yield from (field.values[start:stop] for start, stop in _blocks(field.L))
+            yield from (field.values[start:stop] for start, stop in spans)
             return
-        n, terms = np.empty(BLOCK), np.empty(BLOCK)
-        for start, stop in _blocks(field.L):
+        width = max((stop - start for start, stop in spans), default=0)
+        steps, n = np.arange(width, dtype=float), np.empty(width)
+        scratch = np.empty(width) if out is None else None
+        for start, stop in spans:
             w = stop - start
             np.add(steps[:w], start - field.origin, out=n[:w])
-            yield np.multiply(_int_power(n[:w], k, terms[:w]), field.values[start:stop], out=terms[:w])
+            terms = scratch[:w] if out is None else out[start:stop]
+            yield np.multiply(_int_power(n[:w], k, terms), field.values[start:stop], out=terms)
 
     return blocks
 
@@ -488,26 +507,28 @@ def _moment_blocks(field: ObservableField, k: int, name: str):
 def cumulative_moment(field: ObservableField, k: int) -> ObservableField:
     """Prefix sums of n^k p(n), the k-th cumulative position moment.
 
-    Each block's first term gets the previous block's last prefix sum before
-    the block's cumsum, which is exactly the sequential sum over the ring.
+    The terms are written into the output ring, SUM_BLOCK sites at a time
+    (on WORKERS threads on a large ring), and then summed by one in-place
+    np.cumsum, which is the sequential sum over the ring whatever the split.
     """
+    blocks = _moment_blocks(field, k, "cumulative_moment")
     values = np.empty(field.L)
-    start = 0
-    for terms in _moment_blocks(field, k, "cumulative_moment")():
-        if start:
-            if k == 0:  # the field's own read-only values
-                terms = terms.copy()
-            terms[0] += values[start - 1]
-        np.cumsum(terms, out=values[start:start + terms.size])
-        start += terms.size
+
+    def build(spans):
+        for _ in blocks(spans, values):
+            pass
+
+    if k:
+        _map_spans(build, _blocks(field.L, SUM_BLOCK), field.L)
+    np.cumsum(values if k else field.values, out=values)
     return ObservableField(
         FieldKind.CUMULATIVE_MOMENT, values, field.t, field.params, field.L,
         moment_order=k, origin=field.origin,
     )
 
 
-def _fsum_blocks(blocks) -> float:
-    """math.fsum of the float64 terms that blocks() yields, at most BLOCK at a time.
+def _fsum_blocks(blocks, spans, sites: int) -> float:
+    """math.fsum of the float64 terms that blocks(spans) yields, one block per span.
 
     Each block of w terms is split without error (Rump, Ogita and Oishi,
     "Accurate floating-point summation part I", SIAM J. Sci. Comput. 31,
@@ -522,44 +543,56 @@ def _fsum_blocks(blocks) -> float:
     math.fsum of these few exact parts is the correctly rounded total,
     which is fsum's result on the terms bit for bit.
 
-    A non-finite term, or terms whose magnitudes could add up to 2^1022
-    (the bound sums w 2^e over the blocks, so neither the parts nor any of
-    fsum's partial sums can overflow below it), hands every term to
-    math.fsum, which raises ValueError or OverflowError where it does; an
-    exact zero takes fsum's sign.  Both call blocks() again, so no
-    ring-sized array of terms is ever built.  The scratch arrays are
-    allocated once per call, so concurrent calls share nothing.
+    The spans go to _map_spans as for a ring of the given number of sites:
+    each run of spans builds its own list of exact parts and its own
+    overflow bound (w 2^e summed over its blocks), with its own scratch
+    arrays, and the caller joins the lists in span order, so fsum adds the
+    parts of the serial sweep whatever the worker count.  A non-finite term,
+    or a total bound that reaches 2^1022 (below it neither the parts nor
+    any of fsum's partial sums can overflow), hands every term to math.fsum
+    in the caller's thread, which raises ValueError or OverflowError where
+    it does; an exact zero takes fsum's sign.  Both call blocks() again, so
+    no ring-sized array of terms is ever built.
     """
-    parts, bound = [], 0.0
-    q_buf, r_buf = np.empty(BLOCK), np.empty(BLOCK)
-    for x in blocks():
-        w = x.size
-        hi, lo = float(x.max()), float(x.min())
-        top = max(hi, -lo)  # NaN when any term is NaN
-        if top == 0.0:
-            continue
-        e, M = math.frexp(top)[1], (w + 1).bit_length()
-        bound += math.ldexp(w, e - 1022)  # in units of 2^1022
-        if not (math.isfinite(top) and bound < 1.0):
-            return math.fsum(itertools.chain.from_iterable(b.tolist() for b in blocks()))
-        if lo > 0.0 or hi < 0.0:  # one sign and no zero: the smallest |x| is an end
-            low = lo if lo > 0.0 else -hi
-        else:
-            r = np.abs(x, out=r_buf[:w])
-            low = r.min(where=r > 0.0, initial=math.inf)
-        f = max(math.frexp(low)[1], -1021)
-        r, q = x, q_buf[:w]
-        while e + M > f:
-            sigma = math.ldexp(1.0, e + M)
-            np.subtract(np.add(r, sigma, out=q), sigma, out=q)
-            parts.append(float(q.sum()))
-            r = np.subtract(r, q, out=r_buf[:w])
-            e += M - 53
-        parts.append(float(r.sum()))
-    total = math.fsum(parts)
+    spans = list(spans)
+
+    def extract(run):
+        parts, bound = [], 0.0  # bound in units of 2^1022
+        width = max((stop - start for start, stop in run), default=0)
+        q_buf, r_buf = np.empty(width), np.empty(width)
+        for x in blocks(run):
+            w = x.size
+            hi, lo = float(x.max()), float(x.min())
+            top = max(hi, -lo)  # NaN when any term is NaN
+            if top == 0.0:
+                continue
+            e, M = math.frexp(top)[1], (w + 1).bit_length()
+            bound += math.ldexp(w, e - 1022)
+            if not (math.isfinite(top) and bound < 1.0):
+                return None, bound
+            if lo > 0.0 or hi < 0.0:  # one sign and no zero: the smallest |x| is an end
+                low = lo if lo > 0.0 else -hi
+            else:
+                r = np.abs(x, out=r_buf[:w])
+                low = r.min(where=r > 0.0, initial=math.inf)
+            f = max(math.frexp(low)[1], -1021)
+            r, q = x, q_buf[:w]
+            while e + M > f:
+                sigma = math.ldexp(1.0, e + M)
+                np.subtract(np.add(r, sigma, out=q), sigma, out=q)
+                parts.append(float(q.sum()))
+                r = np.subtract(r, q, out=r_buf[:w])
+                e += M - 53
+            parts.append(float(r.sum()))
+        return parts, bound
+
+    runs = _map_spans(extract, spans, sites)
+    if any(parts is None for parts, _ in runs) or not sum(bound for _, bound in runs) < 1.0:
+        return math.fsum(itertools.chain.from_iterable(b.tolist() for b in blocks(spans)))
+    total = math.fsum(itertools.chain.from_iterable(parts for parts, _ in runs))
     if total == 0:
         # fsum's zero keeps the sign of all-(-0.0) input on Python >= 3.12
-        signs = [np.signbit(x).all() for x in blocks()]
+        signs = [np.signbit(x).all() for x in blocks(spans)]
         return math.fsum([-0.0]) if signs and all(signs) else 0.0
     return total
 
@@ -569,12 +602,14 @@ def position_moment(field: ObservableField, k: int) -> float:
 
     n^4 p(n) spans many orders of magnitude at large t, so the terms are
     reduced to the exactly rounded sum, equal to math.fsum of the same
-    terms, by _fsum_blocks: an error-free split of each block into a few
-    exact parts (no per-site Python loop, no ring-sized array of terms).
-    The sum is memoised on the field, whose values are read-only.
+    terms, by _fsum_blocks: an error-free split of each SUM_BLOCK-site block
+    into a few exact parts (no per-site Python loop, no ring-sized array of
+    terms), on WORKERS threads on a large ring.  The sum is memoised on the
+    field, whose values are read-only.
     """
     if k not in field._moments:
-        field._moments[k] = _fsum_blocks(_moment_blocks(field, k, "position_moment"))
+        blocks = _moment_blocks(field, k, "position_moment")
+        field._moments[k] = _fsum_blocks(blocks, _blocks(field.L, SUM_BLOCK), field.L)
     return field._moments[k]
 
 

@@ -31,7 +31,7 @@ from chiralwalk import (
 )
 from chiralwalk.cli import _select_front
 from chiralwalk.evolve import (
-    BLOCK, GUARD_SITES, MAX_LATTICE, ROW_BATCH, _fast_even_lengths, _int_power
+    BLOCK, GUARD_SITES, MAX_LATTICE, ROW_BATCH, SUM_BLOCK, _fast_even_lengths, _int_power
 )
 from chiralwalk.hydro import scaled_moment
 from oracles import (
@@ -282,9 +282,9 @@ def test_position_moments_summed_once_per_field(monkeypatch):
     exact = EVOLVE_MODULE._fsum_blocks
     calls = []
 
-    def counted(blocks):
+    def counted(blocks, spans, sites):
         calls.append(blocks)
-        return exact(blocks)
+        return exact(blocks, spans, sites)
 
     monkeypatch.setattr(EVOLVE_MODULE, "_fsum_blocks", counted)
     prob = probability_density(wf)
@@ -300,7 +300,8 @@ def test_position_moments_summed_once_per_field(monkeypatch):
     fresh = probability_density(wf)
     for k in range(5):
         assert _same_float(position_moment(prob, k), position_moment(fresh, k))
-        assert _same_float(mu[k], exact(EVOLVE_MODULE._moment_blocks(fresh, k, "position_moment")))
+        blocks = EVOLVE_MODULE._moment_blocks(fresh, k, "position_moment")
+        assert _same_float(mu[k], exact(blocks, EVOLVE_MODULE._blocks(fresh.L, SUM_BLOCK), fresh.L))
     assert len(calls) == 10
 
 
@@ -365,8 +366,8 @@ def _same_float(a, b):
 def _exact_sum(x):
     """evolve._fsum_blocks over a float64 array, taken BLOCK terms at a time."""
     x = np.asarray(x, dtype=float).ravel()
-    blocks = EVOLVE_MODULE._blocks
-    return EVOLVE_MODULE._fsum_blocks(lambda: (x[start:stop] for start, stop in blocks(x.size)))
+    spans = EVOLVE_MODULE._blocks(x.size)
+    return EVOLVE_MODULE._fsum_blocks(lambda run: (x[start:stop] for start, stop in run), spans, x.size)
 
 
 def test_exact_sum_matches_fsum(monkeypatch):
@@ -525,8 +526,10 @@ def test_blocked_kernels_match_whole_ring(monkeypatch, block, sizes):
     # fftfreq's negative half starts on a chunk edge at L = 256 (block 8)
     # and 512 (block 64) and inside a chunk elsewhere; L = 4 below one
     # block, and L = 30 (block 7), 40, 64 and 200 (block 64), take the
-    # single transform
+    # single transform.  The exact sums and the cumulative moments' terms
+    # take blocks of the same size
     monkeypatch.setattr(EVOLVE_MODULE, "BLOCK", block)
+    monkeypatch.setattr(EVOLVE_MODULE, "SUM_BLOCK", block)
     p, t = WalkParams(0.3, 0.8), 3.0
     for L in sizes:
         R = EVOLVE_MODULE._rows(L)
@@ -551,8 +554,7 @@ def test_blocked_kernels_match_whole_ring(monkeypatch, block, sizes):
             prob = probability_density(wf)
             for k in range(6):  # k = 5 takes _int_power's n**k path
                 terms = whole_ring_moment_terms(prob.values, k, origin)
-                if 1 <= k <= 3:
-                    assert _same_bits(cumulative_moment(prob, k).values, np.cumsum(terms))
+                assert _same_bits(cumulative_moment(prob, k).values, np.cumsum(terms))
                 assert _same_float(position_moment(prob, k), math.fsum(terms))
 
 
@@ -585,7 +587,7 @@ def _same_outcome(a, b):
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_position_moment_edge_cases_match_fsum(monkeypatch):
     # blocks of 3 sites, so a non-finite term can sit blocks after the first
-    monkeypatch.setattr(EVOLVE_MODULE, "BLOCK", 3)
+    monkeypatch.setattr(EVOLVE_MODULE, "SUM_BLOCK", 3)
     L = 12  # sites -6 .. 5
 
     def field(fill, spikes=()):
@@ -641,7 +643,7 @@ def test_position_moment_nonfinite_cases_in_every_block(monkeypatch, block):
     # the extraction hands every term to fsum at the first block that holds
     # a non-finite term; each case is rotated by whole blocks of 3 sites so
     # that its first spike sits in the first, the middle or the last block
-    monkeypatch.setattr(EVOLVE_MODULE, "BLOCK", 3)
+    monkeypatch.setattr(EVOLVE_MODULE, "SUM_BLOCK", 3)
     L = 15  # sites -7 .. 7, five blocks
     target = {"first": 0, "middle": 2, "last": 4}[block]
 
@@ -672,7 +674,7 @@ def test_position_moment_nonfinite_cases_in_every_block(monkeypatch, block):
 def test_position_moments_from_two_threads_match_serial(monkeypatch):
     # two fields summed at once, one per thread, give the serial bits: the
     # exact sums' scratch arrays belong to one call
-    monkeypatch.setattr(EVOLVE_MODULE, "BLOCK", 64)
+    monkeypatch.setattr(EVOLVE_MODULE, "SUM_BLOCK", 64)
     fields = [probability_density(evolve(WalkParams(0.3, 0.8), t)) for t in (300.0, 500.0)]
 
     def fresh(f):
@@ -731,8 +733,12 @@ def test_same_bits_for_any_worker_count(monkeypatch, block, L):
     # a ragged last chunk of columns (L = 168), fftfreq's negative half on
     # a chunk edge (L = 256) and inside one (elsewhere), and the single
     # transform (L = 100, block 64), on a centred ring and with site 0 off
-    # the centre
+    # the centre.  The exact sums and the cumulative moments' terms take
+    # 15 spans with a ragged last one (L = 72), 16 whole ones (L = 256), 10
+    # with a ragged last one (L = 486), and fewer spans than three workers:
+    # two (L = 168) and one (L = 100)
     monkeypatch.setattr(EVOLVE_MODULE, "BLOCK", block)
+    monkeypatch.setattr(EVOLVE_MODULE, "SUM_BLOCK", {72: 5, 256: 16, 168: 100, 486: 50, 100: 128}[L])
     monkeypatch.setattr(EVOLVE_MODULE, "THREAD_SITES", 0)
     p, t = WalkParams(0.3, 0.8), 3.0
     R = EVOLVE_MODULE._rows(L)
@@ -746,16 +752,21 @@ def test_same_bits_for_any_worker_count(monkeypatch, block, L):
         wf = WaveFunction(p, t, L, EVOLVE_MODULE._ring_transform(phase.copy(), origin), origin)
         prob = probability_density(wf)
         fields = [phase, centred.amps, wf.amps, prob.values, current_density(wf).values]
-        fields += [cumulative_moment(prob, k).values for k in (1, 2, 3)]
+        fields += [cumulative_moment(prob, k).values for k in range(6)]
         return fields, [position_moment(prob, k) for k in range(6)]
 
     monkeypatch.setattr(EVOLVE_MODULE, "WORKERS", 1)
     want_fields, want_mu = outputs()
-    for workers in (2, 3):
-        monkeypatch.setattr(EVOLVE_MODULE, "WORKERS", workers)
-        fields, mu = outputs()
-        assert all(_same_bits(a, b) for a, b in zip(fields, want_fields)), workers
-        assert all(_same_float(a, b) for a, b in zip(mu, want_mu)), workers
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # hand the GIL over often, so the runs interleave
+    try:
+        for workers in (2, 3):
+            monkeypatch.setattr(EVOLVE_MODULE, "WORKERS", workers)
+            fields, mu = outputs()
+            assert all(_same_bits(a, b) for a, b in zip(fields, want_fields)), workers
+            assert all(_same_float(a, b) for a, b in zip(mu, want_mu)), workers
+    finally:
+        sys.setswitchinterval(interval)
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
@@ -778,21 +789,79 @@ def test_current_guard_from_a_worker_thread(monkeypatch):
         assert _same_bits(current_density(wf).values, good)
 
 
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.parametrize("workers", [2, 3])
+def test_exact_sum_fallbacks_from_a_worker_run(monkeypatch, workers):
+    # a term that sends every term to math.fsum, or leaves a zero sum, sits
+    # in the last worker's run; the threaded sum gives the serial outcome
+    monkeypatch.setattr(EVOLVE_MODULE, "SUM_BLOCK", 4)
+    monkeypatch.setattr(EVOLVE_MODULE, "THREAD_SITES", 0)
+    L = 40  # sites -20 .. 19, ten spans of 4
+    spans = list(EVOLVE_MODULE._blocks(L, 4))
+    last = spans[len(spans) * (workers - 1) // workers][0]  # first site of the last worker's run
+    assert 0 < last < L - 4
+
+    def field(fill, spikes):
+        values = np.full(L, fill)
+        for index, value in spikes:
+            values[index] = value
+        return ObservableField(FieldKind.PROBABILITY, values, 1.0, WalkParams(0.3, 0.8), L, origin=L // 2)
+
+    # 1.5 2^1018 gives a block the overflow bound 4 2^1019 = 2^1022 / 2: one
+    # such block in the first run and one in the last run pass each run's
+    # bound and reach 2^1022 only together
+    half = 1.5 * 2.0**1018
+    cases = [
+        field(0.0625, [(last + 1, np.nan)]),
+        field(0.0625, [(last + 1, np.inf)]),
+        field(0.0625, [(last + 1, 2.0**1021)]),  # near 2^1022, a finite sum
+        field(0.0625, [(1, half), (last + 1, half)]),
+        field(0.0625, [(last + 1, 1e308), (last + 2, 1e308)]),  # sums beyond the float range
+        field(-0.0, []),
+        field(0.0, [(index, -0.0) for index in range(last, L)]),
+    ]
+    threads = threading.active_count()
+    for f in cases:
+        for k in range(6):
+            fresh = [
+                ObservableField(FieldKind.PROBABILITY, f.values.copy(), f.t, f.params, f.L, origin=f.origin)
+                for _ in range(2)
+            ]
+            monkeypatch.setattr(EVOLVE_MODULE, "WORKERS", 1)
+            want = _fsum_outcome(lambda: position_moment(fresh[0], k))
+            monkeypatch.setattr(EVOLVE_MODULE, "WORKERS", workers)
+            got = _fsum_outcome(lambda: position_moment(fresh[1], k))
+            assert _same_outcome(got, want), (f.values, k, got, want)
+            assert _same_outcome(want, _fsum_outcome(lambda: math.fsum(whole_ring_moment_terms(f.values, k))))
+            assert threading.active_count() == threads
+    # the outcomes the cases are there for
+    assert math.isnan(position_moment(cases[0], 0))
+    assert position_moment(cases[1], 0) == math.inf
+    assert position_moment(cases[2], 0) == math.fsum(cases[2].values)
+    assert position_moment(cases[3], 0) == math.fsum(cases[3].values)
+    assert _fsum_outcome(lambda: position_moment(cases[4], 0)) is OverflowError
+    assert _same_float(position_moment(cases[5], 0), math.fsum([-0.0]))
+    assert _same_float(position_moment(cases[6], 0), 0.0)
+
+
 def test_threads_only_on_large_rings(monkeypatch):
     if hasattr(os, "sched_getaffinity"):
         assert EVOLVE_MODULE.WORKERS == len(os.sched_getaffinity(0))
+    threshold = EVOLVE_MODULE.THREAD_SITES
+    assert threshold == 2**18
     # two workers whatever the affinity, so only the ring-size gate can
     # keep a kernel in the caller's thread
     monkeypatch.setattr(EVOLVE_MODULE, "WORKERS", 2)
-    seen = []
+    seen = {}
     spread = EVOLVE_MODULE._map_spans
 
     def observed(kernel, spans, sites):
         def run(part):
-            seen.append(threading.active_count())
-            kernel(part)
+            seen.setdefault(kernel.__name__, set()).add(threading.active_count())
+            return kernel(part)
 
-        spread(run, spans, sites)
+        return spread(run, spans, sites)
 
     monkeypatch.setattr(EVOLVE_MODULE, "_map_spans", observed)
     p, before = WalkParams(0.3, 0.8), threading.active_count()
@@ -800,14 +869,17 @@ def test_threads_only_on_large_rings(monkeypatch):
     def kernels(L):
         seen.clear()
         wf = evolve(p, 3.0, lattice=L)
-        probability_density(wf)
+        prob = probability_density(wf)
         current_density(wf)
-        return set(seen)
+        cumulative_moment(prob, 2)
+        position_moment(prob, 4)
+        return seen
 
-    threshold = EVOLVE_MODULE.THREAD_SITES
-    assert kernels(64000) == {before}  # above the largest edge ring at t = 1e4, 46 080 sites
-    assert kernels(threshold - 2 * BLOCK) == {before}
-    assert max(kernels(threshold)) > before
+    names = {"fill", "rows", "columns", "square", "bonds", "build", "extract"}
+    # above the largest edge ring at t = 1e4, 46 080 sites; one transform
+    assert kernels(64000) == {name: {before} for name in names - {"rows", "columns"}}
+    assert kernels(threshold - 2 * BLOCK) == {name: {before} for name in names}
+    assert {name: max(counts) > before for name, counts in kernels(threshold).items()} == dict.fromkeys(names, True)
     assert threading.active_count() == before
 
 
