@@ -178,7 +178,7 @@ def cmd_fronts(args) -> int:
         raise ValueError(f"g must be >= 0, got g-min={args.g_min}")
     check_coupling(args.g_max)
     try:
-        phis = [args.phi] if args.phi_list is None else [float(s) for s in args.phi_list.split(",")]
+        phis = [float(s) for s in args.phi_list.split(",")]
     except ValueError:
         raise ValueError(f"--phi-list must be comma-separated numbers, got {args.phi_list!r}") from None
     for phi in phis:
@@ -218,7 +218,7 @@ def cmd_scaling(args) -> int:
     if not 2 <= args.grid <= MAX_GRID:
         raise ValueError(f"grid must lie in [2, {MAX_GRID}], got {args.grid}")
     # first, so that windows covering every compared site end the run before any output
-    report = hydro_mod.compare_bulk(p, args.t, exclusion=args.exclusion)
+    report = hydro_mod.compare_bulk(p, args.t)
     out = _outdir(args)
     num = report.numeric
     L = num["phi"].size
@@ -254,7 +254,7 @@ def cmd_scaling(args) -> int:
         "g": p.g,
         "phi": p.phi,
         "t": args.t,
-        "exclusion": report.exclusion,
+        "exclusion": hydro_mod.EXCLUSION,
         "windows": [{"velocity": v, "half_width": h} for v, h in report.windows],
         "deviations": {
             name: {
@@ -296,8 +296,6 @@ def cmd_edge(args) -> int:
         raise ValueError(
             f"xi-max must be finite with 0 < xi-max <= {airy_mod.XI_LIMIT}, got {args.xi_max}"
         )
-    if args.window is not None and args.window < 1:
-        raise ValueError(f"window must be >= 1 site, got {args.window}")
     diagram = cone_topology(p)
     front = _select_front(diagram, args.front)
     meta = {
@@ -320,7 +318,7 @@ def cmd_edge(args) -> int:
         scale = edge_scale(front, args.t)
         if not 0.0 < scale < math.inf:  # |kappa| t underflows or overflows
             raise ValueError(f"the edge scale at t={args.t} is {scale} sites, not a positive float")
-        window = args.window if args.window is not None else int(math.ceil(args.xi_max * scale))
+        window = int(math.ceil(args.xi_max * scale))
         usable = airy_mod.max_edge_window(front, args.t)
         if usable < 1:
             raise ValueError(
@@ -384,8 +382,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("fronts",
                        help="sweep the front diagram in g, find g_c (closed forms, no tolerances)")
-    s.add_argument("--phi", type=float, default=math.pi / 2)
-    s.add_argument("--phi-list", default=None, help="comma-separated phi values, sweep and g_c at each")
+    s.add_argument("--phi-list", "--phi", dest="phi_list", default=repr(math.pi / 2),
+                   help="one or more comma-separated phi values in [0, pi/2], sweep and g_c at each")
     s.add_argument("--g-min", type=float, default=0.01)
     s.add_argument("--g-max", type=float, default=0.5)
     s.add_argument("--g-steps", type=int, default=50,
@@ -396,16 +394,14 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("scaling", help="bulk scaling comparison, numeric vs hydrodynamic")
     _add_common(s, 2000.0)
     s.add_argument("--grid", type=int, default=4001, help="nu grid points for bulk.csv, 2 to 2^20")
-    s.add_argument("--exclusion", type=float, help="front window half-width factor, >= 0")
     common_tail(s)
-    s.set_defaults(func=cmd_scaling, exclusion=hydro_mod.DEFAULT_EXCLUSION)
+    s.set_defaults(func=cmd_scaling)
 
     s = sub.add_parser("edge", help="edge profile and staircase at one front")
     _add_common(s, 10000.0)
     s.add_argument("--front", choices=("left", "right", "internal"), default="left")
-    s.add_argument("--window", type=int, default=None, help="sites around the front (default from --xi-max)")
     s.add_argument("--xi-max", type=float, default=13.5,
-                   help="profile extent in the edge coordinate (13.5 reaches five staircase steps)")
+                   help="+-ceil(xi-max x edge scale) sites around the front (13.5 reaches five staircase steps)")
     common_tail(s)
     s.set_defaults(func=cmd_edge)
     return ap

@@ -220,6 +220,11 @@ def _fast_even_lengths(lo: int, hi: int) -> list[int]:
     return sorted(out)
 
 
+def _check_reach(reach) -> None:
+    if isinstance(reach, bool) or not isinstance(reach, (int, np.integer)) or reach < 0:
+        raise ValueError(f"reach must be an integer >= 0, got reach={reach!r}")
+
+
 def _check_cap(L: float) -> None:
     if L > MAX_LATTICE:
         # a given lattice int may exceed every float, and is printed whole
@@ -253,10 +258,11 @@ def ring_layout(p: WalkParams, t: float, reach: int = 0) -> tuple[int, int]:
     middle of the spare sites.  Raises GuardError above MAX_LATTICE, before
     the sides are rounded (they may be infinite); MAX_LATTICE is itself
     5-smooth, so the size search stops there.  A t that is not >= 0 (NaN
-    included) raises ValueError.
+    included), or a reach that is not an integer >= 0, raises ValueError.
     """
     if not t >= 0:
         raise ValueError(f"t must be >= 0, got t={t}")
+    _check_reach(reach)
     d = cone_topology(p)
 
     def side(v: float) -> float:
@@ -374,10 +380,11 @@ def evolve(p: WalkParams, t: float, lattice: int | None = None, *, reach: int = 
     wraparound is part of that model, as in cross-checks against dense
     matrix exponentials.  Rings above MAX_LATTICE sites are refused with
     GuardError before anything is allocated, and a t that is not >= 0 (NaN
-    included) with ValueError.
+    included) or a reach that is not an integer >= 0 with ValueError.
     """
     if not t >= 0:
         raise ValueError(f"t must be >= 0, got t={t}")
+    _check_reach(reach)
     if lattice is None:
         L, origin = ring_layout(p, t, reach)
     else:
@@ -607,8 +614,8 @@ def position_moment(field: ObservableField, k: int) -> float:
     terms), on WORKERS threads on a large ring.  The sum is memoised on the
     field, whose values are read-only.
     """
+    blocks = _moment_blocks(field, k, "position_moment")  # checks field and k on every call
     if k not in field._moments:
-        blocks = _moment_blocks(field, k, "position_moment")
         field._moments[k] = _fsum_blocks(blocks, _blocks(field.L, SUM_BLOCK), field.L)
     return field._moments[k]
 

@@ -59,7 +59,8 @@ from .evolve import (
 )
 from .fronts import ConeTopology, FrontDiagram, cone_topology, edge_scale
 
-DEFAULT_EXCLUSION = 8.0
+# half-width of each front's exclusion window, in edge scales
+EXCLUSION = 8.0
 # nodes per branch of the velocity table in which every root starts
 _NODES = 128
 # nu per block of _bulk: its (branches, nu) arrays then hold a few MB at any
@@ -459,20 +460,17 @@ def scaling_curve(p: WalkParams, num: int = 4001) -> ScalingCurve:
     return ScalingCurve(p, nu, h["phi"], h["j"], (h["m1"], h["m2"], h["m3"]))
 
 
-def exclusion_windows(
-    diagram: FrontDiagram, t: float, c: float = DEFAULT_EXCLUSION
-) -> list[tuple[float, float]]:
+def exclusion_windows(diagram: FrontDiagram, t: float) -> list[tuple[float, float]]:
     """(centre, half-width) in nu of the edge windows around each front.
 
     The edge region of a k-th order front spans ~ (|kappa_k| t)^(1/(k+2))
-    sites, where bulk scaling is violated by construction.  t must be
-    finite and > 0, and c finite and >= 0.
+    sites, where bulk scaling is violated by construction; each window
+    reaches EXCLUSION such edge scales either side of its front.  t must be
+    finite and > 0.
     """
     if not (math.isfinite(t) and t > 0):
         raise ValueError(f"exclusion windows need a finite t > 0, got t={t}")
-    if not (math.isfinite(c) and c >= 0):
-        raise ValueError(f"exclusion must be finite and >= 0, got {c}")
-    return [(fr.velocity, c * edge_scale(fr, t) / t) for fr in diagram.fronts]
+    return [(fr.velocity, EXCLUSION * edge_scale(fr, t) / t) for fr in diagram.fronts]
 
 
 @dataclass(frozen=True)
@@ -486,26 +484,20 @@ class Deviation:
 class BulkReport:
     params: WalkParams
     t: float
-    exclusion: float
     windows: list = field(default_factory=list)
     deviations: dict = field(default_factory=dict)
     numeric: dict = field(default_factory=dict)  # compared fields over the whole ring
     origin: int = field(kw_only=True)  # index of site 0 in the numeric fields
 
 
-def compare_bulk(
-    p: WalkParams,
-    t: float,
-    exclusion: float = DEFAULT_EXCLUSION,
-    margin: float = 0.25,
-) -> BulkReport:
+def compare_bulk(p: WalkParams, t: float, margin: float = 0.25) -> BulkReport:
     """Evolve numerically on ring_layout(p, t) and measure deviations from hydro.
 
     Sites with nu = n/t within margin of the cone are compared against the
     sub-level-set predictions of Phi, J and M~_1..3 (the numeric moments
     scaled by t^k); sup and L1 deviations are reported separately outside
-    and inside the front exclusion windows (half-width exclusion * edge
-    scale).  The five numeric fields, on every site of the ring, are
+    and inside exclusion_windows, EXCLUSION edge scales either side of each
+    front.  The five numeric fields, on every site of the ring, are
     returned in the report's numeric dict, with site 0 at index origin.
     ValueError is raised before the evolution for a t that is not positive
     (NaN included), for a margin that is not finite and >= 0, for a t so
@@ -518,7 +510,7 @@ def compare_bulk(
     if not (math.isfinite(margin) and margin >= 0):
         raise ValueError(f"compare_bulk needs a finite margin >= 0, got margin={margin}")
     d = cone_topology(p)
-    wins = exclusion_windows(d, t, exclusion)
+    wins = exclusion_windows(d, t)
     L, origin = ring_layout(p, t)
     # after the ring's cap check, so that t^3 cannot overflow
     if t**3 < sys.float_info.min:
@@ -553,4 +545,4 @@ def compare_bulk(
             l1_outside=float(diff[~inside].sum() * dnu),
             sup_inside=float(diff[inside].max()) if inside.any() else 0.0,
         )
-    return BulkReport(p, float(t), exclusion, wins, devs, numeric, origin=wf.origin)
+    return BulkReport(p, float(t), wins, devs, numeric, origin=wf.origin)

@@ -453,7 +453,7 @@ def test_measure_edge_window_overlap_rejected():
         measure_edge(p, internal, 100.0, window=90)
 
 
-def test_measure_edge_checks_the_window_before_evolving(monkeypatch, tmp_path):
+def test_measure_edge_checks_the_window_before_evolving(monkeypatch, tmp_path, capsys):
     # an overlapping window, or a ring above the cap, ends measure_edge and
     # the edge command before anything is evolved
     def refuse(*args, **kwargs):
@@ -466,7 +466,8 @@ def test_measure_edge_checks_the_window_before_evolving(monkeypatch, tmp_path):
         measure_edge(p, internal, 100.0, window=90)
     base = ["edge", "--g", "0.25", "--phi", repr(PI / 2), "--front", "internal"]
     out = tmp_path / "o"
-    assert cli.main([*base, "--t", "100", "--window", "90", "--out", str(out)]) == 2
+    assert cli.main([*base, "--t", "100", "--xi-max", "19.283", "--out", str(out)]) == 2
+    assert "window of 90 sites" in capsys.readouterr().err
     assert not out.exists()
     # a huge t is a guard violation (exit 3), found before evolving too
     for t in ("1e12", "1e300"):

@@ -57,14 +57,13 @@ COMMANDS = {
     "evolve": (["--g=0.3", "--phi=0.8", "--t=50"], COMMON),
     "scaling": (
         ["--g=0.3", "--phi=0.8", "--t=50", "--grid=64"],
-        {**COMMON, "--grid": INTS, "--exclusion": FLOATS},
+        {**COMMON, "--grid": INTS},
     ),
     "edge": (
         ["--g=0.0625", "--t=50"],
         {
             **COMMON,
             "--front": st.sampled_from(["left", "right", "internal"]),
-            "--window": INTS,
             "--xi-max": FLOATS,
         },
     ),
@@ -160,29 +159,57 @@ def test_tiny_time_writes_null_gamma(tmp_path, t):
         ["evolve", "--g=0.3", "--phi=2"],
         ["edge", "--g=0.0625", "--t=100", "--front=internal"],
         ["edge", "--g=0.0625", "--t=1e-300"],
-        ["edge", "--g=0.0625", "--t=10", "--window=30"],
+        ["edge", "--g=0.0625", "--t=10", "--xi-max=50"],
         ["edge", "--g=0.0625", "--t=5e-324"],
         ["edge", "--g=1e300", "--t=1e10"],
     ],
 )
 def test_config_error_leaves_no_output(argv, tmp_path, capsys):
     # a negative t, a phi outside the canonical window, a missing internal
-    # front, a window onto another front, and an edge scale too small for a
-    # whole-site window or that under- or overflows are all refused before
-    # any output
+    # front, a window past |xi| = 50 (86 sites against a usable 84), and an
+    # edge scale too small for a whole-site window or that under- or
+    # overflows are all refused before any output
     assert cli.main([*argv, f"--out={tmp_path / 'o'}"]) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not (tmp_path / "o").exists()
 
 
+# flags that no longer exist: the ring is always the automatic, guarded one,
+# scaling's exclusion windows are always EXCLUSION edge scales, and edge's
+# window comes from --xi-max alone
+REMOVED_FLAGS = {
+    "evolve": [["--lattice=128"]],
+    "scaling": [["--lattice=128"], ["--exclusion", "8"]],
+    "edge": [["--lattice=128"], ["--window", "30"]],
+}
+
+
 @pytest.mark.parametrize("command", ["evolve", "scaling", "edge"])
 def test_lattice_flag_is_unknown(command, tmp_path, capsys):
-    # the ring is always the automatic, guarded one
-    with pytest.raises(SystemExit) as exc:
-        cli.main([command, "--g=0.3", "--lattice=128", f"--out={tmp_path / 'o'}"])
-    assert exc.value.code == 2
-    assert "unrecognized arguments: --lattice=128" in capsys.readouterr().err
-    assert not (tmp_path / "o").exists()
+    for flag in REMOVED_FLAGS[command]:
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--g=0.3", *flag, f"--out={tmp_path / 'o'}"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+
+def _fronts_bytes(tmp_path, name, *flags):
+    out = tmp_path / name
+    assert cli.main(["fronts", *flags, "--g-steps=5", f"--out={out}"]) == 0
+    return {f: (out / f).read_bytes() for f in ("fronts.csv", "gc.json")}
+
+
+def test_fronts_phi_spells_phi_list(tmp_path):
+    # one phi option: --phi X writes the bytes of --phi-list X, and of two
+    # phi flags the last wins
+    listed = _fronts_bytes(tmp_path, "listed", "--phi-list", "0.8")
+    assert _fronts_bytes(tmp_path, "single", "--phi", "0.8") == listed
+    assert _fronts_bytes(tmp_path, "joined", "--phi=0.8") == listed
+    assert _fronts_bytes(tmp_path, "last_list", "--phi", "0.3", "--phi-list", "0.8") == listed
+    assert _fronts_bytes(tmp_path, "last_phi", "--phi-list", "0.3,1.2", "--phi", "0.8") == listed
+    pair = _fronts_bytes(tmp_path, "pair", "--phi-list", "0.3,1.2")
+    assert _fronts_bytes(tmp_path, "pair_phi", "--phi", "0.3,1.2") == pair != listed
 
 
 @pytest.mark.parametrize("g", [2.3e307, 5e307, 1.7e308])

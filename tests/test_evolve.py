@@ -239,6 +239,17 @@ def test_bool_moment_order_rejected():
     assert prob._moments == {}
 
 
+def test_moment_order_checked_on_a_warm_field():
+    # the order is checked on every call, not only on a memo miss, so a
+    # field holding mu_1 .. mu_3 does not read True as 1 or 2.0 as 2
+    prob = probability_density(evolve(WalkParams(0.3, 0.8), 50.0))
+    for k in range(5):
+        position_moment(prob, k)
+    for k in (True, 2.0, np.float64(3.0)):
+        with pytest.raises(ValueError, match="moment order must be >= 0"):
+            position_moment(prob, k)
+
+
 def test_first_cumulative_moment_tracks_current():
     p = WalkParams(1 / 16, PI / 2)
     t = 5000.0
@@ -326,6 +337,21 @@ def test_lattice_must_be_an_integer(lattice):
     # a non-integer lattice is refused, not truncated
     with pytest.raises(ValueError, match="lattice size must be an even integer"):
         evolve(WalkParams(0.3, 0.8), 5.0, lattice=lattice)
+
+
+@pytest.mark.parametrize("reach", [math.nan, -200, -3, "200", True, 200.0, np.float64(5.0)],
+                         ids=["nan", "-200", "-3", "str", "bool", "float", "numpy-float"])
+def test_reach_must_be_a_whole_number_of_sites(monkeypatch, reach):
+    # a NaN or negative reach is not read as reach 0, nor a string as a
+    # TypeError; evolve refuses a bad reach on a given lattice too, before any fill
+    monkeypatch.setattr(EVOLVE_MODULE, "_phase_factors", lambda *a, **kw: pytest.fail("filled"))
+    p = WalkParams(0.3, 0.8)
+    with pytest.raises(ValueError, match="reach must be an integer >= 0"):
+        ring_layout(p, 10.0, reach)
+    for lattice in (None, 64):
+        with pytest.raises(ValueError, match="reach must be an integer >= 0"):
+            evolve(p, 10.0, lattice, reach=reach)
+    assert ring_layout(p, 10.0, np.int64(200)) == ring_layout(p, 10.0, 200) == (480, 236)
 
 
 @pytest.mark.parametrize("lattice", [10**12, 10**400], ids=["1e12", "1e400"])
