@@ -40,10 +40,6 @@ from .hydro import (
     exclusion_windows,
     invert_velocity,
     nu_half,
-    scaled_ccd,
-    scaled_cpd,
-    scaled_density,
-    scaled_moment,
     scaling_curve,
 )
 from .airy import (

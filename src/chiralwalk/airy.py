@@ -126,14 +126,14 @@ def airy_table(k: int, xi, derivs: int = 0) -> np.ndarray:
     """A_k for k = 1 or 3 at every xi (any shape), by fixed-node contour quadrature.
 
     With derivs = m > 0 the result gains a leading axis of m + 1 rows, row j
-    holding the j-th derivative A_k^(j) from the same quadrature nodes.  The
-    whole array is validated first: every xi must be finite with
-    |xi| <= XI_LIMIT.
+    holding the j-th derivative A_k^(j) from the same quadrature nodes, up
+    to the k + 1 rows of the defining ODE.  The whole array is validated
+    first: every xi must be finite with |xi| <= XI_LIMIT.
     """
     if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k not in (1, 3):
         raise ValueError(f"edge profiles are validated for front orders 1 and 3 only; got k={k}")
-    if isinstance(derivs, bool) or not isinstance(derivs, (int, np.integer)) or derivs < 0:
-        raise ValueError(f"derivs must be an integer >= 0, got derivs={derivs}")
+    if isinstance(derivs, bool) or not isinstance(derivs, (int, np.integer)) or not 0 <= derivs <= k + 1:
+        raise ValueError(f"derivs must be an integer >= 0 and <= k + 1 = {k + 1}, got derivs={derivs}")
     xi = np.asarray(xi, dtype=float)
     if not np.all(np.isfinite(xi)):
         raise ValueError("xi must be finite")
@@ -258,9 +258,12 @@ def predict_edge(front: ExtremalFront, t: float, xi_grid: np.ndarray) -> EdgePro
     at t = 1e4 (21 ms with a table at every sample), and ~2.2 ms for the
     2 647 samples of the g = 1/8 right-front window at t = 1e6 (29 ms).
 
-    Rejects even-order fronts, whose amplitude equation has an imaginary
-    dispersion term and therefore no real staircase.
+    Rejects a t that is not > 0 (NaN included), and even-order fronts,
+    whose amplitude equation has an imaginary dispersion term and
+    therefore no real staircase.
     """
+    if not t > 0:
+        raise ValueError(f"predict_edge needs t > 0, got t={t}")
     k = front.order
     if k % 2 == 0:
         raise ValueError(f"front of even order {k} has no real staircase profile")

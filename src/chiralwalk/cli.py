@@ -222,7 +222,8 @@ def cmd_scaling(args) -> int:
     out = _outdir(args)
     num = report.numeric
     L = num["phi"].size
-    curve = hydro_mod.scaling_curve(p, num=args.grid)
+    d = cone_topology(p)
+    curve = hydro_mod.scaling_curve(p, np.linspace(d.v_lm - 0.5, d.v_rm + 0.5, args.grid))
     # the site at or left of n = nu t, clamped to the ring
     at = np.clip(np.floor(curve.nu * args.t).astype(np.int64) + report.origin, 0, L - 1)
     columns = (

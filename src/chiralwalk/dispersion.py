@@ -35,13 +35,15 @@ class WalkParams:
         w(q; g, pi - phi)  = -w(pi - q; g, phi)
 
     The package takes couplings in the window only: constructing
-    WalkParams with out-of-range values is an error.
+    WalkParams with out-of-range values, or with a bool, is an error.
     """
 
     g: float
     phi: float
 
     def __post_init__(self):
+        if isinstance(self.g, (bool, np.bool_)) or isinstance(self.phi, (bool, np.bool_)):
+            raise ValueError(f"couplings must be numbers, not bools, got g={self.g!r}, phi={self.phi!r}")
         if not (math.isfinite(self.g) and math.isfinite(self.phi)):
             raise ValueError("couplings must be finite")
         if self.g < 0:

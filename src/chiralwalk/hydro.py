@@ -15,7 +15,7 @@ antiderivative.  Phi, J and every moment are thus exact up to the roots.
 So is the density rho = dPhi/dnu = (1/2pi) sum_r 1/|w''(q_r)|: each root
 q_r of v = nu moves with nu at the rate 1/|v'(q_r)|.  One solve for the
 roots gives all of them: _bulk is the only code that turns the roots into
-Phi, J, M~_k and rho.
+Phi, J, M~_k and rho, and scaling_curve returns them at any array of nu.
 
 Between consecutive front wave vectors q* the group velocity is monotone,
 because w'' has no root there.  The zone therefore splits into monotone
@@ -348,44 +348,10 @@ def invert_velocity(p: WalkParams, nu: float) -> list[float]:
     One root per monotone branch whose end velocities straddle nu; the
     empty list outside (v_lm, v_rm).
     """
-    _check_scalar(nu)
-    end, _, _, (branch, col, _) = _ends(p, np.atleast_1d(np.asarray(nu, dtype=float)), _branches(p))
-    return sorted(float(r - TWO_PI if r >= math.pi else r) for r in end[branch, col])
-
-
-def _check_scalar(nu) -> None:
     if np.ndim(nu) != 0:
         raise ValueError(f"nu must be a scalar, got an array of shape {np.shape(nu)}")
-
-
-def scaled_cpd(p: WalkParams, nu: float) -> float:
-    """Phi(nu): measure of the sub-level set {v <= nu}, normalised by 2pi."""
-    _check_scalar(nu)
-    return float(_bulk(p, nu)["phi"][0])
-
-
-def scaled_ccd(p: WalkParams, nu: float) -> float:
-    """J(nu) = (1/2pi) integral of v over {v <= nu} = telescoped band energies."""
-    _check_scalar(nu)
-    return float(_bulk(p, nu)["j"][0])
-
-
-def scaled_moment(p: WalkParams, nu: float, k: int) -> float:
-    """Scaled cumulative moment: (1/2pi) integral of v^k over {v <= nu}."""
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
-        raise ValueError(f"moment order must be >= 1 and an integer, got k={k}")
-    _check_scalar(nu)
-    return float(_bulk(p, nu, (k,))[f"m{k}"][0])
-
-
-def scaled_density(p: WalkParams, nu: float) -> float:
-    """rho(nu) = dPhi/dnu = (1/2pi) sum_r 1/|w''(q_r)| over the roots of v(q) = nu.
-
-    0 outside the causal cone; at a front velocity the branch that ends
-    there adds nothing, although rho diverges as nu approaches it.
-    """
-    _check_scalar(nu)
-    return float(_bulk(p, nu)["rho"][0])
+    end, _, _, (branch, col, _) = _ends(p, np.atleast_1d(np.asarray(nu, dtype=float)), _branches(p))
+    return sorted(float(r - TWO_PI if r >= math.pi else r) for r in end[branch, col])
 
 
 def nu_half(p: WalkParams, tol: float = 1e-10) -> float:
@@ -443,21 +409,31 @@ def nu_half(p: WalkParams, tol: float = 1e-10) -> float:
 
 @dataclass(frozen=True, eq=False)
 class ScalingCurve:
-    """Hydrodynamic Phi, J and scaled moments sampled on a nu grid."""
+    """Hydrodynamic Phi, J, rho and scaled moments at every nu of a 1-D array."""
 
     params: WalkParams
     nu: np.ndarray
     phi_scaled: np.ndarray
     j_scaled: np.ndarray
+    rho: np.ndarray
     m_scaled: tuple  # arrays for k = 1, 2, 3
 
 
-def scaling_curve(p: WalkParams, num: int = 4001) -> ScalingCurve:
-    """Sample the bulk scaling functions across the causal cone, 0.5 past each side."""
-    d = cone_topology(p)
-    nu = np.linspace(d.v_lm - 0.5, d.v_rm + 0.5, num)
+def scaling_curve(p: WalkParams, nu) -> ScalingCurve:
+    """Phi, J, rho = dPhi/dnu and M~_1..3 at every nu, from one solve for the roots.
+
+    nu is a scalar, which gives a one-point curve, or a 1-D array; an
+    array of higher rank is refused with ValueError.  Each nu's values do
+    not depend on the others: a NaN nu gives NaN in every field; outside
+    the cone rho is 0, and Phi, J and M~_k are those of the empty or the
+    whole zone; rho is inf where a root has w'' = 0 (nu within float noise
+    of a front).  M~_1 is J bit for bit.
+    """
+    nu = np.atleast_1d(np.asarray(nu, dtype=float))
+    if nu.ndim != 1:
+        raise ValueError(f"nu must be a scalar or a 1-D array, got an array of shape {nu.shape}")
     h = _bulk(p, nu, (1, 2, 3))
-    return ScalingCurve(p, nu, h["phi"], h["j"], (h["m1"], h["m2"], h["m3"]))
+    return ScalingCurve(p, nu, h["phi"], h["j"], h["rho"], (h["m1"], h["m2"], h["m3"]))
 
 
 def exclusion_windows(diagram: FrontDiagram, t: float) -> list[tuple[float, float]]:

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -167,6 +168,11 @@ def test_derivs_must_be_a_nonnegative_integer():
     for bad in (-1, -2, 1.5):
         with pytest.raises(ValueError, match="derivs must be an integer >= 0"):
             airy_table(1, xi, derivs=bad)
+    # more rows than the defining ODE's k + 1: derivs=2000 overflowed into NaN rows
+    for k, bad in ((1, 3), (3, 5), (1, 2000)):
+        with pytest.raises(ValueError, match=rf"<= k \+ 1 = {k + 1}, got derivs={bad}"):
+            airy_table(k, xi, derivs=bad)
+    assert airy_table(3, xi, derivs=4).shape == (5, *xi.shape)
     # derivs = 0, as a plain or a numpy integer, is the profile itself
     assert np.array_equal(airy_table(1, xi, derivs=np.int64(0)), airy_table(1, xi))
     assert airy_table(3, xi, derivs=0).shape == xi.shape
@@ -205,8 +211,7 @@ def test_public_surface():
         "dispersion", "edge_scale", "evolve", "exclusion_windows", "extract_staircase",
         "fronts", "hydro", "invert_velocity", "measure_edge", "nu_half", "omega",
         "omega_deriv", "position_moment", "predict_edge", "probability_density",
-        "ring_layout", "scaled_ccd", "scaled_cpd", "scaled_density", "scaled_moment",
-        "scaling_curve", "scan_diagrams", "skewness",
+        "ring_layout", "scaling_curve", "scan_diagrams", "skewness",
     ]
 
 
@@ -380,6 +385,13 @@ def test_predict_edge_refuses_xi_outside_the_validated_range():
         xi[700] = bad
         with pytest.raises(ValueError, match=match):
             predict_edge(front, 1e4, xi)
+
+
+@pytest.mark.parametrize("t", [-1.0, 0.0, math.nan, -math.inf])
+def test_predict_edge_refuses_a_time_that_is_not_positive(t):
+    # t = -1 and NaN were stored in the profile unchecked
+    with pytest.raises(ValueError, match=re.escape(f"needs t > 0, got t={t}")):
+        predict_edge(_left_front(1 / 16), t, np.linspace(0.0, 5.0, 11))
 
 
 def test_predict_edge_rejects_even_order():

@@ -88,6 +88,14 @@ def test_walkparams_validation():
         WalkParams(math.nan, 0.0)
 
 
+@pytest.mark.parametrize("g, phi", [(True, 0.5), (0.3, False), (np.True_, 0.5), (0.3, np.False_)])
+def test_walkparams_refuses_a_bool_coupling(g, phi):
+    # True built g = True, read as g = 1 by every closed form
+    with pytest.raises(ValueError, match="not bools"):
+        WalkParams(g, phi)
+    assert WalkParams(np.float64(0.3), 0) == WalkParams(0.3, 0.0)
+
+
 def test_band_identities_carry_any_phase_into_the_window():
     # the three identities of WalkParams' docstring, from the band at a
     # coupling outside the window to omega inside it

@@ -33,7 +33,6 @@ from chiralwalk.cli import _select_front
 from chiralwalk.evolve import (
     BLOCK, GUARD_SITES, MAX_LATTICE, ROW_BATCH, SUM_BLOCK, _fast_even_lengths, _int_power
 )
-from chiralwalk.hydro import scaled_moment
 from oracles import (
     dense_ring_evolution,
     direct_ring_amplitudes,
@@ -217,14 +216,11 @@ def test_negative_moment_order_rejected():
 
 def test_non_integer_moment_order_rejected():
     # 1.5 is no moment order, and an integral float is refused as well
-    p = WalkParams(0.3, 0.8)
-    prob = probability_density(evolve(p, 10.0))
+    prob = probability_density(evolve(WalkParams(0.3, 0.8), 10.0))
     for k in (1.5, 2.0):
         for moment in (cumulative_moment, position_moment):
             with pytest.raises(ValueError, match="moment order must be >= 0"):
                 moment(prob, k)
-        with pytest.raises(ValueError, match="moment order must be >= 1"):
-            scaled_moment(p, 0.5, k)
     assert prob._moments == {}  # nothing memoised for a refused order
     assert position_moment(prob, np.int64(2)) == position_moment(prob, 2)
 

@@ -24,10 +24,6 @@ from chiralwalk import (
     omega_deriv,
     probability_density,
     ring_layout,
-    scaled_ccd,
-    scaled_cpd,
-    scaled_density,
-    scaled_moment,
     scaling_curve,
 )
 
@@ -38,8 +34,8 @@ SUBLEVEL_COUPLINGS = [(1 / 16, PI / 2), (1 / 4, PI / 2), (1 / 8, PI / 2), (1 / 4
                       (0.0, 0.0), (10.0, 1.0), (0.3, 0.8), (0.05, 0.2)]
 
 
-# nu_half(p) at the default tol from the scalar bisection on scaled_cpd that
-# the vectorised grid rounds replaced
+# nu_half(p) at the default tol from the scalar bisection on Phi that the
+# vectorised grid rounds replaced
 NU_HALF_BISECTED = [
     ((0.05, 0.2), -0.03973386618748785),
     ((0.05, 0.8), -0.14347121817845693),
@@ -62,10 +58,12 @@ def test_nu_half_matches_bisection():
         assert isinstance(got, float)
         assert abs(got - want) <= 1e-10
         # the tol contract: Phi crosses 1/2 within tol / 2 of the answer
-        assert scaled_cpd(p, got - 5e-11) < 0.5 <= scaled_cpd(p, got + 5e-11)
+        below, above = scaling_curve(p, [got - 5e-11, got + 5e-11]).phi_scaled
+        assert below < 0.5 <= above
     p = WalkParams(0.3, 0.8)
     coarse = nu_half(p, tol=1e-3)
-    assert scaled_cpd(p, coarse - 5e-4) < 0.5 <= scaled_cpd(p, coarse + 5e-4)
+    below, above = scaling_curve(p, [coarse - 5e-4, coarse + 5e-4]).phi_scaled
+    assert below < 0.5 <= above
     # a tol below the float spacing stops at adjacent floats instead of looping
     assert abs(nu_half(p, tol=0.0) - nu_half(p)) <= 5e-11
 
@@ -79,7 +77,7 @@ def test_nu_half_is_the_exact_one_cone_median():
             assert cone_topology(p).topology is ConeTopology.ONE_CONE, (g, phi)
             median = -4.0 * g * math.sin(phi)
             assert abs(nu_half(p) - median) <= 1e-10, (g, phi)
-            assert abs(scaled_cpd(p, median) - 0.5) <= 1e-15, (g, phi)
+            assert abs(scaling_curve(p, median).phi_scaled[0] - 0.5) <= 1e-15, (g, phi)
 
 
 @pytest.mark.parametrize("tol", [math.nan, -1e-10, -math.inf])
@@ -99,7 +97,8 @@ def assert_nu_half_certified(p, x, tol):
     d = cone_topology(p)
     assert d.v_lm <= x <= d.v_rm, (p, tol, x)
     below = min(x - 0.5 * tol, math.nextafter(x, -math.inf))
-    assert scaled_cpd(p, below) < 0.5 <= scaled_cpd(p, x + 0.5 * tol), (p, tol, x)
+    phi_below, phi_above = scaling_curve(p, [below, x + 0.5 * tol]).phi_scaled
+    assert phi_below < 0.5 <= phi_above, (p, tol, x)
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -137,46 +136,60 @@ def test_scaled_density_is_the_slope_of_phi(g, phi):
     # float noise over 2h, both far below the bound away from the fronts
     p = WalkParams(g, phi)
     h = 1e-5
-    points = density_points(p)
+    points = np.array(density_points(p))
     assert len(points) >= 20
-    for nu in points:
-        rho = scaled_density(p, nu)
-        slope = (scaled_cpd(p, nu + h) - scaled_cpd(p, nu - h)) / (2.0 * h)
-        assert abs(slope - rho) <= 1e-6 * rho + 1e-9, (g, phi, nu, slope, rho)
+    rho = scaling_curve(p, points).rho
+    slope = (scaling_curve(p, points + h).phi_scaled - scaling_curve(p, points - h).phi_scaled) / (2.0 * h)
+    bad = np.abs(slope - rho) > 1e-6 * rho + 1e-9
+    assert not bad.any(), (g, phi, points[bad], slope[bad], rho[bad])
+    for nu, want in zip(points.tolist(), rho.tolist()):
         # the same roots, summed in another order
         roots = invert_velocity(p, nu)
         by_root = sum(1.0 / abs(omega_deriv(q, 2, p)) for q in roots) / (2.0 * PI)
-        assert abs(by_root - rho) <= 1e-12 * rho, (g, phi, nu)
+        assert abs(by_root - want) <= 1e-12 * want, (g, phi, nu)
 
 
 def test_scaled_density_outside_the_cone_and_at_nan():
     p = WalkParams(0.3, 0.8)
     d = cone_topology(p)
-    assert scaled_density(p, d.v_lm - 0.1) == 0.0
-    assert scaled_density(p, d.v_rm + 0.1) == 0.0
-    assert math.isnan(scaled_density(p, math.nan))
+    left, right, nan = scaling_curve(p, [d.v_lm - 0.1, d.v_rm + 0.1, math.nan]).rho
+    assert left == 0.0
+    assert right == 0.0
+    assert math.isnan(nan)
     # the free walk's roots of v = 0, q = 0 and pi, both have |w''| = 2
-    assert scaled_density(WalkParams(0.0, 0.0), 0.0) == pytest.approx(1.0 / (2.0 * PI), abs=1e-15)
+    free = scaling_curve(WalkParams(0.0, 0.0), 0.0).rho[0]
+    assert free == pytest.approx(1.0 / (2.0 * PI), abs=1e-15)
 
 
-@pytest.mark.parametrize(
-    "query",
-    [scaled_cpd, scaled_ccd, scaled_density, lambda p, nu: scaled_moment(p, nu, 2), invert_velocity],
-)
+@pytest.mark.parametrize("query", [invert_velocity])
 @pytest.mark.parametrize("nu", [np.array([0.1, 0.2]), np.array([0.1]), [0.1, 0.2]])
 def test_scalar_queries_refuse_an_array_nu(query, nu):
-    # an array nu returned its first entry's value; invert_velocity returned
-    # the roots of every entry merged into one list
+    # invert_velocity returned the roots of every entry merged into one list
     with pytest.raises(ValueError, match="nu must be a scalar"):
         query(WalkParams(0.3, 0.8), nu)
     assert query(WalkParams(0.3, 0.8), np.float64(0.1)) == query(WalkParams(0.3, 0.8), 0.1)
 
 
-def test_scaled_moment_refuses_a_bool_order():
-    # bool passes the int check and ended in a KeyError for "mTrue"
-    for k in (True, False):
-        with pytest.raises(ValueError, match="moment order"):
-            scaled_moment(WalkParams(0.3, 0.8), 0.1, k)
+@pytest.mark.parametrize("g, phi", SUBLEVEL_COUPLINGS)
+def test_scaling_curve_takes_a_scalar_and_refuses_a_2d_nu(g, phi):
+    # a scalar nu is a one-point curve with the bits of its entry in an
+    # array: inside and outside the cone, at every front velocity and at NaN
+    p = WalkParams(g, phi)
+    d = cone_topology(p)
+    nu = [math.nan, d.v_lm - 0.1, 0.5 * (d.v_lm + d.v_rm), d.v_rm + 0.1]
+    nu += [fr.velocity for fr in d.fronts]
+    row = scaling_curve(p, nu)
+    for i, x in enumerate(nu):
+        for one in (scaling_curve(p, x), scaling_curve(p, np.float64(x)), scaling_curve(p, np.array(x))):
+            assert one.nu.shape == (1,)
+            for got, want in zip(
+                (one.phi_scaled, one.j_scaled, one.rho, *one.m_scaled),
+                (row.phi_scaled, row.j_scaled, row.rho, *row.m_scaled),
+            ):
+                assert got.shape == (1,) and np.array_equal(got[0], want[i], equal_nan=True), (x, i)
+    for bad in ([nu, nu], np.zeros((2, 2, 1))):
+        with pytest.raises(ValueError, match=r"nu must be a scalar or a 1-D array, got an array of shape \(2, "):
+            scaling_curve(p, bad)
 
 
 def test_invert_velocity_counts():
@@ -197,20 +210,22 @@ def test_invert_velocity_counts():
 def test_scaled_cpd_boundaries_and_symmetry():
     p = WalkParams(1 / 16, PI / 2)
     d = cone_topology(p)
-    assert scaled_cpd(p, d.v_lm - 0.2) == 0.0
-    assert scaled_cpd(p, d.v_rm + 0.2) == 1.0
-    assert scaled_cpd(WalkParams(0.0, PI / 2), 0.0) == pytest.approx(0.5, abs=1e-12)
+    below, above, origin = scaling_curve(p, [d.v_lm - 0.2, d.v_rm + 0.2, 0.0]).phi_scaled
+    assert below == 0.0
+    assert above == 1.0
+    assert scaling_curve(WalkParams(0.0, PI / 2), 0.0).phi_scaled[0] == pytest.approx(0.5, abs=1e-12)
     # chiral drift: probability piles up near the left front, so the median
     # (half-probability coordinate) sits left of the origin and Phi(0) > 1/2
-    assert scaled_cpd(p, 0.0) > 0.5
+    assert origin > 0.5
     assert nu_half(p) < 0.0
     assert nu_half(WalkParams(0.0, PI / 2)) == pytest.approx(0.0, abs=1e-8)
     # exactly empty and exactly full at the cone edges, also where the edge
     # front is third order (flat quartic extremum) or the cone is critical
     for p in (WalkParams(1 / 8, PI / 2), WalkParams(1 / 4, 0.0)):
         d = cone_topology(p)
-        assert scaled_cpd(p, d.v_lm) == 0.0
-        assert scaled_cpd(p, d.v_rm) == 1.0
+        empty, full = scaling_curve(p, [d.v_lm, d.v_rm]).phi_scaled
+        assert empty == 0.0
+        assert full == 1.0
 
 
 def test_scaled_cpd_near_fronts_matches_brute_force():
@@ -218,35 +233,33 @@ def test_scaled_cpd_near_fronts_matches_brute_force():
     # q-grid cell, so a grid scan misses them
     g, phi = 0.3, 0.8
     p = WalkParams(g, phi)
-    nus = [fr.velocity + s for fr in cone_topology(p).fronts for s in (-1e-8, 1e-8)]
-    curve = scaling_curve(p, num=401)
-    expected = brute_force_cpd(g, phi, np.concatenate([nus, curve.nu]), 1 << 22)
-    got = [scaled_cpd(p, nu) for nu in nus] + list(curve.phi_scaled)
-    np.testing.assert_allclose(got, expected, rtol=0, atol=1e-6)
+    d = cone_topology(p)
+    nus = [fr.velocity + s for fr in d.fronts for s in (-1e-8, 1e-8)]
+    nu = np.concatenate([nus, np.linspace(d.v_lm - 0.5, d.v_rm + 0.5, 401)])
+    expected = brute_force_cpd(g, phi, nu, 1 << 22)
+    np.testing.assert_allclose(scaling_curve(p, nu).phi_scaled, expected, rtol=0, atol=1e-6)
 
 
 def test_scaled_ccd_values():
-    p0 = WalkParams(0.0, PI / 2)
-    assert scaled_ccd(p0, 2.5) == pytest.approx(0.0, abs=1e-14)
-    assert scaled_ccd(p0, 0.0) == pytest.approx(-2.0 / PI, abs=1e-12)
+    outside, origin = scaling_curve(WalkParams(0.0, PI / 2), [2.5, 0.0]).j_scaled
+    assert outside == pytest.approx(0.0, abs=1e-14)
+    assert origin == pytest.approx(-2.0 / PI, abs=1e-12)
 
 
 def test_ccd_telescoping_matches_quadrature():
     rng = np.random.default_rng(3)
     for p in (WalkParams(1 / 16, PI / 2), WalkParams(0.25, PI / 2), WalkParams(0.3, 0.4)):
         d = cone_topology(p)
-        for nu in rng.uniform(d.v_lm, d.v_rm, 25):
-            assert scaled_ccd(p, nu) == pytest.approx(scaled_moment(p, nu, 1), abs=1e-9)
+        curve = scaling_curve(p, rng.uniform(d.v_lm, d.v_rm, 25))
+        np.testing.assert_allclose(curve.j_scaled, curve.m_scaled[0], rtol=0, atol=1e-9)
 
 
 def test_full_zone_moments_match_closed_forms():
     for g, phi in [(0.0, 0.0), (1 / 16, PI / 2), (1 / 8, PI / 2), (0.25, PI / 2), (0.25, 0.0), (0.3, 0.0)]:
         p = WalkParams(g, phi)
-        top = cone_topology(p).v_rm + 0.1
-        assert scaled_moment(p, top, 2) == pytest.approx(2 * (1 + 4 * g * g), abs=1e-8)
-        assert scaled_moment(p, top, 3) == pytest.approx(12 * g * math.sin(phi), abs=1e-8)
-    with pytest.raises(ValueError):
-        scaled_moment(WalkParams(0.1, 0.0), 0.0, 0)
+        _, m2, m3 = scaling_curve(p, cone_topology(p).v_rm + 0.1).m_scaled
+        assert m2[0] == pytest.approx(2 * (1 + 4 * g * g), abs=1e-8)
+        assert m3[0] == pytest.approx(12 * g * math.sin(phi), abs=1e-8)
 
 
 def test_closed_form_moments_match_gauss_legendre():
@@ -261,10 +274,9 @@ def test_closed_form_moments_match_gauss_legendre():
         for k, ref in gauss_legendre_moment(g, phi, start, end, (1, 2, 3, 4)).items():
             err = np.abs(got[f"m{k}"] - ref) / np.maximum(1.0, np.abs(ref))
             assert err.max() < 1e-12, (g, phi, k, err.max())
-        for x in nu[::1500]:
-            assert scaled_moment(p, x, 1) == scaled_ccd(p, x)
-        curve = scaling_curve(p, num=401)
-        assert np.array_equal(curve.m_scaled[0], curve.j_scaled)
+        for x in (nu[::1500], np.linspace(d.v_lm - 0.5, d.v_rm + 0.5, 401)):
+            curve = scaling_curve(p, x)
+            assert np.array_equal(curve.m_scaled[0], curve.j_scaled)
 
 
 ROOT_BOUND = 1e-13
@@ -449,7 +461,8 @@ def test_nu_half_builds_the_branch_table_once(monkeypatch, g, phi):
 
 def test_scaling_curve_invariants():
     p = WalkParams(0.25, PI / 2)
-    curve = scaling_curve(p, num=801)
+    d = cone_topology(p)
+    curve = scaling_curve(p, np.linspace(d.v_lm - 0.5, d.v_rm + 0.5, 801))
     assert curve.phi_scaled[0] == 0.0
     assert curve.phi_scaled[-1] == pytest.approx(1.0, abs=1e-14)
     assert np.all(np.diff(curve.phi_scaled) >= -1e-14)
@@ -464,17 +477,16 @@ def test_conservation_hierarchy_identity():
     d = cone_topology(p)
     h = 1e-3
     rng = np.random.default_rng(9)
-    for nu in rng.uniform(d.v_lm + 0.1, d.v_rm - 0.1, 12):
-        if min(abs(nu - fr.velocity) for fr in d.fronts) < 0.05:
-            continue
-        vals = {}
-        for dnu in (-h, h):
-            x = nu + dnu
-            vals[dnu] = [scaled_cpd(p, x)] + [scaled_moment(p, x, k) for k in (1, 2, 3)]
-        for k in range(3):
-            d_lo = (vals[h][k] - vals[-h][k]) / (2 * h)
-            d_hi = (vals[h][k + 1] - vals[-h][k + 1]) / (2 * h)
-            assert abs(d_hi - nu * d_lo) < 1e-4
+    nu = np.array([x for x in rng.uniform(d.v_lm + 0.1, d.v_rm - 0.1, 12)
+                   if min(abs(x - fr.velocity) for fr in d.fronts) >= 0.05])
+    vals = {}
+    for dnu in (-h, h):
+        curve = scaling_curve(p, nu + dnu)
+        vals[dnu] = [curve.phi_scaled, *curve.m_scaled]
+    for k in range(3):
+        d_lo = (vals[h][k] - vals[-h][k]) / (2 * h)
+        d_hi = (vals[h][k + 1] - vals[-h][k + 1]) / (2 * h)
+        assert np.all(np.abs(d_hi - nu * d_lo) < 1e-4), k
 
 
 def test_kink_at_internal_front():
@@ -483,8 +495,9 @@ def test_kink_at_internal_front():
     p = WalkParams(0.25, PI / 2)
     v_i = -1.0
     h = 1e-4
-    left = (scaled_ccd(p, v_i - h) - scaled_ccd(p, v_i - 3 * h)) / (2 * h)
-    right = (scaled_ccd(p, v_i + 3 * h) - scaled_ccd(p, v_i + h)) / (2 * h)
+    j = scaling_curve(p, [v_i - 3 * h, v_i - h, v_i + h, v_i + 3 * h]).j_scaled
+    left = (j[1] - j[0]) / (2 * h)
+    right = (j[3] - j[2]) / (2 * h)
     assert abs(left - right) > 0.5
 
 
