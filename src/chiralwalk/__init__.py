@@ -27,11 +27,13 @@ from .fronts import (
     ConeTopology,
     ExtremalFront,
     FrontDiagram,
+    FrontTable,
     cone_topology,
     critical_coupling,
     degeneracy,
     edge_scale,
     scan_diagrams,
+    scan_fronts,
 )
 from .hydro import (
     BulkReport,

@@ -8,8 +8,12 @@ importing costs nothing.  Dekker's two-product gives m*h exactly, so the
 scaled value T = m*(h + l)*2^(E+b) is known to within 2^-45 of a unit of D.
 Its integer part and fraction f give D = floor(T) + (f > 1/2), and a D that
 rounds up to 10^17 is 10^16 a decade higher.  A cell with f within 2^-36 of
-one half (every exact decimal tie lands there) is formatted by Python's %
-instead, as is a value that is not finite.
+one half (every exact decimal tie lands there) is decided exactly where
+1 <= -E <= 64, so that k >= 1: T = m*10^k / 2^-E, and its fraction is the
+residue r = m*10^k mod 2^-E, which uint64 products of m and 10^k mod 2^64
+give exactly.  D rounds up when r is over 2^(-E-1), and at r = 2^(-E-1),
+an exact tie, when floor(T) is odd: half to even, as %.  Every other such
+cell, and a value that is not finite, is formatted by Python's % instead.
 
 Each cell is spelled into a fixed template of _CELL = 46 bytes: a sign, the
 '0.000' of a fixed-point value below 1, 17 digit slots each followed by a
@@ -30,6 +34,9 @@ _DIGITS = 17
 _SIGN, _LEAD, _DIG, _EXP, _SEP = 0, 1, 6, 6 + 2 * _DIGITS, 6 + 2 * _DIGITS + 5
 _CELL = _SEP + 1
 _ZERO, _DOT, _MINUS, _PLUS, _E = (ord(c) for c in "0.-+e")
+# 10^k mod 2^64 for the k of an exactly decided cell: 1 <= -E <= 64 puts |x|
+# in [2^-12, 2^52), so 1 <= k <= 20
+_POW10_MOD64 = np.array([pow(10, k, 1 << 64) for k in range(21)], dtype=np.uint64)
 
 
 @functools.lru_cache(maxsize=None)
@@ -99,9 +106,20 @@ def _decimal(x):
             break
         k[bad] += low[bad].astype(np.int64) - high[bad]
         whole[bad], f[bad] = _scaled(m[bad], E[bad], k[bad])
-    fallback = np.flatnonzero(~finite | (np.abs(f - 0.5) < _TIE) | (whole < _D_MIN) | (whole >= _D_MAX))
+    up = f > 0.5
+    near = np.abs(f - 0.5) < _TIE
+    if near.any():  # a table without near-ties pays nothing more
+        cand = np.flatnonzero(near)
+        exact = cand[(E[cand] < 0) & (E[cand] >= -64)]
+        shift = (-E[exact]).astype(np.uint64)  # -E, the bits below the point of T
+        r = m[exact].astype(np.uint64) * _POW10_MOD64[k[exact]]  # m*10^k mod 2^64
+        r &= np.uint64(2**64 - 1) >> (np.uint64(64) - shift)
+        half = np.uint64(1) << (shift - np.uint64(1))
+        up[exact] = (r > half) | ((r == half) & (whole[exact] % 2 == 1))
+        near[exact] = False
+    fallback = np.flatnonzero(~finite | near | (whole < _D_MIN) | (whole >= _D_MAX))
     D = whole
-    D += f > 0.5
+    D += up
     carry = D == _D_MAX
     D[carry] = _D_MIN
     X = 16 - k + carry

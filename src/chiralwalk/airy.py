@@ -258,12 +258,12 @@ def predict_edge(front: ExtremalFront, t: float, xi_grid: np.ndarray) -> EdgePro
     at t = 1e4 (21 ms with a table at every sample), and ~2.2 ms for the
     2 647 samples of the g = 1/8 right-front window at t = 1e6 (29 ms).
 
-    Rejects a t that is not > 0 (NaN included), and even-order fronts,
-    whose amplitude equation has an imaginary dispersion term and
-    therefore no real staircase.
+    Rejects a t that is not finite and > 0 (NaN and inf included), and
+    even-order fronts, whose amplitude equation has an imaginary dispersion
+    term and therefore no real staircase.
     """
-    if not t > 0:
-        raise ValueError(f"predict_edge needs t > 0, got t={t}")
+    if not 0 < t < math.inf:
+        raise ValueError(f"predict_edge needs a finite t > 0, got t={t}")
     k = front.order
     if k % 2 == 0:
         raise ValueError(f"front of even order {k} has no real staircase profile")
@@ -284,10 +284,10 @@ def measure_edge(p: WalkParams, front: ExtremalFront, t: float, window: int) -> 
     The window must not reach any other front travelling at a different
     velocity (co-moving degenerate partners are fine and simply double the
     profile); that, the window's type and the ring's size cap are checked
-    before anything is evolved.
+    before anything is evolved, and so is t, which must be finite and > 0.
     """
-    if not t > 0:
-        raise ValueError(f"measure_edge needs t > 0, got t={t}")
+    if not 0 < t < math.inf:
+        raise ValueError(f"measure_edge needs a finite t > 0, got t={t}")
     if isinstance(window, bool) or not isinstance(window, (int, np.integer)) or window < 1:
         raise ValueError(f"measure_edge needs an integer window >= 1, got window={window!r}")
     # first: the ring's layout refuses a ring above MAX_LATTICE, so every

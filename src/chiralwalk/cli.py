@@ -43,7 +43,7 @@ from .fronts import (
     degeneracy,
     edge_scale,
     same_velocity,
-    scan_diagrams,
+    scan_fronts,
 )
 
 EXIT_OK = 0
@@ -51,8 +51,9 @@ EXIT_CONFIG = 2
 EXIT_GUARD = 3
 MAX_GRID = 1 << 20  # nu points in bulk.csv; hydro peaks at ~0.42 kB per point, ~0.45 GB here
 # (phi, g) points of a fronts sweep, all scanned in one batch: 2^16 of them
-# (16 phi x 4096 g) took 4.3 s at a 125 MB ru_maxrss on a 2-core AVX-512 VM,
-# where scanning point by point took 35 s at 93 MB; the batch holds every diagram
+# (16 phi x 4096 g in [0, 1]) took 0.9 s to fronts.csv at an 84 MB ru_maxrss
+# on a 2-core AVX-512 VM, where scanning point by point took 8.5 s; the
+# batch's table holds every front
 MAX_SWEEP = 1 << 16
 # rows per write of a numeric table (_write_columns): its float64 buffer and
 # the text templates of _g17.rows_text peak at ~0.9 MB traced for 11 columns
@@ -169,6 +170,39 @@ def cmd_evolve(args) -> int:
 
 # ----------------------------------------------------------------- fronts --
 
+def _write_fronts(path: Path, phi, g, table) -> None:
+    """fronts.csv of a sweep from scan_fronts' table; phi and g are each point's couplings.
+
+    One row per front, phi, g, q_star, velocity, order, kappa, topology, ok,
+    and one error row per point whose scan failed; sorted stably by (phi, g,
+    velocity), with velocity = inf for an error row.  The six numbers of
+    CSV_BLOCK rows at a time, order among them ('%.17g' % 1.0 is '1'), are
+    spelled by _g17.rows_text, and each row's tail is appended to its line.
+    An error row goes through _cell, which quotes its message per RFC 4180
+    where needed.  The bytes are those of _write_csv on the same rows.
+    """
+    failed = np.array(sorted(table.failures), dtype=np.intp)
+    fronts = table.point.size  # rows from here on are error rows
+    at = np.concatenate([table.point, failed])  # each row's point
+    pad = np.zeros(failed.size)  # an error row's numbers, never written
+    velocity = np.concatenate([table.velocity, np.full(failed.size, math.inf)])
+    numbers = (phi[at], g[at], np.concatenate([table.q_star, pad]), velocity,
+               np.concatenate([table.order, pad]), np.concatenate([table.kappa, pad]))
+    rows = np.lexsort((velocity, numbers[1], numbers[0]))  # by phi, then g, then velocity
+    cells = np.stack(numbers, axis=1)
+    ends = [None if t is None else f",{t.value},ok\n".encode() for t in table.topology]
+    tails = [ends[i] for i in table.point.tolist()] + [
+        (",".join(map(_cell, (phi[i], g[i], "", "", "", "", "", f"error: {table.failures[i]}"))) + "\n").encode()
+        for i in failed.tolist()
+    ]
+    with open(path, "wb") as fh:
+        fh.write(b"phi,g,q_star,velocity,order,kappa,topology,status\n")
+        for start in range(0, rows.size, CSV_BLOCK):
+            block = rows[start:start + CSV_BLOCK].tolist()
+            lines = rows_text(cells[block]).split(b"\n")
+            fh.write(b"".join([line + tails[r] if r < fronts else tails[r] for line, r in zip(lines, block)]))
+
+
 def cmd_fronts(args) -> int:
     if not (math.isfinite(args.g_min) and math.isfinite(args.g_max)):
         raise ValueError(f"g-min and g-max must be finite, got {args.g_min} and {args.g_max}")
@@ -189,23 +223,9 @@ def cmd_fronts(args) -> int:
             f"a sweep of {len(phis)} phi x {args.g_steps} g-steps exceeds {MAX_SWEEP} points"
         )
     out = _outdir(args)
-    gs = np.linspace(args.g_min, args.g_max, args.g_steps).tolist()
-    rows = []
-    points = [WalkParams(g, phi) for phi in phis for g in gs]
-    for p, diagram in zip(points, scan_diagrams(points)):
-        if isinstance(diagram, Exception):  # recorded per row, sweep continues
-            rows.append((p.phi, p.g, "", "", "", "", "", f"error: {diagram}"))
-        else:
-            rows += [
-                (p.phi, p.g, fr.q_star, fr.velocity, fr.order, fr.kappa, diagram.topology.value, "ok")
-                for fr in diagram.fronts
-            ]
-    rows.sort(key=lambda r: (r[0], r[1], r[3] if isinstance(r[3], float) else math.inf))
-    _write_csv(
-        out / "fronts.csv",
-        ["phi", "g", "q_star", "velocity", "order", "kappa", "topology", "status"],
-        rows,
-    )
+    gs = np.linspace(args.g_min, args.g_max, args.g_steps)
+    table = scan_fronts([WalkParams(g, phi) for phi in phis for g in gs.tolist()])
+    _write_fronts(out / "fronts.csv", np.repeat(phis, gs.size), np.tile(gs, len(phis)), table)
     gc_entries = [{"phi": phi, "g_c": critical_coupling(phi)} for phi in phis]
     _write_json(out / "gc.json", {"critical_couplings": gc_entries})
     return EXIT_OK

@@ -22,14 +22,16 @@ in angle from it.  Each simple root is polished by Newton in real q on
 w''.  A front's edge coefficient is kappa_k = w^(k+2)(q*)/(k+1)! at its
 root q*.
 
-A scan (scan_diagrams) runs over a whole batch of points at once and
-returns each point's classified diagram: one stacked eigenvalue call on
-their companion matrices, then each selection, Newton step and derivative
-as one array operation over every root of the batch.  Every operation is
-elementwise, per matrix or per row, so a point's diagram is the same bits
-alone, in a sweep, or in any order of the points; cone_topology reads a
-one-point scan and caches it.  Points lie in WalkParams' window
-0 <= phi <= pi/2, into which its band identities carry any g e^{i phi}.
+A scan (scan_fronts) runs over a whole batch of points at once and
+returns every front as columns, with each point's topology: one stacked
+eigenvalue call on their companion matrices, then each selection, Newton
+step, derivative and the sort as one array operation over every root of
+the batch.  Every operation is elementwise, per matrix or per row, so a
+point's fronts are the same bits alone, in a sweep, or in any order of
+the points.  scan_diagrams builds each point's FrontDiagram from the
+columns, and cone_topology reads a one-point scan and caches it.  Points
+lie in WalkParams' window 0 <= phi <= pi/2, into which its band identities
+carry any g e^{i phi}.
 """
 
 from __future__ import annotations
@@ -93,6 +95,25 @@ class FrontDiagram:
     topology: ConeTopology
 
 
+class FrontTable(NamedTuple):
+    """A batch scan as columns, see scan_fronts.
+
+    point, q_star, velocity, order and kappa hold one entry per front, the
+    fronts sorted by (point, velocity, q_star); point is the index of the
+    front's point in the batch.  topology holds one ConeTopology per point,
+    None for a point whose quartic failed, and failures maps the index of
+    each such point to its LinAlgError; a failed point has no fronts.
+    """
+
+    point: np.ndarray
+    q_star: np.ndarray
+    velocity: np.ndarray
+    order: np.ndarray
+    kappa: np.ndarray
+    topology: list
+    failures: dict
+
+
 class _Couplings(NamedTuple):
     """g and phi as arrays for omega_deriv over a stack, one coupling per root."""
 
@@ -103,10 +124,25 @@ class _Couplings(NamedTuple):
         return _Couplings(self.g[rows], self.phi[rows])
 
 
+_NEWTON_ORDERS = np.array([[2], [3]])  # w'' and w''' of each root, see _polish
+# a point's topology by its code in scan_fronts: ConeTopology's members in
+# their order, then None for a point whose scan failed
+_TOPOLOGY = (*ConeTopology, None)
+
+
 def _polish(x, c: _Couplings):
-    """Newton on w'', at simple roots."""
+    """Newton on w'', at simple roots.
+
+    Each step evaluates omega_deriv(x, m, c) for m = 2 and 3 as one (2, n)
+    array, operation by operation, so with the same bits; the shifts m pi/2
+    and the NNN coefficients 2^(m+1) g are formed once, not at every step.
+    """
+    shift = _NEWTON_ORDERS * (math.pi / 2.0)
+    nnn = np.ldexp(2.0, _NEWTON_ORDERS) * c.g
     for _ in range(NEWTON_STEPS):
-        x -= omega_deriv(x, 2, c) / omega_deriv(x, 3, c)
+        w = 2.0 * np.cos(x + shift)
+        w += nnn * np.cos(2.0 * x + c.phi + shift)
+        x -= w[0] / w[1]
     return (x + math.pi) % TWO_PI - math.pi
 
 
@@ -137,29 +173,30 @@ def check_coupling(g: float) -> None:
         raise ValueError(f"g={g!r} is too large for the front scan: 64 g overflows")
 
 
-def scan_diagrams(points) -> list:
-    """The FrontDiagram of each point, or the LinAlgError of its quartic, uncached.
+def scan_fronts(points) -> FrontTable:
+    """Every front of a batch of points as one FrontTable, uncached.
 
-    One failing point does not fail the others.  Fronts are sorted by
-    velocity, then by q*.  The topology is the point's phase: critical of
-    order k in the order-k band, one cone for g <= g_c, else two cones,
-    overlapping when the two slowest fronts co-move.  Only the mirror pair
-    of phi = pi/2, where v(pi - q) = v(q), does; the internal pair born at
-    g_c agrees in velocity to roundoff just above it, and its cones are
-    nested.  Every g must pass check_coupling.
+    One failing point does not fail the others.  The topology is the
+    point's phase: critical of order k in the order-k band, one cone for
+    g <= g_c, else two cones, overlapping when the two slowest fronts
+    co-move.  Only the mirror pair of phi = pi/2, where v(pi - q) = v(q),
+    does; the internal pair born at g_c agrees in velocity to roundoff just
+    above it, and its cones are nested.  Every g must pass check_coupling.
     """
     for p in points:
         check_coupling(p.g)
+    n = len(points)
     g = np.array([p.g for p in points], dtype=float)
     phi = np.array([p.phi for p in points], dtype=float)
     couplings = _Couplings(g, phi)
     closed = {f: _critical_root(f) for f in set(phi.tolist())}
     q_c, g_c = np.array([closed[f] for f in phi.tolist()]).reshape(-1, 2).T
     # the order of each point's multiple root, 0 off the bands
-    phase = np.where(np.abs(g / g_c - 1.0) <= BAND_2, 2, 0)
+    phase = 2 * (np.abs(g / g_c - 1.0) <= BAND_2)
     phase[(np.abs(g - 0.125) <= BAND_3_G) & (PHI_MAX - phi <= BAND_3_PHI)] = 3
+    band = phase > 0
     two_cones = g > g_c
-    simple = np.where(phase > 0, 4 - phase, 2 + 2 * two_cones)
+    simple = np.where(band, 4 - phase, 2 + 2 * two_cones)
     # a seeded row never reaches the division by its leading coefficient,
     # which vanishes for the quartic at g = 0
     live = np.flatnonzero(g >= G_SEED)
@@ -174,23 +211,25 @@ def scan_diagrams(points) -> list:
     companion[:, 0, :] = -quartic[:, 1:] / quartic[:, :1]
     z, failed = _eigvals(companion)
     del quartic, companion
-    failed = {int(live[i]): exc for i, exc in failed.items()}
-    simple[list(failed)] = 0
+    failures = {int(live[i]): exc for i, exc in failed.items()}
+    ok = np.ones(n, bool)
+    ok[list(failures)] = False
+    simple[~ok] = 0
     # each row's simple roots are the first of its slots by score: for a band
     # row the eigenvalues farthest in angle from its multiple root, for any
     # other row those nearest the unit circle, and for a seeded row its seeds
-    angle, score = np.zeros((2, len(points), 4))
+    angle, score = np.zeros((2, n, 4))
     angle[g < G_SEED, :2] = -math.pi / 2, math.pi / 2
     angle[live] = np.angle(z)
     score[live] = np.abs(np.log(np.abs(z)))
     del z
-    band = phase > 0
-    score[band] = -np.abs((angle[band] - q_c[band, None] + math.pi) % TWO_PI - math.pi)
+    if band.any():
+        score[band] = -np.abs((angle[band] - q_c[band, None] + math.pi) % TWO_PI - math.pi)
     rank = np.argsort(score, axis=1, kind="stable")
     picked = np.arange(4) < simple[:, None]
     rows = np.nonzero(picked)[0]
-    q = _polish(np.take_along_axis(angle, rank, axis=1)[picked], couplings.at(rows))
-    multiple = np.flatnonzero(band)
+    q = _polish(angle[rows, rank[picked]], couplings.at(rows))
+    multiple = np.flatnonzero(band & ok)
     rows = np.concatenate([rows, multiple])
     q = np.concatenate([q, q_c[multiple]])
     order = np.concatenate([np.ones(q.size - multiple.size, np.intp), phase[multiple]])
@@ -199,24 +238,38 @@ def scan_diagrams(points) -> list:
     for m in set(order.tolist()):
         sel = order == m
         kappa[sel] = omega_deriv(q[sel], m + 2, couplings.at(rows[sel])) / math.factorial(m + 1)
-    fronts = [[] for _ in points]
-    for r, *front in zip(rows.tolist(), q.tolist(), velocity.tolist(), order.tolist(), kappa.tolist()):
-        fronts[r].append(ExtremalFront(*front, "left" if front[1] < 0 else "right"))
+    by = np.lexsort((q, velocity, rows))
+    point, q, velocity, order, kappa = rows[by], q[by], velocity[by], order[by], kappa[by]
+    # each point's code in _TOPOLOGY; the first two fronts of a two-cone
+    # point are its two slowest
+    two = np.flatnonzero(two_cones & ~band & ok)
+    first = np.searchsorted(point, two)
+    code = two_cones.astype(np.intp)
+    code[two] += same_velocity(velocity[first], velocity[first + 1])
+    code[band] = phase[band] + 1
+    code[~ok] = len(_TOPOLOGY) - 1
+    return FrontTable(point, q, velocity, order, kappa, [_TOPOLOGY[c] for c in code.tolist()], failures)
+
+
+def scan_diagrams(points) -> list:
+    """The FrontDiagram of each point, or the LinAlgError of its quartic, uncached.
+
+    Built from scan_fronts' table: each diagram holds its point's fronts,
+    sorted by velocity, then by q*.
+    """
+    table = scan_fronts(points)
+    fronts = [
+        ExtremalFront(q, v, k, kappa, "left" if v < 0 else "right")
+        for q, v, k, kappa in zip(*(column.tolist() for column in table[1:5]))
+    ]
+    ends = np.searchsorted(table.point, np.arange(len(points) + 1)).tolist()
     out = []
-    for r, (p, found, k, two) in enumerate(zip(points, fronts, phase.tolist(), two_cones.tolist())):
-        if r in failed:
-            out.append(failed[r])
+    for r, (p, topology) in enumerate(zip(points, table.topology)):
+        if topology is None:
+            out.append(table.failures[r])
             continue
-        found.sort(key=lambda fr: (fr.velocity, fr.q_star))
-        if k:
-            topology = ConeTopology.CRITICAL_THIRD_ORDER if k == 3 else ConeTopology.CRITICAL_SECOND_ORDER
-        elif not two:
-            topology = ConeTopology.ONE_CONE
-        elif same_velocity(found[0].velocity, found[1].velocity):
-            topology = ConeTopology.TWO_OVERLAPPING_CONES
-        else:
-            topology = ConeTopology.TWO_NESTED_CONES
-        out.append(FrontDiagram(p, tuple(found), found[0].velocity, found[-1].velocity, topology))
+        found = tuple(fronts[ends[r]:ends[r + 1]])
+        out.append(FrontDiagram(p, found, found[0].velocity, found[-1].velocity, topology))
     return out
 
 
@@ -233,7 +286,10 @@ def cone_topology(p: WalkParams) -> FrontDiagram:
 
 
 def same_velocity(v_a: float, v_b: float) -> bool:
-    """True when two front velocities agree within TOL_DEGEN: the fronts co-move."""
+    """True when two front velocities agree within TOL_DEGEN: the fronts co-move.
+
+    Elementwise on arrays of velocities.
+    """
     return abs(v_a - v_b) <= TOL_DEGEN
 
 
@@ -243,9 +299,12 @@ def degeneracy(diagram: FrontDiagram, front: ExtremalFront) -> int:
 
 
 def edge_scale(front: ExtremalFront, t: float) -> float:
-    """(|kappa_k| t)^(1/(k+2)), the site width of the front's edge window at time t >= 0."""
-    if not t >= 0:  # a negative t has a complex root, and NaN has no window
-        raise ValueError(f"the edge scale needs t >= 0, got t={t}")
+    """(|kappa_k| t)^(1/(k+2)), the site width of the front's edge window at a finite time t >= 0.
+
+    t = 0 gives 0, the scale evolve's ring layout reads at t = 0.
+    """
+    if not 0 <= t < math.inf:  # a negative t has a complex root; NaN and inf have no window
+        raise ValueError(f"the edge scale needs a finite t >= 0, got t={t}")
     return (abs(front.kappa) * t) ** (1.0 / (front.order + 2))
 
 

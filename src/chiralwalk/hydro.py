@@ -346,10 +346,13 @@ def invert_velocity(p: WalkParams, nu: float) -> list[float]:
     """All solutions q in [-pi, pi) of v(q) = nu, sorted.
 
     One root per monotone branch whose end velocities straddle nu; the
-    empty list outside (v_lm, v_rm).
+    empty list outside (v_lm, v_rm), for nu = -inf and inf too.  A NaN nu
+    is refused with ValueError.
     """
     if np.ndim(nu) != 0:
         raise ValueError(f"nu must be a scalar, got an array of shape {np.shape(nu)}")
+    if math.isnan(nu):
+        raise ValueError("invert_velocity needs a nu that is not NaN")
     end, _, _, (branch, col, _) = _ends(p, np.atleast_1d(np.asarray(nu, dtype=float)), _branches(p))
     return sorted(float(r - TWO_PI if r >= math.pi else r) for r in end[branch, col])
 

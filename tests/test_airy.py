@@ -204,14 +204,14 @@ def test_public_surface():
     # must change this list
     assert sorted(chiralwalk.__all__) == [
         "BulkReport", "ConeTopology", "EdgeProfile", "ExtremalFront", "FieldKind",
-        "FrontDiagram", "GuardError", "ObservableField", "ScalingCurve",
+        "FrontDiagram", "FrontTable", "GuardError", "ObservableField", "ScalingCurve",
         "StaircaseStep", "WalkParams", "WaveFunction", "airy", "airy_ode_residual",
         "airy_table", "compare_bulk", "cone_topology", "critical_coupling",
         "cumulative", "cumulative_moment", "current_density", "degeneracy",
         "dispersion", "edge_scale", "evolve", "exclusion_windows", "extract_staircase",
         "fronts", "hydro", "invert_velocity", "measure_edge", "nu_half", "omega",
         "omega_deriv", "position_moment", "predict_edge", "probability_density",
-        "ring_layout", "scaling_curve", "scan_diagrams", "skewness",
+        "ring_layout", "scaling_curve", "scan_diagrams", "scan_fronts", "skewness",
     ]
 
 
@@ -387,10 +387,10 @@ def test_predict_edge_refuses_xi_outside_the_validated_range():
             predict_edge(front, 1e4, xi)
 
 
-@pytest.mark.parametrize("t", [-1.0, 0.0, math.nan, -math.inf])
+@pytest.mark.parametrize("t", [-1.0, 0.0, math.nan, -math.inf, math.inf])
 def test_predict_edge_refuses_a_time_that_is_not_positive(t):
-    # t = -1 and NaN were stored in the profile unchecked
-    with pytest.raises(ValueError, match=re.escape(f"needs t > 0, got t={t}")):
+    # t = -1 and NaN were stored in the profile unchecked, and inf still was
+    with pytest.raises(ValueError, match=re.escape(f"needs a finite t > 0, got t={t}")):
         predict_edge(_left_front(1 / 16), t, np.linspace(0.0, 5.0, 11))
 
 
@@ -489,9 +489,12 @@ def test_measure_edge_checks_the_window_before_evolving(monkeypatch, tmp_path, c
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_measure_edge_refuses_nan_time(monkeypatch):
+    # and inf, which reached the ring's size cap and raised GuardError, the
+    # exit-3 path
     monkeypatch.setattr(chiralwalk.airy, "evolve", lambda *a, **kw: pytest.fail("evolved"))
-    with pytest.raises(ValueError, match="needs t > 0, got t=nan"):
-        measure_edge(WalkParams(1 / 16, PI / 2), _left_front(1 / 16), math.nan, 20)
+    for t in (math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"needs a finite t > 0, got t={t}"):
+            measure_edge(WalkParams(1 / 16, PI / 2), _left_front(1 / 16), t, 20)
 
 
 @pytest.mark.parametrize("window", [-3, 0, 2.5, 40.0, "40", None, True])
@@ -579,8 +582,9 @@ def test_edge_scale():
     assert edge_scale(front, 0.0) == 0.0  # evolve's ring layout asks at t = 0
 
 
-@pytest.mark.parametrize("t", [-1.0, -1e-300, -math.inf, math.nan])
+@pytest.mark.parametrize("t", [-1.0, -1e-300, -math.inf, math.nan, math.inf])
 def test_edge_scale_refuses_a_time_that_is_not_nonnegative(t):
-    # a negative t gave a complex scale, (0.68+1.18j) at t = -1, and NaN gave NaN
-    with pytest.raises(ValueError, match="t >= 0"):
+    # a negative t gave a complex scale, (0.68+1.18j) at t = -1, NaN gave NaN
+    # and inf gave inf
+    with pytest.raises(ValueError, match=f"needs a finite t >= 0, got t={t}"):
         edge_scale(_left_front(1 / 16), t)

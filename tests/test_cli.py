@@ -329,6 +329,39 @@ def test_rows_text_matches_percent_on_edge_cases():
         _assert_rows_text(cells[: cells.size // width * width].reshape(-1, width))
 
 
+def _covered(cells):
+    # where _g17 decides a near-tie exactly: 1 <= -E <= 64 for |x| = m*2^E
+    exponent = np.frexp(cells)[1].astype(np.int64) - 53
+    return (exponent < 0) & (exponent >= -64)
+
+
+def test_exact_ties_in_the_residue_range_need_no_percent():
+    ties = np.array(_decimal_ties())
+    covered = ties[_covered(ties)]
+    assert covered.size > 400
+    for cells in (covered, -covered):
+        assert _g17._decimal(cells.copy())[2].size == 0
+        _assert_rows_text(cells.reshape(-1, 1))
+
+
+@given(st.lists(st.tuples(st.integers(1, 24), st.floats(0.0, 1.0), st.booleans()), min_size=1, max_size=64))
+def test_rows_text_matches_percent_on_exact_ties(draws):
+    # x = o / 2^(k+1), o odd, with 10^16 < 5^k o / 2 < 10^17, is an exact tie:
+    # x*10^k = 5^k o / 2 lies halfway between two 17-digit decimals.  Ties
+    # from k = 1 to ~20 fall in the residue range, the rest go to %
+    cells = []
+    for k, u, negative in draws:
+        lo, hi = 2 * 10**16 // 5**k + 1, min(2 * 10**17 // 5**k, 2**53 - 1)
+        odd = 2 * ((lo + round(u * (hi - lo))) // 2) + 1
+        odd = odd if odd <= hi else odd - 2
+        x = odd / 2 ** (k + 1)
+        assert 2 * 10**16 < odd * 5**k < 2 * 10**17 and x.as_integer_ratio() == (odd, 2 ** (k + 1))
+        cells.append(-x if negative else x)
+    cells = np.array(cells)
+    _assert_rows_text(cells.reshape(-1, 1))
+    assert not _covered(cells)[_g17._decimal(cells.copy())[2]].any()
+
+
 def test_import_loads_no_fractions_or_decimal():
     # the powers of ten are built from ints on first use, so importing costs nothing
     code = ("import sys, numpy as np, chiralwalk, chiralwalk.cli as cli;"
@@ -514,6 +547,49 @@ def test_fronts_sweep_takes_one_eigvals_call(tmp_path, monkeypatch):
     ])
     assert rc == 0
     assert sizes == [3 * 60]
+
+
+FRONTS_HEADER = ["phi", "g", "q_star", "velocity", "order", "kappa", "topology", "status"]
+
+
+def _fronts_csv_by_rows(path, phis, gs):
+    # the reference: fronts.csv as the row writer wrote it before the scan
+    # ended in columns, from scan_diagrams' objects, sorted by (phi, g,
+    # velocity) with inf for an error row, through _write_csv
+    points = [WalkParams(g, phi) for phi in phis for g in gs]
+    rows = []
+    for p, diagram in zip(points, fronts.scan_diagrams(points)):
+        if isinstance(diagram, Exception):
+            rows.append((p.phi, p.g, "", "", "", "", "", f"error: {diagram}"))
+        else:
+            rows += [
+                (p.phi, p.g, fr.q_star, fr.velocity, fr.order, fr.kappa, diagram.topology.value, "ok")
+                for fr in diagram.fronts
+            ]
+    rows.sort(key=lambda r: (r[0], r[1], r[3] if isinstance(r[3], float) else math.inf))
+    cli._write_csv(path, FRONTS_HEADER, rows)
+
+
+PUBLISHED_PHIS = [0.0, math.pi / 6, math.pi / 4, math.pi / 3, 5 * math.pi / 12, math.pi / 2]
+
+
+@pytest.mark.parametrize("phis, g_min, g_max, g_steps, failing_g", [
+    (PUBLISHED_PHIS, 0.02, 0.30, 57, None),  # the published sweep
+    ([0.0, 0.3, math.pi / 2], 0.0, 2.0, 801, None),  # both critical bands, g < G_SEED, many blocks
+    ([0.3, 0.0, 0.3], 0.0, 0.5, 41, None),  # a repeated phi: rows of equal (phi, g, velocity)
+    ([0.8], 0.0, 0.4, 5, 0.1),  # an error row between ok rows
+    ([0.8, 0.5], 0.0, 0.2, 3, 0.1),  # one per phi, quoted
+])
+def test_fronts_csv_matches_the_row_writer(tmp_path, monkeypatch, phis, g_min, g_max, g_steps, failing_g):
+    if failing_g is not None:
+        record_eigvals(monkeypatch, failing_g=failing_g, message='LAPACK "geev" failed, info=3')
+    argv = ["fronts", "--phi-list", ",".join(map(repr, phis)), "--g-min", repr(g_min), "--g-max", repr(g_max),
+            "--g-steps", str(g_steps), "--out", str(tmp_path / "cli")]
+    assert main(argv) == 0
+    _fronts_csv_by_rows(tmp_path / "rows.csv", phis, np.linspace(g_min, g_max, g_steps).tolist())
+    got = (tmp_path / "cli" / "fronts.csv").read_bytes()
+    assert got == (tmp_path / "rows.csv").read_bytes()
+    assert (failing_g is None) == (b"error" not in got)
 
 
 @pytest.mark.parametrize(

@@ -195,6 +195,11 @@ def test_scaling_curve_takes_a_scalar_and_refuses_a_2d_nu(g, phi):
 def test_invert_velocity_counts():
     p0 = WalkParams(0.0, PI / 2)
     assert invert_velocity(p0, 3.0) == []
+    # +-inf lie outside the cone; NaN, which returned [] as well, is refused
+    assert invert_velocity(p0, math.inf) == invert_velocity(p0, -math.inf) == []
+    for nan in (math.nan, np.float64(math.nan)):
+        with pytest.raises(ValueError, match="not NaN"):
+            invert_velocity(WalkParams(0.3, 0.8), nan)
     roots = invert_velocity(p0, 0.0)
     assert len(roots) == 2
     np.testing.assert_allclose(sorted(roots), [-PI, 0.0], atol=1e-10)
