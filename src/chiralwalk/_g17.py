@@ -172,8 +172,10 @@ def _spell(x):
 
 def rows_text(block: np.ndarray) -> bytes:
     """The rows of a 2-D float64 block as CSV text: each cell '%.17g' % x,
-    cells joined by ',' and each row ended by '\\n'."""
+    cells joined by ',' and each row ended by '\\n'; b"" for no rows."""
     rows, width = block.shape
+    if rows == 0:
+        return b""
     x = block.ravel()
     out, fallback = _spell(x)
     out[_SEP].reshape(rows, width)[:] = ord(",")

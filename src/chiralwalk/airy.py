@@ -16,13 +16,16 @@ ones this module accepts.
 A_k is evaluated on a fixed contour: the real segment [0, r0(xi)] through
 the stationary points, then the ray at angle -pi/(2(k+2)) from r0, on which
 the integrand decays like exp(-s^(k+2)/(k+2)).  Both pieces use fixed
-Gauss-Legendre nodes, and the ray is cut per xi where the integrand is below
-exp(-40).  The segment's nodes and phase are real, so it is built in float64
-and only its exp(-i theta) is complex; the ray is complex throughout.  A
-table is one array expression per piece over (xi x nodes), taken in blocks
-of XI_BLOCK values of xi, small enough that a block's node arrays stay in a
-core's L2 cache.  Against an arbitrary-precision series the values agree to
-~3e-14 over the validated range |xi| <= XI_LIMIT = 50 for k = 1 and 3.
+Gauss-Legendre rules, of SEGMENT_NODES and RAY_NODES points, and the ray is
+cut per xi where the integrand is below exp(-40).  The rules ship as data:
+the exact float64 nodes and weights that numpy's leggauss returns, so no
+call solves the eigenproblem that leggauss does.  The segment's nodes and
+phase are real, so it is built in float64 and only its exp(-i theta) is
+complex; the ray is complex throughout.  A table is one array expression
+per piece over (xi x nodes), taken in blocks of XI_BLOCK values of xi,
+small enough that a block's node arrays stay in a core's L2 cache.  Against
+an arbitrary-precision series the values agree to ~3e-14 over the
+validated range |xi| <= XI_LIMIT = 50 for k = 1 and 3.
 The j-th derivative multiplies the integrand by (-i z)^j, so the same nodes
 and exponentials give A_k', A_k'', ... as further rows of a table.
 
@@ -51,7 +54,6 @@ the predicted scaled deviation int_0^xi A_k(-u)^2 du is non-decreasing.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -76,15 +78,6 @@ STEP_MIN_SEP = 0.8
 STEP_DIP_FRAC = 0.5
 
 
-@functools.cache
-def _unit_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """n-point Gauss-Legendre nodes and weights on [0, 1]."""
-    x, w = np.polynomial.legendre.leggauss(n)
-    nodes, weights = 0.5 * (x + 1.0), 0.5 * w
-    nodes.flags.writeable = weights.flags.writeable = False
-    return nodes, weights
-
-
 def _contour(k: int, xi: np.ndarray, rows: int) -> np.ndarray:
     """A_k and its first rows - 1 derivatives at a 1-d array of xi.
 
@@ -97,8 +90,8 @@ def _contour(k: int, xi: np.ndarray, rows: int) -> np.ndarray:
     kp2 = k + 2
     delta = math.pi / (2.0 * kp2)
     rot = complex(math.cos(delta), -math.sin(delta))
-    u, wu = _unit_rule(SEGMENT_NODES)
-    v, wv = _unit_rule(RAY_NODES)
+    u, wu = _SEGMENT_RULE
+    v, wv = _RAY_RULE
     x = xi[:, None]
     # beyond the outermost stationary point the phase derivative is positive,
     # so the rotated tail decays immediately
@@ -157,8 +150,11 @@ def airy_ode_residual(k: int, xi: float) -> float:
     c = (-1)^k i^(k+1) is real for odd k: +xi A_1 for k=1, -xi A_3 for k=3.
     Both terms are rows of one airy_table with derivs = k + 1, so the
     residual measures the quadrature alone (~1e-12 over the validated
-    range), with no finite-difference step.
+    range), with no finite-difference step.  xi is a scalar; an array is
+    refused.
     """
+    if np.ndim(xi) != 0:
+        raise ValueError(f"xi must be a scalar, got an array of shape {np.shape(xi)}")
     a = airy_table(k, xi, derivs=k + 1)
     return float(a[k + 1] - _ode_sign(k) * xi * a[0])
 
@@ -255,13 +251,17 @@ def predict_edge(front: ExtremalFront, t: float, xi_grid: np.ndarray) -> EdgePro
     |xi| <= 10.5, 73 for k = 3 at 13.6, 482 and 207 at 50), interpolated to
     the samples within ~1e-14 of the direct table.  On a 2-core AVX-512 VM
     with 2 MB of L2 per core that is ~6 ms for the five published windows
-    at t = 1e4 (21 ms with a table at every sample), and ~2.2 ms for the
+    at t = 1e4 (21 ms with a table at every sample), and ~2.1 ms for the
     2 647 samples of the g = 1/8 right-front window at t = 1e6 (29 ms).
+    The first call of a process costs the same, since the quadrature
+    rules are module constants.
 
-    Rejects a t that is not finite and > 0 (NaN and inf included), and
-    even-order fronts, whose amplitude equation has an imaginary dispersion
-    term and therefore no real staircase.
+    Rejects a bool t, a t that is not finite and > 0 (NaN and inf
+    included), and even-order fronts, whose amplitude equation has an
+    imaginary dispersion term and therefore no real staircase.
     """
+    if isinstance(t, (bool, np.bool_)):
+        raise ValueError(f"t must be a number, not a bool, got t={t!r}")
     if not 0 < t < math.inf:
         raise ValueError(f"predict_edge needs a finite t > 0, got t={t}")
     k = front.order
@@ -284,8 +284,11 @@ def measure_edge(p: WalkParams, front: ExtremalFront, t: float, window: int) -> 
     The window must not reach any other front travelling at a different
     velocity (co-moving degenerate partners are fine and simply double the
     profile); that, the window's type and the ring's size cap are checked
-    before anything is evolved, and so is t, which must be finite and > 0.
+    before anything is evolved, and so is t, which must be a finite number
+    > 0 and not a bool.
     """
+    if isinstance(t, (bool, np.bool_)):
+        raise ValueError(f"t must be a number, not a bool, got t={t!r}")
     if not 0 < t < math.inf:
         raise ValueError(f"measure_edge needs a finite t > 0, got t={t}")
     if isinstance(window, bool) or not isinstance(window, (int, np.integer)) or window < 1:
@@ -412,3 +415,189 @@ def extract_staircase(profile: EdgeProfile, observable: str = "cpd") -> list[Sta
         width = _refine(xi, d, i1) - _refine(xi, d, i0)
         steps.append(StaircaseStep(m + 1, height, width, height * width))
     return steps if len(steps) >= 2 else []
+
+
+def _gauss_legendre(half: str) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1] from the positive half of the rule.
+
+    `half` holds one node x and its weight w per line, x ascending, each as
+    the 16 hex digits of its IEEE 754 bits (struct.pack('>d', x).hex(): the
+    digits after the first three are float.hex's); the nodes are
+    antisymmetric and the weights symmetric.
+    """
+    x, w = np.frombuffer(bytes.fromhex(half), ">f8").astype(float).reshape(-1, 2).T
+    return np.concatenate((-x[::-1], x)), np.concatenate((w[::-1], w))
+
+
+def _unit_rule(half: str) -> tuple[np.ndarray, np.ndarray]:
+    """The rule of _gauss_legendre(half) on [0, 1]: nodes (x + 1)/2, weights w/2."""
+    x, w = _gauss_legendre(half)
+    nodes, weights = 0.5 * (x + 1.0), 0.5 * w
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
+# The contour's two rules are constants of the method, like their node
+# counts: the positive halves of np.polynomial.legendre.leggauss(SEGMENT_NODES)
+# and leggauss(RAY_NODES) on [-1, 1] as numpy 2.4.6 returns them, bit for
+# bit.  leggauss symmetrizes its result, so its nodes are exactly
+# antisymmetric and its weights exactly symmetric, and the halves restore
+# the whole rules.  Decoding them adds ~80 us to the import; leggauss takes
+# ~3.6 ms (an eigensolve of the 200 x 200 Jacobi matrix and Clenshaw sums).
+_SEGMENT_HALF = """
+3f800b6cc1f2c978 3f900b573e9e617b
+3f9810a20fc16c50 3f900a5519a2ffc4
+3fa40d054692f6cf 3f900850dfe5a573
+3fac1076e9a1efff 3f90054ab1d81f80
+3fb2091281315acf 3f900142c0229539
+3fb608c75f45b3fd 3f8ff8729740f173
+3fba0719b825efa9 3f8fec5d4ab8e7c9
+3fbe03c94b320640 3f8fde465d16a0c5
+3fc0ff4af90de32e 3f8fce2eb10bb71a
+3fc2fb9fd2777b8c 3f8fbc1749838d60
+3fc4f6c33f0bc912 3f8fa80149930871
+3fc6f0955f32ea58 3f8f91edf4664402
+3fc8e8f66887f355 3f8f79dead2c42c3
+3fcadfc6a7d86bee 3f8f5fd4f7009c00
+3fccd4e68322593f 3f8f43d274d32730
+3fcec8367b90b1a7 3f8f25d8e94da6cf
+3fd05ccb97bb0dc7 3f8f05ea36b77698
+3fd15474ae22eb8e 3f8ee4085ed73b1e
+3fd24b06f0455989 3f8ec03582d29778
+3fd34072deedf6a0 3f8e9a73e30bea3e
+3fd434a90d67ef85 3f8e72c5defe145a
+3fd5279a22762b57 3f8e492df51649a9
+3fd61936d94a3f0e 3f8e1daec28bf225
+3fd70970027a181f 3f8df04b03369aa4
+3fd7f83684f44efe 3f8dc1059161f7c8
+3fd8e57b5ef31209 3f8d8fe165a000b9
+3fd9d12fa6ed99ae 3f8d5ce1969921c7
+3fdabb448c88168b 3f8d280958da8b2b
+3fdba3ab59820a8a 3f8cf15bfea29e5e
+3fdc8a5572a2fde3 3f8cb8dcf7ab7ee4
+3fdd6f3458a58144 3f8c7e8fd0f3c71a
+3fde5239a9206e36 3f8c4278348567ba
+3fdf33571f6e5738 3f8c0499e93ab2bb
+3fe0093f4ac98c74 3f8bc4f8d28197c7
+3fe077d1028fbef4 3f8b8398f01d1323
+3fe0e559c4097386 3f8b407e5de4d736
+3fe151d2acdd74e6 3f8afbad538330cb
+3fe1bd34ebc86b69 3f8ab52a24312a3e
+3fe22779c10a8d5a 3f8a6cf93e70f6f8
+3fe2909a7ed43595 3f8a231f2bc6a459
+3fe2f89089b1597a 3f89d7a0906f1af9
+3fe35f5558f3d791 3f898a822b156e78
+3fe3c4e2771c9814 3f893bc8d48686bf
+3fe42931824378d3 3f88eb797f63273d
+3fe48c3c2c7dfdf2 3f88999937d04e4e
+3fe4edfc3c44c0f6 3f88462d23260348
+3fe54e6b8cd797d6 3f87f13a7f9c895a
+3fe5ad840ea06db8 3f879ac6a3f80479
+3fe60b3fc794c72a 3f8742d6ff329406
+3fe66798d395ebb4 3f86e9711824e35d
+3fe6c28964cfaeb9 3f868e9a8d2d419c
+3fe71c0bc415d1ac 3f86325913d53864
+3fe7741a513ff9c4 3f85d4b27875b222
+3fe7caaf83843363 3f8575ac9dd9ae2f
+3fe81fc5e9cffd7b 3f85154d7cdf8e85
+3fe873582b1fd75f 3f84b39b24190379
+3fe8c56106d54b85 3f84509bb769905b
+3fe915db550b71b7 3f83ec556fa3caf5
+3fe964c206e9e38b 3f8386ce9a253604
+3fe9b21026f61dc2 3f83200d9870e427
+3fe9fdc0d9634993 3f82b818dfc8c6fd
+3fea47cf5c6068c8 3f824ef6f8c5cb81
+3fea90370864dfcf 3f81e4ae7eeeb768
+3fead6f3507b58ea 3f817946204ddcb9
+3feb1bffc28afbcc 3f810cc49d05a01d
+3feb5f58079ef509 3f809f30c6e3dcae
+3feba0f7e42c48dd 3f80309180f429b3
+3febe0db3855ecdf 3f7f81db7e222181
+3fec1efe002f2467 3f7ea0990ae85927
+3fec5b5c53fc1b6b 3f7dbd69d08a978f
+3fec95f26870bbd6 3f7cd85c165113a6
+3feccebc8eedb95a 3f7bf17e4196ec70
+3fed05b735bbcff6 3f7b08ded4e28c10
+3fed3adee8453168 3f7a1e8c6efc400d
+3fed6e304f4d1e0e 3f793295ca02fe46
+3fed9fa83125a5a0 3f784509ba7f8c4d
+3fedcf4371e38c7f 3f7755f72e75ecc5
+3fedfcff1390525e 3f76656d2c7546de
+3fee28d8365a5727 3f75737ad2a644da
+3fee52cc18c31b38 3f74802f55d811a7
+3fee7ad817cb982f 3f738b9a008bf353
+3feea0f9af1eafb4 3f7295ca31ff9c60
+3feec52e7939add6 3f719ecf5d368c94
+3feee7742f92dd02 3f70a6b908025219
+3fef07c8aabe29da 3f6f5b2d94143bda
+3fef2629e28fd5df 3f6d66f097a44a95
+3fef4295ee3d38d3 3f6b70da8b8645e4
+3fef5d0b047b9262 3f69790afe668f3d
+3fef75877b9cf081 3f677fa19ae51427
+3fef8c09c9ab34bd 3f6584be25bc0b2f
+3fefa09084814e2c 3f6388807c06c345
+3fefb31a61e2d722 3f618b0891cb312c
+3fefc3a637928099 3f5f18ece24500cf
+3fefd232fb684bf9 3f5b19d475d70127
+3fefdebfc36a3d2e 3f571908579692b6
+3fefe94bc5ef8b8d 3f5316c95dd9d9d1
+3feff1d659eae6e9 3f4e26b2971dfb26
+3feff85ef7dcdacc 3f461dfaecf3125d
+3feffce53eb7da70 3f3c28463a04247a
+3fefff692790b208 3f2831d0dd1342df
+"""
+
+_RAY_HALF = """
+3f90010b63d7442e 3fa000b5fb1d2bc2
+3fa7ff90ae37ed8a 3f9ff96a82c8aa9c
+3fb3fc4d7a075dff 3f9fe9699c885590
+3fbbf3d2da73e0c7 3f9fd16d443f27c3
+3fc1f22d289ce40b 3f9fb17b79d56664
+3fc5e5f3bb748641 3f9f899c3ad59e81
+3fc9d440117a4cdd 3f9f59d9806cfc00
+3fcdbc167526e2d1 3f9f223f3ceca73d
+3fd0ce3e675413f8 3f9ee2db58ccc877
+3fd2ba3d7137daa3 3f9e9bbdaf31f02b
+3fd4a18d47a52020 3f9e4cf809f5c376
+3fd683b405f82a5a 3f9df69e1d33e9cb
+3fd8603912007fb5 3f9d98c5825c5ae0
+3fda36a53a2b944b 3f9d3385b2cc4550
+3fdc0682d3554355 3f9cc6f801eeeb18
+3fddcf5dd6369fb9 3f9c533796e7e978
+3fdf90c3fc6bbef4 3f9bd86165c8846a
+3fe0a5226e849e06 3f9b56942851a565
+3fe17db9045d2611 3f9acdf0564460a5
+3fe251ef92b02e1a 3f9a3e981d42eb72
+3fe321910496a7a8 3f99a8af58440b59
+3fe3ec696a98cad7 3f990c5b869b2366
+3fe4b24607abbc3f 3f9869c3c2971c45
+3fe572f55de28d4c 3f97c110b7ba8271
+3fe62e473acf6a87 3f97126c988f4b8c
+3fe6e40cc391df12 3f965e031418d042
+3fe79418808f299e 3f95a4014ae69ea8
+3fe83e3e68d1b46c 3f94e495c3cae7a7
+3fe8e253ed0cd87b 3f941ff0603752c8
+3fe9803002422ad4 3f9356425043331b
+3fea17ab2c05aae5 3f9287be065e19fb
+3feaa89f865e4152 3f91b4972ab1e594
+3feb32e8cf4017f6 3f90dd028e378de9
+3febb6646f9e6e2e 3f9001361d81fa34
+3fec32f18412a7a3 3f8e42d1a684c735
+3feca870e5167085 3f8c7ba55513de1f
+3fed16c52ecef0a5 3f8aad592199036f
+3fed7dd2c86728bd 3f88d860af528b18
+3feddd7feaf7bca2 3f86fd314cfcd636
+3fee35b4a7faa018 3f851c41d79f1a46
+3fee865aef4966aa 3f83360a9d153e86
+3feecf5e94a578a9 3f814b053e82c636
+3fef10ad54ca77ac 3f7eb759261ed359
+3fef4a36da0d91da 3f7ad0f917c276ab
+3fef7becc0933edd 3f76e3e43833d2ec
+3fefa5c29a3a55ea 3f72f1165c8cd4b6
+3fefc7adf2ad5f43 3f6df31b3971d665
+3fefe1a6559af749 3f65fc99764363ef
+3feff3a5642a1f37 3f5c01b662be8b07
+3feffda7a43b55b0 3f48128f8e3d2eec
+"""
+_SEGMENT_RULE = _unit_rule(_SEGMENT_HALF)
+_RAY_RULE = _unit_rule(_RAY_HALF)

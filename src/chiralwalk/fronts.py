@@ -301,8 +301,11 @@ def degeneracy(diagram: FrontDiagram, front: ExtremalFront) -> int:
 def edge_scale(front: ExtremalFront, t: float) -> float:
     """(|kappa_k| t)^(1/(k+2)), the site width of the front's edge window at a finite time t >= 0.
 
-    t = 0 gives 0, the scale evolve's ring layout reads at t = 0.
+    t = 0 gives 0, the scale evolve's ring layout reads at t = 0.  A bool t
+    is refused.
     """
+    if isinstance(t, (bool, np.bool_)):
+        raise ValueError(f"t must be a number, not a bool, got t={t!r}")
     if not 0 <= t < math.inf:  # a negative t has a complex root; NaN and inf have no window
         raise ValueError(f"the edge scale needs a finite t >= 0, got t={t}")
     return (abs(front.kappa) * t) ** (1.0 / (front.order + 2))
@@ -334,8 +337,11 @@ def _critical_root(phi: float) -> tuple:
 def critical_coupling(phi: float) -> float:
     """Lifshitz coupling g_c(phi): the smallest g > 0 with a double root of w''.
 
-    A cube root in closed form, see _critical_root.
+    A cube root in closed form, see _critical_root.  phi must lie in
+    [0, pi/2], and a bool phi is refused, as WalkParams refuses one.
     """
+    if isinstance(phi, (bool, np.bool_)):
+        raise ValueError(f"phi must be a number, not a bool, got phi={phi!r}")
     if not 0.0 <= phi <= PHI_MAX:
         raise ValueError("phi must lie in the canonical window [0, pi/2]")
     return _critical_root(phi)[1]

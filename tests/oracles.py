@@ -35,7 +35,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from chiralwalk import ConeTopology, ExtremalFront, cone_topology, edge_scale, omega
-from chiralwalk.airy import RAY_DECAY, RAY_NODES, SEGMENT_NODES, _unit_rule
+from chiralwalk.airy import RAY_DECAY, _RAY_RULE, _SEGMENT_RULE
 from chiralwalk.dispersion import PHI_MAX, TWO_PI, omega_deriv
 from chiralwalk.fronts import (
     BAND_2, BAND_3_G, BAND_3_PHI, G_SEED, NEWTON_STEPS, _critical_root, same_velocity
@@ -107,8 +107,8 @@ def concatenated_contour(k, xi, rows):
     kp2 = k + 2
     delta = math.pi / (2.0 * kp2)
     rot = complex(math.cos(delta), -math.sin(delta))
-    u, wu = _unit_rule(SEGMENT_NODES)
-    v, wv = _unit_rule(RAY_NODES)
+    u, wu = _SEGMENT_RULE
+    v, wv = _RAY_RULE
     x = np.asarray(xi, dtype=float)[:, None]
     r0 = np.where(x < 0.0, np.maximum(2.0, 1.6 * np.abs(x) ** (1.0 / (k + 1))), 1.0)
     a = (x + r0 ** (k + 1)) * math.sin(delta)

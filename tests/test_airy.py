@@ -26,7 +26,19 @@ from chiralwalk import (
     ring_layout,
 )
 from chiralwalk import airy as airy_module
-from chiralwalk.airy import XI_BLOCK, XI_LIMIT, _find_peaks, max_edge_window
+from chiralwalk.airy import (
+    RAY_NODES,
+    SEGMENT_NODES,
+    XI_BLOCK,
+    XI_LIMIT,
+    _RAY_HALF,
+    _RAY_RULE,
+    _SEGMENT_HALF,
+    _SEGMENT_RULE,
+    _find_peaks,
+    _gauss_legendre,
+    max_edge_window,
+)
 from chiralwalk.fronts import same_velocity
 from oracles import concatenated_contour, series_airy
 
@@ -178,6 +190,50 @@ def test_derivs_must_be_a_nonnegative_integer():
     assert airy_table(3, xi, derivs=0).shape == xi.shape
 
 
+RULES = [(SEGMENT_NODES, _SEGMENT_HALF, _SEGMENT_RULE), (RAY_NODES, _RAY_HALF, _RAY_RULE)]
+
+
+@pytest.mark.parametrize("n, half, rule", RULES)
+def test_shipped_rules_are_numpys_gauss_legendre(n, half, rule):
+    # the bits of leggauss(n) where the rules were taken; elsewhere its
+    # eigensolve may round the last bits differently
+    x, w = _gauss_legendre(half)
+    lx, lw = np.polynomial.legendre.leggauss(n)
+    assert x.size == w.size == n
+    np.testing.assert_array_max_ulp(x, lx, maxulp=2)
+    np.testing.assert_array_max_ulp(w, lw, maxulp=2)
+    # the contour's rule on [0, 1] is that rule mapped by (x + 1)/2 and w/2
+    assert np.array_equal(rule[0], 0.5 * (x + 1.0)) and np.array_equal(rule[1], 0.5 * w)
+    assert not (rule[0].flags.writeable or rule[1].flags.writeable)
+
+
+@pytest.mark.parametrize("n, half, rule", RULES)
+def test_shipped_rules_are_symmetric(n, half, rule):
+    x, w = _gauss_legendre(half)
+    assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+    assert np.all(np.diff(x) > 0) and x[n // 2] > 0 and x[-1] < 1 and np.all(w > 0)
+
+
+@pytest.mark.parametrize("n, half, rule", RULES)
+def test_shipped_rules_integrate_polynomials_exactly(n, half, rule):
+    # an n-point Gauss rule is exact for every degree up to 2n - 1
+    u, w = rule
+    for j in range(2 * n):
+        assert abs(float(np.dot(w, u**j)) - 1.0 / (j + 1)) < 1e-14, j
+
+
+def test_tables_and_the_edge_command_never_call_leggauss(monkeypatch, tmp_path):
+    def refuse(n):
+        raise AssertionError(f"leggauss({n}) was called")
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", refuse)
+    xi = np.linspace(-50.0, 50.0, 201)
+    for k in (1, 3):
+        assert np.all(np.isfinite(airy_table(k, xi, derivs=k + 1)))
+    assert cli.main(["edge", "--g", "0.0625", "--t", "1000", "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "edge.json").stat().st_size > 0
+
+
 def test_orders_must_not_be_bools():
     # True ran as k = 1, and derivs=True as derivs = 1
     for k in (True, np.True_):
@@ -248,6 +304,11 @@ def test_ode_residual():
         assert abs(float(airy_table(3, xi))) > 0.05
     with pytest.raises(ValueError):
         airy_ode_residual(2, 0.0)
+    # xi is a scalar: an array raised TypeError from float()
+    for xi in (np.array([0.1, 0.2]), [0.1], np.zeros((1, 1))):
+        with pytest.raises(ValueError, match="xi must be a scalar"):
+            airy_ode_residual(1, xi)
+    assert airy_ode_residual(1, np.float64(1.0)) == airy_ode_residual(1, np.array(1.0)) == airy_ode_residual(1, 1.0)
 
 
 def _left_front(g, phi=PI / 2):
@@ -392,6 +453,17 @@ def test_predict_edge_refuses_a_time_that_is_not_positive(t):
     # t = -1 and NaN were stored in the profile unchecked, and inf still was
     with pytest.raises(ValueError, match=re.escape(f"needs a finite t > 0, got t={t}")):
         predict_edge(_left_front(1 / 16), t, np.linspace(0.0, 5.0, 11))
+
+
+@pytest.mark.parametrize("t", [True, np.True_, False])
+def test_edge_functions_refuse_a_bool_time(t):
+    # True ran at t = 1; the automatic ring reads edge_scale, so its layout
+    # and evolve refuse a bool t too
+    p, front = WalkParams(1 / 16, PI / 2), _left_front(1 / 16)
+    for call in (lambda: predict_edge(front, t, np.linspace(0.0, 5.0, 11)), lambda: edge_scale(front, t),
+                 lambda: measure_edge(p, front, t, 3), lambda: ring_layout(p, t), lambda: chiralwalk.evolve(p, t)):
+        with pytest.raises(ValueError, match="t must be a number, not a bool"):
+            call()
 
 
 def test_predict_edge_rejects_even_order():

@@ -329,6 +329,11 @@ def test_rows_text_matches_percent_on_edge_cases():
         _assert_rows_text(cells[: cells.size // width * width].reshape(-1, width))
 
 
+@pytest.mark.parametrize("width", [1, 6, 11])
+def test_rows_text_of_no_rows_is_empty(width):
+    assert _g17.rows_text(np.empty((0, width))) == b""
+
+
 def _covered(cells):
     # where _g17 decides a near-tie exactly: 1 <= -E <= 64 for |x| = m*2^E
     exponent = np.frexp(cells)[1].astype(np.int64) - 53

@@ -143,6 +143,13 @@ def test_critical_coupling_values():
     assert critical_coupling(PI / 4) == pytest.approx(0.225, abs=1e-3)
 
 
+@pytest.mark.parametrize("phi", [True, False, np.True_])
+def test_critical_coupling_refuses_a_bool_phase(phi):
+    # True gave g_c(1.0) = 0.2076
+    with pytest.raises(ValueError, match="phi must be a number, not a bool"):
+        critical_coupling(phi)
+
+
 def test_critical_coupling_exact_at_window_edges():
     assert critical_coupling(PI / 2) == 0.125
     assert critical_coupling(0.0) == 0.25
