@@ -121,12 +121,16 @@ def airy_table(k: int, xi, derivs: int = 0) -> np.ndarray:
     With derivs = m > 0 the result gains a leading axis of m + 1 rows, row j
     holding the j-th derivative A_k^(j) from the same quadrature nodes, up
     to the k + 1 rows of the defining ODE.  The whole array is validated
-    first: every xi must be finite with |xi| <= XI_LIMIT.
+    first: every xi must be finite with |xi| <= XI_LIMIT, and a bool xi, or
+    an array of bools, is refused.
     """
     if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k not in (1, 3):
         raise ValueError(f"edge profiles are validated for front orders 1 and 3 only; got k={k}")
     if isinstance(derivs, bool) or not isinstance(derivs, (int, np.integer)) or not 0 <= derivs <= k + 1:
         raise ValueError(f"derivs must be an integer >= 0 and <= k + 1 = {k + 1}, got derivs={derivs}")
+    xi = np.asarray(xi)
+    if xi.dtype == bool:
+        raise ValueError(f"xi must be numbers, not bools, got xi={xi if xi.ndim else xi.item()!r}")
     xi = np.asarray(xi, dtype=float)
     if not np.all(np.isfinite(xi)):
         raise ValueError("xi must be finite")
@@ -150,8 +154,8 @@ def airy_ode_residual(k: int, xi: float) -> float:
     c = (-1)^k i^(k+1) is real for odd k: +xi A_1 for k=1, -xi A_3 for k=3.
     Both terms are rows of one airy_table with derivs = k + 1, so the
     residual measures the quadrature alone (~1e-12 over the validated
-    range), with no finite-difference step.  xi is a scalar; an array is
-    refused.
+    range), with no finite-difference step.  xi is a scalar; an array, or
+    a bool, is refused.
     """
     if np.ndim(xi) != 0:
         raise ValueError(f"xi must be a scalar, got an array of shape {np.shape(xi)}")

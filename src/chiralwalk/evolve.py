@@ -380,8 +380,11 @@ def evolve(p: WalkParams, t: float, lattice: int | None = None, *, reach: int = 
     wraparound is part of that model, as in cross-checks against dense
     matrix exponentials.  Rings above MAX_LATTICE sites are refused with
     GuardError before anything is allocated, and a t that is not >= 0 (NaN
-    included) or a reach that is not an integer >= 0 with ValueError.
+    included), a bool t or a reach that is not an integer >= 0 with
+    ValueError.
     """
+    if isinstance(t, (bool, np.bool_)):
+        raise ValueError(f"t must be a number, not a bool, got t={t!r}")
     if not t >= 0:
         raise ValueError(f"t must be >= 0, got t={t}")
     _check_reach(reach)

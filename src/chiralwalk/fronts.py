@@ -29,9 +29,10 @@ step, derivative and the sort as one array operation over every root of
 the batch.  Every operation is elementwise, per matrix or per row, so a
 point's fronts are the same bits alone, in a sweep, or in any order of
 the points.  scan_diagrams builds each point's FrontDiagram from the
-columns, and cone_topology reads a one-point scan and caches it.  Points
-lie in WalkParams' window 0 <= phi <= pi/2, into which its band identities
-carry any g e^{i phi}.
+columns, and cone_topology reads a one-point scan and caches it;
+is_one_cone reads the phase alone, with no scan.  Points lie in
+WalkParams' window 0 <= phi <= pi/2, into which its band identities carry
+any g e^{i phi}.
 """
 
 from __future__ import annotations
@@ -173,12 +174,38 @@ def check_coupling(g: float) -> None:
         raise ValueError(f"g={g!r} is too large for the front scan: 64 g overflows")
 
 
+def _phases(g, phi):
+    """Each point's phase, read off the closed-form diagram: (phase, two_cones, q_c).
+
+    g and phi are arrays of one entry per point.  phase is the order k of
+    the point's multiple root in the order-k band, 0 off the bands;
+    two_cones is g > g_c(phi); q_c is the double root of w'' at g_c(phi).
+    """
+    closed = {f: _critical_root(f) for f in set(phi.tolist())}
+    q_c, g_c = np.array([closed[f] for f in phi.tolist()]).reshape(-1, 2).T
+    phase = 2 * (np.abs(g / g_c - 1.0) <= BAND_2)
+    phase[(np.abs(g - 0.125) <= BAND_3_G) & (PHI_MAX - phi <= BAND_3_PHI)] = 3
+    return phase, g > g_c, q_c
+
+
+def is_one_cone(p: WalkParams) -> bool:
+    """True when p is in the one-cone phase: g <= g_c(phi), off both critical bands.
+
+    scan_fronts' phase rule without the scan: the same answer as
+    cone_topology(p).topology is ONE_CONE, for any p whose quartic does not
+    fail.  g must pass check_coupling.
+    """
+    check_coupling(p.g)
+    phase, two_cones, _ = _phases(np.array([p.g], dtype=float), np.array([p.phi], dtype=float))
+    return not (phase[0] or two_cones[0])
+
+
 def scan_fronts(points) -> FrontTable:
     """Every front of a batch of points as one FrontTable, uncached.
 
     One failing point does not fail the others.  The topology is the
-    point's phase: critical of order k in the order-k band, one cone for
-    g <= g_c, else two cones, overlapping when the two slowest fronts
+    point's phase (_phases): critical of order k in the order-k band, one
+    cone for g <= g_c, else two cones, overlapping when the two slowest fronts
     co-move.  Only the mirror pair of phi = pi/2, where v(pi - q) = v(q),
     does; the internal pair born at g_c agrees in velocity to roundoff just
     above it, and its cones are nested.  Every g must pass check_coupling.
@@ -189,13 +216,8 @@ def scan_fronts(points) -> FrontTable:
     g = np.array([p.g for p in points], dtype=float)
     phi = np.array([p.phi for p in points], dtype=float)
     couplings = _Couplings(g, phi)
-    closed = {f: _critical_root(f) for f in set(phi.tolist())}
-    q_c, g_c = np.array([closed[f] for f in phi.tolist()]).reshape(-1, 2).T
-    # the order of each point's multiple root, 0 off the bands
-    phase = 2 * (np.abs(g / g_c - 1.0) <= BAND_2)
-    phase[(np.abs(g - 0.125) <= BAND_3_G) & (PHI_MAX - phi <= BAND_3_PHI)] = 3
+    phase, two_cones, q_c = _phases(g, phi)
     band = phase > 0
-    two_cones = g > g_c
     simple = np.where(band, 4 - phase, 2 + 2 * two_cones)
     # a seeded row never reaches the division by its leading coefficient,
     # which vanishes for the quartic at g = 0

@@ -35,9 +35,12 @@ both sides of the Lifshitz transition and at the critical couplings.  The
 nu are taken NU_BLOCK at a time, so memory does not grow with the grid.
 
 The median nu_half, where Phi crosses 1/2, is exactly v(0) = -4g sin(phi)
-in the one-cone phase; otherwise Newton on Phi - 1/2 with the closed-form
+in the one-cone phase, which the closed-form phase diagram recognises
+without a front scan; otherwise Newton on Phi - 1/2 with the closed-form
 rho as its slope finds it, inside a bracket, each step one two-point
-_bulk call that also certifies the answer.
+_bulk call that also certifies the answer.  Newton starts where Phi of the
+branches' velocity table crosses 1/2, linear in q between the nodes, and
+needs one to three calls.
 """
 
 from __future__ import annotations
@@ -57,7 +60,7 @@ from .evolve import (
     probability_density,
     ring_layout,
 )
-from .fronts import ConeTopology, FrontDiagram, cone_topology, edge_scale
+from .fronts import FrontDiagram, cone_topology, edge_scale, is_one_cone
 
 # half-width of each front's exclusion window, in edge scales
 EXCLUSION = 8.0
@@ -346,46 +349,75 @@ def invert_velocity(p: WalkParams, nu: float) -> list[float]:
     """All solutions q in [-pi, pi) of v(q) = nu, sorted.
 
     One root per monotone branch whose end velocities straddle nu; the
-    empty list outside (v_lm, v_rm), for nu = -inf and inf too.  A NaN nu
-    is refused with ValueError.
+    empty list outside (v_lm, v_rm), for nu = -inf and inf too.  A NaN or
+    a bool nu is refused with ValueError.
     """
     if np.ndim(nu) != 0:
         raise ValueError(f"nu must be a scalar, got an array of shape {np.shape(nu)}")
+    if isinstance(nu, (bool, np.bool_)):
+        raise ValueError(f"nu must be a number, not a bool, got nu={nu!r}")
     if math.isnan(nu):
         raise ValueError("invert_velocity needs a nu that is not NaN")
     end, _, _, (branch, col, _) = _ends(p, np.atleast_1d(np.asarray(nu, dtype=float)), _branches(p))
     return sorted(float(r - TWO_PI if r >= math.pi else r) for r in end[branch, col])
 
 
+def _table_median(branches: _Branches) -> float:
+    """Where Phi of the branches' velocity table crosses 1/2.
+
+    Each branch's q(v) is taken linear between its nodes, so that Phi of the
+    table is linear between consecutive merged velocities, and its crossing
+    is one linear interpolation between the two that straddle 1/2.
+    """
+    grid = branches.merged
+    width = np.zeros(grid.size)
+    for j, rising in enumerate(branches.rising[:, 0].tolist()):
+        v, q = branches.v[j], branches.q[j]
+        if rising:
+            width += np.interp(grid, v, q) - branches.a[j, 0]
+        else:
+            width += branches.b[j, 0] - np.interp(grid, v[::-1], q[::-1])
+    phi = width / _branch_sum(branches.b - branches.a)[0]
+    # phi is 0 at grid[0] = v_lm, so the first k with phi >= 1/2 is >= 1
+    k = int(np.argmax(phi >= 0.5))
+    lo, hi = grid[k - 1], grid[k]
+    return float(lo + (0.5 - phi[k - 1]) / (phi[k] - phi[k - 1]) * (hi - lo))
+
+
 def nu_half(p: WalkParams, tol: float = 1e-10) -> float:
     """Diagnostic: the scaled coordinate x where Phi crosses 1/2.
 
-    In the one-cone phase the level set of v(0) = v(pi) = -4g sin(phi) is
-    exactly {0, pi}, so that value is returned.  Otherwise the answer is
-    certified: Phi(x - tol/2) < 1/2 <= Phi(x + tol/2).  Newton on
-    Phi - 1/2, with rho as its slope, starts at -4g sin(phi) and stays
-    inside a bracket with Phi(lo) < 1/2 <= Phi(hi).  Each step evaluates
-    Phi and rho at the candidate's two certifying points, clipped to the
-    bracket, in one _bulk call: the candidate is returned if they
-    straddle 1/2, and otherwise the nearer one becomes an end of the
-    bracket and Newton steps from it.  A step that would leave the bracket,
-    or meets an infinite rho (w'' = 0 at a root, at the critical
-    couplings), or is not under half the step before last, is a bisection
-    instead.  The last rule stops Newton from creeping where nu is within
-    the float noise of a flat front: Phi is noise there, and the roots'
-    rho finite but meaningless.  The bracket shrinks at every step;
-    once it is down to adjacent floats (a tol below the float spacing),
-    its upper end, the float where Phi reaches 1/2, is returned.  A tol
-    that is not >= 0 (NaN or negative) is refused with ValueError.
+    In the one-cone phase (fronts.is_one_cone, read off the closed-form
+    phase diagram with no front scan) the level set of v(0) = v(pi) =
+    -4g sin(phi) is exactly {0, pi}, so that value is returned.  Otherwise
+    the answer is certified: Phi(x - tol/2) < 1/2 <= Phi(x + tol/2).
+    Newton on Phi - 1/2, with rho as its slope, starts where Phi of the
+    branches' velocity table crosses 1/2 (_table_median), and stays inside
+    a bracket with Phi(lo) < 1/2 <= Phi(hi), the cone [v_lm, v_rm] at
+    first.  Each step evaluates Phi and rho at the candidate's two
+    certifying points, clipped to the bracket, in one _bulk call: the
+    candidate is returned if they straddle 1/2, and otherwise the nearer
+    one becomes an end of the bracket and Newton steps from it; one to
+    three calls in all at tol = 1e-10 over the two-cone phase.  A step
+    that would leave the bracket, or meets an infinite rho (w'' = 0 at a
+    root, at the critical couplings), or is not under half the step before
+    last, is a bisection instead.  The last rule stops Newton from creeping
+    where nu is within the float noise of a flat front: Phi is noise
+    there, and the roots' rho finite but meaningless.  The bracket shrinks
+    at every step; once it is down to adjacent floats (a tol below the
+    float spacing), its upper end, the float where Phi reaches 1/2, is
+    returned.  A tol that is not >= 0 (NaN or negative) or is a bool is
+    refused with ValueError.
     """
+    if isinstance(tol, (bool, np.bool_)):
+        raise ValueError(f"tol must be a number, not a bool, got tol={tol!r}")
     if not tol >= 0.0:
         raise ValueError(f"nu_half needs tol >= 0, got tol={tol!r}")
-    d = cone_topology(p)
-    x = -4.0 * p.g * math.sin(p.phi)
-    if d.topology is ConeTopology.ONE_CONE:
-        return x
+    if is_one_cone(p):
+        return -4.0 * p.g * math.sin(p.phi)
     branches = _branches(p)
-    lo, hi = d.v_lm, d.v_rm
+    lo, hi = float(branches.va.min()), float(branches.va.max())
+    x = _table_median(branches)
     step = before = hi - lo
     while True:
         below = max(lo, x - 0.5 * tol)
@@ -426,12 +458,15 @@ def scaling_curve(p: WalkParams, nu) -> ScalingCurve:
     """Phi, J, rho = dPhi/dnu and M~_1..3 at every nu, from one solve for the roots.
 
     nu is a scalar, which gives a one-point curve, or a 1-D array; an
-    array of higher rank is refused with ValueError.  Each nu's values do
-    not depend on the others: a NaN nu gives NaN in every field; outside
-    the cone rho is 0, and Phi, J and M~_k are those of the empty or the
-    whole zone; rho is inf where a root has w'' = 0 (nu within float noise
-    of a front).  M~_1 is J bit for bit.
+    array of higher rank, and a bool nu or an array of bools, is refused
+    with ValueError.  Each nu's values do not depend on the others: a NaN
+    nu gives NaN in every field; outside the cone rho is 0, and Phi, J and
+    M~_k are those of the empty or the whole zone; rho is inf where a root
+    has w'' = 0 (nu within float noise of a front).  M~_1 is J bit for bit.
     """
+    nu = np.asarray(nu)
+    if nu.dtype == bool:
+        raise ValueError(f"nu must be numbers, not bools, got nu={nu if nu.ndim else nu.item()!r}")
     nu = np.atleast_1d(np.asarray(nu, dtype=float))
     if nu.ndim != 1:
         raise ValueError(f"nu must be a scalar or a 1-D array, got an array of shape {nu.shape}")

@@ -311,6 +311,16 @@ def test_ode_residual():
     assert airy_ode_residual(1, np.float64(1.0)) == airy_ode_residual(1, np.array(1.0)) == airy_ode_residual(1, 1.0)
 
 
+@pytest.mark.parametrize("xi", [True, False, np.True_, np.array([True, False]), [False]])
+def test_airy_refuses_a_bool_xi(xi):
+    # airy_table(1, True) returned Ai(1) = 0.1353, and the residual evaluated at xi = 1
+    with pytest.raises(ValueError, match="xi must be numbers, not bools"):
+        airy_table(1, xi)
+    if np.ndim(xi) == 0:
+        with pytest.raises(ValueError, match="xi must be numbers, not bools"):
+            airy_ode_residual(1, xi)
+
+
 def _left_front(g, phi=PI / 2):
     d = cone_topology(WalkParams(g, phi))
     return next(fr for fr in d.fronts if fr.velocity == d.v_lm)

@@ -225,6 +225,14 @@ def test_non_integer_moment_order_rejected():
     assert position_moment(prob, np.int64(2)) == position_moment(prob, 2)
 
 
+@pytest.mark.parametrize("t", [True, False, np.True_])
+def test_bool_time_rejected_on_a_given_lattice(t):
+    # a given lattice skips the ring layout, whose edge_scale refuses a bool
+    # t: evolve(p, True, lattice=64) evolved to t = 1.0
+    with pytest.raises(ValueError, match="t must be a number, not a bool"):
+        evolve(WalkParams(0.3, 0.8), t, lattice=64)
+
+
 def test_bool_moment_order_rejected():
     # bool passes the int check: True read as k = 1 gave mu_1 and the k = 1 prefix sums
     prob = probability_density(evolve(WalkParams(0.3, 0.8), 50.0))

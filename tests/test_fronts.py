@@ -19,7 +19,7 @@ from chiralwalk import (
     scan_diagrams,
 )
 from chiralwalk.dispersion import PHI_MAX
-from chiralwalk.fronts import BAND_2, BAND_3_G, BAND_3_PHI, G_SEED, same_velocity
+from chiralwalk.fronts import BAND_2, BAND_3_G, BAND_3_PHI, G_SEED, is_one_cone, same_velocity, scan_fronts
 
 from oracles import count_topology, per_point_critical_coupling, per_point_fronts, quartic_crosscheck
 
@@ -141,6 +141,25 @@ def test_critical_coupling_values():
     assert critical_coupling(PI / 2) == pytest.approx(0.125, abs=1e-8)
     assert critical_coupling(0.0) == pytest.approx(0.25, abs=1e-6)
     assert critical_coupling(PI / 4) == pytest.approx(0.225, abs=1e-3)
+
+
+def test_is_one_cone_equals_the_scan_topology():
+    # the closed-form phase against the scan's topology: a dense (phi, g)
+    # grid, the Lifshitz line at g_c (1 + eps) across both edges of the
+    # order-2 band, and the order-3 corner across both edges of its band
+    points = [WalkParams(g, phi) for phi in np.linspace(0.0, PHI_MAX, 35).tolist()
+              for g in np.linspace(0.0, 0.5, 257).tolist()]
+    eps = [0.0, 1e-6, 1e-9] + [BAND_2 * (1.0 + d) for d in (-1e-3, 0.0, 1e-3)]
+    for phi in [0.0, 0.3, 0.8, 1.2, PHI_MAX - 1e-3, PHI_MAX]:
+        g_c = critical_coupling(phi)
+        points += [WalkParams(g_c * (1.0 + s * e), phi) for e in eps for s in (1.0, -1.0)]
+    for dg in (0.0, BAND_3_G * 0.999, BAND_3_G * 1.001):
+        for dphi in (0.0, BAND_3_PHI * 0.999, BAND_3_PHI * 1.001):
+            points += [WalkParams(0.125 + s * dg, PHI_MAX - dphi) for s in (1.0, -1.0)]
+    table = scan_fronts(points)
+    one = [top is ConeTopology.ONE_CONE for top in table.topology]
+    assert [is_one_cone(p) for p in points] == one
+    assert 0 < sum(one) < len(points)
 
 
 @pytest.mark.parametrize("phi", [True, False, np.True_])

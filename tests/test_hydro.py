@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from chiralwalk import (
     ConeTopology,
     WalkParams,
+    fronts,
     hydro,
     compare_bulk,
     cone_topology,
@@ -78,6 +79,63 @@ def test_nu_half_is_the_exact_one_cone_median():
             median = -4.0 * g * math.sin(phi)
             assert abs(nu_half(p) - median) <= 1e-10, (g, phi)
             assert abs(scaling_curve(p, median).phi_scaled[0] - 0.5) <= 1e-15, (g, phi)
+
+
+def test_one_cone_nu_half_needs_no_front_scan(monkeypatch):
+    # the closed-form phase says one cone, so no quartic is solved
+    def no_scan(points):
+        raise AssertionError("scan_fronts called")
+
+    monkeypatch.setattr(fronts, "scan_fronts", no_scan)
+    fronts.cone_topology.cache_clear()
+    for phi in np.linspace(0.0, PI / 2, 7).tolist():
+        for g in np.linspace(0.0, 0.999 * critical_coupling(phi), 5).tolist():
+            got = nu_half(WalkParams(g, phi))
+            assert got == -4.0 * g * math.sin(phi), (g, phi)
+            assert type(got) is float
+
+
+@pytest.mark.parametrize("phi", [0.2, 0.8, 1.4])
+def test_nu_half_starts_from_the_branch_table(monkeypatch, phi):
+    # the two-cone centres of the benchmark's nu_half grid: Newton from the
+    # table's crossing settles them in at most three two-point solves, where
+    # a start at -4g sin(phi), the one-cone answer, took 5 to 11
+    calls = []
+    original = hydro._bulk
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(hydro, "_bulk", counted)
+    p = WalkParams(0.35, phi)
+    x = nu_half(p)
+    assert len(calls) <= 3, calls
+    assert type(x) is float
+    assert_nu_half_certified(p, x, 1e-10)
+    want = dict(NU_HALF_BISECTED)[(0.35, phi)]
+    assert abs(x - want) <= 5e-11
+    # tol = 0 still ends at adjacent floats, the float where Phi reaches 1/2
+    exact = nu_half(p, tol=0.0)
+    assert_nu_half_certified(p, exact, 0.0)
+    assert abs(exact - x) <= 5e-11
+
+
+def test_bool_arguments_are_refused():
+    # each ran at 1: tol = 1, and nu = 1 for invert_velocity and scaling_curve
+    p = WalkParams(0.3, 0.8)
+    for flag in (True, False, np.True_):
+        with pytest.raises(ValueError, match="tol must be a number, not a bool"):
+            nu_half(p, tol=flag)
+        with pytest.raises(ValueError, match="nu must be a number, not a bool"):
+            invert_velocity(p, flag)
+        with pytest.raises(ValueError, match="nu must be numbers, not bools"):
+            scaling_curve(p, flag)
+    with pytest.raises(ValueError, match="nu must be numbers, not bools"):
+        scaling_curve(p, np.array([True, False]))
+    # numbers still pass, numpy scalars and integers too
+    assert invert_velocity(p, np.float64(0.1)) == invert_velocity(p, 0.1)
+    assert scaling_curve(p, 1).phi_scaled[0] == scaling_curve(p, 1.0).phi_scaled[0]
 
 
 @pytest.mark.parametrize("tol", [math.nan, -1e-10, -math.inf])
