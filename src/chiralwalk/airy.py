@@ -59,6 +59,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import as_numbers, check_number
 from .dispersion import WalkParams
 from .evolve import cumulative, current_density, evolve, probability_density, ring_layout
 from .fronts import ExtremalFront, cone_topology, edge_scale, same_velocity
@@ -121,17 +122,14 @@ def airy_table(k: int, xi, derivs: int = 0) -> np.ndarray:
     With derivs = m > 0 the result gains a leading axis of m + 1 rows, row j
     holding the j-th derivative A_k^(j) from the same quadrature nodes, up
     to the k + 1 rows of the defining ODE.  The whole array is validated
-    first: every xi must be finite with |xi| <= XI_LIMIT, and a bool xi, or
-    an array of bools, is refused.
+    first: every xi must be finite with |xi| <= XI_LIMIT, and a bool or a
+    string xi, or an array of either, is refused.
     """
     if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k not in (1, 3):
         raise ValueError(f"edge profiles are validated for front orders 1 and 3 only; got k={k}")
     if isinstance(derivs, bool) or not isinstance(derivs, (int, np.integer)) or not 0 <= derivs <= k + 1:
         raise ValueError(f"derivs must be an integer >= 0 and <= k + 1 = {k + 1}, got derivs={derivs}")
-    xi = np.asarray(xi)
-    if xi.dtype == bool:
-        raise ValueError(f"xi must be numbers, not bools, got xi={xi if xi.ndim else xi.item()!r}")
-    xi = np.asarray(xi, dtype=float)
+    xi = as_numbers("xi", xi)
     if not np.all(np.isfinite(xi)):
         raise ValueError("xi must be finite")
     if np.any(np.abs(xi) > XI_LIMIT):
@@ -154,8 +152,8 @@ def airy_ode_residual(k: int, xi: float) -> float:
     c = (-1)^k i^(k+1) is real for odd k: +xi A_1 for k=1, -xi A_3 for k=3.
     Both terms are rows of one airy_table with derivs = k + 1, so the
     residual measures the quadrature alone (~1e-12 over the validated
-    range), with no finite-difference step.  xi is a scalar; an array, or
-    a bool, is refused.
+    range), with no finite-difference step.  xi is a scalar; an array, a
+    bool or a string is refused.
     """
     if np.ndim(xi) != 0:
         raise ValueError(f"xi must be a scalar, got an array of shape {np.shape(xi)}")
@@ -260,12 +258,11 @@ def predict_edge(front: ExtremalFront, t: float, xi_grid: np.ndarray) -> EdgePro
     The first call of a process costs the same, since the quadrature
     rules are module constants.
 
-    Rejects a bool t, a t that is not finite and > 0 (NaN and inf
-    included), and even-order fronts, whose amplitude equation has an
+    Rejects a bool or a string t, a t that is not finite and > 0 (NaN and
+    inf included), and even-order fronts, whose amplitude equation has an
     imaginary dispersion term and therefore no real staircase.
     """
-    if isinstance(t, (bool, np.bool_)):
-        raise ValueError(f"t must be a number, not a bool, got t={t!r}")
+    check_number("t", t)
     if not 0 < t < math.inf:
         raise ValueError(f"predict_edge needs a finite t > 0, got t={t}")
     k = front.order
@@ -289,10 +286,9 @@ def measure_edge(p: WalkParams, front: ExtremalFront, t: float, window: int) -> 
     velocity (co-moving degenerate partners are fine and simply double the
     profile); that, the window's type and the ring's size cap are checked
     before anything is evolved, and so is t, which must be a finite number
-    > 0 and not a bool.
+    > 0, not a bool or a string.
     """
-    if isinstance(t, (bool, np.bool_)):
-        raise ValueError(f"t must be a number, not a bool, got t={t!r}")
+    check_number("t", t)
     if not 0 < t < math.inf:
         raise ValueError(f"measure_edge needs a finite t > 0, got t={t}")
     if isinstance(window, bool) or not isinstance(window, (int, np.integer)) or window < 1:

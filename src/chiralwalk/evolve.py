@@ -39,17 +39,18 @@ whole-ring computation, applied to the same amplitudes, for any block
 size.  Observable fields are read-only, and each exact position moment is
 summed once per field and then reused.
 
-On rings of at least THREAD_SITES sites the kernels are split across
-WORKERS threads, one per CPU in the process's affinity mask: the phase
-fill, the row and column passes of the transform, the probability, the
-current, the terms of the cumulative moments and the exact sums.  Each
-thread takes a contiguous run of the same block spans and writes only
-their slices, or, for an exact sum, returns its own list of exact parts,
-which the caller joins in span order; so every output is bit-identical for
-any worker count.  Smaller rings, and a process confined to one CPU, run
-every kernel in the caller's thread.  The prefix sums of the cumulative
-moments and the fallbacks of the exact sums always run in the caller's
-thread.
+On rings of at least THREAD_SITES sites the kernels are split by the
+package's one thread helper, _workers.map_runs, across WORKERS threads, one
+per CPU in the process's affinity mask: the phase fill, the row and column
+passes of the transform, the probability, the current, the terms of the
+cumulative moments and the exact sums.  Each thread takes a contiguous run
+of the same block spans and writes only their slices, or, for an exact
+sum, returns its own list of exact parts, which the caller joins in span
+order; so every output is bit-identical for any worker count.  Smaller
+rings, and a process confined to one CPU, run every kernel in the caller's
+thread.  The prefix sums of the cumulative moments and the fallbacks of
+the exact sums always run in the caller's thread.  The same helper splits
+the front scan's stacked eigensolve, from its own size gate (see fronts).
 """
 
 from __future__ import annotations
@@ -57,14 +58,14 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
-import os
 import sys
-import threading
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
+from ._checks import check_number
+from ._workers import map_runs
 from .dispersion import WalkParams, omega
 from .fronts import cone_topology, edge_scale
 
@@ -83,7 +84,7 @@ BLOCK = 1 << 14
 # 2^15 63-66 and 50-51 ms, 2^16 78-82 and 46-50 ms (one thread's scratch
 # outgrows its 2 MB L2)
 SUM_BLOCK = 1 << 15
-# rings of at least this many sites run their kernels on WORKERS threads.
+# rings of at least this many sites run their kernels on WORKERS threads (_ring_runs).
 # Two workers against one, medians of 21 alternating runs on a 2-core Xeon:
 #   sites     fill  transform  probability+current  exact sums  cumulative moments
 #   552 960   -46%     -35%           -21%              -5%            +4%
@@ -91,8 +92,6 @@ SUM_BLOCK = 1 << 15
 #   163 840   -43%      -6%            -8%             +12%           +24%
 #    46 080    -8%     +10%           +52%             +49%           +51%
 THREAD_SITES = 1 << 18
-# threads for the ring kernels: the CPUs this process may run on
-WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 # rows per ifft call in the four-step's row pass, and its fewest rows: one
 # ifft of a ring with fewer rows of BLOCK sites measured as fast or faster
 ROW_BATCH = 8
@@ -155,49 +154,15 @@ class ObservableField:
         return np.arange(self.L) - self.origin
 
 
-def _blocks(size: int, block: int | None = None):
+def _blocks(size: int, block: int | None = None) -> list:
     """(start, stop) of the consecutive block-site slices (BLOCK by default) that tile range(size)."""
     block = BLOCK if block is None else block
-    return ((start, min(start + block, size)) for start in range(0, size, block))
+    return [(start, min(start + block, size)) for start in range(0, size, block)]
 
 
-def _map_spans(kernel, spans, sites: int) -> list:
-    """[kernel(run) for each run], over contiguous runs of spans, one run per worker thread.
-
-    A ring of fewer than THREAD_SITES sites, or a single worker, calls
-    kernel(spans) in the caller's thread, as the one run.  Otherwise the
-    spans are cut into min(WORKERS, len(spans)) contiguous runs: the caller
-    takes the first run and one new thread each of the others.  kernel must
-    write only the slices its spans name, so the output does not depend on
-    the split; its return values come back in run order.  An exception from
-    any run is raised in the caller once every thread has finished, the
-    earliest run's first.
-    """
-    spans = list(spans)
-    workers = min(WORKERS, len(spans)) if sites >= THREAD_SITES else 1
-    if workers <= 1:
-        return [kernel(spans)]
-    runs = [spans[len(spans) * i // workers:len(spans) * (i + 1) // workers] for i in range(workers)]
-    results, errors = [None] * workers, [None] * workers
-
-    def work(i):
-        try:
-            results[i] = kernel(runs[i])
-        except Exception as exc:  # raised in the caller below
-            errors[i] = exc
-
-    threads = [threading.Thread(target=work, args=(i,)) for i in range(1, workers)]
-    for thread in threads:
-        thread.start()
-    try:
-        results[0] = kernel(runs[0])
-    finally:
-        for thread in threads:
-            thread.join()
-    for exc in errors:
-        if exc is not None:
-            raise exc
-    return results
+def _ring_runs(sites: int) -> int:
+    """The most runs map_runs may cut a ring kernel's spans into: 1 below THREAD_SITES sites, else no cap."""
+    return sys.maxsize if sites >= THREAD_SITES else 1
 
 
 def _fast_even_lengths(lo: int, hi: int) -> list[int]:
@@ -258,8 +223,10 @@ def ring_layout(p: WalkParams, t: float, reach: int = 0) -> tuple[int, int]:
     middle of the spare sites.  Raises GuardError above MAX_LATTICE, before
     the sides are rounded (they may be infinite); MAX_LATTICE is itself
     5-smooth, so the size search stops there.  A t that is not >= 0 (NaN
-    included), or a reach that is not an integer >= 0, raises ValueError.
+    included) or is a bool or a string, or a reach that is not an integer
+    >= 0, raises ValueError.
     """
+    check_number("t", t)
     if not t >= 0:
         raise ValueError(f"t must be >= 0, got t={t}")
     _check_reach(reach)
@@ -326,7 +293,7 @@ def _phase_factors(p: WalkParams, t: float, L: int, R: int = 1) -> np.ndarray:
             np.exp(blk, out=blk)
             phase[:, start:stop] = blk.reshape(stop - start, R).T
 
-    _map_spans(fill, _blocks(M, width), L)
+    map_runs(fill, _blocks(M, width), _ring_runs(L))
     return phase
 
 
@@ -352,7 +319,7 @@ def _ring_transform(phase: np.ndarray, origin: int) -> np.ndarray:
         for start, stop in spans:
             phase[start:stop] = np.fft.ifft(phase[start:stop], axis=1)
 
-    _map_spans(rows, _blocks(R, ROW_BATCH), L)
+    map_runs(rows, _blocks(R, ROW_BATCH), _ring_runs(L))
     width = max(BLOCK // R, 1)
     j1 = np.arange(R)[:, None]
     base = np.exp((2j * np.pi / L) * (j1 * np.arange(width)))  # width <= BLOCK <= M
@@ -363,7 +330,7 @@ def _ring_transform(phase: np.ndarray, origin: int) -> np.ndarray:
             chunk *= phase[:, start:stop]
             phase[:, start:stop] = np.fft.ifft(chunk, axis=0)
 
-    _map_spans(columns, _blocks(M, width), L)
+    map_runs(columns, _blocks(M, width), _ring_runs(L))
     return phase.reshape(L)
 
 
@@ -380,11 +347,10 @@ def evolve(p: WalkParams, t: float, lattice: int | None = None, *, reach: int = 
     wraparound is part of that model, as in cross-checks against dense
     matrix exponentials.  Rings above MAX_LATTICE sites are refused with
     GuardError before anything is allocated, and a t that is not >= 0 (NaN
-    included), a bool t or a reach that is not an integer >= 0 with
-    ValueError.
+    included), a bool or a string t or a reach that is not an integer >= 0
+    with ValueError.
     """
-    if isinstance(t, (bool, np.bool_)):
-        raise ValueError(f"t must be a number, not a bool, got t={t!r}")
+    check_number("t", t)
     if not t >= 0:
         raise ValueError(f"t must be >= 0, got t={t}")
     _check_reach(reach)
@@ -417,7 +383,7 @@ def probability_density(wf: WaveFunction) -> ObservableField:
             np.abs(psi[start:stop], out=out)
             np.square(out, out=out)
 
-    _map_spans(square, _blocks(wf.L), wf.L)
+    map_runs(square, _blocks(wf.L), _ring_runs(wf.L))
     return ObservableField(FieldKind.PROBABILITY, prob, wf.t, wf.params, wf.L, origin=wf.origin)
 
 
@@ -448,7 +414,7 @@ def current_density(wf: WaveFunction) -> ObservableField:
             if not np.isfinite(out).all():
                 raise GuardError("current density is not finite: the wave function has non-finite amplitudes")
 
-    _map_spans(bonds, _blocks(wf.L), wf.L)
+    map_runs(bonds, _blocks(wf.L), _ring_runs(wf.L))
     return ObservableField(FieldKind.CURRENT, j, wf.t, wf.params, wf.L, origin=wf.origin)
 
 
@@ -529,7 +495,7 @@ def cumulative_moment(field: ObservableField, k: int) -> ObservableField:
             pass
 
     if k:
-        _map_spans(build, _blocks(field.L, SUM_BLOCK), field.L)
+        map_runs(build, _blocks(field.L, SUM_BLOCK), _ring_runs(field.L))
     np.cumsum(values if k else field.values, out=values)
     return ObservableField(
         FieldKind.CUMULATIVE_MOMENT, values, field.t, field.params, field.L,
@@ -553,7 +519,7 @@ def _fsum_blocks(blocks, spans, sites: int) -> float:
     math.fsum of these few exact parts is the correctly rounded total,
     which is fsum's result on the terms bit for bit.
 
-    The spans go to _map_spans as for a ring of the given number of sites:
+    The spans go to map_runs as for a ring of the given number of sites:
     each run of spans builds its own list of exact parts and its own
     overflow bound (w 2^e summed over its blocks), with its own scratch
     arrays, and the caller joins the lists in span order, so fsum adds the
@@ -564,7 +530,6 @@ def _fsum_blocks(blocks, spans, sites: int) -> float:
     it does; an exact zero takes fsum's sign.  Both call blocks() again, so
     no ring-sized array of terms is ever built.
     """
-    spans = list(spans)
 
     def extract(run):
         parts, bound = [], 0.0  # bound in units of 2^1022
@@ -596,7 +561,7 @@ def _fsum_blocks(blocks, spans, sites: int) -> float:
             parts.append(float(r.sum()))
         return parts, bound
 
-    runs = _map_spans(extract, spans, sites)
+    runs = map_runs(extract, spans, _ring_runs(sites))
     if any(parts is None for parts, _ in runs) or not sum(bound for _, bound in runs) < 1.0:
         return math.fsum(itertools.chain.from_iterable(b.tolist() for b in blocks(spans)))
     total = math.fsum(itertools.chain.from_iterable(parts for parts, _ in runs))

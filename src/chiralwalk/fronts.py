@@ -33,6 +33,17 @@ columns, and cone_topology reads a one-point scan and caches it;
 is_one_cone reads the phase alone, with no scan.  Points lie in
 WalkParams' window 0 <= phi <= pi/2, into which its band identities carry
 any g e^{i phi}.
+
+A batch with live = 2 RUN_MATRICES or more points at g >= G_SEED has its
+stacked eigensolve cut into min(WORKERS, live // RUN_MATRICES) contiguous
+runs, one per thread, by _workers.map_runs, the helper that evolve's ring
+kernels use.  Each run goes through _eigvals, its failures are offset by
+the run's start, and the eigenvalues are joined in run order.  LAPACK
+solves each matrix of a stack alone, so a run returns the serial call's
+bits, and the table is the same for any worker count.  Smaller batches,
+every one-point scan (cone_topology, and through it nu_half, ring_layout,
+compare_bulk and the edge functions) and a process confined to one CPU
+solve in the caller's thread.
 """
 
 from __future__ import annotations
@@ -45,6 +56,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._checks import check_number
+from ._workers import map_runs
 from .dispersion import PHI_MAX, TWO_PI, WalkParams, omega_deriv
 
 TOL_DEGEN = 1e-9          # velocity window of co-moving fronts, see same_velocity
@@ -64,6 +77,14 @@ BAND_3_PHI = 1e-12
 # simple roots of w'' within 4g of -pi/2 and pi/2
 G_SEED = 1e-4
 NEWTON_STEPS = 6
+# fewest companion matrices per thread of the stacked eigensolve: numpy's
+# eigvals (2.4) releases the GIL only for stacks of at least ~128 matrices.
+# A Python thread beside an eigvals loop ran at 1-3% of its solo rate with
+# stacks of 32-112 matrices, and at >= 98% with 128 or more, so only
+# stacks of 2 x RUN_MATRICES or more are split.  Serial -> two threads,
+# 2-core Xeon: 192 matrices 1.17 -> 1.40 ms, 256 1.55 -> 1.08 ms, 342
+# 2.09 -> 1.37 ms
+RUN_MATRICES = 128
 
 
 class ConeTopology(Enum):
@@ -231,9 +252,15 @@ def scan_fronts(points) -> FrontTable:
     companion = np.zeros((live.size, 4, 4), complex)
     companion[:, np.arange(1, 4), np.arange(3)] = 1.0
     companion[:, 0, :] = -quartic[:, 1:] / quartic[:, :1]
-    z, failed = _eigvals(companion)
-    del quartic, companion
-    failures = {int(live[i]): exc for i, exc in failed.items()}
+
+    def solve(run):
+        z, failed = _eigvals(companion[run.start:run.stop])
+        return z, {run.start + i: exc for i, exc in failed.items()}
+
+    runs = map_runs(solve, range(live.size), live.size // RUN_MATRICES)
+    z = np.concatenate([z for z, _ in runs])
+    failures = {int(live[i]): exc for _, failed in runs for i, exc in failed.items()}
+    del quartic, companion, runs
     ok = np.ones(n, bool)
     ok[list(failures)] = False
     simple[~ok] = 0
@@ -323,11 +350,10 @@ def degeneracy(diagram: FrontDiagram, front: ExtremalFront) -> int:
 def edge_scale(front: ExtremalFront, t: float) -> float:
     """(|kappa_k| t)^(1/(k+2)), the site width of the front's edge window at a finite time t >= 0.
 
-    t = 0 gives 0, the scale evolve's ring layout reads at t = 0.  A bool t
-    is refused.
+    t = 0 gives 0, the scale evolve's ring layout reads at t = 0.  A bool or
+    a string t is refused.
     """
-    if isinstance(t, (bool, np.bool_)):
-        raise ValueError(f"t must be a number, not a bool, got t={t!r}")
+    check_number("t", t)
     if not 0 <= t < math.inf:  # a negative t has a complex root; NaN and inf have no window
         raise ValueError(f"the edge scale needs a finite t >= 0, got t={t}")
     return (abs(front.kappa) * t) ** (1.0 / (front.order + 2))
@@ -360,10 +386,10 @@ def critical_coupling(phi: float) -> float:
     """Lifshitz coupling g_c(phi): the smallest g > 0 with a double root of w''.
 
     A cube root in closed form, see _critical_root.  phi must lie in
-    [0, pi/2], and a bool phi is refused, as WalkParams refuses one.
+    [0, pi/2], and a bool phi is refused, as WalkParams refuses one, and
+    so is a string phi.
     """
-    if isinstance(phi, (bool, np.bool_)):
-        raise ValueError(f"phi must be a number, not a bool, got phi={phi!r}")
+    check_number("phi", phi)
     if not 0.0 <= phi <= PHI_MAX:
         raise ValueError("phi must lie in the canonical window [0, pi/2]")
     return _critical_root(phi)[1]

@@ -36,11 +36,12 @@ nu are taken NU_BLOCK at a time, so memory does not grow with the grid.
 
 The median nu_half, where Phi crosses 1/2, is exactly v(0) = -4g sin(phi)
 in the one-cone phase, which the closed-form phase diagram recognises
-without a front scan; otherwise Newton on Phi - 1/2 with the closed-form
-rho as its slope finds it, inside a bracket, each step one two-point
-_bulk call that also certifies the answer.  Newton starts where Phi of the
-branches' velocity table crosses 1/2, linear in q between the nodes, and
-needs one to three calls.
+without a front scan, and at phi = 0 in every phase, where v(-q) = -v(q);
+otherwise Newton on Phi - 1/2 with the closed-form rho as its slope finds
+it, inside a bracket, each step one two-point _bulk call that also
+certifies the answer.  Newton starts where Phi of the branches' velocity
+table crosses 1/2, linear in q between the nodes, and needs one to three
+calls.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._checks import as_numbers, check_number
 from .dispersion import TWO_PI, WalkParams
 from .evolve import (
     cumulative,
@@ -349,13 +351,12 @@ def invert_velocity(p: WalkParams, nu: float) -> list[float]:
     """All solutions q in [-pi, pi) of v(q) = nu, sorted.
 
     One root per monotone branch whose end velocities straddle nu; the
-    empty list outside (v_lm, v_rm), for nu = -inf and inf too.  A NaN or
-    a bool nu is refused with ValueError.
+    empty list outside (v_lm, v_rm), for nu = -inf and inf too.  A NaN, a
+    bool or a string nu is refused with ValueError.
     """
     if np.ndim(nu) != 0:
         raise ValueError(f"nu must be a scalar, got an array of shape {np.shape(nu)}")
-    if isinstance(nu, (bool, np.bool_)):
-        raise ValueError(f"nu must be a number, not a bool, got nu={nu!r}")
+    check_number("nu", nu)
     if math.isnan(nu):
         raise ValueError("invert_velocity needs a nu that is not NaN")
     end, _, _, (branch, col, _) = _ends(p, np.atleast_1d(np.asarray(nu, dtype=float)), _branches(p))
@@ -389,8 +390,10 @@ def nu_half(p: WalkParams, tol: float = 1e-10) -> float:
 
     In the one-cone phase (fronts.is_one_cone, read off the closed-form
     phase diagram with no front scan) the level set of v(0) = v(pi) =
-    -4g sin(phi) is exactly {0, pi}, so that value is returned.  Otherwise
-    the answer is certified: Phi(x - tol/2) < 1/2 <= Phi(x + tol/2).
+    -4g sin(phi) is exactly {0, pi}, so that value is returned; so it is at
+    phi = 0 in every phase, where v(-q) = -v(q) makes Phi(0) = 1/2 with no
+    solve (-0.0, the one-cone expression's bits).  Otherwise the answer is
+    certified: Phi(x - tol/2) < 1/2 <= Phi(x + tol/2).
     Newton on Phi - 1/2, with rho as its slope, starts where Phi of the
     branches' velocity table crosses 1/2 (_table_median), and stays inside
     a bracket with Phi(lo) < 1/2 <= Phi(hi), the cone [v_lm, v_rm] at
@@ -406,14 +409,13 @@ def nu_half(p: WalkParams, tol: float = 1e-10) -> float:
     there, and the roots' rho finite but meaningless.  The bracket shrinks
     at every step; once it is down to adjacent floats (a tol below the
     float spacing), its upper end, the float where Phi reaches 1/2, is
-    returned.  A tol that is not >= 0 (NaN or negative) or is a bool is
-    refused with ValueError.
+    returned.  A tol that is not >= 0 (NaN or negative), or is a bool or a
+    string, is refused with ValueError.
     """
-    if isinstance(tol, (bool, np.bool_)):
-        raise ValueError(f"tol must be a number, not a bool, got tol={tol!r}")
+    check_number("tol", tol)
     if not tol >= 0.0:
         raise ValueError(f"nu_half needs tol >= 0, got tol={tol!r}")
-    if is_one_cone(p):
+    if is_one_cone(p) or p.phi == 0.0:
         return -4.0 * p.g * math.sin(p.phi)
     branches = _branches(p)
     lo, hi = float(branches.va.min()), float(branches.va.max())
@@ -458,16 +460,14 @@ def scaling_curve(p: WalkParams, nu) -> ScalingCurve:
     """Phi, J, rho = dPhi/dnu and M~_1..3 at every nu, from one solve for the roots.
 
     nu is a scalar, which gives a one-point curve, or a 1-D array; an
-    array of higher rank, and a bool nu or an array of bools, is refused
-    with ValueError.  Each nu's values do not depend on the others: a NaN
-    nu gives NaN in every field; outside the cone rho is 0, and Phi, J and
-    M~_k are those of the empty or the whole zone; rho is inf where a root
-    has w'' = 0 (nu within float noise of a front).  M~_1 is J bit for bit.
+    array of higher rank, and a bool or a string nu or an array of either,
+    is refused with ValueError.  Each nu's values do not depend on the
+    others: a NaN nu gives NaN in every field; outside the cone rho is 0,
+    and Phi, J and M~_k are those of the empty or the whole zone; rho is
+    inf where a root has w'' = 0 (nu within float noise of a front).  M~_1
+    is J bit for bit.
     """
-    nu = np.asarray(nu)
-    if nu.dtype == bool:
-        raise ValueError(f"nu must be numbers, not bools, got nu={nu if nu.ndim else nu.item()!r}")
-    nu = np.atleast_1d(np.asarray(nu, dtype=float))
+    nu = np.atleast_1d(as_numbers("nu", nu))
     if nu.ndim != 1:
         raise ValueError(f"nu must be a scalar or a 1-D array, got an array of shape {nu.shape}")
     h = _bulk(p, nu, (1, 2, 3))
@@ -514,11 +514,14 @@ def compare_bulk(p: WalkParams, t: float, margin: float = 0.25) -> BulkReport:
     front.  The five numeric fields, on every site of the ring, are
     returned in the report's numeric dict, with site 0 at index origin.
     ValueError is raised before the evolution for a t that is not positive
-    (NaN included), for a margin that is not finite and >= 0, for a t so
-    small that t^3 is not a normal float (the scaled moments would divide
-    by zero or lose their precision), and when the windows cover every
-    compared site, so that nothing would be compared outside them.
+    (NaN included), for a margin that is not finite and >= 0, for a bool
+    or a string t or margin, for a t so small that t^3 is not a normal
+    float (the scaled moments would divide by zero or lose their
+    precision), and when the windows cover every compared site, so that
+    nothing would be compared outside them.
     """
+    check_number("t", t)
+    check_number("margin", margin)
     if not t > 0:
         raise ValueError(f"compare_bulk needs t > 0, got t={t}")
     if not (math.isfinite(margin) and margin >= 0):

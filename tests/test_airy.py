@@ -670,3 +670,13 @@ def test_edge_scale_refuses_a_time_that_is_not_nonnegative(t):
     # and inf gave inf
     with pytest.raises(ValueError, match=f"needs a finite t >= 0, got t={t}"):
         edge_scale(_left_front(1 / 16), t)
+
+
+@pytest.mark.parametrize("xi", ["1", b"1", np.array(["0.1", "0.2"]), ["1"]])
+def test_airy_refuses_a_string_xi(xi):
+    # airy_table(1, '1') returned A_1(1)
+    with pytest.raises(ValueError, match="xi must be numbers, not strings"):
+        airy_table(1, xi)
+    if np.ndim(xi) == 0:
+        with pytest.raises(ValueError, match="xi must be numbers, not strings"):
+            airy_ode_residual(1, xi)

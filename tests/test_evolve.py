@@ -47,6 +47,8 @@ from oracles import (
 
 # the package exports a function named evolve, so fetch the module by name
 EVOLVE_MODULE = importlib.import_module("chiralwalk.evolve")
+# the thread helper that evolve and the front scan share
+WORKERS_MODULE = importlib.import_module("chiralwalk._workers")
 
 PI = math.pi
 
@@ -231,6 +233,15 @@ def test_bool_time_rejected_on_a_given_lattice(t):
     # t: evolve(p, True, lattice=64) evolved to t = 1.0
     with pytest.raises(ValueError, match="t must be a number, not a bool"):
         evolve(WalkParams(0.3, 0.8), t, lattice=64)
+
+
+@pytest.mark.parametrize("call", [
+    lambda p: evolve(p, "5"), lambda p: evolve(p, "5", lattice=64), lambda p: ring_layout(p, "5"),
+], ids=["evolve", "evolve_on_a_lattice", "ring_layout"])
+def test_string_time_rejected(call):
+    # each raised TypeError from a comparison
+    with pytest.raises(ValueError, match="t must be a number, not a str, got t='5'"):
+        call(WalkParams(0.3, 0.8))
 
 
 def test_bool_moment_order_rejected():
@@ -785,13 +796,13 @@ def test_same_bits_for_any_worker_count(monkeypatch, block, L):
         fields += [cumulative_moment(prob, k).values for k in range(6)]
         return fields, [position_moment(prob, k) for k in range(6)]
 
-    monkeypatch.setattr(EVOLVE_MODULE, "WORKERS", 1)
+    monkeypatch.setattr(WORKERS_MODULE, "WORKERS", 1)
     want_fields, want_mu = outputs()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # hand the GIL over often, so the runs interleave
     try:
         for workers in (2, 3):
-            monkeypatch.setattr(EVOLVE_MODULE, "WORKERS", workers)
+            monkeypatch.setattr(WORKERS_MODULE, "WORKERS", workers)
             fields, mu = outputs()
             assert all(_same_bits(a, b) for a, b in zip(fields, want_fields)), workers
             assert all(_same_float(a, b) for a, b in zip(mu, want_mu)), workers
@@ -803,7 +814,7 @@ def test_same_bits_for_any_worker_count(monkeypatch, block, L):
 def test_current_guard_from_a_worker_thread(monkeypatch):
     monkeypatch.setattr(EVOLVE_MODULE, "BLOCK", 16)
     monkeypatch.setattr(EVOLVE_MODULE, "THREAD_SITES", 0)
-    monkeypatch.setattr(EVOLVE_MODULE, "WORKERS", 3)
+    monkeypatch.setattr(WORKERS_MODULE, "WORKERS", 3)
     wf = evolve(WalkParams(0.2, 0.4), 10.0)
     good = current_density(wf).values
     spans = list(EVOLVE_MODULE._blocks(wf.L))
@@ -858,9 +869,9 @@ def test_exact_sum_fallbacks_from_a_worker_run(monkeypatch, workers):
                 ObservableField(FieldKind.PROBABILITY, f.values.copy(), f.t, f.params, f.L, origin=f.origin)
                 for _ in range(2)
             ]
-            monkeypatch.setattr(EVOLVE_MODULE, "WORKERS", 1)
+            monkeypatch.setattr(WORKERS_MODULE, "WORKERS", 1)
             want = _fsum_outcome(lambda: position_moment(fresh[0], k))
-            monkeypatch.setattr(EVOLVE_MODULE, "WORKERS", workers)
+            monkeypatch.setattr(WORKERS_MODULE, "WORKERS", workers)
             got = _fsum_outcome(lambda: position_moment(fresh[1], k))
             assert _same_outcome(got, want), (f.values, k, got, want)
             assert _same_outcome(want, _fsum_outcome(lambda: math.fsum(whole_ring_moment_terms(f.values, k))))
@@ -877,23 +888,23 @@ def test_exact_sum_fallbacks_from_a_worker_run(monkeypatch, workers):
 
 def test_threads_only_on_large_rings(monkeypatch):
     if hasattr(os, "sched_getaffinity"):
-        assert EVOLVE_MODULE.WORKERS == len(os.sched_getaffinity(0))
+        assert WORKERS_MODULE.WORKERS == len(os.sched_getaffinity(0))
     threshold = EVOLVE_MODULE.THREAD_SITES
     assert threshold == 2**18
     # two workers whatever the affinity, so only the ring-size gate can
     # keep a kernel in the caller's thread
-    monkeypatch.setattr(EVOLVE_MODULE, "WORKERS", 2)
+    monkeypatch.setattr(WORKERS_MODULE, "WORKERS", 2)
     seen = {}
-    spread = EVOLVE_MODULE._map_spans
+    spread = EVOLVE_MODULE.map_runs
 
-    def observed(kernel, spans, sites):
+    def observed(kernel, spans, runs):
         def run(part):
             seen.setdefault(kernel.__name__, set()).add(threading.active_count())
             return kernel(part)
 
-        return spread(run, spans, sites)
+        return spread(run, spans, runs)
 
-    monkeypatch.setattr(EVOLVE_MODULE, "_map_spans", observed)
+    monkeypatch.setattr(EVOLVE_MODULE, "map_runs", observed)
     p, before = WalkParams(0.3, 0.8), threading.active_count()
 
     def kernels(L):

@@ -1,6 +1,8 @@
+import importlib
 import math
 import re
 import sys
+import threading
 import tracemalloc
 
 import mpmath as mp
@@ -15,15 +17,21 @@ from chiralwalk import (
     cone_topology,
     critical_coupling,
     degeneracy,
+    edge_scale,
     omega_deriv,
     scan_diagrams,
 )
 from chiralwalk.dispersion import PHI_MAX
-from chiralwalk.fronts import BAND_2, BAND_3_G, BAND_3_PHI, G_SEED, is_one_cone, same_velocity, scan_fronts
+from chiralwalk.fronts import (
+    BAND_2, BAND_3_G, BAND_3_PHI, G_SEED, RUN_MATRICES, is_one_cone, same_velocity, scan_fronts
+)
+from chiralwalk.hydro import nu_half
 
 from oracles import count_topology, per_point_critical_coupling, per_point_fronts, quartic_crosscheck
 
 PI = math.pi
+# the thread helper that the front scan and evolve share
+WORKERS_MODULE = importlib.import_module("chiralwalk._workers")
 
 
 def test_two_fronts_below_critical():
@@ -167,6 +175,15 @@ def test_critical_coupling_refuses_a_bool_phase(phi):
     # True gave g_c(1.0) = 0.2076
     with pytest.raises(ValueError, match="phi must be a number, not a bool"):
         critical_coupling(phi)
+
+
+def test_string_phase_and_time_are_refused():
+    # each raised TypeError from a comparison
+    with pytest.raises(ValueError, match="phi must be a number, not a str, got phi='0.3'"):
+        critical_coupling("0.3")
+    front = cone_topology(WalkParams(0.3, 0.8)).fronts[0]
+    with pytest.raises(ValueError, match="t must be a number, not a str, got t='5'"):
+        edge_scale(front, "5")
 
 
 def test_critical_coupling_exact_at_window_edges():
@@ -466,3 +483,102 @@ def test_failed_eigenvalues_fail_their_point_alone(monkeypatch):
     cone_topology.cache_clear()
     with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
         cone_topology(bad)
+
+
+def record_eigvals(monkeypatch, failing=None):
+    """Record (stack size, thread) of each np.linalg.eigvals call, failing on one point.
+
+    A call fails with LinAlgError when its stack holds the companion matrix
+    of the point failing, whose (0, 0) entry is -1/(4 g e^{i phi}).
+    """
+    eigvals, calls = np.linalg.eigvals, []
+    if failing is not None:
+        target = -1.0 / (4.0 * failing.g * complex(math.cos(failing.phi), math.sin(failing.phi)))
+
+    def recorded(a):
+        calls.append((len(a), threading.current_thread()))
+        if failing is not None and np.any(np.abs(a[:, 0, 0] - target) < 1e-12):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", recorded)
+    return calls
+
+
+def threaded_sweep():
+    """A sweep of 406 live points: g < G_SEED rows, both critical bands, phi = pi/2 and its corner."""
+    points = [WalkParams(g, phi) for phi in (0.0, 0.3, 0.8, PI / 2) for g in np.linspace(0.0, 0.6, 101).tolist()]
+    points += [WalkParams(0.5 * G_SEED, 0.8), WalkParams(0.25, 0.0), WalkParams(0.125, PI / 2)]
+    points += [WalkParams(critical_coupling(phi) * (1.0 + eps), phi) for phi in (0.3, 0.8) for eps in (0.0, 1e-12)]
+    return points
+
+
+def same_table(a, b):
+    columns = all(x.dtype == y.dtype and x.tobytes() == y.tobytes() for x, y in zip(a[:5], b[:5]))
+    return columns and a.topology == b.topology and a.failures.keys() == b.failures.keys()
+
+
+def test_scan_same_bits_for_any_worker_count(monkeypatch):
+    # the stacked eigensolve is cut into min(WORKERS, live // RUN_MATRICES)
+    # runs, one per thread; the table is the serial scan's bit for bit
+    points = threaded_sweep()
+    live = sum(p.g >= G_SEED for p in points)
+    assert live >= 3 * RUN_MATRICES
+    monkeypatch.setattr(WORKERS_MODULE, "WORKERS", 1)
+    want = scan_fronts(points)
+    assert {ConeTopology.CRITICAL_SECOND_ORDER, ConeTopology.CRITICAL_THIRD_ORDER,
+            ConeTopology.TWO_OVERLAPPING_CONES, ConeTopology.TWO_NESTED_CONES} <= set(want.topology)
+    calls = record_eigvals(monkeypatch)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # hand the GIL over often, so the runs interleave
+    try:
+        for workers in (2, 3):
+            monkeypatch.setattr(WORKERS_MODULE, "WORKERS", workers)
+            calls.clear()
+            got = scan_fronts(points)
+            assert same_table(got, want), workers
+            assert sorted(size for size, _ in calls) == sorted(
+                live * (i + 1) // workers - live * i // workers for i in range(workers))
+            assert len({thread for _, thread in calls}) == workers
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_failure_in_the_last_run_fails_its_point_alone(monkeypatch):
+    # a LinAlgError in the last thread's run is halved down to its matrix
+    # there, and its index in failures is the point's own
+    points = threaded_sweep()
+    live = [i for i, p in enumerate(points) if p.g >= G_SEED]
+    bad = live[-5]  # in the last of three runs, which starts at live[406 * 2 // 3]
+    monkeypatch.setattr(WORKERS_MODULE, "WORKERS", 3)
+    want = scan_diagrams(points)
+    threads = threading.active_count()
+    calls = record_eigvals(monkeypatch, failing=points[bad])
+    got = scan_diagrams(points)
+    assert threading.active_count() == threads
+    assert {thread for _, thread in calls} != {threading.main_thread()}
+    assert isinstance(got[bad], np.linalg.LinAlgError)
+    assert got[:bad] + got[bad + 1:] == want[:bad] + want[bad + 1:]
+    assert list(scan_fronts(points).failures) == [bad]
+
+
+def test_small_stacks_and_one_point_scans_start_no_thread(monkeypatch):
+    # below 2 RUN_MATRICES live points the eigensolve is one call in the
+    # caller's thread, whatever the worker count; from there it is split
+    monkeypatch.setattr(WORKERS_MODULE, "WORKERS", 3)
+    threads = threading.active_count()
+    calls = record_eigvals(monkeypatch)
+    gs = np.linspace(0.01, 0.6, 2 * RUN_MATRICES - 1).tolist()
+    below = [WalkParams(0.0, 0.8)] + [WalkParams(g, 0.8) for g in gs]  # a seeded point, then 255 live ones
+    scan_fronts(below)
+    p = WalkParams(0.35, 0.8)
+    cone_topology.cache_clear()
+    cone_topology(p)
+    nu_half(p)
+    scan_diagrams([p])
+    assert calls and all(thread is threading.main_thread() for _, thread in calls)
+    assert calls[0][0] == 2 * RUN_MATRICES - 1 and threading.active_count() == threads
+    calls.clear()
+    scan_fronts(below + [WalkParams(0.65, 0.8)])
+    assert sorted(size for size, _ in calls) == [RUN_MATRICES, RUN_MATRICES]
+    assert threading.active_count() == threads

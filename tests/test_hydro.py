@@ -154,6 +154,12 @@ def assert_nu_half_certified(p, x, tol):
     # the float where Phi reaches 1/2 and its predecessor lies below
     d = cone_topology(p)
     assert d.v_lm <= x <= d.v_rm, (p, tol, x)
+    if p.phi == 0.0 and tol == 0.0:
+        # v(-q) = -v(q) puts the median exactly at 0, where the computed Phi
+        # rounds to 1/2 on both neighbouring floats: nu_half returns it, and
+        # test_nu_half_at_phi_zero_is_exact certifies it by brute force
+        assert x == 0.0, (p, x)
+        return
     below = min(x - 0.5 * tol, math.nextafter(x, -math.inf))
     phi_below, phi_above = scaling_curve(p, [below, x + 0.5 * tol]).phi_scaled
     assert phi_below < 0.5 <= phi_above, (p, tol, x)
@@ -619,3 +625,54 @@ def test_windows_covering_every_site_rejected(monkeypatch):
     monkeypatch.setattr(hydro, "evolve", lambda *a, **kw: pytest.fail("evolved"))
     with pytest.raises(ValueError, match="cover every compared site"):
         compare_bulk(WalkParams(0.25, PI / 2), 1e-9)
+
+
+@pytest.mark.parametrize("g", [0.1, 0.25, 0.35, 0.6, 1.0])
+def test_nu_half_at_phi_zero_is_exact(monkeypatch, g):
+    # v(-q) = -v(q) at phi = 0, so Phi(0) = 1/2 in every phase: one cone
+    # (0.1), the critical coupling (1/4) and two cones; with tol = 0 the
+    # bisection took 110, 55 and 63 two-point solves at 1/4, 0.35 and 0.6
+    # to return float noise of ~1e-16
+    p = WalkParams(g, 0.0)
+    calls = []
+    monkeypatch.setattr(hydro, "_bulk", lambda *args, **kwargs: calls.append(args))
+    want = -4.0 * g * math.sin(0.0)
+    for tol in (0.0, 1e-10):
+        x = nu_half(p, tol=tol)
+        assert type(x) is float
+        assert x == want and math.copysign(1.0, x) == math.copysign(1.0, want), (tol, x)
+    assert calls == []
+    monkeypatch.undo()
+    # the measure of {v <= nu} on the 2^20 wave vectors k 2 pi / 2^20: they
+    # pair up as q, 2 pi - q with opposite v, and only q = 0 and q = pi have
+    # |v| <= 5e-11
+    n = 1 << 20
+    q = np.arange(n) * (2.0 * PI / n)
+    v = -2.0 * np.sin(q) - 4.0 * g * np.sin(2.0 * q)
+    below, above = (np.count_nonzero(v <= nu) / n for nu in (-5e-11, 5e-11))
+    assert below < 0.5 < above, (below, above)
+    # and the hydro Phi straddles 1/2 at the certifying points of tol = 1e-10
+    phi_below, phi_above = scaling_curve(p, [-5e-11, 5e-11]).phi_scaled
+    assert phi_below < 0.5 <= phi_above
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda p: scaling_curve(p, "0.1"), "nu"),
+    (lambda p: scaling_curve(p, ["0.1", "0.2"]), "nu"),
+    (lambda p: invert_velocity(p, "0.1"), "nu"),
+    (lambda p: nu_half(p, "1e-10"), "tol"),
+    (lambda p: compare_bulk(p, "5"), "t"),
+    (lambda p: compare_bulk(p, 2000.0, margin="0.25"), "margin"),
+], ids=["scaling_curve", "scaling_curve_array", "invert_velocity", "nu_half", "compare_bulk_t", "compare_bulk_margin"])
+def test_string_arguments_are_refused(call, name):
+    # scaling_curve parsed '0.1' and ran at nu = 0.1; the others raised
+    # TypeError from a comparison
+    with pytest.raises(ValueError, match=f"{name} must be (a number|numbers), not (a str|strings)"):
+        call(WalkParams(0.3, 0.8))
+
+
+@pytest.mark.parametrize("margin", [True, False, np.True_])
+def test_compare_bulk_refuses_a_bool_margin(margin):
+    # margin=True ran with margin 1
+    with pytest.raises(ValueError, match="margin must be a number, not a bool"):
+        compare_bulk(WalkParams(0.3, 0.8), 2000.0, margin=margin)
