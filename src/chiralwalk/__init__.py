@@ -6,6 +6,18 @@ package provides the closed-form dispersion, extremal-front and Lifshitz
 analysis, exact FFT lattice evolution with all cumulative observables,
 hydrodynamic bulk scaling on nu = n/t, and generalized-Airy edge scaling
 with staircase extraction.
+
+Input contract: every public function checks its numeric arguments first,
+before any memo, scan or allocation, and its docstring gives only their
+domain (for example "t: finite, > 0").  A real scalar is an int, a float or
+a numpy integer or float; bool, np.bool_, None, str, bytes, complex,
+Decimal, arrays (0-d too) and ints too large for a float are refused, and
+so are NaN, and +-inf where the domain does not name them.  An integer
+argument is an int or a numpy integer, never a bool or a float.  An array
+argument holds real numbers; bool, string, complex and object dtypes (None,
+and ints past numpy's 64 bits) are refused.  A refused argument raises
+ValueError naming the parameter and showing the value it was given, and a
+ring above evolve's size cap raises GuardError.
 """
 
 from .dispersion import WalkParams, omega, omega_deriv
@@ -30,7 +42,6 @@ from .fronts import (
     FrontTable,
     cone_topology,
     critical_coupling,
-    degeneracy,
     edge_scale,
     scan_diagrams,
     scan_fronts,
@@ -39,7 +50,6 @@ from .hydro import (
     BulkReport,
     ScalingCurve,
     compare_bulk,
-    exclusion_windows,
     invert_velocity,
     nu_half,
     scaling_curve,

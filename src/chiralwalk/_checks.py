@@ -1,30 +1,68 @@
-"""Checks on scalar and array arguments of the public functions, shared by every layer.
+"""The three checkers of the input contract that the package docstring states.
 
-Each raises ValueError naming the parameter and the value it was given.
+Each refusal is a ValueError that names the parameter and shows the value it
+was given.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
+
 import numpy as np
 
 
-def check_number(name: str, x) -> None:
-    """Refuse a bool or a string where a scalar number belongs, with ValueError naming the parameter.
+def _refusal(name: str, x, want: str) -> ValueError:
+    try:
+        shown = repr(x)
+    except ValueError:  # an int with more digits than str converts
+        shown = f"an int of {x.bit_length()} bits"
+    return ValueError(f"{name} must be {want}, got {name}={shown}")
 
-    Without it a bool would run as 0 or 1, and a string would fail later in
-    a comparison with TypeError.
+
+def real(name: str, x, lo: float = -math.inf, hi: float = math.inf, *, above: bool = False,
+         finite: bool = True) -> float:
+    """x as a float in [lo, hi], or in (lo, hi] when above; +-inf only when not finite."""
+    value = x
+    if type(x) is not float:
+        try:
+            number = isinstance(x, numbers.Real) and not isinstance(x, bool)
+            value = float(x) if number else math.nan  # NaN is refused below
+        except OverflowError:
+            value = math.nan
+    if lo <= value <= hi and (value - value == 0.0 or not finite) and not (above and value == lo):
+        return value
+    if isinstance(x, numbers.Integral) and not isinstance(x, bool) and value != value:
+        want = "a real number that fits in a float"
+    else:
+        opened = "(" if above or (finite and lo == -math.inf) else "["
+        interval = f"{opened}{lo!r}, {hi!r}{')' if finite and hi == math.inf else ']'}"
+        want = f"a {'finite ' if finite else ''}real number in {interval}"
+    raise _refusal(name, x, want)
+
+
+def whole(name: str, x, lo: int, hi: float | None = None) -> int:
+    """x as an int in [lo, hi] (no upper bound when hi is None)."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Integral) or x < lo or (hi is not None and x > hi):
+        raise _refusal(name, x, f"an integer >= {lo}" if hi is None else f"an integer in [{lo}, {hi!r}]")
+    return int(x)
+
+
+def as_numbers(name: str, x, limit: float | None = None) -> np.ndarray:
+    """x as a float array; with a limit, every value finite with modulus <= limit.
+
+    An array's first entry past the limit is shown, with its index.
     """
-    if isinstance(x, (bool, np.bool_, str, bytes)):
-        raise ValueError(f"{name} must be a number, not a {type(x).__name__}, got {name}={x!r}")
-
-
-def as_numbers(name: str, x) -> np.ndarray:
-    """x, a scalar or an array, as a float array; bools and strings are refused with ValueError naming the parameter.
-
-    np.asarray(x, dtype=float) would read True as 1.0 and parse '0.1'.
-    """
-    x = np.asarray(x)
-    if x.dtype.kind in "bSU":
-        kind = "bools" if x.dtype.kind == "b" else "strings"
-        raise ValueError(f"{name} must be numbers, not {kind}, got {name}={x if x.ndim else x.item()!r}")
-    return np.asarray(x, dtype=float)
+    given = np.asarray(x)
+    if given.dtype.kind not in "iuf":
+        raise _refusal(name, x, "real numbers")
+    a = np.asarray(given, dtype=float)
+    if limit is not None:
+        ok = np.abs(a) <= limit  # False at NaN and +-inf
+        if not ok.all():
+            want = f"finite real numbers with |{name}| <= {limit!r}"
+            if not a.ndim:
+                raise _refusal(name, x, want)
+            at = [int(i) for i in np.unravel_index(np.flatnonzero(~ok)[0], a.shape)]
+            raise _refusal(f"{name}{at}", given[tuple(at)].item(), want)
+    return a

@@ -55,11 +55,12 @@ the predicted scaled deviation int_0^xi A_k(-u)^2 du is non-decreasing.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import as_numbers, check_number
+from ._checks import as_numbers, real, whole
 from .dispersion import WalkParams
 from .evolve import cumulative, current_density, evolve, probability_density, ring_layout
 from .fronts import ExtremalFront, cone_topology, edge_scale, same_velocity
@@ -121,19 +122,17 @@ def airy_table(k: int, xi, derivs: int = 0) -> np.ndarray:
 
     With derivs = m > 0 the result gains a leading axis of m + 1 rows, row j
     holding the j-th derivative A_k^(j) from the same quadrature nodes, up
-    to the k + 1 rows of the defining ODE.  The whole array is validated
-    first: every xi must be finite with |xi| <= XI_LIMIT, and a bool or a
-    string xi, or an array of either, is refused.
+    to the k + 1 rows of the defining ODE.  k: 1 or 3; xi: finite, with
+    |xi| <= XI_LIMIT, the validated range, checked over the whole array
+    first; derivs: an integer in [0, k + 1].
     """
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k not in (1, 3):
-        raise ValueError(f"edge profiles are validated for front orders 1 and 3 only; got k={k}")
-    if isinstance(derivs, bool) or not isinstance(derivs, (int, np.integer)) or not 0 <= derivs <= k + 1:
-        raise ValueError(f"derivs must be an integer >= 0 and <= k + 1 = {k + 1}, got derivs={derivs}")
-    xi = as_numbers("xi", xi)
-    if not np.all(np.isfinite(xi)):
-        raise ValueError("xi must be finite")
-    if np.any(np.abs(xi) > XI_LIMIT):
-        raise ValueError(f"|xi| > {XI_LIMIT} is outside the validated range")
+    whole("k", k, 1, 3)
+    whole("derivs", derivs, 0)
+    if k == 2:
+        raise ValueError(f"edge profiles are validated for front orders 1 and 3 only, got k={k!r}")
+    if derivs > k + 1:
+        raise ValueError(f"derivs must be <= k + 1 = {k + 1}, got derivs={derivs!r}")
+    xi = as_numbers("xi", xi, XI_LIMIT)
     flat = xi.ravel()
     out = np.empty((derivs + 1, flat.size))
     for lo in range(0, flat.size, XI_BLOCK):
@@ -152,11 +151,10 @@ def airy_ode_residual(k: int, xi: float) -> float:
     c = (-1)^k i^(k+1) is real for odd k: +xi A_1 for k=1, -xi A_3 for k=3.
     Both terms are rows of one airy_table with derivs = k + 1, so the
     residual measures the quadrature alone (~1e-12 over the validated
-    range), with no finite-difference step.  xi is a scalar; an array, a
-    bool or a string is refused.
+    range), with no finite-difference step.  k: as in airy_table; xi: a
+    scalar, with |xi| <= XI_LIMIT.
     """
-    if np.ndim(xi) != 0:
-        raise ValueError(f"xi must be a scalar, got an array of shape {np.shape(xi)}")
+    k, xi = whole("k", k, 1, 3), real("xi", xi, -XI_LIMIT, XI_LIMIT)
     a = airy_table(k, xi, derivs=k + 1)
     return float(a[k + 1] - _ode_sign(k) * xi * a[0])
 
@@ -211,11 +209,11 @@ def _edge_rows(k: int, x: np.ndarray) -> np.ndarray:
     The rows are evaluated there by airy_table and carried to x by the
     barycentric formula (weights +-1, halved at the ends; Berrut and
     Trefethen, SIAM Rev. 46, 2004) in blocks of XI_BLOCK samples.  Fewer
-    samples than points, samples of one value (whose points would coincide)
-    and an x that airy_table refuses go to the direct table.
+    samples than points, and samples of one value (whose points would
+    coincide), go to the direct table.  x must lie in airy_table's range.
     """
     span = float(np.max(np.abs(x)))
-    n = math.ceil(1.25 * span ** ((k + 2) / (k + 1)) + 40) if span <= XI_LIMIT else x.size
+    n = math.ceil(1.25 * span ** ((k + 2) / (k + 1)) + 40)
     lo, hi = float(x.min()), float(x.max())
     if x.size <= n + 1 or lo == hi:
         return airy_table(k, x, derivs=k)
@@ -258,24 +256,21 @@ def predict_edge(front: ExtremalFront, t: float, xi_grid: np.ndarray) -> EdgePro
     The first call of a process costs the same, since the quadrature
     rules are module constants.
 
-    Rejects a bool or a string t, a t that is not finite and > 0 (NaN and
-    inf included), and even-order fronts, whose amplitude equation has an
-    imaginary dispersion term and therefore no real staircase.
+    t: finite, > 0; xi_grid: finite, with |xi| <= XI_LIMIT.  Rejects
+    even-order fronts, whose amplitude equation has an imaginary dispersion
+    term and therefore no real staircase.
     """
-    check_number("t", t)
-    if not 0 < t < math.inf:
-        raise ValueError(f"predict_edge needs a finite t > 0, got t={t}")
+    t, xi_grid = real("t", t, 0, above=True), as_numbers("xi_grid", xi_grid, XI_LIMIT)
     k = front.order
     if k % 2 == 0:
         raise ValueError(f"front of even order {k} has no real staircase profile")
-    xi_grid = np.asarray(xi_grid, dtype=float)
     x = np.append(-xi_grid, 0.0)
     a = _edge_rows(k, x)
     c = _ode_sign(k)
     pairs = sum((-1) ** (j + 1) * a[j] * a[k + 1 - j] for j in range(1, k + 1))
     f = x * a[0] ** 2 - pairs / c
     dphi = (f[-1] - f[:-1]).reshape(xi_grid.shape)
-    return EdgeProfile(front, float(t), xi_grid, dphi, front.velocity * dphi, "predicted")
+    return EdgeProfile(front, t, xi_grid, dphi, front.velocity * dphi, "predicted")
 
 
 def measure_edge(p: WalkParams, front: ExtremalFront, t: float, window: int) -> EdgeProfile:
@@ -284,15 +279,10 @@ def measure_edge(p: WalkParams, front: ExtremalFront, t: float, window: int) -> 
     The ring is ring_layout(p, t, reach=window), which holds the window.
     The window must not reach any other front travelling at a different
     velocity (co-moving degenerate partners are fine and simply double the
-    profile); that, the window's type and the ring's size cap are checked
-    before anything is evolved, and so is t, which must be a finite number
-    > 0, not a bool or a string.
+    profile); that and the ring's size cap are checked before anything is
+    evolved.  t: finite, > 0; window: an integer >= 1 that fits in a float.
     """
-    check_number("t", t)
-    if not 0 < t < math.inf:
-        raise ValueError(f"measure_edge needs a finite t > 0, got t={t}")
-    if isinstance(window, bool) or not isinstance(window, (int, np.integer)) or window < 1:
-        raise ValueError(f"measure_edge needs an integer window >= 1, got window={window!r}")
+    t, window = real("t", t, 0, above=True), whole("window", window, 1, sys.float_info.max)
     # first: the ring's layout refuses a ring above MAX_LATTICE, so every
     # |v t| rounded below is finite
     origin = ring_layout(p, t, reach=window)[1]
@@ -318,7 +308,7 @@ def measure_edge(p: WalkParams, front: ExtremalFront, t: float, window: int) -> 
     dphi = s * (phi_num[idx] - phi_num[ref]) * scale
     djs = s * (j_num[idx] - j_num[ref]) * scale
     order = np.argsort(xi)
-    return EdgeProfile(front, float(t), xi[order], dphi[order], djs[order], "numeric")
+    return EdgeProfile(front, t, xi[order], dphi[order], djs[order], "numeric")
 
 
 def _savgol5(y: np.ndarray, deriv: int, h: float) -> np.ndarray:

@@ -17,6 +17,7 @@ import dataclasses
 import functools
 import json
 import math
+import numbers
 import sys
 from pathlib import Path
 
@@ -40,7 +41,6 @@ from .fronts import (
     check_coupling,
     cone_topology,
     critical_coupling,
-    degeneracy,
     edge_scale,
     same_velocity,
     scan_fronts,
@@ -63,11 +63,11 @@ CSV_BLOCK = 512
 
 
 def _cell(c) -> str:
-    """One CSV field: strings quoted per RFC 4180 when they hold a separator,
-    a quote or a line break, Python ints as written, numbers as %.17g."""
-    if isinstance(c, str):
-        return '"' + c.replace('"', '""') + '"' if any(ch in c for ch in ',"\r\n') else c
-    return str(c) if isinstance(c, int) else format(float(c), ".17g")
+    """One CSV field: Python ints as written, other numbers as %.17g, strings
+    quoted per RFC 4180 when they hold a separator, a quote or a line break."""
+    if isinstance(c, numbers.Real):
+        return str(c) if isinstance(c, int) else format(float(c), ".17g")
+    return '"' + c.replace('"', '""') + '"' if any(ch in c for ch in ',"\r\n') else c
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
@@ -329,7 +329,8 @@ def cmd_edge(args) -> int:
         "order": front.order,
         "kappa": front.kappa,
         "scaling_exponent": 1.0 / (front.order + 2),
-        "degeneracy": degeneracy(diagram, front),
+        # the fronts sharing this front's velocity: 2 where cones overlap
+        "degeneracy": sum(same_velocity(fr.velocity, front.velocity) for fr in diagram.fronts),
     }
     if front.order % 2 == 0:
         meta["staircase"] = "none"

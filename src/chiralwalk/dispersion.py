@@ -14,12 +14,16 @@ edge-scaling coefficients downstream never rely on finite differences.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import as_numbers, real, whole
+
 TWO_PI = 2.0 * math.pi
 PHI_MAX = math.pi / 2.0
+_Q_MAX = sys.float_info.max / 2.0  # |q| at most, so that 2q is a float
 
 
 @dataclass(frozen=True)
@@ -34,27 +38,26 @@ class WalkParams:
         w(q; g, 2pi - phi) = w(-q; g, phi)
         w(q; g, pi - phi)  = -w(pi - q; g, phi)
 
-    The package takes couplings in the window only: constructing
-    WalkParams with out-of-range values, or with a bool, is an error.
+    The package takes couplings in the window only.  g: finite, >= 0;
+    phi: in [0, pi/2].  Both are stored as floats.
     """
 
     g: float
     phi: float
 
     def __post_init__(self):
-        if isinstance(self.g, (bool, np.bool_)) or isinstance(self.phi, (bool, np.bool_)):
-            raise ValueError(f"couplings must be numbers, not bools, got g={self.g!r}, phi={self.phi!r}")
-        if not (math.isfinite(self.g) and math.isfinite(self.phi)):
-            raise ValueError("couplings must be finite")
-        if self.g < 0:
-            raise ValueError(f"g must be >= 0, got {self.g}")
-        if not 0.0 <= self.phi <= PHI_MAX:
-            raise ValueError(f"phi must lie in [0, pi/2], got {self.phi}")
+        g, phi = real("g", self.g, 0), real("phi", self.phi, 0, PHI_MAX)
+        if g is not self.g or phi is not self.phi:  # not both floats already
+            object.__setattr__(self, "g", g)
+            object.__setattr__(self, "phi", phi)
 
 
 def omega(q, p: WalkParams):
-    """Band energy w(q) = 2 cos q + 2 g cos(2q + phi); 2pi-periodic in q."""
-    q = np.asarray(q, dtype=float)
+    """Band energy w(q) = 2 cos q + 2 g cos(2q + phi); 2pi-periodic in q.
+
+    q: a scalar or an array, |q| <= float_max / 2.
+    """
+    q = as_numbers("q", q, _Q_MAX)
     out = 2.0 * np.cos(q) + 2.0 * p.g * np.cos(2.0 * q + p.phi)
     return out if out.ndim else float(out)
 
@@ -68,11 +71,12 @@ def omega_deriv(q, m: int, p: WalkParams):
         w^(m)(q) = 2 cos(q + m pi/2) + 2^(m+1) g cos(2q + phi + m pi/2)
 
     p.g and p.phi may also be arrays that broadcast against q, one coupling
-    per wave vector, as in the front scan of a whole sweep.
+    per wave vector, as in the front scan of a whole sweep.  q: a scalar or
+    an array, |q| <= float_max / 2, so that 2q is a float; m: an integer in
+    [1, 1022], so that 2^(m+1) is a float.
     """
-    if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 1:
-        raise ValueError(f"derivative order must be an integer >= 1, got {m}")
-    q = np.asarray(q, dtype=float)
+    m = whole("m", m, 1, 1022)
+    q = as_numbers("q", q, _Q_MAX)
     shift = m * (math.pi / 2.0)
     out = 2.0 * np.cos(q + shift) + (2.0 ** (m + 1)) * p.g * np.cos(2.0 * q + p.phi + shift)
     return out if out.ndim else float(out)

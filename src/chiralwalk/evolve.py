@@ -64,7 +64,7 @@ from enum import Enum
 
 import numpy as np
 
-from ._checks import check_number
+from ._checks import real, whole
 from ._workers import map_runs
 from .dispersion import WalkParams, omega
 from .fronts import cone_topology, edge_scale
@@ -95,6 +95,9 @@ THREAD_SITES = 1 << 18
 # rows per ifft call in the four-step's row pass, and its fewest rows: one
 # ifft of a ring with fewer rows of BLOCK sites measured as fast or faster
 ROW_BATCH = 8
+# highest moment order: n^k stays a float for |n| <= 2^24, half of a
+# MAX_LATTICE ring, while 24 k < 1024
+_MAX_MOMENT = 42
 
 
 class GuardError(RuntimeError):
@@ -185,11 +188,6 @@ def _fast_even_lengths(lo: int, hi: int) -> list[int]:
     return sorted(out)
 
 
-def _check_reach(reach) -> None:
-    if isinstance(reach, bool) or not isinstance(reach, (int, np.integer)) or reach < 0:
-        raise ValueError(f"reach must be an integer >= 0, got reach={reach!r}")
-
-
 def _check_cap(L: float) -> None:
     if L > MAX_LATTICE:
         # a given lattice int may exceed every float, and is printed whole
@@ -222,14 +220,10 @@ def ring_layout(p: WalkParams, t: float, reach: int = 0) -> tuple[int, int]:
     M = L/R, or any index when R = 1.  origin is that index nearest the
     middle of the spare sites.  Raises GuardError above MAX_LATTICE, before
     the sides are rounded (they may be infinite); MAX_LATTICE is itself
-    5-smooth, so the size search stops there.  A t that is not >= 0 (NaN
-    included) or is a bool or a string, or a reach that is not an integer
-    >= 0, raises ValueError.
+    5-smooth, so the size search stops there.  t: finite, >= 0; reach: an
+    integer >= 0 that fits in a float.
     """
-    check_number("t", t)
-    if not t >= 0:
-        raise ValueError(f"t must be >= 0, got t={t}")
-    _check_reach(reach)
+    t, reach = real("t", t, 0), whole("reach", reach, 0, sys.float_info.max)
     d = cone_topology(p)
 
     def side(v: float) -> float:
@@ -346,20 +340,19 @@ def evolve(p: WalkParams, t: float, lattice: int | None = None, *, reach: int = 
     lattice, an even integer >= 4, is a centred ring study with no guard:
     wraparound is part of that model, as in cross-checks against dense
     matrix exponentials.  Rings above MAX_LATTICE sites are refused with
-    GuardError before anything is allocated, and a t that is not >= 0 (NaN
-    included), a bool or a string t or a reach that is not an integer >= 0
-    with ValueError.
+    GuardError before anything is allocated.  t: finite, >= 0, and on a
+    given lattice <= float_max / (4 + 4g), which keeps the phase fill's
+    |w| t <= (2 + 2g) t a float; lattice: an even integer >= 4, or None;
+    reach: as in ring_layout.
     """
-    check_number("t", t)
-    if not t >= 0:
-        raise ValueError(f"t must be >= 0, got t={t}")
-    _check_reach(reach)
+    t = real("t", t, 0, math.inf if lattice is None else sys.float_info.max / (4.0 + 4.0 * p.g))
+    reach = whole("reach", reach, 0, sys.float_info.max)
     if lattice is None:
         L, origin = ring_layout(p, t, reach)
     else:
-        if isinstance(lattice, bool) or not isinstance(lattice, (int, np.integer)) or lattice < 4 or lattice % 2:
-            raise ValueError(f"lattice size must be an even integer >= 4, got lattice={lattice!r}")
-        L = int(lattice)
+        L = whole("lattice", lattice, 4)
+        if L % 2:
+            raise ValueError(f"lattice must be even, got lattice={lattice!r}")
         _check_cap(L)
         origin = L // 2
     amps = _ring_transform(_phase_factors(p, t, L, _rows(L)), origin)
@@ -369,7 +362,7 @@ def evolve(p: WalkParams, t: float, lattice: int | None = None, *, reach: int = 
             raise GuardError(
                 f"wraparound guard violated: boundary amplitude {edge:.2e} >= {TAIL_GUARD}"
             )
-    return WaveFunction(p, float(t), L, amps, origin)
+    return WaveFunction(p, t, L, amps, origin)
 
 
 def probability_density(wf: WaveFunction) -> ObservableField:
@@ -461,8 +454,7 @@ def _moment_blocks(field: ObservableField, k: int, name: str):
     """
     if field.kind is not FieldKind.PROBABILITY:
         raise ValueError(f"{name} expects a probability field")
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 0:
-        raise ValueError(f"moment order must be >= 0 and an integer, got k={k}")
+    k = whole("k", k, 0, _MAX_MOMENT)
 
     def blocks(spans, out=None):
         if k == 0:
@@ -481,7 +473,7 @@ def _moment_blocks(field: ObservableField, k: int, name: str):
 
 
 def cumulative_moment(field: ObservableField, k: int) -> ObservableField:
-    """Prefix sums of n^k p(n), the k-th cumulative position moment.
+    """Prefix sums of n^k p(n), the k-th cumulative position moment; k: an integer in [0, 42].
 
     The terms are written into the output ring, SUM_BLOCK sites at a time
     (on WORKERS threads on a large ring), and then summed by one in-place
@@ -573,7 +565,7 @@ def _fsum_blocks(blocks, spans, sites: int) -> float:
 
 
 def position_moment(field: ObservableField, k: int) -> float:
-    """mu_k = sum_n n^k p(n), exactly rounded.
+    """mu_k = sum_n n^k p(n), exactly rounded; k: an integer in [0, 42].
 
     n^4 p(n) spans many orders of magnitude at large t, so the terms are
     reduced to the exactly rounded sum, equal to math.fsum of the same

@@ -56,7 +56,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._checks import check_number
+from ._checks import real
 from ._workers import map_runs
 from .dispersion import PHI_MAX, TWO_PI, WalkParams, omega_deriv
 
@@ -342,20 +342,13 @@ def same_velocity(v_a: float, v_b: float) -> bool:
     return abs(v_a - v_b) <= TOL_DEGEN
 
 
-def degeneracy(diagram: FrontDiagram, front: ExtremalFront) -> int:
-    """Number of fronts sharing this front's velocity (2 for overlapping cones)."""
-    return sum(1 for fr in diagram.fronts if same_velocity(fr.velocity, front.velocity))
-
-
 def edge_scale(front: ExtremalFront, t: float) -> float:
-    """(|kappa_k| t)^(1/(k+2)), the site width of the front's edge window at a finite time t >= 0.
+    """(|kappa_k| t)^(1/(k+2)), the site width of the front's edge window at time t.
 
-    t = 0 gives 0, the scale evolve's ring layout reads at t = 0.  A bool or
-    a string t is refused.
+    t: finite, >= 0 (a negative t has a complex root); t = 0 gives 0, the
+    scale evolve's ring layout reads at t = 0.
     """
-    check_number("t", t)
-    if not 0 <= t < math.inf:  # a negative t has a complex root; NaN and inf have no window
-        raise ValueError(f"the edge scale needs a finite t >= 0, got t={t}")
+    t = real("t", t, 0)
     return (abs(front.kappa) * t) ** (1.0 / (front.order + 2))
 
 
@@ -385,11 +378,8 @@ def _critical_root(phi: float) -> tuple:
 def critical_coupling(phi: float) -> float:
     """Lifshitz coupling g_c(phi): the smallest g > 0 with a double root of w''.
 
-    A cube root in closed form, see _critical_root.  phi must lie in
-    [0, pi/2], and a bool phi is refused, as WalkParams refuses one, and
-    so is a string phi.
+    A cube root in closed form, see _critical_root.  phi: in [0, pi/2], as
+    in WalkParams.
     """
-    check_number("phi", phi)
-    if not 0.0 <= phi <= PHI_MAX:
-        raise ValueError("phi must lie in the canonical window [0, pi/2]")
+    phi = real("phi", phi, 0, PHI_MAX)
     return _critical_root(phi)[1]

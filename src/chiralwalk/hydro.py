@@ -52,7 +52,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._checks import as_numbers, check_number
+from ._checks import as_numbers, real
 from .dispersion import TWO_PI, WalkParams
 from .evolve import (
     cumulative,
@@ -62,7 +62,7 @@ from .evolve import (
     probability_density,
     ring_layout,
 )
-from .fronts import FrontDiagram, cone_topology, edge_scale, is_one_cone
+from .fronts import cone_topology, edge_scale, is_one_cone
 
 # half-width of each front's exclusion window, in edge scales
 EXCLUSION = 8.0
@@ -351,15 +351,11 @@ def invert_velocity(p: WalkParams, nu: float) -> list[float]:
     """All solutions q in [-pi, pi) of v(q) = nu, sorted.
 
     One root per monotone branch whose end velocities straddle nu; the
-    empty list outside (v_lm, v_rm), for nu = -inf and inf too.  A NaN, a
-    bool or a string nu is refused with ValueError.
+    empty list outside (v_lm, v_rm), for nu = -inf and inf too.  nu: a
+    scalar, not NaN.
     """
-    if np.ndim(nu) != 0:
-        raise ValueError(f"nu must be a scalar, got an array of shape {np.shape(nu)}")
-    check_number("nu", nu)
-    if math.isnan(nu):
-        raise ValueError("invert_velocity needs a nu that is not NaN")
-    end, _, _, (branch, col, _) = _ends(p, np.atleast_1d(np.asarray(nu, dtype=float)), _branches(p))
+    nu = real("nu", nu, finite=False)
+    end, _, _, (branch, col, _) = _ends(p, np.array([nu]), _branches(p))
     return sorted(float(r - TWO_PI if r >= math.pi else r) for r in end[branch, col])
 
 
@@ -409,12 +405,9 @@ def nu_half(p: WalkParams, tol: float = 1e-10) -> float:
     there, and the roots' rho finite but meaningless.  The bracket shrinks
     at every step; once it is down to adjacent floats (a tol below the
     float spacing), its upper end, the float where Phi reaches 1/2, is
-    returned.  A tol that is not >= 0 (NaN or negative), or is a bool or a
-    string, is refused with ValueError.
+    returned.  tol: >= 0, inf included.
     """
-    check_number("tol", tol)
-    if not tol >= 0.0:
-        raise ValueError(f"nu_half needs tol >= 0, got tol={tol!r}")
+    tol = real("tol", tol, 0, finite=False)
     if is_one_cone(p) or p.phi == 0.0:
         return -4.0 * p.g * math.sin(p.phi)
     branches = _branches(p)
@@ -459,32 +452,17 @@ class ScalingCurve:
 def scaling_curve(p: WalkParams, nu) -> ScalingCurve:
     """Phi, J, rho = dPhi/dnu and M~_1..3 at every nu, from one solve for the roots.
 
-    nu is a scalar, which gives a one-point curve, or a 1-D array; an
-    array of higher rank, and a bool or a string nu or an array of either,
-    is refused with ValueError.  Each nu's values do not depend on the
-    others: a NaN nu gives NaN in every field; outside the cone rho is 0,
-    and Phi, J and M~_k are those of the empty or the whole zone; rho is
-    inf where a root has w'' = 0 (nu within float noise of a front).  M~_1
-    is J bit for bit.
+    nu: a scalar, which gives a one-point curve, or a 1-D array; NaN and
+    +-inf included.  Each nu's values do not depend on the others: a NaN nu
+    gives NaN in every field; outside the cone rho is 0, and Phi, J and
+    M~_k are those of the empty or the whole zone; rho is inf where a root
+    has w'' = 0 (nu within float noise of a front).  M~_1 is J bit for bit.
     """
     nu = np.atleast_1d(as_numbers("nu", nu))
     if nu.ndim != 1:
         raise ValueError(f"nu must be a scalar or a 1-D array, got an array of shape {nu.shape}")
     h = _bulk(p, nu, (1, 2, 3))
     return ScalingCurve(p, nu, h["phi"], h["j"], h["rho"], (h["m1"], h["m2"], h["m3"]))
-
-
-def exclusion_windows(diagram: FrontDiagram, t: float) -> list[tuple[float, float]]:
-    """(centre, half-width) in nu of the edge windows around each front.
-
-    The edge region of a k-th order front spans ~ (|kappa_k| t)^(1/(k+2))
-    sites, where bulk scaling is violated by construction; each window
-    reaches EXCLUSION such edge scales either side of its front.  t must be
-    finite and > 0.
-    """
-    if not (math.isfinite(t) and t > 0):
-        raise ValueError(f"exclusion windows need a finite t > 0, got t={t}")
-    return [(fr.velocity, EXCLUSION * edge_scale(fr, t) / t) for fr in diagram.fronts]
 
 
 @dataclass(frozen=True)
@@ -510,24 +488,20 @@ def compare_bulk(p: WalkParams, t: float, margin: float = 0.25) -> BulkReport:
     Sites with nu = n/t within margin of the cone are compared against the
     sub-level-set predictions of Phi, J and M~_1..3 (the numeric moments
     scaled by t^k); sup and L1 deviations are reported separately outside
-    and inside exclusion_windows, EXCLUSION edge scales either side of each
-    front.  The five numeric fields, on every site of the ring, are
-    returned in the report's numeric dict, with site 0 at index origin.
-    ValueError is raised before the evolution for a t that is not positive
-    (NaN included), for a margin that is not finite and >= 0, for a bool
-    or a string t or margin, for a t so small that t^3 is not a normal
-    float (the scaled moments would divide by zero or lose their
-    precision), and when the windows cover every compared site, so that
-    nothing would be compared outside them.
+    and inside the exclusion windows, (centre, half-width) in nu: the edge
+    region of a k-th order front spans ~ (|kappa_k| t)^(1/(k+2)) sites,
+    where bulk scaling is violated by construction, and each window reaches
+    EXCLUSION such edge scales either side of its front.  The five numeric
+    fields, on every site of the ring, are returned in the report's numeric
+    dict, with site 0 at index origin.  t: finite, > 0; margin: finite,
+    >= 0.  ValueError is also raised before the evolution for a t so small
+    that t^3 is not a normal float (the scaled moments would divide by zero
+    or lose their precision), and when the windows cover every compared
+    site, so that nothing would be compared outside them.
     """
-    check_number("t", t)
-    check_number("margin", margin)
-    if not t > 0:
-        raise ValueError(f"compare_bulk needs t > 0, got t={t}")
-    if not (math.isfinite(margin) and margin >= 0):
-        raise ValueError(f"compare_bulk needs a finite margin >= 0, got margin={margin}")
+    t, margin = real("t", t, 0, above=True), real("margin", margin, 0)
     d = cone_topology(p)
-    wins = exclusion_windows(d, t)
+    wins = [(fr.velocity, EXCLUSION * edge_scale(fr, t) / t) for fr in d.fronts]
     L, origin = ring_layout(p, t)
     # after the ring's cap check, so that t^3 cannot overflow
     if t**3 < sys.float_info.min:
@@ -562,4 +536,4 @@ def compare_bulk(p: WalkParams, t: float, margin: float = 0.25) -> BulkReport:
             l1_outside=float(diff[~inside].sum() * dnu),
             sup_inside=float(diff[inside].max()) if inside.any() else 0.0,
         )
-    return BulkReport(p, float(t), wins, devs, numeric, origin=wf.origin)
+    return BulkReport(p, t, wins, devs, numeric, origin=wf.origin)

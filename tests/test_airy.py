@@ -140,7 +140,7 @@ def test_table_matches_concatenated_contour():
         assert np.all(err[1 : k + 1] <= 1e-12), (k, err)
         assert err[k + 1] <= 5e-12, (k, err)
     # no front has order 5, whose fixed contour is wrong below xi ~ -38
-    with pytest.raises(ValueError, match="orders 1 and 3 only"):
+    with pytest.raises(ValueError, match=r"k must be an integer in \[1, 3\], got k=5"):
         airy_table(5, xi, derivs=6)
 
 
@@ -154,7 +154,7 @@ def test_table_does_not_depend_on_the_block(monkeypatch, block):
     monkeypatch.setattr(airy_module, "XI_BLOCK", block)
     for k, table in want.items():
         assert np.array_equal(airy_table(k, xi, derivs=k), table), k
-    with pytest.raises(ValueError, match="orders 1 and 3 only"):
+    with pytest.raises(ValueError, match=r"k must be an integer in \[1, 3\], got k=5"):
         airy_table(5, xi, derivs=5)
 
 
@@ -167,18 +167,18 @@ def test_input_validation():
     with pytest.raises(ValueError):
         airy_table(1, 51.0)
     for bad in (math.nan, math.inf, -math.inf):
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(ValueError, match=re.escape(f"xi must be finite real numbers with |xi| <= 50.0, got xi={bad}")):
             airy_table(1, bad)
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(ValueError, match=re.escape(f"with |xi| <= 50.0, got xi[1]={bad}")):
             airy_table(3, [0.0, bad, 1.0])
-    with pytest.raises(ValueError, match="validated range"):
+    with pytest.raises(ValueError, match=re.escape(f"with |xi| <= 50.0, got xi[1]={-XI_LIMIT - 1e-9!r}")):
         airy_table(1, [-1.0, -XI_LIMIT - 1e-9])
 
 
 def test_derivs_must_be_a_nonnegative_integer():
     xi = np.array([-2.0, 0.0, 1.5])
     for bad in (-1, -2, 1.5):
-        with pytest.raises(ValueError, match="derivs must be an integer >= 0"):
+        with pytest.raises(ValueError, match=f"derivs must be an integer >= 0, got derivs={bad}"):
             airy_table(1, xi, derivs=bad)
     # more rows than the defining ODE's k + 1: derivs=2000 overflowed into NaN rows
     for k, bad in ((1, 3), (3, 5), (1, 2000)):
@@ -238,10 +238,10 @@ def test_orders_must_not_be_bools():
     # True ran as k = 1, and derivs=True as derivs = 1
     for k in (True, np.True_):
         for call in (airy_table, airy_ode_residual):
-            with pytest.raises(ValueError, match="orders 1 and 3 only"):
+            with pytest.raises(ValueError, match=re.escape(f"k must be an integer in [1, 3], got k={k!r}")):
                 call(k, 0.0)
     for derivs in (True, False, np.True_):
-        with pytest.raises(ValueError, match="derivs must be an integer >= 0"):
+        with pytest.raises(ValueError, match=re.escape(f"derivs must be an integer >= 0, got derivs={derivs!r}")):
             airy_table(1, [0.0, 1.0], derivs=derivs)
 
 
@@ -263,8 +263,8 @@ def test_public_surface():
         "FrontDiagram", "FrontTable", "GuardError", "ObservableField", "ScalingCurve",
         "StaircaseStep", "WalkParams", "WaveFunction", "airy", "airy_ode_residual",
         "airy_table", "compare_bulk", "cone_topology", "critical_coupling",
-        "cumulative", "cumulative_moment", "current_density", "degeneracy",
-        "dispersion", "edge_scale", "evolve", "exclusion_windows", "extract_staircase",
+        "cumulative", "cumulative_moment", "current_density",
+        "dispersion", "edge_scale", "evolve", "extract_staircase",
         "fronts", "hydro", "invert_velocity", "measure_edge", "nu_half", "omega",
         "omega_deriv", "position_moment", "predict_edge", "probability_density",
         "ring_layout", "scaling_curve", "scan_diagrams", "scan_fronts", "skewness",
@@ -304,20 +304,21 @@ def test_ode_residual():
         assert abs(float(airy_table(3, xi))) > 0.05
     with pytest.raises(ValueError):
         airy_ode_residual(2, 0.0)
-    # xi is a scalar: an array raised TypeError from float()
-    for xi in (np.array([0.1, 0.2]), [0.1], np.zeros((1, 1))):
-        with pytest.raises(ValueError, match="xi must be a scalar"):
+    # xi is a scalar: an array raised TypeError from float(), and a 0-d
+    # array is an array too
+    for xi in (np.array([0.1, 0.2]), [0.1], np.zeros((1, 1)), np.array(1.0)):
+        with pytest.raises(ValueError, match=re.escape(f"xi must be a finite real number in [-50.0, 50.0], got xi={xi!r}")):
             airy_ode_residual(1, xi)
-    assert airy_ode_residual(1, np.float64(1.0)) == airy_ode_residual(1, np.array(1.0)) == airy_ode_residual(1, 1.0)
+    assert airy_ode_residual(1, np.float64(1.0)) == airy_ode_residual(1, 1.0)
 
 
 @pytest.mark.parametrize("xi", [True, False, np.True_, np.array([True, False]), [False]])
 def test_airy_refuses_a_bool_xi(xi):
     # airy_table(1, True) returned Ai(1) = 0.1353, and the residual evaluated at xi = 1
-    with pytest.raises(ValueError, match="xi must be numbers, not bools"):
+    with pytest.raises(ValueError, match=re.escape(f"xi must be real numbers, got xi={xi!r}")):
         airy_table(1, xi)
     if np.ndim(xi) == 0:
-        with pytest.raises(ValueError, match="xi must be numbers, not bools"):
+        with pytest.raises(ValueError, match=re.escape(f"xi must be a finite real number in [-50.0, 50.0], got xi={xi!r}")):
             airy_ode_residual(1, xi)
 
 
@@ -451,17 +452,17 @@ def test_samples_of_one_value_take_the_direct_table(table_sizes):
 def test_predict_edge_refuses_xi_outside_the_validated_range():
     # the interpolated path refuses what the direct table refuses
     front = _left_front(1 / 16)
-    for bad, match in ((math.nan, "finite"), (math.inf, "finite"), (XI_LIMIT + 1e-9, "validated range")):
+    for bad in (math.nan, math.inf, XI_LIMIT + 1e-9):
         xi = np.linspace(-10.0, 10.0, 2000)
         xi[700] = bad
-        with pytest.raises(ValueError, match=match):
+        with pytest.raises(ValueError, match=re.escape(f"|xi_grid| <= 50.0, got xi_grid[700]={bad!r}")):
             predict_edge(front, 1e4, xi)
 
 
 @pytest.mark.parametrize("t", [-1.0, 0.0, math.nan, -math.inf, math.inf])
 def test_predict_edge_refuses_a_time_that_is_not_positive(t):
     # t = -1 and NaN were stored in the profile unchecked, and inf still was
-    with pytest.raises(ValueError, match=re.escape(f"needs a finite t > 0, got t={t}")):
+    with pytest.raises(ValueError, match=re.escape(f"t must be a finite real number in (0, inf), got t={t!r}")):
         predict_edge(_left_front(1 / 16), t, np.linspace(0.0, 5.0, 11))
 
 
@@ -472,7 +473,7 @@ def test_edge_functions_refuse_a_bool_time(t):
     p, front = WalkParams(1 / 16, PI / 2), _left_front(1 / 16)
     for call in (lambda: predict_edge(front, t, np.linspace(0.0, 5.0, 11)), lambda: edge_scale(front, t),
                  lambda: measure_edge(p, front, t, 3), lambda: ring_layout(p, t), lambda: chiralwalk.evolve(p, t)):
-        with pytest.raises(ValueError, match="t must be a number, not a bool"):
+        with pytest.raises(ValueError, match=rf"t must be a finite real number in [\[(]0, inf\), got t={t!r}"):
             call()
 
 
@@ -575,14 +576,14 @@ def test_measure_edge_refuses_nan_time(monkeypatch):
     # exit-3 path
     monkeypatch.setattr(chiralwalk.airy, "evolve", lambda *a, **kw: pytest.fail("evolved"))
     for t in (math.nan, math.inf):
-        with pytest.raises(ValueError, match=f"needs a finite t > 0, got t={t}"):
+        with pytest.raises(ValueError, match=re.escape(f"t must be a finite real number in (0, inf), got t={t}")):
             measure_edge(WalkParams(1 / 16, PI / 2), _left_front(1 / 16), t, 20)
 
 
 @pytest.mark.parametrize("window", [-3, 0, 2.5, 40.0, "40", None, True])
 def test_measure_edge_refuses_a_window_that_is_not_a_positive_integer(monkeypatch, window):
     monkeypatch.setattr(chiralwalk.airy, "evolve", lambda *a, **kw: pytest.fail("evolved"))
-    with pytest.raises(ValueError, match="integer window >= 1"):
+    with pytest.raises(ValueError, match=re.escape(f"window must be an integer in [1, 1.7976931348623157e+308], got window={window!r}")):
         measure_edge(WalkParams(1 / 16, PI / 2), _left_front(1 / 16), 100.0, window)
 
 
@@ -651,10 +652,11 @@ def test_ode_residual_takes_every_odd_order():
     # against 0.0624 from the series), so k = 5 and beyond are refused,
     # and even orders have no real profile
     for k in (2, 4, 5, 6, 7):
+        match = rf"(k must be an integer in \[1, 3\]|validated for front orders 1 and 3 only), got k={k}$"
         for xi in (-50.0, 0.0):
-            with pytest.raises(ValueError, match="orders 1 and 3 only"):
+            with pytest.raises(ValueError, match=match):
                 airy_ode_residual(k, xi)
-            with pytest.raises(ValueError, match="orders 1 and 3 only"):
+            with pytest.raises(ValueError, match=match):
                 airy_table(k, xi)
 
 
@@ -668,15 +670,15 @@ def test_edge_scale():
 def test_edge_scale_refuses_a_time_that_is_not_nonnegative(t):
     # a negative t gave a complex scale, (0.68+1.18j) at t = -1, NaN gave NaN
     # and inf gave inf
-    with pytest.raises(ValueError, match=f"needs a finite t >= 0, got t={t}"):
+    with pytest.raises(ValueError, match=re.escape(f"t must be a finite real number in [0, inf), got t={t}")):
         edge_scale(_left_front(1 / 16), t)
 
 
 @pytest.mark.parametrize("xi", ["1", b"1", np.array(["0.1", "0.2"]), ["1"]])
 def test_airy_refuses_a_string_xi(xi):
     # airy_table(1, '1') returned A_1(1)
-    with pytest.raises(ValueError, match="xi must be numbers, not strings"):
+    with pytest.raises(ValueError, match=re.escape(f"xi must be real numbers, got xi={xi!r}")):
         airy_table(1, xi)
     if np.ndim(xi) == 0:
-        with pytest.raises(ValueError, match="xi must be numbers, not strings"):
+        with pytest.raises(ValueError, match=re.escape(f"xi must be a finite real number in [-50.0, 50.0], got xi={xi!r}")):
             airy_ode_residual(1, xi)

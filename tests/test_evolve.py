@@ -1,6 +1,7 @@
 import importlib
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -212,7 +213,7 @@ def test_zeroth_cumulative_moment_past_the_first_block(t, lattice):
 def test_negative_moment_order_rejected():
     prob = probability_density(evolve(WalkParams(0.3, 0.8), 10.0))
     for moment in (cumulative_moment, position_moment):
-        with pytest.raises(ValueError, match="moment order must be >= 0"):
+        with pytest.raises(ValueError, match=re.escape("k must be an integer in [0, 42], got k=-1")):
             moment(prob, -1)
 
 
@@ -221,7 +222,7 @@ def test_non_integer_moment_order_rejected():
     prob = probability_density(evolve(WalkParams(0.3, 0.8), 10.0))
     for k in (1.5, 2.0):
         for moment in (cumulative_moment, position_moment):
-            with pytest.raises(ValueError, match="moment order must be >= 0"):
+            with pytest.raises(ValueError, match=re.escape(f"k must be an integer in [0, 42], got k={k}")):
                 moment(prob, k)
     assert prob._moments == {}  # nothing memoised for a refused order
     assert position_moment(prob, np.int64(2)) == position_moment(prob, 2)
@@ -231,7 +232,7 @@ def test_non_integer_moment_order_rejected():
 def test_bool_time_rejected_on_a_given_lattice(t):
     # a given lattice skips the ring layout, whose edge_scale refuses a bool
     # t: evolve(p, True, lattice=64) evolved to t = 1.0
-    with pytest.raises(ValueError, match="t must be a number, not a bool"):
+    with pytest.raises(ValueError, match=r"t must be a finite real number in \[0, [^]]+\], got t=" + re.escape(repr(t))):
         evolve(WalkParams(0.3, 0.8), t, lattice=64)
 
 
@@ -240,7 +241,7 @@ def test_bool_time_rejected_on_a_given_lattice(t):
 ], ids=["evolve", "evolve_on_a_lattice", "ring_layout"])
 def test_string_time_rejected(call):
     # each raised TypeError from a comparison
-    with pytest.raises(ValueError, match="t must be a number, not a str, got t='5'"):
+    with pytest.raises(ValueError, match=r"t must be a finite real number in \[0, [^]]+[])], got t='5'"):
         call(WalkParams(0.3, 0.8))
 
 
@@ -249,7 +250,7 @@ def test_bool_moment_order_rejected():
     prob = probability_density(evolve(WalkParams(0.3, 0.8), 50.0))
     for k in (True, False):
         for moment in (cumulative_moment, position_moment):
-            with pytest.raises(ValueError, match="moment order must be >= 0"):
+            with pytest.raises(ValueError, match=re.escape(f"k must be an integer in [0, 42], got k={k}")):
                 moment(prob, k)
     assert prob._moments == {}
 
@@ -261,7 +262,7 @@ def test_moment_order_checked_on_a_warm_field():
     for k in range(5):
         position_moment(prob, k)
     for k in (True, 2.0, np.float64(3.0)):
-        with pytest.raises(ValueError, match="moment order must be >= 0"):
+        with pytest.raises(ValueError, match=re.escape(f"k must be an integer in [0, 42], got k={k!r}")):
             position_moment(prob, k)
 
 
@@ -350,7 +351,7 @@ def test_guards_and_validation():
                          ids=["float", "whole-float", "numpy-float", "str", "bool"])
 def test_lattice_must_be_an_integer(lattice):
     # a non-integer lattice is refused, not truncated
-    with pytest.raises(ValueError, match="lattice size must be an even integer"):
+    with pytest.raises(ValueError, match=re.escape(f"lattice must be an integer >= 4, got lattice={lattice!r}")):
         evolve(WalkParams(0.3, 0.8), 5.0, lattice=lattice)
 
 
@@ -361,10 +362,11 @@ def test_reach_must_be_a_whole_number_of_sites(monkeypatch, reach):
     # TypeError; evolve refuses a bad reach on a given lattice too, before any fill
     monkeypatch.setattr(EVOLVE_MODULE, "_phase_factors", lambda *a, **kw: pytest.fail("filled"))
     p = WalkParams(0.3, 0.8)
-    with pytest.raises(ValueError, match="reach must be an integer >= 0"):
+    match = re.escape(f"reach must be an integer in [0, 1.7976931348623157e+308], got reach={reach!r}")
+    with pytest.raises(ValueError, match=match):
         ring_layout(p, 10.0, reach)
     for lattice in (None, 64):
-        with pytest.raises(ValueError, match="reach must be an integer >= 0"):
+        with pytest.raises(ValueError, match=match):
             evolve(p, 10.0, lattice, reach=reach)
     assert ring_layout(p, 10.0, np.int64(200)) == ring_layout(p, 10.0, 200) == (480, 236)
 
@@ -394,9 +396,9 @@ def test_nan_time_refused_before_the_phase_fill(monkeypatch, lattice):
     # written as "refuse when L/2 < v t" and fill the ring with NaN
     monkeypatch.setattr(EVOLVE_MODULE, "_phase_factors", lambda *a, **kw: pytest.fail("filled"))
     p = WalkParams(0.3, 0.8)
-    with pytest.raises(ValueError, match="t must be >= 0, got t=nan"):
+    with pytest.raises(ValueError, match=r"t must be a finite real number in \[0, [^]]+[])], got t=nan"):
         evolve(p, math.nan, lattice)
-    with pytest.raises(ValueError, match="t must be >= 0, got t=nan"):
+    with pytest.raises(ValueError, match=re.escape("t must be a finite real number in [0, inf), got t=nan")):
         ring_layout(p, math.nan)
 
 
