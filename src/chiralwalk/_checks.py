@@ -51,12 +51,22 @@ def whole(name: str, x, lo: int, hi: float | None = None) -> int:
 def as_numbers(name: str, x, limit: float | None = None) -> np.ndarray:
     """x as a float array; with a limit, every value finite with modulus <= limit.
 
-    An array's first entry past the limit is shown, with its index.
+    An object array of ints (not bools) and floats, which numpy makes of an
+    int past 64 bits, is converted entry by entry, and refused if an int is
+    past the float range.  An array's first entry past the limit is shown,
+    with its index.
     """
-    given = np.asarray(x)
-    if given.dtype.kind not in "iuf":
+    given = a = np.asarray(x)
+    if given.dtype == object and all(
+        isinstance(v, (numbers.Integral, float)) and not isinstance(v, bool) for v in given.flat
+    ):
+        try:
+            a = given.astype(float)
+        except OverflowError:
+            raise _refusal(name, x, "real numbers that fit in a float") from None
+    if a.dtype.kind not in "iuf":
         raise _refusal(name, x, "real numbers")
-    a = np.asarray(given, dtype=float)
+    a = np.asarray(a, dtype=float)
     if limit is not None:
         ok = np.abs(a) <= limit  # False at NaN and +-inf
         if not ok.all():
@@ -64,5 +74,5 @@ def as_numbers(name: str, x, limit: float | None = None) -> np.ndarray:
             if not a.ndim:
                 raise _refusal(name, x, want)
             at = [int(i) for i in np.unravel_index(np.flatnonzero(~ok)[0], a.shape)]
-            raise _refusal(f"{name}{at}", given[tuple(at)].item(), want)
+            raise _refusal(f"{name}{at}", given.item(tuple(at)), want)
     return a

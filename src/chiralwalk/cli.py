@@ -174,33 +174,22 @@ def _write_fronts(path: Path, phi, g, table) -> None:
     """fronts.csv of a sweep from scan_fronts' table; phi and g are each point's couplings.
 
     One row per front, phi, g, q_star, velocity, order, kappa, topology, ok,
-    and one error row per point whose scan failed; sorted stably by (phi, g,
-    velocity), with velocity = inf for an error row.  The six numbers of
-    CSV_BLOCK rows at a time, order among them ('%.17g' % 1.0 is '1'), are
-    spelled by _g17.rows_text, and each row's tail is appended to its line.
-    An error row goes through _cell, which quotes its message per RFC 4180
-    where needed.  The bytes are those of _write_csv on the same rows.
+    sorted stably by (phi, g, velocity).  The six numbers of CSV_BLOCK rows
+    at a time, order among them ('%.17g' % 1.0 is '1'), are spelled by
+    _g17.rows_text, and each row's tail is appended to its line.  The bytes
+    are those of _write_csv on the same rows.
     """
-    failed = np.array(sorted(table.failures), dtype=np.intp)
-    fronts = table.point.size  # rows from here on are error rows
-    at = np.concatenate([table.point, failed])  # each row's point
-    pad = np.zeros(failed.size)  # an error row's numbers, never written
-    velocity = np.concatenate([table.velocity, np.full(failed.size, math.inf)])
-    numbers = (phi[at], g[at], np.concatenate([table.q_star, pad]), velocity,
-               np.concatenate([table.order, pad]), np.concatenate([table.kappa, pad]))
-    rows = np.lexsort((velocity, numbers[1], numbers[0]))  # by phi, then g, then velocity
+    at = table.point
+    numbers = (phi[at], g[at], table.q_star, table.velocity, table.order, table.kappa)
+    rows = np.lexsort((table.velocity, numbers[1], numbers[0]))  # by phi, then g, then velocity
     cells = np.stack(numbers, axis=1)
-    ends = [None if t is None else f",{t.value},ok\n".encode() for t in table.topology]
-    tails = [ends[i] for i in table.point.tolist()] + [
-        (",".join(map(_cell, (phi[i], g[i], "", "", "", "", "", f"error: {table.failures[i]}"))) + "\n").encode()
-        for i in failed.tolist()
-    ]
+    ends = [f",{t.value},ok\n".encode() for t in table.topology]
     with open(path, "wb") as fh:
         fh.write(b"phi,g,q_star,velocity,order,kappa,topology,status\n")
         for start in range(0, rows.size, CSV_BLOCK):
-            block = rows[start:start + CSV_BLOCK].tolist()
+            block = rows[start:start + CSV_BLOCK]
             lines = rows_text(cells[block]).split(b"\n")
-            fh.write(b"".join([line + tails[r] if r < fronts else tails[r] for line, r in zip(lines, block)]))
+            fh.write(b"".join([line + ends[i] for line, i in zip(lines, at[block].tolist())]))
 
 
 def cmd_fronts(args) -> int:

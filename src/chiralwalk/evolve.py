@@ -39,18 +39,18 @@ whole-ring computation, applied to the same amplitudes, for any block
 size.  Observable fields are read-only, and each exact position moment is
 summed once per field and then reused.
 
-On rings of at least THREAD_SITES sites the kernels are split by the
-package's one thread helper, _workers.map_runs, across WORKERS threads, one
-per CPU in the process's affinity mask: the phase fill, the row and column
-passes of the transform, the probability, the current, the terms of the
-cumulative moments and the exact sums.  Each thread takes a contiguous run
+On rings of at least THREAD_SITES sites the kernels are split by
+map_runs across WORKERS threads, one per CPU in the process's affinity
+mask: the phase fill, the row and column passes of the transform, the
+probability, the current, the terms of the cumulative moments and the
+exact sums.  Each thread takes a contiguous run
 of the same block spans and writes only their slices, or, for an exact
 sum, returns its own list of exact parts, which the caller joins in span
 order; so every output is bit-identical for any worker count.  Smaller
 rings, and a process confined to one CPU, run every kernel in the caller's
 thread.  The prefix sums of the cumulative moments and the fallbacks of
-the exact sums always run in the caller's thread.  The same helper splits
-the front scan's stacked eigensolve, from its own size gate (see fronts).
+the exact sums always run in the caller's thread; no other layer of the
+package starts a thread.
 """
 
 from __future__ import annotations
@@ -58,14 +58,15 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+import os
 import sys
+import threading
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from ._checks import real, whole
-from ._workers import map_runs
 from .dispersion import WalkParams, omega
 from .fronts import cone_topology, edge_scale
 
@@ -92,6 +93,8 @@ SUM_BLOCK = 1 << 15
 #   163 840   -43%      -6%            -8%             +12%           +24%
 #    46 080    -8%     +10%           +52%             +49%           +51%
 THREAD_SITES = 1 << 18
+# threads per kernel call at most: the CPUs this process may run on
+WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 # rows per ifft call in the four-step's row pass, and its fewest rows: one
 # ifft of a ring with fewer rows of BLOCK sites measured as fast or faster
 ROW_BATCH = 8
@@ -161,6 +164,45 @@ def _blocks(size: int, block: int | None = None) -> list:
     """(start, stop) of the consecutive block-site slices (BLOCK by default) that tile range(size)."""
     block = BLOCK if block is None else block
     return [(start, min(start + block, size)) for start in range(0, size, block)]
+
+
+def map_runs(kernel, spans, runs: int) -> list:
+    """[kernel(run) for each run], over contiguous runs of the sequence spans, one run per thread.
+
+    spans is cut into min(runs, WORKERS, len(spans)) contiguous slices of
+    near-equal length.  With one run or fewer, kernel(spans) is called in
+    the caller's thread, as the one run.  Otherwise the caller takes the
+    first run and one new thread each of the others.  kernel must write
+    only what its run names, so the output does not depend on the split;
+    its return values come back in run order.  An exception from any run
+    is raised in the caller once every thread has finished, the earliest
+    run's first.  The threads are started and joined inside the call, so
+    none outlives it.
+    """
+    workers = min(runs, WORKERS, len(spans))
+    if workers <= 1:
+        return [kernel(spans)]
+    parts = [spans[len(spans) * i // workers:len(spans) * (i + 1) // workers] for i in range(workers)]
+    results, errors = [None] * workers, [None] * workers
+
+    def work(i):
+        try:
+            results[i] = kernel(parts[i])
+        except Exception as exc:  # raised in the caller below
+            errors[i] = exc
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(1, workers)]
+    for thread in threads:
+        thread.start()
+    try:
+        results[0] = kernel(parts[0])
+    finally:
+        for thread in threads:
+            thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    return results
 
 
 def _ring_runs(sites: int) -> int:

@@ -13,37 +13,26 @@ So the phase diagram is known in closed form, and the scan reads each
 point's front count, orders and cone topology off it rather than off its
 roots: w'' has a multiple root only on the Lifshitz line, a double root at
 q_c + pi, and a triple one only at (g, phi) = (1/8, pi/2).  Off them there
-are 2 + 2 [g > g_c] simple fronts, the companion eigenvalues of the
-quartic nearest the unit circle.  A point is critical of order k when the
-fronts that would split off the multiple root agree in velocity to float64
-roundoff (the bands BAND_2 and BAND_3): its order-k front sits at the
-closed-form root, and its 4 - k simple fronts are the eigenvalues farthest
-in angle from it.  Each simple root is polished by Newton in real q on
-w''.  A front's edge coefficient is kappa_k = w^(k+2)(q*)/(k+1)! at its
-root q*.
+are 2 + 2 [g > g_c] simple fronts, the roots of the quartic nearest the
+unit circle.  A point is critical of order k when the fronts that would
+split off the multiple root agree in velocity to float64 roundoff (the
+bands BAND_2 and BAND_3): its order-k front sits at the closed-form root,
+and its 4 - k simple fronts are the roots farthest in angle from it.  The
+quartic's roots are Ferrari's closed form (_quartic_roots), and each
+simple root is polished by Newton in real q on w''.  A front's edge
+coefficient is kappa_k = w^(k+2)(q*)/(k+1)! at its root q*.
 
 A scan (scan_fronts) runs over a whole batch of points at once and
-returns every front as columns, with each point's topology: one stacked
-eigenvalue call on their companion matrices, then each selection, Newton
-step, derivative and the sort as one array operation over every root of
-the batch.  Every operation is elementwise, per matrix or per row, so a
-point's fronts are the same bits alone, in a sweep, or in any order of
-the points.  scan_diagrams builds each point's FrontDiagram from the
-columns, and cone_topology reads a one-point scan and caches it;
-is_one_cone reads the phase alone, with no scan.  Points lie in
-WalkParams' window 0 <= phi <= pi/2, into which its band identities carry
-any g e^{i phi}.
-
-A batch with live = 2 RUN_MATRICES or more points at g >= G_SEED has its
-stacked eigensolve cut into min(WORKERS, live // RUN_MATRICES) contiguous
-runs, one per thread, by _workers.map_runs, the helper that evolve's ring
-kernels use.  Each run goes through _eigvals, its failures are offset by
-the run's start, and the eigenvalues are joined in run order.  LAPACK
-solves each matrix of a stack alone, so a run returns the serial call's
-bits, and the table is the same for any worker count.  Smaller batches,
-every one-point scan (cone_topology, and through it nu_half, ring_layout,
-compare_bulk and the edge functions) and a process confined to one CPU
-solve in the caller's thread.
+returns every front as columns, with each point's topology: the quartics'
+roots, each selection, Newton step, derivative and the sort are each one
+array operation over every point or root of the batch, in the caller's
+thread, with no linear algebra call.  Every operation is elementwise or per
+row, so a point's fronts are the same bits alone, in a sweep, or in any
+order of the points, and no point's scan can fail.  scan_diagrams builds
+each point's FrontDiagram from the columns, and cone_topology reads a
+one-point scan and caches it; is_one_cone reads the phase alone, with no
+scan.  Points lie in WalkParams' window 0 <= phi <= pi/2, into which its
+band identities carry any g e^{i phi}.
 """
 
 from __future__ import annotations
@@ -57,7 +46,6 @@ from typing import NamedTuple
 import numpy as np
 
 from ._checks import real
-from ._workers import map_runs
 from .dispersion import PHI_MAX, TWO_PI, WalkParams, omega_deriv
 
 TOL_DEGEN = 1e-9          # velocity window of co-moving fronts, see same_velocity
@@ -72,19 +60,11 @@ BAND_2 = 1e-11
 # leaves the band through its phi edge at gamma = 1.2e-9
 BAND_3_G = 1.25e-9
 BAND_3_PHI = 1e-12
-# below this g the quartic's roots span 4g .. 1/(4g) and its eigenvalues near
-# the circle lose accuracy like eps/sqrt(g); the fronts are then the two
+# below this g the quartic's roots span 4g .. 1/(4g) and the closed form's
+# roots near the circle lose accuracy like eps/g; the fronts are then the two
 # simple roots of w'' within 4g of -pi/2 and pi/2
 G_SEED = 1e-4
 NEWTON_STEPS = 6
-# fewest companion matrices per thread of the stacked eigensolve: numpy's
-# eigvals (2.4) releases the GIL only for stacks of at least ~128 matrices.
-# A Python thread beside an eigvals loop ran at 1-3% of its solo rate with
-# stacks of 32-112 matrices, and at >= 98% with 128 or more, so only
-# stacks of 2 x RUN_MATRICES or more are split.  Serial -> two threads,
-# 2-core Xeon: 192 matrices 1.17 -> 1.40 ms, 256 1.55 -> 1.08 ms, 342
-# 2.09 -> 1.37 ms
-RUN_MATRICES = 128
 
 
 class ConeTopology(Enum):
@@ -122,9 +102,7 @@ class FrontTable(NamedTuple):
 
     point, q_star, velocity, order and kappa hold one entry per front, the
     fronts sorted by (point, velocity, q_star); point is the index of the
-    front's point in the batch.  topology holds one ConeTopology per point,
-    None for a point whose quartic failed, and failures maps the index of
-    each such point to its LinAlgError; a failed point has no fronts.
+    front's point in the batch.  topology holds one ConeTopology per point.
     """
 
     point: np.ndarray
@@ -133,7 +111,6 @@ class FrontTable(NamedTuple):
     order: np.ndarray
     kappa: np.ndarray
     topology: list
-    failures: dict
 
 
 class _Couplings(NamedTuple):
@@ -147,9 +124,11 @@ class _Couplings(NamedTuple):
 
 
 _NEWTON_ORDERS = np.array([[2], [3]])  # w'' and w''' of each root, see _polish
-# a point's topology by its code in scan_fronts: ConeTopology's members in
-# their order, then None for a point whose scan failed
-_TOPOLOGY = (*ConeTopology, None)
+# a point's topology by its code in scan_fronts: ConeTopology's members in their order
+_TOPOLOGY = tuple(ConeTopology)
+# the cube roots of unity, which turn one root of the resolvent cubic into all three
+_OMEGA = np.array([1.0, complex(-0.5, math.sqrt(0.75)), complex(-0.5, -math.sqrt(0.75))])
+_SIGNS = np.array([-1.0, 1.0])  # the two quadratic factors of the quartic, see _quartic_roots
 
 
 def _polish(x, c: _Couplings):
@@ -168,20 +147,54 @@ def _polish(x, c: _Couplings):
     return (x + math.pi) % TWO_PI - math.pi
 
 
-def _eigvals(a):
-    """Eigenvalues of a stack of matrices, and {index: LinAlgError} of those that fail.
+def _quartic_roots(g, phi):
+    """The roots z of 4g e^{i phi} z^4 + z^3 + z + 4g e^{-i phi} at each point, shape (n, 4).
 
-    A failing stack is halved until each failure is a matrix of its own,
-    whose eigenvalues are then NaN.
+    Ferrari's closed form, elementwise over the points.  Divided by its
+    leading coefficient the quartic is z^4 + b z^3 + b z + e, with b = e^{-i phi}/(4g)
+    and e = e^{-2i phi}, and it equals (z^2 + b z/2 + m)^2 - (alpha z + beta)^2,
+    alpha^2 = b^2/4 + 2m and 2 alpha beta = b (m - 1), when m solves the
+    resolvent cubic
+
+        m^3 + (b^2/4 - e) m - b^2 (1 + e)/8 = 0.
+
+    Of its three roots (Cardano) the one of largest |alpha| is taken, so
+    that the division for beta is stable, and each factor
+    z^2 + (b/2 -+ alpha) z + m -+ beta gives its root of larger modulus by
+    the quadratic formula and the other as its product of roots over it.  A
+    row holds the two larger roots, then the two others.
+
+    g >= G_SEED and passes check_coupling, so every value is finite: the
+    three alpha^2 sum to 3 b^2/4, or to 0 with two at |alpha^2| = 2 where
+    b^2 underflows, and Cardano's u^3 = 0 would need b^2 (1 + e) = 0 and
+    b^2/4 = e at once.
+
+    numpy multiplies complex arrays with a fused multiply-add, so a * b and
+    b * a may differ in the last bit, and on arrays of 256 KiB or more it
+    computes a * (temporary) in place as (temporary) * a.  In every product
+    of two complex arrays here the temporary therefore stands on the left,
+    so that a point's roots do not depend on the size of its batch.
     """
-    try:
-        return np.linalg.eigvals(a), {}
-    except np.linalg.LinAlgError as exc:
-        if len(a) == 1:
-            return np.full(a.shape[:2], np.nan, complex), {0: exc}
-        h = len(a) // 2
-        (za, ea), (zb, eb) = _eigvals(a[:h]), _eigvals(a[h:])
-        return np.concatenate([za, zb]), {**ea, **{h + i: e for i, e in eb.items()}}
+    c = np.exp(-1j * phi)
+    b = c / (4.0 * g)
+    e = c * c
+    b2 = b * b
+    quarter = 0.25 * b2
+    p = quarter - e
+    h = 0.0625 * b2 * (1.0 + e)  # minus half the cubic's constant term
+    d = np.sqrt(h * h + p * p * p / 27.0)
+    u = np.where((h.conj() * d).real < 0.0, h - d, h + d) ** (1.0 / 3.0)
+    cube = u[:, None] * _OMEGA
+    m = cube - p[:, None] / (3.0 * cube)
+    alpha2 = quarter[:, None] + 2.0 * m
+    rows, pick = np.arange(g.size), np.argmax(np.abs(alpha2), axis=1)
+    m, alpha = m[rows, pick], np.sqrt(alpha2[rows, pick])
+    beta = (m - 1.0) * b / (2.0 * alpha)
+    linear = (0.5 * b)[:, None] + alpha[:, None] * _SIGNS
+    constant = m[:, None] + beta[:, None] * _SIGNS
+    root = np.sqrt(linear * linear - 4.0 * constant)
+    larger = -0.5 * np.where((linear.conj() * root).real < 0.0, linear - root, linear + root)
+    return np.concatenate([larger, constant / larger], axis=1)
 
 
 def check_coupling(g: float) -> None:
@@ -213,8 +226,7 @@ def is_one_cone(p: WalkParams) -> bool:
     """True when p is in the one-cone phase: g <= g_c(phi), off both critical bands.
 
     scan_fronts' phase rule without the scan: the same answer as
-    cone_topology(p).topology is ONE_CONE, for any p whose quartic does not
-    fail.  g must pass check_coupling.
+    cone_topology(p).topology is ONE_CONE.  g must pass check_coupling.
     """
     check_coupling(p.g)
     phase, two_cones, _ = _phases(np.array([p.g], dtype=float), np.array([p.phi], dtype=float))
@@ -224,12 +236,12 @@ def is_one_cone(p: WalkParams) -> bool:
 def scan_fronts(points) -> FrontTable:
     """Every front of a batch of points as one FrontTable, uncached.
 
-    One failing point does not fail the others.  The topology is the
-    point's phase (_phases): critical of order k in the order-k band, one
-    cone for g <= g_c, else two cones, overlapping when the two slowest fronts
-    co-move.  Only the mirror pair of phi = pi/2, where v(pi - q) = v(q),
-    does; the internal pair born at g_c agrees in velocity to roundoff just
-    above it, and its cones are nested.  Every g must pass check_coupling.
+    The topology is the point's phase (_phases): critical of order k in the
+    order-k band, one cone for g <= g_c, else two cones, overlapping when the
+    two slowest fronts co-move.  Only the mirror pair of phi = pi/2, where
+    v(pi - q) = v(q), does; the internal pair born at g_c agrees in velocity
+    to roundoff just above it, and its cones are nested.  Every g must pass
+    check_coupling.
     """
     for p in points:
         check_coupling(p.g)
@@ -243,42 +255,21 @@ def scan_fronts(points) -> FrontTable:
     # a seeded row never reaches the division by its leading coefficient,
     # which vanishes for the quartic at g = 0
     live = np.flatnonzero(g >= G_SEED)
-    quartic = np.zeros((live.size, 5), complex)
-    quartic[:, 0] = [
-        4.0 * gi * complex(math.cos(f), math.sin(f)) for gi, f in zip(g[live].tolist(), phi[live].tolist())
-    ]
-    quartic[:, 1] = quartic[:, 3] = 1.0
-    quartic[:, 4] = quartic[:, 0].conj()
-    companion = np.zeros((live.size, 4, 4), complex)
-    companion[:, np.arange(1, 4), np.arange(3)] = 1.0
-    companion[:, 0, :] = -quartic[:, 1:] / quartic[:, :1]
-
-    def solve(run):
-        z, failed = _eigvals(companion[run.start:run.stop])
-        return z, {run.start + i: exc for i, exc in failed.items()}
-
-    runs = map_runs(solve, range(live.size), live.size // RUN_MATRICES)
-    z = np.concatenate([z for z, _ in runs])
-    failures = {int(live[i]): exc for _, failed in runs for i, exc in failed.items()}
-    del quartic, companion, runs
-    ok = np.ones(n, bool)
-    ok[list(failures)] = False
-    simple[~ok] = 0
+    z = _quartic_roots(g[live], phi[live])
     # each row's simple roots are the first of its slots by score: for a band
-    # row the eigenvalues farthest in angle from its multiple root, for any
+    # row the roots farthest in angle from its multiple root, for any
     # other row those nearest the unit circle, and for a seeded row its seeds
     angle, score = np.zeros((2, n, 4))
     angle[g < G_SEED, :2] = -math.pi / 2, math.pi / 2
     angle[live] = np.angle(z)
     score[live] = np.abs(np.log(np.abs(z)))
-    del z
     if band.any():
         score[band] = -np.abs((angle[band] - q_c[band, None] + math.pi) % TWO_PI - math.pi)
     rank = np.argsort(score, axis=1, kind="stable")
     picked = np.arange(4) < simple[:, None]
     rows = np.nonzero(picked)[0]
     q = _polish(angle[rows, rank[picked]], couplings.at(rows))
-    multiple = np.flatnonzero(band & ok)
+    multiple = np.flatnonzero(band)
     rows = np.concatenate([rows, multiple])
     q = np.concatenate([q, q_c[multiple]])
     order = np.concatenate([np.ones(q.size - multiple.size, np.intp), phase[multiple]])
@@ -291,17 +282,16 @@ def scan_fronts(points) -> FrontTable:
     point, q, velocity, order, kappa = rows[by], q[by], velocity[by], order[by], kappa[by]
     # each point's code in _TOPOLOGY; the first two fronts of a two-cone
     # point are its two slowest
-    two = np.flatnonzero(two_cones & ~band & ok)
+    two = np.flatnonzero(two_cones & ~band)
     first = np.searchsorted(point, two)
     code = two_cones.astype(np.intp)
     code[two] += same_velocity(velocity[first], velocity[first + 1])
     code[band] = phase[band] + 1
-    code[~ok] = len(_TOPOLOGY) - 1
-    return FrontTable(point, q, velocity, order, kappa, [_TOPOLOGY[c] for c in code.tolist()], failures)
+    return FrontTable(point, q, velocity, order, kappa, [_TOPOLOGY[c] for c in code.tolist()])
 
 
 def scan_diagrams(points) -> list:
-    """The FrontDiagram of each point, or the LinAlgError of its quartic, uncached.
+    """The FrontDiagram of each point, uncached.
 
     Built from scan_fronts' table: each diagram holds its point's fronts,
     sorted by velocity, then by q*.
@@ -314,9 +304,6 @@ def scan_diagrams(points) -> list:
     ends = np.searchsorted(table.point, np.arange(len(points) + 1)).tolist()
     out = []
     for r, (p, topology) in enumerate(zip(points, table.topology)):
-        if topology is None:
-            out.append(table.failures[r])
-            continue
         found = tuple(fronts[ends[r]:ends[r + 1]])
         out.append(FrontDiagram(p, found, found[0].velocity, found[-1].velocity, topology))
     return out
@@ -326,11 +313,9 @@ def scan_diagrams(points) -> list:
 def cone_topology(p: WalkParams) -> FrontDiagram:
     """The front diagram of p from a one-point scan, see scan_diagrams.
 
-    Cached per p.  Raises the scan's LinAlgError; g must pass check_coupling.
+    Cached per p.  g must pass check_coupling.
     """
     (diagram,) = scan_diagrams([p])
-    if isinstance(diagram, Exception):
-        raise diagram
     return diagram
 
 

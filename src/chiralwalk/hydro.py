@@ -72,6 +72,11 @@ _NODES = 128
 # t (7 MB traced for two blocks), and blocks of 2^12 to 2^18 nu took 1.2 to
 # 1.6 s over compare_bulk's 1.2 million nu at t = 3e5, this one the fastest
 NU_BLOCK = 1 << 14
+# the largest g for M~_2 and M~_3, ~8.9e101: the Fourier coefficients of v^3
+# reach 24 g^3, at e^{+-2iq}, each of the antiderivative's harmonics is one
+# coefficient times a sum over at most four branches of modulus <= 8, and
+# the harmonics of M~_3 add up to less than 256 g^3, finite up to here
+MOMENT_G_MAX = (sys.float_info.max / 256.0) ** (1.0 / 3.0)
 
 
 def _evaluate(p: WalkParams, q):
@@ -291,11 +296,14 @@ def _bulk(p: WalkParams, nu, ks: tuple = (), branches: _Branches | None = None) 
     float noise of a front) adds inf.  rho is 0 outside the cone and NaN at
     a NaN nu.  branches, if given, is _branches(p), for a caller that makes
     many calls.  The nu are taken NU_BLOCK at a time; each nu's values do
-    not depend on the others.
+    not depend on the others.  With M~_2 or M~_3 asked for, a g above
+    MOMENT_G_MAX is refused with ValueError.
     """
+    high = sorted(k for k in set(ks) if k >= 2)
+    if high:
+        real("g", p.g, 0, MOMENT_G_MAX)
     branches = _branches(p) if branches is None else branches
     nu = np.atleast_1d(np.asarray(nu, dtype=float))
-    high = sorted(k for k in set(ks) if k >= 2)
     powers = _velocity_powers(p, high[-1]) if high else {}
     names = ["phi", "j", "rho"] + (["m1"] if 1 in ks else []) + [f"m{k}" for k in high]
     out = {name: np.empty(nu.shape) for name in names}
@@ -457,6 +465,8 @@ def scaling_curve(p: WalkParams, nu) -> ScalingCurve:
     gives NaN in every field; outside the cone rho is 0, and Phi, J and
     M~_k are those of the empty or the whole zone; rho is inf where a root
     has w'' = 0 (nu within float noise of a front).  M~_1 is J bit for bit.
+    p.g: at most MOMENT_G_MAX, ~8.9e101, above which M~_3 overflows; a
+    larger g is refused with ValueError.
     """
     nu = np.atleast_1d(as_numbers("nu", nu))
     if nu.ndim != 1:
@@ -497,7 +507,8 @@ def compare_bulk(p: WalkParams, t: float, margin: float = 0.25) -> BulkReport:
     >= 0.  ValueError is also raised before the evolution for a t so small
     that t^3 is not a normal float (the scaled moments would divide by zero
     or lose their precision), and when the windows cover every compared
-    site, so that nothing would be compared outside them.
+    site, so that nothing would be compared outside them.  p.g: at most
+    MOMENT_G_MAX, as in scaling_curve.
     """
     t, margin = real("t", t, 0, above=True), real("margin", margin, 0)
     d = cone_topology(p)

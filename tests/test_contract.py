@@ -26,6 +26,7 @@ from hypothesis import strategies as st
 
 import chiralwalk as cw
 from chiralwalk import GuardError, WalkParams
+from chiralwalk.hydro import MOMENT_G_MAX
 
 EVOLVE_MODULE = importlib.import_module("chiralwalk.evolve")
 Q_MAX = sys.float_info.max / 2.0  # |q| at most, so that 2q is a float
@@ -64,6 +65,18 @@ def between(lo, hi=math.inf):
     return lambda n: lo <= n <= hi
 
 
+def ring_time(above=False):
+    # a valid t may give a ring above the size cap: the feeds' only t past
+    # 1e12 is 1e20, whose ring is ~1e20 sites
+    within = finite(0, above=above)
+    return lambda t: within(t) and (GuardError if t > 1e12 else True)
+
+
+def ring_sites(lo):
+    # the same for a reach or a window of sites, an integer >= lo
+    return lambda n: between(lo, sys.float_info.max)(n) and (GuardError if n > 1e12 else True)
+
+
 def lattice(n):
     if n < 4 or n % 2:
         return False
@@ -78,6 +91,11 @@ class Row(NamedTuple):
 
 def _ode(k=1, xi=0.5):
     return cw.airy_ode_residual(k, xi)
+
+
+def _scaling(g=0.3, nu=0.1):
+    # the coupling inside p, so that the moments' bound on g has a row
+    return cw.scaling_curve(WalkParams(g, 0.8), nu)
 
 
 # one row per public callable; a row with no numeric parameter takes only
@@ -97,18 +115,21 @@ ROWS = {
     }),
     # a valid t or reach may give a ring above the size cap
     "ring_layout": Row(cw.ring_layout, {"p": P, "t": 5.0, "reach": 0},
-                       {"t": Domain("real", finite(0), cheap=False), "reach": Domain("whole", between(0, sys.float_info.max), cheap=False)}),
+                       {"t": Domain("real", ring_time(), cheap=False), "reach": Domain("whole", ring_sites(0), cheap=False)}),
     "cumulative_moment": Row(cw.cumulative_moment, {"field": FIELD, "k": 2}, {"k": Domain("whole", between(0, 42))}),
     "position_moment": Row(cw.position_moment, {"field": FIELD, "k": 2}, {"k": Domain("whole", between(0, 42))}),
     "critical_coupling": Row(cw.critical_coupling, {"phi": 0.8}, {"phi": Domain("real", finite(0, PI / 2))}),
     "edge_scale": Row(cw.edge_scale, {"front": FRONT, "t": 5.0}, {"t": Domain("real", finite(0))}),
     "compare_bulk": Row(cw.compare_bulk, {"p": P_EDGE, "t": 500.0, "margin": 0.25}, {
-        "t": Domain("real", finite(0, above=True), cheap=False),
+        "t": Domain("real", ring_time(above=True), cheap=False),
         "margin": Domain("real", finite(0), cheap=False),
     }),
     "invert_velocity": Row(cw.invert_velocity, {"p": P, "nu": 0.1}, {"nu": Domain("real", at_least(-math.inf))}),
     "nu_half": Row(cw.nu_half, {"p": P, "tol": 1e-10}, {"tol": Domain("real", at_least(0))}),
-    "scaling_curve": Row(cw.scaling_curve, {"p": P, "nu": 0.1}, {"nu": Domain("array", lambda x: True)}),
+    "scaling_curve": Row(_scaling, {"g": 0.3, "nu": 0.1}, {
+        "g": Domain("real", finite(0, MOMENT_G_MAX)),
+        "nu": Domain("array", lambda x: True),
+    }),
     "airy_table": Row(cw.airy_table, {"k": 1, "xi": 0.5, "derivs": 1}, {
         "k": Domain("whole", lambda k: k in (1, 3)),
         "xi": Domain("array", finite(-50, 50)),
@@ -123,8 +144,8 @@ ROWS = {
         "xi_grid": Domain("array", finite(-50, 50)),
     }),
     "measure_edge": Row(cw.measure_edge, {"p": P_EDGE, "front": FRONT, "t": 50.0, "window": 3}, {
-        "t": Domain("real", finite(0, above=True), cheap=False),
-        "window": Domain("whole", between(1, sys.float_info.max), cheap=False),
+        "t": Domain("real", ring_time(above=True), cheap=False),
+        "window": Domain("whole", ring_sites(1), cheap=False),
     }),
     **{name: Row(None, {}, {}) for name in (
         "cumulative", "probability_density", "current_density", "skewness", "cone_topology",
@@ -136,7 +157,7 @@ ROWS = {
 
 # the values fed to every numeric parameter
 FEEDS = [True, False, np.True_, None, math.nan, math.inf, -math.inf, -1, "1", b"1", 1j, 0.5 + 1j,
-         Decimal("1"), 10**400]
+         Decimal("1"), 10**400, 10**20, [0.5, 10**20]]
 
 
 def expected(domain: Domain, x):
@@ -148,9 +169,15 @@ def expected(domain: Domain, x):
     if domain.kind == "whole":
         return isinstance(x, (int, np.integer)) and domain.holds(int(x))
     if domain.kind == "array":
-        if np.asarray(x).dtype.kind not in "iuf":  # ints past 64 bits are objects
-            return False
-    elif not isinstance(x, (int, float, np.integer, np.floating)):
+        values = np.asarray(x)
+        # numpy makes objects of ints past 64 bits, and of a list holding one
+        if values.dtype == object and all(type(v) in (int, float) for v in values.flat):
+            try:
+                values = values.astype(float)
+            except OverflowError:  # an int too large for a float
+                return False
+        return values.dtype.kind in "iuf" and all(domain.holds(v) for v in values.ravel().tolist())
+    if not isinstance(x, (int, float, np.integer, np.floating)):
         return False
     try:
         return domain.holds(float(x))
@@ -186,8 +213,11 @@ def check(row: Row, name: str, x):
     else:
         assert type(got) is ValueError, (name, x, got)
         message = str(got)
-        # names the parameter (or an entry of it) and shows the value
-        assert re.match(rf"{name}(\[[\d, ]*\])? must be ", message), (name, x, message)
+        # names the parameter (or an entry of it) and shows the value (or the entry)
+        named = re.match(rf"{name}(\[[\d, ]*\])? must be ", message)
+        assert named, (name, x, message)
+        if named.group(1):
+            x = np.asarray(x, dtype=object)[tuple(int(i) for i in named.group(1)[1:-1].split(","))]
         assert message.endswith(f"={x!r}"), (name, x, message)
 
 

@@ -48,8 +48,6 @@ from oracles import (
 
 # the package exports a function named evolve, so fetch the module by name
 EVOLVE_MODULE = importlib.import_module("chiralwalk.evolve")
-# the thread helper that evolve and the front scan share
-WORKERS_MODULE = importlib.import_module("chiralwalk._workers")
 
 PI = math.pi
 
@@ -798,13 +796,13 @@ def test_same_bits_for_any_worker_count(monkeypatch, block, L):
         fields += [cumulative_moment(prob, k).values for k in range(6)]
         return fields, [position_moment(prob, k) for k in range(6)]
 
-    monkeypatch.setattr(WORKERS_MODULE, "WORKERS", 1)
+    monkeypatch.setattr(EVOLVE_MODULE, "WORKERS", 1)
     want_fields, want_mu = outputs()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # hand the GIL over often, so the runs interleave
     try:
         for workers in (2, 3):
-            monkeypatch.setattr(WORKERS_MODULE, "WORKERS", workers)
+            monkeypatch.setattr(EVOLVE_MODULE, "WORKERS", workers)
             fields, mu = outputs()
             assert all(_same_bits(a, b) for a, b in zip(fields, want_fields)), workers
             assert all(_same_float(a, b) for a, b in zip(mu, want_mu)), workers
@@ -816,7 +814,7 @@ def test_same_bits_for_any_worker_count(monkeypatch, block, L):
 def test_current_guard_from_a_worker_thread(monkeypatch):
     monkeypatch.setattr(EVOLVE_MODULE, "BLOCK", 16)
     monkeypatch.setattr(EVOLVE_MODULE, "THREAD_SITES", 0)
-    monkeypatch.setattr(WORKERS_MODULE, "WORKERS", 3)
+    monkeypatch.setattr(EVOLVE_MODULE, "WORKERS", 3)
     wf = evolve(WalkParams(0.2, 0.4), 10.0)
     good = current_density(wf).values
     spans = list(EVOLVE_MODULE._blocks(wf.L))
@@ -871,9 +869,9 @@ def test_exact_sum_fallbacks_from_a_worker_run(monkeypatch, workers):
                 ObservableField(FieldKind.PROBABILITY, f.values.copy(), f.t, f.params, f.L, origin=f.origin)
                 for _ in range(2)
             ]
-            monkeypatch.setattr(WORKERS_MODULE, "WORKERS", 1)
+            monkeypatch.setattr(EVOLVE_MODULE, "WORKERS", 1)
             want = _fsum_outcome(lambda: position_moment(fresh[0], k))
-            monkeypatch.setattr(WORKERS_MODULE, "WORKERS", workers)
+            monkeypatch.setattr(EVOLVE_MODULE, "WORKERS", workers)
             got = _fsum_outcome(lambda: position_moment(fresh[1], k))
             assert _same_outcome(got, want), (f.values, k, got, want)
             assert _same_outcome(want, _fsum_outcome(lambda: math.fsum(whole_ring_moment_terms(f.values, k))))
@@ -890,12 +888,12 @@ def test_exact_sum_fallbacks_from_a_worker_run(monkeypatch, workers):
 
 def test_threads_only_on_large_rings(monkeypatch):
     if hasattr(os, "sched_getaffinity"):
-        assert WORKERS_MODULE.WORKERS == len(os.sched_getaffinity(0))
+        assert EVOLVE_MODULE.WORKERS == len(os.sched_getaffinity(0))
     threshold = EVOLVE_MODULE.THREAD_SITES
     assert threshold == 2**18
     # two workers whatever the affinity, so only the ring-size gate can
     # keep a kernel in the caller's thread
-    monkeypatch.setattr(WORKERS_MODULE, "WORKERS", 2)
+    monkeypatch.setattr(EVOLVE_MODULE, "WORKERS", 2)
     seen = {}
     spread = EVOLVE_MODULE.map_runs
 

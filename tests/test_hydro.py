@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 import tracemalloc
 
 import numpy as np
@@ -26,6 +27,7 @@ from chiralwalk import (
     ring_layout,
     scaling_curve,
 )
+from chiralwalk.hydro import MOMENT_G_MAX
 
 from oracles import bisected_sublevel, brute_force_cpd, gauss_legendre_moment, sublevel_intervals
 
@@ -677,3 +679,16 @@ def test_compare_bulk_refuses_a_bool_margin(margin):
     # margin=True ran with margin 1
     with pytest.raises(ValueError, match=re.escape(f"margin must be a finite real number in [0, inf), got margin={margin!r}")):
         compare_bulk(WalkParams(0.3, 0.8), 2000.0, margin=margin)
+
+
+def test_scaled_moments_finite_up_to_their_bound_on_g():
+    # M~_3's harmonics add up below 256 g^3: finite at MOMENT_G_MAX across
+    # the cone, and a larger g is refused before any arithmetic warns
+    for phi in np.linspace(0.0, PI / 2, 9).tolist():
+        curve = scaling_curve(WalkParams(MOMENT_G_MAX, phi), np.linspace(-4.0, 4.0, 201) * MOMENT_G_MAX)
+        assert all(np.isfinite(m).all() for m in curve.m_scaled), phi
+    for g in (math.nextafter(MOMENT_G_MAX, math.inf), 1e150, sys.float_info.max / 64.0):
+        with pytest.raises(ValueError, match=re.escape(f"g must be a finite real number in [0, {MOMENT_G_MAX!r}], got g={g!r}")):
+            scaling_curve(WalkParams(g, 0.8), 0.0)
+    # the median needs Phi and rho alone, which stay finite at any admitted g
+    assert math.isfinite(nu_half(WalkParams(1e150, 0.8)))
