@@ -43,7 +43,6 @@ from .fronts import (
     cone_topology,
     critical_coupling,
     edge_scale,
-    scan_diagrams,
     scan_fronts,
 )
 from .hydro import (
@@ -57,7 +56,6 @@ from .hydro import (
 from .airy import (
     EdgeProfile,
     StaircaseStep,
-    airy_ode_residual,
     airy_table,
     extract_staircase,
     measure_edge,

@@ -145,20 +145,6 @@ def _ode_sign(k: int) -> int:
     return (-1) ** ((k - 1) // 2)
 
 
-def airy_ode_residual(k: int, xi: float) -> float:
-    """Residual A_k^(k+1)(xi) - c xi A_k(xi) of the defining ODE, for k = 1 or 3.
-
-    c = (-1)^k i^(k+1) is real for odd k: +xi A_1 for k=1, -xi A_3 for k=3.
-    Both terms are rows of one airy_table with derivs = k + 1, so the
-    residual measures the quadrature alone (~1e-12 over the validated
-    range), with no finite-difference step.  k: as in airy_table; xi: a
-    scalar, with |xi| <= XI_LIMIT.
-    """
-    k, xi = whole("k", k, 1, 3), real("xi", xi, -XI_LIMIT, XI_LIMIT)
-    a = airy_table(k, xi, derivs=k + 1)
-    return float(a[k + 1] - _ode_sign(k) * xi * a[0])
-
-
 @dataclass(frozen=True, eq=False)
 class EdgeProfile:
     """Scaled cumulative deviations near one front, numeric or predicted.

@@ -71,27 +71,11 @@ def _cell(c) -> str:
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
-    """Write header and rows, each row through one format per cell-type tuple.
-
-    A row whose text shows a separator, quote or line break beyond its own
-    (a string cell that needs quoting, or a row that does not match the
-    header) is written again cell by cell.
-    """
-    width = len(header)
-    formats = {}
+    """Write header and rows, each cell through _cell."""
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            row = tuple(row)
-            types = tuple(map(type, row))
-            fmt = formats.get(types)
-            if fmt is None:
-                cells = ("%s" if issubclass(t, (str, int)) else "%.17g" for t in types)
-                fmt = formats[types] = ",".join(cells) + "\n"
-            text = fmt % row
-            if text.count(",") != width - 1 or text.count("\n") != 1 or '"' in text or "\r" in text:
-                text = ",".join(map(_cell, row)) + "\n"
-            fh.write(text)
+            fh.write(",".join(map(_cell, row)) + "\n")
 
 
 def _write_columns(path: Path, header: list[str], columns) -> None:

@@ -28,11 +28,10 @@ roots, each selection, Newton step, derivative and the sort are each one
 array operation over every point or root of the batch, in the caller's
 thread, with no linear algebra call.  Every operation is elementwise or per
 row, so a point's fronts are the same bits alone, in a sweep, or in any
-order of the points, and no point's scan can fail.  scan_diagrams builds
-each point's FrontDiagram from the columns, and cone_topology reads a
-one-point scan and caches it; is_one_cone reads the phase alone, with no
-scan.  Points lie in WalkParams' window 0 <= phi <= pi/2, into which its
-band identities carry any g e^{i phi}.
+order of the points, and no point's scan can fail.  cone_topology builds
+one point's FrontDiagram from a one-point scan and caches it; is_one_cone
+reads the phase alone, with no scan.  Points lie in WalkParams' window
+0 <= phi <= pi/2, into which its band identities carry any g e^{i phi}.
 """
 
 from __future__ import annotations
@@ -290,33 +289,19 @@ def scan_fronts(points) -> FrontTable:
     return FrontTable(point, q, velocity, order, kappa, [_TOPOLOGY[c] for c in code.tolist()])
 
 
-def scan_diagrams(points) -> list:
-    """The FrontDiagram of each point, uncached.
-
-    Built from scan_fronts' table: each diagram holds its point's fronts,
-    sorted by velocity, then by q*.
-    """
-    table = scan_fronts(points)
-    fronts = [
-        ExtremalFront(q, v, k, kappa, "left" if v < 0 else "right")
-        for q, v, k, kappa in zip(*(column.tolist() for column in table[1:5]))
-    ]
-    ends = np.searchsorted(table.point, np.arange(len(points) + 1)).tolist()
-    out = []
-    for r, (p, topology) in enumerate(zip(points, table.topology)):
-        found = tuple(fronts[ends[r]:ends[r + 1]])
-        out.append(FrontDiagram(p, found, found[0].velocity, found[-1].velocity, topology))
-    return out
-
-
 @lru_cache(maxsize=64)
 def cone_topology(p: WalkParams) -> FrontDiagram:
-    """The front diagram of p from a one-point scan, see scan_diagrams.
+    """The front diagram of p, from a one-point scan_fronts.
 
-    Cached per p.  g must pass check_coupling.
+    Its fronts are the table's rows, sorted by velocity, then by q*.  Cached
+    per p.  g must pass check_coupling.
     """
-    (diagram,) = scan_diagrams([p])
-    return diagram
+    table = scan_fronts([p])
+    fronts = tuple(
+        ExtremalFront(q, v, k, kappa, "left" if v < 0 else "right")
+        for q, v, k, kappa in zip(*(column.tolist() for column in table[1:5]))
+    )
+    return FrontDiagram(p, fronts, fronts[0].velocity, fronts[-1].velocity, table.topology[0])
 
 
 def same_velocity(v_a: float, v_b: float) -> bool:

@@ -25,7 +25,9 @@ runs a four-step FFT), the Airy contour comes from the segment and ray
 concatenated into one complex node array (the package keeps the segment
 real and sums the pieces apart), and the ring layout comes from one
 next-larger 5-smooth search per tried length (the package enumerates the
-candidate lengths once).
+candidate lengths once).  One helper is a self-check rather than a second
+route: airy_ode_residual puts the package's own Airy table into the ODE
+that A_k solves.
 """
 
 import math
@@ -35,7 +37,8 @@ import numpy as np
 from scipy.linalg import expm
 
 from chiralwalk import ConeTopology, ExtremalFront, cone_topology, edge_scale, omega
-from chiralwalk.airy import RAY_DECAY, _RAY_RULE, _SEGMENT_RULE
+from chiralwalk._checks import real, whole
+from chiralwalk.airy import RAY_DECAY, XI_LIMIT, _RAY_RULE, _SEGMENT_RULE, _ode_sign, airy_table
 from chiralwalk.dispersion import PHI_MAX, TWO_PI, omega_deriv
 from chiralwalk.fronts import (
     BAND_2, BAND_3_G, BAND_3_PHI, G_SEED, NEWTON_STEPS, _critical_root, same_velocity
@@ -94,6 +97,20 @@ def series_airy(k, xi, dps=60, nmax=4000):
                 small = 0
             power *= x
         return float(total / (2 * mp.pi))
+
+
+def airy_ode_residual(k, xi):
+    """Residual A_k^(k+1)(xi) - c xi A_k(xi) of the defining ODE, for k = 1 or 3.
+
+    c = (-1)^k i^(k+1) is real for odd k: +xi A_1 for k=1, -xi A_3 for k=3.
+    Both terms are rows of one airy_table with derivs = k + 1, so the
+    residual measures the quadrature alone (~1e-12 over the validated
+    range), with no finite-difference step.  k: as in airy_table; xi: a
+    scalar, with |xi| <= XI_LIMIT.
+    """
+    k, xi = whole("k", k, 1, 3), real("xi", xi, -XI_LIMIT, XI_LIMIT)
+    a = airy_table(k, xi, derivs=k + 1)
+    return float(a[k + 1] - _ode_sign(k) * xi * a[0])
 
 
 def concatenated_contour(k, xi, rows):

@@ -24,7 +24,6 @@ from chiralwalk import (
     current_density,
     evolve,
     extract_staircase,
-    airy_ode_residual,
     measure_edge,
     position_moment,
     predict_edge,
@@ -33,7 +32,7 @@ from chiralwalk import (
     skewness,
 )
 from chiralwalk.cli import main as cli_main
-from oracles import dense_ring_evolution, series_airy
+from oracles import airy_ode_residual, dense_ring_evolution, series_airy
 
 PI = math.pi
 

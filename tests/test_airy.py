@@ -16,7 +16,6 @@ import chiralwalk
 from chiralwalk import cli
 from chiralwalk import (
     WalkParams,
-    airy_ode_residual,
     airy_table,
     cone_topology,
     edge_scale,
@@ -40,7 +39,7 @@ from chiralwalk.airy import (
     max_edge_window,
 )
 from chiralwalk.fronts import same_velocity
-from oracles import concatenated_contour, series_airy
+from oracles import airy_ode_residual, concatenated_contour, series_airy
 
 PI = math.pi
 
@@ -261,13 +260,12 @@ def test_public_surface():
     assert sorted(chiralwalk.__all__) == [
         "BulkReport", "ConeTopology", "EdgeProfile", "ExtremalFront", "FieldKind",
         "FrontDiagram", "FrontTable", "GuardError", "ObservableField", "ScalingCurve",
-        "StaircaseStep", "WalkParams", "WaveFunction", "airy", "airy_ode_residual",
-        "airy_table", "compare_bulk", "cone_topology", "critical_coupling",
-        "cumulative", "cumulative_moment", "current_density",
+        "StaircaseStep", "WalkParams", "WaveFunction", "airy", "airy_table",
+        "compare_bulk", "cone_topology", "critical_coupling", "cumulative", "cumulative_moment", "current_density",
         "dispersion", "edge_scale", "evolve", "extract_staircase",
         "fronts", "hydro", "invert_velocity", "measure_edge", "nu_half", "omega",
         "omega_deriv", "position_moment", "predict_edge", "probability_density",
-        "ring_layout", "scaling_curve", "scan_diagrams", "scan_fronts", "skewness",
+        "ring_layout", "scaling_curve", "scan_fronts", "skewness",
     ]
 
 

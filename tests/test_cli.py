@@ -487,12 +487,12 @@ FRONTS_HEADER = ["phi", "g", "q_star", "velocity", "order", "kappa", "topology",
 
 def _fronts_csv_by_rows(path, phis, gs):
     # the reference: fronts.csv as the row writer wrote it before the scan
-    # ended in columns, from scan_diagrams' objects, sorted by (phi, g,
-    # velocity), through _write_csv
+    # ended in columns, from each point's own cone_topology, not from the
+    # sweep's batch, sorted by (phi, g, velocity), through _write_csv
     points = [WalkParams(g, phi) for phi in phis for g in gs]
     rows = [
         (p.phi, p.g, fr.q_star, fr.velocity, fr.order, fr.kappa, diagram.topology.value, "ok")
-        for p, diagram in zip(points, fronts.scan_diagrams(points))
+        for p, diagram in zip(points, map(fronts.cone_topology, points))
         for fr in diagram.fronts
     ]
     rows.sort(key=lambda r: (r[0], r[1], r[3]))

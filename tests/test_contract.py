@@ -89,10 +89,6 @@ class Row(NamedTuple):
     params: dict
 
 
-def _ode(k=1, xi=0.5):
-    return cw.airy_ode_residual(k, xi)
-
-
 def _scaling(g=0.3, nu=0.1):
     # the coupling inside p, so that the moments' bound on g has a row
     return cw.scaling_curve(WalkParams(g, 0.8), nu)
@@ -135,10 +131,6 @@ ROWS = {
         "xi": Domain("array", finite(-50, 50)),
         "derivs": Domain("whole", between(0, 2)),
     }),
-    "airy_ode_residual": Row(_ode, {"k": 1, "xi": 0.5}, {
-        "k": Domain("whole", lambda k: k in (1, 3)),
-        "xi": Domain("real", finite(-50, 50)),
-    }),
     "predict_edge": Row(cw.predict_edge, {"front": FRONT, "t": 100.0, "xi_grid": 0.5}, {
         "t": Domain("real", finite(0, above=True)),
         "xi_grid": Domain("array", finite(-50, 50)),
@@ -149,7 +141,7 @@ ROWS = {
     }),
     **{name: Row(None, {}, {}) for name in (
         "cumulative", "probability_density", "current_density", "skewness", "cone_topology",
-        "scan_fronts", "scan_diagrams", "extract_staircase",
+        "scan_fronts", "extract_staircase",
         "BulkReport", "ConeTopology", "EdgeProfile", "ExtremalFront", "FieldKind", "FrontDiagram",
         "FrontTable", "GuardError", "ObservableField", "ScalingCurve", "StaircaseStep", "WaveFunction",
     )},

@@ -4,6 +4,7 @@ import re
 import sys
 import threading
 import tracemalloc
+from typing import NamedTuple
 
 import mpmath as mp
 import numpy as np
@@ -18,7 +19,6 @@ from chiralwalk import (
     critical_coupling,
     edge_scale,
     omega_deriv,
-    scan_diagrams,
 )
 from chiralwalk.dispersion import PHI_MAX
 from chiralwalk.fronts import (
@@ -34,6 +34,40 @@ EPS = sys.float_info.epsilon
 # the rounding of w'', a few eps (2 + 8 g), moves its root; 8 leaves a
 # margin of 2 over that rounding, and was fixed before the comparisons
 K_ROOT = 8.0
+
+
+class Front(NamedTuple):
+    """One row of a FrontTable."""
+
+    q_star: float
+    velocity: float
+    order: int
+    kappa: float
+
+
+def grouped(points):
+    """(fronts, topology) of each point, from one scan_fronts call over all of them.
+
+    fronts are the point's rows of the table as Fronts, sorted by velocity,
+    then by q*.
+    """
+    table = scan_fronts(points)
+    rows = [Front(*row) for row in zip(*(column.tolist() for column in table[1:5]))]
+    ends = np.searchsorted(table.point, np.arange(len(points) + 1)).tolist()
+    return [(rows[a:b], topology) for a, b, topology in zip(ends[:-1], ends[1:], table.topology, strict=True)]
+
+
+def holds(diagram, fronts, topology):
+    """True when the FrontDiagram has these fronts and this topology, v_lm and v_rm at its ends."""
+    got = [Front(f.q_star, f.velocity, f.order, f.kappa) for f in diagram.fronts]
+    return (got, diagram.topology, diagram.v_lm, diagram.v_rm) == (
+        fronts, topology, fronts[0].velocity, fronts[-1].velocity)
+
+
+def point_bits(table, i):
+    """The bytes of point i's slice of every FrontTable column but point, and its topology."""
+    a, b = np.searchsorted(table.point, [i, i + 1]).tolist()
+    return [column[a:b].tobytes() for column in table[1:5]], table.topology[i]
 
 
 def test_two_fronts_below_critical():
@@ -235,8 +269,8 @@ def test_front_count_off_the_bands_is_the_phase_diagram():
     eps = rng.choice([-1.0, 1.0], 2000) * 10.0 ** rng.uniform(np.log10(1.5 * BAND_2), -2.0, 2000)
     g = np.concatenate([rng.uniform(0.0, 0.6, 2000), [critical_coupling(f) for f in phi[2000:]] * (1 + eps)])
     points = [WalkParams(gi, fi) for gi, fi in zip(g.tolist(), phi.tolist())]
-    for p, d in zip(points, scan_diagrams(points)):
-        assert phase_diagram_count(p, d.fronts), p
+    for p, (fronts, _) in zip(points, grouped(points), strict=True):
+        assert phase_diagram_count(p, fronts), p
 
 
 def test_multiple_front_sits_at_the_closed_form_root():
@@ -276,8 +310,8 @@ def test_points_just_outside_each_band_read_two_or_four_fronts():
     for phi in (PI / 2, math.nextafter(PI / 2, 0.0), PI / 2 - 0.5 * BAND_3_PHI, PI / 2 - 2 * BAND_3_PHI):
         points += [WalkParams(0.125 + s * 2 * BAND_3_G, phi) for s in (-1, 1)]
     points.append(WalkParams(0.125, PI / 2 - 2 * BAND_3_PHI))
-    for p, d in zip(points, scan_diagrams(points)):
-        assert phase_diagram_count(p, d.fronts), p
+    for p, (fronts, _) in zip(points, grouped(points), strict=True):
+        assert phase_diagram_count(p, fronts), p
 
 
 def test_critical_coupling_validation():
@@ -381,17 +415,17 @@ def test_batched_scan_equals_per_point_oracle():
     # counts, orders and topology, and each front within the root bound; a
     # front's velocity and kappa move with its q* by w'' ~ 0 and by w''''/2
     points = five_phase_sweep_points()
-    for p, diagram in zip(points, scan_diagrams(points), strict=True):
+    for p, (fronts, topology) in zip(points, grouped(points), strict=True):
         want = per_point_fronts(p)
-        assert sorted(f.order for f in diagram.fronts) == sorted(f.order for f in want), p
-        assert diagram.topology is count_topology(want)[0], p
-        for got, ref in paired(diagram.fronts, want):
+        assert sorted(f.order for f in fronts) == sorted(f.order for f in want), p
+        assert topology is count_topology(want)[0], p
+        for got, ref in paired(fronts, want):
             dq = root_bound(ref.q_star, p) if got.order == 1 else 0.0
             assert angular_gap(got.q_star, ref.q_star) <= dq, (p, got, ref)
             assert abs(got.velocity - ref.velocity) <= K_ROOT * EPS * (2.0 + 4.0 * p.g), (p, got, ref)
             dkappa = (1.0 + 16.0 * p.g) * dq + K_ROOT * EPS * (2.0 + 16.0 * p.g)
             assert abs(got.kappa - ref.kappa) <= dkappa, (p, got, ref)
-        assert diagram == cone_topology(p), p
+        assert holds(cone_topology(p), fronts, topology), p
 
 
 def mpmath_root(q, p):
@@ -420,8 +454,8 @@ def accuracy_sweep_points():
 def test_simple_fronts_within_the_root_bound_of_a_200_bit_root():
     points = accuracy_sweep_points()
     checked = 0
-    for p, diagram in zip(points, scan_diagrams(points)):
-        for front in diagram.fronts:
+    for p, (fronts, _) in zip(points, grouped(points), strict=True):
+        for front in fronts:
             if front.order == 1:
                 r = mpmath_root(front.q_star, p)
                 assert abs(front.q_star - r) <= root_bound(r, p), (p, front.q_star, r)
@@ -444,7 +478,7 @@ def test_closed_form_roots_are_finite_and_count_the_phase(g, phi):
     z = _quartic_roots(np.array([g]), np.array([phi]))
     assert z.shape == (1, 4) and np.isfinite(z).all(), (g, phi, z)
     p = WalkParams(g, phi)
-    (diagram,) = scan_diagrams([p])
+    diagram = cone_topology(p)
     assert (diagram.topology, diagram.v_lm, diagram.v_rm) == count_topology(diagram.fronts), p
     orders = sorted(f.order for f in diagram.fronts)
     if diagram.topology is ConeTopology.CRITICAL_SECOND_ORDER:
@@ -460,7 +494,7 @@ def test_fronts_same_bits_alone_and_in_a_shuffled_sweep():
     # temporaries in place (from 256 KiB, 2^14 complex values): the accuracy
     # sweep, random points, both critical bands, a seeded point and huge
     # couplings.  Every tenth point, and each of the special ones, alone has
-    # its diagram's bits
+    # the bits of its slice of the sweep's columns
     rng = np.random.default_rng(44)
     special = [WalkParams(0.25, 0.0), WalkParams(0.125, PI / 2), WalkParams(0.5 * G_SEED, 0.8),
                WalkParams(1e200, 0.3), WalkParams(sys.float_info.max / 64.0, 1.2)]
@@ -469,9 +503,11 @@ def test_fronts_same_bits_alone_and_in_a_shuffled_sweep():
     ]
     random.Random(43).shuffle(points)
     assert len(points) == 20000
-    for i, (p, diagram) in enumerate(zip(points, scan_diagrams(points), strict=True)):
+    table = scan_fronts(points)
+    assert len(table.topology) == len(points)
+    for i, p in enumerate(points):
         if i % 10 == 0 or p in special:
-            assert scan_diagrams([p]) == [diagram], p
+            assert point_bits(scan_fronts([p]), 0) == point_bits(table, i), p
 
 
 def test_scan_calls_no_lapack_and_starts_no_thread(monkeypatch):
@@ -505,11 +541,10 @@ def test_topology_equals_the_front_count_oracle():
     points += [WalkParams(gi, fi) for gi in (0.0, 0.5 * G_SEED, math.nextafter(G_SEED, 0.0))
                for fi in (0.0, 0.8, PI / 2)]
     seen = set()
-    for p, d in zip(points, scan_diagrams(points), strict=True):
-        want = count_topology(d.fronts)
-        assert (d.topology, d.v_lm, d.v_rm) == want, p
-        assert cone_topology(p) == d, p
-        seen.add(d.topology)
+    for p, (fronts, topology) in zip(points, grouped(points), strict=True):
+        assert (topology, fronts[0].velocity, fronts[-1].velocity) == count_topology(fronts), p
+        assert holds(cone_topology(p), fronts, topology), p
+        seen.add(topology)
     assert seen == set(ConeTopology)
 
 
@@ -557,30 +592,30 @@ def test_scan_is_batch_independent():
     @given(st.lists(POINTS, min_size=1, max_size=8), st.randoms(use_true_random=False))
     def check(pairs, rnd):
         points = [WalkParams(g, phi) for g, phi in pairs]
-        together = scan_diagrams(points)
+        together = scan_fronts(points)
         order = list(range(len(points)))
         rnd.shuffle(order)
-        shuffled = dict(zip(order, scan_diagrams([points[i] for i in order])))
+        shuffled = scan_fronts([points[i] for i in order])
         for i, p in enumerate(points):
-            (alone,) = scan_diagrams([p])
-            assert together[i] == alone, p
-            assert shuffled[i] == alone, p
+            alone = point_bits(scan_fronts([p]), 0)
+            assert point_bits(together, i) == alone, p
+            assert point_bits(shuffled, order.index(i)) == alone, p
 
     check()
 
 
 def test_sweep_scan_peak_memory_per_point():
     # the traced peak of a sweep's scan, its transient arrays and the
-    # diagrams it returns together, stays under 1 500 B per point (~1 060 B
+    # table it returns together, stays under 1 500 B per point (~600 B
     # measured on numpy 2.4)
     gs = np.linspace(0.0, 0.6, 1024).tolist()
     points = [WalkParams(g, phi) for phi in np.linspace(0.0, PI / 2, 4).tolist() for g in gs]
-    scan_diagrams(points[::64])  # one-time allocations fall outside the window
+    scan_fronts(points[::64])  # one-time allocations fall outside the window
     tracemalloc.start()
     try:
-        diagrams = scan_diagrams(points)
+        table = scan_fronts(points)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(diagrams) == len(points)
+    assert len(table.topology) == len(points)
     assert peak / len(points) <= 1500, peak / len(points)
