@@ -329,6 +329,7 @@ def cmd_edge(args) -> int:
         meta["window"] = window
         # before any output, so that a window onto another front or a ring above the cap ends the run
         numeric = airy_mod.measure_edge(p, front, args.t, window)
+        meta["lattice"] = numeric.lattice
         predicted = airy_mod.predict_edge(front, args.t, numeric.xi)
         factor = meta["degeneracy"]
         columns = (numeric.xi, numeric.dphi_scaled, factor * predicted.dphi_scaled, numeric.djs_scaled)

@@ -117,7 +117,12 @@ class FieldKind(Enum):
 
 @dataclass(frozen=True, eq=False)
 class WaveFunction:
-    """Complex amplitudes on sites n in [-origin, L - origin) at time t; origin indexes site 0."""
+    """Complex amplitudes on sites n in [-origin, L - origin) at time t; origin indexes site 0.
+
+    Site 0 may lie off the ring (origin < 0 or origin >= L): the windowed
+    ring on which airy.measure_edge evolves an outer front holds only the
+    sites near that front.
+    """
 
     params: WalkParams
     t: float

@@ -553,18 +553,28 @@ def test_measure_edge_checks_the_window_before_evolving(monkeypatch, tmp_path, c
         raise AssertionError("evolved")
 
     monkeypatch.setattr(chiralwalk.airy, "evolve", refuse)
+    monkeypatch.setattr(chiralwalk.airy, "_window_evolve", refuse)
     p = WalkParams(0.25, PI / 2)
-    internal = next(fr for fr in cone_topology(p).fronts if abs(fr.velocity + 1.0) < 1e-9)
+    diagram = cone_topology(p)
+    internal = next(fr for fr in diagram.fronts if abs(fr.velocity + 1.0) < 1e-9)
     with pytest.raises(ValueError, match="overlaps"):
         measure_edge(p, internal, 100.0, window=90)
+    # the degenerate left pair takes the windowed ring at t = 1e4, and a
+    # window that reaches the internal front is refused before it is filled
+    left = diagram.fronts[0]
+    assert airy_module._window_ring(diagram, left, 1e4, 5000) is not None
+    with pytest.raises(ValueError, match="overlaps"):
+        measure_edge(p, left, 1e4, window=5000)
     base = ["edge", "--g", "0.25", "--phi", repr(PI / 2), "--front", "internal"]
     out = tmp_path / "o"
     assert cli.main([*base, "--t", "100", "--xi-max", "19.283", "--out", str(out)]) == 2
     assert "window of 90 sites" in capsys.readouterr().err
     assert not out.exists()
-    # a huge t is a guard violation (exit 3), found before evolving too
-    for t in ("1e12", "1e300"):
-        assert cli.main([*base, "--t", t, "--out", str(out)]) == 3
+    # a huge t is a guard violation (exit 3), found before evolving too, on
+    # the whole ring and on the windowed one
+    for front, t in (("internal", "1e12"), ("internal", "1e300"), ("left", "1e300")):
+        assert cli.main([*base, "--front", front, "--t", t, "--out", str(out)]) == 3
+        assert "exceeds the cap" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -590,6 +600,72 @@ def test_measure_edge_takes_a_numpy_integer_window():
     want = measure_edge(p, front, 100.0, 40)
     got = measure_edge(p, front, 100.0, np.int64(40))
     assert np.array_equal(got.xi, want.xi) and np.array_equal(got.dphi_scaled, want.dphi_scaled)
+
+
+def _whole_ring_profile(p, front, t, window):
+    """(xi, s dPhi, s dJ) of measure_edge's window, measured on the whole ring evolve(p, t, reach=window)."""
+    wf = chiralwalk.evolve(p, t, reach=window)
+    n_e = round(front.velocity * t)
+    ns = n_e + np.arange(-window, window + 1)
+    phi = chiralwalk.cumulative(chiralwalk.probability_density(wf)).values
+    j = chiralwalk.cumulative(chiralwalk.current_density(wf)).values
+    scale, s = edge_scale(front, t), (1 if front.kappa > 0 else -1)
+    idx, ref = ns + wf.origin, n_e + wf.origin
+    xi = s * (ns - front.velocity * t) / scale
+    order = np.argsort(xi)
+    return xi[order], (s * (phi[idx] - phi[ref]) * scale)[order], (s * (j[idx] - j[ref]) * scale)[order]
+
+
+# the outer fronts of the published staircase rows at phi = pi/2: (g, index
+# of the front in its diagram, xi-max); the last is the degenerate left pair
+OUTER_ROWS = {"g116_left": (1 / 16, 0, 10.5), "g18_left3": (1 / 8, 0, 13.5),
+              "g18_right": (1 / 8, -1, 10.5), "g14_degen": (1 / 4, 0, 10.5)}
+
+
+@pytest.mark.parametrize("t", [1e4, 1e5])
+@pytest.mark.parametrize("row", sorted(OUTER_ROWS))
+def test_windowed_ring_matches_the_whole_ring(row, t):
+    # the guarantee, its bound fixed before measuring: s dPhi and s dJ within
+    # 1e-11 of the whole ring, on the same xi samples
+    g, index, xi_max = OUTER_ROWS[row]
+    p = WalkParams(g, PI / 2)
+    front = cone_topology(p).fronts[index]
+    window = math.ceil(xi_max * edge_scale(front, t))
+    prof = measure_edge(p, front, t, window)
+    xi, dphi, djs = _whole_ring_profile(p, front, t, window)
+    assert prof.lattice < ring_layout(p, t, reach=window)[0]
+    assert np.array_equal(prof.xi, xi)
+    assert np.max(np.abs(prof.dphi_scaled - dphi)) <= 1e-11
+    assert np.max(np.abs(prof.djs_scaled - djs)) <= 1e-11
+
+
+def test_early_times_keep_the_whole_ring(monkeypatch):
+    # at t = 100 the window's support |q - q*| <= 24/s spans the zone: the
+    # whole ring measures the profile, with the bits it always had
+    monkeypatch.setattr(chiralwalk.airy, "_window_evolve", lambda *a: pytest.fail("windowed"))
+    p, front = WalkParams(1 / 16, PI / 2), _left_front(1 / 16)
+    window = math.ceil(10.5 * edge_scale(front, 100.0))
+    prof = measure_edge(p, front, 100.0, window)
+    assert prof.lattice == ring_layout(p, 100.0, reach=window)[0]
+    for got, want in zip((prof.xi, prof.dphi_scaled, prof.djs_scaled), _whole_ring_profile(p, front, 100.0, window)):
+        assert np.array_equal(got, want)
+
+
+def test_windowed_ring_guards_against_wraparound():
+    p, front = WalkParams(1 / 16, PI / 2), _left_front(1 / 16)
+    fronts, L, first = airy_module._window_ring(cone_topology(p), front, 1e4, 180)
+    # the packet reaches ~11 700 sites past the front, more than a quarter ring holds
+    with pytest.raises(chiralwalk.GuardError, match="wraparound"):
+        airy_module._window_evolve(p, 1e4, -17500, fronts, L // 4, first)
+
+
+def test_carrier_phase_is_reduced_exactly():
+    mp.mp.dps = 60
+    assert abs(mp.mpf(airy_module._TWO_PI_FIXED) / 2**airy_module._PHASE_BITS - 2 * mp.pi) < 1e-70
+    for q, w, n, t in [(PI / 6, 0.8660254037844386, -150_000_000, 1e8), (5 * PI / 6, -0.866, 3, 1e4),
+                       (-PI / 2, 2.0, 10**15, 3.3e14), (1e-300, -1e-300, 7, 5e-324)]:
+        x = mp.mpf(q) * n - mp.mpf(w) * mp.mpf(t)
+        assert abs(airy_module._carrier(q, w, n, t) - complex(mp.cos(x), mp.sin(x))) < 1e-15
 
 
 # every odd-order front, outer and internal: one cone, the critical order-3

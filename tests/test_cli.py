@@ -614,6 +614,14 @@ def test_edge_first_order(tmp_path):
     assert meta["order"] == 1
     assert meta["scaling_exponent"] == pytest.approx(1 / 3)
     assert meta["degeneracy"] == 1
+    # the ring that measured the profile, recorded with every window
+    p = WalkParams(0.0625, math.pi / 2)
+    front = cli.cone_topology(p).fronts[0]
+    assert meta["lattice"] == cli.airy_mod.measure_edge(p, front, 2000.0, meta["window"]).lattice
+    for key in ("lattice", "window"):
+        partial = {k: v for k, v in meta.items() if k != key}
+        with pytest.raises(jsonschema.ValidationError, match="is a dependency of"):
+            jsonschema.validate(partial, load_schema("edge"))
     header, rows = read_csv(tmp_path / "edge.csv")
     assert header == ["xi", "dPhi_scaled_num", "dPhi_scaled_pred", "dJ_scaled_num"]
     xi = np.array([float(r[0]) for r in rows])
@@ -700,6 +708,26 @@ def test_edge_widest_window_fits_the_ring(tmp_path, front):
     meta = validate(tmp_path / "edge.json", "edge")
     xi = np.array([float(r[0]) for r in read_csv(tmp_path / "edge.csv")[1]])
     assert len(xi) == 2 * meta["window"] + 1 and np.max(np.abs(xi)) <= 49.99
+
+
+def test_edge_outer_front_past_the_whole_ring_cap(tmp_path):
+    # at t = 1e8 the whole ring would hold ~4e8 sites, past MAX_LATTICE; the
+    # outer front's windowed ring holds 2^18, and the staircase is resolved
+    rc = main(["edge", "--g", "0.0625", "--t", "1e8", "--out", str(tmp_path)])
+    assert rc == 0
+    meta = validate(tmp_path / "edge.json", "edge")
+    assert meta["lattice"] == 1 << 18
+    _, srows = read_csv(tmp_path / "staircase.csv")
+    assert len([r for r in srows if r[1] == "cpd"]) >= 5
+
+
+def test_edge_internal_front_past_the_cap_exits_3(tmp_path, capsys):
+    # an internal front has no windowed ring: the whole ring's cap binds
+    rc = main(["edge", "--g", "0.25", "--phi", str(math.pi / 2), "--t", "1e8", "--front", "internal",
+               "--out", str(tmp_path / "o")])
+    assert rc == 3
+    assert "exceeds the cap" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_edge_scale_too_small_for_a_window_exits_2(tmp_path, capsys):

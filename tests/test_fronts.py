@@ -606,8 +606,8 @@ def test_scan_is_batch_independent():
 
 def test_sweep_scan_peak_memory_per_point():
     # the traced peak of a sweep's scan, its transient arrays and the
-    # table it returns together, stays under 1 500 B per point (~600 B
-    # measured on numpy 2.4)
+    # table it returns together, stays under 900 B per point (603 B
+    # measured on numpy 2.4; 1.5x of headroom for other numpy versions)
     gs = np.linspace(0.0, 0.6, 1024).tolist()
     points = [WalkParams(g, phi) for phi in np.linspace(0.0, PI / 2, 4).tolist() for g in gs]
     scan_fronts(points[::64])  # one-time allocations fall outside the window
@@ -618,4 +618,4 @@ def test_sweep_scan_peak_memory_per_point():
     finally:
         tracemalloc.stop()
     assert len(table.topology) == len(points)
-    assert peak / len(points) <= 1500, peak / len(points)
+    assert peak / len(points) <= 900, peak / len(points)
