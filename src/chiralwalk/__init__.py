@@ -13,7 +13,8 @@ domain (for example "t: finite, > 0").  A real scalar is an int, a float or
 a numpy integer or float; bool, np.bool_, None, str, bytes, complex,
 Decimal, arrays (0-d too) and ints too large for a float are refused, and
 so are NaN, and +-inf where the domain does not name them.  An integer
-argument is an int or a numpy integer, never a bool or a float.  An array
+argument is an int or a numpy integer, never a bool or a float, and a
+window of sites is a tuple or list of two of them, ascending.  An array
 argument holds real numbers; bool, string, complex and object dtypes (None,
 and ints past numpy's 64 bits) are refused.  A refused argument raises
 ValueError naming the parameter and showing the value it was given, and a

@@ -1,4 +1,4 @@
-"""The three checkers of the input contract that the package docstring states.
+"""The four checkers of the input contract that the package docstring states.
 
 Each refusal is a ValueError that names the parameter and shows the value it
 was given.
@@ -46,6 +46,18 @@ def whole(name: str, x, lo: int, hi: float | None = None) -> int:
     if isinstance(x, bool) or not isinstance(x, numbers.Integral) or x < lo or (hi is not None and x > hi):
         raise _refusal(name, x, f"an integer >= {lo}" if hi is None else f"an integer in [{lo}, {hi!r}]")
     return int(x)
+
+
+def pair(name: str, x, lo: float, hi: float) -> tuple[int, int] | None:
+    """None, or a tuple or list x of two entries as ints (a, b), lo <= a <= b <= hi, each by whole as name[i]."""
+    if x is None:
+        return None
+    if not (isinstance(x, (tuple, list)) and len(x) == 2):
+        raise _refusal(name, x, "a pair of integers")
+    a, b = whole(f"{name}[0]", x[0], lo, hi), whole(f"{name}[1]", x[1], lo, hi)
+    if a > b:
+        raise _refusal(name, x, "a pair of integers (first, last) with first <= last")
+    return a, b
 
 
 def as_numbers(name: str, x, limit: float | None = None) -> np.ndarray:

@@ -42,19 +42,10 @@ their range |xi| <= X take the rows tabulated at those points alone,
 interpolated: the quadrature count follows the xi range, not the number
 of samples.
 
-measure_edge evolves an outer front, at v_lm or v_rm (both fronts of a
-co-moving pair included), on a windowed ring: only the momenta within
-d2/s of each q* reach the sites near that front, so only they are filled,
-weighted by a C-infinity step that is 1 for |q - q*| <= d1/s and 0 from
-d2/s, (d1, d2) = (8, 24) at order 1 and (4, 8) at order 3 (s the edge
-scale), and the ring holds only the sites they reach: 15 360 to 20 480
-sites at t = 1e4 where the whole ring has 40 960 to 46 080, and 131 072
-to 491 520 at t = 1e8, where the whole ring would exceed MAX_LATTICE.  The
-window is taken where no front's support |q - q*| <= d2/s holds another
-front's q* and its ring is the shorter; internal fronts, and outer fronts
-at early t (t = 100 at (1/16, pi/2), where the support spans the zone),
-keep the whole ring and its bits.  Against the whole ring the scaled
-deviations agree within 1e-11 at t = 1e4 and 1e5 (5e-13 measured).
+measure_edge evolves every front, outer, internal or degenerate, by one
+evolve call with the window of sites it measures, on the windowed ring
+when that is the shorter (12 500 to 18 432 sites at t = 1e4 on the
+published rows, where the whole ring has 40 960 to 46 080).
 
 Orientation convention used throughout this module: the edge coordinate is
 
@@ -75,35 +66,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._checks import as_numbers, real, whole
-from .dispersion import TWO_PI, WalkParams, omega, omega_deriv
-from .evolve import (
-    GUARD_SITES,
-    MAX_LATTICE,
-    TAIL_GUARD,
-    GuardError,
-    WaveFunction,
-    cumulative,
-    current_density,
-    evolve,
-    probability_density,
-    ring_layout,
-)
-from .fronts import ExtremalFront, FrontDiagram, cone_topology, edge_scale, same_velocity
+from .dispersion import WalkParams
+from .evolve import cumulative, current_density, evolve, probability_density, ring_layout
+from .fronts import ExtremalFront, cone_topology, edge_scale, same_velocity
 
 XI_LIMIT = 50.0
-# the momentum window of an outer front of order k, (d1, d2) in units of
-# 1/edge scale: the phase factors are whole for |q - q*| <= d1/s and fall
-# smoothly to 0 at d2/s.  The momenta u s <= d1 reach xi = d1^(k+1) edge
-# scales (64 and 256), past XI_LIMIT; at order 3 the sites grow like u^4,
-# so a d2 of 24 would need a ring longer than the whole one at t = 1e4
-_WINDOW = {1: (8.0, 24.0), 3: (4.0, 8.0)}
-# 2 pi in units of 2^-_PHASE_BITS, from its first 100 digits, to reduce the
-# carriers' phases exactly
-_PHASE_BITS = 256
-_TWO_PI_FIXED = (
-    int("6283185307179586476925286766559005768394338798750211641949889184615632812572417997256069650684234136")
-    << _PHASE_BITS
-) // 10**99
 SEGMENT_NODES = 200  # converged from 160 at |xi| = 50
 RAY_NODES = 100  # converged from 80 at |xi| = 50
 RAY_DECAY = 40.0  # the ray ends where |integrand| <= exp(-40) ~ 4e-18
@@ -300,136 +267,11 @@ def predict_edge(front: ExtremalFront, t: float, xi_grid: np.ndarray) -> EdgePro
     return EdgeProfile(front, t, xi_grid, dphi, front.velocity * dphi, "predicted")
 
 
-def _window_ring(diagram: FrontDiagram, front: ExtremalFront, t: float, window: int):
-    """(fronts, L, first) of the windowed ring that measures an outer front, or None.
-
-    fronts are the fronts co-moving with front, and first is the ring's
-    first site relative to round(v t).  None, for the whole ring: an
-    internal front, an order outside _WINDOW, a support |q - q*| <= d2/s
-    that holds another front's q*, or a windowed ring no shorter than
-    ring_layout's.  A valid support holds no root of w'' but q*, so v is
-    monotone on each side of q* and the support's two ends bound the sites
-    t (v(q) - v) that its momenta reach.  The ring spans those sites and the
-    measurement window, widened on each side by XI_LIMIT edge scales (past
-    the front the Airy tail falls below e^-75 at either order, and at the
-    far end the amplitudes that the window's smooth cut-off leaves read below
-    1e-12 on 16 outer fronts at t = 1e2 ... 1e8) and GUARD_SITES, rounded up
-    to an FFT length.  Raises GuardError above MAX_LATTICE, before anything
-    is allocated.
-    """
-    if not (same_velocity(front.velocity, diagram.v_lm) or same_velocity(front.velocity, diagram.v_rm)):
-        return None
-    fronts = [fr for fr in diagram.fronts if same_velocity(fr.velocity, front.velocity)]
-    lo = hi = 0.0
-    for fr in fronts:
-        if fr.order not in _WINDOW:
-            return None
-        scale = edge_scale(fr, t)
-        half = _WINDOW[fr.order][1] / scale
-        if any(other is not fr and abs(math.remainder(other.q_star - fr.q_star, TWO_PI)) <= half
-               for other in diagram.fronts):
-            return None
-        ends = (omega_deriv(fr.q_star + np.array([-half, half]), 1, diagram.params) - fr.velocity) * t
-        lo = min(lo, min(float(ends.min()), -window) - XI_LIMIT * scale)
-        hi = max(hi, max(float(ends.max()), window) + XI_LIMIT * scale)
-    lo, hi = lo - GUARD_SITES, hi + GUARD_SITES
-    # the rounded span has at most hi - lo + 2 sites, and the ring below is at
-    # most its power of two, so within MAX_LATTICE, itself a power of two
-    if hi - lo + 2 > MAX_LATTICE:
-        raise GuardError(f"lattice L={hi - lo + 2:.3g} exceeds the cap of {MAX_LATTICE} sites")
-    sites = math.ceil(hi) - math.floor(lo)
-    # the shortest m 2^a >= sites with m in (1, 3, 5, 9, 15): an FFT length
-    # of small primes within 25% of the span, and at most the power of two
-    L = min(m << (-(-sites // m) - 1).bit_length() for m in (1, 3, 5, 9, 15))
-    try:
-        if L >= ring_layout(diagram.params, t, reach=window)[0]:
-            return None
-    except GuardError:  # the whole ring is above the cap, the windowed one is not
-        pass
-    return fronts, L, math.floor(lo) - (L - sites) // 2
-
-
-def _carrier(q: float, w: float, n: int, t: float) -> complex:
-    """e^(i (q n - w t)), its phase reduced mod 2 pi from the floats' exact integer ratios.
-
-    q n - w t is formed exactly as a ratio of integers, taken in units of
-    2^-_PHASE_BITS and reduced by _TWO_PI_FIXED, so the phase keeps every
-    digit at any t: at t = 1e8 the float products would each be off by
-    ~1e-8 rad.
-    """
-    (a, da), (b, db), (c, dc) = q.as_integer_ratio(), w.as_integer_ratio(), t.as_integer_ratio()
-    fixed = ((a * n * db * dc - b * c * da) << _PHASE_BITS) // (da * db * dc)
-    phase = (fixed % _TWO_PI_FIXED) / (1 << _PHASE_BITS)
-    return complex(math.cos(phase), math.sin(phase))
-
-
-def _window_evolve(p: WalkParams, t: float, n_e: int, fronts: list, L: int, first: int) -> WaveFunction:
-    """The delta state at time t on the windowed ring of sites n_e + first .. n_e + first + L - 1.
-
-    This is evolve's sum over the ring's momenta q = 2 pi k / L, with each
-    phase factor weighted by W(q - q*) of a front and the other momenta
-    left out: W is the C-infinity step e^(-1/x) / (e^(-1/x) + e^(-1/(1-x)))
-    from 1 at |q - q*| = d1/s to 0 at d2/s, and a co-moving pair's two
-    windows share the one transform.  With u = q - q*, the phase of a
-    filled momentum at site n_e + m is
-
-        q n - w(q) t = (q* n_e - w* t) + q m - theta(u),
-        theta(u) = (w(q* + u) - w* - v u) t + u (v t - n_e):
-
-    the carrier's phase is reduced mod 2 pi exactly by _carrier, so a pair
-    interferes as on the whole ring; theta, the phase relative to the
-    carrier and the front's linear motion, is formed from sum-to-product
-    identities (its u^0 and u^2 terms cancel exactly) and stays small at any
-    t; and q m is the transform's own.  The amplitudes on the GUARD_SITES
-    sites at each end, the sites farthest from the packet, must stay below
-    TAIL_GUARD (a NaN fails), or GuardError is raised.
-    """
-    spectrum = np.zeros(L, dtype=complex)
-    step = TWO_PI / L
-    for fr in fronts:
-        d1, d2 = _WINDOW[fr.order]
-        scale = edge_scale(fr, t)
-        # the ring's momenta (centre + j) step nearest q*, past d2/s on each side
-        centre, span = round(fr.q_star / step), math.ceil(d2 / scale / step) + 1
-        j = np.arange(-span, span + 1)
-        u = j * step + (centre * step - fr.q_star)
-        x = (np.abs(u) * scale - d1) / (d2 - d1)
-        inside = x < 1.0
-        j, u, x = j[inside], u[inside], x[inside]
-        weight = np.ones(u.size)
-        ramp = x > 0.0
-        a, b = np.exp(-1.0 / x[ramp]), np.exp(-1.0 / (1.0 - x[ramp]))
-        weight[ramp] = b / (a + b)
-        # w(q) = 2 cos q + 2 g cos c, c = 2q + phi, and v = w'(q*)
-        c = 2.0 * fr.q_star + p.phi
-        sin_q, cos_q, sin_c, cos_c = math.sin(fr.q_star), math.cos(fr.q_star), math.sin(c), math.cos(c)
-        v = -2.0 * sin_q - 4.0 * p.g * sin_c
-        theta = (
-            2.0 * sin_q * (u - np.sin(u)) - 4.0 * cos_q * np.sin(0.5 * u) ** 2
-            + 2.0 * p.g * (sin_c * (2.0 * u - np.sin(2.0 * u)) - 2.0 * cos_c * np.sin(u) ** 2)
-        ) * t + u * (v * t - n_e)
-        carrier = _carrier(fr.q_star, omega(fr.q_star, p), n_e, t)
-        spectrum[(centre + j) % L] += (carrier * weight) * np.exp(-1j * theta)
-    amps = np.roll(np.fft.ifft(spectrum), -first)
-    edge = max(np.max(np.abs(amps[:GUARD_SITES])), np.max(np.abs(amps[-GUARD_SITES:])))
-    if not edge < TAIL_GUARD:
-        raise GuardError(f"wraparound guard violated: boundary amplitude {edge:.2e} >= {TAIL_GUARD}")
-    return WaveFunction(p, t, L, amps, -(n_e + first))
-
-
 def measure_edge(p: WalkParams, front: ExtremalFront, t: float, window: int) -> EdgeProfile:
     """Numeric edge profile from the evolved state, +-window sites around n_e.
 
-    An outer front, at v_lm or v_rm, is evolved with its co-moving partner,
-    if any, on a windowed ring (_window_ring, _window_evolve): only the
-    momenta within d2/s of each q* are filled, (d1, d2) = (8, 24) at order 1
-    and (4, 8) at order 3.  It is taken where no front's support
-    |q - q*| <= d2/s holds another front's q* and its ring is shorter than
-    the whole one (or the whole one exceeds MAX_LATTICE, from t ~ 5e6 on the
-    published rows); against the whole ring, s dPhi and s dJ agree within
-    1e-11 at t = 1e4 and 1e5.  Every other front and t takes the whole ring
-    ring_layout(p, t, reach=window), which holds the window.  The
-    window must not reach any other front travelling at a different
+    Every front is evolved by evolve(p, t, sites=(n_e - window, n_e + window)).
+    The window must not reach any other front travelling at a different
     velocity (co-moving degenerate partners are fine and simply double the
     profile); that and the ring's size cap are checked before anything is
     evolved.  The profile's lattice is the measuring ring's size.  t:
@@ -437,31 +279,24 @@ def measure_edge(p: WalkParams, front: ExtremalFront, t: float, window: int) -> 
     """
     t, window = real("t", t, 0, above=True), whole("window", window, 1, sys.float_info.max)
     diagram = cone_topology(p)
-    # first: each ring refuses a size above MAX_LATTICE, so every |v t|
-    # rounded below is finite
-    ring = _window_ring(diagram, front, t, window)
-    if ring is None:
-        ring_layout(p, t, reach=window)  # refuses the whole ring above the cap
+    if not math.isfinite((diagram.v_rm - diagram.v_lm) * t):
+        ring_layout(p, t)  # the cone overflows a float, so every ring is above the cap: GuardError
     n_e = round(front.velocity * t)
-    for other in diagram.fronts:
-        if same_velocity(other.velocity, front.velocity):
-            continue
-        if abs(round(other.velocity * t) - n_e) <= window + 10:
+    sites = (n_e - window, n_e + window)
+    ring_layout(p, t, sites)  # refuses a ring above the cap
+    for v in (fr.velocity for fr in diagram.fronts if not same_velocity(fr.velocity, front.velocity)):
+        if abs(round(v * t) - n_e) <= window + 10:
             raise ValueError(
                 f"window of {window} sites around n={n_e} overlaps the front at "
-                f"v={other.velocity:.4f}; shrink the window or increase t"
+                f"v={v:.4f}; shrink the window or increase t"
             )
-    wf = evolve(p, t, reach=window) if ring is None else _window_evolve(p, t, n_e, *ring)
+    wf = evolve(p, t, sites=sites)
     ns = n_e + np.arange(-window, window + 1)
-    idx = ns + wf.origin
-    phi_num = cumulative(probability_density(wf)).values
-    j_num = cumulative(current_density(wf)).values
-    scale = edge_scale(front, t)
-    s = 1 if front.kappa > 0 else -1
-    ref = n_e + wf.origin
+    idx, ref = ns + wf.origin, n_e + wf.origin
+    scale, s = edge_scale(front, t), (1 if front.kappa > 0 else -1)
     xi = s * (ns - front.velocity * t) / scale
-    dphi = s * (phi_num[idx] - phi_num[ref]) * scale
-    djs = s * (j_num[idx] - j_num[ref]) * scale
+    dphi, djs = (s * (c.values[idx] - c.values[ref]) * scale
+                 for c in (cumulative(probability_density(wf)), cumulative(current_density(wf))))
     order = np.argsort(xi)
     return EdgeProfile(front, t, xi[order], dphi[order], djs[order], "numeric", wf.L)
 

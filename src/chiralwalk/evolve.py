@@ -9,6 +9,11 @@ own outermost front, so a cone asymmetric about the origin gets an
 asymmetric ring, with site 0 at index origin.  A given lattice is a
 centred (origin L/2), unguarded ring study.
 
+A window of sites (n1, n2) that must be exact takes a windowed ring when
+that is the shorter, holding the evolution of a state whose momenta are
+weighted by a C-infinity step in q at a front in the window and in velocity
+at every other root of v = n/t (_window_ring), folded onto its sites.
+
 Rings of ROW_BATCH or more rows of at least BLOCK sites are transformed in
 four steps (Bailey's FFT in hierarchical memory), because numpy's single
 transform of a ring far larger than cache is limited by memory traffic.
@@ -66,14 +71,26 @@ from enum import Enum
 
 import numpy as np
 
-from ._checks import real, whole
-from .dispersion import WalkParams, omega
+from ._checks import pair, real, whole
+from .dispersion import TWO_PI, WalkParams, omega, omega_deriv
 from .fronts import cone_topology, edge_scale
 
 TAIL_GUARD = 1e-10
 GUARD_SITES = 10
 # edge scales between an order-1 front and the ring edge: Ai(12) ~ 1e-13
 TAIL_XI = 12.0
+# Ai(TAIL_XI) ~ exp(-_DECAY): every margin of a ring puts its tail below this
+_DECAY = 2.0 / 3.0 * TAIL_XI**1.5
+# W's q-step at a front of order k, (d1, d2) in 1/edge scales: u s <= d1 reaches
+# xi = d1^(k+1) (64, 256), past any edge window; at order 3 a d2 of 24 outgrows the whole ring
+_Q_STEP = {1: (8.0, 24.0), 3: (4.0, 8.0)}
+# 2 pi in units of 2^-_PHASE_BITS, from its first 100 digits, to reduce the
+# carriers' phases exactly
+_PHASE_BITS = 256
+_TWO_PI_FIXED = (
+    int("6283185307179586476925286766559005768394338798750211641949889184615632812572417997256069650684234136")
+    << _PHASE_BITS
+) // 10**99
 # largest ring evolved, 2^25 sites: 0.5 GB for the amplitudes (16 B per
 # site) and 0.27 GB per observable field, reached near t = 5e6 at g = 0.3
 MAX_LATTICE = 1 << 25
@@ -119,9 +136,8 @@ class FieldKind(Enum):
 class WaveFunction:
     """Complex amplitudes on sites n in [-origin, L - origin) at time t; origin indexes site 0.
 
-    Site 0 may lie off the ring (origin < 0 or origin >= L): the windowed
-    ring on which airy.measure_edge evolves an outer front holds only the
-    sites near that front.
+    Site 0 may lie off the ring (origin < 0 or origin >= L): a windowed ring
+    holds only the sites that the momenta of its window of sites reach.
     """
 
     params: WalkParams
@@ -242,45 +258,33 @@ def _check_cap(L: float) -> None:
         raise GuardError(f"lattice L={size} exceeds the cap of {MAX_LATTICE} sites")
 
 
-def _tail_margin(order: int) -> float:
-    """Edge scales past a front of this order where its Airy tail is negligible.
+def _tail_margin(front, t: float) -> float:
+    """Sites a ring holds past a front at time t: its Airy tail, plus a fixed 40.
 
-    Outside an order-k front the profile A_k decays like
-    exp(-(k+1)/(k+2) sin(pi/(k+1)) xi^((k+2)/(k+1))), xi in units of the
-    front's edge scale (|kappa_k| t)^(1/(k+2)).  The margin is the xi at
-    which that bound equals Ai's exp(-(2/3) TAIL_XI^(3/2)) at TAIL_XI.
+    Past an order-k front A_k decays like exp(-(k+1)/(k+2) sin(pi/(k+1))
+    xi^((k+2)/(k+1))), xi in edge scales; the tail ends where that equals
+    Ai(TAIL_XI)'s exp(-(2/3) TAIL_XI^(3/2)).
     """
-    rate = (order + 1) / (order + 2) * math.sin(math.pi / (order + 1))
-    decay = 2.0 / 3.0 * TAIL_XI**1.5
-    return (decay / rate) ** ((order + 1) / (order + 2))
+    k = front.order
+    rate = (k + 1) / (k + 2) * math.sin(math.pi / (k + 1))
+    return (_DECAY / rate) ** ((k + 1) / (k + 2)) * edge_scale(front, t) + 40.0
 
 
-def ring_layout(p: WalkParams, t: float, reach: int = 0) -> tuple[int, int]:
-    """(L, origin) of the automatic ring: its size, and the index of site 0.
+def _whole_ring(p: WalkParams, t: float, sites: tuple | None) -> tuple[int, int]:
+    """(L, origin) of the whole ring: the causal cone, and the sites n1..n2 when given.
 
-    Each side of the causal cone is sized for its outermost front: |v| t
-    sites, plus _tail_margin(k) of its edge scales (|kappa_k| t)^(1/(k+2))
-    for the Airy tail, plus a fixed 40 sites, and at least reach +
-    GUARD_SITES sites past the front (room for measure_edge's window).  L is
-    the smallest even 5-smooth length that holds both sides with site 0 at
-    an index the transform can rotate to: a multiple of the row length
-    M = L/R, or any index when R = 1.  origin is that index nearest the
-    middle of the spare sites.  Raises GuardError above MAX_LATTICE, before
-    the sides are rounded (they may be infinite); MAX_LATTICE is itself
-    5-smooth, so the size search stops there.  t: finite, >= 0; reach: an
-    integer >= 0 that fits in a float.
+    Each side holds |v| t + _tail_margin for its outermost front, and n1..n2
+    with GUARD_SITES to spare, in the smallest even 5-smooth L with an index
+    for site 0 the transform can rotate to (a multiple of M = L/R, any when
+    R = 1) mid-way in the spare sites.  GuardError above MAX_LATTICE.
     """
-    t, reach = real("t", t, 0), whole("reach", reach, 0, sys.float_info.max)
     d = cone_topology(p)
 
     def side(v: float) -> float:
-        return max(
-            abs(v) * t + max(_tail_margin(fr.order) * edge_scale(fr, t) + 40.0, reach + GUARD_SITES)
-            for fr in d.fronts
-            if fr.velocity == v
-        )
+        return max(abs(v) * t + _tail_margin(fr, t) for fr in d.fronts if fr.velocity == v)
 
-    left, right = side(d.v_lm), side(d.v_rm)
+    n1, n2 = sites or (0, 0)  # each side holds GUARD_SITES of sites anyway
+    left, right = max(side(d.v_lm), GUARD_SITES - n1), max(side(d.v_rm), n2 + 1 + GUARD_SITES)
     _check_cap(left + right)
     left, right = math.ceil(left), math.ceil(right)
     n = left + right
@@ -295,6 +299,85 @@ def ring_layout(p: WalkParams, t: float, reach: int = 0) -> tuple[int, int]:
             # the multiple of step nearest the middle of [left, L - right],
             # which lies inside that interval as some multiple does
             return L, (left + L - right + step) // (2 * step) * step
+
+
+def _window_ring(p: WalkParams, t: float, n1: int, n2: int):
+    """(lo, hi, (nu1, nu2, runs)): the sites of the windowed ring for sites n1..n2 at t > 0, or None.
+
+    On each branch between fronts, where v = w' is monotone, W = step((dist -
+    w1) / (w2 - w1)), dist the distance of v(q) from [nu1, nu2] = [n1, n2] / t,
+    over a run (qa, qb, w1, w2) of momenta [qa, qb).  A front of order 1 or 3
+    in the window gives its branch the q-step w1, w2 = dist at d1/s, d2/s
+    from q*, run over q* .. q* +- d2/s, if d2/s lies on it, w1 > 0 and W
+    vanishes around the far end; else w1 = delta1 = a ((2 + 8g)/t)^(1/2), w2 =
+    3 delta1, run over the branch.  A ramp of width dq leaks ~exp(-sqrt(2
+    delta1 t dq)) <= exp(-2a) into the window, so a = _DECAY / 2.  lo..hi
+    holds the window and the reached sites, plus GUARD_SITES and _tail_margin
+    past a front or, past a ramp, the D sites where its e^(-1/y) flank falls
+    to exp(-sqrt(2 D dq)) = exp(-_DECAY).
+    """
+    fronts = sorted(cone_topology(p).fronts, key=lambda fr: fr.q_star)
+    count, qs = len(fronts), [fr.q_star for fr in fronts] + [fronts[0].q_star + TWO_PI]
+    nu1, nu2 = n1 / t, n2 / t
+    delta1 = 0.5 * _DECAY * math.sqrt((2.0 + 8.0 * p.g) / t)
+
+    def dist(v: float) -> float:
+        return max(nu1 - v, v - nu2, 0.0)
+
+    inside = [n1 <= fr.velocity * t <= n2 for fr in fronts]
+    zones = {}  # branch: its q-step's run, flank margin, far end and the branch beyond that end
+    for i in range(count):
+        a, b = i, (i + 1) % count
+        for f, far, beyond, sign in ((a, b, b, 1.0), (b, a, (i - 1) % count, -1.0)):
+            d, s, q = _Q_STEP.get(fronts[f].order), edge_scale(fronts[f], t), fronts[f].q_star
+            if inside[f] and not inside[far] and d and d[1] <= s * (qs[i + 1] - qs[i]):
+                w1, w2 = (dist(omega_deriv(q + sign * x / s, 1, p)) for x in d)
+                if w1 > 0.0:  # W = 0 on the branch past d2/s
+                    run = (*sorted((q, q + sign * d[1] / s)), w1, w2)
+                    zones[i] = (run, _DECAY**2 * s / (2.0 * (d[1] - d[0])), far, beyond)
+    lo, hi, runs = n1, n2, []
+    for i, (fr, nxt) in enumerate(zip(fronts, fronts[1:] + fronts[:1])):
+        run, flank, far, beyond = zones.get(i, (None,) * 4)
+        if run is None or (beyond not in zones and dist(fronts[far].velocity) < 3.0 * delta1):
+            run, flank = (fr.q_star, nxt.q_star, delta1, 3.0 * delta1), delta1 * t
+        f_lo, f_hi = sorted((fr, nxt), key=lambda x: x.velocity)
+        lo_v, hi_v = max(f_lo.velocity, nu1 - run[3]), min(f_hi.velocity, nu2 + run[3])
+        if lo_v < hi_v:
+            lo = min(lo, lo_v * t - (flank if lo_v > f_lo.velocity else _tail_margin(f_lo, t)))
+            hi = max(hi, hi_v * t + (flank if hi_v < f_hi.velocity else _tail_margin(f_hi, t)))
+            runs.append(run)
+    return (lo - GUARD_SITES, hi + GUARD_SITES, (nu1, nu2, runs)) if runs else None
+
+
+def _layout(p: WalkParams, t: float, sites: tuple | None):
+    """(L, origin, band) of evolve's ring: the windowed one (band from _window_ring) or the whole one (None).
+
+    The windowed ring is the shortest even 5-smooth length holding its sites
+    from index 0, taken when it is the shorter or alone within MAX_LATTICE.
+    """
+    window = _window_ring(p, t, *sites) if sites is not None and t > 0 else None
+    try:
+        whole = _whole_ring(p, t, sites)
+    except GuardError:
+        if window is None:
+            raise
+        whole = None
+        _check_cap(window[1] - window[0] + 2)  # the refusal names the windowed ring's size
+    if window is not None and window[1] - window[0] + 2 <= MAX_LATTICE:
+        first, span = math.floor(window[0]), math.ceil(window[1]) - math.floor(window[0])
+        L = _fast_even_lengths(span, 2 * span)[0]
+        if whole is None or L < whole[0]:
+            return L, (L - span) // 2 - first, window[2]
+    return (*whole, None)
+
+
+def ring_layout(p: WalkParams, t: float, sites: tuple | None = None) -> tuple[int, int]:
+    """(L, origin) of the ring that evolve(p, t, sites=sites) evolves: its size, and the index of site 0.
+
+    GuardError above MAX_LATTICE.  t: finite, >= 0; sites: None, or a tuple or list of ints n1 <= n2.
+    """
+    t = real("t", t, 0)
+    return _layout(p, t, pair("sites", sites, -sys.float_info.max, sys.float_info.max))[:2]
 
 
 def _rows(L: int) -> int:
@@ -375,34 +458,102 @@ def _ring_transform(phase: np.ndarray, origin: int) -> np.ndarray:
     return phase.reshape(L)
 
 
-def evolve(p: WalkParams, t: float, lattice: int | None = None, *, reach: int = 0) -> WaveFunction:
+def _carrier(p: WalkParams, q: float, n: int, t: float) -> complex:
+    """e^(i (q n - w(q) t)), its phase summed in units of 2^-_PHASE_BITS and reduced mod 2 pi.
+
+    cos is a Taylor sum at the floats' exact values: a float w(q) t is off
+    by ~1e-11 rad at t = 1e5, and two runs would interfere with that error.
+    """
+    one = 1 << _PHASE_BITS
+
+    def fixed(x: float) -> int:
+        a, d = x.as_integer_ratio()
+        return (a << _PHASE_BITS) // d
+
+    def cos(x: int) -> int:
+        x = (x + _TWO_PI_FIXED // 2) % _TWO_PI_FIXED - _TWO_PI_FIXED // 2  # |x| <= pi
+        term = total = one
+        k, x = 0, x * x // one
+        while term:
+            k += 2
+            term = -term * x // (one * (k - 1) * k)
+            total += term
+        return total
+
+    (a, d), (b, e) = p.g.as_integer_ratio(), t.as_integer_ratio()
+    w = 2 * cos(fixed(q)) + 2 * a * cos(2 * fixed(q) + fixed(p.phi)) // d
+    phase = (fixed(q) * n - w * b // e) % _TWO_PI_FIXED / one
+    return complex(math.cos(phase), math.sin(phase))
+
+
+def _window_fill(p: WalkParams, t: float, L: int, first: int, band: tuple) -> np.ndarray:
+    """W(q_k) e^{i (q_k first - w(q_k) t)} at q_k = 2 pi k / L, in _ring_transform's layout (origin 0).
+
+    W is the step e^(-1/(1-x)) / (e^(-1/x) + e^(-1/(1-x))).  With q_c a run's
+    momentum nearest the window's middle velocity and u = q_k - q_c, the
+    phase is _carrier's (q_c first - w_c t) - theta(u), theta(u) = (w(q_c + u)
+    - w_c - w'(q_c) u) t + u (w'(q_c) t - first) by sum-to-product identities
+    of w(q) = 2 cos q + 2 g cos(2q + phi), with w'(q_c) t - first and u's
+    offset 2 pi k_c / L - q_c exact ratios rounded once.
+    """
+    nu1, nu2, runs = band
+    R = _rows(L)
+    phase = np.zeros((R, L // R), dtype=complex)
+    step = TWO_PI / L
+    for qa, qb, w1, w2 in runs:
+        lo_k, hi_k = math.ceil(qa / step), math.ceil(qb / step)
+        k = np.arange(lo_k, hi_k if hi_k > lo_k else hi_k + L)  # the last branch wraps past q = pi
+        v = omega_deriv(k * step, 1, p)
+        x = (np.maximum(np.maximum(nu1 - v, v - nu2), 0.0) - w1) / (w2 - w1)
+        if not np.any(x < 1.0):  # a run narrower than the ring's momentum step
+            continue
+        centre = int(k[np.argmin(np.abs(v - 0.5 * (nu1 + nu2)))])
+        k, x = k[x < 1.0], x[x < 1.0]
+        weight = (x <= 0.0).astype(float)
+        a, b = np.exp(-1.0 / x[x > 0.0]), np.exp(-1.0 / (1.0 - x[x > 0.0]))
+        weight[x > 0.0] = b / (a + b)
+        q_c = centre * step
+        (a, d), (c_t, d_t) = q_c.as_integer_ratio(), t.as_integer_ratio()
+        u = (k - centre) * step + (centre * _TWO_PI_FIXED * d - (a << _PHASE_BITS) * L) / (L * d << _PHASE_BITS)
+        c = 2.0 * q_c + p.phi
+        sin_q, cos_q, sin_c, cos_c = math.sin(q_c), math.cos(q_c), math.sin(c), math.cos(c)
+        b, db = (-2.0 * sin_q - 4.0 * p.g * sin_c).as_integer_ratio()
+        theta = (
+            2.0 * sin_q * (u - np.sin(u)) - 4.0 * cos_q * np.sin(0.5 * u) ** 2
+            + 2.0 * p.g * (sin_c * (2.0 * u - np.sin(2.0 * u)) - 2.0 * cos_c * np.sin(u) ** 2)
+        ) * t + u * ((b * c_t - first * db * d_t) / (db * d_t))
+        k %= L
+        phase[k % R, k // R] = (_carrier(p, q_c, first, t) * weight) * np.exp(-1j * theta)
+    return phase
+
+
+def evolve(p: WalkParams, t: float, lattice: int | None = None, *, sites: tuple | None = None) -> WaveFunction:
     """Evolve the site-0 delta state to time t on a periodic ring.
 
-    amps[origin + n] = (1/L) sum_j exp(i q_j n) exp(-i w(q_j) t),
-    q_j = 2 pi j / L, which is the exact propagator of the ring Hamiltonian
-    applied to the localized initial state, computed by the transform
-    described in the module docstring.  Without a lattice the ring is
-    ring_layout(p, t, reach), and its boundary amplitudes must stay below
-    TAIL_GUARD (a NaN amplitude fails too) or GuardError is raised.  A given
-    lattice, an even integer >= 4, is a centred ring study with no guard:
-    wraparound is part of that model, as in cross-checks against dense
-    matrix exponentials.  Rings above MAX_LATTICE sites are refused with
-    GuardError before anything is allocated.  t: finite, >= 0, and on a
-    given lattice <= float_max / (4 + 4g), which keeps the phase fill's
-    |w| t <= (2 + 2g) t a float; lattice: an even integer >= 4, or None;
-    reach: as in ring_layout.
+    amps[origin + n] = (1/L) sum_j W_j exp(i q_j n) exp(-i w(q_j) t),
+    q_j = 2 pi j / L, on ring_layout(p, t, sites): with every W_j = 1, the
+    exact propagator of the ring Hamiltonian applied to the localized state.
+    On a windowed ring (W of _window_ring) s dPhi and s dJ of the published
+    edge rows and a bulk window agree with the whole ring within 1e-11 at
+    t = 1e4 and 1e5.  Boundary amplitudes at or above TAIL_GUARD, or NaN,
+    raise GuardError; a given lattice is a centred ring study with no guard
+    or window.  Rings above MAX_LATTICE sites raise GuardError before any
+    allocation.  t: finite, >= 0, and on a given lattice <= float_max /
+    (4 + 4g), so |w| t is a float; lattice: an even integer >= 4, or None;
+    sites: as in ring_layout.
     """
     t = real("t", t, 0, math.inf if lattice is None else sys.float_info.max / (4.0 + 4.0 * p.g))
-    reach = whole("reach", reach, 0, sys.float_info.max)
+    sites = pair("sites", sites, -sys.float_info.max, sys.float_info.max)
     if lattice is None:
-        L, origin = ring_layout(p, t, reach)
+        L, origin, band = _layout(p, t, sites)
     else:
-        L = whole("lattice", lattice, 4)
+        L, band = whole("lattice", lattice, 4), None
         if L % 2:
             raise ValueError(f"lattice must be even, got lattice={lattice!r}")
         _check_cap(L)
         origin = L // 2
-    amps = _ring_transform(_phase_factors(p, t, L, _rows(L)), origin)
+    phase = _phase_factors(p, t, L, _rows(L)) if band is None else _window_fill(p, t, L, -origin, band)
+    amps = _ring_transform(phase, origin if band is None else 0)
     if lattice is None:
         edge = max(np.max(np.abs(amps[:GUARD_SITES])), np.max(np.abs(amps[-GUARD_SITES:])))
         if not edge < TAIL_GUARD:

@@ -36,7 +36,7 @@ import mpmath as mp
 import numpy as np
 from scipy.linalg import expm
 
-from chiralwalk import ConeTopology, ExtremalFront, cone_topology, edge_scale, omega
+from chiralwalk import ConeTopology, ExtremalFront, cone_topology, omega
 from chiralwalk._checks import real, whole
 from chiralwalk.airy import RAY_DECAY, XI_LIMIT, _RAY_RULE, _SEGMENT_RULE, _ode_sign, airy_table
 from chiralwalk.dispersion import PHI_MAX, TWO_PI, omega_deriv
@@ -155,34 +155,37 @@ def _pruned_next_fast_even(n):
     return best
 
 
-def ring_sides(p, t, reach=0):
-    """(left, right): the sites the automatic ring needs on each side of site 0, as floats.
+def ring_sides(p, t, sites=None):
+    """(left, right): the sites the whole ring needs on each side of site 0, as floats.
 
     Each side holds its outermost front's |v| t, its Airy tail and 40 sites,
-    and at least reach + GUARD_SITES sites past the front, as in
-    evolve.ring_layout.
+    widened to hold the sites (n1, n2) with GUARD_SITES to spare, as in
+    evolve._whole_ring.
     """
     d = cone_topology(p)
 
     def side(v):
         return max(
-            abs(v) * t + max(_tail_margin(fr.order) * edge_scale(fr, t) + 40.0, reach + GUARD_SITES)
+            abs(v) * t + _tail_margin(fr, t)
             for fr in d.fronts
             if fr.velocity == v
         )
 
-    return side(d.v_lm), side(d.v_rm)
+    left, right = side(d.v_lm), side(d.v_rm)
+    if sites is not None:
+        left, right = max(left, GUARD_SITES - sites[0]), max(right, sites[1] + 1 + GUARD_SITES)
+    return left, right
 
 
-def stepped_ring_layout(p, t, reach=0):
-    """(L, origin) of the automatic ring, trying one next-larger length at a time.
+def stepped_ring_layout(p, t, sites=None):
+    """(L, origin) of the whole ring, trying one next-larger length at a time.
 
     The sides are ring_sides; each rejected length L starts a fresh search
     for the smallest even 5-smooth integer >= L + 1.
     """
     if not t >= 0:
         raise ValueError(f"t must be >= 0, got t={t}")
-    left, right = ring_sides(p, t, reach)
+    left, right = ring_sides(p, t, sites)
     _check_cap(left + right)
     left, right = math.ceil(left), math.ceil(right)
     L = _pruned_next_fast_even(left + right)

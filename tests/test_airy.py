@@ -1,3 +1,4 @@
+import importlib
 import math
 import os
 import re
@@ -42,6 +43,7 @@ from chiralwalk.fronts import same_velocity
 from oracles import airy_ode_residual, concatenated_contour, series_airy
 
 PI = math.pi
+EVOLVE_MODULE = importlib.import_module("chiralwalk.evolve")
 
 # classical Airy constants (zeros of Ai and Ai' by increasing magnitude)
 AI_ZEROS = [2.33810741045977, 4.08794944413097, 5.52055982809555, 6.78670809007176, 7.94413358712085]
@@ -548,30 +550,27 @@ def test_measure_edge_window_overlap_rejected():
 
 def test_measure_edge_checks_the_window_before_evolving(monkeypatch, tmp_path, capsys):
     # an overlapping window, or a ring above the cap, ends measure_edge and
-    # the edge command before anything is evolved
+    # the edge command before anything is evolved, on the one evolution path
     def refuse(*args, **kwargs):
         raise AssertionError("evolved")
 
     monkeypatch.setattr(chiralwalk.airy, "evolve", refuse)
-    monkeypatch.setattr(chiralwalk.airy, "_window_evolve", refuse)
     p = WalkParams(0.25, PI / 2)
     diagram = cone_topology(p)
     internal = next(fr for fr in diagram.fronts if abs(fr.velocity + 1.0) < 1e-9)
     with pytest.raises(ValueError, match="overlaps"):
         measure_edge(p, internal, 100.0, window=90)
-    # the degenerate left pair takes the windowed ring at t = 1e4, and a
-    # window that reaches the internal front is refused before it is filled
-    left = diagram.fronts[0]
-    assert airy_module._window_ring(diagram, left, 1e4, 5000) is not None
+    # the degenerate left pair at t = 1e4, with a window that reaches the
+    # internal front
     with pytest.raises(ValueError, match="overlaps"):
-        measure_edge(p, left, 1e4, window=5000)
+        measure_edge(p, diagram.fronts[0], 1e4, window=5000)
     base = ["edge", "--g", "0.25", "--phi", repr(PI / 2), "--front", "internal"]
     out = tmp_path / "o"
     assert cli.main([*base, "--t", "100", "--xi-max", "19.283", "--out", str(out)]) == 2
     assert "window of 90 sites" in capsys.readouterr().err
     assert not out.exists()
-    # a huge t is a guard violation (exit 3), found before evolving too, on
-    # the whole ring and on the windowed one
+    # a huge t is a guard violation (exit 3), found before evolving too: at
+    # t = 1e12 the internal front's windowed ring would hold ~2.2e8 sites
     for front, t in (("internal", "1e12"), ("internal", "1e300"), ("left", "1e300")):
         assert cli.main([*base, "--front", front, "--t", t, "--out", str(out)]) == 3
         assert "exceeds the cap" in capsys.readouterr().err
@@ -603,10 +602,11 @@ def test_measure_edge_takes_a_numpy_integer_window():
 
 
 def _whole_ring_profile(p, front, t, window):
-    """(xi, s dPhi, s dJ) of measure_edge's window, measured on the whole ring evolve(p, t, reach=window)."""
-    wf = chiralwalk.evolve(p, t, reach=window)
+    """(xi, s dPhi, s dJ) of measure_edge's window, measured on the whole ring evolve(p, t)."""
+    wf = chiralwalk.evolve(p, t)
     n_e = round(front.velocity * t)
     ns = n_e + np.arange(-window, window + 1)
+    assert 0 <= ns[0] + wf.origin and ns[-1] + wf.origin < wf.L
     phi = chiralwalk.cumulative(chiralwalk.probability_density(wf)).values
     j = chiralwalk.cumulative(chiralwalk.current_density(wf)).values
     scale, s = edge_scale(front, t), (1 if front.kappa > 0 else -1)
@@ -616,56 +616,125 @@ def _whole_ring_profile(p, front, t, window):
     return xi[order], (s * (phi[idx] - phi[ref]) * scale)[order], (s * (j[idx] - j[ref]) * scale)[order]
 
 
-# the outer fronts of the published staircase rows at phi = pi/2: (g, index
-# of the front in its diagram, xi-max); the last is the degenerate left pair
-OUTER_ROWS = {"g116_left": (1 / 16, 0, 10.5), "g18_left3": (1 / 8, 0, 13.5),
-              "g18_right": (1 / 8, -1, 10.5), "g14_degen": (1 / 4, 0, 10.5)}
+# the published staircase rows at phi = pi/2: (g, index of the front in its
+# diagram, xi-max); g14_degen is the degenerate left pair and g14_internal
+# the internal front of the overlapping cones
+EDGE_ROWS = {"g116_left": (1 / 16, 0, 10.5), "g18_left3": (1 / 8, 0, 13.5),
+             "g18_right": (1 / 8, -1, 10.5), "g14_degen": (1 / 4, 0, 10.5), "g14_internal": (1 / 4, 2, 10.5)}
 
 
 @pytest.mark.parametrize("t", [1e4, 1e5])
-@pytest.mark.parametrize("row", sorted(OUTER_ROWS))
+@pytest.mark.parametrize("row", [*sorted(EDGE_ROWS), "bulk_g03"])
 def test_windowed_ring_matches_the_whole_ring(row, t):
     # the guarantee, its bound fixed before measuring: s dPhi and s dJ within
-    # 1e-11 of the whole ring, on the same xi samples
-    g, index, xi_max = OUTER_ROWS[row]
+    # 1e-11 of the whole ring, on the same xi samples; bulk_g03 is the bulk
+    # window nu in [0.5, 0.6] of (0.3, 0.8), whose dPhi and dJ from the
+    # window's first site are compared unscaled
+    if row == "bulk_g03":
+        p = WalkParams(0.3, 0.8)
+        sites = (math.ceil(0.5 * t), math.floor(0.6 * t))
+        ns = np.arange(sites[0], sites[1] + 1)
+        deviations = []
+        for wf in (chiralwalk.evolve(p, t, sites=sites), chiralwalk.evolve(p, t)):
+            assert 0 <= ns[0] + wf.origin and ns[-1] + wf.origin < wf.L
+            for field in (chiralwalk.probability_density(wf), chiralwalk.current_density(wf)):
+                values = chiralwalk.cumulative(field).values[ns + wf.origin]
+                deviations.append(values - values[0])
+        windowed, whole = deviations[:2], deviations[2:]
+        assert ring_layout(p, t, sites)[0] < ring_layout(p, t)[0]
+        assert np.max(np.abs(windowed[0] - whole[0])) <= 1e-11
+        assert np.max(np.abs(windowed[1] - whole[1])) <= 1e-11
+        return
+    g, index, xi_max = EDGE_ROWS[row]
     p = WalkParams(g, PI / 2)
     front = cone_topology(p).fronts[index]
     window = math.ceil(xi_max * edge_scale(front, t))
     prof = measure_edge(p, front, t, window)
     xi, dphi, djs = _whole_ring_profile(p, front, t, window)
-    assert prof.lattice < ring_layout(p, t, reach=window)[0]
+    assert prof.lattice < ring_layout(p, t)[0]
     assert np.array_equal(prof.xi, xi)
     assert np.max(np.abs(prof.dphi_scaled - dphi)) <= 1e-11
     assert np.max(np.abs(prof.djs_scaled - djs)) <= 1e-11
 
 
+@pytest.mark.parametrize("row", ["g116_left", "g14_internal"])
+def test_windowed_ring_clears_the_guard_at_every_size(row):
+    # the ring the sizing rule chooses, from t = 1e2 (the whole ring) to
+    # t = 1e8 (2.2e5 and 2.2e6 sites), keeps its boundary amplitudes below
+    # TAIL_GUARD; evolve would raise GuardError otherwise
+    g, index, xi_max = EDGE_ROWS[row]
+    p = WalkParams(g, PI / 2)
+    front = cone_topology(p).fronts[index]
+    for t in (1e2, 1e4, 1e6, 1e8):
+        n_e, window = round(front.velocity * t), math.ceil(xi_max * edge_scale(front, t))
+        wf = chiralwalk.evolve(p, t, sites=(n_e - window, n_e + window))
+        guard = EVOLVE_MODULE.GUARD_SITES
+        edge = max(np.max(np.abs(wf.amps[:guard])), np.max(np.abs(wf.amps[-guard:])))
+        assert edge < EVOLVE_MODULE.TAIL_GUARD, (row, t, edge)
+        assert wf.L == ring_layout(p, t, (n_e - window, n_e + window))[0], (row, t)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.sampled_from([0.0, 0.0625, 0.125, 0.25, 0.3]), st.sampled_from([0.0, 0.8, PI / 2]),
+       st.floats(300.0, 3000.0), st.floats(0.0, 1.0), st.integers(0, 300))
+def test_evolve_on_any_window_matches_the_whole_ring(g, phi, t, share, half):
+    # any window of sites, across the cone and past its fronts, one cone or
+    # two, at phases where fronts sit on the ring's momenta (g = 0 puts q* at
+    # +-pi/2): the amplitudes agree with the whole ring's to roundoff, which
+    # scales with the ring's largest amplitude
+    p = WalkParams(g, phi)
+    d = cone_topology(p)
+    n = round(((d.v_lm - 0.05) + share * (d.v_rm - d.v_lm + 0.1)) * t)
+    sites = (n - half, n + half)
+    whole = chiralwalk.evolve(p, t)
+    ns = np.arange(sites[0], sites[1] + 1)
+    assume(0 <= ns[0] + whole.origin and ns[-1] + whole.origin < whole.L)
+    wf = chiralwalk.evolve(p, t, sites=sites)
+    error = np.max(np.abs(wf.amps[ns + wf.origin] - whole.amps[ns + whole.origin]))
+    assert error <= 1e-9 * np.max(np.abs(whole.amps)), (g, phi, t, sites)
+
+
 def test_early_times_keep_the_whole_ring(monkeypatch):
-    # at t = 100 the window's support |q - q*| <= 24/s spans the zone: the
-    # whole ring measures the profile, with the bits it always had
-    monkeypatch.setattr(chiralwalk.airy, "_window_evolve", lambda *a: pytest.fail("windowed"))
+    # at t = 100 the q-step's support |q - q*| <= 24/s spans the zone, and a
+    # velocity step spans the cone: the weighted ring is not the shorter,
+    # so the whole ring measures the profile, unweighted, with its bits
+    monkeypatch.setattr(EVOLVE_MODULE, "_window_fill", lambda *a: pytest.fail("weighted"))
     p, front = WalkParams(1 / 16, PI / 2), _left_front(1 / 16)
     window = math.ceil(10.5 * edge_scale(front, 100.0))
+    n_e = round(front.velocity * 100.0)
     prof = measure_edge(p, front, 100.0, window)
-    assert prof.lattice == ring_layout(p, 100.0, reach=window)[0]
+    assert prof.lattice == ring_layout(p, 100.0)[0]
+    assert ring_layout(p, 100.0, (n_e - window, n_e + window)) == ring_layout(p, 100.0)
     for got, want in zip((prof.xi, prof.dphi_scaled, prof.djs_scaled), _whole_ring_profile(p, front, 100.0, window)):
         assert np.array_equal(got, want)
 
 
-def test_windowed_ring_guards_against_wraparound():
+def test_windowed_ring_guards_against_wraparound(monkeypatch):
+    # a windowed ring a quarter of the span it needs: the packet reaches
+    # ~11 700 sites past the front, and the boundary amplitudes catch it
+    window_ring = EVOLVE_MODULE._window_ring
+
+    def quarter(*args):
+        lo, hi, runs = window_ring(*args)
+        return lo, lo + (hi - lo) / 4, runs
+
+    monkeypatch.setattr(EVOLVE_MODULE, "_window_ring", quarter)
     p, front = WalkParams(1 / 16, PI / 2), _left_front(1 / 16)
-    fronts, L, first = airy_module._window_ring(cone_topology(p), front, 1e4, 180)
-    # the packet reaches ~11 700 sites past the front, more than a quarter ring holds
+    n_e = round(front.velocity * 1e4)
     with pytest.raises(chiralwalk.GuardError, match="wraparound"):
-        airy_module._window_evolve(p, 1e4, -17500, fronts, L // 4, first)
+        chiralwalk.evolve(p, 1e4, sites=(n_e - 180, n_e + 180))
 
 
 def test_carrier_phase_is_reduced_exactly():
     mp.mp.dps = 60
-    assert abs(mp.mpf(airy_module._TWO_PI_FIXED) / 2**airy_module._PHASE_BITS - 2 * mp.pi) < 1e-70
-    for q, w, n, t in [(PI / 6, 0.8660254037844386, -150_000_000, 1e8), (5 * PI / 6, -0.866, 3, 1e4),
-                       (-PI / 2, 2.0, 10**15, 3.3e14), (1e-300, -1e-300, 7, 5e-324)]:
-        x = mp.mpf(q) * n - mp.mpf(w) * mp.mpf(t)
-        assert abs(airy_module._carrier(q, w, n, t) - complex(mp.cos(x), mp.sin(x))) < 1e-15
+    assert abs(mp.mpf(EVOLVE_MODULE._TWO_PI_FIXED) / 2**EVOLVE_MODULE._PHASE_BITS - 2 * mp.pi) < 1e-70
+    for g, phi, q, n, t in [(0.25, PI / 2, PI / 6, -150_000_000, 1e8), (1 / 16, PI / 2, 5 * PI / 6, 3, 1e4),
+                            (0.3, 0.8, -PI / 2, 10**15, 3.3e14), (0.0, 0.0, 1e-300, 7, 5e-324),
+                            (2.0, 0.1, 3.0, -(10**12), 1e12)]:
+        w = 2 * mp.cos(mp.mpf(q)) + 2 * mp.mpf(g) * mp.cos(2 * mp.mpf(q) + mp.mpf(phi))
+        x = mp.mpf(q) * n - w * mp.mpf(t)
+        got = EVOLVE_MODULE._carrier(WalkParams(g, phi), q, n, t)
+        assert abs(got - complex(mp.cos(x), mp.sin(x))) < 1e-15, (g, phi, q, n, t)
 
 
 # every odd-order front, outer and internal: one cone, the critical order-3
@@ -682,7 +751,8 @@ ODD_FRONTS = [
 @settings(derandomize=True, max_examples=2000, deadline=None)
 @given(st.sampled_from(ODD_FRONTS), st.floats(10.0, 1e6), st.floats(0.0, 1.0))
 def test_ring_holds_every_edge_window(point, t, share):
-    # measure_edge indexes its window on ring_layout(p, t, reach=window)
+    # measure_edge indexes its window on the ring that evolve(p, t,
+    # sites=window) evolves, ring_layout(p, t, sites), windowed or whole,
     # with no check of its own: every window up to max_edge_window that
     # clears the other fronts lies on the ring
     p, front = point
@@ -695,7 +765,7 @@ def test_ring_holds_every_edge_window(point, t, share):
     largest = min(max_edge_window(front, t), clear)
     assume(largest >= 1)
     window = 1 + math.floor(share * (largest - 1))
-    L, origin = ring_layout(p, t, reach=window)
+    L, origin = ring_layout(p, t, (n_e - window, n_e + window))
     assert 0 <= n_e - window + origin and n_e + window + origin < L, (p, front, t, window)
 
 

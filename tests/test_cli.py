@@ -89,7 +89,7 @@ def test_evolve_rejects_bad_coupling(tmp_path, capsys):
 def test_evolve_guard_exit_code(tmp_path, capsys, monkeypatch):
     # the automatic ring holds the cone, so a ring too small for it has to
     # be forced; the amplitude guard then ends the run before any output
-    monkeypatch.setattr(EVOLVE_MODULE, "ring_layout", lambda p, t, reach=0: (128, 64))
+    monkeypatch.setattr(EVOLVE_MODULE, "_whole_ring", lambda p, t, sites: (128, 64))
     rc = main(["evolve", "--g", "0.25", "--t", "100", "--out", str(tmp_path / "o")])
     assert rc == 3
     assert "wraparound guard violated" in capsys.readouterr().err
@@ -712,18 +712,32 @@ def test_edge_widest_window_fits_the_ring(tmp_path, front):
 
 def test_edge_outer_front_past_the_whole_ring_cap(tmp_path):
     # at t = 1e8 the whole ring would hold ~4e8 sites, past MAX_LATTICE; the
-    # outer front's windowed ring holds 2^18, and the staircase is resolved
+    # outer front's windowed ring holds 230 400, and the staircase is resolved
     rc = main(["edge", "--g", "0.0625", "--t", "1e8", "--out", str(tmp_path)])
     assert rc == 0
     meta = validate(tmp_path / "edge.json", "edge")
-    assert meta["lattice"] == 1 << 18
+    assert meta["lattice"] == 230_400
+    _, srows = read_csv(tmp_path / "staircase.csv")
+    assert len([r for r in srows if r[1] == "cpd"]) >= 5
+
+
+def test_edge_internal_front_past_the_whole_ring_cap(tmp_path):
+    # the internal front's windowed ring, its background filled by the
+    # velocity step, holds ~2.2e6 sites at t = 1e8, where the whole ring
+    # would hold ~4.5e8
+    rc = main(["edge", "--g", "0.25", "--phi", str(math.pi / 2), "--t", "1e8", "--front", "internal",
+               "--out", str(tmp_path)])
+    assert rc == 0
+    meta = validate(tmp_path / "edge.json", "edge")
+    assert meta["lattice"] < EVOLVE_MODULE.MAX_LATTICE
     _, srows = read_csv(tmp_path / "staircase.csv")
     assert len([r for r in srows if r[1] == "cpd"]) >= 5
 
 
 def test_edge_internal_front_past_the_cap_exits_3(tmp_path, capsys):
-    # an internal front has no windowed ring: the whole ring's cap binds
-    rc = main(["edge", "--g", "0.25", "--phi", str(math.pi / 2), "--t", "1e8", "--front", "internal",
+    # at t = 1e12 the internal front's windowed ring would hold ~2.2e8 sites,
+    # past the cap; the run ends before any output
+    rc = main(["edge", "--g", "0.25", "--phi", str(math.pi / 2), "--t", "1e12", "--front", "internal",
                "--out", str(tmp_path / "o")])
     assert rc == 3
     assert "exceeds the cap" in capsys.readouterr().err

@@ -7,7 +7,7 @@ output directory, and every JSON file a run that exits 0 writes must be
 strict JSON (no NaN or Infinity) that its schema accepts, and a
 RuntimeWarning fails the test.  The ring, grid
 and sweep caps are lowered so that no generated example can start large
-work, the whole ring's and the windowed edge ring's alike; MAX_LATTICE
+work, on the whole ring and on the windowed one alike; MAX_LATTICE
 stays a power of two, so the FFT-size search still stops at the cap.
 """
 
@@ -28,7 +28,6 @@ from chiralwalk import cli
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 EVOLVE_MODULE = importlib.import_module("chiralwalk.evolve")
-AIRY_MODULE = importlib.import_module("chiralwalk.airy")
 SCHEMA_DIR = Path(__file__).parent.parent / "src" / "chiralwalk" / "schemas"
 # the JSON file each subcommand writes, named after its schema
 JSON_OUTPUT = {"evolve": "summary", "scaling": "bulk_report", "edge": "edge", "fronts": "gc"}
@@ -98,7 +97,6 @@ def argvs(draw, command):
 def small_caps():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(EVOLVE_MODULE, "MAX_LATTICE", 1 << 16)
-        mp.setattr(AIRY_MODULE, "MAX_LATTICE", 1 << 16)  # the windowed ring's cap
         mp.setattr(cli, "MAX_SWEEP", 64)
         mp.setattr(cli, "MAX_GRID", 1 << 12)
         yield

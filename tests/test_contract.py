@@ -41,11 +41,12 @@ PEAK_BYTES = 8 << 20
 
 
 class Domain(NamedTuple):
-    """kind: "real" (a scalar), "whole" (an integer) or "array" (a scalar or an
-    array of real numbers); holds(x) is True for a valid value of that kind,
-    False for a refused one, or GuardError for one above a size cap.  cheap:
-    every valid value runs in milliseconds, so drawn values may be valid.
-    none: None is valid too."""
+    """kind: "real" (a scalar), "whole" (an integer), "array" (a scalar or an
+    array of real numbers) or "pair" (a tuple or list of two integers that
+    fit in a float, whose holds takes both); holds(x) is True for a valid
+    value of that kind, False for a refused one, or GuardError for one above
+    a size cap.  cheap: every valid value runs in milliseconds, so drawn
+    values may be valid.  none: None is valid too."""
 
     kind: str
     holds: object
@@ -73,8 +74,14 @@ def ring_time(above=False):
 
 
 def ring_sites(lo):
-    # the same for a reach or a window of sites, an integer >= lo
+    # the same for a window of sites, an integer >= lo
     return lambda n: between(lo, sys.float_info.max)(n) and (GuardError if n > 1e12 else True)
+
+
+def ascending(guarded):
+    # sites (n1, n2) with n1 <= n2; on the automatic ring, sites past 1e12
+    # give a ring above the size cap
+    return lambda a, b: a <= b and (GuardError if guarded and max(-a, b) > 1e12 else True)
 
 
 def lattice(n):
@@ -104,14 +111,17 @@ ROWS = {
     "omega_deriv": Row(cw.omega_deriv, {"q": 0.1, "m": 2, "p": P},
                        {"q": Domain("array", finite(-Q_MAX, Q_MAX)), "m": Domain("whole", between(1, 1022))}),
     # on a given lattice, |w| t <= (2 + 2g) t must be a float
-    "evolve": Row(cw.evolve, {"p": P, "t": 5.0, "lattice": 64, "reach": 0}, {
+    # the sites are checked on a given lattice too, which has no window
+    "evolve": Row(cw.evolve, {"p": P, "t": 5.0, "lattice": 64, "sites": (-3, 3)}, {
         "t": Domain("real", finite(0, sys.float_info.max / (4.0 + 4.0 * P.g))),
         "lattice": Domain("whole", lattice, cheap=False, none=True),  # None: the automatic ring
-        "reach": Domain("whole", between(0, sys.float_info.max)),
+        "sites": Domain("pair", ascending(False), none=True),
     }),
-    # a valid t or reach may give a ring above the size cap
-    "ring_layout": Row(cw.ring_layout, {"p": P, "t": 5.0, "reach": 0},
-                       {"t": Domain("real", ring_time(), cheap=False), "reach": Domain("whole", ring_sites(0), cheap=False)}),
+    # a valid t or window of sites may give a ring above the size cap
+    "ring_layout": Row(cw.ring_layout, {"p": P, "t": 5.0, "sites": (-3, 3)}, {
+        "t": Domain("real", ring_time(), cheap=False),
+        "sites": Domain("pair", ascending(True), cheap=False, none=True),
+    }),
     "cumulative_moment": Row(cw.cumulative_moment, {"field": FIELD, "k": 2}, {"k": Domain("whole", between(0, 42))}),
     "position_moment": Row(cw.position_moment, {"field": FIELD, "k": 2}, {"k": Domain("whole", between(0, 42))}),
     "critical_coupling": Row(cw.critical_coupling, {"phi": 0.8}, {"phi": Domain("real", finite(0, PI / 2))}),
@@ -158,6 +168,13 @@ def expected(domain: Domain, x):
         return domain.none
     if isinstance(x, (bool, np.bool_)):
         return False
+    if domain.kind == "pair":
+        if not (isinstance(x, (tuple, list)) and len(x) == 2):
+            return False
+        if any(isinstance(n, (bool, np.bool_)) or not isinstance(n, (int, np.integer)) for n in x):
+            return False
+        a, b = (int(n) for n in x)
+        return max(abs(a), abs(b)) <= sys.float_info.max and domain.holds(a, b)
     if domain.kind == "whole":
         return isinstance(x, (int, np.integer)) and domain.holds(int(x))
     if domain.kind == "array":
@@ -223,7 +240,11 @@ def test_contract_walk(callable_name):
     row = ROWS[callable_name]
     for name, domain in row.params.items():
         base = row.base[name]
-        if domain.kind == "whole":
+        if domain.kind == "pair":
+            # each feed as either end of the pair, the other end valid
+            numpy_scalar = (np.int64(base[0]), np.int64(base[1]))
+            feeds = [pair for x in FEEDS + [1.5, 3.0] for pair in ((base[0], x), (x, base[1]))]
+        elif domain.kind == "whole":
             # floats where an integer belongs, integral or not
             numpy_scalar, feeds = np.int64(base), [1.5, float(base)]
         else:

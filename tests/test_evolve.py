@@ -356,17 +356,21 @@ def test_lattice_must_be_an_integer(lattice):
 @pytest.mark.parametrize("reach", [math.nan, -200, -3, "200", True, 200.0, np.float64(5.0)],
                          ids=["nan", "-200", "-3", "str", "bool", "float", "numpy-float"])
 def test_reach_must_be_a_whole_number_of_sites(monkeypatch, reach):
-    # a NaN or negative reach is not read as reach 0, nor a string as a
-    # TypeError; evolve refuses a bad reach on a given lattice too, before any fill
+    # a window of sites (0, reach) reaches a whole number of sites at or past
+    # its first: a NaN or negative reach is not read as 0, nor a string as a
+    # TypeError; evolve refuses a bad window on a given lattice too, before any fill
     monkeypatch.setattr(EVOLVE_MODULE, "_phase_factors", lambda *a, **kw: pytest.fail("filled"))
     p = WalkParams(0.3, 0.8)
-    match = re.escape(f"reach must be an integer in [0, 1.7976931348623157e+308], got reach={reach!r}")
+    if isinstance(reach, int) and not isinstance(reach, bool):
+        match = re.escape(f"sites must be a pair of integers (first, last) with first <= last, got sites=(0, {reach})")
+    else:
+        match = re.escape(f"sites[1] must be an integer in [-1.7976931348623157e+308, 1.7976931348623157e+308], got sites[1]={reach!r}")
     with pytest.raises(ValueError, match=match):
-        ring_layout(p, 10.0, reach)
+        ring_layout(p, 10.0, (0, reach))
     for lattice in (None, 64):
         with pytest.raises(ValueError, match=match):
-            evolve(p, 10.0, lattice, reach=reach)
-    assert ring_layout(p, 10.0, np.int64(200)) == ring_layout(p, 10.0, 200) == (480, 236)
+            evolve(p, 10.0, lattice, sites=(0, reach))
+    assert ring_layout(p, 10.0, (0, np.int64(200))) == ring_layout(p, 10.0, (0, 200)) == (320, 104)
 
 
 @pytest.mark.parametrize("lattice", [10**12, 10**400], ids=["1e12", "1e400"])
@@ -382,7 +386,7 @@ def test_lattice_above_the_cap_refused_before_the_phase_fill(monkeypatch, lattic
 def test_amplitude_guard_refuses_a_ring_too_small(monkeypatch):
     # the automatic ring always holds the cone; one too small for it is
     # caught by the boundary amplitudes
-    monkeypatch.setattr(EVOLVE_MODULE, "ring_layout", lambda p, t, reach=0: (128, 64))
+    monkeypatch.setattr(EVOLVE_MODULE, "_whole_ring", lambda p, t, sites: (128, 64))
     with pytest.raises(GuardError, match="wraparound guard violated"):
         evolve(WalkParams(0.25, PI / 2), 100.0)
 
@@ -992,10 +996,13 @@ def _layout_outcome(layout, *args):
 )
 def test_ring_layout_matches_stepped_search(g, phi, t, reach):
     # every input, the cap's GuardError included, gives the outcome of the
-    # search that looks up one next-larger length per rejected length
+    # search that looks up one next-larger length per rejected length: the
+    # whole ring of ring_layout, and the whole ring that holds the sites
+    # (-reach, reach)
     p = WalkParams(g, phi)
-    got = _layout_outcome(ring_layout, p, t, reach)
-    assert got == _layout_outcome(stepped_ring_layout, p, t, reach), (g, phi, t, reach)
+    assert _layout_outcome(ring_layout, p, t) == _layout_outcome(stepped_ring_layout, p, t), (g, phi, t)
+    got = _layout_outcome(EVOLVE_MODULE._whole_ring, p, t, (-reach, reach))
+    assert got == _layout_outcome(stepped_ring_layout, p, t, (-reach, reach)), (g, phi, t, reach)
 
 
 def test_chiral_ring_holds_the_cone():
@@ -1014,13 +1021,13 @@ def test_chiral_ring_holds_the_cone():
         assert R == 1 or wf.origin % (wf.L // R) == 0
 
 
-def _check_single_transform_ring(p, t, reach):
-    """A ring under ROW_BATCH BLOCK sites: the first length that holds both sides, site 0 between them."""
-    L, origin = ring_layout(p, t, reach)
-    left, right = (math.ceil(side) for side in ring_sides(p, t, reach))
+def _check_single_transform_ring(p, t, sites):
+    """A whole ring under ROW_BATCH BLOCK sites: the first length that holds both sides, site 0 between them."""
+    L, origin = EVOLVE_MODULE._whole_ring(p, t, sites)
+    left, right = (math.ceil(side) for side in ring_sides(p, t, sites))
     assert L < ROW_BATCH * BLOCK and EVOLVE_MODULE._rows(L) == 1
-    assert L == _fast_even_lengths(left + right, 2 * (left + right))[0], (p, t, reach, L)
-    assert left <= origin <= L - right, (p, t, reach, L, origin)
+    assert L == _fast_even_lengths(left + right, 2 * (left + right))[0], (p, t, sites, L)
+    assert left <= origin <= L - right, (p, t, sites, L, origin)
     return L
 
 
@@ -1035,8 +1042,9 @@ def test_edge_rings_are_the_shortest_lengths():
     sizes = []
     for g, which, xi_max in EDGE_ROWS:
         p = WalkParams(g, PI / 2)
-        window = int(math.ceil(xi_max * edge_scale(_select_front(cone_topology(p), which), 1e4)))
-        sizes.append(_check_single_transform_ring(p, 1e4, window))
+        front = _select_front(cone_topology(p), which)
+        window, n_e = int(math.ceil(xi_max * edge_scale(front, 1e4))), round(front.velocity * 1e4)
+        sizes.append(_check_single_transform_ring(p, 1e4, (n_e - window, n_e + window)))
     assert sizes == [40960, 40960, 40960, 46080, 46080]
 
 
@@ -1052,8 +1060,8 @@ def test_rings_below_a_row_batch_are_the_shortest_lengths(g, phi, sites, reach):
     p = WalkParams(g, phi)
     d = cone_topology(p)
     t = sites / (d.v_rm - d.v_lm)
-    assume(ring_layout(p, t, reach)[0] < ROW_BATCH * BLOCK)
-    assert _check_single_transform_ring(p, t, reach) >= 2 * BLOCK
+    assume(EVOLVE_MODULE._whole_ring(p, t, (-reach, reach))[0] < ROW_BATCH * BLOCK)
+    assert _check_single_transform_ring(p, t, (-reach, reach)) >= 2 * BLOCK
 
 
 # bound on |mu_k(chiral ring) - mu_k(centred ring)| in units of
