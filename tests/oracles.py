@@ -36,7 +36,7 @@ import mpmath as mp
 import numpy as np
 from scipy.linalg import expm
 
-from chiralwalk import ConeTopology, ExtremalFront, cone_topology, omega
+from chiralwalk import ConeTopology, ExtremalFront, cone_topology
 from chiralwalk._checks import real, whole
 from chiralwalk.airy import RAY_DECAY, XI_LIMIT, _RAY_RULE, _SEGMENT_RULE, _ode_sign, airy_table
 from chiralwalk.dispersion import PHI_MAX, TWO_PI, omega_deriv
@@ -229,9 +229,29 @@ def exact_cut_current(amps, g, phi):
 
 
 def whole_ring_phase_factors(p, t, L):
-    """exp(-i w(q) t) at q = 2 pi fftfreq(L), as one whole-ring expression."""
-    q = 2.0 * np.pi * np.fft.fftfreq(L)
-    return np.exp(-1j * omega(q, p) * t)
+    """exp(-i w(q_k) t) at q_k = 2 pi k / L, k = 0 .. L - 1, as one whole-ring expression.
+
+    Frequency k is an image of the master j = min(k, L - k, |L/2 - k|) <= L/4
+    with momentum q = 2 pi j / L: q itself for k <= L/4, pi - q below L/2,
+    q + pi up to 3L/4 and -q above.  e^{-i w t} = A B with A = e^{-2it cos q}
+    (conjugated at q + pi and pi - q) and B = e^{-2igt cos(2q + phi)} (phi
+    negated at -q and pi - q).  2 pi / L is split in mpmath into a 29-bit
+    head and a rounded tail, so j head is exact and q = j head + j tail is
+    correctly rounded.
+    """
+    with mp.workdps(60):
+        mantissa, exponent = mp.frexp(2 * mp.pi / L)
+        head = mp.ldexp(mp.floor(mp.ldexp(mantissa, 29)), exponent - 29)
+        head, tail = float(head), float(2 * mp.pi / L - head)
+    k = np.arange(L)
+    j = np.minimum(np.minimum(k, L - k), np.abs(L // 2 - k)).astype(float)
+    q = j * head + j * tail
+    a = np.exp(-2j * t * np.cos(q))
+    b_plus = np.exp(-2j * p.g * t * np.cos(2.0 * q + p.phi))
+    b_minus = np.exp(-2j * p.g * t * np.cos(2.0 * q - p.phi))
+    mirrored = (4 * k > L) & (4 * k <= 3 * L)
+    plus = (4 * k <= L) | ((2 * k >= L) & (4 * k <= 3 * L))
+    return np.where(mirrored, np.conj(a), a) * np.where(plus, b_plus, b_minus)
 
 
 def whole_ring_amplitudes(p, t, L):

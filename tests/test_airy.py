@@ -657,6 +657,23 @@ def test_windowed_ring_matches_the_whole_ring(row, t):
     assert np.max(np.abs(prof.djs_scaled - djs)) <= 1e-11
 
 
+@pytest.mark.parametrize("row", sorted(EDGE_ROWS))
+def test_whole_ring_phases_match_the_windowed_ring_at_1e5(row):
+    # the whole ring's float phases against the windowed ring's exact
+    # carriers, its bound fixed before measuring: s dPhi and s dJ within
+    # 1e-12 at t = 1e5 (3.4e-13 measured), where a constant rounding offset
+    # of the momenta at +-pi would show as a step at a front
+    g, index, xi_max = EDGE_ROWS[row]
+    p, t = WalkParams(g, PI / 2), 1e5
+    front = cone_topology(p).fronts[index]
+    window = math.ceil(xi_max * edge_scale(front, t))
+    prof = measure_edge(p, front, t, window)
+    xi, dphi, djs = _whole_ring_profile(p, front, t, window)
+    assert np.array_equal(prof.xi, xi)
+    assert np.max(np.abs(prof.dphi_scaled - dphi)) <= 1e-12
+    assert np.max(np.abs(prof.djs_scaled - djs)) <= 1e-12
+
+
 @pytest.mark.parametrize("row", ["g116_left", "g14_internal"])
 def test_windowed_ring_clears_the_guard_at_every_size(row):
     # the ring the sizing rule chooses, from t = 1e2 (the whole ring) to

@@ -110,12 +110,11 @@ ROWS = {
     "omega": Row(cw.omega, {"q": 0.1, "p": P}, {"q": Domain("array", finite(-Q_MAX, Q_MAX))}),
     "omega_deriv": Row(cw.omega_deriv, {"q": 0.1, "m": 2, "p": P},
                        {"q": Domain("array", finite(-Q_MAX, Q_MAX)), "m": Domain("whole", between(1, 1022))}),
-    # on a given lattice, |w| t <= (2 + 2g) t must be a float
-    # the sites are checked on a given lattice too, which has no window
-    "evolve": Row(cw.evolve, {"p": P, "t": 5.0, "lattice": 64, "sites": (-3, 3)}, {
+    # on a given lattice, |w| t <= (2 + 2g) t must be a float; a given
+    # lattice has no window of sites (EXTRA_ROWS walks the sites)
+    "evolve": Row(cw.evolve, {"p": P, "t": 5.0, "lattice": 64, "sites": None}, {
         "t": Domain("real", finite(0, sys.float_info.max / (4.0 + 4.0 * P.g))),
         "lattice": Domain("whole", lattice, cheap=False, none=True),  # None: the automatic ring
-        "sites": Domain("pair", ascending(False), none=True),
     }),
     # a valid t or window of sites may give a ring above the size cap
     "ring_layout": Row(cw.ring_layout, {"p": P, "t": 5.0, "sites": (-3, 3)}, {
@@ -156,6 +155,15 @@ ROWS = {
         "FrontTable", "GuardError", "ObservableField", "ScalingCurve", "StaircaseStep", "WaveFunction",
     )},
 }
+
+# more rows of a public callable, for parameters that its row's base call
+# cannot take: evolve's window of sites, on the automatic ring
+EXTRA_ROWS = {
+    "evolve_window": Row(cw.evolve, {"p": P, "t": 5.0, "lattice": None, "sites": (-3, 3)}, {
+        "sites": Domain("pair", ascending(True), cheap=False, none=True),
+    }),
+}
+WALKED = {**ROWS, **EXTRA_ROWS}
 
 # the values fed to every numeric parameter
 FEEDS = [True, False, np.True_, None, math.nan, math.inf, -math.inf, -1, "1", b"1", 1j, 0.5 + 1j,
@@ -235,9 +243,9 @@ def test_every_public_callable_has_a_row():
     assert public == set(ROWS), (sorted(public - set(ROWS)), sorted(set(ROWS) - public))
 
 
-@pytest.mark.parametrize("callable_name", sorted(name for name, row in ROWS.items() if row.params))
+@pytest.mark.parametrize("callable_name", sorted(name for name, row in WALKED.items() if row.params))
 def test_contract_walk(callable_name):
-    row = ROWS[callable_name]
+    row = WALKED[callable_name]
     for name, domain in row.params.items():
         base = row.base[name]
         if domain.kind == "pair":
@@ -254,7 +262,7 @@ def test_contract_walk(callable_name):
             check(row, name, x)
 
 
-PARAMS = [(row_name, name) for row_name, row in sorted(ROWS.items()) for name in row.params]
+PARAMS = [(row_name, name) for row_name, row in sorted(WALKED.items()) for name in row.params]
 ANY_VALUE = st.one_of(
     st.floats(),
     st.integers(),
@@ -273,7 +281,16 @@ def test_drawn_values_keep_the_contract(param, x):
     # any value of any type at any numeric parameter; a valid value of a
     # parameter whose valid calls may be slow is skipped
     row_name, name = param
-    row, domain = ROWS[row_name], ROWS[row_name].params[name]
+    row, domain = WALKED[row_name], WALKED[row_name].params[name]
     if expected(domain, x) is not False and not domain.cheap:
         return
     check(row, name, x)
+
+
+@pytest.mark.parametrize("sites", [(100, 200), (-3, 3), [0, 0]])
+def test_evolve_refuses_sites_on_a_given_lattice(sites):
+    # a given lattice is a centred ring study with no window: a window of
+    # sites beside it is refused by a message naming both, not ignored
+    with pytest.raises(ValueError) as info:
+        cw.evolve(P, 50.0, lattice=64, sites=sites)
+    assert "lattice=64" in str(info.value) and f"sites={tuple(sites)!r}" in str(info.value)

@@ -7,6 +7,7 @@ import sys
 import threading
 from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -603,6 +604,45 @@ def test_blocked_kernels_match_whole_ring(monkeypatch, block, sizes):
                 assert _same_float(position_moment(prob, k), math.fsum(terms))
 
 
+@pytest.mark.parametrize("block", [3, 8, 64])
+def test_phase_factors_match_the_quartet_oracle(monkeypatch, block):
+    # every even ring of 4..400 sites, L = 0 and 2 (mod 4), bit for bit in
+    # its own row layout and in one row; the blocks give rings of R > 1 rows
+    # with even M (the images at +-pi start on a row) and odd M (they
+    # straddle rows), spans of one master (block 3) and ragged last spans;
+    # block 64 keeps every ring in one row, in one or two spans of masters
+    monkeypatch.setattr(EVOLVE_MODULE, "BLOCK", block)
+    p, t = WalkParams(0.3, 0.8), 3.0
+    parities = set()  # of M on the rings of R > 1 rows
+    for L in range(4, 401, 2):
+        whole = whole_ring_phase_factors(p, t, L)
+        R = EVOLVE_MODULE._rows(L)
+        for r in {1, R}:
+            assert _same_bits(EVOLVE_MODULE._phase_factors(p, t, L, r), whole.reshape(L // r, r).T.copy()), (L, r)
+        if R > 1:
+            parities.add(L // R % 2)
+    assert parities == (set() if block == 64 else {0, 1}), parities  # block 64: one row up to L = 510
+
+
+@pytest.mark.parametrize(
+    "g, phi, t, L", [(0.3, 0.8, 1e6, 4096), (0.25, 0.0, 1e6, 4098), (1 / 8, PI / 2, 1e5, 405_000)]
+)
+def test_phase_factors_against_mpmath(g, phi, t, L):
+    # the bound, fixed before measuring: 2 ulp(1) of (2 + 2g) t, the largest
+    # phase; every frequency of the two small rings, 2 000 drawn ones of the
+    # large one, against exp(-i w(2 pi k / L) t) at 40 digits
+    p = WalkParams(g, phi)
+    phase = EVOLVE_MODULE._phase_factors(p, t, L)[0]
+    ks = range(L) if L < 10_000 else np.random.default_rng(49).choice(L, 2000, replace=False).tolist()
+    with mp.workdps(40):
+        error = 0.0
+        for k in ks:
+            q = 2 * mp.pi * k / L
+            want = mp.expj(-(2 * mp.cos(q) + 2 * mp.mpf(g) * mp.cos(2 * q + mp.mpf(phi))) * mp.mpf(t))
+            error = max(error, float(abs(mp.mpc(complex(phase[k])) - want)))
+    assert error <= 2 * 2.0**-52 * (2 + 2 * g) * t, (g, phi, t, L, error)
+
+
 def test_ring_rows():
     # the largest even divisor R >= ROW_BATCH of L with rows of at least
     # BLOCK sites, else 1: a single transform
@@ -1003,6 +1043,44 @@ def test_ring_layout_matches_stepped_search(g, phi, t, reach):
     assert _layout_outcome(ring_layout, p, t) == _layout_outcome(stepped_ring_layout, p, t), (g, phi, t)
     got = _layout_outcome(EVOLVE_MODULE._whole_ring, p, t, (-reach, reach))
     assert got == _layout_outcome(stepped_ring_layout, p, t, (-reach, reach)), (g, phi, t, reach)
+
+
+def _both_rings_layout(p, t, sites):
+    """(L, origin) from laying out the windowed and the whole ring, and keeping the shorter."""
+    window = EVOLVE_MODULE._window_ring(p, t, *sites) if t > 0 else None
+    try:
+        whole = EVOLVE_MODULE._whole_ring(p, t, sites)
+    except GuardError:
+        if window is None:
+            raise
+        whole = None
+        EVOLVE_MODULE._check_cap(window[1] - window[0] + 2)
+    if window is not None and window[1] - window[0] + 2 <= MAX_LATTICE:
+        first, span = math.floor(window[0]), math.ceil(window[1]) - math.floor(window[0])
+        L = _fast_even_lengths(span, 2 * span)[0]
+        if whole is None or L < whole[0]:
+            return L, (L - span) // 2 - first
+    return whole
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    st.one_of(st.floats(0.0, 2.0), st.sampled_from([0.0, 1 / 16, 1 / 8, 1 / 4])),
+    st.one_of(st.floats(0.0, PI / 2), st.sampled_from([0.0, PI / 2])),
+    st.one_of(st.floats(0.0, 1e9), st.sampled_from([0.0, 1e2, 1e4, 1e8, 1e12, 1e300])),
+    st.floats(0.0, 1.0),
+    st.one_of(st.integers(0, 300), st.integers(0, 10**7)),
+)
+def test_ring_layout_keeps_the_shorter_of_both_rings(g, phi, t, share, half):
+    # windows across the cone and past its fronts, up to rings above the
+    # cap: the layout that skips the whole ring's search below left + right
+    # is the one from laying out both rings, the cap's GuardError included
+    p = WalkParams(g, phi)
+    d = cone_topology(p)
+    n = round(((d.v_lm - 0.05) + share * (d.v_rm - d.v_lm + 0.1)) * t)
+    sites = (n - half, n + half)
+    got = _layout_outcome(ring_layout, p, t, sites)
+    assert got == _layout_outcome(_both_rings_layout, p, t, sites), (g, phi, t, sites)
 
 
 def test_chiral_ring_holds_the_cone():
