@@ -11,8 +11,8 @@ centred (origin L/2), unguarded ring study.
 
 A window of sites (n1, n2) that must be exact takes a windowed ring when
 that is the shorter, holding the evolution of a state whose momenta are
-weighted by a C-infinity step in q at a front in the window and in velocity
-at every other root of v = n/t (_window_ring), folded onto its sites.
+weighted by a C-infinity step in velocity, 1 where v(q) lies within delta1
+of [n1, n2] / t and 0 from 3 delta1 (_window_ring), folded onto its sites.
 
 Rings of ROW_BATCH or more rows of at least BLOCK sites are transformed in
 four steps (Bailey's FFT in hierarchical memory), because numpy's single
@@ -86,9 +86,6 @@ GUARD_SITES = 10
 TAIL_XI = 12.0
 # Ai(TAIL_XI) ~ exp(-_DECAY): every margin of a ring puts its tail below this
 _DECAY = 2.0 / 3.0 * TAIL_XI**1.5
-# W's q-step at a front of order k, (d1, d2) in 1/edge scales: u s <= d1 reaches
-# xi = d1^(k+1) (64, 256), past any edge window; at order 3 a d2 of 24 outgrows the whole ring
-_Q_STEP = {1: (8.0, 24.0), 3: (4.0, 8.0)}
 # 2 pi in units of 2^-_PHASE_BITS, from its first 100 digits, to reduce the
 # carriers' phases exactly
 _PHASE_BITS = 256
@@ -318,47 +315,25 @@ def _window_ring(p: WalkParams, t: float, n1: int, n2: int):
     """(lo, hi, (nu1, nu2, runs)): the sites of the windowed ring for sites n1..n2 at t > 0, or None.
 
     On each branch between fronts, where v = w' is monotone, W = step((dist -
-    w1) / (w2 - w1)), dist the distance of v(q) from [nu1, nu2] = [n1, n2] / t,
-    over a run (qa, qb, w1, w2) of momenta [qa, qb).  A front of order 1 or 3
-    in the window gives its branch the q-step w1, w2 = dist at d1/s, d2/s
-    from q*, run over q* .. q* +- d2/s, if d2/s lies on it, w1 > 0 and W
-    vanishes around the far end; else w1 = delta1 = a ((2 + 8g)/t)^(1/2), w2 =
-    3 delta1, run over the branch.  A ramp of width dq leaks ~exp(-sqrt(2
+    delta1) / (2 delta1)) over a run (qa, qb, delta1, 3 delta1) of its
+    momenta [qa, qb), dist the distance of v(q) from [nu1, nu2] = [n1, n2] / t
+    and delta1 = a ((2 + 8g)/t)^(1/2).  A ramp of width dq leaks ~exp(-sqrt(2
     delta1 t dq)) <= exp(-2a) into the window, so a = _DECAY / 2.  lo..hi
     holds the window and the reached sites, plus GUARD_SITES and _tail_margin
-    past a front or, past a ramp, the D sites where its e^(-1/y) flank falls
-    to exp(-sqrt(2 D dq)) = exp(-_DECAY).
+    past a front or, past a ramp, the delta1 t sites where its e^(-1/y) flank
+    falls to exp(-_DECAY).
     """
     fronts = sorted(cone_topology(p).fronts, key=lambda fr: fr.q_star)
-    count, qs = len(fronts), [fr.q_star for fr in fronts] + [fronts[0].q_star + TWO_PI]
     nu1, nu2 = n1 / t, n2 / t
     delta1 = 0.5 * _DECAY * math.sqrt((2.0 + 8.0 * p.g) / t)
-
-    def dist(v: float) -> float:
-        return max(nu1 - v, v - nu2, 0.0)
-
-    inside = [n1 <= fr.velocity * t <= n2 for fr in fronts]
-    zones = {}  # branch: its q-step's run, flank margin, far end and the branch beyond that end
-    for i in range(count):
-        a, b = i, (i + 1) % count
-        for f, far, beyond, sign in ((a, b, b, 1.0), (b, a, (i - 1) % count, -1.0)):
-            d, s, q = _Q_STEP.get(fronts[f].order), edge_scale(fronts[f], t), fronts[f].q_star
-            if inside[f] and not inside[far] and d and d[1] <= s * (qs[i + 1] - qs[i]):
-                w1, w2 = (dist(omega_deriv(q + sign * x / s, 1, p)) for x in d)
-                if w1 > 0.0:  # W = 0 on the branch past d2/s
-                    run = (*sorted((q, q + sign * d[1] / s)), w1, w2)
-                    zones[i] = (run, _DECAY**2 * s / (2.0 * (d[1] - d[0])), far, beyond)
     lo, hi, runs = n1, n2, []
-    for i, (fr, nxt) in enumerate(zip(fronts, fronts[1:] + fronts[:1])):
-        run, flank, far, beyond = zones.get(i, (None,) * 4)
-        if run is None or (beyond not in zones and dist(fronts[far].velocity) < 3.0 * delta1):
-            run, flank = (fr.q_star, nxt.q_star, delta1, 3.0 * delta1), delta1 * t
+    for fr, nxt in zip(fronts, fronts[1:] + fronts[:1]):
         f_lo, f_hi = sorted((fr, nxt), key=lambda x: x.velocity)
-        lo_v, hi_v = max(f_lo.velocity, nu1 - run[3]), min(f_hi.velocity, nu2 + run[3])
+        lo_v, hi_v = max(f_lo.velocity, nu1 - 3.0 * delta1), min(f_hi.velocity, nu2 + 3.0 * delta1)
         if lo_v < hi_v:
-            lo = min(lo, lo_v * t - (flank if lo_v > f_lo.velocity else _tail_margin(f_lo, t)))
-            hi = max(hi, hi_v * t + (flank if hi_v < f_hi.velocity else _tail_margin(f_hi, t)))
-            runs.append(run)
+            lo = min(lo, lo_v * t - (delta1 * t if lo_v > f_lo.velocity else _tail_margin(f_lo, t)))
+            hi = max(hi, hi_v * t + (delta1 * t if hi_v < f_hi.velocity else _tail_margin(f_hi, t)))
+            runs.append((fr.q_star, nxt.q_star, delta1, 3.0 * delta1))
     return (lo - GUARD_SITES, hi + GUARD_SITES, (nu1, nu2, runs)) if runs else None
 
 

@@ -674,11 +674,12 @@ def test_whole_ring_phases_match_the_windowed_ring_at_1e5(row):
     assert np.max(np.abs(prof.djs_scaled - djs)) <= 1e-12
 
 
-@pytest.mark.parametrize("row", ["g116_left", "g14_internal"])
+@pytest.mark.parametrize("row", sorted(EDGE_ROWS))
 def test_windowed_ring_clears_the_guard_at_every_size(row):
     # the ring the sizing rule chooses, from t = 1e2 (the whole ring) to
-    # t = 1e8 (2.2e5 and 2.2e6 sites), keeps its boundary amplitudes below
-    # TAIL_GUARD; evolve would raise GuardError otherwise
+    # t = 1e8 (8.8e5 to 2.2e6 sites), keeps its boundary amplitudes below
+    # TAIL_GUARD at outer fronts of order 1 and 3 and at the internal front;
+    # evolve would raise GuardError otherwise
     g, index, xi_max = EDGE_ROWS[row]
     p = WalkParams(g, PI / 2)
     front = cone_topology(p).fronts[index]
@@ -712,8 +713,8 @@ def test_evolve_on_any_window_matches_the_whole_ring(g, phi, t, share, half):
 
 
 def test_early_times_keep_the_whole_ring(monkeypatch):
-    # at t = 100 the q-step's support |q - q*| <= 24/s spans the zone, and a
-    # velocity step spans the cone: the weighted ring is not the shorter,
+    # at t = 100 the velocity step's ramp, 2 delta1 t ~ 440 sites wide, and
+    # its flank of delta1 t span the cone: the weighted ring is not the shorter,
     # so the whole ring measures the profile, unweighted, with its bits
     monkeypatch.setattr(EVOLVE_MODULE, "_window_fill", lambda *a: pytest.fail("weighted"))
     p, front = WalkParams(1 / 16, PI / 2), _left_front(1 / 16)

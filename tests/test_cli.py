@@ -712,11 +712,15 @@ def test_edge_widest_window_fits_the_ring(tmp_path, front):
 
 def test_edge_outer_front_past_the_whole_ring_cap(tmp_path):
     # at t = 1e8 the whole ring would hold ~4e8 sites, past MAX_LATTICE; the
-    # outer front's windowed ring holds 230 400, and the staircase is resolved
+    # outer front's windowed ring (900 000 sites) is the one ring_layout
+    # gives for the edge window, and the staircase is resolved
     rc = main(["edge", "--g", "0.0625", "--t", "1e8", "--out", str(tmp_path)])
     assert rc == 0
     meta = validate(tmp_path / "edge.json", "edge")
-    assert meta["lattice"] == 230_400
+    n_e = round(meta["velocity"] * 1e8)
+    sites = (n_e - meta["window"], n_e + meta["window"])
+    assert meta["lattice"] == EVOLVE_MODULE.ring_layout(WalkParams(meta["g"], meta["phi"]), 1e8, sites)[0]
+    assert meta["lattice"] < EVOLVE_MODULE.MAX_LATTICE
     _, srows = read_csv(tmp_path / "staircase.csv")
     assert len([r for r in srows if r[1] == "cpd"]) >= 5
 

@@ -1109,6 +1109,13 @@ def _check_single_transform_ring(p, t, sites):
     return L
 
 
+def _edge_sites(p, which, t, xi_max):
+    """The sites n_e +- ceil(xi_max s) of the edge window at the front _select_front picks."""
+    front = _select_front(cone_topology(p), which)
+    n_e, window = round(front.velocity * t), math.ceil(xi_max * edge_scale(front, t))
+    return n_e - window, n_e + window
+
+
 # the published staircase rows at t = 1e4: (g, front, xi_max), phi = pi/2
 EDGE_ROWS = [(1 / 16, "left", 10.5), (1 / 8, "left", 13.5), (1 / 8, "right", 10.5),
              (1 / 4, "left", 10.5), (1 / 4, "internal", 10.5)]
@@ -1120,10 +1127,28 @@ def test_edge_rings_are_the_shortest_lengths():
     sizes = []
     for g, which, xi_max in EDGE_ROWS:
         p = WalkParams(g, PI / 2)
-        front = _select_front(cone_topology(p), which)
-        window, n_e = int(math.ceil(xi_max * edge_scale(front, 1e4))), round(front.velocity * 1e4)
-        sizes.append(_check_single_transform_ring(p, 1e4, (n_e - window, n_e + window)))
+        sizes.append(_check_single_transform_ring(p, 1e4, _edge_sites(p, which, 1e4, xi_max)))
     assert sizes == [40960, 40960, 40960, 46080, 46080]
+
+
+def test_edge_windowed_rings_take_the_velocity_step():
+    # the rings that evolve takes for the published rows at t = 1e4: every
+    # branch weighted by the velocity step, the ring growing like t^(1/2)
+    sizes = []
+    for g, which, xi_max in EDGE_ROWS:
+        p = WalkParams(g, PI / 2)
+        sizes.append(ring_layout(p, 1e4, _edge_sites(p, which, 1e4, xi_max))[0])
+    assert sizes == [9216, 10000, 10368, 12000, 17280]
+
+
+@pytest.mark.parametrize("g, which, fits", [(1 / 16, "left", 1e11), (1 / 4, "internal", 1e10)])
+def test_edge_windowed_rings_reach_the_cap(g, which, fits):
+    # layout only, for the CLI's default xi-max of 13.5: an outer front's
+    # ring reaches MAX_LATTICE near t = 1e11, an internal front's near 2e10
+    p = WalkParams(g, PI / 2)
+    assert ring_layout(p, fits, _edge_sites(p, which, fits, 13.5))[0] <= MAX_LATTICE
+    with pytest.raises(GuardError, match="exceeds the cap"):
+        ring_layout(p, 10 * fits, _edge_sites(p, which, 10 * fits, 13.5))
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
