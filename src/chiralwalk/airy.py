@@ -44,8 +44,8 @@ of samples.
 
 measure_edge evolves every front, outer, internal or degenerate, by one
 evolve call with the window of sites it measures, on the windowed ring
-when that is the shorter (9 216 to 17 280 sites at t = 1e4 on the
-published rows, where the whole ring has 40 960 to 46 080).
+(9 216 to 17 280 sites at t = 1e4 on the published rows, where the whole
+ring has 40 960 to 46 080).
 
 Orientation convention used throughout this module: the edge coordinate is
 

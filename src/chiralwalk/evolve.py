@@ -6,13 +6,14 @@ time with no time-stepping error.  The ring is periodic and holds the
 causal cone plus an Airy-tail margin; a tail guard verifies that wraparound
 contamination stays below 1e-10.  It is chiral: each side is sized for its
 own outermost front, so a cone asymmetric about the origin gets an
-asymmetric ring, with site 0 at index origin.  A given lattice is a
-centred (origin L/2), unguarded ring study.
+asymmetric ring, with site 0 at index origin.
 
-A window of sites (n1, n2) that must be exact takes a windowed ring when
-that is the shorter, holding the evolution of a state whose momenta are
-weighted by a C-infinity step in velocity, 1 where v(q) lies within delta1
-of [n1, n2] / t and 0 from 3 delta1 (_window_ring), folded onto its sites.
+Each request lays out one ring, and every ring passes the tail guard.  A
+window of sites (n1, n2) that must be exact takes, at t > 0, a windowed
+ring: the evolution of a state whose momenta are weighted by a C-infinity
+step in velocity, 1 where v(q) lies within delta1 of [n1, n2] / t and 0
+from 3 delta1 (_window_ring), folded onto its sites.  Otherwise it is the
+whole ring, widened to hold the window.
 
 Rings of ROW_BATCH or more rows of at least BLOCK sites are transformed in
 four steps (Bailey's FFT in hierarchical memory), because numpy's single
@@ -255,9 +256,7 @@ def _fast_even_lengths(lo: int, hi: int) -> list[int]:
 
 def _check_cap(L: float) -> None:
     if L > MAX_LATTICE:
-        # a given lattice int may exceed every float, and is printed whole
-        size = f"{L:.3g}" if L <= sys.float_info.max else str(L)
-        raise GuardError(f"lattice L={size} exceeds the cap of {MAX_LATTICE} sites")
+        raise GuardError(f"lattice L={L:.3g} exceeds the cap of {MAX_LATTICE} sites")
 
 
 def _tail_margin(front, t: float) -> float:
@@ -272,11 +271,14 @@ def _tail_margin(front, t: float) -> float:
     return (_DECAY / rate) ** ((k + 1) / (k + 2)) * edge_scale(front, t) + 40.0
 
 
-def _sides(p: WalkParams, t: float, sites: tuple | None) -> tuple[float, float]:
-    """(left, right): the sites the whole ring holds left of site 0 and from it on, at least.
+def _whole_ring(p: WalkParams, t: float, sites: tuple | None) -> tuple[int, int]:
+    """(L, origin) of the whole ring: the causal cone, and the sites n1..n2 when given.
 
-    Each side holds |v| t + _tail_margin for its outermost front, and n1..n2
-    with GUARD_SITES to spare.
+    Each side of site 0 holds |v| t + _tail_margin for its outermost front,
+    and n1..n2 with GUARD_SITES to spare.  L is the smallest even 5-smooth
+    length that holds both sides, with an index for site 0 the transform can
+    rotate to (a multiple of M = L/R, any when R = 1) mid-way in the spare
+    sites.  GuardError above MAX_LATTICE.
     """
     d = cone_topology(p)
 
@@ -284,17 +286,7 @@ def _sides(p: WalkParams, t: float, sites: tuple | None) -> tuple[float, float]:
         return max(abs(v) * t + _tail_margin(fr, t) for fr in d.fronts if fr.velocity == v)
 
     n1, n2 = sites or (0, 0)  # each side holds GUARD_SITES of sites anyway
-    return max(side(d.v_lm), GUARD_SITES - n1), max(side(d.v_rm), n2 + 1 + GUARD_SITES)
-
-
-def _whole_ring(p: WalkParams, t: float, sites: tuple | None) -> tuple[int, int]:
-    """(L, origin) of the whole ring: the causal cone, and the sites n1..n2 when given.
-
-    The smallest even 5-smooth L that holds _sides, with an index for site
-    0 the transform can rotate to (a multiple of M = L/R, any when R = 1)
-    mid-way in the spare sites.  GuardError above MAX_LATTICE.
-    """
-    left, right = _sides(p, t, sites)
+    left, right = max(side(d.v_lm), GUARD_SITES - n1), max(side(d.v_rm), n2 + 1 + GUARD_SITES)
     _check_cap(left + right)
     left, right = math.ceil(left), math.ceil(right)
     n = left + right
@@ -312,20 +304,23 @@ def _whole_ring(p: WalkParams, t: float, sites: tuple | None) -> tuple[int, int]
 
 
 def _window_ring(p: WalkParams, t: float, n1: int, n2: int):
-    """(lo, hi, (nu1, nu2, runs)): the sites of the windowed ring for sites n1..n2 at t > 0, or None.
+    """(lo, hi, (nu1, nu2, delta1, runs)): the sites of the windowed ring for sites n1..n2 at t > 0, or None.
 
     On each branch between fronts, where v = w' is monotone, W = step((dist -
-    delta1) / (2 delta1)) over a run (qa, qb, delta1, 3 delta1) of its
-    momenta [qa, qb), dist the distance of v(q) from [nu1, nu2] = [n1, n2] / t
-    and delta1 = a ((2 + 8g)/t)^(1/2).  A ramp of width dq leaks ~exp(-sqrt(2
-    delta1 t dq)) <= exp(-2a) into the window, so a = _DECAY / 2.  lo..hi
-    holds the window and the reached sites, plus GUARD_SITES and _tail_margin
-    past a front or, past a ramp, the delta1 t sites where its e^(-1/y) flank
-    falls to exp(-_DECAY).
+    delta1) / (2 delta1)) over a run (qa, qb) of its momenta [qa, qb), dist
+    the distance of v(q) from [nu1, nu2] = [n1, n2] / t and delta1 = a ((2 +
+    8g)/t)^(1/2).  A ramp of width dq leaks ~exp(-sqrt(2 delta1 t dq)) <=
+    exp(-2a) into the window, so a = _DECAY / 2.  lo..hi holds the window
+    and the reached sites, plus GUARD_SITES and _tail_margin past a front
+    or, past a ramp, the delta1 t sites where its e^(-1/y) flank falls to
+    exp(-_DECAY).  None when no branch reaches the window, or when nu1, nu2
+    or delta1 is not finite (delta1 is inf at subnormal t).
     """
     fronts = sorted(cone_topology(p).fronts, key=lambda fr: fr.q_star)
     nu1, nu2 = n1 / t, n2 / t
     delta1 = 0.5 * _DECAY * math.sqrt((2.0 + 8.0 * p.g) / t)
+    if not all(map(math.isfinite, (nu1, nu2, delta1))):
+        return None
     lo, hi, runs = n1, n2, []
     for fr, nxt in zip(fronts, fronts[1:] + fronts[:1]):
         f_lo, f_hi = sorted((fr, nxt), key=lambda x: x.velocity)
@@ -333,40 +328,33 @@ def _window_ring(p: WalkParams, t: float, n1: int, n2: int):
         if lo_v < hi_v:
             lo = min(lo, lo_v * t - (delta1 * t if lo_v > f_lo.velocity else _tail_margin(f_lo, t)))
             hi = max(hi, hi_v * t + (delta1 * t if hi_v < f_hi.velocity else _tail_margin(f_hi, t)))
-            runs.append((fr.q_star, nxt.q_star, delta1, 3.0 * delta1))
-    return (lo - GUARD_SITES, hi + GUARD_SITES, (nu1, nu2, runs)) if runs else None
+            runs.append((fr.q_star, nxt.q_star))
+    return (lo - GUARD_SITES, hi + GUARD_SITES, (nu1, nu2, delta1, runs)) if runs else None
 
 
 def _layout(p: WalkParams, t: float, sites: tuple | None):
     """(L, origin, band) of evolve's ring: the windowed one (band from _window_ring) or the whole one (None).
 
-    The windowed ring is the shortest even 5-smooth length holding its sites
-    from index 0, taken when it is the shorter or alone within MAX_LATTICE.
-    A windowed ring below left + right of _sides is shorter than every whole
-    ring, which is then not searched for.
+    A window at t > 0 takes the shortest even 5-smooth length that holds
+    _window_ring's sites from index 0, the whole ring only where that is
+    None.  GuardError above MAX_LATTICE.
     """
     window = _window_ring(p, t, *sites) if sites is not None and t > 0 else None
-    windowed = None
-    if window is not None and window[1] - window[0] + 2 <= MAX_LATTICE:
-        first, span = math.floor(window[0]), math.ceil(window[1]) - math.floor(window[0])
-        L = _fast_even_lengths(span, 2 * span)[0]
-        windowed = L, (L - span) // 2 - first, window[2]
-        if L < sum(_sides(p, t, sites)):
-            return windowed
-    try:
-        whole = _whole_ring(p, t, sites)
-    except GuardError:
-        if window is None:
-            raise
-        _check_cap(window[1] - window[0] + 2)  # the refusal names the windowed ring's size
-        return windowed
-    return windowed if windowed is not None and windowed[0] < whole[0] else (*whole, None)
+    if window is None:
+        return (*_whole_ring(p, t, sites), None)
+    lo, hi, band = window
+    _check_cap(hi - lo + 2)
+    first, span = math.floor(lo), math.ceil(hi) - math.floor(lo)
+    L = _fast_even_lengths(span, 2 * span)[0]
+    return L, (L - span) // 2 - first, band
 
 
 def ring_layout(p: WalkParams, t: float, sites: tuple | None = None) -> tuple[int, int]:
     """(L, origin) of the ring that evolve(p, t, sites=sites) evolves: its size, and the index of site 0.
 
-    GuardError above MAX_LATTICE.  t: finite, >= 0; sites: None, or a tuple or list of ints n1 <= n2.
+    The windowed ring for a window at t > 0 that some momentum reaches, else
+    the whole ring.  GuardError above MAX_LATTICE.  t: finite, >= 0; sites:
+    None, or a tuple or list of ints n1 <= n2.
     """
     t = real("t", t, 0)
     return _layout(p, t, pair("sites", sites, -sys.float_info.max, sys.float_info.max))[:2]
@@ -533,15 +521,16 @@ def _window_fill(p: WalkParams, t: float, L: int, first: int, band: tuple) -> np
     of w(q) = 2 cos q + 2 g cos(2q + phi), with w'(q_c) t - first and u's
     offset 2 pi k_c / L - q_c exact ratios rounded once.
     """
-    nu1, nu2, runs = band
+    nu1, nu2, delta1, runs = band
+    width = 3.0 * delta1 - delta1  # the ramp, from delta1 to 3 delta1
     R = _rows(L)
     phase = np.zeros((R, L // R), dtype=complex)
     step = TWO_PI / L
-    for qa, qb, w1, w2 in runs:
+    for qa, qb in runs:
         lo_k, hi_k = math.ceil(qa / step), math.ceil(qb / step)
         k = np.arange(lo_k, hi_k if hi_k > lo_k else hi_k + L)  # the last branch wraps past q = pi
         v = omega_deriv(k * step, 1, p)
-        x = (np.maximum(np.maximum(nu1 - v, v - nu2), 0.0) - w1) / (w2 - w1)
+        x = (np.maximum(np.maximum(nu1 - v, v - nu2), 0.0) - delta1) / width
         if not np.any(x < 1.0):  # a run narrower than the ring's momentum step
             continue
         centre = int(k[np.argmin(np.abs(v - 0.5 * (nu1 + nu2)))])
@@ -564,42 +553,25 @@ def _window_fill(p: WalkParams, t: float, L: int, first: int, band: tuple) -> np
     return phase
 
 
-def evolve(p: WalkParams, t: float, lattice: int | None = None, *, sites: tuple | None = None) -> WaveFunction:
-    """Evolve the site-0 delta state to time t on a periodic ring.
+def evolve(p: WalkParams, t: float, *, sites: tuple | None = None) -> WaveFunction:
+    """Evolve the site-0 delta state to time t on the periodic ring ring_layout(p, t, sites).
 
     amps[origin + n] = (1/L) sum_j W_j exp(i q_j n) exp(-i w(q_j) t),
-    q_j = 2 pi j / L, on ring_layout(p, t, sites): with every W_j = 1, the
-    exact propagator of the ring Hamiltonian applied to the localized state.
-    On a windowed ring (W of _window_ring) s dPhi and s dJ of the published
-    edge rows and a bulk window agree with the whole ring within 1e-11 at
-    t = 1e4 and 1e5.  Boundary amplitudes at or above TAIL_GUARD, or NaN,
-    raise GuardError; a given lattice is a centred ring study with no guard
-    or window.  Rings above MAX_LATTICE sites raise GuardError before any
-    allocation.  t: finite, >= 0, and on a given lattice <= float_max /
-    (4 + 4g), so |w| t is a float; lattice: an even integer >= 4, or None;
-    sites: as in ring_layout, and None on a given lattice (ValueError
-    naming both otherwise).
+    q_j = 2 pi j / L: on the whole ring every W_j = 1, the exact propagator
+    of the ring Hamiltonian applied to the localized state.  On a windowed
+    ring (W of _window_ring) s dPhi and s dJ of the published edge rows and
+    a bulk window agree with the whole ring within 1e-11 at t = 1e4 and
+    1e5.  Boundary amplitudes at or above TAIL_GUARD, or NaN, raise
+    GuardError on either ring.  Rings above MAX_LATTICE sites raise
+    GuardError before any allocation.  t and sites: as in ring_layout.
     """
-    t = real("t", t, 0, math.inf if lattice is None else sys.float_info.max / (4.0 + 4.0 * p.g))
-    sites = pair("sites", sites, -sys.float_info.max, sys.float_info.max)
-    if lattice is not None and sites is not None:
-        raise ValueError(f"sites must be None on a given lattice, got lattice={lattice!r}, sites={sites!r}")
-    if lattice is None:
-        L, origin, band = _layout(p, t, sites)
-    else:
-        L, band = whole("lattice", lattice, 4), None
-        if L % 2:
-            raise ValueError(f"lattice must be even, got lattice={lattice!r}")
-        _check_cap(L)
-        origin = L // 2
+    t = real("t", t, 0)
+    L, origin, band = _layout(p, t, pair("sites", sites, -sys.float_info.max, sys.float_info.max))
     phase = _phase_factors(p, t, L, _rows(L)) if band is None else _window_fill(p, t, L, -origin, band)
     amps = _ring_transform(phase, origin if band is None else 0)
-    if lattice is None:
-        edge = max(np.max(np.abs(amps[:GUARD_SITES])), np.max(np.abs(amps[-GUARD_SITES:])))
-        if not edge < TAIL_GUARD:
-            raise GuardError(
-                f"wraparound guard violated: boundary amplitude {edge:.2e} >= {TAIL_GUARD}"
-            )
+    edge = max(np.max(np.abs(amps[:GUARD_SITES])), np.max(np.abs(amps[-GUARD_SITES:])))
+    if not edge < TAIL_GUARD:
+        raise GuardError(f"wraparound guard violated: boundary amplitude {edge:.2e} >= {TAIL_GUARD}")
     return WaveFunction(p, t, L, amps, origin)
 
 

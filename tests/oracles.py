@@ -25,9 +25,10 @@ runs a four-step FFT), the Airy contour comes from the segment and ray
 concatenated into one complex node array (the package keeps the segment
 real and sums the pieces apart), and the ring layout comes from one
 next-larger 5-smooth search per tried length (the package enumerates the
-candidate lengths once).  One helper is a self-check rather than a second
-route: airy_ode_residual puts the package's own Airy table into the ODE
-that A_k solves.
+candidate lengths once).  Two helpers take no second route:
+airy_ode_residual puts the package's own Airy table into the ODE that A_k
+solves, and centred_ring runs the package's own fill and transform on a
+ring of a chosen size, for the kernel tests that need one.
 """
 
 import math
@@ -36,14 +37,16 @@ import mpmath as mp
 import numpy as np
 from scipy.linalg import expm
 
-from chiralwalk import ConeTopology, ExtremalFront, cone_topology
+from chiralwalk import ConeTopology, ExtremalFront, WaveFunction, cone_topology
 from chiralwalk._checks import real, whole
 from chiralwalk.airy import RAY_DECAY, XI_LIMIT, _RAY_RULE, _SEGMENT_RULE, _ode_sign, airy_table
 from chiralwalk.dispersion import PHI_MAX, TWO_PI, omega_deriv
 from chiralwalk.fronts import (
     BAND_2, BAND_3_G, BAND_3_PHI, G_SEED, NEWTON_STEPS, _critical_root, same_velocity
 )
-from chiralwalk.evolve import GUARD_SITES, _check_cap, _int_power, _rows, _tail_margin
+from chiralwalk.evolve import (
+    GUARD_SITES, _check_cap, _int_power, _phase_factors, _ring_transform, _rows, _tail_margin
+)
 from chiralwalk.hydro import _branches, _ends
 
 _BISECT_STEPS = 54  # brackets a root on a branch of length <= 2pi to < 4e-16
@@ -214,6 +217,17 @@ def dense_ring_evolution(L, g, phi, t):
     psi0 = np.zeros(L, dtype=complex)
     psi0[L // 2] = 1.0
     return expm(-1j * ring_hamiltonian(L, g, phi) * t) @ psi0
+
+
+def centred_ring(p, t, L):
+    """The WaveFunction of the delta state on an L-site ring (L even) with site 0 at index L // 2, unguarded.
+
+    The package's phase fill and transform, on a ring of the caller's size:
+    with R > 1 rows, L // 2 is a multiple of the row length, as the
+    transform needs.
+    """
+    amps = _ring_transform(_phase_factors(p, t, L, _rows(L)), L // 2)
+    return WaveFunction(p, t, L, amps, L // 2)
 
 
 def exact_cut_current(amps, g, phi):

@@ -676,10 +676,10 @@ def test_whole_ring_phases_match_the_windowed_ring_at_1e5(row):
 
 @pytest.mark.parametrize("row", sorted(EDGE_ROWS))
 def test_windowed_ring_clears_the_guard_at_every_size(row):
-    # the ring the sizing rule chooses, from t = 1e2 (the whole ring) to
-    # t = 1e8 (8.8e5 to 2.2e6 sites), keeps its boundary amplitudes below
-    # TAIL_GUARD at outer fronts of order 1 and 3 and at the internal front;
-    # evolve would raise GuardError otherwise
+    # the ring the sizing rule chooses, from t = 1e2 to t = 1e8 (8.8e5 to
+    # 2.2e6 sites), keeps its boundary amplitudes below TAIL_GUARD at outer
+    # fronts of order 1 and 3 and at the internal front; evolve would raise
+    # GuardError otherwise
     g, index, xi_max = EDGE_ROWS[row]
     p = WalkParams(g, PI / 2)
     front = cone_topology(p).fronts[index]
@@ -694,37 +694,49 @@ def test_windowed_ring_clears_the_guard_at_every_size(row):
 
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(st.sampled_from([0.0, 0.0625, 0.125, 0.25, 0.3]), st.sampled_from([0.0, 0.8, PI / 2]),
-       st.floats(300.0, 3000.0), st.floats(0.0, 1.0), st.integers(0, 300))
+       st.one_of(st.floats(300.0, 3000.0), st.sampled_from([5e-324, 1e-300, 1e-3, 1.0, 30.0, 100.0])),
+       st.floats(0.0, 1.0), st.integers(0, 300))
 def test_evolve_on_any_window_matches_the_whole_ring(g, phi, t, share, half):
     # any window of sites, across the cone and past its fronts, one cone or
     # two, at phases where fronts sit on the ring's momenta (g = 0 puts q* at
-    # +-pi/2): the amplitudes agree with the whole ring's to roundoff, which
-    # scales with the ring's largest amplitude
+    # +-pi/2), from subnormal t on: the amplitudes agree with the whole
+    # ring's to roundoff, which scales with the ring's largest amplitude; a
+    # site off the whole ring, which holds the cone and its tails, has
+    # amplitude 0 there
     p = WalkParams(g, phi)
     d = cone_topology(p)
     n = round(((d.v_lm - 0.05) + share * (d.v_rm - d.v_lm + 0.1)) * t)
     sites = (n - half, n + half)
     whole = chiralwalk.evolve(p, t)
     ns = np.arange(sites[0], sites[1] + 1)
-    assume(0 <= ns[0] + whole.origin and ns[-1] + whole.origin < whole.L)
+    on = (0 <= ns + whole.origin) & (ns + whole.origin < whole.L)
+    want = np.zeros(ns.size, dtype=complex)
+    want[on] = whole.amps[ns[on] + whole.origin]
     wf = chiralwalk.evolve(p, t, sites=sites)
-    error = np.max(np.abs(wf.amps[ns + wf.origin] - whole.amps[ns + whole.origin]))
+    assert 0 <= ns[0] + wf.origin and ns[-1] + wf.origin < wf.L, (g, phi, t, sites)
+    error = np.max(np.abs(wf.amps[ns + wf.origin] - want))
     assert error <= 1e-9 * np.max(np.abs(whole.amps)), (g, phi, t, sites)
 
 
-def test_early_times_keep_the_whole_ring(monkeypatch):
+def test_early_times_take_the_windowed_ring(monkeypatch):
     # at t = 100 the velocity step's ramp, 2 delta1 t ~ 440 sites wide, and
-    # its flank of delta1 t span the cone: the weighted ring is not the shorter,
-    # so the whole ring measures the profile, unweighted, with its bits
-    monkeypatch.setattr(EVOLVE_MODULE, "_window_fill", lambda *a: pytest.fail("weighted"))
+    # its flank of delta1 t span the cone, so the windowed ring is longer
+    # than the whole one; it still measures the profile, within 1e-11 of
+    # the whole ring, as at t = 1e3
+    fills = []
+    window_fill = EVOLVE_MODULE._window_fill
+    monkeypatch.setattr(EVOLVE_MODULE, "_window_fill", lambda *a: fills.append(a[2]) or window_fill(*a))
     p, front = WalkParams(1 / 16, PI / 2), _left_front(1 / 16)
-    window = math.ceil(10.5 * edge_scale(front, 100.0))
-    n_e = round(front.velocity * 100.0)
-    prof = measure_edge(p, front, 100.0, window)
-    assert prof.lattice == ring_layout(p, 100.0)[0]
-    assert ring_layout(p, 100.0, (n_e - window, n_e + window)) == ring_layout(p, 100.0)
-    for got, want in zip((prof.xi, prof.dphi_scaled, prof.djs_scaled), _whole_ring_profile(p, front, 100.0, window)):
-        assert np.array_equal(got, want)
+    for t in (1e2, 1e3):
+        window = math.ceil(10.5 * edge_scale(front, t))
+        n_e = round(front.velocity * t)
+        prof = measure_edge(p, front, t, window)
+        assert fills[-1] == prof.lattice == ring_layout(p, t, (n_e - window, n_e + window))[0]
+        xi, dphi, djs = _whole_ring_profile(p, front, t, window)
+        assert np.array_equal(prof.xi, xi)
+        assert np.max(np.abs(prof.dphi_scaled - dphi)) <= 1e-11
+        assert np.max(np.abs(prof.djs_scaled - djs)) <= 1e-11
+    assert len(fills) == 2
 
 
 def test_windowed_ring_guards_against_wraparound(monkeypatch):

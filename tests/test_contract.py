@@ -10,7 +10,6 @@ GuardError for a ring above the size cap), a value inside it must run, and
 no other exception, no warning and no large allocation may occur.
 """
 
-import importlib
 import math
 import re
 import sys
@@ -28,13 +27,12 @@ import chiralwalk as cw
 from chiralwalk import GuardError, WalkParams
 from chiralwalk.hydro import MOMENT_G_MAX
 
-EVOLVE_MODULE = importlib.import_module("chiralwalk.evolve")
 Q_MAX = sys.float_info.max / 2.0  # |q| at most, so that 2q is a float
 PI = math.pi
 P = WalkParams(0.3, 0.8)
 P_EDGE = WalkParams(1 / 16, PI / 2)  # one cone, clear fronts for the edge functions
 FRONT = cw.cone_topology(P_EDGE).fronts[0]  # the left front, of order 1
-FIELD = cw.probability_density(cw.evolve(P, 5.0, 64))
+FIELD = cw.probability_density(cw.evolve(P, 5.0))
 # the largest peak that tracemalloc may see during one call of the walk: the
 # biggest valid call, compare_bulk at t = 500, peaks at ~1.2 MB
 PEAK_BYTES = 8 << 20
@@ -84,12 +82,6 @@ def ascending(guarded):
     return lambda a, b: a <= b and (GuardError if guarded and max(-a, b) > 1e12 else True)
 
 
-def lattice(n):
-    if n < 4 or n % 2:
-        return False
-    return True if n <= EVOLVE_MODULE.MAX_LATTICE else GuardError
-
-
 class Row(NamedTuple):
     call: object
     base: dict
@@ -110,11 +102,9 @@ ROWS = {
     "omega": Row(cw.omega, {"q": 0.1, "p": P}, {"q": Domain("array", finite(-Q_MAX, Q_MAX))}),
     "omega_deriv": Row(cw.omega_deriv, {"q": 0.1, "m": 2, "p": P},
                        {"q": Domain("array", finite(-Q_MAX, Q_MAX)), "m": Domain("whole", between(1, 1022))}),
-    # on a given lattice, |w| t <= (2 + 2g) t must be a float; a given
-    # lattice has no window of sites (EXTRA_ROWS walks the sites)
-    "evolve": Row(cw.evolve, {"p": P, "t": 5.0, "lattice": 64, "sites": None}, {
-        "t": Domain("real", finite(0, sys.float_info.max / (4.0 + 4.0 * P.g))),
-        "lattice": Domain("whole", lattice, cheap=False, none=True),  # None: the automatic ring
+    # a valid t may give a ring above the size cap (EXTRA_ROWS walks the sites)
+    "evolve": Row(cw.evolve, {"p": P, "t": 5.0, "sites": None}, {
+        "t": Domain("real", ring_time(), cheap=False),
     }),
     # a valid t or window of sites may give a ring above the size cap
     "ring_layout": Row(cw.ring_layout, {"p": P, "t": 5.0, "sites": (-3, 3)}, {
@@ -157,9 +147,9 @@ ROWS = {
 }
 
 # more rows of a public callable, for parameters that its row's base call
-# cannot take: evolve's window of sites, on the automatic ring
+# does not walk: evolve's window of sites
 EXTRA_ROWS = {
-    "evolve_window": Row(cw.evolve, {"p": P, "t": 5.0, "lattice": None, "sites": (-3, 3)}, {
+    "evolve_window": Row(cw.evolve, {"p": P, "t": 5.0, "sites": (-3, 3)}, {
         "sites": Domain("pair", ascending(True), cheap=False, none=True),
     }),
 }
@@ -285,12 +275,3 @@ def test_drawn_values_keep_the_contract(param, x):
     if expected(domain, x) is not False and not domain.cheap:
         return
     check(row, name, x)
-
-
-@pytest.mark.parametrize("sites", [(100, 200), (-3, 3), [0, 0]])
-def test_evolve_refuses_sites_on_a_given_lattice(sites):
-    # a given lattice is a centred ring study with no window: a window of
-    # sites beside it is refused by a message naming both, not ignored
-    with pytest.raises(ValueError) as info:
-        cw.evolve(P, 50.0, lattice=64, sites=sites)
-    assert "lattice=64" in str(info.value) and f"sites={tuple(sites)!r}" in str(info.value)

@@ -36,6 +36,7 @@ from chiralwalk.evolve import (
     BLOCK, GUARD_SITES, MAX_LATTICE, ROW_BATCH, SUM_BLOCK, _fast_even_lengths, _int_power
 )
 from oracles import (
+    centred_ring,
     dense_ring_evolution,
     direct_ring_amplitudes,
     exact_cut_current,
@@ -62,6 +63,14 @@ def test_initial_state_is_delta():
     assert np.max(np.delete(p, origin)) < 1e-28
 
 
+def test_window_at_subnormal_time_keeps_the_delta_state():
+    # at t = 5e-324 the velocity step's delta1 is inf, and a ramp of inf
+    # width weighted every momentum by NaN, which the fill skipped, leaving
+    # |psi(0)| = 0; such a window takes the whole ring
+    wf = evolve(WalkParams(0.3, 0.8), 5e-324, sites=(0, 0))
+    assert abs(wf.amps[wf.origin]) == pytest.approx(1.0, abs=1e-15)
+
+
 def test_normalization_and_tail_guard():
     for g, phi, t in [(0.0, PI / 2, 80.0), (1 / 16, PI / 2, 150.0), (0.25, 0.3, 60.0)]:
         wf = evolve(WalkParams(g, phi), t)
@@ -84,7 +93,7 @@ def test_unitary_roundtrip():
 
 def test_matches_dense_matrix_exponential():
     p = WalkParams(0.18, 0.7)
-    wf = evolve(p, 4.0, lattice=64)
+    wf = centred_ring(p, 4.0, 64)
     ref = dense_ring_evolution(64, p.g, p.phi, 4.0)
     assert np.max(np.abs(wf.amps - ref)) < 1e-12
 
@@ -151,9 +160,9 @@ def test_discrete_continuity():
     dt = 1e-4
     p0 = WalkParams(0.0, PI / 2)
     L, _ = ring_layout(p0, 50.0 + 1)
-    plus = probability_density(evolve(p0, 50.0 + dt, L)).values
-    minus = probability_density(evolve(p0, 50.0 - dt, L)).values
-    j = current_density(evolve(p0, 50.0, L)).values
+    plus = probability_density(centred_ring(p0, 50.0 + dt, L)).values
+    minus = probability_density(centred_ring(p0, 50.0 - dt, L)).values
+    j = current_density(centred_ring(p0, 50.0, L)).values
     resid = (plus - minus) / (2 * dt) - (j - np.roll(j, -1))
     assert np.max(np.abs(resid)) < 1e-8
     # with NNN hopping the same identity holds for the exact two-bond cut
@@ -161,9 +170,9 @@ def test_discrete_continuity():
     # lattice-scale oscillations)
     p1 = WalkParams(0.25, PI / 2)
     L, _ = ring_layout(p1, 51.0)
-    plus = probability_density(evolve(p1, 50.0 + dt, L)).values
-    minus = probability_density(evolve(p1, 50.0 - dt, L)).values
-    wf = evolve(p1, 50.0, L)
+    plus = probability_density(centred_ring(p1, 50.0 + dt, L)).values
+    minus = probability_density(centred_ring(p1, 50.0 - dt, L)).values
+    wf = centred_ring(p1, 50.0, L)
     je = exact_cut_current(wf.amps, p1.g, p1.phi)
     resid = (plus - minus) / (2 * dt) - (je - np.roll(je, -1))
     assert np.max(np.abs(resid)) < 1e-8
@@ -198,11 +207,12 @@ def test_cumulative_moments():
     assert m3.values[-1] == pytest.approx(position_moment(prob, 3), rel=1e-10)
 
 
-@pytest.mark.parametrize("t, lattice", [(2e4, None), (2000.0, 21870)])
-def test_zeroth_cumulative_moment_past_the_first_block(t, lattice):
+@pytest.mark.parametrize("t, L", [(2e4, None), (2000.0, 21870)])
+def test_zeroth_cumulative_moment_past_the_first_block(t, L):
     # rings of 8 and 2 blocks: each block after the first starts from a
     # copy of the field's read-only values, so the field itself is untouched
-    prob = probability_density(evolve(WalkParams(0.3, 0.8), t, lattice))
+    p = WalkParams(0.3, 0.8)
+    prob = probability_density(evolve(p, t) if L is None else centred_ring(p, t, L))
     assert prob.L > BLOCK
     before = prob.values.copy()
     assert _same_bits(cumulative_moment(prob, 0).values, cumulative(prob).values)
@@ -227,17 +237,9 @@ def test_non_integer_moment_order_rejected():
     assert position_moment(prob, np.int64(2)) == position_moment(prob, 2)
 
 
-@pytest.mark.parametrize("t", [True, False, np.True_])
-def test_bool_time_rejected_on_a_given_lattice(t):
-    # a given lattice skips the ring layout, whose edge_scale refuses a bool
-    # t: evolve(p, True, lattice=64) evolved to t = 1.0
-    with pytest.raises(ValueError, match=r"t must be a finite real number in \[0, [^]]+\], got t=" + re.escape(repr(t))):
-        evolve(WalkParams(0.3, 0.8), t, lattice=64)
-
-
 @pytest.mark.parametrize("call", [
-    lambda p: evolve(p, "5"), lambda p: evolve(p, "5", lattice=64), lambda p: ring_layout(p, "5"),
-], ids=["evolve", "evolve_on_a_lattice", "ring_layout"])
+    lambda p: evolve(p, "5"), lambda p: evolve(p, "5", sites=(0, 10)), lambda p: ring_layout(p, "5"),
+], ids=["evolve", "evolve_on_a_window", "ring_layout"])
 def test_string_time_rejected(call):
     # each raised TypeError from a comparison
     with pytest.raises(ValueError, match=r"t must be a finite real number in \[0, [^]]+[])], got t='5'"):
@@ -333,25 +335,12 @@ def test_position_moments_summed_once_per_field(monkeypatch):
 
 def test_guards_and_validation():
     p = WalkParams(0.25, PI / 2)
-    wf = evolve(p, 100.0, lattice=128)  # a given lattice wraps, unguarded
-    assert wf.L == 128
     with pytest.raises(ValueError):
         evolve(p, -1.0)
-    with pytest.raises(ValueError):
-        evolve(p, 10.0, lattice=63)
-    assert evolve(p, 5.0, lattice=np.int64(128)).L == 128
     with pytest.raises(ValueError):
         cumulative(cumulative(probability_density(evolve(p, 1.0))))
     with pytest.raises(ValueError):
         position_moment(current_density(evolve(p, 1.0)), 2)
-
-
-@pytest.mark.parametrize("lattice", [128.9, 128.0, np.float64(128.0), "128", True],
-                         ids=["float", "whole-float", "numpy-float", "str", "bool"])
-def test_lattice_must_be_an_integer(lattice):
-    # a non-integer lattice is refused, not truncated
-    with pytest.raises(ValueError, match=re.escape(f"lattice must be an integer >= 4, got lattice={lattice!r}")):
-        evolve(WalkParams(0.3, 0.8), 5.0, lattice=lattice)
 
 
 @pytest.mark.parametrize("reach", [math.nan, -200, -3, "200", True, 200.0, np.float64(5.0)],
@@ -359,8 +348,9 @@ def test_lattice_must_be_an_integer(lattice):
 def test_reach_must_be_a_whole_number_of_sites(monkeypatch, reach):
     # a window of sites (0, reach) reaches a whole number of sites at or past
     # its first: a NaN or negative reach is not read as 0, nor a string as a
-    # TypeError; evolve refuses a bad window on a given lattice too, before any fill
+    # TypeError; evolve refuses a bad window before any fill
     monkeypatch.setattr(EVOLVE_MODULE, "_phase_factors", lambda *a, **kw: pytest.fail("filled"))
+    monkeypatch.setattr(EVOLVE_MODULE, "_window_fill", lambda *a, **kw: pytest.fail("filled"))
     p = WalkParams(0.3, 0.8)
     if isinstance(reach, int) and not isinstance(reach, bool):
         match = re.escape(f"sites must be a pair of integers (first, last) with first <= last, got sites=(0, {reach})")
@@ -368,20 +358,9 @@ def test_reach_must_be_a_whole_number_of_sites(monkeypatch, reach):
         match = re.escape(f"sites[1] must be an integer in [-1.7976931348623157e+308, 1.7976931348623157e+308], got sites[1]={reach!r}")
     with pytest.raises(ValueError, match=match):
         ring_layout(p, 10.0, (0, reach))
-    for lattice in (None, 64):
-        with pytest.raises(ValueError, match=match):
-            evolve(p, 10.0, lattice, sites=(0, reach))
-    assert ring_layout(p, 10.0, (0, np.int64(200))) == ring_layout(p, 10.0, (0, 200)) == (320, 104)
-
-
-@pytest.mark.parametrize("lattice", [10**12, 10**400], ids=["1e12", "1e400"])
-def test_lattice_above_the_cap_refused_before_the_phase_fill(monkeypatch, lattice):
-    # a lattice int beyond every float is printed whole, not as inf
-    monkeypatch.setattr(EVOLVE_MODULE, "_phase_factors", lambda *a, **kw: pytest.fail("filled"))
-    size = "1e+12" if lattice == 10**12 else str(lattice)
-    with pytest.raises(GuardError) as exc:
-        evolve(WalkParams(0.1, 1.0), 10.0, lattice=lattice)
-    assert f"lattice L={size} exceeds the cap" in str(exc.value)
+    with pytest.raises(ValueError, match=match):
+        evolve(p, 10.0, sites=(0, reach))
+    assert ring_layout(p, 10.0, (0, np.int64(200))) == ring_layout(p, 10.0, (0, 200)) == (320, 109)
 
 
 def test_amplitude_guard_refuses_a_ring_too_small(monkeypatch):
@@ -393,14 +372,15 @@ def test_amplitude_guard_refuses_a_ring_too_small(monkeypatch):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("lattice", [None, 64])
-def test_nan_time_refused_before_the_phase_fill(monkeypatch, lattice):
+@pytest.mark.parametrize("sites", [None, (0, 10)])
+def test_nan_time_refused_before_the_phase_fill(monkeypatch, sites):
     # every comparison with NaN is False, so a NaN t would pass a guard
     # written as "refuse when L/2 < v t" and fill the ring with NaN
     monkeypatch.setattr(EVOLVE_MODULE, "_phase_factors", lambda *a, **kw: pytest.fail("filled"))
+    monkeypatch.setattr(EVOLVE_MODULE, "_window_fill", lambda *a, **kw: pytest.fail("filled"))
     p = WalkParams(0.3, 0.8)
-    with pytest.raises(ValueError, match=r"t must be a finite real number in \[0, [^]]+[])], got t=nan"):
-        evolve(p, math.nan, lattice)
+    with pytest.raises(ValueError, match=re.escape("t must be a finite real number in [0, inf), got t=nan")):
+        evolve(p, math.nan, sites=sites)
     with pytest.raises(ValueError, match=re.escape("t must be a finite real number in [0, inf), got t=nan")):
         ring_layout(p, math.nan)
 
@@ -582,7 +562,7 @@ def test_blocked_kernels_match_whole_ring(monkeypatch, block, sizes):
         phase = EVOLVE_MODULE._phase_factors(p, t, L, R)
         whole = whole_ring_phase_factors(p, t, L)
         assert _same_bits(phase, whole.reshape(L // R, R).T.copy())
-        wf = evolve(p, t, lattice=L)
+        wf = centred_ring(p, t, L)
         assert wf.origin == L // 2
         if R == 1:
             assert _same_bits(wf.amps, whole_ring_amplitudes(p, t, L))
@@ -833,7 +813,7 @@ def test_same_bits_for_any_worker_count(monkeypatch, block, L):
 
     def outputs():
         phase = EVOLVE_MODULE._phase_factors(p, t, L, R)
-        centred = evolve(p, t, lattice=L)
+        centred = centred_ring(p, t, L)
         wf = WaveFunction(p, t, L, EVOLVE_MODULE._ring_transform(phase.copy(), origin), origin)
         prob = probability_density(wf)
         fields = [phase, centred.amps, wf.amps, prob.values, current_density(wf).values]
@@ -953,7 +933,7 @@ def test_threads_only_on_large_rings(monkeypatch):
 
     def kernels(L):
         seen.clear()
-        wf = evolve(p, 3.0, lattice=L)
+        wf = centred_ring(p, 3.0, L)
         prob = probability_density(wf)
         current_density(wf)
         cumulative_moment(prob, 2)
@@ -997,9 +977,9 @@ def test_auto_lattice_sizes():
     ]
     assert ring_layout(WalkParams(0.25, PI / 2), 2000.0) == (9600, 3278)
     # a ring of fewer than ROW_BATCH rows is one transform, so site 0 may
-    # sit at any index; a given lattice is centred
+    # sit at any index; a ring of the caller's size is centred
     assert ring_layout(p, 1e4) == (55296, 23453)
-    assert evolve(p, 10.0, lattice=400).origin == 200
+    assert centred_ring(p, 10.0, 400).origin == 200
 
 
 def test_next_fast_even_is_the_smallest_even_5_smooth():
@@ -1045,42 +1025,38 @@ def test_ring_layout_matches_stepped_search(g, phi, t, reach):
     assert got == _layout_outcome(stepped_ring_layout, p, t, (-reach, reach)), (g, phi, t, reach)
 
 
-def _both_rings_layout(p, t, sites):
-    """(L, origin) from laying out the windowed and the whole ring, and keeping the shorter."""
-    window = EVOLVE_MODULE._window_ring(p, t, *sites) if t > 0 else None
-    try:
-        whole = EVOLVE_MODULE._whole_ring(p, t, sites)
-    except GuardError:
-        if window is None:
-            raise
-        whole = None
-        EVOLVE_MODULE._check_cap(window[1] - window[0] + 2)
-    if window is not None and window[1] - window[0] + 2 <= MAX_LATTICE:
-        first, span = math.floor(window[0]), math.ceil(window[1]) - math.floor(window[0])
-        L = _fast_even_lengths(span, 2 * span)[0]
-        if whole is None or L < whole[0]:
-            return L, (L - span) // 2 - first
-    return whole
-
-
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(
     st.one_of(st.floats(0.0, 2.0), st.sampled_from([0.0, 1 / 16, 1 / 8, 1 / 4])),
     st.one_of(st.floats(0.0, PI / 2), st.sampled_from([0.0, PI / 2])),
-    st.one_of(st.floats(0.0, 1e9), st.sampled_from([0.0, 1e2, 1e4, 1e8, 1e12, 1e300])),
+    st.one_of(st.floats(1e-3, 1e9), st.sampled_from([5e-324, 1e2, 1e4, 1e8, 1e12, 1e300])),
     st.floats(0.0, 1.0),
     st.one_of(st.integers(0, 300), st.integers(0, 10**7)),
 )
-def test_ring_layout_keeps_the_shorter_of_both_rings(g, phi, t, share, half):
+def test_windows_at_positive_t_lay_out_one_ring(g, phi, t, share, half):
     # windows across the cone and past its fronts, up to rings above the
-    # cap: the layout that skips the whole ring's search below left + right
-    # is the one from laying out both rings, the cap's GuardError included
+    # cap: a window that some momentum reaches takes the windowed ring
+    # without laying out the whole one, and that ring holds the window, or
+    # the cap's GuardError names its size; any other window takes the whole
+    # ring that holds it
     p = WalkParams(g, phi)
     d = cone_topology(p)
     n = round(((d.v_lm - 0.05) + share * (d.v_rm - d.v_lm + 0.1)) * t)
     sites = (n - half, n + half)
-    got = _layout_outcome(ring_layout, p, t, sites)
-    assert got == _layout_outcome(_both_rings_layout, p, t, sites), (g, phi, t, sites)
+    window = EVOLVE_MODULE._window_ring(p, t, *sites)
+    if window is None:
+        want = _layout_outcome(EVOLVE_MODULE._whole_ring, p, t, sites)
+        assert _layout_outcome(ring_layout, p, t, sites) == want, (g, phi, t, sites)
+        return
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(EVOLVE_MODULE, "_whole_ring", lambda *a: pytest.fail("laid out the whole ring"))
+        got = _layout_outcome(ring_layout, p, t, sites)
+    if got[0] is GuardError:
+        assert got[1] == f"lattice L={window[1] - window[0] + 2:.3g} exceeds the cap of {MAX_LATTICE} sites"
+        return
+    L, origin = got
+    assert L % 2 == 0 and L <= MAX_LATTICE, (g, phi, t, sites, L)
+    assert 0 <= sites[0] + origin and sites[1] + origin < L, (g, phi, t, sites, L, origin)
 
 
 def test_chiral_ring_holds_the_cone():
@@ -1181,7 +1157,7 @@ def test_moments_on_chiral_ring_match_centred_ring(g, phi, t):
     chiral = probability_density(evolve(p, t))
     assert chiral.origin != chiral.L // 2
     half = max(chiral.origin, chiral.L - chiral.origin)
-    centred = probability_density(evolve(p, t, lattice=_fast_even_lengths(2 * half, 4 * half)[0]))
+    centred = probability_density(centred_ring(p, t, _fast_even_lengths(2 * half, 4 * half)[0]))
     for k in range(5):
         scale = math.fsum(np.abs(whole_ring_moment_terms(chiral.values, k, chiral.origin)))
         diff = abs(position_moment(chiral, k) - position_moment(centred, k))
